@@ -33,6 +33,7 @@ chaos:
 ## bench: one iteration of every benchmark plus the harness smoke runs
 bench:
 	$(GO) test -run 'XXX' -bench . -benchtime 1x ./...
+	$(GO) run ./bench -smoke
 	$(GO) run ./cmd/roadrunner-load -workflows 4 -requests 8 -compact
 	$(GO) run ./cmd/roadrunner-load -workflows 4 -requests 8 -cold-channels -compact
 	$(GO) run ./cmd/roadrunner-load -workflows 2 -requests 4 -mode chain -phase-locked -compact

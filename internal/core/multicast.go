@@ -9,7 +9,6 @@ import (
 
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/metrics"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/netsim"
-	"github.com/polaris-slo-cloud/roadrunner-go/internal/pagebuf"
 )
 
 // MulticastOptions tunes a multicast transfer.
@@ -47,7 +46,7 @@ type MulticastOptions struct {
 // multicastDrain is one target stage's outcome.
 type multicastDrain struct {
 	ref InboundRef
-	bd  metrics.Breakdown
+	m   stageMetrics
 	err error
 }
 
@@ -229,12 +228,6 @@ func MulticastTransfer(src *Function, dsts []*Function, opts MulticastOptions) (
 		sendT     time.Duration
 		announced bool
 	)
-	drainTarget := func(i int, dst *Function) (InboundRef, metrics.Breakdown, error) {
-		if local[i] {
-			return receiveFromPair(dst, chans[i], out.Len, opts.Ctx)
-		}
-		return receiveFromHose(dst, chans[i], out.Len, opts.Ctx)
-	}
 	ready := make(chan struct{})
 	drains := make([]multicastDrain, len(dsts))
 	var wg sync.WaitGroup
@@ -259,7 +252,7 @@ func MulticastTransfer(src *Function, dsts []*Function, opts MulticastOptions) (
 				}
 				ds := dst.shim
 				ds.mu.Lock()
-				drains[i].ref, drains[i].bd, drains[i].err = drainTarget(i, dst)
+				drains[i].ref, drains[i].m, drains[i].err = receiveLeg(dst, chans[i], out.Len, opts.Ctx)
 				ds.mu.Unlock()
 			}(i, dst)
 		}
@@ -386,7 +379,7 @@ func MulticastTransfer(src *Function, dsts []*Function, opts MulticastOptions) (
 				drains[i].err = err
 				break
 			}
-			drains[i].ref, drains[i].bd, drains[i].err = drainTarget(i, dst)
+			drains[i].ref, drains[i].m, drains[i].err = receiveLeg(dst, chans[i], out.Len, opts.Ctx)
 			if drains[i].err != nil {
 				break
 			}
@@ -419,11 +412,12 @@ func MulticastTransfer(src *Function, dsts []*Function, opts MulticastOptions) (
 		if i == 0 {
 			usage = usage.Add(srcUsage) // attribute source work once
 		}
-		drainActivity := drains[i].bd.Transfer + drains[i].bd.WasmIO
-		bd := drains[i].bd
-		bd.Setup = setups[i]
-		bd.Transfer += perTargetSend + srcShim.Kernel().SyscallTime(usage.Syscalls)
-		bd.WasmIO += srcWasmIO / time.Duration(len(dsts))
+		dm := drains[i].m
+		bd := metrics.Breakdown{
+			Setup:    setups[i],
+			Transfer: dm.transfer + perTargetSend + srcShim.Kernel().SyscallTime(usage.Syscalls),
+			WasmIO:   dm.wasmIO + srcWasmIO/time.Duration(len(dsts)),
+		}
 		if opts.Links != nil && opts.Links[i] != nil {
 			flows := 0
 			if opts.Flows != nil {
@@ -438,7 +432,7 @@ func MulticastTransfer(src *Function, dsts []*Function, opts MulticastOptions) (
 			// Per-target chunk pipeline: the source's shared tee pass feeds
 			// this target's wire and drain chunk by chunk.
 			srcShare := perTargetSend + srcWasmIO/time.Duration(len(dsts))
-			bd.Overlap = modeledOverlap(hoseChunks(out, srcShim.hoseCap), srcShare, bd.Network, drainActivity)
+			bd.Overlap = modeledOverlap(hoseChunks(out, srcShim.hoseCap), srcShare, bd.Network, dm.activity())
 		}
 		mode := "network-multicast"
 		if local[i] {
@@ -455,89 +449,29 @@ func MulticastTransfer(src *Function, dsts []*Function, opts MulticastOptions) (
 	return refs, reports, nil
 }
 
-// receiveFromPair runs the same-node half of a fan-out's ingress: the teed
-// page references queued on the target's socketpair end are popped straight
-// off the socket (the socketpair IS the channel — no target hose) and copied
-// into linear memory, the single user-space copy the kernel path allows.
-// Callers hold the target's VM lock. Descriptors stay open — teardown
-// belongs to the channel's lifecycle, not the transfer. ctx (nil = never
-// cancelled) is polled at every chunk boundary.
-func receiveFromPair(dst *Function, ch *channel, n uint32, ctx context.Context) (InboundRef, metrics.Breakdown, error) {
-	dstShim := dst.shim
-	var bd metrics.Breakdown
-
-	swIO := metrics.NewStopwatch(dstShim.now)
-	dstPtr, err := dst.view.Allocate(n)
-	if err != nil {
-		return InboundRef{}, bd, err
-	}
-	// dstPtr is the (VM lock held) top allocation: every failure past this
-	// point — cancellation or a faulted syscall — hands it back so an
-	// aborted ingress leaves the target's bump heap where it found it.
-	abort := func(err error) (InboundRef, metrics.Breakdown, error) {
-		_ = dst.view.Deallocate(dstPtr)
-		return InboundRef{}, bd, err
-	}
-	wv, err := dst.view.WritableView(dstPtr, n)
-	if err != nil {
-		return abort(err)
-	}
-	allocT := swIO.Lap()
-	dstShim.acct.CPU(metrics.User, allocT)
-	bd.WasmIO += allocT
-
-	received := 0
-	swW := metrics.NewStopwatch(dstShim.now)
-	for received < int(n) {
-		if err := CtxErr(ctx); err != nil {
-			return abort(err)
-		}
-		chunk := int(n) - received
-		if chunk > dstShim.hoseCap {
-			chunk = dstShim.hoseCap
-		}
-		pairRefs, err := dstShim.proc.ReadRefs(ch.fdB, chunk)
-		if err != nil {
-			return abort(fmt.Errorf("drain socketpair: %w", err))
-		}
-		off := received
-		for _, ref := range pairRefs {
-			off += copy(wv[off:], ref.Bytes())
-		}
-		pagebuf.ReleaseAll(pairRefs)
-		if off == received {
-			return abort(fmt.Errorf("drain socketpair: zero-byte read at offset %d of %d", received, n))
-		}
-		dstShim.acct.Copy(metrics.User, off-received)
-		received = off
-		wIO := swW.Lap()
-		dstShim.acct.CPU(metrics.User, wIO)
-		bd.WasmIO += wIO
-		swW = metrics.NewStopwatch(dstShim.now)
-	}
-	return InboundRef{Ptr: dstPtr, Len: n}, bd, nil
-}
-
-// receiveFromHose runs the target half of Algorithm 1 over the target-side
-// descriptors of ch: socket → target hose → linear memory. Callers hold the
-// target's VM lock. Descriptors stay open — teardown belongs to the
+// receiveLeg runs one target's ingress of a fan-out over ch. A cross-node
+// leg is the target half of Algorithm 1: socket → target hose → linear
+// memory. A same-node leg pops the teed page references straight off its
+// socketpair end (the socketpair IS the channel — no target hose) into
+// linear memory, the single user-space copy the kernel path allows. Callers
+// hold the target's VM lock. Descriptors stay open — teardown belongs to the
 // channel's lifecycle, not the transfer. ctx (nil = never cancelled) is
 // polled at every chunk boundary.
-func receiveFromHose(dst *Function, ch *channel, n uint32, ctx context.Context) (InboundRef, metrics.Breakdown, error) {
+func receiveLeg(dst *Function, ch *channel, n uint32, ctx context.Context) (InboundRef, stageMetrics, error) {
 	dstShim := dst.shim
-	var bd metrics.Breakdown
+	var m stageMetrics
 
 	swIO := metrics.NewStopwatch(dstShim.now)
 	dstPtr, err := dst.view.Allocate(n)
 	if err != nil {
-		return InboundRef{}, bd, err
+		return InboundRef{}, m, err
 	}
 	// dstPtr is the (VM lock held) top allocation: every failure past this
 	// point — cancellation or a faulted syscall — hands it back so an
 	// aborted ingress leaves the target's bump heap where it found it.
-	abort := func(err error) (InboundRef, metrics.Breakdown, error) {
+	abort := func(err error) (InboundRef, stageMetrics, error) {
 		_ = dst.view.Deallocate(dstPtr)
-		return InboundRef{}, bd, err
+		return InboundRef{}, m, err
 	}
 	wv, err := dst.view.WritableView(dstPtr, n)
 	if err != nil {
@@ -545,45 +479,10 @@ func receiveFromHose(dst *Function, ch *channel, n uint32, ctx context.Context) 
 	}
 	allocT := swIO.Lap()
 	dstShim.acct.CPU(metrics.User, allocT)
-	bd.WasmIO += allocT
+	m.wasmIO += allocT
 
-	received := 0
-	swR := metrics.NewStopwatch(dstShim.now)
-	for received < int(n) {
-		if err := CtxErr(ctx); err != nil {
-			return abort(err)
-		}
-		chunk := int(n) - received
-		if chunk > dstShim.hoseCap {
-			chunk = dstShim.hoseCap
-		}
-		for moved := 0; moved < chunk; {
-			m, err := dstShim.proc.Splice(ch.sfd, ch.twfd, chunk-moved)
-			if err != nil {
-				return abort(fmt.Errorf("splice in: %w", err))
-			}
-			moved += m
-		}
-		kernelT := swR.Lap()
-		dstShim.acct.CPU(metrics.Kernel, kernelT)
-		bd.Transfer += kernelT
-
-		swW := metrics.NewStopwatch(dstShim.now)
-		hoseRefs, err := dstShim.proc.ReadRefs(ch.trfd, chunk)
-		if err != nil {
-			return abort(fmt.Errorf("drain hose: %w", err))
-		}
-		off := received
-		for _, ref := range hoseRefs {
-			off += copy(wv[off:], ref.Bytes())
-		}
-		pagebuf.ReleaseAll(hoseRefs)
-		dstShim.acct.Copy(metrics.User, off-received)
-		received = off
-		wIO := swW.Lap()
-		dstShim.acct.CPU(metrics.User, wIO)
-		bd.WasmIO += wIO
-		swR = metrics.NewStopwatch(dstShim.now)
+	if err := drainHose(dstShim, ctx, wv, ch, &m); err != nil {
+		return abort(err)
 	}
-	return InboundRef{Ptr: dstPtr, Len: n}, bd, nil
+	return InboundRef{Ptr: dstPtr, Len: n}, m, nil
 }

@@ -241,8 +241,8 @@ func (networkOps) ingress(st *pipelineState, out OutputRef) (InboundRef, error) 
 	st.im.wasmIO += allocT
 
 	// network_data_transfer_target (Algorithm 1 lines 21-29).
-	swR := metrics.NewStopwatch(s.now)
 	if sp.forceCopy {
+		swR := metrics.NewStopwatch(s.now)
 		for off := 0; off < len(wv); {
 			if err := CtxErr(sp.ctx); err != nil {
 				return ingressAbort(f, dstPtr, err)
@@ -263,46 +263,8 @@ func (networkOps) ingress(st *pipelineState, out OutputRef) (InboundRef, error) 
 		if sp.batchSyscalls {
 			s.proc.BeginBatch()
 		}
-		received := 0
-		for received < int(out.Len) {
-			if err := CtxErr(sp.ctx); err != nil {
-				return ingressAbort(f, dstPtr, err)
-			}
-			chunk := int(out.Len) - received
-			if chunk > s.hoseCap {
-				chunk = s.hoseCap
-			}
-			// splice(socket_fd, target_vdh, length).
-			for moved := 0; moved < chunk; {
-				n, err := s.proc.Splice(ch.sfd, ch.twfd, chunk-moved)
-				if err != nil {
-					return ingressAbort(f, dstPtr, fmt.Errorf("splice in: %w", err))
-				}
-				moved += n
-			}
-			kernelT := swR.Lap()
-			s.acct.CPU(metrics.Kernel, kernelT)
-			st.im.transfer += kernelT
-
-			// write_memory_host: deposit the hose pages directly into
-			// the target VM's linear memory — the single unavoidable
-			// copy of the near-zero-copy path.
-			swW := metrics.NewStopwatch(s.now)
-			refs, err := s.proc.ReadRefs(ch.trfd, chunk)
-			if err != nil {
-				return ingressAbort(f, dstPtr, fmt.Errorf("drain hose: %w", err))
-			}
-			off := received
-			for _, ref := range refs {
-				off += copy(wv[off:], ref.Bytes())
-			}
-			pagebuf.ReleaseAll(refs)
-			s.acct.Copy(metrics.User, off-received)
-			received = off
-			wIO := swW.Lap()
-			s.acct.CPU(metrics.User, wIO)
-			st.im.wasmIO += wIO
-			swR = metrics.NewStopwatch(s.now)
+		if err := drainHose(s, sp.ctx, wv, ch, &st.im); err != nil {
+			return ingressAbort(f, dstPtr, err)
 		}
 		if sp.batchSyscalls {
 			s.proc.EndBatch()
@@ -321,4 +283,58 @@ func (networkOps) ingress(st *pipelineState, out OutputRef) (InboundRef, error) 
 		resultRef = InboundRef{Ptr: decOut.Ptr, Len: decOut.Len}
 	}
 	return resultRef, nil
+}
+
+// drainHose is the receive loop every zero-copy ingress shares
+// (network_data_transfer_target, Algorithm 1 lines 21-29): per hose-sized
+// chunk, splice(socket_fd, target_vdh, length) moves the page references
+// from ch's socket into its target hose, then write_memory_host takes them
+// off the hose and deposits them directly into wv, the target VM's linear
+// memory — the single unavoidable copy of the near-zero-copy path. A
+// same-node fan-out leg has no hose to splice into: its socketpair IS the
+// channel, and the references come straight off the socket. Kernel time
+// lands in m.transfer, the deposit in m.wasmIO. Callers hold the target's VM
+// lock; ctx (nil = never cancelled) is polled at every chunk boundary.
+func drainHose(s *Shim, ctx context.Context, wv []byte, ch *channel, m *stageMetrics) error {
+	rfd := ch.trfd
+	if ch.kind == chanKernel {
+		rfd = ch.fdB
+	}
+	sw := metrics.NewStopwatch(s.now)
+	for received := 0; received < len(wv); {
+		if err := CtxErr(ctx); err != nil {
+			return err
+		}
+		chunk := min(len(wv)-received, s.hoseCap)
+		if ch.kind != chanKernel {
+			for moved := 0; moved < chunk; {
+				n, err := s.proc.Splice(ch.sfd, ch.twfd, chunk-moved)
+				if err != nil {
+					return fmt.Errorf("splice in: %w", err)
+				}
+				moved += n
+			}
+			kernelT := sw.Lap()
+			s.acct.CPU(metrics.Kernel, kernelT)
+			m.transfer += kernelT
+		}
+		refs, err := s.proc.ReadRefs(rfd, chunk)
+		if err != nil {
+			return fmt.Errorf("drain hose: %w", err)
+		}
+		n := 0
+		for _, ref := range refs {
+			n += copy(wv[received+n:], ref.Bytes())
+		}
+		pagebuf.ReleaseAll(refs)
+		if n == 0 {
+			return fmt.Errorf("drain hose: zero-byte read at offset %d of %d", received, len(wv))
+		}
+		s.acct.Copy(metrics.User, n)
+		received += n
+		wIO := sw.Lap()
+		s.acct.CPU(metrics.User, wIO)
+		m.wasmIO += wIO
+	}
+	return nil
 }

@@ -32,15 +32,13 @@ var (
 const (
 	// DefaultPipeCap matches the 16-page default Linux pipe buffer.
 	DefaultPipeCap = 16 * pagebuf.PageSize
-	// DefaultSocketCap is effectively unbounded: transfers in this
-	// simulation run to completion on the sender before the receiver
-	// drains, so socket buffers must absorb whole payloads. Memory held
-	// is still tracked through the page pool.
+	// DefaultSocketCap is effectively unbounded because the phase-locked
+	// ablation (unicast and fan-out) sends a whole payload before it
+	// receives any of it, on one goroutine: the socket ring must absorb
+	// what a bounded one would block on forever. The staged pipeline
+	// drains a socket while it fills and does not need the room. Memory
+	// held is still tracked through the page pool.
 	DefaultSocketCap = 1 << 62
-	// MaxSyscallChunk bounds the bytes one read/write syscall moves
-	// before the kernel would block or return short; used to derive
-	// realistic syscall counts for chunked operations.
-	MaxSyscallChunk = 1 << 20
 )
 
 // CostModel carries the modeled (non-measured) per-operation costs. Only
@@ -124,8 +122,9 @@ func (k *Kernel) NewProc(name string, acct *metrics.Account) *Proc {
 type file interface {
 	// writeRefs queues page references on the file (ownership transfers).
 	writeRefs(refs []pagebuf.Ref) error
-	// readRefs dequeues up to max payload bytes of page references.
-	readRefs(max int) ([]pagebuf.Ref, error)
+	// readRefs dequeues up to max payload bytes of page references,
+	// appending them to dst.
+	readRefs(dst []pagebuf.Ref, max int) ([]pagebuf.Ref, error)
 	// readInto copies queued bytes into b.
 	readInto(b []byte) (int, error)
 	// capacity reports the buffer capacity in bytes.
@@ -280,15 +279,25 @@ func (p *Proc) CloseAll() {
 	}
 }
 
-// refScratch recycles the transient []Ref runs Write builds between
-// AppendCopy and writeRefs. The run only carries references across that
-// window — buffers copy the Ref values into their own queues — so the
-// backing array is reusable the moment writeRefs returns, and a warm Write
-// allocates nothing.
+// refScratch recycles the transient []Ref runs the syscalls build between
+// producing references (AppendCopy, AppendGift, readRefs, Clone) and
+// writeRefs. The run only carries references across that window — buffers
+// copy the Ref values into their own queues — so the backing array is
+// reusable the moment writeRefs returns, and a warm Write, Vmsplice, Splice
+// or Tee allocates no reference slice.
 var refScratch = sync.Pool{New: func() any {
 	s := make([]pagebuf.Ref, 0, 64)
 	return &s
 }}
+
+// putScratch recycles run's backing array through sp. Clear before
+// recycling: a pooled array must not pin pages the buffer now owns. (On
+// error writeRefs already released the refs it rejected.)
+func putScratch(sp *[]pagebuf.Ref, run []pagebuf.Ref) {
+	clear(run)
+	*sp = run[:0]
+	refScratch.Put(sp)
+}
 
 // Write copies b from user space into the file's kernel buffer, exactly as
 // write(2) does: one syscall, one copy_from_user of the full payload. It
@@ -306,11 +315,7 @@ func (p *Proc) Write(fd int, b []byte) (int, error) {
 	sp := refScratch.Get().(*[]pagebuf.Ref)
 	refs := p.k.pool.AppendCopy((*sp)[:0], b)
 	werr := f.writeRefs(refs)
-	// Clear before recycling: a pooled array must not pin pages the buffer
-	// now owns. (On error writeRefs already released the refs it rejected.)
-	clear(refs)
-	*sp = refs[:0]
-	refScratch.Put(sp)
+	putScratch(sp, refs)
 	if werr != nil {
 		return 0, fmt.Errorf("write fd %d: %w", fd, werr)
 	}
@@ -349,15 +354,13 @@ func (p *Proc) Vmsplice(fd int, b []byte) (int, error) {
 		return 0, fmt.Errorf("vmsplice fd %d: %w", fd, ErrNotSupported)
 	}
 	p.syscall()
-	// The ref run rides the pooled scratch (the pipe copies the values);
-	// only the gifted page headers — which live until the pages drain —
-	// are allocated, in one run-sized block inside AppendGift.
+	// The ref run rides the pooled scratch (the pipe copies the value);
+	// only the extent's one header — which lives until its last slice
+	// drains — is allocated, inside AppendGift.
 	sp := refScratch.Get().(*[]pagebuf.Ref)
 	refs := pagebuf.AppendGift((*sp)[:0], b)
 	werr := f.writeRefs(refs)
-	clear(refs)
-	*sp = refs[:0]
-	refScratch.Put(sp)
+	putScratch(sp, refs)
 	if werr != nil {
 		return 0, fmt.Errorf("vmsplice fd %d: %w", fd, werr)
 	}
@@ -389,15 +392,16 @@ func (p *Proc) Splice(infd, outfd int, n int) (int, error) {
 		return 0, fmt.Errorf("splice: n=%d: %w", n, ErrInvalid)
 	}
 	p.syscall()
-	refs, err := in.readRefs(n)
-	if err != nil {
-		return 0, err
-	}
+	sp := refScratch.Get().(*[]pagebuf.Ref)
+	refs, err := in.readRefs((*sp)[:0], n)
 	moved := pagebuf.TotalLen(refs)
-	if err := out.writeRefs(refs); err != nil {
-		return moved, fmt.Errorf("splice fd %d->%d: %w", infd, outfd, err)
+	if err == nil {
+		if err = out.writeRefs(refs); err != nil {
+			err = fmt.Errorf("splice fd %d->%d: %w", infd, outfd, err)
+		}
 	}
-	return moved, nil
+	putScratch(sp, refs)
+	return moved, err
 }
 
 // ReadRefs dequeues page references directly (the receive half of the data
@@ -413,7 +417,7 @@ func (p *Proc) ReadRefs(fd int, max int) ([]pagebuf.Ref, error) {
 		return nil, err
 	}
 	p.syscall()
-	return f.readRefs(max)
+	return f.readRefs(nil, max)
 }
 
 // Pipe creates a pipe and returns (readFD, writeFD), as pipe(2) does.
@@ -480,13 +484,14 @@ func (p *Proc) Tee(infd, outfd int, n int) (int, error) {
 		return 0, fmt.Errorf("tee: n=%d: %w", n, ErrInvalid)
 	}
 	p.syscall()
-	refs, err := pe.pipe.ring.Clone(n)
-	if err != nil {
-		return 0, err
-	}
+	sp := refScratch.Get().(*[]pagebuf.Ref)
+	refs, err := pe.pipe.ring.Clone((*sp)[:0], n)
 	cloned := pagebuf.TotalLen(refs)
-	if err := out.writeRefs(refs); err != nil {
-		return cloned, fmt.Errorf("tee fd %d->%d: %w", infd, outfd, err)
+	if err == nil {
+		if err = out.writeRefs(refs); err != nil {
+			err = fmt.Errorf("tee fd %d->%d: %w", infd, outfd, err)
+		}
 	}
-	return cloned, nil
+	putScratch(sp, refs)
+	return cloned, err
 }

@@ -305,9 +305,20 @@ func TestSyscallTime(t *testing.T) {
 	}
 }
 
-// Property: any payload pushed through pipe→splice→socket arrives intact.
+// Property: any payload pushed through pipe→splice→socket arrives intact,
+// however the vmsplices cut it into extents and the splices and tees split
+// those at offsets that are no page multiple.
 func TestHoseConservationProperty(t *testing.T) {
-	f := func(data []byte) bool {
+	f := func(data []byte, seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		if len(data) > 0 {
+			// quick's slices are short: stretch the payload over several
+			// pages with a ragged tail so extents straddle page boundaries.
+			stretched := make([]byte, 3*pagebuf.PageSize+len(data))
+			rng.Read(stretched)
+			copy(stretched, data)
+			data = stretched
+		}
 		k := New("n")
 		a := k.NewProc("a", nil)
 		b := k.NewProc("b", nil)
@@ -318,27 +329,45 @@ func TestHoseConservationProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if len(data) > 0 {
-			if _, err := a.Vmsplice(wfd, data); err != nil {
+		teeR, teeW := a.PipeSized(1 << 24)
+		for off := 0; off < len(data); {
+			n := min(1+rng.Intn(2*pagebuf.PageSize), len(data)-off)
+			if _, err := a.Vmsplice(wfd, data[off:off+n]); err != nil {
 				return false
 			}
-			moved := 0
-			for moved < len(data) {
-				n, err := a.Splice(rfd, sa, len(data)-moved)
+			off += n
+		}
+		for moved := 0; moved < len(data); {
+			want := min(1+rng.Intn(3*pagebuf.PageSize), len(data)-moved)
+			// tee(2) the next bytes aside without consuming them, then
+			// splice the same bytes onward.
+			if n, err := a.Tee(rfd, teeW, want); err != nil || n != want {
+				return false
+			}
+			for left := want; left > 0; {
+				n, err := a.Splice(rfd, sa, left)
 				if err != nil {
 					return false
 				}
-				moved += n
+				left -= n
 			}
+			moved += want
 		}
 		if err := a.Close(sa); err != nil {
+			return false
+		}
+		if err := a.Close(teeW); err != nil {
 			return false
 		}
 		got, err := io.ReadAll(readerFor(b, sb))
 		if err != nil {
 			return false
 		}
-		return bytes.Equal(got, data)
+		teed, err := io.ReadAll(readerFor(a, teeR))
+		if err != nil {
+			return false
+		}
+		return bytes.Equal(got, data) && bytes.Equal(teed, data)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

@@ -36,11 +36,11 @@ func (pe *pipeEnd) writeRefs(refs []pagebuf.Ref) error {
 	return pe.pipe.ring.Push(refs)
 }
 
-func (pe *pipeEnd) readRefs(max int) ([]pagebuf.Ref, error) {
+func (pe *pipeEnd) readRefs(dst []pagebuf.Ref, max int) ([]pagebuf.Ref, error) {
 	if !pe.readable {
-		return nil, ErrBadFD
+		return dst, ErrBadFD
 	}
-	return pe.pipe.ring.Pop(max)
+	return pe.pipe.ring.PopAppend(dst, max)
 }
 
 func (pe *pipeEnd) readInto(b []byte) (int, error) {
@@ -84,8 +84,8 @@ func (c *conn) writeRefs(refs []pagebuf.Ref) error {
 	return c.peer.Push(refs)
 }
 
-func (c *conn) readRefs(max int) ([]pagebuf.Ref, error) {
-	return c.recv.Pop(max)
+func (c *conn) readRefs(dst []pagebuf.Ref, max int) ([]pagebuf.Ref, error) {
+	return c.recv.PopAppend(dst, max)
 }
 
 func (c *conn) readInto(b []byte) (int, error) {

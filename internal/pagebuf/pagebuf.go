@@ -1,11 +1,14 @@
 // Package pagebuf provides the page-granular buffers that back the simulated
 // kernel's pipes and socket buffers.
 //
-// The central type is Ref, a reference-counted view of a page-sized chunk of
-// memory. Moving a Ref between buffers models what splice(2) does in Linux:
-// the kernel moves page references between pipe buffers instead of copying
-// payload bytes. Gifting user memory into a Ref without a copy models
-// vmsplice(2) with SPLICE_F_GIFT.
+// The central type is Ref, a reference-counted view of a run of memory: one
+// 4 KiB pool page, or an extent — a contiguous run of gifted user memory of
+// any length. Moving a Ref between buffers models what splice(2) does in
+// Linux: the kernel moves page references between pipe buffers instead of
+// copying payload bytes. Gifting user memory into a Ref without a copy models
+// vmsplice(2) with SPLICE_F_GIFT; the whole run handed to one vmsplice is one
+// Ref, so the hose pays per contiguous run, not per page, and buffers split
+// an extent (Slice) only where a capacity or read boundary falls inside it.
 //
 // pagebuf is a pure data-structure package: it performs real byte copies where
 // copies are required, but it does not meter them. The simulated kernel
@@ -38,9 +41,9 @@ var ErrReleased = errors.New("pagebuf: use of released page reference")
 
 // page is a reference-counted block of memory. A page may be pool-owned
 // (allocated by a Pool, returned to it when the count drops to zero) or
-// gifted (wrapping caller memory; simply dropped when released).
+// gifted (an extent wrapping caller memory; simply dropped when released).
 type page struct {
-	data  []byte // always len <= PageSize for pool pages; arbitrary for gifted
+	data  []byte // always len <= PageSize for pool pages; the whole run for gifted
 	refs  atomic.Int32
 	pool  *Pool  // nil for gifted pages
 	shard uint32 // home free-list shard for pool pages
@@ -268,39 +271,25 @@ func (pl *Pool) Copy(b []byte) []Ref {
 	return pl.AppendCopy(make([]Ref, 0, (len(b)+PageSize-1)/PageSize), b)
 }
 
-// AppendGift wraps caller memory in page references without copying,
-// appending to refs. The page headers for the whole run come from a single
-// allocation, so a large vmsplice does not pay one header allocation per
-// chunk; with a pre-sized refs slice the call performs exactly one.
+// AppendGift wraps caller memory in one page reference without copying,
+// appending it to refs: a contiguous run travels as a single extent, one
+// header however long the run. The header lives until the last reference
+// to the extent drains and is the call's only allocation when refs is
+// pre-sized; consumers that need less than the whole run take it with Slice.
 func AppendGift(refs []Ref, b []byte) []Ref {
 	if len(b) == 0 {
 		return refs
 	}
-	chunks := (len(b) + PageSize - 1) / PageSize
-	pages := make([]page, chunks)
-	for i := 0; i < chunks; i++ {
-		off := i * PageSize
-		end := off + PageSize
-		if end > len(b) {
-			end = len(b)
-		}
-		p := &pages[i]
-		p.data = b[off:end]
-		p.refs.Store(1)
-		refs = append(refs, Ref{p: p, n: end - off})
-	}
-	return refs
+	p := &page{data: b}
+	p.refs.Store(1)
+	return append(refs, Ref{p: p, n: len(b)})
 }
 
-// Gift wraps caller memory in page references without copying. This models
+// Gift wraps caller memory in a page reference without copying. This models
 // vmsplice(2) with SPLICE_F_GIFT: the caller cedes ownership of b and must
-// not modify it while the references are live. Chunking at PageSize keeps
-// downstream movement page-granular like the real syscall.
+// not modify it while the reference (or any slice of it) is live.
 func Gift(b []byte) []Ref {
-	if len(b) == 0 {
-		return nil
-	}
-	return AppendGift(make([]Ref, 0, (len(b)+PageSize-1)/PageSize), b)
+	return AppendGift(nil, b)
 }
 
 // TotalLen sums the payload length of a reference run.

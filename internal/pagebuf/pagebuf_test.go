@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -48,19 +49,28 @@ func TestCopyDoesNotAliasSource(t *testing.T) {
 func TestGiftAliasesAndAvoidsCopy(t *testing.T) {
 	src := make([]byte, 2*PageSize+100)
 	refs := Gift(src)
-	if len(refs) != 3 {
-		t.Fatalf("gift chunks = %d, want 3", len(refs))
+	if len(refs) != 1 {
+		t.Fatalf("gift refs = %d, want 1: a contiguous run is one extent", len(refs))
 	}
-	for _, r := range refs {
-		if !r.Gifted() {
-			t.Fatal("gift produced a non-gifted ref")
-		}
+	if got := TotalLen(refs); got != len(src) {
+		t.Fatalf("TotalLen = %d, want %d", got, len(src))
 	}
-	src[0] = 0xAB
-	if refs[0].Bytes()[0] != 0xAB {
+	if !refs[0].Gifted() {
+		t.Fatal("gift produced a non-gifted ref")
+	}
+	src[0], src[len(src)-1] = 0xAB, 0xCD
+	if b := refs[0].Bytes(); b[0] != 0xAB || b[len(b)-1] != 0xCD {
 		t.Fatal("gifted ref does not alias source (a copy happened)")
 	}
+	// Two runs appended to one slice stay two extents, one header each.
+	refs = AppendGift(refs, src[:PageSize+1])
+	if len(refs) != 2 || refs[1].Len() != PageSize+1 || refs[1].p == refs[0].p {
+		t.Fatalf("second gift = %d refs, want a second extent of %d bytes", len(refs), PageSize+1)
+	}
 	ReleaseAll(refs)
+	if n := refs[0].p.refs.Load() + refs[1].p.refs.Load(); n != 0 {
+		t.Fatalf("extent refcounts after release = %d, want 0", n)
+	}
 }
 
 func TestGiftEmpty(t *testing.T) {
@@ -303,21 +313,68 @@ func TestRingTryPush(t *testing.T) {
 }
 
 // Property: bytes flow through a ring unchanged and in order regardless of
-// push/pop chunking.
+// how the payload is cut into pool pages and gifted extents on the way in and
+// how PopAppend, Clone and ReadInto split them on the way out — at offsets
+// that are no page multiple — and once everything is released every pool
+// page is home and every extent's refcount is zero.
 func TestRingConservationProperty(t *testing.T) {
 	pool := NewPool()
-	f := func(data []byte, chunk uint8) bool {
+	f := func(data []byte, chunk uint8, seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		// quick's slices are short: stretch the payload over several pages
+		// with a ragged tail so extents straddle page boundaries.
+		payload := make([]byte, 3*PageSize+1+13*int(chunk))
+		rng.Read(payload)
+		copy(payload, data)
+
 		ring := NewRing(1 << 30)
-		if err := ring.Push(pool.Copy(data)); err != nil {
-			return false
+		var extents []*page
+		for off := 0; off < len(payload); {
+			n := min(1+rng.Intn(2*PageSize+PageSize/2), len(payload)-off)
+			var refs []Ref
+			if rng.Intn(3) == 0 {
+				refs = pool.Copy(payload[off : off+n])
+			} else {
+				refs = Gift(payload[off : off+n])
+				extents = append(extents, refs[0].p)
+			}
+			if err := ring.Push(refs); err != nil {
+				return false
+			}
+			off += n
 		}
 		ring.Close()
+
 		step := int(chunk)%1000 + 1
 		var back []byte
 		buf := make([]byte, step)
 		for {
-			n, err := ring.ReadInto(buf)
-			back = append(back, buf[:n]...)
+			var err error
+			switch rng.Intn(3) {
+			case 0:
+				var n int
+				n, err = ring.ReadInto(buf)
+				back = append(back, buf[:n]...)
+			case 1:
+				var refs []Ref
+				refs, err = ring.PopAppend(nil, step)
+				for _, r := range refs {
+					back = append(back, r.Bytes()...)
+				}
+				ReleaseAll(refs)
+			case 2:
+				// tee: the clone reads ahead without consuming.
+				var refs []Ref
+				refs, err = ring.Clone(nil, step)
+				ahead := payload[len(back):]
+				for _, r := range refs {
+					if !bytes.HasPrefix(ahead, r.Bytes()) {
+						return false
+					}
+					ahead = ahead[r.Len():]
+				}
+				ReleaseAll(refs)
+			}
 			if err == io.EOF {
 				break
 			}
@@ -325,10 +382,96 @@ func TestRingConservationProperty(t *testing.T) {
 				return false
 			}
 		}
-		return bytes.Equal(back, data)
+		for _, p := range extents {
+			if p.refs.Load() != 0 {
+				return false
+			}
+		}
+		return bytes.Equal(back, payload) && pool.Resident() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// An extent larger than the ring blocks its Push, goes through as whole-page
+// slices while a concurrent Pop consumes it, and never overfills the ring by
+// a full page.
+func TestRingPushExtentBackpressure(t *testing.T) {
+	const capacity = 4 * PageSize
+	ring := NewRing(capacity)
+	payload := make([]byte, 64*PageSize+100)
+	rand.New(rand.NewSource(2)).Read(payload)
+	refs := Gift(payload)
+	extent := refs[0].p
+
+	done := make(chan error, 1)
+	go func() {
+		err := ring.Push(refs)
+		ring.Close()
+		done <- err
+	}()
+	for ring.Len() < capacity {
+		runtime.Gosched()
+	}
+	select {
+	case err := <-done:
+		t.Fatalf("Push of a %d-byte extent returned (%v) with nothing consumed from a %d-byte ring", len(payload), err, capacity)
+	default:
+	}
+
+	var got []byte
+	for {
+		if n := ring.Len(); n > capacity+PageSize-1 {
+			t.Fatalf("ring holds %d bytes, capacity %d", n, capacity)
+		}
+		popped, err := ring.Pop(3*PageSize + 7)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range popped {
+			got = append(got, r.Bytes()...)
+		}
+		ReleaseAll(popped)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("push: %v", err)
+	}
+	if !bytes.Equal(got, payload) {
+		t.Fatal("payload corrupted through the sliced extent")
+	}
+	if n := extent.refs.Load(); n != 0 {
+		t.Fatalf("extent refcount = %d after all slices released, want 0", n)
+	}
+}
+
+// Closing the ring under a Push blocked halfway through an extent releases
+// the unpushed remainder exactly once: what is left on the page is the count
+// of the slices already queued, and draining those takes it to zero.
+func TestRingCloseReleasesHalfPushedExtent(t *testing.T) {
+	const capacity = 2 * PageSize
+	ring := NewRing(capacity)
+	refs := Gift(make([]byte, 8*PageSize+7))
+	extent := refs[0].p
+
+	done := make(chan error, 1)
+	go func() { done <- ring.Push(refs) }()
+	for ring.Len() < capacity {
+		runtime.Gosched()
+	}
+	ring.Close()
+	if err := <-done; err != ErrClosedRing {
+		t.Fatalf("push after close = %v, want ErrClosedRing", err)
+	}
+	if n := extent.refs.Load(); n != 1 {
+		t.Fatalf("extent refcount = %d with one %d-byte slice queued, want 1", n, ring.Len())
+	}
+	ring.Drain()
+	if n := extent.refs.Load(); n != 0 {
+		t.Fatalf("extent refcount = %d after drain, want 0", n)
 	}
 }
 

@@ -101,22 +101,37 @@ func (r *Ring) popOne() Ref {
 
 // Push queues page references, blocking while the ring is over capacity.
 // Ownership of the references transfers to the ring. Push accepts a run that
-// is larger than the remaining capacity by enqueueing it in page-sized steps,
-// exactly as a pipe write larger than the pipe buffer proceeds in chunks.
+// is larger than the remaining capacity by enqueueing it in steps, exactly as
+// a pipe write larger than the pipe buffer proceeds in chunks: a pool page
+// goes in whole, and an extent larger than the free capacity goes in as
+// whole-page slices of what fits, so the ring never holds a full page more
+// than its capacity.
 func (r *Ring) Push(refs []Ref) error {
 	r.mu.Lock()
-	for i, ref := range refs {
-		for r.size >= r.capacity && !r.closed {
-			r.notFull.Wait()
+	for i, rest := range refs {
+		for {
+			for r.size >= r.capacity && !r.closed {
+				r.notFull.Wait()
+			}
+			if r.closed {
+				r.mu.Unlock()
+				// Drop the remainder; the caller observed EPIPE. Slices
+				// already queued hold their own counts, so refs[i] still
+				// carries exactly the one reference of its unpushed tail.
+				ReleaseAll(refs[i:])
+				return ErrClosedRing
+			}
+			room := (r.capacity - r.size + PageSize - 1) &^ (PageSize - 1)
+			if rest.n <= room {
+				r.pushOne(rest)
+				r.notEmpty.Signal()
+				break
+			}
+			r.pushOne(rest.Slice(0, room))
+			r.notEmpty.Signal()
+			rest.off += room
+			rest.n -= room
 		}
-		if r.closed {
-			r.mu.Unlock()
-			// Drop the remainder; the caller observed EPIPE.
-			ReleaseAll(refs[i:])
-			return ErrClosedRing
-		}
-		r.pushOne(ref)
-		r.notEmpty.Signal()
 	}
 	r.mu.Unlock()
 	return nil
@@ -184,35 +199,31 @@ func (r *Ring) Pop(max int) ([]Ref, error) {
 	return r.PopAppend(nil, max)
 }
 
-// Clone returns retained references to the first max queued bytes without
-// dequeuing them — tee(2) semantics: the data remains readable from this
-// ring while the returned references can be pushed elsewhere. Blocks until
-// at least one byte is queued; returns io.EOF on a drained, closed ring.
-func (r *Ring) Clone(max int) ([]Ref, error) {
+// Clone appends to dst retained references to the first max queued bytes
+// without dequeuing them — tee(2) semantics: the data remains readable from
+// this ring while the appended references can be pushed elsewhere. Blocks
+// until at least one byte is queued; returns io.EOF on a drained, closed
+// ring. Like PopAppend, a pre-sized dst makes the call allocation-free.
+func (r *Ring) Clone(dst []Ref, max int) ([]Ref, error) {
 	if max <= 0 {
-		return nil, nil
+		return dst, nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for r.size == 0 {
 		if r.closed {
-			return nil, io.EOF
+			return dst, io.EOF
 		}
 		r.notEmpty.Wait()
 	}
-	var out []Ref
 	taken := 0
 	for i := 0; i < r.count && taken < max; i++ {
 		ref := r.buf[(r.head+i)%len(r.buf)]
-		if taken+ref.n <= max {
-			out = append(out, ref.Retain())
-			taken += ref.n
-		} else {
-			out = append(out, ref.Slice(0, max-taken))
-			taken = max
-		}
+		ref = ref.Slice(0, min(ref.n, max-taken))
+		dst = append(dst, ref)
+		taken += ref.n
 	}
-	return out, nil
+	return dst, nil
 }
 
 // ReadInto copies queued bytes into dst (copy_to_user), blocking until at
