@@ -21,9 +21,13 @@ build:
 test:
 	$(GO) test ./...
 
-## race: the suite under the race detector (CI's test job)
+## race: the suite under the race detector (CI's test job), then the copy
+## path's packages again at 1, 2 and 4 Ps — the windowed hand-off interleaves
+## differently when both stages share one P, and tier-1 must not depend on
+## the core count
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -cpu 1,2,4 ./internal/pagebuf ./internal/kernel ./internal/core
 
 ## chaos: the failure-domain suite under -race (CI's chaos job); the seed is
 ## logged and CHAOS_SEED=N reruns a schedule

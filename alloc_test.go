@@ -231,6 +231,18 @@ func TestAllocCeilings(t *testing.T) {
 			}
 		})
 	}
+	// The kernel path streams through a fixed send window of pooled slabs:
+	// a warm same-node transfer's allocations must not grow with the
+	// payload, even one four times the pool's whole free cache (staging the
+	// payload first allocated 12 MB per 16 MiB transfer).
+	t.Run("warm-kernel-transfer-any-size", func(t *testing.T) {
+		small := testing.Benchmark(benchWarmTransfer("node", 64<<10)).AllocsPerOp()
+		large := testing.Benchmark(benchWarmTransfer("node", 16<<20)).AllocsPerOp()
+		if small != large {
+			t.Errorf("warm-kernel-transfer: %d allocs/op at 64 KiB, %d at 16 MiB — the copy path stages past its window (see DESIGN.md §10)",
+				small, large)
+		}
+	})
 	// The hose moves a chunk as extents, not pages: a warm cross-node
 	// transfer's allocations (one header per vmspliced run, the drained
 	// reference run) are per chunk and must not grow with the pages in it.

@@ -6,6 +6,7 @@ import (
 
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/kernel"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/metrics"
+	"github.com/polaris-slo-cloud/roadrunner-go/internal/pagebuf"
 )
 
 // Channel-cache defaults (overridable per shim via ShimConfig).
@@ -17,6 +18,13 @@ const (
 	// beyond it the least recently used channel is evicted.
 	DefaultChannelCap = 16
 )
+
+// kernelSendWindow is the SO_SNDBUF of the kernel-mode socketpair: four
+// slabs. The source's write stages at most this much ahead of the target's
+// receive, so the bounce set of a kernel transfer is 256 KiB whatever the
+// payload — small enough to stay L2-resident next to the source and target
+// streams — and deep enough that neither stage parks per hand-off.
+const kernelSendWindow = 4 * pagebuf.SlabSize
 
 // chanKind distinguishes the two persistent-hose flavors.
 type chanKind uint8
@@ -107,7 +115,7 @@ func establishChannel(src, dst *Shim, kind chanKind) (*channel, error) {
 	c := &channel{src: src, dst: dst, kind: kind}
 	switch kind {
 	case chanKernel:
-		fdA, fdB, err := kernel.SocketPair(src.proc, dst.proc)
+		fdA, fdB, err := kernel.SocketPairSized(src.proc, dst.proc, kernelSendWindow)
 		if err != nil {
 			return nil, err
 		}

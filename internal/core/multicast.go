@@ -458,31 +458,14 @@ func MulticastTransfer(src *Function, dsts []*Function, opts MulticastOptions) (
 // channel's lifecycle, not the transfer. ctx (nil = never cancelled) is
 // polled at every chunk boundary.
 func receiveLeg(dst *Function, ch *channel, n uint32, ctx context.Context) (InboundRef, stageMetrics, error) {
-	dstShim := dst.shim
 	var m stageMetrics
-
-	swIO := metrics.NewStopwatch(dstShim.now)
-	dstPtr, err := dst.view.Allocate(n)
+	dstPtr, wv, err := ingressRegion(dst, n, &m)
 	if err != nil {
 		return InboundRef{}, m, err
 	}
-	// dstPtr is the (VM lock held) top allocation: every failure past this
-	// point — cancellation or a faulted syscall — hands it back so an
-	// aborted ingress leaves the target's bump heap where it found it.
-	abort := func(err error) (InboundRef, stageMetrics, error) {
-		_ = dst.view.Deallocate(dstPtr)
-		return InboundRef{}, m, err
-	}
-	wv, err := dst.view.WritableView(dstPtr, n)
-	if err != nil {
-		return abort(err)
-	}
-	allocT := swIO.Lap()
-	dstShim.acct.CPU(metrics.User, allocT)
-	m.wasmIO += allocT
-
-	if err := drainHose(dstShim, ctx, wv, ch, &m); err != nil {
-		return abort(err)
+	if err := drainHose(dst.shim, ctx, wv, ch, &m); err != nil {
+		ref, err := ingressAbort(dst, dstPtr, err)
+		return ref, m, err
 	}
 	return InboundRef{Ptr: dstPtr, Len: n}, m, nil
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/guest"
-	"github.com/polaris-slo-cloud/roadrunner-go/internal/kernel"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/metrics"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/netsim"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/pagebuf"
@@ -42,10 +41,9 @@ type NetworkOptions struct {
 	// the channel is cached and reused across transfers of the same shim
 	// pair, so warm transfers issue zero connect/pipe syscalls.
 	NoChannelCache bool
-	// PhaseLocked runs the transfer in the pre-pipeline regime — both VM
-	// locks held for the whole operation, the source's send-all strictly
-	// before the target's receive-all — kept as the ablation baseline for
-	// the staged pipeline.
+	// PhaseLocked runs the transfer in the pre-pipeline locking regime —
+	// both VM locks held for the whole operation — kept as the ablation
+	// baseline for the staged pipeline's stage-scoped locks.
 	PhaseLocked bool
 	// SourceRef pins the source region (see UserOptions.SourceRef).
 	SourceRef *OutputRef
@@ -170,42 +168,39 @@ func (networkOps) egress(st *pipelineState) (OutputRef, error) {
 	st.announce(out)
 
 	// network_data_transfer_source (Algorithm 1 lines 6-13).
-	swT := metrics.NewStopwatch(s.now)
 	if sp.forceCopy {
-		if _, err := s.proc.Write(ch.cfd, view); err != nil {
-			return OutputRef{}, fmt.Errorf("copy-path send: %w", err)
+		return out, copySend(s, ch.cfd, view, &st.em)
+	}
+	swT := metrics.NewStopwatch(s.now)
+	if sp.batchSyscalls {
+		s.proc.BeginBatch()
+	}
+	for off := 0; off < len(view); {
+		if err := CtxErr(sp.ctx); err != nil {
+			return OutputRef{}, err
 		}
-	} else {
-		if sp.batchSyscalls {
-			s.proc.BeginBatch()
+		chunk := len(view) - off
+		if chunk > s.hoseCap {
+			chunk = s.hoseCap
 		}
-		for off := 0; off < len(view); {
-			if err := CtxErr(sp.ctx); err != nil {
-				return OutputRef{}, err
-			}
-			chunk := len(view) - off
-			if chunk > s.hoseCap {
-				chunk = s.hoseCap
-			}
-			// vmsplice(vdh, address, length): gift the guest pages into
-			// the hose without copying.
-			if _, err := s.proc.Vmsplice(ch.wfd, view[off:off+chunk]); err != nil {
-				return OutputRef{}, fmt.Errorf("vmsplice: %w", err)
-			}
-			// splice(vdh, socket, length): move page references to the
-			// socket.
-			for moved := 0; moved < chunk; {
-				n, err := s.proc.Splice(ch.rfd, ch.cfd, chunk-moved)
-				if err != nil {
-					return OutputRef{}, fmt.Errorf("splice out: %w", err)
-				}
-				moved += n
-			}
-			off += chunk
+		// vmsplice(vdh, address, length): gift the guest pages into
+		// the hose without copying.
+		if _, err := s.proc.Vmsplice(ch.wfd, view[off:off+chunk]); err != nil {
+			return OutputRef{}, fmt.Errorf("vmsplice: %w", err)
 		}
-		if sp.batchSyscalls {
-			s.proc.EndBatch()
+		// splice(vdh, socket, length): move page references to the
+		// socket.
+		for moved := 0; moved < chunk; {
+			n, err := s.proc.Splice(ch.rfd, ch.cfd, chunk-moved)
+			if err != nil {
+				return OutputRef{}, fmt.Errorf("splice out: %w", err)
+			}
+			moved += n
 		}
+		off += chunk
+	}
+	if sp.batchSyscalls {
+		s.proc.EndBatch()
 	}
 	sendT := swT.Lap()
 	s.acct.CPU(metrics.Kernel, sendT)
@@ -224,41 +219,16 @@ func (networkOps) ingress(st *pipelineState, out OutputRef) (InboundRef, error) 
 	s := f.shim
 	ch := st.ch
 
-	swIO := metrics.NewStopwatch(s.now)
-	dstPtr, err := f.view.Allocate(out.Len)
+	dstPtr, wv, err := ingressRegion(f, out.Len, &st.im)
 	if err != nil {
 		return InboundRef{}, err
 	}
-	// Every failure past this point rewinds the allocation above via
-	// ingressAbort: the drain holds the VM lock, so it is the top
-	// allocation and the bump heap returns to its pre-transfer position.
-	wv, err := f.view.WritableView(dstPtr, out.Len)
-	if err != nil {
-		return ingressAbort(f, dstPtr, err)
-	}
-	allocT := swIO.Lap()
-	s.acct.CPU(metrics.User, allocT)
-	st.im.wasmIO += allocT
 
 	// network_data_transfer_target (Algorithm 1 lines 21-29).
 	if sp.forceCopy {
-		swR := metrics.NewStopwatch(s.now)
-		for off := 0; off < len(wv); {
-			if err := CtxErr(sp.ctx); err != nil {
-				return ingressAbort(f, dstPtr, err)
-			}
-			n, err := s.proc.Read(ch.sfd, wv[off:])
-			if err != nil {
-				return ingressAbort(f, dstPtr, fmt.Errorf("copy-path recv: %w", err))
-			}
-			if n == 0 {
-				return ingressAbort(f, dstPtr, fmt.Errorf("copy-path recv: zero-progress read: %w", kernel.ErrClosed))
-			}
-			off += n
+		if err := copyRecv(s, sp.ctx, ch.sfd, wv, &st.im); err != nil {
+			return ingressAbort(f, dstPtr, err)
 		}
-		recvT := swR.Lap()
-		s.acct.CPU(metrics.Kernel, recvT)
-		st.im.transfer += recvT
 	} else {
 		if sp.batchSyscalls {
 			s.proc.BeginBatch()

@@ -23,6 +23,16 @@
 //     window both stages ran concurrently, making the reported latency the
 //     pipeline's critical path rather than the sum of sequential laps.
 //
+// Both copy-bearing channels stream: the hose moves a payload chunk by chunk
+// through a bounded pipe, and the kernel path's socketpair carries a send
+// window (channels.go, kernelSendWindow), so its one write and one receive
+// interleave slab by slab rather than staging the whole payload between
+// them. Either way an egress can be blocked on a channel the ingress is
+// supposed to drain, so a failing ingress destroys the channel before it
+// reports, and the error join in runPipeline reports the error of the stage
+// that failed first — the ingress's cause, not the ring-closed error the
+// unblocked egress sees.
+//
 // Serialization that must remain is provided by the pair lock
 // (Shim.pairLock): transfers of one ordered (source shim, target shim)
 // pair share one cached channel and therefore execute one at a time.
@@ -30,7 +40,9 @@
 // interleave stage by stage, which is what frees a chain's interior VMs
 // between their stages. lockShims (ordered whole-transfer locking) remains
 // the discipline wherever two VM locks must still nest: the phase-locked
-// ablation regime below.
+// ablation regime, which is this same pipeline — same stages, same
+// goroutines, same syscall and copy sequence — with both VM locks taken up
+// front and held for the whole transfer on the stages' behalf.
 //
 // Memory model (DESIGN.md §10): the steady-state transfer path allocates
 // nothing. Per-transfer state — the announce/result channels, both stages'
@@ -47,6 +59,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/guest"
@@ -156,8 +169,10 @@ type pipelineSpec struct {
 	flows       int
 	// chunkBytes is the channel chunk size the payload crosses in — the
 	// pipeline depth for overlap attribution is ceil(len/chunkBytes).
-	// Zero means 1 chunk (no pipelining within the transfer, e.g. the
-	// kernel path's single write/read exchange).
+	// Zero means 1 chunk: no overlap is attributed. The copy paths leave
+	// it zero — their one write and one receive do interleave through the
+	// send window, but the modeled credit is not claimed for them yet
+	// (DESIGN.md §3), so their modeled latency stays the sum of the laps.
 	chunkBytes int
 	sourceRef  *OutputRef // pinned source region (see UserOptions.SourceRef)
 	ops        stageOps
@@ -199,13 +214,16 @@ type ingressResult struct {
 // receives the ingress result both channels are empty and no goroutine
 // retains the state.
 type pipelineState struct {
-	spec       pipelineSpec
-	ch         *channel
-	em, im     stageMetrics
-	out        OutputRef
-	announced  bool
-	announceCh chan announceMsg
-	ingressCh  chan ingressResult
+	spec      pipelineSpec
+	ch        *channel
+	em, im    stageMetrics
+	out       OutputRef
+	announced bool
+	// ingressFailed is set by the ingress stage before it destroys the
+	// channel, so the egress's join can tell a symptom from a cause.
+	ingressFailed atomic.Bool
+	announceCh    chan announceMsg
+	ingressCh     chan ingressResult
 }
 
 var statePool = sync.Pool{New: func() any {
@@ -223,18 +241,17 @@ func putPipelineState(st *pipelineState) {
 	st.em, st.im = stageMetrics{}, stageMetrics{}
 	st.out = OutputRef{}
 	st.announced = false
+	st.ingressFailed.Store(false)
 	statePool.Put(st)
 }
 
-// announce records the source's output region and, in the pipelined regime,
-// unblocks the ingress stage. Stage bodies call it exactly once, before the
-// first payload byte moves.
+// announce records the source's output region and unblocks the ingress
+// stage. Stage bodies call it exactly once, before the first payload byte
+// moves.
 func (st *pipelineState) announce(o OutputRef) {
 	st.out = o
 	st.announced = true
-	if !st.spec.phaseLocked {
-		st.announceCh <- announceMsg{out: o}
-	}
+	st.announceCh <- announceMsg{out: o}
 }
 
 // ingressQ hands states to parked stage workers. It is unbuffered on
@@ -265,8 +282,12 @@ func ingressWorker(st *pipelineState) {
 }
 
 // runIngress is the target stage: wait for the announced output, then drain
-// under the target VM lock alone. It sends exactly one result on
-// st.ingressCh and touches st never again afterwards.
+// under the target VM lock alone (the phase-locked caller already holds it
+// for the stage). Any failure destroys the channel before it is reported:
+// that releases the queued pages back to the pool and unblocks an egress
+// still pushing into a full hose or send window, which nothing would drain
+// any more. It sends exactly one result on st.ingressCh and touches st never
+// again afterwards.
 func (st *pipelineState) runIngress() {
 	msg := <-st.announceCh
 	if msg.aborted {
@@ -278,20 +299,23 @@ func (st *pipelineState) runIngress() {
 		sp.gates.BeforeIngress()
 	}
 	// Stage-boundary cancellation point: the payload is on the wire
-	// (queued in the channel), neither VM lock held. The destroy both
-	// releases the queued pages back to the pool and unblocks an egress
-	// still pushing into a full ring (its write fails with ring-closed,
-	// which the error join in runPipeline overrides with the
-	// cancellation).
-	if err := CtxErr(sp.ctx); err != nil {
-		st.ch.destroy()
-		st.ingressCh <- ingressResult{err: err}
-		return
+	// (queued in the channel), the target VM not yet touched.
+	err := CtxErr(sp.ctx)
+	var ref InboundRef
+	if err == nil {
+		dstShim := sp.dst.shim
+		if !sp.phaseLocked {
+			dstShim.mu.Lock()
+		}
+		ref, err = sp.ops.ingress(st, msg.out)
+		if !sp.phaseLocked {
+			dstShim.mu.Unlock()
+		}
 	}
-	dstShim := sp.dst.shim
-	dstShim.mu.Lock()
-	ref, err := sp.ops.ingress(st, msg.out)
-	dstShim.mu.Unlock()
+	if err != nil {
+		st.ingressFailed.Store(true)
+		st.ch.destroy()
+	}
 	st.ingressCh <- ingressResult{ref: ref, m: st.im, err: err}
 }
 
@@ -316,11 +340,10 @@ func (f *Function) sourceOutput(pinned *OutputRef) (OutputRef, error) {
 //	caller goroutine:  pair lock → channel → [src lock: egress] → join
 //	stage worker:              wait announce → [dst lock: ingress]
 //
-// The pair lock is the only lock held across stages; VM locks never nest.
+// The pair lock is the only lock held across stages; VM locks never nest —
+// except in the phase-locked ablation, where lockShims takes both up front
+// and the stage bodies run under them without locking themselves.
 func runPipeline(spec *pipelineSpec) (InboundRef, metrics.TransferReport, error) {
-	if spec.phaseLocked {
-		return runPhaseLocked(spec)
-	}
 	srcShim, dstShim := spec.src.shim, spec.dst.shim
 	pl := srcShim.pairLock(dstShim, spec.kind)
 	pl.Lock()
@@ -329,6 +352,10 @@ func runPipeline(spec *pipelineSpec) (InboundRef, metrics.TransferReport, error)
 	// pair lock aborts before acquiring a channel or touching either VM.
 	if err := CtxErr(spec.ctx); err != nil {
 		return InboundRef{}, metrics.TransferReport{}, err
+	}
+	if spec.phaseLocked {
+		locked := lockShims(srcShim, dstShim)
+		defer unlockShims(locked)
 	}
 	beforeSrc := srcShim.acct.Snapshot()
 	beforeDst := dstShim.acct.Snapshot()
@@ -344,10 +371,19 @@ func runPipeline(spec *pipelineSpec) (InboundRef, metrics.TransferReport, error)
 	dispatchIngress(st)
 
 	// Source stage, inline, under the source VM lock alone.
-	srcShim.mu.Lock()
+	if !spec.phaseLocked {
+		srcShim.mu.Lock()
+	}
 	_, eerr := spec.ops.egress(st)
-	srcShim.mu.Unlock()
+	if !spec.phaseLocked {
+		srcShim.mu.Unlock()
+	}
+	// A failing stage destroys the channel, which then fails the other
+	// stage with whatever symptom its next step meets (ring closed, bad
+	// descriptor, end of stream): the stage that failed first has the cause.
+	ingressFirst := false
 	if eerr != nil {
+		ingressFirst = st.ingressFailed.Load()
 		if !st.announced {
 			st.announceCh <- announceMsg{aborted: true}
 		} else {
@@ -356,22 +392,13 @@ func runPipeline(spec *pipelineSpec) (InboundRef, metrics.TransferReport, error)
 			// below destroys it again — destroy is idempotent.
 			ch.destroy()
 		}
-		ires := <-st.ingressCh
-		putPipelineState(st)
-		releaseTransferChannel(ch, spec.perCall, false)
-		// A cancelled ingress poisons the channel to unblock the egress,
-		// whose push then fails with ring-closed: when the discarded
-		// ingress result carries the cancellation, that is the cause and
-		// the error reported. A genuine egress fault that merely coincides
-		// with an expiring context keeps its own error.
-		if cerr := CtxErr(spec.ctx); cerr != nil && errors.Is(ires.err, cerr) {
-			eerr = cerr
-		}
-		return InboundRef{}, metrics.TransferReport{}, eerr
 	}
 	ires := <-st.ingressCh
 	out, em := st.out, st.em
 	putPipelineState(st)
+	if eerr != nil && !ingressFirst {
+		ires.err = eerr
+	}
 	if ires.err != nil {
 		releaseTransferChannel(ch, spec.perCall, false)
 		return InboundRef{}, metrics.TransferReport{}, ires.err
@@ -383,68 +410,11 @@ func runPipeline(spec *pipelineSpec) (InboundRef, metrics.TransferReport, error)
 	return ires.ref, report, nil
 }
 
-// runPhaseLocked is the pre-pipeline regime, kept as the ablation baseline:
-// both VM locks held for the whole transfer (ordered by lockShims), stages
-// strictly sequential, zero overlap. It issues the identical syscall and
-// copy sequence — pipelining moves when work happens, never how much.
-func runPhaseLocked(spec *pipelineSpec) (InboundRef, metrics.TransferReport, error) {
-	srcShim, dstShim := spec.src.shim, spec.dst.shim
-	// The pair lock still serializes against pipelined transfers of the
-	// same pair, which share the cached channel.
-	pl := srcShim.pairLock(dstShim, spec.kind)
-	pl.Lock()
-	defer pl.Unlock()
-	if err := CtxErr(spec.ctx); err != nil {
-		return InboundRef{}, metrics.TransferReport{}, err
-	}
-	locked := lockShims(srcShim, dstShim)
-	defer unlockShims(locked)
-	beforeSrc := srcShim.acct.Snapshot()
-	beforeDst := dstShim.acct.Snapshot()
-
-	ch, setup, err := acquireTransferChannel(srcShim, dstShim, spec.kind, spec.perCall)
-	if err != nil {
-		return InboundRef{}, metrics.TransferReport{}, err
-	}
-
-	// The state carries the spec and channel to the stage bodies exactly
-	// as in the pipelined regime; phaseLocked makes announce record-only,
-	// and both stages run inline on this goroutine.
-	st := statePool.Get().(*pipelineState)
-	st.spec = *spec
-	st.ch = ch
-
-	out, err := spec.ops.egress(st)
-	if err == nil {
-		// Stage boundary: the phases run strictly sequentially here, so
-		// this is the one cancellation point between send-all and
-		// receive-all.
-		err = CtxErr(spec.ctx)
-	}
-	if err != nil {
-		putPipelineState(st)
-		releaseTransferChannel(ch, spec.perCall, false)
-		return InboundRef{}, metrics.TransferReport{}, err
-	}
-	ref, err := spec.ops.ingress(st, out)
-	em, im := st.em, st.im
-	putPipelineState(st)
-	if err != nil {
-		releaseTransferChannel(ch, spec.perCall, false)
-		return InboundRef{}, metrics.TransferReport{}, err
-	}
-	releaseTransferChannel(ch, spec.perCall, true)
-
-	usage := srcShim.acct.Snapshot().Sub(beforeSrc).Add(dstShim.acct.Snapshot().Sub(beforeDst))
-	report := assembleReport(spec, out, setup, em, im, usage)
-	return ref, report, nil
-}
-
 // assembleReport folds both stages' measurements into the transfer report.
 // Modeled syscall mode-switch time joins the Transfer component as before;
 // Overlap is the modeled critical-path credit of the chunk pipeline (zero
-// in the phase-locked regime, whose phases are strictly sequential by
-// definition).
+// in the phase-locked regime by definition: it is the baseline the credit
+// is measured against).
 func assembleReport(spec *pipelineSpec, out OutputRef, setup time.Duration, em, im stageMetrics, usage metrics.Usage) metrics.TransferReport {
 	srcShim := spec.src.shim
 	bd := metrics.Breakdown{

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/kernel"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/metrics"
@@ -27,6 +28,65 @@ type InboundRef struct {
 func ingressAbort(f *Function, dstPtr uint32, err error) (InboundRef, error) {
 	_ = f.view.Deallocate(dstPtr)
 	return InboundRef{}, err
+}
+
+// ingressRegion is the prologue every cross-sandbox ingress shares
+// (Algorithm 1 lines 15-20): allocate n bytes in the target and take the
+// writable view the drain deposits into, charged as Wasm IO. Callers hold
+// the target's VM lock and rewind with ingressAbort on any later failure.
+func ingressRegion(f *Function, n uint32, m *stageMetrics) (uint32, []byte, error) {
+	s := f.shim
+	sw := metrics.NewStopwatch(s.now)
+	dstPtr, err := f.view.Allocate(n)
+	if err != nil {
+		return 0, nil, err
+	}
+	wv, err := f.view.WritableView(dstPtr, n)
+	if err != nil {
+		_ = f.view.Deallocate(dstPtr)
+		return 0, nil, err
+	}
+	allocT := sw.Lap()
+	s.acct.CPU(metrics.User, allocT)
+	m.wasmIO += allocT
+	return dstPtr, wv, nil
+}
+
+// copySend is the copy path's send half, shared by kernel mode and the
+// ForceCopyPath ablation: one write(2) — one copy_from_user — of the source
+// view into fd. On the kernel channel's sized socket the write streams
+// through the send window while the target stage drains.
+func copySend(s *Shim, fd int, view []byte, m *stageMetrics) error {
+	sw := metrics.NewStopwatch(s.now)
+	if _, err := s.proc.Write(fd, view); err != nil {
+		return fmt.Errorf("copy-path send: %w", err)
+	}
+	sendT := sw.Lap()
+	s.acct.CPU(metrics.Kernel, sendT)
+	m.transfer += sendT
+	return nil
+}
+
+// copyRecv is the copy path's receive half: one recv(MSG_WAITALL) straight
+// into the target's linear memory. The context is polled on both sides of
+// the call — the receive itself ends when the payload is in or the channel
+// dies, and a failing source stage destroys the channel.
+func copyRecv(s *Shim, ctx context.Context, fd int, wv []byte, m *stageMetrics) error {
+	if err := CtxErr(ctx); err != nil {
+		return err
+	}
+	sw := metrics.NewStopwatch(s.now)
+	n, err := s.proc.ReadFull(fd, wv)
+	if errors.Is(err, io.EOF) {
+		err = fmt.Errorf("%d of %d bytes: %w", n, len(wv), kernel.ErrClosed)
+	}
+	if err != nil {
+		return fmt.Errorf("copy-path recv: %w", err)
+	}
+	recvT := sw.Lap()
+	s.acct.CPU(metrics.Kernel, recvT)
+	m.transfer += recvT
+	return CtxErr(ctx)
 }
 
 // UserOptions tunes a user-space transfer.
@@ -106,8 +166,8 @@ func UserSpaceTransfer(src, dst *Function, opts UserOptions) (InboundRef, metric
 // KernelOptions tunes a kernel-space transfer.
 type KernelOptions struct {
 	// Ctx cancels the transfer; nil means never cancelled. Cancellation is
-	// observed at pipeline entry, at the stage boundary, and at each read
-	// of the ingress drain loop; an aborted transfer destroys the pair's
+	// observed at pipeline entry, at the stage boundary, and on both sides
+	// of the ingress's one receive; an aborted transfer destroys the pair's
 	// channel exactly as every other transfer failure does.
 	Ctx context.Context
 	// NoChannelCache forces per-call socketpair establishment and teardown
@@ -115,9 +175,9 @@ type KernelOptions struct {
 	// channel is a persistent cached socketpair reused across transfers of
 	// the same shim pair.
 	NoChannelCache bool
-	// PhaseLocked runs the transfer in the pre-pipeline regime — both VM
-	// locks held for the whole operation, send-all strictly before
-	// receive-all — kept as the ablation baseline for the staged pipeline.
+	// PhaseLocked runs the transfer in the pre-pipeline locking regime —
+	// both VM locks held for the whole operation — kept as the ablation
+	// baseline for the staged pipeline's stage-scoped locks.
 	PhaseLocked bool
 	// SourceRef pins the source region (see UserOptions.SourceRef).
 	SourceRef *OutputRef
@@ -149,54 +209,20 @@ func (kernelOps) egress(st *pipelineState) (OutputRef, error) {
 	s.acct.CPU(metrics.User, ioT)
 	st.em.wasmIO += ioT
 	st.announce(out)
-
-	swT := metrics.NewStopwatch(s.now)
-	if _, err := s.proc.Write(st.ch.fdA, view); err != nil {
-		return OutputRef{}, fmt.Errorf("ipc send: %w", err)
-	}
-	sendT := swT.Lap()
-	s.acct.CPU(metrics.Kernel, sendT)
-	st.em.transfer += sendT
-	return out, nil
+	return out, copySend(s, st.ch.fdA, view, &st.em)
 }
 
 // ingress is steps 4-6: allocate in the target and receive straight into
 // its linear memory. Runs under the target VM lock.
 func (kernelOps) ingress(st *pipelineState, out OutputRef) (InboundRef, error) {
 	f := st.spec.dst
-	s := f.shim
-	swIO := metrics.NewStopwatch(s.now)
-	dstPtr, err := f.view.Allocate(out.Len)
+	dstPtr, wv, err := ingressRegion(f, out.Len, &st.im)
 	if err != nil {
 		return InboundRef{}, err
 	}
-	allocT := swIO.Lap()
-	s.acct.CPU(metrics.User, allocT)
-	st.im.wasmIO += allocT
-
-	swR := metrics.NewStopwatch(s.now)
-	wv, err := f.view.WritableView(dstPtr, out.Len)
-	if err != nil {
+	if err := copyRecv(f.shim, st.spec.ctx, st.ch.fdB, wv, &st.im); err != nil {
 		return ingressAbort(f, dstPtr, err)
 	}
-	for off := 0; off < len(wv); {
-		if err := CtxErr(st.spec.ctx); err != nil {
-			return ingressAbort(f, dstPtr, err)
-		}
-		n, err := s.proc.Read(st.ch.fdB, wv[off:])
-		if err != nil {
-			return ingressAbort(f, dstPtr, fmt.Errorf("ipc recv: %w", err))
-		}
-		if n == 0 {
-			// A zero-progress read means the channel can never deliver the
-			// remaining bytes; looping would spin forever.
-			return ingressAbort(f, dstPtr, fmt.Errorf("ipc recv: zero-progress read: %w", kernel.ErrClosed))
-		}
-		off += n
-	}
-	recvT := swR.Lap()
-	s.acct.CPU(metrics.Kernel, recvT)
-	st.im.transfer += recvT
 	return InboundRef{Ptr: dstPtr, Len: out.Len}, nil
 }
 
@@ -211,7 +237,10 @@ func (kernelOps) ingress(st *pipelineState, out OutputRef) (InboundRef, error) {
 //
 // The transfer runs as a staged pipeline (pipeline.go): the source VM is
 // locked only for copy_from_user, the target VM only while the socket
-// drains into its linear memory, and the two stages overlap.
+// drains into its linear memory, and the two stages overlap for real — the
+// socketpair carries a send window (kernelSendWindow), so the source's one
+// write streams through a few cache-resident slabs while the target's one
+// receive drains them, instead of staging the whole payload first.
 func KernelSpaceTransfer(src, dst *Function, opts KernelOptions) (InboundRef, metrics.TransferReport, error) {
 	if src.shim == dst.shim {
 		return InboundRef{}, metrics.TransferReport{}, ErrSameVM

@@ -8,6 +8,13 @@
 // charged to the calling process's metrics.Account. This substitutes for the
 // Linux kernel of the paper's testbed while making the quantities the paper
 // argues about (copy counts, user↔kernel crossings) exact and assertable.
+//
+// Two buffer disciplines coexist. Pipes are bounded rings: a writer waits for
+// room, which is the hose's back-pressure. Socket rings are unbounded and
+// never make a sender of references wait; what bounds a socket is the send
+// window of a sized pair (SocketPairSized), which charges only the bytes
+// Write copies into pool blocks — so the copy path streams through a fixed,
+// cache-resident window while lent (spliced, tee'd) pages queue freely.
 package kernel
 
 import (
@@ -32,12 +39,15 @@ var (
 const (
 	// DefaultPipeCap matches the 16-page default Linux pipe buffer.
 	DefaultPipeCap = 16 * pagebuf.PageSize
-	// DefaultSocketCap is effectively unbounded because the phase-locked
-	// ablation (unicast and fan-out) sends a whole payload before it
-	// receives any of it, on one goroutine: the socket ring must absorb
-	// what a bounded one would block on forever. The staged pipeline
-	// drains a socket while it fills and does not need the room. Memory
-	// held is still tracked through the page pool.
+	// DefaultSocketCap is effectively unbounded: a socket ring queues
+	// references without ever making the sender wait. That is what
+	// reference traffic needs (a tee'd or spliced extent is lent memory;
+	// blocking it per ring-full would serialize a fan-out for nothing) and
+	// what single-goroutine byte streams need (internal/baseline and
+	// minihttp write a whole message, then read it). Copied bytes are
+	// bounded where it matters by the send window of a sized socket
+	// (SocketPairSized), and memory held is tracked through the page pool
+	// either way.
 	DefaultSocketCap = 1 << 62
 )
 
@@ -129,6 +139,10 @@ type file interface {
 	readInto(b []byte) (int, error)
 	// capacity reports the buffer capacity in bytes.
 	capacity() int
+	// writeCopy copies b into pool blocks and queues them — the body of
+	// write(2) — building the run in scratch, which it returns for
+	// recycling along with the number of bytes queued.
+	writeCopy(pool *pagebuf.Pool, scratch []pagebuf.Ref, b []byte) (int, []pagebuf.Ref, error)
 	close() error
 }
 
@@ -301,7 +315,13 @@ func putScratch(sp *[]pagebuf.Ref, run []pagebuf.Ref) {
 
 // Write copies b from user space into the file's kernel buffer, exactly as
 // write(2) does: one syscall, one copy_from_user of the full payload. It
-// blocks until the buffer accepts all bytes.
+// blocks until the buffer accepts all bytes. On a pipe or an unsized socket
+// the whole payload is staged, then queued. On a sized socket
+// (SocketPairSized) the call proceeds segment by segment as write(2) does
+// against SO_SNDBUF — wait until the segment fits the send window, copy it
+// into a slab, queue it, wake the reader — so at most the window's worth of
+// copied bytes is ever staged, and the reader drains while the writer is
+// still copying. It returns the number of bytes queued.
 func (p *Proc) Write(fd int, b []byte) (int, error) {
 	if err := p.fault("write"); err != nil {
 		return 0, err
@@ -313,13 +333,22 @@ func (p *Proc) Write(fd int, b []byte) (int, error) {
 	p.syscall()
 	p.acct.Copy(metrics.Kernel, len(b))
 	sp := refScratch.Get().(*[]pagebuf.Ref)
-	refs := p.k.pool.AppendCopy((*sp)[:0], b)
-	werr := f.writeRefs(refs)
+	n, refs, err := f.writeCopy(p.k.pool, (*sp)[:0], b)
 	putScratch(sp, refs)
-	if werr != nil {
-		return 0, fmt.Errorf("write fd %d: %w", fd, werr)
+	if err != nil {
+		return n, fmt.Errorf("write fd %d: %w", fd, err)
 	}
-	return len(b), nil
+	return n, nil
+}
+
+// stageWhole is writeCopy for a buffer without a send window: the whole of b
+// is copied into pool blocks, then queued.
+func stageWhole(f file, pool *pagebuf.Pool, scratch []pagebuf.Ref, b []byte) (int, []pagebuf.Ref, error) {
+	refs := pool.AppendCopy(scratch, b)
+	if err := f.writeRefs(refs); err != nil {
+		return 0, refs, err
+	}
+	return len(b), refs, nil
 }
 
 // Read copies up to len(b) queued bytes into b (copy_to_user): one syscall,
@@ -334,6 +363,38 @@ func (p *Proc) Read(fd int, b []byte) (int, error) {
 	}
 	p.syscall()
 	n, err := f.readInto(b)
+	p.acct.Copy(metrics.Kernel, n)
+	return n, err
+}
+
+// ReadFull fills b from the file's buffer, modeling recv(2) with
+// MSG_WAITALL: one syscall however the bytes trickle in, so the crossing
+// count of a transfer does not depend on how writer and reader interleave.
+// It returns when b is full, or short with io.EOF once the buffer is closed
+// and drained. References are popped a slab's worth at a time and copied
+// and released outside the buffer's lock, so a writer queues — and, on a
+// sized socket, whose window is credited at the pop, copies — its next
+// segment while this one is being copied out.
+func (p *Proc) ReadFull(fd int, b []byte) (int, error) {
+	if err := p.fault("read"); err != nil {
+		return 0, err
+	}
+	f, err := p.lookup(fd)
+	if err != nil {
+		return 0, err
+	}
+	p.syscall()
+	sp := refScratch.Get().(*[]pagebuf.Ref)
+	refs := (*sp)[:0]
+	n := 0
+	for err == nil && n < len(b) {
+		refs, err = f.readRefs(refs[:0], min(len(b)-n, pagebuf.SlabSize))
+		for _, r := range refs {
+			n += copy(b[n:], r.Bytes())
+		}
+		pagebuf.ReleaseAll(refs)
+	}
+	putScratch(sp, refs)
 	p.acct.Copy(metrics.Kernel, n)
 	return n, err
 }
@@ -438,13 +499,24 @@ func (p *Proc) PipeSized(capBytes int) (int, int) {
 
 // SocketPair creates a connected pair of Unix-domain stream sockets inside
 // this kernel and returns one FD in each of the two processes, modeling the
-// socketpair(2)-style IPC channel the kernel-space mode uses (§5).
+// socketpair(2)-style IPC channel the kernel-space mode uses (§5). The pair
+// is unsized: a Write stages its whole payload before the reader sees it.
 func SocketPair(a, b *Proc) (int, int, error) {
+	return SocketPairSized(a, b, 0)
+}
+
+// SocketPairSized is SocketPair with an SO_SNDBUF of sndbuf bytes on both
+// ends (the PipeSized of sockets; still one establishment syscall): a Write
+// never has more than sndbuf copied bytes staged in kernel pages ahead of
+// the reader. Only copied bytes are charged — references moved in by Splice
+// or Tee are lent pages and queue without waiting. sndbuf <= 0 leaves the
+// pair unsized.
+func SocketPairSized(a, b *Proc, sndbuf int) (int, int, error) {
 	if a.k != b.k {
 		return 0, 0, fmt.Errorf("socketpair across kernels %q and %q: %w", a.k.name, b.k.name, ErrInvalid)
 	}
 	a.acct.Syscall()
-	c1, c2 := newConnPair(DefaultSocketCap)
+	c1, c2 := newConnPair(sndbuf)
 	return a.install(c1), b.install(c2), nil
 }
 
@@ -455,7 +527,7 @@ func SocketPair(a, b *Proc) (int, int, error) {
 func Connect(client, server *Proc) (int, int) {
 	client.acct.Syscall()
 	server.acct.Syscall()
-	c1, c2 := newConnPair(DefaultSocketCap)
+	c1, c2 := newConnPair(0)
 	return client.install(c1), server.install(c2)
 }
 

@@ -2,8 +2,9 @@
 // kernel's pipes and socket buffers.
 //
 // The central type is Ref, a reference-counted view of a run of memory: one
-// 4 KiB pool page, or an extent — a contiguous run of gifted user memory of
-// any length. Moving a Ref between buffers models what splice(2) does in
+// pool block — a 4 KiB page, or a slab of 16 contiguous pages under a single
+// header — or an extent, a contiguous run of gifted user memory of any
+// length. Moving a Ref between buffers models what splice(2) does in
 // Linux: the kernel moves page references between pipe buffers instead of
 // copying payload bytes. Gifting user memory into a Ref without a copy models
 // vmsplice(2) with SPLICE_F_GIFT; the whole run handed to one vmsplice is one
@@ -28,13 +29,18 @@ import (
 // moves by reference.
 const PageSize = 4096
 
-// maxFreePages bounds how many spare pages the pool keeps for reuse across
-// all shards — 1024 pages, i.e. 4 MiB of recycled buffer memory. Pages
-// returned beyond the bound are dropped to the garbage collector, so a
-// burst that inflates the pool does not pin its high-water mark forever.
-// (This names the former magic 1024 in put; the per-shard share is derived
-// from it in NewPool.)
-const maxFreePages = 1024
+// SlabSize is the pool's second size class: 16 contiguous pages under ONE
+// header, one refcount and one free-list entry. A copied run takes a slab for
+// every full 64 KiB and pages for the tail, so a large write pays one header
+// cache line per 64 KiB instead of sixteen, while residency stays
+// page-granular (a 1-byte copy still pins one page, not a slab).
+const SlabSize = 16 * PageSize
+
+// maxFreeBytes bounds the spare memory the pool keeps for reuse across all
+// shards and both size classes — 4 MiB of recycled buffer memory. Blocks
+// returned beyond the bound are dropped to the garbage collector, so a burst
+// that inflates the pool does not pin its high-water mark forever.
+const maxFreeBytes = 4 << 20
 
 // ErrReleased is returned when a Ref is used after its page was released.
 var ErrReleased = errors.New("pagebuf: use of released page reference")
@@ -43,7 +49,7 @@ var ErrReleased = errors.New("pagebuf: use of released page reference")
 // (allocated by a Pool, returned to it when the count drops to zero) or
 // gifted (an extent wrapping caller memory; simply dropped when released).
 type page struct {
-	data  []byte // always len <= PageSize for pool pages; the whole run for gifted
+	data  []byte // PageSize or SlabSize long for pool blocks; the whole run for gifted
 	refs  atomic.Int32
 	pool  *Pool  // nil for gifted pages
 	shard uint32 // home free-list shard for pool pages
@@ -111,31 +117,50 @@ func (r Ref) Slice(from, to int) Ref {
 	return nr
 }
 
-// poolShard is one stripe of the pool's free list. The trailing pad keeps
-// each shard on its own cache line so two cores recycling pages do not
+// Size classes of pool blocks, indexing the per-shard free lists.
+const (
+	classPage = iota
+	classSlab
+	numClasses
+)
+
+// classSize is the block length of each size class.
+var classSize = [numClasses]int{classPage: PageSize, classSlab: SlabSize}
+
+// class reports a pool block's size class.
+func (p *page) class() int {
+	if len(p.data) == SlabSize {
+		return classSlab
+	}
+	return classPage
+}
+
+// poolShard is one stripe of the pool's free lists, one LIFO per size class.
+// The struct fills a cache line so two cores recycling blocks do not
 // false-share.
 type poolShard struct {
 	mu sync.Mutex
 	//roadvet:guards mu
-	free []*page
-	_    [32]byte
+	free [numClasses][]*page
+	_    [8]byte
 }
 
 // Pool allocates and recycles pages, tracking resident bytes so the metrics
 // layer can report kernel-buffer memory usage.
 //
-// The free list is striped across GOMAXPROCS-sized shards (rounded up to a
-// power of two for cheap masking). An allocation run visits exactly one
-// shard — AppendCopy pops every recycled page it needs under a single lock
-// hold — and a released page returns to the shard it came from, so parallel
-// transfers recycle pages without funnelling through one mutex. Resident
+// The free lists are striped across GOMAXPROCS-sized shards (rounded up to a
+// power of two for cheap masking, and few enough that a shard's share of
+// maxFreeBytes still holds a slab). An allocation run starts at one shard —
+// AppendCopy pops the recycled blocks of a class under a single lock hold —
+// and a released block returns to the shard it came from, so parallel
+// transfers recycle blocks without funnelling through one mutex. Resident
 // and peak accounting stay exact: they are global atomics updated once per
 // batch with the batch's full byte count.
 type Pool struct {
-	shards       []poolShard
-	mask         uint32 // len(shards) - 1; shard count is a power of two
-	perShardFree int    // maxFreePages / len(shards), at least 1
-	cursor       atomic.Uint32
+	shards []poolShard
+	mask   uint32 // len(shards) - 1; shard count is a power of two
+	share  int    // maxFreeBytes / len(shards): the bytes one shard may cache
+	cursor atomic.Uint32
 
 	resident atomic.Int64 // bytes currently held by live pool pages
 	peak     atomic.Int64
@@ -144,18 +169,10 @@ type Pool struct {
 // NewPool returns an empty page pool striped for the current GOMAXPROCS.
 func NewPool() *Pool {
 	n := 1
-	for n < runtime.GOMAXPROCS(0) {
+	for n < runtime.GOMAXPROCS(0) && 2*n*SlabSize <= maxFreeBytes {
 		n <<= 1
 	}
-	per := maxFreePages / n
-	if per < 1 {
-		per = 1
-	}
-	return &Pool{
-		shards:       make([]poolShard, n),
-		mask:         uint32(n - 1),
-		perShardFree: per,
-	}
+	return &Pool{shards: make([]poolShard, n), mask: uint32(n - 1), share: maxFreeBytes / n}
 }
 
 // Resident reports the number of bytes in live (referenced) pool pages.
@@ -176,99 +193,109 @@ func (pl *Pool) account(bytes int64) {
 	}
 }
 
-// put returns a single dead page to its home shard.
+// put returns a single dead block to its home shard.
 func (pl *Pool) put(p *page) {
-	pl.resident.Add(-PageSize)
+	pl.resident.Add(-int64(len(p.data)))
 	sh := &pl.shards[p.shard]
 	sh.mu.Lock()
-	if len(sh.free) < pl.perShardFree {
-		sh.free = append(sh.free, p)
-	}
+	sh.keep(pl.share, p)
 	sh.mu.Unlock()
 }
 
-// putBatch returns a run of dead pages, one lock hold per contiguous
-// same-shard group (a run allocated together comes from one shard, so the
-// common case is a single hold).
-func (pl *Pool) putBatch(pages []*page) {
-	if len(pages) == 0 {
-		return
-	}
-	pl.resident.Add(-int64(len(pages)) * PageSize)
-	for i := 0; i < len(pages); {
-		s := pages[i].shard
-		j := i + 1
-		for j < len(pages) && pages[j].shard == s {
-			j++
-		}
-		sh := &pl.shards[s]
-		sh.mu.Lock()
-		for _, p := range pages[i:j] {
-			if len(sh.free) < pl.perShardFree {
-				sh.free = append(sh.free, p)
-			}
-		}
-		sh.mu.Unlock()
-		i = j
+// keep caches p if it fits the shard's share of the free-memory budget. The
+// two classes draw on the one budget, first come first kept, so a staged
+// payload the size of the whole cache recycles entirely as slabs. Caller
+// holds sh.mu.
+func (sh *poolShard) keep(share int, p *page) {
+	if len(sh.free[classPage])*PageSize+len(sh.free[classSlab])*SlabSize+len(p.data) <= share {
+		c := p.class()
+		sh.free[c] = append(sh.free[c], p)
 	}
 }
 
-// AppendCopy copies b into pool pages and appends the references to refs,
-// returning the extended slice. It is the batched allocation path: all
-// recycled pages for the run are popped from one shard under one lock hold,
-// fresh pages fill the remainder, and the resident/peak accounting is one
-// atomic update for the whole run. Passing a pre-sized refs slice makes the
-// call allocation-free. This models copy_from_user into kernel pages (e.g.
-// a plain write(2) to a pipe or socket); the copy is real; the caller
-// meters it.
-func (pl *Pool) AppendCopy(refs []Ref, b []byte) []Ref {
-	if len(b) == 0 {
-		return refs
-	}
-	need := (len(b) + PageSize - 1) / PageSize
-	base := len(refs)
-	si := pl.cursor.Add(1) & pl.mask
-	// Pop recycled pages shard by shard, starting at the cursor's pick: a
-	// run that outsizes one shard's cache steals from the others before
-	// falling back to fresh allocation, one lock hold per shard visited
-	// (one total in the common case of a run within the home shard).
-	got := 0
-	for i := uint32(0); i <= pl.mask && got < need; i++ {
-		sh := &pl.shards[(si+i)&pl.mask]
+// putBatch returns a run of dead blocks, one lock hold per contiguous
+// same-shard group (a run allocated together comes from one shard, so the
+// common case is a single hold).
+func (pl *Pool) putBatch(pages []*page) {
+	for i := 0; i < len(pages); {
+		s := pages[i].shard
+		bytes := 0
+		sh := &pl.shards[s]
 		sh.mu.Lock()
-		take := need - got
-		if n := len(sh.free); take > n {
-			take = n
-		}
-		for j := 0; j < take; j++ {
-			p := sh.free[len(sh.free)-1]
-			sh.free = sh.free[:len(sh.free)-1]
-			refs = append(refs, Ref{p: p})
+		for ; i < len(pages) && pages[i].shard == s; i++ {
+			bytes += len(pages[i].data)
+			sh.keep(pl.share, pages[i])
 		}
 		sh.mu.Unlock()
-		got += take
+		pl.resident.Add(-int64(bytes))
 	}
-	for i := got; i < need; i++ {
-		refs = append(refs, Ref{p: &page{data: make([]byte, PageSize), pool: pl, shard: si}})
+}
+
+// blocksFor splits a copied run of n bytes into its size classes: a slab for
+// every full SlabSize, pages for the tail.
+func blocksFor(n int) (slabs, pages int) {
+	return n / SlabSize, (n%SlabSize + PageSize - 1) / PageSize
+}
+
+// take appends need blocks of class c to refs: recycled ones popped shard by
+// shard starting at si — a run that outsizes one shard's cache steals from
+// the others before falling back to fresh allocation, one lock hold per shard
+// visited (one total in the common case of a run within the home shard).
+func (pl *Pool) take(refs []Ref, si uint32, c, need int) []Ref {
+	for i := uint32(0); i <= pl.mask && need > 0; i++ {
+		sh := &pl.shards[(si+i)&pl.mask]
+		sh.mu.Lock()
+		free := sh.free[c]
+		n := min(need, len(free))
+		for _, p := range free[len(free)-n:] {
+			refs = append(refs, Ref{p: p})
+		}
+		sh.free[c] = free[:len(free)-n]
+		sh.mu.Unlock()
+		need -= n
 	}
-	pl.account(int64(need) * PageSize)
-	for i := base; i < len(refs); i++ {
-		p := refs[i].p
-		p.refs.Store(1)
-		n := copy(p.data[:PageSize], b)
-		refs[i].off = 0
-		refs[i].n = n
-		b = b[n:]
+	for ; need > 0; need-- {
+		refs = append(refs, Ref{p: &page{data: make([]byte, classSize[c]), pool: pl, shard: si}})
 	}
 	return refs
 }
 
-// Copy copies b into freshly allocated pool pages and returns the references.
+// AppendCopy copies b into pool blocks — a slab for every full SlabSize of
+// the run, pages for the tail — and appends the references to refs, returning
+// the extended slice. It is the batched allocation path: the recycled blocks
+// of each class are popped from one shard under one lock hold, fresh blocks
+// fill the remainder, and the resident/peak accounting is one atomic update
+// for the whole run. Passing a pre-sized refs slice makes the call
+// allocation-free. This models copy_from_user into kernel pages (e.g. a
+// plain write(2) to a pipe or socket); the copy is real; the caller meters
+// it.
+func (pl *Pool) AppendCopy(refs []Ref, b []byte) []Ref {
+	if len(b) == 0 {
+		return refs
+	}
+	slabs, pages := blocksFor(len(b))
+	base := len(refs)
+	si := pl.cursor.Add(1) & pl.mask
+	refs = pl.take(refs, si, classSlab, slabs)
+	refs = pl.take(refs, si, classPage, pages)
+	pl.account(int64(slabs)*SlabSize + int64(pages)*PageSize)
+	for i := base; i < len(refs); i++ {
+		p := refs[i].p
+		p.refs.Store(1)
+		refs[i].off = 0
+		refs[i].n = copy(p.data, b)
+		b = b[refs[i].n:]
+	}
+	return refs
+}
+
+// Copy copies b into freshly allocated pool blocks and returns the references.
 func (pl *Pool) Copy(b []byte) []Ref {
 	if len(b) == 0 {
 		return nil
 	}
-	return pl.AppendCopy(make([]Ref, 0, (len(b)+PageSize-1)/PageSize), b)
+	slabs, pages := blocksFor(len(b))
+	return pl.AppendCopy(make([]Ref, 0, slabs+pages), b)
 }
 
 // AppendGift wraps caller memory in one page reference without copying,

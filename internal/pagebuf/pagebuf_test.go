@@ -183,6 +183,113 @@ func TestCopyIdentityProperty(t *testing.T) {
 	}
 }
 
+// freeBytes is the memory the pool's free lists hold, by walking them.
+func (pl *Pool) freeBytes() (n int) {
+	for i := range pl.shards {
+		sh := &pl.shards[i]
+		sh.mu.Lock()
+		for _, free := range sh.free {
+			for _, p := range free {
+				n += len(p.data)
+			}
+		}
+		sh.mu.Unlock()
+	}
+	return n
+}
+
+// Property: a copied run of any length takes one slab per full SlabSize and
+// pages for the tail — so residency is page-granular exactly as it was with
+// one size class (a 1-byte run pins a page, not a slab) — the references
+// concatenate to the input, and once released every header is at refcount
+// zero, nothing is resident and the free cache stays within its bound even
+// after a burst far larger than it.
+func TestTwoClassConservationProperty(t *testing.T) {
+	pool := NewPool()
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		var held [][]Ref
+		var want int64
+		for i := 0; i < 1+rng.Intn(6); i++ {
+			n := 1 + rng.Intn(PageSize)
+			switch rng.Intn(3) {
+			case 1:
+				n = rng.Intn(4 * SlabSize)
+			case 2:
+				n = rng.Intn(6 << 20) // now and then outsize the free cache
+			}
+			src := make([]byte, n)
+			rng.Read(src)
+			refs := pool.Copy(src)
+			slabs, pages := 0, 0
+			var back []byte
+			for _, r := range refs {
+				switch len(r.p.data) {
+				case SlabSize:
+					slabs++
+				case PageSize:
+					pages++
+				default:
+					return false
+				}
+				back = append(back, r.Bytes()...)
+			}
+			rem := n % SlabSize
+			if slabs != n/SlabSize || pages != (rem+PageSize-1)/PageSize || !bytes.Equal(back, src) {
+				return false
+			}
+			want += int64((n + PageSize - 1) / PageSize * PageSize)
+			held = append(held, refs)
+		}
+		if pool.Resident() != want {
+			return false
+		}
+		rng.Shuffle(len(held), func(i, j int) { held[i], held[j] = held[j], held[i] })
+		for _, refs := range held {
+			ReleaseAll(refs)
+			for _, r := range refs {
+				if r.p.refs.Load() != 0 {
+					return false
+				}
+			}
+		}
+		return pool.Resident() == 0 && pool.freeBytes() <= maxFreeBytes
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
+	}
+	if maxFreeBytes != 4<<20 {
+		t.Fatalf("free cache bound = %d, want 4 MiB", maxFreeBytes)
+	}
+}
+
+// The two classes share one free-cache budget, so a staged payload the size
+// of the whole cache recycles entirely (as slabs) once every shard has been a
+// run's home.
+func TestPoolCacheSizedRunRecycles(t *testing.T) {
+	pool := NewPool()
+	payload := make([]byte, maxFreeBytes)
+	seen := map[*page]bool{}
+	for round := 0; round <= len(pool.shards); round++ {
+		refs := pool.Copy(payload)
+		clear(seen)
+		for _, r := range refs {
+			seen[r.p] = true
+		}
+		ReleaseAll(refs)
+	}
+	if got := pool.freeBytes(); got != maxFreeBytes {
+		t.Fatalf("free cache holds %d bytes after cache-sized runs, want all %d", got, maxFreeBytes)
+	}
+	refs := pool.Copy(payload)
+	defer ReleaseAll(refs)
+	for _, r := range refs {
+		if !seen[r.p] {
+			t.Fatal("a cache-sized run allocated a fresh block with the cache warm")
+		}
+	}
+}
+
 func TestRingFIFO(t *testing.T) {
 	pool := NewPool()
 	ring := NewRing(0) // default capacity
@@ -295,45 +402,37 @@ func TestRingEOFAfterDrain(t *testing.T) {
 	}
 }
 
-func TestRingTryPush(t *testing.T) {
-	pool := NewPool()
-	ring := NewRing(PageSize)
-	if err := ring.TryPush(pool.Copy(make([]byte, PageSize))); err != nil {
-		t.Fatalf("first TryPush: %v", err)
-	}
-	refs := pool.Copy([]byte("x"))
-	if err := ring.TryPush(refs); err != ErrWouldBlock {
-		t.Fatalf("full TryPush = %v, want ErrWouldBlock", err)
-	}
-	ReleaseAll(refs)
-	ring.Close()
-	if err := ring.TryPush(nil); err != ErrClosedRing {
-		t.Fatalf("closed TryPush = %v, want ErrClosedRing", err)
-	}
-}
-
 // Property: bytes flow through a ring unchanged and in order regardless of
-// how the payload is cut into pool pages and gifted extents on the way in and
-// how PopAppend, Clone and ReadInto split them on the way out — at offsets
-// that are no page multiple — and once everything is released every pool
-// page is home and every extent's refcount is zero.
+// how the payload is cut into pool slabs, pool pages and gifted extents on the
+// way in and how PopAppend, Clone and ReadInto split them on the way out — at
+// offsets that are no page multiple — and once everything is released every
+// pool block is home and every extent's refcount is zero.
 func TestRingConservationProperty(t *testing.T) {
 	pool := NewPool()
 	f := func(data []byte, chunk uint8, seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		// quick's slices are short: stretch the payload over several pages
+		// quick's slices are short: stretch the payload over a few slabs
 		// with a ragged tail so extents straddle page boundaries.
-		payload := make([]byte, 3*PageSize+1+13*int(chunk))
+		payload := make([]byte, 3*SlabSize+3*PageSize+1+13*int(chunk))
 		rng.Read(payload)
 		copy(payload, data)
 
 		ring := NewRing(1 << 30)
-		var extents []*page
+		var extents, blocks []*page
 		for off := 0; off < len(payload); {
-			n := min(1+rng.Intn(2*PageSize+PageSize/2), len(payload)-off)
+			// Mostly page-scale pieces, now and then one long enough to
+			// take a slab or two plus tail pages.
+			n := 1 + rng.Intn(2*PageSize+PageSize/2)
+			if rng.Intn(4) == 0 {
+				n = SlabSize + rng.Intn(SlabSize+PageSize)
+			}
+			n = min(n, len(payload)-off)
 			var refs []Ref
 			if rng.Intn(3) == 0 {
 				refs = pool.Copy(payload[off : off+n])
+				for _, r := range refs {
+					blocks = append(blocks, r.p)
+				}
 			} else {
 				refs = Gift(payload[off : off+n])
 				extents = append(extents, refs[0].p)
@@ -345,7 +444,7 @@ func TestRingConservationProperty(t *testing.T) {
 		}
 		ring.Close()
 
-		step := int(chunk)%1000 + 1
+		step := int(chunk)%1000 + 1 + rng.Intn(2)*SlabSize/2
 		var back []byte
 		buf := make([]byte, step)
 		for {
@@ -382,7 +481,7 @@ func TestRingConservationProperty(t *testing.T) {
 				return false
 			}
 		}
-		for _, p := range extents {
+		for _, p := range append(extents, blocks...) {
 			if p.refs.Load() != 0 {
 				return false
 			}

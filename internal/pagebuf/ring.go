@@ -6,14 +6,8 @@ import (
 	"sync"
 )
 
-// Ring errors.
-var (
-	// ErrClosedRing is returned when writing to a closed ring (EPIPE).
-	ErrClosedRing = errors.New("pagebuf: ring closed")
-	// ErrWouldBlock is returned by non-blocking operations that cannot
-	// proceed (EAGAIN).
-	ErrWouldBlock = errors.New("pagebuf: operation would block")
-)
+// ErrClosedRing is returned when writing to a closed ring (EPIPE).
+var ErrClosedRing = errors.New("pagebuf: ring closed")
 
 // Ring is a bounded FIFO of page references with blocking semantics. It backs
 // both pipes (the paper's virtual data hose) and socket buffers in the
@@ -102,10 +96,10 @@ func (r *Ring) popOne() Ref {
 // Push queues page references, blocking while the ring is over capacity.
 // Ownership of the references transfers to the ring. Push accepts a run that
 // is larger than the remaining capacity by enqueueing it in steps, exactly as
-// a pipe write larger than the pipe buffer proceeds in chunks: a pool page
-// goes in whole, and an extent larger than the free capacity goes in as
-// whole-page slices of what fits, so the ring never holds a full page more
-// than its capacity.
+// a pipe write larger than the pipe buffer proceeds in chunks: a reference
+// that fits the page-rounded free capacity goes in whole, and a larger one
+// (an extent, or a slab entering a small pipe) goes in as whole-page slices
+// of what fits, so the ring never holds a full page more than its capacity.
 func (r *Ring) Push(refs []Ref) error {
 	r.mu.Lock()
 	for i, rest := range refs {
@@ -134,24 +128,6 @@ func (r *Ring) Push(refs []Ref) error {
 		}
 	}
 	r.mu.Unlock()
-	return nil
-}
-
-// TryPush is the non-blocking variant of Push: it enqueues the whole run if
-// at least one byte of capacity is free, otherwise returns ErrWouldBlock.
-func (r *Ring) TryPush(refs []Ref) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return ErrClosedRing
-	}
-	if r.size >= r.capacity {
-		return ErrWouldBlock
-	}
-	for _, ref := range refs {
-		r.pushOne(ref)
-	}
-	r.notEmpty.Broadcast()
 	return nil
 }
 

@@ -5,7 +5,6 @@ package roadrunner_test
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -234,15 +233,22 @@ func TestFanoutRunsOnWorkerPool(t *testing.T) {
 	}
 }
 
-// TestFanoutParallelThroughput asserts the aggregate-throughput win of the
-// pool-parallel fan-out over a strictly sequential delivery loop of the
-// same population. The win requires real parallelism, so the wall-clock
-// assertion only runs with 2+ scheduler threads; the structural properties
-// are asserted unconditionally above.
+// TestFanoutParallelThroughput pins the structural half of the fan-out's
+// aggregate-throughput claim: against a strictly sequential delivery loop
+// over the same population, the pool-parallel fan-out delivers the same
+// bytes to every target with the same copy volume — one copy per target,
+// none on the source side — so parallelism moves when the work happens,
+// never how much.
+//
+// The wall-clock half that used to live here (fan-out at least 10% faster
+// than the loop) is gone from go test (ROADMAP item 0). It was also
+// asymmetric: it timed Fanout, which PRODUCES the 512 KiB payload at
+// interpreter speed inside the timed region (~4.4 ms), against a loop whose
+// Produce ran before the clock started (~6.9 ms for all eight deliveries),
+// so the fan-out lost by construction on any core count. A rebuilt
+// comparison belongs in internal/experiments with repeated samples and both
+// arms either producing or not.
 func TestFanoutParallelThroughput(t *testing.T) {
-	if runtime.GOMAXPROCS(0) < 2 {
-		t.Skip("aggregate-throughput comparison needs 2+ CPUs")
-	}
 	const degree, n = 8, 512 << 10
 	build := func() (*roadrunner.Platform, *roadrunner.Function, []*roadrunner.Function) {
 		p := newPlatform(t)
@@ -251,35 +257,46 @@ func TestFanoutParallelThroughput(t *testing.T) {
 		for i := range targets {
 			targets[i] = deploy(t, p, roadrunner.FunctionSpec{Name: fmt.Sprintf("t%d", i), Node: "cloud"})
 		}
-		// Prime channels so both measurements are warm.
+		// Prime channels so both arms are warm.
 		if _, _, err := p.Fanout(src, targets, n); err != nil {
 			t.Fatal(err)
 		}
 		return p, src, targets
 	}
+	total := func(reports []roadrunner.Report) (u roadrunner.Usage) {
+		for _, rep := range reports {
+			if rep.Bytes != n {
+				t.Fatalf("report bytes = %d, want %d", rep.Bytes, n)
+			}
+			u.UserCopyBytes += rep.Usage.UserCopyBytes
+			u.KernelCopyBytes += rep.Usage.KernelCopyBytes
+		}
+		return u
+	}
 
 	p1, src1, targets1 := build()
-	start := time.Now()
-	if _, _, err := p1.Fanout(src1, targets1, n); err != nil {
+	_, parallel, err := p1.Fanout(src1, targets1, n)
+	if err != nil {
 		t.Fatal(err)
 	}
-	parallel := time.Since(start)
 
 	p2, src2, targets2 := build()
 	if err := src2.Produce(n); err != nil {
 		t.Fatal(err)
 	}
-	start = time.Now()
-	for _, dst := range targets2 {
-		if _, _, err := p2.Transfer(src2, dst, roadrunner.WithFlows(degree)); err != nil {
+	sequential := make([]roadrunner.Report, degree)
+	for i, dst := range targets2 {
+		if _, sequential[i], err = p2.Transfer(src2, dst, roadrunner.WithFlows(degree)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	sequential := time.Since(start)
 
-	// Generous margin: the parallel fan-out must beat the sequential loop
-	// by at least 10% in aggregate throughput.
-	if float64(parallel) > 0.9*float64(sequential) {
-		t.Fatalf("parallel fanout %v vs sequential %v: no aggregate-throughput win", parallel, sequential)
+	par, seq := total(parallel), total(sequential)
+	if par.UserCopyBytes != seq.UserCopyBytes || par.KernelCopyBytes != seq.KernelCopyBytes {
+		t.Fatalf("fan-out copied %d user + %d kernel bytes, sequential loop %d + %d",
+			par.UserCopyBytes, par.KernelCopyBytes, seq.UserCopyBytes, seq.KernelCopyBytes)
+	}
+	if par.UserCopyBytes != degree*n {
+		t.Fatalf("fan-out user copy bytes = %d, want one copy per target (%d)", par.UserCopyBytes, degree*n)
 	}
 }
