@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race chaos bench perfgate lint staticcheck vuln cover clean
+.PHONY: all build test race chaos bench perfgate lint loc staticcheck vuln cover clean
 
 all: lint build race bench perfgate
 
@@ -74,11 +74,21 @@ perfgate:
 	$(GO) test -run TestAllocCeilings -v .
 
 ## lint: go vet plus the roadvet suite (regionrelease, poolreturn,
-## gaugebalance, lockorder, ctxpoll, errclass, ctxcheck, doccheck and the
-## gofmt gate)
+## refbalance, gaugebalance, fdclose, windowcredit, lockorder, lockguard,
+## ctxpoll, errclass, ctxcheck, doccheck — the order of `suite` in
+## cmd/roadvet/main.go — and the gofmt gate)
 lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/roadvet -budget ROADVET_BASELINE.json ./...
+
+## loc: non-test, non-testdata, non-vendor Go lines per top-level package
+## dir, and for the lint gate as a whole — the "net LoC per PR" figure
+## ROADMAP.md asks every PR to report
+loc:
+	@count() { find "$$@" -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './vendor/*' -print0 | xargs -0 cat | wc -l; }; \
+	printf '%7d  %s\n' "$$(count . -maxdepth 1)" "(root package)"; \
+	for d in bench cmd/* examples internal/*; do printf '%7d  %s\n' "$$(count $$d)" "$$d"; done; \
+	printf '%7d  %s\n' "$$(count internal/analysis cmd/roadvet)" "internal/analysis + cmd/roadvet"
 
 ## staticcheck: static-analysis gate (CI's lint job; needs the binary or network)
 staticcheck:

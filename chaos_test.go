@@ -573,6 +573,12 @@ func TestChaosCancelDuringSharedEgressConservesBaselines(t *testing.T) {
 			_ = si.Release(out)
 		}
 	}
+	// Warm up with one successful fan-out first, so every leg has grown its
+	// wasm memory before the snapshot: the cancel races the other legs' ctx
+	// polls, so whether a leg lands (and grows) in a cancelled run varies.
+	if err := fx.fanoutAndRelease(n); err != nil {
+		t.Fatal(err)
+	}
 	cancelled() // absorb warm-up (the aborted group destroys its channels)
 	roadrunner.TestingPruneChannels(fx.p)
 	base := snapshotBaselines(t, fx.p, nodes, fx.all...)

@@ -8,25 +8,37 @@
 // lives in a helper still credits the caller's obligation and a lock
 // taken in the caller still guards the callee's field access.
 //
+// Six of them prove one theorem — every acquire reaches a release, a
+// handoff, or an exempt error return on every path — and are rows of one
+// table read by one engine (internal/analysis/obligation):
+//
 //   - regionrelease: every region a View.Allocate returns reaches a
-//     Deallocate (or the caller, or a consuming helper) on every path —
-//     the ingress leak class.
-//   - gaugebalance: every invoker-plane State.Enter has a State.Exit on
-//     all paths of its function — the phantom in-flight load bug.
-//     Enter/Exit pairs transfer through unexported helpers.
+//     Deallocate (or the caller, or a consuming helper) — the ingress leak
+//     class.
+//   - poolreturn: every object taken from a sync.Pool recycler reaches
+//     its Put (or a consumer that puts it) — the hot-path recycle leak
+//     class.
+//   - refbalance: every pagebuf page reference acquired from a producer
+//     (Retain, Ring.Clone/Pop, pool Copy/Gift, ReadRefs) reaches its
+//     Release/ReleaseAll or a consumer that owns it; one leaking path
+//     under a tee group pins a page per fan-out target.
+//   - gaugebalance: every invoker-plane State.Enter has a State.Exit —
+//     the phantom in-flight load bug. Enter/Exit pairs transfer through
+//     unexported helpers.
+//   - fdclose: every descriptor opened with Proc.Pipe, kernel.SocketPair
+//     or kernel.Connect reaches Proc.Close, the caller, or a longer-lived
+//     structure — the error-path descriptor leak class.
+//   - windowcredit: every sendWindow.reserve is followed by a push on the
+//     same window — a stranded reservation parks a later writer forever.
+//
+// The rest:
+//
 //   - lockorder: nested Shim.mu acquisitions must go through the ordered
 //     lockShims helper — the AB/BA transfer deadlock.
 //   - lockguard: every access to a field declared `//roadvet:guards mu`
 //     happens with mu provably held — including lock-in-caller,
 //     access-in-callee splits, whose entry lock sets are inferred from
 //     call sites. RWMutex reads accept RLock; writes require Lock.
-//   - poolreturn: every object taken from a sync.Pool recycler reaches
-//     its Put (or a consumer that puts it) on every path — the hot-path
-//     recycle leak class.
-//   - refbalance: every pagebuf page reference acquired from a producer
-//     (Retain, Ring.Clone/Pop, pool Copy/Gift, ReadRefs) reaches its
-//     Release/ReleaseAll — or a consumer that owns it — on every path;
-//     one leaking path under a tee group pins a page per fan-out target.
 //   - ctxpoll: hose-chunk syscall loops poll the context per chunk
 //     (directly or through a helper that provably polls), so
 //     cancellation lands mid-stream.
@@ -77,12 +89,14 @@ import (
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/analysis/doccheck"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/analysis/driver"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/analysis/errclass"
+	"github.com/polaris-slo-cloud/roadrunner-go/internal/analysis/fdclose"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/analysis/gaugebalance"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/analysis/lockguard"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/analysis/lockorder"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/analysis/poolreturn"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/analysis/refbalance"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/analysis/regionrelease"
+	"github.com/polaris-slo-cloud/roadrunner-go/internal/analysis/windowcredit"
 )
 
 // suite is every analyzer the gate runs, in report order.
@@ -91,6 +105,8 @@ var suite = []*analysis.Analyzer{
 	poolreturn.Analyzer,
 	refbalance.Analyzer,
 	gaugebalance.Analyzer,
+	fdclose.Analyzer,
+	windowcredit.Analyzer,
 	lockorder.Analyzer,
 	lockguard.Analyzer,
 	ctxpoll.Analyzer,
@@ -130,6 +146,10 @@ func usage() {
 	fmt.Fprint(flag.CommandLine.Output(), `roadvet: the data-plane invariant gate.
 
 Usage: roadvet [flags] [packages]   (default "./...")
+
+Analyzers (the names //roadvet:ignore accepts): regionrelease,
+poolreturn, refbalance, gaugebalance, fdclose, windowcredit, lockorder,
+lockguard, ctxpoll, errclass, ctxcheck, doccheck; plus the gofmt gate.
 
 Annotations recognised in source:
   //roadvet:guards <mutexField>   on a struct field: every access must

@@ -75,6 +75,10 @@ type Graph struct {
 	// methodIndex maps a method name to every concrete declared method
 	// with that name — the CHA resolution table.
 	methodIndex map[string][]*Node
+	// static memoises the declared node (or nil) behind each callee
+	// object: every analyzer row resolves the same calls again, and
+	// rendering a Key is the expensive part.
+	static map[*types.Func]*Node
 }
 
 // Key returns the canonical identity for a function object. The origin
@@ -91,6 +95,7 @@ func Build(pkgs []*Pkg) *Graph {
 	g := &Graph{
 		nodes:       make(map[string]*Node),
 		methodIndex: make(map[string][]*Node),
+		static:      make(map[*types.Func]*Node),
 	}
 	for _, p := range pkgs {
 		for _, f := range p.Files {
@@ -217,7 +222,12 @@ func (g *Graph) ResolveCall(p *Pkg, call *ast.CallExpr) (targets []*Node, dynami
 			return out, true
 		}
 	}
-	if n := g.nodes[Key(fn)]; n != nil {
+	n, seen := g.static[fn]
+	if !seen {
+		n = g.nodes[Key(fn)]
+		g.static[fn] = n
+	}
+	if n != nil {
 		return []*Node{n}, false
 	}
 	// Declared outside the loaded program (stdlib, vendored deps):

@@ -76,7 +76,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		scope := imp.Scope()
 		for _, name := range scope.Names() {
 			obj, ok := scope.Lookup(name).(*types.Var)
-			if !ok || !obj.Exported() || !isErrorType(obj.Type()) {
+			if !ok || !obj.Exported() || !matchutil.IsErrorType(obj.Type()) {
 				continue
 			}
 			if !covered[obj] {
@@ -128,10 +128,4 @@ func recordErrExpr(pass *analysis.Pass, e ast.Expr, covered map[types.Object]boo
 			covered[obj] = true
 		}
 	}
-}
-
-// isErrorType reports whether t is the error interface.
-func isErrorType(t types.Type) bool {
-	it, ok := t.Underlying().(*types.Interface)
-	return ok && it.NumMethods() == 1 && it.Method(0).Name() == "Error"
 }

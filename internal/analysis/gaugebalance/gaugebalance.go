@@ -8,382 +8,21 @@
 package gaugebalance
 
 import (
-	"go/ast"
-	"go/types"
-
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/ctrlflow"
-	"golang.org/x/tools/go/cfg"
-
-	"github.com/polaris-slo-cloud/roadrunner-go/internal/analysis/callgraph"
-	"github.com/polaris-slo-cloud/roadrunner-go/internal/analysis/matchutil"
+	"github.com/polaris-slo-cloud/roadrunner-go/internal/analysis/obligation"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/analysis/summary"
 )
 
-// gaugeType is the named type whose Enter/Exit methods move the gauge.
-const gaugeType = "State"
+// Row is the in-flight gauge row of the obligation table. The obligation
+// is a bracket — State.Enter opens it, State.Exit on the same receiver and
+// index closes it — so nothing hands it off: only an Exit (direct,
+// deferred, or in a helper whose summary closes the bracket) discharges
+// it.
+var Row = obligation.Row{
+	Name:       "gaugebalance",
+	Doc:        "check that every in-flight gauge Enter has an Exit on all paths of the function",
+	Domain:     summary.Gauge,
+	Unbalanced: "%s.Enter(%s) is not balanced by an Exit on every path: the in-flight gauge leaks and least-loaded placement steers around a phantom invocation",
+}
 
 // Analyzer is the gaugebalance pass.
-var Analyzer = &analysis.Analyzer{
-	Name:     "gaugebalance",
-	Doc:      "check that every in-flight gauge Enter has an Exit on all paths of the function",
-	Requires: []*analysis.Analyzer{ctrlflow.Analyzer, summary.Analyzer},
-	Run:      run,
-}
-
-func run(pass *analysis.Pass) (interface{}, error) {
-	cfgs := pass.ResultOf[ctrlflow.Analyzer].(*ctrlflow.CFGs)
-	prog := summary.FromPass(pass)
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch fn := n.(type) {
-			case *ast.FuncDecl:
-				if fn.Body != nil {
-					checkFunc(pass, prog, ownEnterKeys(pass, prog, fn), fn.Body, cfgs.FuncDecl(fn))
-				}
-			case *ast.FuncLit:
-				checkFunc(pass, prog, nil, fn.Body, cfgs.FuncLit(fn))
-			}
-			return true
-		})
-	}
-	return nil, nil
-}
-
-// bracketKey identifies one gauge bracket: the rendered receiver
-// expression and index argument ("src.route", "si.index"). Textual
-// matching keeps loop brackets (one Enter per element, Exits in a
-// deferred loop over the same elements) paired.
-type bracketKey struct {
-	recv, arg string
-}
-
-// keyOf extracts the bracket key of an Enter/Exit call.
-func keyOf(pass *analysis.Pass, call *ast.CallExpr, method string) (bracketKey, bool) {
-	recv, ok := matchutil.Method(pass.TypesInfo, call, gaugeType, method)
-	if !ok || len(call.Args) != 1 {
-		return bracketKey{}, false
-	}
-	return bracketKey{recv: types.ExprString(recv), arg: types.ExprString(call.Args[0])}, true
-}
-
-// ownEnterKeys renders the brackets fn's own summary exports as net enter
-// obligations, in terms of fn's parameter names. An unexported enter
-// helper transfers its obligation to every caller through the summary
-// table, so flagging its body too would double-report; exported functions
-// keep the local diagnostic because out-of-program callers never see the
-// summary.
-func ownEnterKeys(pass *analysis.Pass, prog *summary.Program, fn *ast.FuncDecl) map[bracketKey]bool {
-	obj, _ := pass.TypesInfo.Defs[fn.Name].(*types.Func)
-	if obj == nil {
-		return nil
-	}
-	s := prog.Summary(callgraph.Key(obj))
-	if s == nil || !s.Unexported {
-		return nil
-	}
-	sig, _ := obj.Type().(*types.Signature)
-	if sig == nil {
-		return nil
-	}
-	name := func(pos int) string {
-		if pos == 0 {
-			if r := sig.Recv(); r != nil {
-				return r.Name()
-			}
-			return ""
-		}
-		if i := pos - 1; i < sig.Params().Len() {
-			return sig.Params().At(i).Name()
-		}
-		return ""
-	}
-	out := make(map[bracketKey]bool)
-	for _, p := range netPairs(s.GaugeEnters, s.GaugeExits) {
-		key := bracketKey{recv: name(p.Recv)}
-		if key.recv == "" {
-			continue
-		}
-		if p.Arg < 0 {
-			key.arg = p.ArgLit
-		} else if key.arg = name(p.Arg); key.arg == "" {
-			continue
-		}
-		out[key] = true
-	}
-	return out
-}
-
-// checkFunc verifies every Enter in one function body (nested function
-// literals are their own functions and checked separately). Brackets in
-// own are the function's summary-exported obligations — settled by the
-// callers, not here.
-func checkFunc(pass *analysis.Pass, prog *summary.Program, own map[bracketKey]bool, body *ast.BlockStmt, g *cfg.CFG) {
-	if g == nil {
-		return
-	}
-	type enterSite struct {
-		call *ast.CallExpr
-		key  bracketKey
-	}
-	var enters []enterSite
-	deferred := make(map[bracketKey]bool)
-	inspect := func(n ast.Node) {
-		switch s := n.(type) {
-		case *ast.CallExpr:
-			if key, ok := keyOf(pass, s, "Enter"); ok {
-				if !own[key] {
-					enters = append(enters, enterSite{call: s, key: key})
-				}
-			} else {
-				// A statically resolved helper that net-opens brackets on
-				// the caller's behalf creates the same obligation as a
-				// literal Enter here.
-				for key := range callEnterKeys(pass, prog, s) {
-					enters = append(enters, enterSite{call: s, key: key})
-				}
-			}
-		case *ast.DeferStmt:
-			// A deferred Exit — direct or anywhere inside a deferred
-			// closure — covers every exit path of the function.
-			if key, ok := keyOf(pass, s.Call, "Exit"); ok {
-				deferred[key] = true
-			}
-			for key := range callExitKeys(pass, prog, s.Call) {
-				deferred[key] = true
-			}
-			if lit, ok := s.Call.Fun.(*ast.FuncLit); ok {
-				ast.Inspect(lit.Body, func(m ast.Node) bool {
-					if call, ok := m.(*ast.CallExpr); ok {
-						if key, ok := keyOf(pass, call, "Exit"); ok {
-							deferred[key] = true
-						}
-						for key := range callExitKeys(pass, prog, call) {
-							deferred[key] = true
-						}
-					}
-					return true
-				})
-			}
-		}
-	}
-	ast.Inspect(body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		if n != nil {
-			inspect(n)
-		}
-		return true
-	})
-
-	for _, e := range enters {
-		if deferred[e.key] {
-			continue
-		}
-		if !exitsOnAllPaths(pass, prog, g, e.call, e.key) {
-			pass.Reportf(e.call.Pos(), "%s.Enter(%s) is not balanced by an Exit on every path: the in-flight gauge leaks and least-loaded placement steers around a phantom invocation",
-				e.key.recv, e.key.arg)
-		}
-	}
-}
-
-// exitsOnAllPaths walks the CFG from the Enter call and requires a
-// matching Exit before any function exit.
-func exitsOnAllPaths(pass *analysis.Pass, prog *summary.Program, g *cfg.CFG, enter *ast.CallExpr, key bracketKey) bool {
-	var start *cfg.Block
-	startIdx := -1
-	for _, b := range g.Blocks {
-		for i, n := range b.Nodes {
-			if containsNode(n, enter) {
-				start, startIdx = b, i
-				break
-			}
-		}
-		if start != nil {
-			break
-		}
-	}
-	if start == nil {
-		return true
-	}
-
-	ok := true
-	type state struct {
-		block  int32
-		exited bool
-	}
-	seen := make(map[state]bool)
-	var visit func(b *cfg.Block, from int, exited bool)
-	visit = func(b *cfg.Block, from int, exited bool) {
-		if !ok {
-			return
-		}
-		st := state{block: b.Index, exited: exited}
-		if from == 0 {
-			if seen[st] {
-				return
-			}
-			seen[st] = true
-		}
-		for i := from; i < len(b.Nodes); i++ {
-			n := b.Nodes[i]
-			if !exited && nodeExits(pass, prog, n, key) {
-				exited = true
-			}
-			if _, isRet := n.(*ast.ReturnStmt); isRet {
-				if !exited {
-					ok = false
-				}
-				return
-			}
-		}
-		if len(b.Succs) == 0 {
-			if !exited && b.Return() == nil {
-				ok = false
-			}
-			return
-		}
-		for _, s := range b.Succs {
-			visit(s, 0, exited)
-		}
-	}
-	visit(start, startIdx+1, false)
-	return ok
-}
-
-// nodeExits reports whether the node contains a matching Exit call
-// (outside nested function literals, which run at another time).
-func nodeExits(pass *analysis.Pass, prog *summary.Program, n ast.Node, key bracketKey) bool {
-	found := false
-	ast.Inspect(n, func(m ast.Node) bool {
-		if _, ok := m.(*ast.FuncLit); ok {
-			return false
-		}
-		if call, ok := m.(*ast.CallExpr); ok {
-			if k, ok := keyOf(pass, call, "Exit"); ok && k == key {
-				found = true
-				return false
-			}
-			if callExitKeys(pass, prog, call)[key] {
-				found = true
-				return false
-			}
-		}
-		return true
-	})
-	return found
-}
-
-// argExprAt maps a summary parameter position back to the caller-side
-// expression: position 0 is the method receiver, position i the argument
-// i-1.
-func argExprAt(call *ast.CallExpr, pos int) ast.Expr {
-	if pos == 0 {
-		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-			return sel.X
-		}
-		return nil
-	}
-	i := pos - 1
-	if i < 0 || i >= len(call.Args) {
-		return nil
-	}
-	return call.Args[i]
-}
-
-// pairKeys renders one summary's gauge pairs as caller-side bracket keys
-// using the call's own argument expressions, so a helper's brackets pair
-// textually with the caller's literal Enter/Exit calls.
-func pairKeys(call *ast.CallExpr, pairs []summary.GaugePair) map[bracketKey]bool {
-	out := make(map[bracketKey]bool)
-	for _, p := range pairs {
-		recv := argExprAt(call, p.Recv)
-		if recv == nil {
-			continue
-		}
-		key := bracketKey{recv: types.ExprString(recv)}
-		if p.Arg < 0 {
-			key.arg = p.ArgLit
-		} else {
-			a := argExprAt(call, p.Arg)
-			if a == nil {
-				continue
-			}
-			key.arg = types.ExprString(a)
-		}
-		out[key] = true
-	}
-	return out
-}
-
-// netPairs returns the pairs of a not also present in b: a balanced
-// helper (Enter and Exit of the same bracket) neither credits nor
-// obligates its caller.
-func netPairs(a, b []summary.GaugePair) []summary.GaugePair {
-	in := make(map[summary.GaugePair]bool, len(b))
-	for _, p := range b {
-		in[p] = true
-	}
-	var out []summary.GaugePair
-	for _, p := range a {
-		if !in[p] {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// callExitKeys returns the caller-side brackets every statically known
-// target of call closes on all paths (net of brackets it also opens) —
-// must-credit, so the keys are intersected across targets.
-func callExitKeys(pass *analysis.Pass, prog *summary.Program, call *ast.CallExpr) map[bracketKey]bool {
-	sums := prog.CallSummaries(pass, call)
-	if len(sums) == 0 {
-		return nil
-	}
-	var acc map[bracketKey]bool
-	for _, s := range sums {
-		keys := pairKeys(call, netPairs(s.GaugeExits, s.GaugeEnters))
-		if acc == nil {
-			acc = keys
-			continue
-		}
-		for k := range acc {
-			if !keys[k] {
-				delete(acc, k)
-			}
-		}
-	}
-	return acc
-}
-
-// callEnterKeys returns the caller-side brackets any statically known
-// target of call may open without closing — may-obligation, so the keys
-// are unioned across targets.
-func callEnterKeys(pass *analysis.Pass, prog *summary.Program, call *ast.CallExpr) map[bracketKey]bool {
-	sums := prog.CallSummaries(pass, call)
-	if len(sums) == 0 {
-		return nil
-	}
-	acc := make(map[bracketKey]bool)
-	for _, s := range sums {
-		for k := range pairKeys(call, netPairs(s.GaugeEnters, s.GaugeExits)) {
-			acc[k] = true
-		}
-	}
-	return acc
-}
-
-// containsNode reports whether outer contains (or is) the target node.
-func containsNode(outer, target ast.Node) bool {
-	found := false
-	ast.Inspect(outer, func(n ast.Node) bool {
-		if n == target {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
-}
+var Analyzer = obligation.New(Row)

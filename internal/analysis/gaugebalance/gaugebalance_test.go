@@ -8,5 +8,5 @@ import (
 )
 
 func TestGaugeBalance(t *testing.T) {
-	analyzertest.Run(t, "testdata", gaugebalance.Analyzer, "a", "interproc")
+	analyzertest.Run(t, "testdata", gaugebalance.Analyzer, "a", "interproc", "split")
 }

@@ -9,6 +9,8 @@ package lockorder
 
 import (
 	"go/ast"
+	"slices"
+	"strings"
 
 	"golang.org/x/tools/go/analysis"
 	"golang.org/x/tools/go/analysis/passes/ctrlflow"
@@ -74,51 +76,32 @@ func checkFunc(pass *analysis.Pass, g *cfg.CFG) {
 	}
 
 	// held sets are small (the protocol allows at most one direct
-	// holding); represent them as sorted-joined strings for memoization.
-	type state struct {
-		block int32
-		held  string
-	}
-	seen := make(map[state]bool)
+	// holding); the path state is their sorted, space-joined rendering.
 	reported := make(map[*ast.CallExpr]bool)
-
-	var visit func(b *cfg.Block, held map[string]bool)
-	visit = func(b *cfg.Block, held map[string]bool) {
-		st := state{block: b.Index, held: joinKeys(held)}
-		if seen[st] {
-			return
-		}
-		seen[st] = true
-		cur := copySet(held)
-		for _, n := range b.Nodes {
-			for _, ev := range lockEventsIn(pass, n) {
-				switch ev.op {
-				case "Lock":
-					if len(cur) > 0 && !cur[ev.owner] && !reported[ev.call] {
-						reported[ev.call] = true
-						pass.Reportf(ev.call.Pos(),
-							"nested VM-lock acquisition: %s.mu taken while another Shim.mu is held; order multi-shim sections through lockShims to avoid AB/BA deadlock",
-							ev.owner)
-					}
-					if !ev.deferred {
-						cur[ev.owner] = true
-					}
-				case "Unlock":
-					if !ev.deferred {
-						delete(cur, ev.owner)
-					} else {
-						// Deferred unlock releases at function exit;
-						// within the function body the lock stays held,
-						// so keep it in the set.
-					}
+	matchutil.Paths(g.Blocks[0], 0, "", func(b *cfg.Block, i int, held string) (string, bool) {
+		cur := strings.Fields(held)
+		for _, ev := range lockEventsIn(pass, b.Nodes[i]) {
+			holds := slices.Contains(cur, ev.owner)
+			switch {
+			case ev.op == "Lock":
+				if len(cur) > 0 && !holds && !reported[ev.call] {
+					reported[ev.call] = true
+					pass.Reportf(ev.call.Pos(),
+						"nested VM-lock acquisition: %s.mu taken while another Shim.mu is held; order multi-shim sections through lockShims to avoid AB/BA deadlock",
+						ev.owner)
 				}
+				if !ev.deferred && !holds {
+					cur = append(cur, ev.owner)
+					slices.Sort(cur)
+				}
+			case !ev.deferred:
+				// A deferred unlock releases at function exit; within
+				// the function body the lock stays held.
+				cur = slices.DeleteFunc(cur, func(o string) bool { return o == ev.owner })
 			}
 		}
-		for _, s := range b.Succs {
-			visit(s, cur)
-		}
-	}
-	visit(g.Blocks[0], map[string]bool{})
+		return strings.Join(cur, " "), false
+	}, func(b *cfg.Block, _ string) []*cfg.Block { return b.Succs })
 }
 
 // lockEventsIn extracts VM-lock operations from one CFG node, skipping
@@ -163,31 +146,4 @@ func exprString(e ast.Expr) string {
 		return exprString(v.Fun) + "(...)"
 	}
 	return "?"
-}
-
-func joinKeys(m map[string]bool) string {
-	// Deterministic small-set join; insertion order does not matter for
-	// correctness of memoization, only for key equality, so sort.
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
-	out := ""
-	for _, k := range keys {
-		out += k + "|"
-	}
-	return out
-}
-
-func copySet(m map[string]bool) map[string]bool {
-	c := make(map[string]bool, len(m))
-	for k, v := range m {
-		c[k] = v
-	}
-	return c
 }

@@ -18,528 +18,23 @@
 package poolreturn
 
 import (
-	"go/ast"
-	"go/token"
-	"go/types"
-
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/ctrlflow"
-	"golang.org/x/tools/go/cfg"
-
-	"github.com/polaris-slo-cloud/roadrunner-go/internal/analysis/callgraph"
-	"github.com/polaris-slo-cloud/roadrunner-go/internal/analysis/matchutil"
+	"github.com/polaris-slo-cloud/roadrunner-go/internal/analysis/obligation"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/analysis/summary"
 )
 
+// Row is the sync.Pool row of the obligation table. Both the asserted
+// form (`v := pool.Get().(*T)`) and the raw form (`v := pool.Get()`) are
+// acquires; a two-value type assertion (`v, ok := ...`) tracks the first
+// variable.
+var Row = obligation.Row{
+	Name:         "poolreturn",
+	Doc:          "check that every object taken from a sync.Pool is recycled or handed off on every path",
+	Domain:       summary.Pool,
+	Handoffs:     obligation.Return | obligation.Store | obligation.Send | obligation.Go,
+	LeakAtReturn: "pooled %q taken at %s may leak: this return neither recycles it nor hands it off",
+	LeakAtEnd:    "pooled %q may leak: a path reaches the function's end without recycling or handing it off",
+	Discarded:    "pool.Get result discarded: the object can never be recycled; keep it and Put it, or drop the Get",
+}
+
 // Analyzer is the poolreturn pass.
-var Analyzer = &analysis.Analyzer{
-	Name:     "poolreturn",
-	Doc:      "check that every object taken from a sync.Pool is recycled or handed off on every path",
-	Requires: []*analysis.Analyzer{ctrlflow.Analyzer, summary.Analyzer},
-	Run:      run,
-}
-
-// checker carries the per-run state: the pass, the whole-program summary
-// table, and the package-local put-helper map derived from it.
-type checker struct {
-	pass    *analysis.Pass
-	prog    *summary.Program
-	helpers map[types.Object]map[int]bool
-}
-
-func run(pass *analysis.Pass) (interface{}, error) {
-	cfgs := pass.ResultOf[ctrlflow.Analyzer].(*ctrlflow.CFGs)
-	prog := summary.FromPass(pass)
-	c := &checker{pass: pass, prog: prog, helpers: collectPutHelpers(pass, prog)}
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch fn := n.(type) {
-			case *ast.FuncDecl:
-				if fn.Body != nil {
-					c.checkFunc(fn.Body, cfgs.FuncDecl(fn))
-				}
-			case *ast.FuncLit:
-				c.checkFunc(fn.Body, cfgs.FuncLit(fn))
-			}
-			return true
-		})
-	}
-	checkDiscardedGets(pass)
-	return nil, nil
-}
-
-// getSite is one `v := pool.Get().(*T)` (or untyped `v := pool.Get()`)
-// statement.
-type getSite struct {
-	stmt ast.Node
-	obj  types.Object
-	name string
-	pos  token.Pos
-}
-
-// checkFunc runs the path analysis over one function body. Nested function
-// literals are analyzed by their own checkFunc call; their statements are
-// skipped here.
-func (c *checker) checkFunc(body *ast.BlockStmt, g *cfg.CFG) {
-	pass := c.pass
-	if g == nil {
-		return
-	}
-	sites := collectGets(pass, body)
-	if len(sites) == 0 {
-		return
-	}
-	releasers := c.collectPuttingClosures(body)
-
-	for _, site := range sites {
-		if c.releasedByDefer(body, site, releasers) || escapesToStore(pass, body, site) {
-			continue
-		}
-		c.walk(g, site, releasers)
-	}
-}
-
-// collectGets finds the sync.Pool Get assignments in body, excluding
-// nested function literals. Both the asserted form
-// (`v := pool.Get().(*T)`) and the raw form (`v := pool.Get()`) count; a
-// two-value type assertion (`v, ok := ...`) tracks the first variable.
-func collectGets(pass *analysis.Pass, body *ast.BlockStmt) []*getSite {
-	var sites []*getSite
-	inspectSkippingFuncLits(body, func(n ast.Node) {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Rhs) != 1 || len(as.Lhs) == 0 {
-			return
-		}
-		if !isPoolGetExpr(pass, as.Rhs[0]) {
-			return
-		}
-		id, ok := as.Lhs[0].(*ast.Ident)
-		if !ok || id.Name == "_" {
-			return // the discarded-Get scan reports this shape
-		}
-		sites = append(sites, &getSite{
-			stmt: n,
-			obj:  matchutil.Obj(pass.TypesInfo, id),
-			name: id.Name,
-			pos:  as.Pos(),
-		})
-	})
-	return sites
-}
-
-// isPoolGetExpr matches `pool.Get()` or `pool.Get().(*T)` over a
-// sync.Pool receiver.
-func isPoolGetExpr(pass *analysis.Pass, e ast.Expr) bool {
-	e = ast.Unparen(e)
-	if ta, ok := e.(*ast.TypeAssertExpr); ok {
-		e = ast.Unparen(ta.X)
-	}
-	call, ok := e.(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	return isPoolMethod(pass, call, "Get")
-}
-
-// isPoolMethod reports whether call invokes the named method on a
-// sync.Pool value (directly or through a pointer). The match is by the
-// defining package, not just the type name, so the pagebuf and sched
-// Pools — whose pages and tasks have their own ownership disciplines —
-// stay out of scope.
-func isPoolMethod(pass *analysis.Pass, call *ast.CallExpr, method string) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != method {
-		return false
-	}
-	s, ok := pass.TypesInfo.Selections[sel]
-	if !ok || s.Kind() != types.MethodVal {
-		return false
-	}
-	return isSyncPool(s.Recv())
-}
-
-// isSyncPool reports whether t (after dereferencing) is sync.Pool.
-func isSyncPool(t types.Type) bool {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	var obj *types.TypeName
-	switch n := t.(type) {
-	case *types.Named:
-		obj = n.Obj()
-	case *types.Alias:
-		obj = n.Obj()
-	default:
-		return false
-	}
-	return obj.Name() == "Pool" && obj.Pkg() != nil && obj.Pkg().Path() == "sync"
-}
-
-// collectPutHelpers derives the package-local put-helper map from the
-// whole-program summary table: a package-level function recycles declared
-// parameter idx when its summary consumes position idx+1 in the pool
-// domain (the summary convention reserves position 0 for the receiver).
-// Helper-calls-helper chains — including recursive ones — are already
-// resolved by the summary SCC fixpoint, and the credit is must-discharge:
-// a helper that only sometimes puts earns nothing.
-func collectPutHelpers(pass *analysis.Pass, prog *summary.Program) map[types.Object]map[int]bool {
-	helpers := make(map[types.Object]map[int]bool)
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			obj, _ := matchutil.Obj(pass.TypesInfo, fd.Name).(*types.Func)
-			if obj == nil {
-				continue
-			}
-			s := prog.Summary(callgraph.Key(obj))
-			if s == nil {
-				continue
-			}
-			for i := range s.Consumes[summary.Pool] {
-				if i == 0 {
-					continue
-				}
-				if helpers[obj] == nil {
-					helpers[obj] = make(map[int]bool)
-				}
-				helpers[obj][i-1] = true
-			}
-		}
-	}
-	return helpers
-}
-
-// collectPuttingClosures maps closure variables (name := func(...){...})
-// to the set of pooled objects their bodies recycle, so calling the
-// closure counts as the recycle — the abort-helper shape.
-func (c *checker) collectPuttingClosures(body *ast.BlockStmt) map[types.Object]map[types.Object]bool {
-	pass := c.pass
-	out := make(map[types.Object]map[types.Object]bool)
-	ast.Inspect(body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Lhs) != 1 || len(as.Rhs) != 1 {
-			return true
-		}
-		id, ok := as.Lhs[0].(*ast.Ident)
-		if !ok {
-			return true
-		}
-		lit, ok := as.Rhs[0].(*ast.FuncLit)
-		if !ok {
-			return true
-		}
-		put := c.putObjects(lit.Body)
-		if len(put) > 0 {
-			out[matchutil.Obj(pass.TypesInfo, id)] = put
-		}
-		return true
-	})
-	return out
-}
-
-// putObjects collects the objects recycled by calls anywhere under n.
-func (c *checker) putObjects(n ast.Node) map[types.Object]bool {
-	pass := c.pass
-	out := make(map[types.Object]bool)
-	ast.Inspect(n, func(m ast.Node) bool {
-		call, ok := m.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		record := func(e ast.Expr) {
-			if id, ok := e.(*ast.Ident); ok {
-				if o := matchutil.Obj(pass.TypesInfo, id); o != nil {
-					out[o] = true
-				}
-			}
-		}
-		if isPoolMethod(pass, call, "Put") && len(call.Args) == 1 {
-			record(call.Args[0])
-		}
-		if id, ok := call.Fun.(*ast.Ident); ok {
-			if put := c.helpers[matchutil.Obj(pass.TypesInfo, id)]; put != nil {
-				for idx := range put {
-					if idx < len(call.Args) {
-						record(call.Args[idx])
-					}
-				}
-			}
-		}
-		return true
-	})
-	return out
-}
-
-// releasedByDefer reports whether a defer statement in body recycles the
-// site's object — a defer covers every exit path at once.
-func (c *checker) releasedByDefer(body *ast.BlockStmt, site *getSite, releasers map[types.Object]map[types.Object]bool) bool {
-	found := false
-	inspectSkippingFuncLits(body, func(n ast.Node) {
-		d, ok := n.(*ast.DeferStmt)
-		if ok && c.callPuts(d.Call, site.obj, releasers) {
-			found = true
-		}
-	})
-	return found
-}
-
-// escapesToStore reports whether the pooled object is stored into a
-// non-local structure (a field, slice element, or map entry): ownership is
-// handed to whoever owns the structure, so this function's paths are not
-// accountable for the Put.
-func escapesToStore(pass *analysis.Pass, body *ast.BlockStmt, site *getSite) bool {
-	escapes := false
-	inspectSkippingFuncLits(body, func(n ast.Node) {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok {
-			return
-		}
-		rhsMentions := false
-		for _, r := range as.Rhs {
-			if mentions(pass, r, site.obj) {
-				rhsMentions = true
-			}
-		}
-		if !rhsMentions {
-			return
-		}
-		for _, l := range as.Lhs {
-			if _, ok := l.(*ast.Ident); !ok {
-				escapes = true
-			}
-		}
-	})
-	return escapes
-}
-
-// pathState is the walk's per-path condition: whether the pooled object
-// has been recycled or handed off on the path reaching this block.
-type pathState struct {
-	block    int32
-	released bool
-}
-
-// walk explores every path from the Get to a function exit and reports
-// paths that neither recycle the object nor pass ownership outward.
-func (c *checker) walk(g *cfg.CFG, site *getSite, releasers map[types.Object]map[types.Object]bool) {
-	pass := c.pass
-	var start *cfg.Block
-	startIdx := -1
-	for _, b := range g.Blocks {
-		for i, n := range b.Nodes {
-			if n == site.stmt {
-				start, startIdx = b, i
-				break
-			}
-		}
-		if start != nil {
-			break
-		}
-	}
-	if start == nil {
-		return
-	}
-
-	reported := make(map[token.Pos]bool)
-	seen := make(map[pathState]bool)
-	var visit func(b *cfg.Block, from int, released bool)
-	visit = func(b *cfg.Block, from int, released bool) {
-		st := pathState{block: b.Index, released: released}
-		if from == 0 {
-			if seen[st] {
-				return
-			}
-			seen[st] = true
-		}
-		for i := from; i < len(b.Nodes); i++ {
-			n := b.Nodes[i]
-			if !released && c.nodeReleases(n, site, releasers) {
-				released = true
-			}
-			if ret, ok := n.(*ast.ReturnStmt); ok {
-				if released || returnCarries(pass, ret, site) {
-					return
-				}
-				if !reported[ret.Pos()] {
-					reported[ret.Pos()] = true
-					pass.Reportf(ret.Pos(), "pooled %q taken at %s may leak: this return neither recycles it nor hands it off",
-						site.name, pass.Fset.Position(site.pos))
-				}
-				return
-			}
-		}
-		if len(b.Succs) == 0 {
-			// Falling off the function's end: a fall-off exit with the
-			// object unrecycled is a leak; panic-terminated blocks carry a
-			// final CallExpr node and are not flagged.
-			if !released && b.Return() == nil && !endsInNoReturnCall(b) {
-				if !reported[site.pos] {
-					reported[site.pos] = true
-					pass.Reportf(site.pos, "pooled %q may leak: a path reaches the function's end without recycling or handing it off", site.name)
-				}
-			}
-			return
-		}
-		for _, s := range b.Succs {
-			visit(s, 0, released)
-		}
-	}
-	visit(start, startIdx+1, false)
-}
-
-// nodeReleases reports whether the node recycles or hands off the site's
-// object: a Put (direct, via put-helper, or via putting closure), a
-// channel send of the object, or a goroutine launched with it. Function
-// literals are not descended into — defining a closure that would put is
-// not putting.
-func (c *checker) nodeReleases(n ast.Node, site *getSite, releasers map[types.Object]map[types.Object]bool) bool {
-	pass := c.pass
-	switch s := n.(type) {
-	case *ast.SendStmt:
-		// `ch <- v` hands the object to the consumer on the other side,
-		// which owns the Put from here (the ingress dispatch shape).
-		if mentions(pass, s.Value, site.obj) {
-			return true
-		}
-	case *ast.GoStmt:
-		// `go fn(v)` transfers ownership to the spawned goroutine.
-		for _, a := range s.Call.Args {
-			if mentions(pass, a, site.obj) {
-				return true
-			}
-		}
-	}
-	found := false
-	ast.Inspect(n, func(m ast.Node) bool {
-		if call, ok := m.(*ast.CallExpr); ok && c.callPuts(call, site.obj, releasers) {
-			found = true
-			return false
-		}
-		if _, ok := m.(*ast.FuncLit); ok {
-			return false
-		}
-		return true
-	})
-	return found
-}
-
-// callPuts reports whether one call recycles obj: pool.Put(obj), a
-// put-helper with obj in a recycled parameter slot, a putting closure, an
-// immediately-invoked literal that puts, or — through the whole-program
-// summary table — any statically resolved call (method or cross-package)
-// whose every target consumes obj's position in the pool domain.
-func (c *checker) callPuts(call *ast.CallExpr, obj types.Object, releasers map[types.Object]map[types.Object]bool) bool {
-	pass := c.pass
-	if isPoolMethod(pass, call, "Put") && len(call.Args) == 1 {
-		if id, ok := call.Args[0].(*ast.Ident); ok && matchutil.Obj(pass.TypesInfo, id) == obj {
-			return true
-		}
-	}
-	if id, ok := call.Fun.(*ast.Ident); ok {
-		fnObj := matchutil.Obj(pass.TypesInfo, id)
-		if put := c.helpers[fnObj]; put != nil {
-			for idx := range put {
-				if idx < len(call.Args) {
-					if aid, ok := call.Args[idx].(*ast.Ident); ok && matchutil.Obj(pass.TypesInfo, aid) == obj {
-						return true
-					}
-				}
-			}
-		}
-		if releasers != nil && releasers[fnObj][obj] {
-			return true
-		}
-	}
-	if lit, ok := call.Fun.(*ast.FuncLit); ok {
-		if c.putObjects(lit.Body)[obj] {
-			return true
-		}
-	}
-	return c.prog.CallConsumes(pass, call, obj, summary.Pool)
-}
-
-// returnCarries reports whether the return's results mention the pooled
-// object — ownership moves to the caller, the pooled-constructor shape.
-func returnCarries(pass *analysis.Pass, ret *ast.ReturnStmt, site *getSite) bool {
-	for _, r := range ret.Results {
-		if mentions(pass, r, site.obj) {
-			return true
-		}
-	}
-	return false
-}
-
-// mentions reports whether expr references the object.
-func mentions(pass *analysis.Pass, expr ast.Node, obj types.Object) bool {
-	if obj == nil {
-		return false
-	}
-	found := false
-	ast.Inspect(expr, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && matchutil.Obj(pass.TypesInfo, id) == obj {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
-}
-
-// endsInNoReturnCall reports whether the block's last node is a call
-// expression — the shape cfg gives blocks terminated by panic or a
-// no-return function, which are not fall-off leaks.
-func endsInNoReturnCall(b *cfg.Block) bool {
-	if len(b.Nodes) == 0 {
-		return false
-	}
-	switch n := b.Nodes[len(b.Nodes)-1].(type) {
-	case *ast.CallExpr:
-		return true
-	case *ast.ExprStmt:
-		_, ok := n.X.(*ast.CallExpr)
-		return ok
-	}
-	return false
-}
-
-// checkDiscardedGets flags Get calls whose result is thrown away.
-func checkDiscardedGets(pass *analysis.Pass) {
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			var e ast.Expr
-			switch s := n.(type) {
-			case *ast.AssignStmt:
-				if len(s.Lhs) >= 1 && len(s.Rhs) == 1 {
-					if id, ok := s.Lhs[0].(*ast.Ident); ok && id.Name == "_" {
-						e = s.Rhs[0]
-					}
-				}
-			case *ast.ExprStmt:
-				e = s.X
-			}
-			if e == nil || !isPoolGetExpr(pass, e) {
-				return true
-			}
-			pass.Reportf(e.Pos(), "pool.Get result discarded: the object can never be recycled; keep it and Put it, or drop the Get")
-			return true
-		})
-	}
-}
-
-// inspectSkippingFuncLits walks the body, visiting every node except
-// those inside nested function literals (which are analyzed on their
-// own).
-func inspectSkippingFuncLits(body *ast.BlockStmt, fn func(ast.Node)) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		if n != nil {
-			fn(n)
-		}
-		return true
-	})
-}
+var Analyzer = obligation.New(Row)

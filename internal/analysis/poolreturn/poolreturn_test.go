@@ -8,5 +8,5 @@ import (
 )
 
 func TestPoolReturn(t *testing.T) {
-	analyzertest.Run(t, "testdata", poolreturn.Analyzer, "a", "interproc")
+	analyzertest.Run(t, "testdata", poolreturn.Analyzer, "a", "interproc", "split")
 }

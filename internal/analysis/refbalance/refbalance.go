@@ -35,634 +35,38 @@
 package refbalance
 
 import (
-	"go/ast"
-	"go/token"
-	"go/types"
-
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/ctrlflow"
-	"golang.org/x/tools/go/cfg"
-
-	"github.com/polaris-slo-cloud/roadrunner-go/internal/analysis/matchutil"
+	"github.com/polaris-slo-cloud/roadrunner-go/internal/analysis/obligation"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/analysis/summary"
 )
 
+// Row is the page-reference row of the obligation table.
+var Row = obligation.Row{
+	Name:   "refbalance",
+	Doc:    "check that every acquired pagebuf page reference reaches Release/ReleaseAll or a handoff on every path",
+	Domain: summary.Ref,
+	// The refcount implementation adjusts counts field-by-field; its
+	// internal Ref handling follows a different (and self-checked)
+	// discipline.
+	SkipPkg: "pagebuf",
+	Handoffs: obligation.Return | obligation.Store | obligation.Send | obligation.Go |
+		obligation.Unresolved | obligation.Range,
+	ErrPair: obligation.ErrExempts,
+	// Callees that look at a reference run without taking ownership of it.
+	// A mention inside one of these is not a handoff — the caller still
+	// owes the release.
+	Inspectors: map[string]bool{
+		"TotalLen": true,
+		"len":      true,
+		"cap":      true,
+		"clear":    true,
+		"copy":     true,
+		"print":    true,
+		"println":  true,
+	},
+	LeakAtReturn: "page refs %q acquired at %s may leak: this return neither releases them nor hands them off",
+	LeakAtEnd:    "page refs %q may leak: a path reaches the function's end without Release/ReleaseAll or a handoff",
+	Discarded:    "page refs discarded: the references can never be released; keep them and Release/ReleaseAll or hand them off",
+}
+
 // Analyzer is the refbalance pass.
-var Analyzer = &analysis.Analyzer{
-	Name:     "refbalance",
-	Doc:      "check that every acquired pagebuf page reference reaches Release/ReleaseAll or a handoff on every path",
-	Requires: []*analysis.Analyzer{ctrlflow.Analyzer, summary.Analyzer},
-	Run:      run,
-}
-
-// inspectors are callees that look at a reference run without taking
-// ownership of it. A mention inside one of these is not a handoff — the
-// caller still owes the release.
-var inspectors = map[string]bool{
-	"TotalLen": true,
-	"len":      true,
-	"cap":      true,
-	"clear":    true,
-	"copy":     true,
-	"print":    true,
-	"println":  true,
-}
-
-var errType = types.Universe.Lookup("error").Type()
-
-func run(pass *analysis.Pass) (interface{}, error) {
-	if pass.Pkg.Name() == "pagebuf" {
-		// The refcount implementation adjusts counts field-by-field; its
-		// internal Ref handling follows a different (and self-checked)
-		// discipline.
-		return nil, nil
-	}
-	cfgs := pass.ResultOf[ctrlflow.Analyzer].(*ctrlflow.CFGs)
-	prog := summary.FromPass(pass)
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch fn := n.(type) {
-			case *ast.FuncDecl:
-				if fn.Body != nil {
-					checkFunc(pass, prog, fn.Body, cfgs.FuncDecl(fn))
-				}
-			case *ast.FuncLit:
-				checkFunc(pass, prog, fn.Body, cfgs.FuncLit(fn))
-			}
-			return true
-		})
-	}
-	checkDiscarded(pass)
-	return nil, nil
-}
-
-// refSite is one `refs := acquire(...)` (or `refs, err := acquire(...)`)
-// statement whose call returns a Ref or []Ref.
-type refSite struct {
-	stmt   ast.Node
-	obj    types.Object
-	errObj types.Object // the paired error variable, if the acquire returns one
-	name   string
-	pos    token.Pos
-}
-
-// checkFunc runs the path analysis over one function body. Nested function
-// literals are analyzed by their own checkFunc call; their statements are
-// skipped here.
-func checkFunc(pass *analysis.Pass, prog *summary.Program, body *ast.BlockStmt, g *cfg.CFG) {
-	if g == nil {
-		return
-	}
-	sites := collectAcquires(pass, body)
-	if len(sites) == 0 {
-		return
-	}
-	releasers := collectReleasingClosures(pass, body)
-
-	for _, site := range sites {
-		if releasedByDefer(pass, body, site, releasers) ||
-			releasedByRange(pass, body, site) ||
-			escapesToStore(pass, body, site) {
-			continue
-		}
-		walk(pass, prog, g, site, releasers)
-	}
-}
-
-// collectAcquires finds assignments in body whose right-hand call returns
-// a Ref or []Ref, excluding nested function literals. Results assigned to
-// _ are reported by the discarded-acquire scan, not here.
-func collectAcquires(pass *analysis.Pass, body *ast.BlockStmt) []*refSite {
-	var sites []*refSite
-	inspectSkippingFuncLits(body, func(n ast.Node) {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Rhs) != 1 || len(as.Lhs) == 0 {
-			return
-		}
-		call := acquireCall(pass, as.Rhs[0])
-		if call == nil {
-			return
-		}
-		errObj := errorObject(pass, as)
-		for _, idx := range refResultIndexes(pass, call, len(as.Lhs)) {
-			id, ok := as.Lhs[idx].(*ast.Ident)
-			if !ok || id.Name == "_" {
-				continue
-			}
-			sites = append(sites, &refSite{
-				stmt:   n,
-				obj:    matchutil.Obj(pass.TypesInfo, id),
-				errObj: errObj,
-				name:   id.Name,
-				pos:    as.Pos(),
-			})
-		}
-	})
-	return sites
-}
-
-// acquireCall returns the call expression behind e when e can produce page
-// references: a real call, not a conversion, and not a make/new allocation
-// (an empty []Ref holds no references).
-func acquireCall(pass *analysis.Pass, e ast.Expr) *ast.CallExpr {
-	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok {
-		return nil
-	}
-	if tv, ok := pass.TypesInfo.Types[call.Fun]; ok && tv.IsType() {
-		return nil // conversion, not a producer
-	}
-	if id, ok := call.Fun.(*ast.Ident); ok {
-		if b, ok := matchutil.Obj(pass.TypesInfo, id).(*types.Builtin); ok {
-			if b.Name() == "make" || b.Name() == "new" {
-				return nil
-			}
-		}
-	}
-	return call
-}
-
-// refResultIndexes returns the assignment positions (indices into Lhs)
-// where call produces a Ref or []Ref value.
-func refResultIndexes(pass *analysis.Pass, call *ast.CallExpr, nLhs int) []int {
-	tv, ok := pass.TypesInfo.Types[call]
-	if !ok {
-		return nil
-	}
-	var out []int
-	if tup, ok := tv.Type.(*types.Tuple); ok {
-		for i := 0; i < tup.Len() && i < nLhs; i++ {
-			if isRefish(tup.At(i).Type()) {
-				out = append(out, i)
-			}
-		}
-		return out
-	}
-	if nLhs >= 1 && isRefish(tv.Type) {
-		out = append(out, 0)
-	}
-	return out
-}
-
-// isRefish reports whether t is a named type called Ref, or a slice of
-// one. Matching is structural (by type name) so the analyzer applies both
-// to pagebuf.Ref and to analyzertest fixtures that stub it.
-func isRefish(t types.Type) bool {
-	if sl, ok := t.(*types.Slice); ok {
-		t = sl.Elem()
-	}
-	return namedName(t) == "Ref"
-}
-
-// errorObject returns the object of the assignment's trailing error
-// variable, or nil when the acquire has no named error pairing.
-func errorObject(pass *analysis.Pass, as *ast.AssignStmt) types.Object {
-	if len(as.Lhs) < 2 {
-		return nil
-	}
-	id, ok := as.Lhs[len(as.Lhs)-1].(*ast.Ident)
-	if !ok || id.Name == "_" {
-		return nil
-	}
-	obj := matchutil.Obj(pass.TypesInfo, id)
-	if obj == nil || !types.Identical(obj.Type(), errType) {
-		return nil
-	}
-	return obj
-}
-
-// collectReleasingClosures maps closure variables (name := func(...){...})
-// to the set of reference variables their bodies release, so calling the
-// closure counts as the release — the abort-helper shape.
-func collectReleasingClosures(pass *analysis.Pass, body *ast.BlockStmt) map[types.Object]map[types.Object]bool {
-	out := make(map[types.Object]map[types.Object]bool)
-	ast.Inspect(body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Lhs) != 1 || len(as.Rhs) != 1 {
-			return true
-		}
-		id, ok := as.Lhs[0].(*ast.Ident)
-		if !ok {
-			return true
-		}
-		lit, ok := as.Rhs[0].(*ast.FuncLit)
-		if !ok {
-			return true
-		}
-		released := releasedObjs(pass, lit.Body)
-		if len(released) > 0 {
-			out[matchutil.Obj(pass.TypesInfo, id)] = released
-		}
-		return true
-	})
-	return out
-}
-
-// releasedObjs collects the objects released by calls anywhere under n: a
-// Ref.Release receiver or anything passed to ReleaseAll.
-func releasedObjs(pass *analysis.Pass, n ast.Node) map[types.Object]bool {
-	out := make(map[types.Object]bool)
-	record := func(e ast.Expr) {
-		ast.Inspect(e, func(m ast.Node) bool {
-			if id, ok := m.(*ast.Ident); ok {
-				if o := matchutil.Obj(pass.TypesInfo, id); o != nil {
-					out[o] = true
-				}
-			}
-			return true
-		})
-	}
-	ast.Inspect(n, func(m ast.Node) bool {
-		call, ok := m.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if recv, ok := matchutil.Method(pass.TypesInfo, call, "Ref", "Release"); ok {
-			record(recv)
-		}
-		if matchutil.CalleeName(call) == "ReleaseAll" {
-			for _, a := range call.Args {
-				record(a)
-			}
-		}
-		return true
-	})
-	return out
-}
-
-// releasedByDefer reports whether a defer statement in body releases the
-// site's references — a defer covers every exit path at once.
-func releasedByDefer(pass *analysis.Pass, body *ast.BlockStmt, site *refSite, releasers map[types.Object]map[types.Object]bool) bool {
-	found := false
-	inspectSkippingFuncLits(body, func(n ast.Node) {
-		d, ok := n.(*ast.DeferStmt)
-		if ok && callReleases(pass, d.Call, site.obj, releasers) {
-			found = true
-		}
-	})
-	return found
-}
-
-// releasedByRange reports whether body releases the run element-by-element
-// (`for _, r := range refs { r.Release() }`) — the per-target teardown
-// shape. The site is then exempt from the path walk: an empty run has
-// nothing to release, so the loop-skipped path is not a leak.
-func releasedByRange(pass *analysis.Pass, body *ast.BlockStmt, site *refSite) bool {
-	found := false
-	inspectSkippingFuncLits(body, func(n ast.Node) {
-		rs, ok := n.(*ast.RangeStmt)
-		if !ok || !mentions(pass, rs.X, site.obj) {
-			return
-		}
-		val, ok := rs.Value.(*ast.Ident)
-		if !ok {
-			return
-		}
-		if releasedObjs(pass, rs.Body)[matchutil.Obj(pass.TypesInfo, val)] {
-			found = true
-		}
-	})
-	return found
-}
-
-// escapesToStore reports whether the references are stored into a
-// non-local structure (a field, slice element, or map entry): ownership is
-// handed to whoever owns the structure, so this function's paths are not
-// accountable for the release.
-func escapesToStore(pass *analysis.Pass, body *ast.BlockStmt, site *refSite) bool {
-	escapes := false
-	inspectSkippingFuncLits(body, func(n ast.Node) {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok {
-			return
-		}
-		rhsMentions := false
-		for _, r := range as.Rhs {
-			if mentions(pass, r, site.obj) {
-				rhsMentions = true
-			}
-		}
-		if !rhsMentions {
-			return
-		}
-		for _, l := range as.Lhs {
-			if _, ok := l.(*ast.Ident); !ok {
-				escapes = true
-			}
-		}
-	})
-	return escapes
-}
-
-// pathState is the walk's per-path condition: whether the references have
-// been released or handed off, and whether they have been used at all (the
-// paired-error exemption ends at first use).
-type pathState struct {
-	block    int32
-	released bool
-	used     bool
-}
-
-// walk explores every path from the acquire to a function exit and reports
-// paths that neither release the references nor pass ownership outward.
-func walk(pass *analysis.Pass, prog *summary.Program, g *cfg.CFG, site *refSite, releasers map[types.Object]map[types.Object]bool) {
-	var start *cfg.Block
-	startIdx := -1
-	for _, b := range g.Blocks {
-		for i, n := range b.Nodes {
-			if n == site.stmt {
-				start, startIdx = b, i
-				break
-			}
-		}
-		if start != nil {
-			break
-		}
-	}
-	if start == nil {
-		return
-	}
-
-	reported := make(map[token.Pos]bool)
-	seen := make(map[pathState]bool)
-	var visit func(b *cfg.Block, from int, released, used bool)
-	visit = func(b *cfg.Block, from int, released, used bool) {
-		st := pathState{block: b.Index, released: released, used: used}
-		if from == 0 {
-			if seen[st] {
-				return
-			}
-			seen[st] = true
-		}
-		for i := from; i < len(b.Nodes); i++ {
-			n := b.Nodes[i]
-			if !released && nodeReleases(pass, prog, n, site, releasers) {
-				released = true
-			}
-			if ret, ok := n.(*ast.ReturnStmt); ok {
-				if released || returnCarries(pass, ret, site) {
-					return
-				}
-				if !used && site.errObj != nil && mentions(pass, ret, site.errObj) {
-					// `refs, err := acquire(); if err != nil { return err }`:
-					// returning the paired error before touching refs is the
-					// failure path — the producer returned no references.
-					return
-				}
-				if !reported[ret.Pos()] {
-					reported[ret.Pos()] = true
-					pass.Reportf(ret.Pos(), "page refs %q acquired at %s may leak: this return neither releases them nor hands them off",
-						site.name, pass.Fset.Position(site.pos))
-				}
-				return
-			}
-			if !used && mentions(pass, n, site.obj) {
-				used = true
-			}
-		}
-		if len(b.Succs) == 0 {
-			// Falling off the function's end: a fall-off exit with the
-			// references unreleased is a leak; panic-terminated blocks carry
-			// a final CallExpr node and are not flagged.
-			if !released && b.Return() == nil && !endsInNoReturnCall(b) {
-				if !reported[site.pos] {
-					reported[site.pos] = true
-					pass.Reportf(site.pos, "page refs %q may leak: a path reaches the function's end without Release/ReleaseAll or a handoff", site.name)
-				}
-			}
-			return
-		}
-		for _, s := range b.Succs {
-			visit(s, 0, released, used)
-		}
-	}
-	visit(start, startIdx+1, false, false)
-}
-
-// nodeReleases reports whether the node releases or hands off the site's
-// references: a Release/ReleaseAll (direct, via releasing closure, or in
-// an immediately-invoked literal), a consuming call taking them as an
-// argument, a channel send, or a goroutine launched with them. Function
-// literals are not descended into — defining a closure that would release
-// is not releasing.
-func nodeReleases(pass *analysis.Pass, prog *summary.Program, n ast.Node, site *refSite, releasers map[types.Object]map[types.Object]bool) bool {
-	switch s := n.(type) {
-	case *ast.SendStmt:
-		// `ch <- refs` hands the references to the consumer on the other
-		// side, which owns the release from here.
-		if mentions(pass, s.Value, site.obj) {
-			return true
-		}
-	case *ast.GoStmt:
-		// `go fn(refs)` transfers ownership to the spawned goroutine.
-		if mentions(pass, s.Call, site.obj) {
-			return true
-		}
-	}
-	found := false
-	ast.Inspect(n, func(m ast.Node) bool {
-		if call, ok := m.(*ast.CallExpr); ok {
-			if callReleases(pass, call, site.obj, releasers) || callHandsOff(pass, prog, call, site.obj) {
-				found = true
-				return false
-			}
-		}
-		if _, ok := m.(*ast.FuncLit); ok {
-			return false
-		}
-		return true
-	})
-	return found
-}
-
-// callReleases reports whether one call releases obj: obj.Release(),
-// ReleaseAll with obj in its arguments, a releasing closure, or an
-// immediately-invoked literal that releases.
-func callReleases(pass *analysis.Pass, call *ast.CallExpr, obj types.Object, releasers map[types.Object]map[types.Object]bool) bool {
-	if recv, ok := matchutil.Method(pass.TypesInfo, call, "Ref", "Release"); ok {
-		if mentions(pass, recv, obj) {
-			return true
-		}
-	}
-	if matchutil.CalleeName(call) == "ReleaseAll" {
-		for _, a := range call.Args {
-			if mentions(pass, a, obj) {
-				return true
-			}
-		}
-	}
-	if id, ok := call.Fun.(*ast.Ident); ok {
-		if releasers != nil && releasers[matchutil.Obj(pass.TypesInfo, id)][obj] {
-			return true
-		}
-	}
-	if lit, ok := call.Fun.(*ast.FuncLit); ok {
-		if releasedObjs(pass, lit.Body)[obj] {
-			return true
-		}
-	}
-	return false
-}
-
-// callHandsOff reports whether the call takes ownership of obj: obj
-// appears in its arguments and the callee is a consumer, not a mere
-// inspector. append grows a run in place — the result (re)assignment is
-// its own acquire site — so only appending obj INTO another run counts.
-//
-// A statically resolved in-program callee gets no benefit of the doubt:
-// its summary must actually consume obj's position in the ref domain, or
-// the call is not a handoff — passing a run to a helper that merely reads
-// it no longer discharges the release obligation. Dynamic and
-// out-of-program calls keep the legacy mention-based credit, since their
-// bodies are invisible to the summary table.
-func callHandsOff(pass *analysis.Pass, prog *summary.Program, call *ast.CallExpr, obj types.Object) bool {
-	name := matchutil.CalleeName(call)
-	if inspectors[name] || name == "ReleaseAll" || name == "Release" {
-		return false
-	}
-	if prog.StaticallyResolved(pass, call) {
-		return prog.CallConsumes(pass, call, obj, summary.Ref)
-	}
-	args := call.Args
-	if name == "append" {
-		if id, ok := call.Fun.(*ast.Ident); ok {
-			if _, isBuiltin := matchutil.Obj(pass.TypesInfo, id).(*types.Builtin); isBuiltin && len(args) > 0 {
-				args = args[1:]
-			}
-		}
-	}
-	for _, a := range args {
-		if mentionsOutsideInspectors(pass, a, obj) {
-			return true
-		}
-	}
-	return false
-}
-
-// returnCarries reports whether the return's results mention the
-// references outside inspector calls — ownership moves to the caller.
-// (`return pagebuf.TotalLen(refs)` returns a length, not the refs, and
-// still leaks.)
-func returnCarries(pass *analysis.Pass, ret *ast.ReturnStmt, site *refSite) bool {
-	for _, r := range ret.Results {
-		if mentionsOutsideInspectors(pass, r, site.obj) {
-			return true
-		}
-	}
-	return false
-}
-
-// mentions reports whether expr references the object.
-func mentions(pass *analysis.Pass, expr ast.Node, obj types.Object) bool {
-	if obj == nil {
-		return false
-	}
-	found := false
-	ast.Inspect(expr, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && matchutil.Obj(pass.TypesInfo, id) == obj {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
-}
-
-// mentionsOutsideInspectors is mentions, except that references inside
-// nested inspector calls do not count: fmt.Errorf("...", TotalLen(refs))
-// measures the run, it does not consume it.
-func mentionsOutsideInspectors(pass *analysis.Pass, expr ast.Node, obj types.Object) bool {
-	if obj == nil {
-		return false
-	}
-	found := false
-	ast.Inspect(expr, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok && inspectors[matchutil.CalleeName(call)] {
-			return false
-		}
-		if id, ok := n.(*ast.Ident); ok && matchutil.Obj(pass.TypesInfo, id) == obj {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
-}
-
-// endsInNoReturnCall reports whether the block's last node is a call
-// expression — the shape cfg gives blocks terminated by panic or a
-// no-return function, which are not fall-off leaks.
-func endsInNoReturnCall(b *cfg.Block) bool {
-	if len(b.Nodes) == 0 {
-		return false
-	}
-	switch n := b.Nodes[len(b.Nodes)-1].(type) {
-	case *ast.CallExpr:
-		return true
-	case *ast.ExprStmt:
-		_, ok := n.X.(*ast.CallExpr)
-		return ok
-	}
-	return false
-}
-
-// checkDiscarded flags acquisitions whose references are thrown away: a
-// Ref-producing call used as a bare statement, or a Ref-typed result
-// assigned to the blank identifier.
-func checkDiscarded(pass *analysis.Pass) {
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch s := n.(type) {
-			case *ast.ExprStmt:
-				call := acquireCall(pass, s.X)
-				if call != nil && len(refResultIndexes(pass, call, 1_000_000)) > 0 {
-					pass.Reportf(call.Pos(), "page refs discarded: the references can never be released; keep them and Release/ReleaseAll or hand them off")
-				}
-			case *ast.AssignStmt:
-				if len(s.Rhs) != 1 {
-					return true
-				}
-				call := acquireCall(pass, s.Rhs[0])
-				if call == nil {
-					return true
-				}
-				for _, idx := range refResultIndexes(pass, call, len(s.Lhs)) {
-					if id, ok := s.Lhs[idx].(*ast.Ident); ok && id.Name == "_" {
-						pass.Reportf(id.Pos(), "page refs discarded: the references can never be released; keep them and Release/ReleaseAll or hand them off")
-					}
-				}
-			}
-			return true
-		})
-	}
-}
-
-// inspectSkippingFuncLits walks the body, visiting every node except
-// those inside nested function literals (which are analyzed on their
-// own).
-func inspectSkippingFuncLits(body *ast.BlockStmt, fn func(ast.Node)) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		if n != nil {
-			fn(n)
-		}
-		return true
-	})
-}
-
-// namedName unwraps pointers and aliases and returns the type's declared
-// name, or "" when it is not a named type.
-func namedName(t types.Type) string {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if n, ok := t.(*types.Named); ok {
-		return n.Obj().Name()
-	}
-	if a, ok := t.(*types.Alias); ok {
-		return a.Obj().Name()
-	}
-	return ""
-}
+var Analyzer = obligation.New(Row)

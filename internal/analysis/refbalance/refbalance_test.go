@@ -8,5 +8,5 @@ import (
 )
 
 func TestRefBalance(t *testing.T) {
-	analyzertest.Run(t, "testdata", refbalance.Analyzer, "a", "interproc")
+	analyzertest.Run(t, "testdata", refbalance.Analyzer, "a", "interproc", "split")
 }

@@ -34,477 +34,29 @@ import (
 	"go/types"
 
 	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/ctrlflow"
-	"golang.org/x/tools/go/cfg"
 
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/analysis/callgraph"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/analysis/matchutil"
+	"github.com/polaris-slo-cloud/roadrunner-go/internal/analysis/obligation"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/analysis/summary"
 )
 
-// allocTypes are the receiver types whose Allocate acquires a guest
-// region; releaseTypes are the receivers whose Deallocate releases one
-// (core.Function.Deallocate forwards to the view under the VM lock).
-var (
-	allocTypes   = []string{"View"}
-	releaseTypes = []string{"View", "Function", "Instance"}
-)
+// Row is the guest-region row of the obligation table, plus the
+// discarded-Deallocate-error proof.
+var Row = obligation.Row{
+	Name:         "regionrelease",
+	Doc:          "check that every allocated guest region is released or returned on every path",
+	Domain:       summary.Region,
+	Handoffs:     obligation.Return | obligation.Alias | obligation.Store,
+	ErrPair:      obligation.ErrPrunes,
+	LeakAtReturn: "region %q allocated at %s may leak: this return neither releases it nor passes it to the caller",
+	LeakAtEnd:    "region %q may leak: a path reaches the function's end without releasing or returning it",
+	Discarded:    "allocated region is discarded: assign the pointer and release it on failure paths",
+	Extra:        checkDiscardedErrors,
+}
 
 // Analyzer is the regionrelease pass.
-var Analyzer = &analysis.Analyzer{
-	Name:     "regionrelease",
-	Doc:      "check that every allocated guest region is released or returned on every path",
-	Requires: []*analysis.Analyzer{ctrlflow.Analyzer, summary.Analyzer},
-	Run:      run,
-}
-
-func run(pass *analysis.Pass) (interface{}, error) {
-	cfgs := pass.ResultOf[ctrlflow.Analyzer].(*ctrlflow.CFGs)
-	prog := summary.FromPass(pass)
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch fn := n.(type) {
-			case *ast.FuncDecl:
-				if fn.Body != nil {
-					checkFunc(pass, prog, fn.Body, cfgs.FuncDecl(fn))
-				}
-			case *ast.FuncLit:
-				checkFunc(pass, prog, fn.Body, cfgs.FuncLit(fn))
-			}
-			return true
-		})
-	}
-	checkDiscardedErrors(pass, prog)
-	return nil, nil
-}
-
-// allocSite is one `ptr, err := v.Allocate(n)` statement.
-type allocSite struct {
-	stmt    ast.Node
-	ptr     types.Object
-	err     types.Object
-	ptrName string
-	pos     token.Pos
-	// aliases are local variables whose value was built from ptr
-	// (`ref := T{Ptr: p}`); returning an alias also hands the region out.
-	aliases map[types.Object]bool
-}
-
-// checkFunc runs the path analysis over one function body. Nested
-// function literals are analyzed by their own checkFunc call; their
-// statements are skipped here.
-func checkFunc(pass *analysis.Pass, prog *summary.Program, body *ast.BlockStmt, g *cfg.CFG) {
-	if g == nil {
-		return
-	}
-	sites := collectAllocs(pass, prog, body)
-	if len(sites) == 0 {
-		return
-	}
-	releasers := collectReleasingClosures(pass, body)
-
-	for _, site := range sites {
-		if site.ptr == nil {
-			pass.Reportf(site.pos, "allocated region is discarded: assign the pointer and release it on failure paths")
-			continue
-		}
-		recordAliases(pass, body, site)
-		if releasedByDefer(pass, prog, body, site, releasers) || escapesToStore(pass, body, site) {
-			continue
-		}
-		walk(pass, prog, g, site, releasers)
-	}
-}
-
-// collectAllocs finds the region-acquiring assignments in body, excluding
-// nested function literals: a direct `p, err := v.Allocate(n)`, or the
-// same shape over an unexported helper whose summary returns a fresh
-// region at result 0 ("constructor hands ownership").
-func collectAllocs(pass *analysis.Pass, prog *summary.Program, body *ast.BlockStmt) []*allocSite {
-	var sites []*allocSite
-	inspectSkippingFuncLits(body, func(n ast.Node) {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Rhs) != 1 || len(as.Lhs) != 2 {
-			return
-		}
-		call, ok := as.Rhs[0].(*ast.CallExpr)
-		if !ok {
-			return
-		}
-		if _, ok := matchutil.MethodOnAny(pass.TypesInfo, call, allocTypes, "Allocate"); !ok {
-			if !prog.CallReturnsRegion(pass, call) {
-				return
-			}
-		}
-		site := &allocSite{stmt: n, pos: as.Pos()}
-		if id, ok := as.Lhs[0].(*ast.Ident); ok && id.Name != "_" {
-			site.ptr = matchutil.Obj(pass.TypesInfo, id)
-			site.ptrName = id.Name
-		}
-		if id, ok := as.Lhs[1].(*ast.Ident); ok && id.Name != "_" {
-			if o := matchutil.Obj(pass.TypesInfo, id); o != nil && isErrorType(o.Type()) {
-				site.err = o
-			}
-		}
-		sites = append(sites, site)
-	})
-	return sites
-}
-
-// collectReleasingClosures maps closure variables (name := func(...){...})
-// to the set of region objects their bodies release, so `return abort(err)`
-// counts as a release of the regions the abort helper deallocates.
-func collectReleasingClosures(pass *analysis.Pass, body *ast.BlockStmt) map[types.Object]map[types.Object]bool {
-	out := make(map[types.Object]map[types.Object]bool)
-	ast.Inspect(body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || len(as.Lhs) != 1 || len(as.Rhs) != 1 {
-			return true
-		}
-		id, ok := as.Lhs[0].(*ast.Ident)
-		if !ok {
-			return true
-		}
-		lit, ok := as.Rhs[0].(*ast.FuncLit)
-		if !ok {
-			return true
-		}
-		released := releasedObjects(pass, lit.Body)
-		if len(released) > 0 {
-			out[matchutil.Obj(pass.TypesInfo, id)] = released
-		}
-		return true
-	})
-	return out
-}
-
-// releasedObjects collects the objects passed to a Deallocate call
-// anywhere under n.
-func releasedObjects(pass *analysis.Pass, n ast.Node) map[types.Object]bool {
-	out := make(map[types.Object]bool)
-	ast.Inspect(n, func(m ast.Node) bool {
-		call, ok := m.(*ast.CallExpr)
-		if !ok || len(call.Args) != 1 {
-			return true
-		}
-		if _, ok := matchutil.MethodOnAny(pass.TypesInfo, call, releaseTypes, "Deallocate"); !ok {
-			return true
-		}
-		if id, ok := call.Args[0].(*ast.Ident); ok {
-			if o := matchutil.Obj(pass.TypesInfo, id); o != nil {
-				out[o] = true
-			}
-		}
-		return true
-	})
-	return out
-}
-
-// releasedByDefer reports whether a defer statement in body releases the
-// site's region — a defer covers every exit path at once.
-func releasedByDefer(pass *analysis.Pass, prog *summary.Program, body *ast.BlockStmt, site *allocSite, releasers map[types.Object]map[types.Object]bool) bool {
-	found := false
-	inspectSkippingFuncLits(body, func(n ast.Node) {
-		d, ok := n.(*ast.DeferStmt)
-		if ok && callReleases(pass, prog, d.Call, site, releasers) {
-			found = true
-		}
-	})
-	return found
-}
-
-// escapesToStore reports whether the region pointer is stored into a
-// non-local structure (a field, slice element, map entry, or channel):
-// ownership is handed off, so this function's paths are not accountable
-// for the release.
-func escapesToStore(pass *analysis.Pass, body *ast.BlockStmt, site *allocSite) bool {
-	escapes := false
-	inspectSkippingFuncLits(body, func(n ast.Node) {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok {
-			return
-		}
-		rhsMentions := false
-		for _, r := range as.Rhs {
-			if mentions(pass, r, site.ptr) {
-				rhsMentions = true
-			}
-		}
-		if !rhsMentions {
-			return
-		}
-		for _, l := range as.Lhs {
-			if _, ok := l.(*ast.Ident); !ok {
-				escapes = true
-			}
-		}
-	})
-	return escapes
-}
-
-// pathState is the walk's per-path condition: whether the region has been
-// released, and whether the Allocate error variable still holds the
-// Allocate call's result (so `if err != nil` prunes the not-allocated
-// branch).
-type pathState struct {
-	block    int32
-	released bool
-	errValid bool
-}
-
-// walk explores every path from the allocation to a function exit and
-// reports paths that neither release the region nor pass it outward.
-func walk(pass *analysis.Pass, prog *summary.Program, g *cfg.CFG, site *allocSite, releasers map[types.Object]map[types.Object]bool) {
-	// Locate the allocation's block and its index within the block.
-	var start *cfg.Block
-	startIdx := -1
-	for _, b := range g.Blocks {
-		for i, n := range b.Nodes {
-			if n == site.stmt {
-				start, startIdx = b, i
-				break
-			}
-		}
-		if start != nil {
-			break
-		}
-	}
-	if start == nil {
-		return
-	}
-
-	reported := make(map[token.Pos]bool)
-	seen := make(map[pathState]bool)
-	var visit func(b *cfg.Block, from int, released, errValid bool)
-	visit = func(b *cfg.Block, from int, released, errValid bool) {
-		st := pathState{block: b.Index, released: released, errValid: errValid}
-		if from == 0 {
-			if seen[st] {
-				return
-			}
-			seen[st] = true
-		}
-		for i := from; i < len(b.Nodes); i++ {
-			n := b.Nodes[i]
-			if !released && nodeReleases(pass, prog, n, site, releasers) {
-				released = true
-			}
-			if errValid && site.err != nil && n != site.stmt && assignsTo(pass, n, site.err) {
-				errValid = false
-			}
-			if ret, ok := n.(*ast.ReturnStmt); ok {
-				if released || returnCarries(pass, ret, site) {
-					return
-				}
-				if !reported[ret.Pos()] {
-					reported[ret.Pos()] = true
-					pass.Reportf(ret.Pos(), "region %q allocated at %s may leak: this return neither releases it nor passes it to the caller",
-						site.ptrName, pass.Fset.Position(site.pos))
-				}
-				return
-			}
-		}
-		if len(b.Succs) == 0 {
-			// Falling off the function's end (or a no-successor block that
-			// is not a return, e.g. after panic): a fall-off exit with the
-			// region unreleased is a leak; panic-terminated blocks carry a
-			// final CallExpr node and are not flagged.
-			if !released && b.Return() == nil && !endsInNoReturnCall(b) {
-				if !reported[site.pos] {
-					reported[site.pos] = true
-					pass.Reportf(site.pos, "region %q may leak: a path reaches the function's end without releasing or returning it", site.ptrName)
-				}
-			}
-			return
-		}
-		// Branch pruning: a trailing `err != nil` / `err == nil` condition
-		// on the Allocate error means the region exists only on the nil
-		// branch.
-		if len(b.Succs) == 2 && errValid && site.err != nil {
-			if cmp, ok := lastNodeErrCheck(pass, b, site.err); ok {
-				if cmp == token.NEQ {
-					visit(b.Succs[1], 0, released, errValid)
-				} else {
-					visit(b.Succs[0], 0, released, errValid)
-				}
-				return
-			}
-		}
-		for _, s := range b.Succs {
-			visit(s, 0, released, errValid)
-		}
-	}
-	visit(start, startIdx+1, false, true)
-}
-
-// nodeReleases reports whether the node contains a release of the site's
-// region: a matching Deallocate call or a call to a releasing closure.
-// Function literals are not descended into — defining a closure that
-// would release is not releasing (callReleases still recognizes an
-// immediately-invoked literal through the CallExpr itself).
-func nodeReleases(pass *analysis.Pass, prog *summary.Program, n ast.Node, site *allocSite, releasers map[types.Object]map[types.Object]bool) bool {
-	found := false
-	ast.Inspect(n, func(m ast.Node) bool {
-		if call, ok := m.(*ast.CallExpr); ok && callReleases(pass, prog, call, site, releasers) {
-			found = true
-			return false
-		}
-		if _, ok := m.(*ast.FuncLit); ok {
-			return false
-		}
-		return true
-	})
-	return found
-}
-
-// callReleases reports whether one call releases the site's region: a
-// matching Deallocate, a call to a releasing closure, or a call whose
-// statically known targets all consume the region at the pointer's
-// position ("helper releases its argument", via the summary table).
-func callReleases(pass *analysis.Pass, prog *summary.Program, call *ast.CallExpr, site *allocSite, releasers map[types.Object]map[types.Object]bool) bool {
-	if len(call.Args) == 1 {
-		if _, ok := matchutil.MethodOnAny(pass.TypesInfo, call, releaseTypes, "Deallocate"); ok {
-			if id, ok := call.Args[0].(*ast.Ident); ok && matchutil.Obj(pass.TypesInfo, id) == site.ptr {
-				return true
-			}
-		}
-	}
-	if id, ok := call.Fun.(*ast.Ident); ok {
-		if released := releasers[matchutil.Obj(pass.TypesInfo, id)]; released[site.ptr] {
-			return true
-		}
-	}
-	if lit, ok := call.Fun.(*ast.FuncLit); ok {
-		if releasedObjects(pass, lit.Body)[site.ptr] {
-			return true
-		}
-	}
-	return prog.CallConsumes(pass, call, site.ptr, summary.Region)
-}
-
-// returnCarries reports whether the return's results mention the region
-// pointer or a local alias of it — ownership moves to the caller.
-func returnCarries(pass *analysis.Pass, ret *ast.ReturnStmt, site *allocSite) bool {
-	for _, r := range ret.Results {
-		if mentions(pass, r, site.ptr) {
-			return true
-		}
-	}
-	// One level of aliasing: `ref := T{Ptr: p}; ... return ref`. The
-	// return mentions ref, whose initializer mentioned p.
-	for _, r := range ret.Results {
-		if id, ok := r.(*ast.Ident); ok {
-			if site.aliases[matchutil.Obj(pass.TypesInfo, id)] {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// recordAliases scans the body once per site and remembers alias objects.
-func recordAliases(pass *analysis.Pass, body *ast.BlockStmt, site *allocSite) {
-	site.aliases = make(map[types.Object]bool)
-	inspectSkippingFuncLits(body, func(n ast.Node) {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok {
-			return
-		}
-		for i, r := range as.Rhs {
-			// A call result is not an alias: `err := v.Write(b, ptr)`
-			// consumes the pointer, it does not re-package ownership the
-			// way `ref := T{Ptr: ptr}` does.
-			if _, isCall := ast.Unparen(r).(*ast.CallExpr); isCall {
-				continue
-			}
-			if !mentions(pass, r, site.ptr) {
-				continue
-			}
-			if i < len(as.Lhs) {
-				if id, ok := as.Lhs[i].(*ast.Ident); ok {
-					if o := matchutil.Obj(pass.TypesInfo, id); o != nil {
-						site.aliases[o] = true
-					}
-				}
-			}
-		}
-	})
-}
-
-// mentions reports whether expr references the object.
-func mentions(pass *analysis.Pass, expr ast.Node, obj types.Object) bool {
-	if obj == nil {
-		return false
-	}
-	found := false
-	ast.Inspect(expr, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && matchutil.Obj(pass.TypesInfo, id) == obj {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
-}
-
-// assignsTo reports whether the node assigns a new value to obj.
-func assignsTo(pass *analysis.Pass, n ast.Node, obj types.Object) bool {
-	found := false
-	ast.Inspect(n, func(m ast.Node) bool {
-		as, ok := m.(*ast.AssignStmt)
-		if !ok {
-			return true
-		}
-		for _, l := range as.Lhs {
-			if id, ok := l.(*ast.Ident); ok && matchutil.Obj(pass.TypesInfo, id) == obj {
-				found = true
-			}
-		}
-		return true
-	})
-	return found
-}
-
-// lastNodeErrCheck matches a block whose final node is `err != nil` or
-// `err == nil` over the given error object, returning the comparison.
-func lastNodeErrCheck(pass *analysis.Pass, b *cfg.Block, errObj types.Object) (token.Token, bool) {
-	if len(b.Nodes) == 0 {
-		return 0, false
-	}
-	bin, ok := b.Nodes[len(b.Nodes)-1].(*ast.BinaryExpr)
-	if !ok || (bin.Op != token.NEQ && bin.Op != token.EQL) {
-		return 0, false
-	}
-	isErr := func(e ast.Expr) bool {
-		id, ok := e.(*ast.Ident)
-		return ok && matchutil.Obj(pass.TypesInfo, id) == errObj
-	}
-	isNil := func(e ast.Expr) bool {
-		id, ok := e.(*ast.Ident)
-		return ok && id.Name == "nil"
-	}
-	if (isErr(bin.X) && isNil(bin.Y)) || (isErr(bin.Y) && isNil(bin.X)) {
-		return bin.Op, true
-	}
-	return 0, false
-}
-
-// endsInNoReturnCall reports whether the block's last node is a call
-// expression — the shape cfg gives blocks terminated by panic or a
-// no-return function, which are not fall-off leaks.
-func endsInNoReturnCall(b *cfg.Block) bool {
-	if len(b.Nodes) == 0 {
-		return false
-	}
-	switch n := b.Nodes[len(b.Nodes)-1].(type) {
-	case *ast.CallExpr:
-		return true
-	case *ast.ExprStmt:
-		_, ok := n.X.(*ast.CallExpr)
-		return ok
-	}
-	return false
-}
+var Analyzer = obligation.New(Row)
 
 // checkDiscardedErrors flags Deallocate calls whose error result is
 // thrown away, unless the discard is a proven best-effort rewind — it can
@@ -527,7 +79,7 @@ func checkDiscardedErrors(pass *analysis.Pass, prog *summary.Program) {
 			if call == nil {
 				return
 			}
-			if _, ok := matchutil.MethodOnAny(pass.TypesInfo, call, releaseTypes, "Deallocate"); !ok {
+			if summary.MatcherOf(summary.Region).Release(pass.TypesInfo, call) == nil {
 				return
 			}
 			if onErrPath(pass, prog, stack) {
@@ -591,14 +143,14 @@ func errGuarded(pass *analysis.Pass, stack []ast.Node) bool {
 		}
 		var checked ast.Expr
 		switch {
-		case isNilIdent(bin.Y):
+		case matchutil.IsNil(bin.Y):
 			checked = bin.X
-		case isNilIdent(bin.X):
+		case matchutil.IsNil(bin.X):
 			checked = bin.Y
 		default:
 			continue
 		}
-		if t := pass.TypesInfo.TypeOf(checked); t == nil || !isErrorType(t) {
+		if t := pass.TypesInfo.TypeOf(checked); t == nil || !matchutil.IsErrorType(t) {
 			continue
 		}
 		inThen := stack[i] == ast.Node(ifs.Body)
@@ -699,7 +251,7 @@ func errParamIndex(pass *analysis.Pass, lit *ast.FuncLit) int {
 			n = 1
 		}
 		t := pass.TypesInfo.TypeOf(f.Type)
-		isErr := t != nil && isErrorType(t)
+		isErr := t != nil && matchutil.IsErrorType(t)
 		for k := 0; k < n; k++ {
 			if isErr {
 				if found != -1 {
@@ -711,30 +263,4 @@ func errParamIndex(pass *analysis.Pass, lit *ast.FuncLit) int {
 		}
 	}
 	return found
-}
-
-// isErrorType reports whether t is the built-in error interface.
-func isErrorType(t types.Type) bool {
-	return types.Identical(t, types.Universe.Lookup("error").Type())
-}
-
-// isNilIdent reports whether e is the predeclared nil.
-func isNilIdent(e ast.Expr) bool {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	return ok && id.Name == "nil"
-}
-
-// inspectSkippingFuncLits walks the body, visiting every node except
-// those inside nested function literals (which are analyzed on their
-// own).
-func inspectSkippingFuncLits(body *ast.BlockStmt, fn func(ast.Node)) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		if n != nil {
-			fn(n)
-		}
-		return true
-	})
 }

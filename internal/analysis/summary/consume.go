@@ -1,27 +1,22 @@
 package summary
 
 // consume.go holds the per-function evaluation: the CFG must-discharge
-// walker behind Consumes, the domain release matchers (mirroring the
-// analyzers' own structural matching so summaries apply equally to the
-// data-plane packages and to analyzertest fixtures that stub them), and
-// the Returns / PollsCtx / gauge-pair scans.
+// state machine behind Consumes and the Returns / PollsCtx / bracket-pair
+// scans. What counts as an acquire or a release comes from the domain
+// table (domain.go); the path enumeration is matchutil.Paths, the walk
+// the obligation engine uses too.
 
 import (
+	"cmp"
 	"go/ast"
 	"go/types"
+	"slices"
 
 	"golang.org/x/tools/go/cfg"
 
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/analysis/callgraph"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/analysis/matchutil"
 )
-
-// regionTypes are the receivers whose Deallocate releases a region;
-// gaugeType is the invoker in-flight gauge (mirroring regionrelease and
-// gaugebalance).
-var regionTypes = []string{"View", "Function", "Instance"}
-
-const gaugeType = "State"
 
 // builder carries the per-Build state: the table under construction and a
 // CFG cache (one CFG per function, reused across every param × domain
@@ -56,58 +51,41 @@ func (b *builder) cfgOf(n *callgraph.Node) *cfg.CFG {
 // that touches p without discharging — including returning it to the
 // caller, which round-trips the obligation rather than settling it —
 // refutes the fact.
-func (b *builder) consumes(n *callgraph.Node, p types.Object, d Domain) bool {
+func (b *builder) consumes(n *callgraph.Node, p types.Object, m *Matcher) bool {
 	g := b.cfgOf(n)
 	if g == nil || len(g.Blocks) == 0 {
 		return false
 	}
-	rangeX := b.rangeDischarges(n, p, d)
+	rangeX := b.rangeDischarges(n, p, m)
 
-	type state struct {
-		blk                          int32
-		touched, discharged, guarded bool
-	}
-	seen := make(map[state]bool)
+	type state struct{ touched, discharged, guarded bool }
 	ok, any := true, false
-	var visit func(blk *cfg.Block, touched, discharged, guarded bool)
-	visit = func(blk *cfg.Block, touched, discharged, guarded bool) {
-		st := state{blk.Index, touched, discharged, guarded}
-		if seen[st] || !ok {
-			return
+	matchutil.Paths(g.Blocks[0], 0, state{}, func(blk *cfg.Block, i int, st state) (state, bool) {
+		disch, ment := b.classify(n, blk.Nodes[i], p, m, rangeX)
+		switch {
+		case disch:
+			st.discharged = true
+		case ment && i == len(blk.Nodes)-1 && len(blk.Succs) == 2:
+			// Branch condition mentioning p: both sides are p-guarded,
+			// and the mention itself is not a touch.
+			st.guarded = true
+		case ment:
+			st.touched = true
 		}
-		seen[st] = true
-		for i, node := range blk.Nodes {
-			disch, ment := b.classify(n, node, p, d, rangeX)
-			if disch {
-				discharged = true
-				continue
-			}
-			if ment {
-				if i == len(blk.Nodes)-1 && len(blk.Succs) == 2 {
-					// Branch condition mentioning p: both sides are
-					// p-guarded, and the mention itself is not a touch.
-					guarded = true
-					continue
-				}
-				touched = true
-			}
-		}
+		return st, !ok
+	}, func(blk *cfg.Block, st state) []*cfg.Block {
 		if len(blk.Succs) == 0 {
 			switch {
-			case discharged:
+			case st.discharged:
 				any = true
-			case guarded && !touched:
+			case st.guarded && !st.touched:
 				// Guard-exempt exit: the p-trivial base case.
 			default:
 				ok = false
 			}
-			return
 		}
-		for _, s := range blk.Succs {
-			visit(s, touched, discharged, guarded)
-		}
-	}
-	visit(g.Blocks[0], false, false, false)
+		return blk.Succs
+	})
 	return ok && any
 }
 
@@ -115,51 +93,50 @@ func (b *builder) consumes(n *callgraph.Node, p types.Object, d Domain) bool {
 // domain d, and does it otherwise mention p? Function literals are not
 // descended into for discharge credit — defining a closure that would
 // release is not releasing — but a capture still counts as a mention.
-func (b *builder) classify(n *callgraph.Node, node ast.Node, p types.Object, d Domain, rangeX map[ast.Node]bool) (discharge, mention bool) {
+func (b *builder) classify(n *callgraph.Node, node ast.Node, p types.Object, m *Matcher, rangeX map[ast.Node]bool) (discharge, mention bool) {
 	info := n.Pkg.Info
-	var insp func(m ast.Node) bool
-	insp = func(m ast.Node) bool {
+	ast.Inspect(node, func(q ast.Node) bool {
 		if discharge {
 			return false
 		}
-		if rangeX[m] {
+		if rangeX[q] {
 			discharge = true
 			return false
 		}
-		switch s := m.(type) {
+		switch s := q.(type) {
 		case *ast.FuncLit:
-			if mentionsObj(info, s, p) {
+			if matchutil.Mentions(info, s, p) {
 				mention = true
 			}
 			return false
 		case *ast.GoStmt:
-			if mentionsObj(info, s.Call, p) {
+			if matchutil.Mentions(info, s.Call, p) {
 				discharge = true
 			}
 			return false
 		case *ast.DeferStmt:
 			// A deferred release covers every path at once; a deferred
 			// call that merely mentions p does not.
-			if b.subtreeReleases(n, s.Call, p, d) {
+			if b.subtreeReleases(n, s.Call, p, m) {
 				discharge = true
-			} else if mentionsObj(info, s.Call, p) {
+			} else if matchutil.Mentions(info, s.Call, p) {
 				mention = true
 			}
 			return false
 		case *ast.CallExpr:
-			if b.callDischarges(n, s, p, d) {
+			if b.callDischarges(n, s, p, m) {
 				discharge = true
 				return false
 			}
 			return true
 		case *ast.AssignStmt:
-			if storeHandoff(info, s, p) {
+			if matchutil.StoresAway(info, s, p) {
 				discharge = true
 				return false
 			}
 			return true
 		case *ast.SendStmt:
-			if mentionsObj(info, s.Value, p) {
+			if matchutil.Mentions(info, s.Value, p) {
 				discharge = true
 			}
 			return false
@@ -169,8 +146,7 @@ func (b *builder) classify(n *callgraph.Node, node ast.Node, p types.Object, d D
 			}
 		}
 		return true
-	}
-	ast.Inspect(node, insp)
+	})
 	if discharge {
 		mention = false
 	}
@@ -180,48 +156,20 @@ func (b *builder) classify(n *callgraph.Node, node ast.Node, p types.Object, d D
 // callDischarges reports whether one call settles p's obligation: a
 // domain release mentioning p, or a statically resolved callee that
 // consumes at p's position.
-func (b *builder) callDischarges(n *callgraph.Node, call *ast.CallExpr, p types.Object, d Domain) bool {
-	info := n.Pkg.Info
-	if releaseMentions(info, call, p, d) {
-		return true
-	}
-	positions := objPositions(info, call, p)
-	if len(positions) == 0 {
-		return false
-	}
-	targets, dynamic := b.prog.Graph.ResolveCall(n.Pkg, call)
-	if dynamic || len(targets) == 0 {
-		return false
-	}
-	for _, t := range targets {
-		s := b.prog.Summaries[t.Key]
-		if s == nil {
-			return false
-		}
-		hit := false
-		for _, pos := range positions {
-			if s.Consumes[d][pos] {
-				hit = true
-				break
-			}
-		}
-		if !hit {
-			return false
-		}
-	}
-	return true
+func (b *builder) callDischarges(n *callgraph.Node, call *ast.CallExpr, p types.Object, m *Matcher) bool {
+	return releaseMentions(n.Pkg.Info, call, p, m) || b.prog.consumesObj(n.Pkg, call, p, m.Domain)
 }
 
 // subtreeReleases reports a domain release (or consuming static call) of
 // p anywhere under node, descending into function literals — used for
 // defer, where the literal body runs on this function's exit paths.
-func (b *builder) subtreeReleases(n *callgraph.Node, node ast.Node, p types.Object, d Domain) bool {
+func (b *builder) subtreeReleases(n *callgraph.Node, node ast.Node, p types.Object, m *Matcher) bool {
 	found := false
-	ast.Inspect(node, func(m ast.Node) bool {
+	ast.Inspect(node, func(q ast.Node) bool {
 		if found {
 			return false
 		}
-		if call, ok := m.(*ast.CallExpr); ok && b.callDischarges(n, call, p, d) {
+		if call, ok := q.(*ast.CallExpr); ok && b.callDischarges(n, call, p, m) {
 			found = true
 			return false
 		}
@@ -230,75 +178,11 @@ func (b *builder) subtreeReleases(n *callgraph.Node, node ast.Node, p types.Obje
 	return found
 }
 
-// releaseMentions reports whether call is a domain-d release whose
-// released operand mentions p: Deallocate on a region owner, sync.Pool
-// Put, Ref.Release (receiver), or ReleaseAll (arguments).
-func releaseMentions(info *types.Info, call *ast.CallExpr, p types.Object, d Domain) bool {
-	switch d {
-	case Region:
-		if _, ok := matchutil.MethodOnAny(info, call, regionTypes, "Deallocate"); ok {
-			return argsMention(info, call.Args, p)
-		}
-	case Pool:
-		if isSyncPoolPut(info, call) {
-			return argsMention(info, call.Args, p)
-		}
-	case Ref:
-		if recv, ok := matchutil.Method(info, call, "Ref", "Release"); ok {
-			return mentionsObj(info, recv, p)
-		}
-		if matchutil.CalleeName(call) == "ReleaseAll" {
-			return argsMention(info, call.Args, p)
-		}
-	}
-	return false
-}
-
-// isSyncPoolPut matches (*sync.Pool).Put by defining package, mirroring
-// poolreturn's scope (pagebuf and sched pools have their own ownership
-// disciplines).
-func isSyncPoolPut(info *types.Info, call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Put" {
-		return false
-	}
-	s, ok := info.Selections[sel]
-	if !ok || s.Kind() != types.MethodVal {
-		return false
-	}
-	t := s.Recv()
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	var obj *types.TypeName
-	switch n := t.(type) {
-	case *types.Named:
-		obj = n.Obj()
-	case *types.Alias:
-		obj = n.Obj()
-	default:
-		return false
-	}
-	return obj.Name() == "Pool" && obj.Pkg() != nil && obj.Pkg().Path() == "sync"
-}
-
-// storeHandoff reports an assignment that writes p into a non-local
-// structure (field, element, or pointee): ownership moves to whoever owns
-// the structure.
-func storeHandoff(info *types.Info, as *ast.AssignStmt, p types.Object) bool {
-	rhs := false
-	for _, r := range as.Rhs {
-		if mentionsObj(info, r, p) {
-			rhs = true
-			break
-		}
-	}
-	if !rhs {
-		return false
-	}
-	for _, l := range as.Lhs {
-		switch l.(type) {
-		case *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
+// releaseMentions reports whether call is one of the domain's releases
+// (per the table) whose released operand mentions p.
+func releaseMentions(info *types.Info, call *ast.CallExpr, p types.Object, m *Matcher) bool {
+	for _, op := range m.Release(info, call) {
+		if matchutil.Mentions(info, op, p) {
 			return true
 		}
 	}
@@ -326,11 +210,11 @@ func objPositions(info *types.Info, call *ast.CallExpr, p types.Object) []int {
 // shapes: the range's X expression becomes a discharge node for p when
 // the body releases the element variable. The CFG materializes X as an
 // ordinary node in the pre-loop block, so tagging it is enough.
-func (b *builder) rangeDischarges(n *callgraph.Node, p types.Object, d Domain) map[ast.Node]bool {
+func (b *builder) rangeDischarges(n *callgraph.Node, p types.Object, m *Matcher) map[ast.Node]bool {
 	out := make(map[ast.Node]bool)
 	info := n.Pkg.Info
-	ast.Inspect(n.Decl.Body, func(m ast.Node) bool {
-		rs, ok := m.(*ast.RangeStmt)
+	ast.Inspect(n.Decl.Body, func(q ast.Node) bool {
+		rs, ok := q.(*ast.RangeStmt)
 		if !ok {
 			return true
 		}
@@ -351,7 +235,7 @@ func (b *builder) rangeDischarges(n *callgraph.Node, p types.Object, d Domain) m
 			if released {
 				return false
 			}
-			if call, ok := q.(*ast.CallExpr); ok && releaseMentions(info, call, vObj, d) {
+			if call, ok := q.(*ast.CallExpr); ok && releaseMentions(info, call, vObj, m) {
 				released = true
 			}
 			return true
@@ -364,24 +248,6 @@ func (b *builder) rangeDischarges(n *callgraph.Node, p types.Object, d Domain) m
 	return out
 }
 
-// mentionsObj reports whether any identifier under node resolves to obj.
-func mentionsObj(info *types.Info, node ast.Node, obj types.Object) bool {
-	if obj == nil || node == nil {
-		return false
-	}
-	found := false
-	ast.Inspect(node, func(m ast.Node) bool {
-		if found {
-			return false
-		}
-		if id, ok := m.(*ast.Ident); ok && matchutil.Obj(info, id) == obj {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
 // returns records the result positions of fn that may carry a fresh
 // region obligation to the caller: a returned variable bound from
 // View.Allocate, the Allocate call returned directly, or the same
@@ -389,7 +255,7 @@ func mentionsObj(info *types.Info, node ast.Node, obj types.Object) bool {
 func (b *builder) returns(n *callgraph.Node, s *Summary) {
 	info := n.Pkg.Info
 	regionVars := make(map[types.Object]bool)
-	inspectSkippingFuncLits(n.Decl.Body, func(m ast.Node) {
+	matchutil.InspectSkippingFuncLits(n.Decl.Body, func(m ast.Node) {
 		as, ok := m.(*ast.AssignStmt)
 		if !ok || len(as.Rhs) != 1 {
 			return
@@ -408,7 +274,7 @@ func (b *builder) returns(n *callgraph.Node, s *Summary) {
 			}
 		}
 	})
-	inspectSkippingFuncLits(n.Decl.Body, func(m ast.Node) {
+	matchutil.InspectSkippingFuncLits(n.Decl.Body, func(m ast.Node) {
 		ret, ok := m.(*ast.ReturnStmt)
 		if !ok {
 			return
@@ -429,30 +295,19 @@ func (b *builder) returns(n *callgraph.Node, s *Summary) {
 }
 
 // callReturnsRegion returns the result positions of call that carry a
-// region: Allocate's result 0, or every position a statically resolved
-// callee's summary marks.
+// region: the table's region acquire, or every position all of a
+// statically resolved callee's summaries mark.
 func (b *builder) callReturnsRegion(n *callgraph.Node, call *ast.CallExpr) []int {
-	info := n.Pkg.Info
-	if _, ok := matchutil.MethodOnAny(info, call, regionTypes, "Allocate"); ok {
-		return []int{0}
+	if out := MatcherOf(Region).Acquire(n.Pkg.Info, call); out != nil {
+		return out
 	}
-	targets, dynamic := b.prog.Graph.ResolveCall(n.Pkg, call)
-	if dynamic || len(targets) == 0 {
+	sums := b.prog.summariesOf(n.Pkg, call)
+	if len(sums) == 0 {
 		return nil
 	}
 	var out []int
-	common := make(map[int]int)
-	for _, t := range targets {
-		s := b.prog.Summaries[t.Key]
-		if s == nil {
-			return nil
-		}
-		for k := range s.Returns[Region] {
-			common[k]++
-		}
-	}
-	for k, c := range common {
-		if c == len(targets) {
+	for k := range sums[0].Returns[Region] {
+		if !slices.ContainsFunc(sums, func(s *Summary) bool { return !s.Returns[Region][k] }) {
 			out = append(out, k)
 		}
 	}
@@ -464,12 +319,9 @@ func (b *builder) callReturnsRegion(n *callgraph.Node, call *ast.CallExpr) []int
 // statically resolved call all of whose targets poll.
 func (b *builder) pollsCtx(n *callgraph.Node) bool {
 	found := false
-	inspectSkippingFuncLits(n.Decl.Body, func(m ast.Node) {
-		if found {
-			return
-		}
+	matchutil.InspectSkippingFuncLits(n.Decl.Body, func(m ast.Node) {
 		call, ok := m.(*ast.CallExpr)
-		if !ok {
+		if found || !ok {
 			return
 		}
 		switch matchutil.CalleeName(call) {
@@ -477,25 +329,17 @@ func (b *builder) pollsCtx(n *callgraph.Node) bool {
 			found = true
 			return
 		}
-		targets, dynamic := b.prog.Graph.ResolveCall(n.Pkg, call)
-		if dynamic || len(targets) == 0 {
-			return
-		}
-		for _, t := range targets {
-			s := b.prog.Summaries[t.Key]
-			if s == nil || !s.PollsCtx {
-				return
-			}
-		}
-		found = true
+		sums := b.prog.summariesOf(n.Pkg, call)
+		found = len(sums) > 0 && !slices.ContainsFunc(sums, func(s *Summary) bool { return !s.PollsCtx })
 	})
 	return found
 }
 
-// gaugePairs collects the State.Enter/Exit brackets fn moves on behalf of
-// its parameters. Exits must hold on all paths (or be deferred) to count;
-// Enters count anywhere, since they create an obligation.
-func (b *builder) gaugePairs(n *callgraph.Node, params []types.Object) (exits, enters []GaugePair) {
+// brackets collects the bracket-domain calls (per the table's Enter and
+// Release matchers) fn issues on behalf of its parameters. Exits must hold
+// on all paths (or be deferred) to count; Enters count anywhere, since
+// they create an obligation.
+func (b *builder) brackets(n *callgraph.Node, params []types.Object, m *Matcher) (exits, enters []Pair) {
 	info := n.Pkg.Info
 	paramIdx := make(map[types.Object]int)
 	for i, p := range params {
@@ -503,159 +347,93 @@ func (b *builder) gaugePairs(n *callgraph.Node, params []types.Object) (exits, e
 			paramIdx[p] = i
 		}
 	}
-	pairOf := func(call *ast.CallExpr, method string) (GaugePair, bool) {
-		recv, ok := matchutil.Method(info, call, gaugeType, method)
-		if !ok || len(call.Args) == 0 {
-			return GaugePair{}, false
+	// pairOf renders a matched call's operands — receiver, then the key
+	// argument if the bracket has one — in parameter positions.
+	pairOf := func(ops []ast.Expr) (Pair, bool) {
+		if len(ops) == 0 {
+			return Pair{}, false
 		}
-		rid, ok := ast.Unparen(recv).(*ast.Ident)
+		rid, ok := ast.Unparen(ops[0]).(*ast.Ident)
 		if !ok {
-			return GaugePair{}, false
+			return Pair{}, false
 		}
 		ri, ok := paramIdx[matchutil.Obj(info, rid)]
 		if !ok {
-			return GaugePair{}, false
+			return Pair{}, false
 		}
-		switch a := ast.Unparen(call.Args[0]).(type) {
+		if len(ops) == 1 {
+			return Pair{Recv: ri, Arg: -1}, true
+		}
+		switch a := ast.Unparen(ops[1]).(type) {
 		case *ast.Ident:
 			if ai, ok := paramIdx[matchutil.Obj(info, a)]; ok {
-				return GaugePair{Recv: ri, Arg: ai}, true
+				return Pair{Recv: ri, Arg: ai}, true
 			}
 		case *ast.BasicLit:
-			return GaugePair{Recv: ri, Arg: -1, ArgLit: a.Value}, true
+			return Pair{Recv: ri, Arg: -1, ArgLit: a.Value}, true
 		}
-		return GaugePair{}, false
+		return Pair{}, false
+	}
+	exitOf := func(q ast.Node) (Pair, bool) {
+		if call, ok := q.(*ast.CallExpr); ok {
+			return pairOf(m.Release(info, call))
+		}
+		return Pair{}, false
 	}
 
-	seenExit := make(map[GaugePair]bool)
-	seenEnter := make(map[GaugePair]bool)
-	deferred := make(map[GaugePair]bool)
-	inspectSkippingFuncLits(n.Decl.Body, func(m ast.Node) {
-		switch s := m.(type) {
+	seenExit := make(map[Pair]bool)
+	seenEnter := make(map[Pair]bool)
+	deferred := make(map[Pair]bool)
+	matchutil.InspectSkippingFuncLits(n.Decl.Body, func(q ast.Node) {
+		switch s := q.(type) {
 		case *ast.DeferStmt:
 			ast.Inspect(s.Call, func(q ast.Node) bool {
-				if call, ok := q.(*ast.CallExpr); ok {
-					if pr, ok := pairOf(call, "Exit"); ok {
-						deferred[pr] = true
-					}
+				if pr, ok := exitOf(q); ok {
+					deferred[pr], seenExit[pr] = true, true
 				}
 				return true
 			})
 		case *ast.CallExpr:
-			if pr, ok := pairOf(s, "Exit"); ok && !seenExit[pr] {
+			if pr, ok := exitOf(s); ok {
 				seenExit[pr] = true
 			}
-			if pr, ok := pairOf(s, "Enter"); ok && !seenEnter[pr] {
+			if pr, ok := pairOf(m.Enter(info, s)); ok && !seenEnter[pr] {
 				seenEnter[pr] = true
 				enters = append(enters, pr)
 			}
 		}
 	})
-	for pr := range deferred {
-		if !seenExit[pr] {
-			seenExit[pr] = true
-		}
-	}
 	for pr := range seenExit {
-		if deferred[pr] || b.allPathsExit(n, pr, pairOf) {
+		if deferred[pr] || allPathsHit(b.cfgOf(n), func(q ast.Node) bool {
+			got, ok := exitOf(q)
+			return ok && got == pr
+		}) {
 			exits = append(exits, pr)
 		}
 	}
-	sortPairs(exits)
-	sortPairs(enters)
+	slices.SortFunc(exits, comparePairs)
+	slices.SortFunc(enters, comparePairs)
 	return exits, enters
 }
 
-// allPathsExit reports that every path from entry to exit contains a
-// matching Exit call.
-func (b *builder) allPathsExit(n *callgraph.Node, pr GaugePair, pairOf func(*ast.CallExpr, string) (GaugePair, bool)) bool {
-	g := b.cfgOf(n)
+// allPathsHit reports that every path from entry to a function exit
+// passes a node (outside nested literals) that satisfies hit.
+func allPathsHit(g *cfg.CFG, hit func(ast.Node) bool) bool {
 	if g == nil || len(g.Blocks) == 0 {
 		return false
 	}
-	type state struct {
-		blk int32
-		hit bool
-	}
-	seen := make(map[state]bool)
 	ok := true
-	var visit func(blk *cfg.Block, hit bool)
-	visit = func(blk *cfg.Block, hit bool) {
-		st := state{blk.Index, hit}
-		if seen[st] || !ok {
-			return
-		}
-		seen[st] = true
-		for _, node := range blk.Nodes {
-			if hit {
-				break
-			}
-			ast.Inspect(node, func(q ast.Node) bool {
-				if hit {
-					return false
-				}
-				if _, isLit := q.(*ast.FuncLit); isLit {
-					return false
-				}
-				if call, isCall := q.(*ast.CallExpr); isCall {
-					if got, isPair := pairOf(call, "Exit"); isPair && got == pr {
-						hit = true
-					}
-				}
-				return true
-			})
-		}
-		if len(blk.Succs) == 0 {
-			if !hit {
-				ok = false
-			}
-			return
-		}
-		for _, s := range blk.Succs {
-			visit(s, hit)
-		}
-	}
-	visit(g.Blocks[0], false)
+	matchutil.Paths(g.Blocks[0], 0, struct{}{}, func(blk *cfg.Block, i int, _ struct{}) (struct{}, bool) {
+		found := false
+		matchutil.InspectSkippingFuncLits(blk.Nodes[i], func(q ast.Node) { found = found || hit(q) })
+		return struct{}{}, found
+	}, func(blk *cfg.Block, _ struct{}) []*cfg.Block {
+		ok = ok && len(blk.Succs) > 0
+		return blk.Succs
+	})
 	return ok
 }
 
-func sortPairs(ps []GaugePair) {
-	for i := 1; i < len(ps); i++ {
-		for j := i; j > 0 && pairLess(ps[j], ps[j-1]); j-- {
-			ps[j], ps[j-1] = ps[j-1], ps[j]
-		}
-	}
-}
-
-func pairLess(a, b GaugePair) bool {
-	if a.Recv != b.Recv {
-		return a.Recv < b.Recv
-	}
-	if a.Arg != b.Arg {
-		return a.Arg < b.Arg
-	}
-	return a.ArgLit < b.ArgLit
-}
-
-// argsMention reports whether any argument mentions p.
-func argsMention(info *types.Info, args []ast.Expr, p types.Object) bool {
-	for _, a := range args {
-		if mentionsObj(info, a, p) {
-			return true
-		}
-	}
-	return false
-}
-
-// inspectSkippingFuncLits walks node, skipping nested function literals.
-func inspectSkippingFuncLits(node ast.Node, fn func(ast.Node)) {
-	ast.Inspect(node, func(m ast.Node) bool {
-		if _, ok := m.(*ast.FuncLit); ok {
-			return false
-		}
-		if m != nil {
-			fn(m)
-		}
-		return true
-	})
+func comparePairs(a, b Pair) int {
+	return cmp.Or(cmp.Compare(a.Recv, b.Recv), cmp.Compare(a.Arg, b.Arg), cmp.Compare(a.ArgLit, b.ArgLit))
 }

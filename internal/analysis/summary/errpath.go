@@ -100,7 +100,7 @@ func (p *Program) ErrPathOnly(key string) bool {
 		return false
 	}
 	for pos, obj := range paramObjs(n) {
-		if obj == nil || !isErrorType(obj.Type()) {
+		if obj == nil || !matchutil.IsErrorType(obj.Type()) {
 			continue
 		}
 		if p.paramNonNil(key, pos) {
@@ -255,9 +255,9 @@ func guardedNonNil(info *types.Info, stack []ast.Node, obj types.Object) bool {
 		}
 		var checked ast.Expr
 		switch {
-		case isNil(bin.Y):
+		case matchutil.IsNil(bin.Y):
 			checked = bin.X
-		case isNil(bin.X):
+		case matchutil.IsNil(bin.X):
 			checked = bin.Y
 		default:
 			continue
@@ -273,11 +273,6 @@ func guardedNonNil(info *types.Info, stack []ast.Node, obj types.Object) bool {
 		}
 	}
 	return false
-}
-
-func isNil(e ast.Expr) bool {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	return ok && id.Name == "nil"
 }
 
 // callerErrParam reports whether obj is an error parameter of the
@@ -308,14 +303,9 @@ func (p *Program) callerErrParam(pkg *callgraph.Pkg, stack []ast.Node, obj types
 		return false
 	}
 	for pos, po := range paramObjs(n) {
-		if po == obj && isErrorType(obj.Type()) {
+		if po == obj && matchutil.IsErrorType(obj.Type()) {
 			return p.paramNonNil(key, pos)
 		}
 	}
 	return false
-}
-
-// isErrorType reports whether t is the built-in error interface.
-func isErrorType(t types.Type) bool {
-	return types.Identical(t, types.Universe.Lookup("error").Type())
 }

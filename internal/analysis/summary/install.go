@@ -12,6 +12,7 @@ import (
 	"go/ast"
 	"go/types"
 	"reflect"
+	"slices"
 	"sync"
 
 	"golang.org/x/tools/go/analysis"
@@ -71,26 +72,14 @@ func FromPass(pass *analysis.Pass) *Program {
 	return p
 }
 
-// CallReturnsRegion reports whether call's first result carries a fresh
-// region obligation to the caller: every statically known target is an
-// unexported helper whose summary returns a region at result 0. Exported
+// CallReturns reports whether call's first result carries a fresh
+// domain-d obligation to the caller: every statically known target is an
+// unexported helper whose summary returns one at result 0. Exported
 // functions are excluded by design — an exported constructor is a
 // documented ownership handoff, not an internal decomposition.
-func (p *Program) CallReturnsRegion(pass *analysis.Pass, call *ast.CallExpr) bool {
-	if p == nil || p.Graph == nil {
-		return false
-	}
-	targets, dynamic := p.Graph.ResolveCall(PassPkg(pass), call)
-	if dynamic || len(targets) == 0 {
-		return false
-	}
-	for _, t := range targets {
-		s := p.Summaries[t.Key]
-		if s == nil || !s.Unexported || !s.Returns[Region][0] {
-			return false
-		}
-	}
-	return true
+func (p *Program) CallReturns(pass *analysis.Pass, call *ast.CallExpr, d Domain) bool {
+	sums := p.CallSummaries(pass, call)
+	return len(sums) > 0 && !slices.ContainsFunc(sums, func(s *Summary) bool { return !s.Unexported || !s.Returns[d][0] })
 }
 
 // StaticallyResolved reports whether call resolves to known in-program
@@ -98,33 +87,14 @@ func (p *Program) CallReturnsRegion(pass *analysis.Pass, call *ast.CallExpr) boo
 // callee's summary against it instead of giving it the benefit of the
 // doubt.
 func (p *Program) StaticallyResolved(pass *analysis.Pass, call *ast.CallExpr) bool {
-	if p == nil || p.Graph == nil {
-		return false
-	}
-	targets, dynamic := p.Graph.ResolveCall(PassPkg(pass), call)
-	return !dynamic && len(targets) > 0
+	return len(p.CallSummaries(pass, call)) > 0
 }
 
 // CallSummaries returns the summaries of call's statically known
 // targets, or nil when the call is dynamic, has no in-program target, or
 // any target lacks a summary.
 func (p *Program) CallSummaries(pass *analysis.Pass, call *ast.CallExpr) []*Summary {
-	if p == nil || p.Graph == nil {
-		return nil
-	}
-	targets, dynamic := p.Graph.ResolveCall(PassPkg(pass), call)
-	if dynamic || len(targets) == 0 {
-		return nil
-	}
-	out := make([]*Summary, 0, len(targets))
-	for _, t := range targets {
-		s := p.Summaries[t.Key]
-		if s == nil {
-			return nil
-		}
-		out = append(out, s)
-	}
-	return out
+	return p.summariesOf(PassPkg(pass), call)
 }
 
 // CallConsumes reports whether call settles obj's domain-d obligation:
@@ -132,18 +102,5 @@ func (p *Program) CallSummaries(pass *analysis.Pass, call *ast.CallExpr) []*Summ
 // target's summary consumes. This is the analyzers' main query — it makes
 // `helper(v, p)` count as the release when helper provably releases.
 func (p *Program) CallConsumes(pass *analysis.Pass, call *ast.CallExpr, obj types.Object, d Domain) bool {
-	if p == nil {
-		return false
-	}
-	positions := objPositions(pass.TypesInfo, call, obj)
-	if len(positions) == 0 {
-		return false
-	}
-	pkg := PassPkg(pass)
-	for _, pos := range positions {
-		if p.ConsumesAt(pkg, call, d, pos) {
-			return true
-		}
-	}
-	return false
+	return p.consumesObj(PassPkg(pass), call, obj, d)
 }

@@ -8,8 +8,9 @@
 //     "helper releases its argument";
 //   - Returns: result positions that carry a freshly acquired obligation
 //     back to the caller — "constructor hands ownership";
-//   - GaugeExits/GaugeEnters: invoker-plane State.Enter/Exit brackets the
-//     function moves on behalf of its caller;
+//   - Exits/Enters: bracket-domain calls (invoker-plane State.Enter/Exit,
+//     send-window reserve/push) the function issues on behalf of its
+//     caller;
 //   - PollsCtx: the function observes context cancellation, so a loop that
 //     calls it per chunk is polling;
 //   - BestEffortRewind (on the Program): named abort helpers whose
@@ -21,12 +22,12 @@
 //
 // Lattice and fixpoints: summaries for a strongly connected component of
 // the call graph are computed together. Must-properties (Consumes,
-// GaugeExits) start optimistic — every candidate position assumed
+// Exits) start optimistic — every candidate position assumed
 // discharged — and shrink until stable, the standard greatest fixpoint for
 // all-paths facts over recursion: a recursive release helper's base case
 // (guard-only paths are exempt, see consume.go) and its recursive call
-// both hold at the fixpoint. May-properties (Returns, PollsCtx,
-// GaugeEnters) start empty and grow — a least fixpoint, since they create
+// both hold at the fixpoint. May-properties (Returns, PollsCtx, Enters)
+// start empty and grow — a least fixpoint, since they create
 // obligations and must not be assumed. The two directions are independent
 // lattices, so one loop iterates both to simultaneous stability.
 //
@@ -39,34 +40,20 @@ package summary
 import (
 	"go/ast"
 	"go/types"
+	"maps"
+	"slices"
 
 	"golang.org/x/tools/go/cfg"
 
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/analysis/callgraph"
 )
 
-// Domain is one resource-obligation domain the analyzers track.
-type Domain string
-
-const (
-	// Region is the wasm linear-memory region domain: View.Allocate /
-	// Deallocate on View, Function, Instance (regionrelease).
-	Region Domain = "region"
-	// Pool is the sync.Pool recycle domain: Get / Put (poolreturn).
-	Pool Domain = "pool"
-	// Ref is the pagebuf page-reference domain: Ref.Release / ReleaseAll
-	// (refbalance).
-	Ref Domain = "ref"
-)
-
-// Domains lists every domain, in a fixed order.
-var Domains = []Domain{Region, Pool, Ref}
-
-// GaugePair describes one State.Enter/Exit call a function issues on its
-// caller's behalf. Recv is the parameter index carrying the *State; Arg is
-// the parameter index carrying the bracket key, or -1 when the key is the
-// literal ArgLit.
-type GaugePair struct {
+// Pair describes one bracket-domain call (State.Enter/Exit,
+// sendWindow.reserve/push) a function issues on its caller's behalf. Recv
+// is the parameter index carrying the bracket's receiver; Arg is the
+// parameter index carrying the bracket key, or -1 when the key is the
+// literal ArgLit (empty for a bracket named by its receiver alone).
+type Pair struct {
 	Recv   int
 	Arg    int
 	ArgLit string
@@ -90,10 +77,10 @@ type Summary struct {
 	// PollsCtx reports that the function observes ctx cancellation
 	// (directly or through a statically resolved callee).
 	PollsCtx bool
-	// GaugeExits are State.Exit brackets closed on all paths on behalf of
-	// parameters; GaugeEnters are State.Enter brackets opened anywhere.
-	GaugeExits  []GaugePair
-	GaugeEnters []GaugePair
+	// Exits[d] are the domain-d brackets closed on all paths on behalf of
+	// parameters; Enters[d] are the brackets opened anywhere.
+	Exits  map[Domain][]Pair
+	Enters map[Domain][]Pair
 	// Unexported reports a lower-case function name: the boundary at
 	// which Returns propagation applies (an exported constructor is a
 	// documented user handoff, an unexported helper is an internal
@@ -123,24 +110,45 @@ func (p *Program) Summary(key string) *Summary {
 	return p.Summaries[key]
 }
 
+// summariesOf returns the summaries of call's statically known targets,
+// or nil when the call is dynamic, has no in-program target, or any
+// target lacks a summary — the cases that earn no credit.
+func (p *Program) summariesOf(pkg *callgraph.Pkg, call *ast.CallExpr) []*Summary {
+	if p == nil || p.Graph == nil {
+		return nil
+	}
+	targets, dynamic := p.Graph.ResolveCall(pkg, call)
+	if dynamic || len(targets) == 0 {
+		return nil
+	}
+	out := make([]*Summary, 0, len(targets))
+	for _, t := range targets {
+		s := p.Summaries[t.Key]
+		if s == nil {
+			return nil
+		}
+		out = append(out, s)
+	}
+	return out
+}
+
 // ConsumesAt reports whether every statically known target of call
 // discharges domain d at parameter position pos. Dynamic calls and calls
 // with no in-program target earn no credit.
 func (p *Program) ConsumesAt(pkg *callgraph.Pkg, call *ast.CallExpr, d Domain, pos int) bool {
-	if p == nil || p.Graph == nil {
-		return false
-	}
-	targets, dynamic := p.Graph.ResolveCall(pkg, call)
-	if dynamic || len(targets) == 0 {
-		return false
-	}
-	for _, t := range targets {
-		s := p.Summaries[t.Key]
-		if s == nil || !s.Consumes[d][pos] {
-			return false
+	sums := p.summariesOf(pkg, call)
+	return len(sums) > 0 && !slices.ContainsFunc(sums, func(s *Summary) bool { return !s.Consumes[d][pos] })
+}
+
+// consumesObj reports whether obj is call's receiver or an argument at a
+// position every statically known target consumes in domain d.
+func (p *Program) consumesObj(pkg *callgraph.Pkg, call *ast.CallExpr, obj types.Object, d Domain) bool {
+	for _, pos := range objPositions(pkg.Info, call, obj) {
+		if p.ConsumesAt(pkg, call, d, pos) {
+			return true
 		}
 	}
-	return true
+	return false
 }
 
 // Build computes the program summary table over the loaded packages.
@@ -190,10 +198,10 @@ func (b *builder) optimistic(n *callgraph.Node) *Summary {
 		return s
 	}
 	params := paramObjs(n)
-	for _, d := range Domains {
+	for _, m := range Table {
 		for i, p := range params {
-			if p != nil {
-				s.Consumes[d][i] = true
+			if p != nil && m.Acquire != nil {
+				s.Consumes[m.Domain][i] = true
 			}
 		}
 	}
@@ -207,19 +215,19 @@ func (b *builder) compute(n *callgraph.Node) *Summary {
 		return s
 	}
 	params := paramObjs(n)
-	for _, d := range Domains {
+	for _, m := range Table {
+		if m.Enter != nil {
+			s.Exits[m.Domain], s.Enters[m.Domain] = b.brackets(n, params, m)
+			continue
+		}
 		for i, p := range params {
-			if p == nil {
-				continue
-			}
-			if b.consumes(n, p, d) {
-				s.Consumes[d][i] = true
+			if p != nil && b.consumes(n, p, m) {
+				s.Consumes[m.Domain][i] = true
 			}
 		}
 	}
 	b.returns(n, s)
 	s.PollsCtx = b.pollsCtx(n)
-	s.GaugeExits, s.GaugeEnters = b.gaugePairs(n, params)
 	return s
 }
 
@@ -228,11 +236,13 @@ func newSummary(n *callgraph.Node) *Summary {
 		Key:        n.Key,
 		Consumes:   make(map[Domain]map[int]bool),
 		Returns:    make(map[Domain]map[int]bool),
+		Exits:      make(map[Domain][]Pair),
+		Enters:     make(map[Domain][]Pair),
 		Unexported: n.Decl != nil && !n.Decl.Name.IsExported(),
 	}
-	for _, d := range Domains {
-		s.Consumes[d] = make(map[int]bool)
-		s.Returns[d] = make(map[int]bool)
+	for _, m := range Table {
+		s.Consumes[m.Domain] = make(map[int]bool)
+		s.Returns[m.Domain] = make(map[int]bool)
 	}
 	return s
 }
@@ -270,32 +280,10 @@ func equal(a, b *Summary) bool {
 	if a.PollsCtx != b.PollsCtx || a.Unexported != b.Unexported {
 		return false
 	}
-	for _, d := range Domains {
-		if !intSetEq(a.Consumes[d], b.Consumes[d]) || !intSetEq(a.Returns[d], b.Returns[d]) {
-			return false
-		}
-	}
-	return pairsEq(a.GaugeExits, b.GaugeExits) && pairsEq(a.GaugeEnters, b.GaugeEnters)
-}
-
-func intSetEq(a, b map[int]bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
-}
-
-func pairsEq(a, b []GaugePair) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
+	for _, m := range Table {
+		d := m.Domain
+		if !maps.Equal(a.Consumes[d], b.Consumes[d]) || !maps.Equal(a.Returns[d], b.Returns[d]) ||
+			!slices.Equal(a.Exits[d], b.Exits[d]) || !slices.Equal(a.Enters[d], b.Enters[d]) {
 			return false
 		}
 	}

@@ -2,6 +2,7 @@ package summary
 
 import (
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
@@ -10,8 +11,8 @@ import (
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/analysis/callgraph"
 )
 
-// parseUnit type-checks one dependency-free source file into a call-graph
-// unit.
+// parseUnit type-checks one source file (standard-library imports only)
+// into a call-graph unit.
 func parseUnit(t *testing.T, src string) *callgraph.Pkg {
 	t.Helper()
 	fset := token.NewFileSet()
@@ -26,7 +27,7 @@ func parseUnit(t *testing.T, src string) *callgraph.Pkg {
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 		Scopes:     make(map[ast.Node]*types.Scope),
 	}
-	conf := types.Config{}
+	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
 	pkg, err := conf.Check("fix", fset, []*ast.File{f}, info)
 	if err != nil {
 		t.Fatalf("typecheck: %v", err)
@@ -198,5 +199,90 @@ func c() {}
 	}
 	if !(seen["fix.c"] < seen["fix.b"] && seen["fix.b"] < seen["fix.a"]) {
 		t.Errorf("want bottom-up order c < b < a, got %v", seen)
+	}
+}
+
+// TestTableReleaseIsConsumed pins the property the domain table exists
+// for: the summaries and the obligation engine read one definition of a
+// release. For every domain, the release call inside a helper is
+// recognised by the table's Release matcher, and the helper's summary
+// records it — Consumes at the released parameter for an object-keyed
+// domain, Exits on behalf of the receiver parameter for a bracket-keyed
+// one.
+func TestTableReleaseIsConsumed(t *testing.T) {
+	unit := parseUnit(t, `package fix
+
+import "sync"
+
+type View struct{}
+
+func (v *View) Deallocate(p uint32) error { return nil }
+
+type Ref struct{}
+
+func (r Ref) Release() {}
+
+func ReleaseAll(rs []Ref) {}
+
+type Proc struct{}
+
+func (p *Proc) Close(fd int) error { return nil }
+
+type State struct{}
+
+func (st *State) Exit(i int) {}
+
+type sendWindow struct{}
+
+func (w *sendWindow) push(rs []Ref, charged bool) error { return nil }
+
+var pool sync.Pool
+
+func relRegion(v *View, p uint32)  { _ = v.Deallocate(p) }
+func relPool(x *int)               { pool.Put(x) }
+func relRef(r Ref)                 { r.Release() }
+func relRefs(rs []Ref)             { ReleaseAll(rs) }
+func relFD(p *Proc, fd int)        { _ = p.Close(fd) }
+func relGauge(st *State, i int)    { st.Exit(i) }
+func relWindow(w *sendWindow)      { _ = w.push(nil, true) }
+`)
+	prog := Build([]*callgraph.Pkg{unit})
+	for _, tc := range []struct {
+		fn  string
+		d   Domain
+		pos int // the released parameter, or the bracket's receiver parameter
+	}{
+		{"relRegion", Region, 2},
+		{"relPool", Pool, 1},
+		{"relRef", Ref, 1},
+		{"relRefs", Ref, 1},
+		{"relFD", FD, 2},
+		{"relGauge", Gauge, 1},
+		{"relWindow", Window, 1},
+	} {
+		m := MatcherOf(tc.d)
+		var released []ast.Expr
+		for _, decl := range unit.Files[0].Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Name.Name == tc.fn {
+				ast.Inspect(fd.Body, func(n ast.Node) bool {
+					if call, ok := n.(*ast.CallExpr); ok && released == nil {
+						released = m.Release(unit.Info, call)
+					}
+					return true
+				})
+			}
+		}
+		if len(released) == 0 {
+			t.Errorf("%s: the %s row's Release matcher does not recognise the helper's release call", tc.fn, tc.d)
+			continue
+		}
+		s := prog.Summary("fix." + tc.fn)
+		if m.Enter != nil {
+			if len(s.Exits[tc.d]) != 1 || s.Exits[tc.d][0].Recv != tc.pos {
+				t.Errorf("%s: want one %s exit on behalf of parameter %d, got %+v", tc.fn, tc.d, tc.pos, s.Exits[tc.d])
+			}
+		} else if !s.Consumes[tc.d][tc.pos] {
+			t.Errorf("%s: the table recognises the release, but Consumes[%s][%d] is false", tc.fn, tc.d, tc.pos)
+		}
 	}
 }

@@ -115,6 +115,13 @@ func (f *RunCFunction) Transfer(dst *RunCFunction, env TransferEnv) ([]byte, met
 	// HTTP POST through the kernel.
 	swT := metrics.NewStopwatch(f.now)
 	cfd, sfd := kernel.Connect(f.proc, dst.proc)
+	// Failures past the connect close both socket ends before surfacing, so
+	// an aborted baseline transfer strands no descriptor in either container.
+	fail := func(err error) ([]byte, metrics.TransferReport, error) {
+		_ = f.proc.Close(cfd)
+		_ = dst.proc.Close(sfd)
+		return nil, metrics.TransferReport{}, err
+	}
 	srcStream := kernel.NewStream(f.proc, cfd)
 	if err := minihttp.WriteRequest(srcStream, &minihttp.Request{
 		Method: "POST",
@@ -122,7 +129,7 @@ func (f *RunCFunction) Transfer(dst *RunCFunction, env TransferEnv) ([]byte, met
 		Header: map[string]string{"Content-Type": "application/rrs1"},
 		Body:   body,
 	}); err != nil {
-		return nil, metrics.TransferReport{}, fmt.Errorf("runc http send: %w", err)
+		return fail(fmt.Errorf("runc http send: %w", err))
 	}
 	sendT := swT.Lap()
 	f.acct.CPU(metrics.Kernel, sendT)
@@ -132,7 +139,7 @@ func (f *RunCFunction) Transfer(dst *RunCFunction, env TransferEnv) ([]byte, met
 	dstStream := kernel.NewStream(dst.proc, sfd)
 	req, err := minihttp.ReadRequest(bufio.NewReaderSize(dstStream, 64<<10))
 	if err != nil {
-		return nil, metrics.TransferReport{}, fmt.Errorf("runc http recv: %w", err)
+		return fail(fmt.Errorf("runc http recv: %w", err))
 	}
 	dst.acct.Allocate(int64(len(req.Body)))
 	recvT := swR.Lap()
@@ -142,7 +149,7 @@ func (f *RunCFunction) Transfer(dst *RunCFunction, env TransferEnv) ([]byte, met
 	swDe := metrics.NewStopwatch(dst.now)
 	decoded, err := serial.Decode(req.Body)
 	if err != nil {
-		return nil, metrics.TransferReport{}, fmt.Errorf("runc decode: %w", err)
+		return fail(fmt.Errorf("runc decode: %w", err))
 	}
 	dst.acct.Copy(metrics.User, len(decoded[0].Value))
 	deT := swDe.Lap()

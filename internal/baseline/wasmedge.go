@@ -166,12 +166,19 @@ func (f *WasmEdgeFunction) Transfer(dst *WasmEdgeFunction, env TransferEnv) (ptr
 	// WASI socket send: staging copy + kernel copy + syscalls.
 	swT := metrics.NewStopwatch(f.now)
 	cfd, sfd := kernel.Connect(f.proc, dst.proc)
+	// Failures past the connect close both socket ends before surfacing, so
+	// an aborted baseline transfer strands no descriptor in either sandbox.
+	failConn := func(e error) (uint32, uint32, metrics.TransferReport, error) {
+		_ = f.proc.Close(cfd)
+		_ = dst.proc.Close(sfd)
+		return fail(e)
+	}
 	res, err = f.inst.Call(guest.ExportSockSendAll, uint64(cfd), uint64(encPtr), uint64(encLen))
 	if err != nil {
-		return fail(fmt.Errorf("wasmedge send: %w", err))
+		return failConn(fmt.Errorf("wasmedge send: %w", err))
 	}
 	if uint32(res[0]) != wasi.ErrnoSuccess {
-		return fail(fmt.Errorf("wasmedge send errno %d", res[0]))
+		return failConn(fmt.Errorf("wasmedge send errno %d", res[0]))
 	}
 	sendT := swT.Lap()
 	f.acct.CPU(metrics.Kernel, sendT)
@@ -180,7 +187,7 @@ func (f *WasmEdgeFunction) Transfer(dst *WasmEdgeFunction, env TransferEnv) (ptr
 	swR := metrics.NewStopwatch(dst.now)
 	dstPtr, err := dst.view.Allocate(encLen)
 	if err != nil {
-		return fail(err)
+		return failConn(err)
 	}
 	// Failures past the receive allocation rewind the destination's bump
 	// heap (the staging buffer is its top allocation) before surfacing, so
@@ -189,7 +196,7 @@ func (f *WasmEdgeFunction) Transfer(dst *WasmEdgeFunction, env TransferEnv) (ptr
 		if derr := dst.view.Deallocate(dstPtr); derr != nil {
 			e = errors.Join(e, derr)
 		}
-		return fail(e)
+		return failConn(e)
 	}
 	res, err = dst.inst.Call(guest.ExportSockRecvExact, uint64(sfd), uint64(dstPtr), uint64(encLen))
 	if err != nil {

@@ -13,8 +13,9 @@ import (
 )
 
 // TestChainPhaseLockedAblation: the two regimes deliver identical payloads
-// and identical syscall/copy accounting; only the overlap attribution (and
-// therefore the critical-path latency) differs.
+// and identical syscall/copy accounting; only the overlap attribution
+// differs. (Which critical path is shorter is a wall-clock comparison of
+// two runs; it belongs to the bench sweeps, not to go test.)
 func TestChainPhaseLockedAblation(t *testing.T) {
 	build := func() (*roadrunner.Platform, []*roadrunner.Function) {
 		p := newPlatform(t, roadrunner.WithDataHoseSize(64<<10))
@@ -56,9 +57,6 @@ func TestChainPhaseLockedAblation(t *testing.T) {
 	}
 	if pipelined.Breakdown.Overlap <= 0 {
 		t.Fatal("pipelined multi-chunk chain reported no overlap")
-	}
-	if pipelined.Latency() >= locked.Latency() {
-		t.Fatalf("pipelined critical path %v not below phase-locked %v", pipelined.Latency(), locked.Latency())
 	}
 }
 
