@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race chaos bench perfgate lint loc staticcheck vuln cover clean
+.PHONY: all build test race fuzz-smoke chaos bench perfgate lint loc staticcheck vuln cover clean
 
 all: lint build race bench perfgate
 
@@ -24,10 +24,18 @@ test:
 ## race: the suite under the race detector (CI's test job), then the copy
 ## path's packages again at 1, 2 and 4 Ps — the windowed hand-off interleaves
 ## differently when both stages share one P, and tier-1 must not depend on
-## the core count
+## the core count — and the interpreter's packages, whose instances read
+## one module's compiled code from different goroutines
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -cpu 1,2,4 ./internal/pagebuf ./internal/kernel ./internal/core
+	$(GO) test -race -count=3 ./internal/wasm ./internal/guest ./internal/abi
+
+## fuzz-smoke: 20 s of each interpreter fuzz target (stdlib fuzzing, seed
+## corpus in internal/wasm/testdata/fuzz; a finding lands there too)
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzExecAgainstTreeEval -fuzztime 20s ./internal/wasm
+	$(GO) test -run '^$$' -fuzz FuzzDecodeValidate -fuzztime 20s ./internal/wasm
 
 ## chaos: the failure-domain suite under -race (CI's chaos job); the seed is
 ## logged and CHAOS_SEED=N reruns a schedule
@@ -88,7 +96,8 @@ loc:
 	@count() { find "$$@" -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './vendor/*' -print0 | xargs -0 cat | wc -l; }; \
 	printf '%7d  %s\n' "$$(count . -maxdepth 1)" "(root package)"; \
 	for d in bench cmd/* examples internal/*; do printf '%7d  %s\n' "$$(count $$d)" "$$d"; done; \
-	printf '%7d  %s\n' "$$(count internal/analysis cmd/roadvet)" "internal/analysis + cmd/roadvet"
+	printf '%7d  %s\n' "$$(count internal/analysis cmd/roadvet)" "internal/analysis + cmd/roadvet"; \
+	printf '%7d  %s\n' "$$(count internal/wasm/compile.go internal/wasm/exec.go)" "internal/wasm compile.go + exec.go (1207 before the register-form IR, PR 17)"
 
 ## staticcheck: static-analysis gate (CI's lint job; needs the binary or network)
 staticcheck:

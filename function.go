@@ -185,7 +185,7 @@ func (f *Function) ResizeHalf(ref DataRef, w, h int) (DataRef, error) {
 // created by Produce — the end-to-end integrity oracle used by the examples
 // and tests.
 func ExpectedChecksum(n int) uint64 {
-	return guest.ReferenceChecksum(guest.ReferenceProduce(n))
+	return guest.ReferenceProduceChecksum(n)
 }
 
 // Chain produces an n-byte payload at the first function and forwards it hop

@@ -153,14 +153,15 @@ func (f *WasmEdgeFunction) Transfer(dst *WasmEdgeFunction, env TransferEnv) (ptr
 		return 0, 0, metrics.TransferReport{}, e
 	}
 
-	// In-sandbox serialization (the dominant Wasm cost of §2.2).
-	swSer := metrics.NewStopwatch(f.now)
+	// In-sandbox serialization (the dominant Wasm cost of §2.2). The guest
+	// does the work — the wire bytes, copies and allocations are real — and
+	// its time is charged at the modeled WasmEdge codec speed (codecTime).
 	res, err := f.inst.Call(guest.ExportSerialize, uint64(f.out.ptr), uint64(f.out.n))
 	if err != nil {
 		return fail(fmt.Errorf("wasmedge serialize: %w", err))
 	}
 	encPtr, encLen := abi.Unpack(res[0])
-	serT := swSer.Lap()
+	serT := codecTime(int64(encLen))
 	f.acct.CPU(metrics.User, serT)
 
 	// WASI socket send: staging copy + kernel copy + syscalls.
@@ -208,14 +209,13 @@ func (f *WasmEdgeFunction) Transfer(dst *WasmEdgeFunction, env TransferEnv) (ptr
 	recvT := swR.Lap()
 	dst.acct.CPU(metrics.Kernel, recvT)
 
-	// In-sandbox deserialization.
-	swDe := metrics.NewStopwatch(dst.now)
+	// In-sandbox deserialization, charged like serialization.
 	res, err = dst.inst.Call(guest.ExportDeserialize, uint64(dstPtr), uint64(encLen))
 	if err != nil {
 		return abort(fmt.Errorf("wasmedge deserialize: %w", err))
 	}
 	decPtr, decLen := abi.Unpack(res[0])
-	deT := swDe.Lap()
+	deT := codecTime(int64(encLen))
 	dst.acct.CPU(metrics.User, deT)
 
 	_ = f.proc.Close(cfd)

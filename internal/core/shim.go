@@ -96,6 +96,10 @@ type Shim struct {
 	mu sync.Mutex
 
 	module []byte
+	// decoded is module, decoded and compiled on the first AddFunction; the
+	// VM's functions are instances of it and share its code.
+	//roadvet:guards mu
+	decoded *wasm.Module
 	//roadvet:guards mu
 	functions []*Function
 	//roadvet:guards mu
@@ -228,9 +232,12 @@ func (s *Shim) AddFunction(name string) (*Function, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	sw := metrics.NewStopwatch(s.now)
-	m, err := wasm.Decode(s.module)
-	if err != nil {
-		return nil, fmt.Errorf("decode module for %s: %w", name, err)
+	if s.decoded == nil {
+		m, err := wasm.Decode(s.module)
+		if err != nil {
+			return nil, fmt.Errorf("decode module for %s: %w", name, err)
+		}
+		s.decoded = m
 	}
 
 	f := &Function{name: name, shim: s}
@@ -244,7 +251,7 @@ func (s *Shim) AddFunction(name string) (*Function, error) {
 		}
 	}))
 
-	inst, err := wasm.Instantiate(m, imports, &wasm.Config{
+	inst, err := wasm.Instantiate(s.decoded, imports, &wasm.Config{
 		MemoryResizeHook: func(delta int64) { s.acct.Allocate(delta) },
 	})
 	if err != nil {

@@ -117,7 +117,7 @@ func intraNodePoints(xMB float64, n int) ([]Point, error) {
 		if err != nil {
 			return nil, err
 		}
-		if dst.Checksum(body) != guest.ReferenceChecksum(guest.ReferenceProduce(n)) {
+		if dst.Checksum(body) != guest.ReferenceProduceChecksum(n) {
 			return nil, fmt.Errorf("runc payload corrupted at %d bytes", n)
 		}
 		points = append(points, pointFromMetrics(SysRunC, xMB, rep))
@@ -152,7 +152,7 @@ func intraNodePoints(xMB float64, n int) ([]Point, error) {
 		if err != nil {
 			return nil, err
 		}
-		if sum != guest.ReferenceChecksum(guest.ReferenceProduce(n)) {
+		if sum != guest.ReferenceProduceChecksum(n) {
 			return nil, fmt.Errorf("wasmedge payload corrupted at %d bytes", n)
 		}
 		points = append(points, pointFromMetrics(SysWasmEdge, xMB, rep))

@@ -86,7 +86,7 @@ func interNodePoints(x float64, n, flows int) ([]Point, error) {
 		if err != nil {
 			return nil, err
 		}
-		if dst.Checksum(body) != guest.ReferenceChecksum(guest.ReferenceProduce(n)) {
+		if dst.Checksum(body) != guest.ReferenceProduceChecksum(n) {
 			return nil, fmt.Errorf("runc payload corrupted")
 		}
 		points = append(points, pointFromMetrics(SysRunC, x, rep))
@@ -121,7 +121,7 @@ func interNodePoints(x float64, n, flows int) ([]Point, error) {
 		if err != nil {
 			return nil, err
 		}
-		if sum != guest.ReferenceChecksum(guest.ReferenceProduce(n)) {
+		if sum != guest.ReferenceProduceChecksum(n) {
 			return nil, fmt.Errorf("wasmedge payload corrupted")
 		}
 		points = append(points, pointFromMetrics(SysWasmEdge, x, rep))

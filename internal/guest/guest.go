@@ -410,6 +410,23 @@ func ReferenceProduce(n int) []byte {
 	return out
 }
 
+// ReferenceProduceChecksum returns ReferenceChecksum(ReferenceProduce(n))
+// without materializing the payload: the LCG's words are folded into the
+// digest as they are generated, the tail bytes one by one.
+func ReferenceProduceChecksum(n int) uint64 {
+	h, seed := uint64(fnvOffset), uint64(produceSeed)
+	i := 0
+	for ; i+8 <= n; i += 8 {
+		h = (h ^ seed) * fnvPrime
+		seed = seed*lcgMul + lcgAdd
+	}
+	for ; i < n; i++ {
+		h = (h ^ uint64(byte(seed))) * fnvPrime
+		seed = bits.RotateLeft64(seed, 8)
+	}
+	return h
+}
+
 // ReferenceChecksum returns the digest consume(ptr, len) computes.
 func ReferenceChecksum(data []byte) uint64 {
 	h := uint64(fnvOffset)

@@ -471,9 +471,32 @@ func TestPackUnpack(t *testing.T) {
 }
 
 func BenchmarkGuestSerialize1MB(b *testing.B) {
-	k := kernel.New("bench")
-	proc := k.NewProc("fn", nil)
-	host := wasi.NewHost(proc, nil)
+	view := benchView(b)
+	const n = 1 << 20
+	ptr, pn, err := view.CallPacked(guest.ExportProduce, n)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(n)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sptr, _, err := view.CallPacked(guest.ExportSerialize, uint64(ptr), uint64(pn))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := view.Deallocate(sptr); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchView instantiates the canonical guest for the BenchmarkGuest* set:
+// the three guest loops the data-delivery benchmark pays for (produce in
+// every set-up and plan op, checksum in every verification, serialize in
+// the WasmEdge baseline).
+func benchView(b *testing.B) *abi.View {
+	b.Helper()
+	host := wasi.NewHost(kernel.New("bench").NewProc("fn", nil), nil)
 	imports := wasm.Imports{}
 	host.AddImports(imports)
 	imports.Add(abi.ImportModule, abi.ImportSendToHost, abi.SendToHostImport(nil))
@@ -489,20 +512,53 @@ func BenchmarkGuestSerialize1MB(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	return view
+}
+
+func BenchmarkGuestProduce1MB(b *testing.B) {
+	view := benchView(b)
+	const n = 1 << 20
+	b.SetBytes(n)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ptr, _, err := view.CallPacked(guest.ExportProduce, n)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := view.Deallocate(ptr); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkGuestChecksum1MB(b *testing.B) {
+	view := benchView(b)
 	const n = 1 << 20
 	ptr, pn, err := view.CallPacked(guest.ExportProduce, n)
+	if err != nil {
+		b.Fatal(err)
+	}
+	consume, err := view.Instance().Func(guest.ExportConsume)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sptr, _, err := view.CallPacked(guest.ExportSerialize, uint64(ptr), uint64(pn))
-		if err != nil {
+		if _, err := consume.Call(uint64(ptr), uint64(pn)); err != nil {
 			b.Fatal(err)
 		}
-		if err := view.Deallocate(sptr); err != nil {
-			b.Fatal(err)
+	}
+}
+
+// The streaming oracle must equal the two-step form at every boundary the
+// data paths care about: empty, the word/tail split, a page, a slab, the
+// send window, and an odd size past 1 MiB.
+func TestReferenceProduceChecksumMatchesTwoStep(t *testing.T) {
+	for _, n := range []int{0, 1, 7, 8, 9, 4095, 4096,
+		64<<10 - 1, 64 << 10, 64<<10 + 1, 256<<10 - 1, 256 << 10, 256<<10 + 1, 1<<20 + 3} {
+		if got, want := guest.ReferenceProduceChecksum(n), guest.ReferenceChecksum(guest.ReferenceProduce(n)); got != want {
+			t.Errorf("n = %d: streaming %#x, two-step %#x", n, got, want)
 		}
 	}
 }

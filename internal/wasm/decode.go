@@ -32,9 +32,12 @@ const (
 	secDataCnt  = 12
 )
 
-// Decode parses a WebAssembly binary module and performs the structural
+// Decode parses a WebAssembly binary module, performs the structural
 // validation the interpreter relies on (section ordering, index ranges,
-// matching function/code counts, constant expressions in initializers).
+// matching function/code counts, constant expressions in initializers),
+// type-checks every function body and compiles it to the register form the
+// interpreter runs. The result is immutable: instantiate it as often as
+// needed.
 func Decode(bin []byte) (*Module, error) {
 	r := &reader{data: bin}
 	magic, err := r.bytes(8)
@@ -123,7 +126,7 @@ func decodeSection(m *Module, id byte, r *reader) error {
 }
 
 func decodeTypeSection(m *Module, r *reader) error {
-	count, err := r.u32()
+	count, err := r.vecLen()
 	if err != nil {
 		return err
 	}
@@ -150,7 +153,7 @@ func decodeTypeSection(m *Module, r *reader) error {
 }
 
 func decodeValTypes(r *reader) ([]ValType, error) {
-	count, err := r.u32()
+	count, err := r.vecLen()
 	if err != nil {
 		return nil, err
 	}
@@ -223,7 +226,7 @@ func decodeImportSection(m *Module, r *reader) error {
 }
 
 func decodeFunctionSection(m *Module, r *reader) error {
-	count, err := r.u32()
+	count, err := r.vecLen()
 	if err != nil {
 		return err
 	}
@@ -382,7 +385,7 @@ func decodeConstExpr(r *reader) (uint64, ValType, error) {
 }
 
 func decodeExportSection(m *Module, r *reader) error {
-	count, err := r.u32()
+	count, err := r.vecLen()
 	if err != nil {
 		return err
 	}
@@ -429,7 +432,7 @@ func decodeElemSection(m *Module, r *reader) error {
 		if t != I32 {
 			return fmt.Errorf("elem offset type %v: %w", t, ErrMalformed)
 		}
-		n, err := r.u32()
+		n, err := r.vecLen()
 		if err != nil {
 			return err
 		}
@@ -447,7 +450,7 @@ func decodeElemSection(m *Module, r *reader) error {
 }
 
 func decodeCodeSection(m *Module, r *reader) error {
-	count, err := r.u32()
+	count, err := r.vecLen()
 	if err != nil {
 		return err
 	}
@@ -527,8 +530,8 @@ func decodeDataSection(m *Module, r *reader) error {
 }
 
 // validate performs the cross-section index checks the interpreter depends
-// on. Full type-checking of function bodies happens structurally during
-// compilation (compile.go) and dynamically at execution.
+// on, then type-checks (validate.go) and compiles (compile.go) every
+// function body.
 func validate(m *Module) error {
 	nTypes := uint32(len(m.Types))
 	for _, imp := range m.Imports {
@@ -565,11 +568,17 @@ func validate(m *Module) error {
 	if m.Start != nil && *m.Start >= nFuncs {
 		return fmt.Errorf("start func %d: %w", *m.Start, errIndexOutOfRange)
 	}
-	// Full static type-checking of every function body (validate.go).
+	l := newLowerer(m)
+	m.code = make([]*compiledFunc, len(m.Codes))
 	for i := range m.Codes {
 		if err := validateFunc(m, i); err != nil {
 			return err
 		}
+		cf, err := l.lowerFunc(i)
+		if err != nil {
+			return fmt.Errorf("compile func %d: %w", i, err)
+		}
+		m.code[i] = cf
 	}
 	for i, seg := range m.Elems {
 		if m.Table == nil {

@@ -1,38 +1,28 @@
 package wasm
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
 )
 
-// execLabel is one entry of the runtime control stack. contPC is where a
-// branch to this label resumes; stackH is the operand-stack height at block
-// entry; arity is the number of values a branch carries.
-type execLabel struct {
-	contPC int
-	stackH int
-	arity  int
-}
+// This file runs the register-form code compile.go produces: one dispatch
+// loop over a function's instructions and the frame of the call. Values are
+// raw 64-bit: i32 in the low 32 bits (upper bits zero), floats as IEEE bits.
 
-// execFrame is the recycled scratch of one interpreter frame: operand
-// stack, control stack and locals. An Instance keeps one frame per call
-// depth and executes one call tree at a time (callers serialize, as the
-// shim's VM lock does), so a warm call reuses the frames its predecessors
-// grew and allocates nothing.
-type execFrame struct {
-	st     []uint64
-	labels []execLabel
-	locals []uint64
-}
-
-// frame returns the recycled frame for the given call depth, growing the
-// per-instance stack on first descent.
-func (inst *Instance) frame(depth int) *execFrame {
+// frame returns the recycled frame of the given call depth with room for
+// size slots. An Instance keeps one per depth and executes one call tree at
+// a time (callers serialize, as the shim's VM lock does), so a warm call
+// reuses the frames its predecessors grew and allocates nothing.
+func (inst *Instance) frame(depth, size int) []uint64 {
 	for len(inst.frames) <= depth {
-		inst.frames = append(inst.frames, &execFrame{})
+		inst.frames = append(inst.frames, nil)
 	}
-	return inst.frames[depth]
+	if cap(inst.frames[depth]) < size {
+		inst.frames[depth] = make([]uint64, size)
+	}
+	return inst.frames[depth][:size]
 }
 
 func (inst *Instance) call(fnIdx uint32, args []uint64) ([]uint64, error) {
@@ -40,7 +30,7 @@ func (inst *Instance) call(fnIdx uint32, args []uint64) ([]uint64, error) {
 }
 
 // invoke runs one function. The returned slice aliases the depth's recycled
-// frame (or the host function's own return): it is valid until the next
+// frame (or is the host function's own return): it is valid until the next
 // call on this instance, which every caller respects by consuming results
 // before calling again.
 func (inst *Instance) invoke(fnIdx uint32, args []uint64, depth int) ([]uint64, error) {
@@ -48,764 +38,565 @@ func (inst *Instance) invoke(fnIdx uint32, args []uint64, depth int) ([]uint64, 
 		return nil, TrapCallDepth
 	}
 	f := &inst.funcs[fnIdx]
-	fr := inst.frame(depth)
 	if f.host != nil {
 		// Pass a frame-owned copy of args so the incoming slice does not
 		// leak into the host call: it keeps callers' variadic argument
 		// slices on their stacks.
-		if cap(fr.locals) < len(args) {
-			fr.locals = make([]uint64, len(args))
-		}
-		hargs := fr.locals[:len(args)]
+		hargs := inst.frame(depth, len(args))
 		copy(hargs, args)
-		return f.host.Fn(&inst.hostCtx, hargs)
+		res, err := f.host.Fn(&inst.hostCtx, hargs)
+		// The caller copies res over a result window sized from the
+		// declared type.
+		if err == nil && len(res) != len(f.typ.Results) {
+			return nil, fmt.Errorf("host function returned %d values, declared %d: %w",
+				len(res), len(f.typ.Results), ErrImportType)
+		}
+		return res, err
 	}
-	if cap(fr.locals) < f.cf.numLocals {
-		fr.locals = make([]uint64, f.cf.numLocals)
-	}
-	locals := fr.locals[:f.cf.numLocals]
-	n := copy(locals, args)
+	fr := inst.frame(depth, f.cf.frameSize)
+	fr[0] = 0
 	// Wasm locals beyond the parameters start at zero; a recycled frame
 	// still holds the previous call's values.
-	clear(locals[n:])
-	return inst.exec(f.cf, fr, locals, depth)
+	clear(fr[1+copy(fr[1:], args) : 1+f.cf.numLocals])
+	if err := inst.exec(f.cf, fr, depth); err != nil {
+		return nil, err
+	}
+	return f.cf.results(fr), nil
 }
 
-// exec runs one compiled function body. The operand stack holds raw 64-bit
-// values: i32 in the low 32 bits, floats as IEEE bits. Stack and control
-// scratch live in the depth's frame; growth is persisted back on every exit
-// so the steady state runs in place.
-func (inst *Instance) exec(cf *compiledFunc, fr *execFrame, locals []uint64, depth int) ([]uint64, error) {
-	var (
-		st     = fr.st[:0]
-		labels = fr.labels[:0]
-		code   = cf.code
-		mem    = inst.mem
-	)
-	defer func() {
-		fr.st = st[:0]
-		fr.labels = labels[:0]
-	}()
-
-	returnResults := func() ([]uint64, error) {
-		if len(st) < cf.numResults {
-			return nil, TrapStackUnderflow
-		}
-		// Results alias the frame; the caller consumes them before the
-		// frame's next use (see invoke).
-		return st[len(st)-cf.numResults:], nil
+// cmp finishes an instruction of the compare family with outcome t: the
+// boolean goes to its destination slot, or decides a jump when a br_if or
+// an if was fused into the comparison. It returns the next pc.
+func (in *instr) cmp(fr []uint64, pc int, t bool) int {
+	switch {
+	case in.br == 0:
+		fr[in.d] = b2u(t)
+	case t == (in.br == brIfTrue):
+		return int(in.d)
 	}
+	return pc
+}
 
-	for pc := 0; pc < len(code); pc++ {
+// stop is why run handed control back to exec.
+type stop byte
+
+const (
+	stopReturn      stop = iota
+	stopOutOfLine        // code[pc-1] is for exec to carry out
+	stopUnreachable      // the rest are traps
+	stopOutOfBounds
+	stopDivByZero
+	stopIntegerOverflow
+)
+
+// exec runs one compiled function body on its frame. The results are left
+// at the bottom of the frame's operand stack (compiledFunc.results).
+//
+// The work is split in two. run is the dispatch loop: it calls nothing, so
+// the compiler keeps its state in registers, and it stops at whatever needs
+// more than the frame, the globals and the memory bytes. exec carries that
+// instruction out — a call, memory.grow, a bulk or floating-point operation,
+// a trap's error — and resumes run. The memory's backing array is read anew
+// on every resumption, and nothing run does can replace it, so a grow by
+// this function, a callee or a host function is always seen.
+func (inst *Instance) exec(cf *compiledFunc, fr []uint64, depth int) error {
+	for pc := 0; ; {
+		var mem []byte
+		if inst.mem != nil {
+			mem = inst.mem.data
+		}
+		var why stop
+		pc, why = run(inst, cf, fr, mem, pc)
+		in := &cf.code[pc-1]
+		switch why {
+		case stopReturn:
+			return nil
+		case stopOutOfLine:
+			var err error
+			if pc, err = inst.outOfLine(in, fr, pc, depth); err != nil {
+				return err
+			}
+		case stopUnreachable:
+			return TrapUnreachable
+		case stopDivByZero:
+			return TrapDivByZero
+		case stopIntegerOverflow:
+			return TrapIntegerOverflow
+		default:
+			ea := uint64(uint32(fr[in.a])) + fr[in.b] + in.imm
+			if len(simpleSignatures[in.op].params) == 2 { // a store keeps its offset in d
+				ea = uint64(uint32(fr[in.a])) + uint64(in.d)
+			}
+			return fmt.Errorf("memory access at %d of %d: %w", ea, len(mem), TrapOutOfBounds)
+		}
+	}
+}
+
+// outOfLine carries out the instruction run stopped at and returns the pc
+// to resume from.
+func (inst *Instance) outOfLine(in *instr, fr []uint64, pc, depth int) (int, error) {
+	a, b := fr[in.a], fr[in.b]+in.imm
+	switch in.op {
+	case opCall, opCallIndirect:
+		fi := uint32(in.imm)
+		if in.op == opCallIndirect {
+			if uint64(uint32(a)) >= uint64(len(inst.table)) || inst.table[uint32(a)] < 0 {
+				return 0, TrapUndefinedElement
+			}
+			want := inst.module.Types[fi]
+			if fi = uint32(inst.table[uint32(a)]); !inst.funcs[fi].typ.Equal(want) {
+				return 0, TrapIndirectType
+			}
+		}
+		// The arguments are passed in place: invoke copies them into the
+		// callee's frame (or a host scratch) before anything can overwrite
+		// them. The results come back into the same window.
+		window := fr[in.d:]
+		res, err := inst.invoke(fi, window[:in.imm>>32], depth+1)
+		if err != nil {
+			return 0, fmt.Errorf("call %s: %w", inst.funcName(fi), err)
+		}
+		copy(window, res)
+	case opMoveN:
+		copy(fr[in.d:], fr[in.a:][:in.imm])
+	case opMemoryGrow:
+		fr[in.d] = uint64(uint32(inst.mem.Grow(uint32(b))))
+	case opMemoryCopySyn:
+		w := fr[in.d:][:3] // dst, src, count
+		return pc, inst.mem.copyWithin(uint64(uint32(w[0])), uint64(uint32(w[1])), uint64(uint32(w[2])))
+	case opMemoryFillSyn:
+		w := fr[in.d:][:3] // dst, value, count
+		return pc, inst.mem.fill(uint64(uint32(w[0])), uint64(uint32(w[2])), byte(w[1]))
+	default:
+		v, err := numeric(in.op, a, b)
+		if err != nil {
+			return 0, err
+		}
+		if in.op >= opF32Eq && in.op <= opF64Ge {
+			return in.cmp(fr, pc, v != 0), nil
+		}
+		fr[in.d] = v
+	}
+	return pc, nil
+}
+
+// run executes code from pc until an instruction needs exec: see there. It
+// must not call anything that returns — a call would make the compiler
+// spill the loop's state around every dispatch.
+func run(inst *Instance, cf *compiledFunc, fr []uint64, mem []byte, pc int) (int, stop) {
+	code := cf.code
+	for {
 		in := &code[pc]
+		pc++
+		a, b := fr[in.a], fr[in.b]+in.imm
 		switch in.op {
-		case opUnreachable:
-			return nil, TrapUnreachable
-		case opNop:
-
-		case opBlock:
-			labels = append(labels, execLabel{contPC: int(in.imm1) + 1, stackH: len(st), arity: int(in.imm0)})
-		case opLoop:
-			labels = append(labels, execLabel{contPC: pc, stackH: len(st), arity: 0})
-		case opIf:
-			n := len(st) - 1
-			cond := st[n]
-			st = st[:n]
-			elseIdx := int(in.imm1 >> 32)
-			endIdx := int(in.imm1 & 0xFFFFFFFF)
-			labels = append(labels, execLabel{contPC: endIdx + 1, stackH: len(st), arity: int(in.imm0)})
-			if cond == 0 {
-				if elseIdx == endIdx {
-					pc = endIdx - 1 // step onto end, which pops the label
-				} else {
-					pc = elseIdx // skip past the else marker
-				}
-			}
-		case opElse:
-			// The true arm finished: jump to the owning if's end marker,
-			// which pops the label. contPC is end+1, so land on end-1 and
-			// let the loop's pc++ step onto the end instruction.
-			pc = labels[len(labels)-1].contPC - 2
-
-		case opEnd:
-			if len(labels) > 0 {
-				labels = labels[:len(labels)-1]
-			} else {
-				return returnResults()
-			}
-
-		case opBr:
-			var err error
-			pc, labels, st, err = inst.branch(int(in.imm0), labels, st, cf)
-			if err != nil {
-				return returnResults()
-			}
-		case opBrIf:
-			n := len(st) - 1
-			cond := st[n]
-			st = st[:n]
-			if cond != 0 {
-				var err error
-				pc, labels, st, err = inst.branch(int(in.imm0), labels, st, cf)
-				if err != nil {
-					return returnResults()
-				}
-			}
-		case opBrTable:
-			n := len(st) - 1
-			idx := uint32(st[n])
-			st = st[:n]
-			d := uint32(in.imm0)
-			if int(idx) < len(in.tbl) {
-				d = in.tbl[idx]
-			}
-			var err error
-			pc, labels, st, err = inst.branch(int(d), labels, st, cf)
-			if err != nil {
-				return returnResults()
-			}
-
 		case opReturn:
-			return returnResults()
-
-		case opCall:
-			var err error
-			st, err = inst.doCall(uint32(in.imm0), st, depth)
-			if err != nil {
-				return nil, err
+			return pc, stopReturn
+		case opUnreachable:
+			return pc, stopUnreachable
+		case opMov:
+			fr[in.d] = b
+		case opJmp:
+			pc = int(in.d)
+		case opBrTable:
+			i := uint64(uint32(a))
+			if i > in.imm {
+				i = in.imm // the default follows the count listed targets
 			}
-		case opCallIndirect:
-			n := len(st) - 1
-			elem := uint32(st[n])
-			st = st[:n]
-			if inst.table == nil || int(elem) >= len(inst.table) {
-				return nil, TrapUndefinedElement
-			}
-			fi := inst.table[elem]
-			if fi < 0 {
-				return nil, TrapUndefinedElement
-			}
-			want := inst.module.Types[in.imm0]
-			if !inst.funcs[fi].typ.Equal(want) {
-				return nil, TrapIndirectType
-			}
-			var err error
-			st, err = inst.doCall(uint32(fi), st, depth)
-			if err != nil {
-				return nil, err
-			}
-
-		case opDrop:
-			st = st[:len(st)-1]
+			pc = int(cf.tbl[uint64(in.d)+i])
 		case opSelect:
-			n := len(st) - 1
-			c, b, a := st[n], st[n-1], st[n-2]
-			if c != 0 {
-				st[n-2] = a
-			} else {
-				st[n-2] = b
+			if uint32(a) == 0 {
+				fr[in.d] = b
 			}
-			st = st[:n-1]
-
-		case opLocalGet:
-			st = append(st, locals[in.imm0])
-		case opLocalSet:
-			n := len(st) - 1
-			locals[in.imm0] = st[n]
-			st = st[:n]
-		case opLocalTee:
-			locals[in.imm0] = st[len(st)-1]
 		case opGlobalGet:
-			st = append(st, inst.globals[in.imm0])
+			fr[in.d] = inst.globals[b]
 		case opGlobalSet:
-			if !inst.globmut[in.imm0] {
-				return nil, fmt.Errorf("global %d: %w", in.imm0, ErrGlobalImmutable)
-			}
-			n := len(st) - 1
-			inst.globals[in.imm0] = st[n]
-			st = st[:n]
+			inst.globals[in.d] = b
 
-		case opI32Const, opI64Const, opF32Const, opF64Const:
-			st = append(st, in.imm0)
-
-		// ---- memory ----
-		case opI32Load, opF32Load:
-			n := len(st) - 1
-			v, err := mem.load(uint64(uint32(st[n]))+in.imm0, 4)
-			if err != nil {
-				return nil, err
+		// ---- memory: the effective address is a 64-bit sum, so base +
+		// offset cannot wrap ----
+		case opI32Load, opF32Load, opI64Load32U:
+			ea := uint64(uint32(a)) + b
+			if ea+4 > uint64(len(mem)) {
+				return pc, stopOutOfBounds
 			}
-			st[n] = v
+			fr[in.d] = uint64(binary.LittleEndian.Uint32(mem[ea:]))
 		case opI64Load, opF64Load:
-			n := len(st) - 1
-			v, err := mem.load(uint64(uint32(st[n]))+in.imm0, 8)
-			if err != nil {
-				return nil, err
+			ea := uint64(uint32(a)) + b
+			if ea+8 > uint64(len(mem)) {
+				return pc, stopOutOfBounds
 			}
-			st[n] = v
+			fr[in.d] = binary.LittleEndian.Uint64(mem[ea:])
+		case opI32Load8U, opI64Load8U:
+			ea := uint64(uint32(a)) + b
+			if ea >= uint64(len(mem)) {
+				return pc, stopOutOfBounds
+			}
+			fr[in.d] = uint64(mem[ea])
 		case opI32Load8S:
-			n := len(st) - 1
-			v, err := mem.load(uint64(uint32(st[n]))+in.imm0, 1)
-			if err != nil {
-				return nil, err
+			ea := uint64(uint32(a)) + b
+			if ea >= uint64(len(mem)) {
+				return pc, stopOutOfBounds
 			}
-			st[n] = uint64(uint32(int32(int8(v))))
-		case opI32Load8U:
-			n := len(st) - 1
-			v, err := mem.load(uint64(uint32(st[n]))+in.imm0, 1)
-			if err != nil {
-				return nil, err
-			}
-			st[n] = v
-		case opI32Load16S:
-			n := len(st) - 1
-			v, err := mem.load(uint64(uint32(st[n]))+in.imm0, 2)
-			if err != nil {
-				return nil, err
-			}
-			st[n] = uint64(uint32(int32(int16(v))))
-		case opI32Load16U:
-			n := len(st) - 1
-			v, err := mem.load(uint64(uint32(st[n]))+in.imm0, 2)
-			if err != nil {
-				return nil, err
-			}
-			st[n] = v
+			fr[in.d] = uint64(uint32(int8(mem[ea])))
 		case opI64Load8S:
-			n := len(st) - 1
-			v, err := mem.load(uint64(uint32(st[n]))+in.imm0, 1)
-			if err != nil {
-				return nil, err
+			ea := uint64(uint32(a)) + b
+			if ea >= uint64(len(mem)) {
+				return pc, stopOutOfBounds
 			}
-			st[n] = uint64(int64(int8(v)))
-		case opI64Load8U:
-			n := len(st) - 1
-			v, err := mem.load(uint64(uint32(st[n]))+in.imm0, 1)
-			if err != nil {
-				return nil, err
+			fr[in.d] = uint64(int8(mem[ea]))
+		case opI32Load16U, opI64Load16U:
+			ea := uint64(uint32(a)) + b
+			if ea+2 > uint64(len(mem)) {
+				return pc, stopOutOfBounds
 			}
-			st[n] = v
+			fr[in.d] = uint64(binary.LittleEndian.Uint16(mem[ea:]))
+		case opI32Load16S:
+			ea := uint64(uint32(a)) + b
+			if ea+2 > uint64(len(mem)) {
+				return pc, stopOutOfBounds
+			}
+			fr[in.d] = uint64(uint32(int16(binary.LittleEndian.Uint16(mem[ea:]))))
 		case opI64Load16S:
-			n := len(st) - 1
-			v, err := mem.load(uint64(uint32(st[n]))+in.imm0, 2)
-			if err != nil {
-				return nil, err
+			ea := uint64(uint32(a)) + b
+			if ea+2 > uint64(len(mem)) {
+				return pc, stopOutOfBounds
 			}
-			st[n] = uint64(int64(int16(v)))
-		case opI64Load16U:
-			n := len(st) - 1
-			v, err := mem.load(uint64(uint32(st[n]))+in.imm0, 2)
-			if err != nil {
-				return nil, err
-			}
-			st[n] = v
+			fr[in.d] = uint64(int16(binary.LittleEndian.Uint16(mem[ea:])))
 		case opI64Load32S:
-			n := len(st) - 1
-			v, err := mem.load(uint64(uint32(st[n]))+in.imm0, 4)
-			if err != nil {
-				return nil, err
+			ea := uint64(uint32(a)) + b
+			if ea+4 > uint64(len(mem)) {
+				return pc, stopOutOfBounds
 			}
-			st[n] = uint64(int64(int32(v)))
-		case opI64Load32U:
-			n := len(st) - 1
-			v, err := mem.load(uint64(uint32(st[n]))+in.imm0, 4)
-			if err != nil {
-				return nil, err
-			}
-			st[n] = v
+			fr[in.d] = uint64(int32(binary.LittleEndian.Uint32(mem[ea:])))
 
-		case opI32Store, opF32Store:
-			n := len(st) - 1
-			if err := mem.store(uint64(uint32(st[n-1]))+in.imm0, 4, st[n]); err != nil {
-				return nil, err
+		case opI32Store, opF32Store, opI64Store32:
+			ea := uint64(uint32(a)) + uint64(in.d)
+			if ea+4 > uint64(len(mem)) {
+				return pc, stopOutOfBounds
 			}
-			st = st[:n-1]
+			binary.LittleEndian.PutUint32(mem[ea:], uint32(b))
 		case opI64Store, opF64Store:
-			n := len(st) - 1
-			if err := mem.store(uint64(uint32(st[n-1]))+in.imm0, 8, st[n]); err != nil {
-				return nil, err
+			ea := uint64(uint32(a)) + uint64(in.d)
+			if ea+8 > uint64(len(mem)) {
+				return pc, stopOutOfBounds
 			}
-			st = st[:n-1]
+			binary.LittleEndian.PutUint64(mem[ea:], b)
 		case opI32Store8, opI64Store8:
-			n := len(st) - 1
-			if err := mem.store(uint64(uint32(st[n-1]))+in.imm0, 1, st[n]); err != nil {
-				return nil, err
+			ea := uint64(uint32(a)) + uint64(in.d)
+			if ea >= uint64(len(mem)) {
+				return pc, stopOutOfBounds
 			}
-			st = st[:n-1]
+			mem[ea] = byte(b)
 		case opI32Store16, opI64Store16:
-			n := len(st) - 1
-			if err := mem.store(uint64(uint32(st[n-1]))+in.imm0, 2, st[n]); err != nil {
-				return nil, err
+			ea := uint64(uint32(a)) + uint64(in.d)
+			if ea+2 > uint64(len(mem)) {
+				return pc, stopOutOfBounds
 			}
-			st = st[:n-1]
-		case opI64Store32:
-			n := len(st) - 1
-			if err := mem.store(uint64(uint32(st[n-1]))+in.imm0, 4, st[n]); err != nil {
-				return nil, err
-			}
-			st = st[:n-1]
+			binary.LittleEndian.PutUint16(mem[ea:], uint16(b))
 
 		case opMemorySize:
-			st = append(st, uint64(mem.Pages()))
-		case opMemoryGrow:
-			n := len(st) - 1
-			st[n] = uint64(uint32(mem.Grow(uint32(st[n]))))
-		case opMemoryCopySyn:
-			n := len(st) - 1
-			cnt, src, dst := st[n], st[n-1], st[n-2]
-			st = st[:n-2]
-			if err := mem.copyWithin(uint64(uint32(dst)), uint64(uint32(src)), uint64(uint32(cnt))); err != nil {
-				return nil, err
-			}
-		case opMemoryFillSyn:
-			n := len(st) - 1
-			cnt, val, dst := st[n], st[n-1], st[n-2]
-			st = st[:n-2]
-			if err := mem.fill(uint64(uint32(dst)), uint64(uint32(cnt)), byte(val)); err != nil {
-				return nil, err
-			}
+			fr[in.d] = uint64(len(mem) / PageSize)
 
-		// ---- i32 compare ----
+		// ---- compare family: see instr.cmp ----
+		case opNez:
+			pc = in.cmp(fr, pc, uint32(b) != 0)
 		case opI32Eqz:
-			n := len(st) - 1
-			st[n] = b2u(uint32(st[n]) == 0)
+			pc = in.cmp(fr, pc, uint32(b) == 0)
 		case opI32Eq:
-			st = cmp32(st, func(a, b uint32) bool { return a == b })
+			pc = in.cmp(fr, pc, uint32(a) == uint32(b))
 		case opI32Ne:
-			st = cmp32(st, func(a, b uint32) bool { return a != b })
+			pc = in.cmp(fr, pc, uint32(a) != uint32(b))
 		case opI32LtS:
-			st = cmp32(st, func(a, b uint32) bool { return int32(a) < int32(b) })
+			pc = in.cmp(fr, pc, int32(a) < int32(b))
 		case opI32LtU:
-			st = cmp32(st, func(a, b uint32) bool { return a < b })
+			pc = in.cmp(fr, pc, uint32(a) < uint32(b))
 		case opI32GtS:
-			st = cmp32(st, func(a, b uint32) bool { return int32(a) > int32(b) })
+			pc = in.cmp(fr, pc, int32(a) > int32(b))
 		case opI32GtU:
-			st = cmp32(st, func(a, b uint32) bool { return a > b })
+			pc = in.cmp(fr, pc, uint32(a) > uint32(b))
 		case opI32LeS:
-			st = cmp32(st, func(a, b uint32) bool { return int32(a) <= int32(b) })
+			pc = in.cmp(fr, pc, int32(a) <= int32(b))
 		case opI32LeU:
-			st = cmp32(st, func(a, b uint32) bool { return a <= b })
+			pc = in.cmp(fr, pc, uint32(a) <= uint32(b))
 		case opI32GeS:
-			st = cmp32(st, func(a, b uint32) bool { return int32(a) >= int32(b) })
+			pc = in.cmp(fr, pc, int32(a) >= int32(b))
 		case opI32GeU:
-			st = cmp32(st, func(a, b uint32) bool { return a >= b })
-
-		// ---- i64 compare ----
+			pc = in.cmp(fr, pc, uint32(a) >= uint32(b))
 		case opI64Eqz:
-			n := len(st) - 1
-			st[n] = b2u(st[n] == 0)
+			pc = in.cmp(fr, pc, b == 0)
 		case opI64Eq:
-			st = cmp64(st, func(a, b uint64) bool { return a == b })
+			pc = in.cmp(fr, pc, a == b)
 		case opI64Ne:
-			st = cmp64(st, func(a, b uint64) bool { return a != b })
+			pc = in.cmp(fr, pc, a != b)
 		case opI64LtS:
-			st = cmp64(st, func(a, b uint64) bool { return int64(a) < int64(b) })
+			pc = in.cmp(fr, pc, int64(a) < int64(b))
 		case opI64LtU:
-			st = cmp64(st, func(a, b uint64) bool { return a < b })
+			pc = in.cmp(fr, pc, a < b)
 		case opI64GtS:
-			st = cmp64(st, func(a, b uint64) bool { return int64(a) > int64(b) })
+			pc = in.cmp(fr, pc, int64(a) > int64(b))
 		case opI64GtU:
-			st = cmp64(st, func(a, b uint64) bool { return a > b })
+			pc = in.cmp(fr, pc, a > b)
 		case opI64LeS:
-			st = cmp64(st, func(a, b uint64) bool { return int64(a) <= int64(b) })
+			pc = in.cmp(fr, pc, int64(a) <= int64(b))
 		case opI64LeU:
-			st = cmp64(st, func(a, b uint64) bool { return a <= b })
+			pc = in.cmp(fr, pc, a <= b)
 		case opI64GeS:
-			st = cmp64(st, func(a, b uint64) bool { return int64(a) >= int64(b) })
+			pc = in.cmp(fr, pc, int64(a) >= int64(b))
 		case opI64GeU:
-			st = cmp64(st, func(a, b uint64) bool { return a >= b })
-
-		// ---- f32/f64 compare ----
-		case opF32Eq:
-			st = cmpF32(st, func(a, b float32) bool { return a == b })
-		case opF32Ne:
-			st = cmpF32(st, func(a, b float32) bool { return a != b })
-		case opF32Lt:
-			st = cmpF32(st, func(a, b float32) bool { return a < b })
-		case opF32Gt:
-			st = cmpF32(st, func(a, b float32) bool { return a > b })
-		case opF32Le:
-			st = cmpF32(st, func(a, b float32) bool { return a <= b })
-		case opF32Ge:
-			st = cmpF32(st, func(a, b float32) bool { return a >= b })
-		case opF64Eq:
-			st = cmpF64(st, func(a, b float64) bool { return a == b })
-		case opF64Ne:
-			st = cmpF64(st, func(a, b float64) bool { return a != b })
-		case opF64Lt:
-			st = cmpF64(st, func(a, b float64) bool { return a < b })
-		case opF64Gt:
-			st = cmpF64(st, func(a, b float64) bool { return a > b })
-		case opF64Le:
-			st = cmpF64(st, func(a, b float64) bool { return a <= b })
-		case opF64Ge:
-			st = cmpF64(st, func(a, b float64) bool { return a >= b })
+			pc = in.cmp(fr, pc, a >= b)
 
 		// ---- i32 arithmetic ----
 		case opI32Clz:
-			n := len(st) - 1
-			st[n] = uint64(bits.LeadingZeros32(uint32(st[n])))
+			fr[in.d] = uint64(bits.LeadingZeros32(uint32(b)))
 		case opI32Ctz:
-			n := len(st) - 1
-			st[n] = uint64(bits.TrailingZeros32(uint32(st[n])))
-		case opI32Popcnt:
-			n := len(st) - 1
-			st[n] = uint64(bits.OnesCount32(uint32(st[n])))
+			fr[in.d] = uint64(bits.TrailingZeros32(uint32(b)))
 		case opI32Add:
-			st = bin32(st, func(a, b uint32) uint32 { return a + b })
+			fr[in.d] = uint64(uint32(a) + uint32(b))
 		case opI32Sub:
-			st = bin32(st, func(a, b uint32) uint32 { return a - b })
+			fr[in.d] = uint64(uint32(a) - uint32(b))
 		case opI32Mul:
-			st = bin32(st, func(a, b uint32) uint32 { return a * b })
+			fr[in.d] = uint64(uint32(a) * uint32(b))
 		case opI32DivS:
-			n := len(st) - 1
-			a, b := int32(st[n-1]), int32(st[n])
-			if b == 0 {
-				return nil, TrapDivByZero
+			x, y := int32(a), int32(b)
+			if y == 0 {
+				return pc, stopDivByZero
 			}
-			if a == math.MinInt32 && b == -1 {
-				return nil, TrapIntegerOverflow
+			if x == math.MinInt32 && y == -1 {
+				return pc, stopIntegerOverflow
 			}
-			st[n-1] = uint64(uint32(a / b))
-			st = st[:n]
+			fr[in.d] = uint64(uint32(x / y))
 		case opI32DivU:
-			n := len(st) - 1
-			a, b := uint32(st[n-1]), uint32(st[n])
-			if b == 0 {
-				return nil, TrapDivByZero
+			if uint32(b) == 0 {
+				return pc, stopDivByZero
 			}
-			st[n-1] = uint64(a / b)
-			st = st[:n]
+			fr[in.d] = uint64(uint32(a) / uint32(b))
 		case opI32RemS:
-			n := len(st) - 1
-			a, b := int32(st[n-1]), int32(st[n])
-			if b == 0 {
-				return nil, TrapDivByZero
+			x, y := int32(a), int32(b)
+			if y == 0 {
+				return pc, stopDivByZero
 			}
-			if a == math.MinInt32 && b == -1 {
-				st[n-1] = 0
-			} else {
-				st[n-1] = uint64(uint32(a % b))
-			}
-			st = st[:n]
+			fr[in.d] = uint64(uint32(x % y)) // MinInt32 % -1 is 0 in Go as in Wasm
 		case opI32RemU:
-			n := len(st) - 1
-			a, b := uint32(st[n-1]), uint32(st[n])
-			if b == 0 {
-				return nil, TrapDivByZero
+			if uint32(b) == 0 {
+				return pc, stopDivByZero
 			}
-			st[n-1] = uint64(a % b)
-			st = st[:n]
+			fr[in.d] = uint64(uint32(a) % uint32(b))
 		case opI32And:
-			st = bin32(st, func(a, b uint32) uint32 { return a & b })
+			fr[in.d] = uint64(uint32(a) & uint32(b))
 		case opI32Or:
-			st = bin32(st, func(a, b uint32) uint32 { return a | b })
+			fr[in.d] = uint64(uint32(a) | uint32(b))
 		case opI32Xor:
-			st = bin32(st, func(a, b uint32) uint32 { return a ^ b })
+			fr[in.d] = uint64(uint32(a) ^ uint32(b))
 		case opI32Shl:
-			st = bin32(st, func(a, b uint32) uint32 { return a << (b & 31) })
+			fr[in.d] = uint64(uint32(a) << (b & 31))
 		case opI32ShrS:
-			st = bin32(st, func(a, b uint32) uint32 { return uint32(int32(a) >> (b & 31)) })
+			fr[in.d] = uint64(uint32(int32(a) >> (b & 31)))
 		case opI32ShrU:
-			st = bin32(st, func(a, b uint32) uint32 { return a >> (b & 31) })
+			fr[in.d] = uint64(uint32(a) >> (b & 31))
 		case opI32Rotl:
-			st = bin32(st, func(a, b uint32) uint32 { return bits.RotateLeft32(a, int(b&31)) })
+			fr[in.d] = uint64(bits.RotateLeft32(uint32(a), int(b&31)))
 		case opI32Rotr:
-			st = bin32(st, func(a, b uint32) uint32 { return bits.RotateLeft32(a, -int(b&31)) })
+			fr[in.d] = uint64(bits.RotateLeft32(uint32(a), -int(b&31)))
 
 		// ---- i64 arithmetic ----
 		case opI64Clz:
-			n := len(st) - 1
-			st[n] = uint64(bits.LeadingZeros64(st[n]))
+			fr[in.d] = uint64(bits.LeadingZeros64(b))
 		case opI64Ctz:
-			n := len(st) - 1
-			st[n] = uint64(bits.TrailingZeros64(st[n]))
-		case opI64Popcnt:
-			n := len(st) - 1
-			st[n] = uint64(bits.OnesCount64(st[n]))
+			fr[in.d] = uint64(bits.TrailingZeros64(b))
 		case opI64Add:
-			st = bin64(st, func(a, b uint64) uint64 { return a + b })
+			fr[in.d] = a + b
 		case opI64Sub:
-			st = bin64(st, func(a, b uint64) uint64 { return a - b })
+			fr[in.d] = a - b
 		case opI64Mul:
-			st = bin64(st, func(a, b uint64) uint64 { return a * b })
+			fr[in.d] = a * b
 		case opI64DivS:
-			n := len(st) - 1
-			a, b := int64(st[n-1]), int64(st[n])
-			if b == 0 {
-				return nil, TrapDivByZero
+			x, y := int64(a), int64(b)
+			if y == 0 {
+				return pc, stopDivByZero
 			}
-			if a == math.MinInt64 && b == -1 {
-				return nil, TrapIntegerOverflow
+			if x == math.MinInt64 && y == -1 {
+				return pc, stopIntegerOverflow
 			}
-			st[n-1] = uint64(a / b)
-			st = st[:n]
+			fr[in.d] = uint64(x / y)
 		case opI64DivU:
-			n := len(st) - 1
-			if st[n] == 0 {
-				return nil, TrapDivByZero
-			}
-			st[n-1] = st[n-1] / st[n]
-			st = st[:n]
-		case opI64RemS:
-			n := len(st) - 1
-			a, b := int64(st[n-1]), int64(st[n])
 			if b == 0 {
-				return nil, TrapDivByZero
+				return pc, stopDivByZero
 			}
-			if a == math.MinInt64 && b == -1 {
-				st[n-1] = 0
-			} else {
-				st[n-1] = uint64(a % b)
+			fr[in.d] = a / b
+		case opI64RemS:
+			x, y := int64(a), int64(b)
+			if y == 0 {
+				return pc, stopDivByZero
 			}
-			st = st[:n]
+			fr[in.d] = uint64(x % y)
 		case opI64RemU:
-			n := len(st) - 1
-			if st[n] == 0 {
-				return nil, TrapDivByZero
+			if b == 0 {
+				return pc, stopDivByZero
 			}
-			st[n-1] = st[n-1] % st[n]
-			st = st[:n]
+			fr[in.d] = a % b
 		case opI64And:
-			st = bin64(st, func(a, b uint64) uint64 { return a & b })
+			fr[in.d] = a & b
 		case opI64Or:
-			st = bin64(st, func(a, b uint64) uint64 { return a | b })
+			fr[in.d] = a | b
 		case opI64Xor:
-			st = bin64(st, func(a, b uint64) uint64 { return a ^ b })
+			fr[in.d] = a ^ b
 		case opI64Shl:
-			st = bin64(st, func(a, b uint64) uint64 { return a << (b & 63) })
+			fr[in.d] = a << (b & 63)
 		case opI64ShrS:
-			st = bin64(st, func(a, b uint64) uint64 { return uint64(int64(a) >> (b & 63)) })
+			fr[in.d] = uint64(int64(a) >> (b & 63))
 		case opI64ShrU:
-			st = bin64(st, func(a, b uint64) uint64 { return a >> (b & 63) })
+			fr[in.d] = a >> (b & 63)
 		case opI64Rotl:
-			st = bin64(st, func(a, b uint64) uint64 { return bits.RotateLeft64(a, int(b&63)) })
+			fr[in.d] = bits.RotateLeft64(a, int(b&63))
 		case opI64Rotr:
-			st = bin64(st, func(a, b uint64) uint64 { return bits.RotateLeft64(a, -int(b&63)) })
+			fr[in.d] = bits.RotateLeft64(a, -int(b&63))
 
-		// ---- f32 arithmetic ----
-		case opF32Abs:
-			st = un32f(st, func(v float32) float32 { return float32(math.Abs(float64(v))) })
-		case opF32Neg:
-			n := len(st) - 1
-			st[n] = uint64(uint32(st[n]) ^ 0x8000_0000)
-		case opF32Ceil:
-			st = un32f(st, func(v float32) float32 { return float32(math.Ceil(float64(v))) })
-		case opF32Floor:
-			st = un32f(st, func(v float32) float32 { return float32(math.Floor(float64(v))) })
-		case opF32Trunc:
-			st = un32f(st, func(v float32) float32 { return float32(math.Trunc(float64(v))) })
-		case opF32Nearest:
-			st = un32f(st, func(v float32) float32 { return float32(math.RoundToEven(float64(v))) })
-		case opF32Sqrt:
-			st = un32f(st, func(v float32) float32 { return float32(math.Sqrt(float64(v))) })
-		case opF32Add:
-			st = bin32f(st, func(a, b float32) float32 { return a + b })
-		case opF32Sub:
-			st = bin32f(st, func(a, b float32) float32 { return a - b })
-		case opF32Mul:
-			st = bin32f(st, func(a, b float32) float32 { return a * b })
-		case opF32Div:
-			st = bin32f(st, func(a, b float32) float32 { return a / b })
-		case opF32Min:
-			st = bin32f(st, func(a, b float32) float32 { return float32(math.Min(float64(a), float64(b))) })
-		case opF32Max:
-			st = bin32f(st, func(a, b float32) float32 { return float32(math.Max(float64(a), float64(b))) })
-		case opF32Copysign:
-			st = bin32f(st, func(a, b float32) float32 { return float32(math.Copysign(float64(a), float64(b))) })
-
-		// ---- f64 arithmetic ----
-		case opF64Abs:
-			st = un64f(st, math.Abs)
-		case opF64Neg:
-			n := len(st) - 1
-			st[n] ^= 0x8000_0000_0000_0000
-		case opF64Ceil:
-			st = un64f(st, math.Ceil)
-		case opF64Floor:
-			st = un64f(st, math.Floor)
-		case opF64Trunc:
-			st = un64f(st, math.Trunc)
-		case opF64Nearest:
-			st = un64f(st, math.RoundToEven)
-		case opF64Sqrt:
-			st = un64f(st, math.Sqrt)
-		case opF64Add:
-			st = bin64f(st, func(a, b float64) float64 { return a + b })
-		case opF64Sub:
-			st = bin64f(st, func(a, b float64) float64 { return a - b })
-		case opF64Mul:
-			st = bin64f(st, func(a, b float64) float64 { return a * b })
-		case opF64Div:
-			st = bin64f(st, func(a, b float64) float64 { return a / b })
-		case opF64Min:
-			st = bin64f(st, math.Min)
-		case opF64Max:
-			st = bin64f(st, math.Max)
-		case opF64Copysign:
-			st = bin64f(st, math.Copysign)
-
-		// ---- conversions ----
-		case opI32WrapI64:
-			n := len(st) - 1
-			st[n] = uint64(uint32(st[n]))
-		case opI32TruncF32S:
-			n := len(st) - 1
-			v, err := truncS32(float64(math.Float32frombits(uint32(st[n]))))
-			if err != nil {
-				return nil, err
-			}
-			st[n] = v
-		case opI32TruncF32U:
-			n := len(st) - 1
-			v, err := truncU32(float64(math.Float32frombits(uint32(st[n]))))
-			if err != nil {
-				return nil, err
-			}
-			st[n] = v
-		case opI32TruncF64S:
-			n := len(st) - 1
-			v, err := truncS32(math.Float64frombits(st[n]))
-			if err != nil {
-				return nil, err
-			}
-			st[n] = v
-		case opI32TruncF64U:
-			n := len(st) - 1
-			v, err := truncU32(math.Float64frombits(st[n]))
-			if err != nil {
-				return nil, err
-			}
-			st[n] = v
-		case opI64ExtendI32S:
-			n := len(st) - 1
-			st[n] = uint64(int64(int32(st[n])))
-		case opI64ExtendI32U:
-			n := len(st) - 1
-			st[n] = uint64(uint32(st[n]))
-		case opI64TruncF32S:
-			n := len(st) - 1
-			v, err := truncS64(float64(math.Float32frombits(uint32(st[n]))))
-			if err != nil {
-				return nil, err
-			}
-			st[n] = v
-		case opI64TruncF32U:
-			n := len(st) - 1
-			v, err := truncU64(float64(math.Float32frombits(uint32(st[n]))))
-			if err != nil {
-				return nil, err
-			}
-			st[n] = v
-		case opI64TruncF64S:
-			n := len(st) - 1
-			v, err := truncS64(math.Float64frombits(st[n]))
-			if err != nil {
-				return nil, err
-			}
-			st[n] = v
-		case opI64TruncF64U:
-			n := len(st) - 1
-			v, err := truncU64(math.Float64frombits(st[n]))
-			if err != nil {
-				return nil, err
-			}
-			st[n] = v
-		case opF32ConvertI32S:
-			n := len(st) - 1
-			st[n] = uint64(math.Float32bits(float32(int32(st[n]))))
-		case opF32ConvertI32U:
-			n := len(st) - 1
-			st[n] = uint64(math.Float32bits(float32(uint32(st[n]))))
-		case opF32ConvertI64S:
-			n := len(st) - 1
-			st[n] = uint64(math.Float32bits(float32(int64(st[n]))))
-		case opF32ConvertI64U:
-			n := len(st) - 1
-			st[n] = uint64(math.Float32bits(float32(st[n])))
-		case opF32DemoteF64:
-			n := len(st) - 1
-			st[n] = uint64(math.Float32bits(float32(math.Float64frombits(st[n]))))
-		case opF64ConvertI32S:
-			n := len(st) - 1
-			st[n] = math.Float64bits(float64(int32(st[n])))
-		case opF64ConvertI32U:
-			n := len(st) - 1
-			st[n] = math.Float64bits(float64(uint32(st[n])))
-		case opF64ConvertI64S:
-			n := len(st) - 1
-			st[n] = math.Float64bits(float64(int64(st[n])))
-		case opF64ConvertI64U:
-			n := len(st) - 1
-			st[n] = math.Float64bits(float64(st[n]))
-		case opF64PromoteF32:
-			n := len(st) - 1
-			st[n] = math.Float64bits(float64(math.Float32frombits(uint32(st[n]))))
-		case opI32ReinterpretF, opI64ReinterpretF, opF32ReinterpretI, opF64ReinterpretI:
-			// Bit-identical in this representation.
-
+		// ---- integer width changes ----
+		case opI32WrapI64, opI64ExtendI32U:
+			fr[in.d] = uint64(uint32(b))
+		case opI64ExtendI32S, opI64Extend32S:
+			fr[in.d] = uint64(int64(int32(b)))
 		case opI32Extend8S:
-			n := len(st) - 1
-			st[n] = uint64(uint32(int32(int8(st[n]))))
+			fr[in.d] = uint64(uint32(int8(b)))
 		case opI32Extend16S:
-			n := len(st) - 1
-			st[n] = uint64(uint32(int32(int16(st[n]))))
+			fr[in.d] = uint64(uint32(int16(b)))
 		case opI64Extend8S:
-			n := len(st) - 1
-			st[n] = uint64(int64(int8(st[n])))
+			fr[in.d] = uint64(int8(b))
 		case opI64Extend16S:
-			n := len(st) - 1
-			st[n] = uint64(int64(int16(st[n])))
-		case opI64Extend32S:
-			n := len(st) - 1
-			st[n] = uint64(int64(int32(st[n])))
+			fr[in.d] = uint64(int16(b))
 
 		default:
-			return nil, fmt.Errorf("exec opcode 0x%02x: %w", in.op, ErrUnsupported)
+			return pc, stopOutOfLine
 		}
 	}
-	return returnResults()
 }
 
-// branch unwinds to the label at the given relative depth. A depth that
-// reaches past the outermost explicit label targets the implicit function
-// label: the caller returns the function's results (signaled via non-nil
-// error sentinel errFunctionBranch).
-func (inst *Instance) branch(depth int, labels []execLabel, st []uint64, cf *compiledFunc) (int, []execLabel, []uint64, error) {
-	idx := len(labels) - 1 - depth
-	if idx < 0 {
-		// Branch to the function label: behave like return.
-		return 0, labels, st, errFunctionBranch
-	}
-	l := labels[idx]
-	// Carry the label's arity values, discard everything above its entry
-	// height.
-	copy(st[l.stackH:], st[len(st)-l.arity:])
-	st = st[:l.stackH+l.arity]
-	labels = labels[:idx]
-	// contPC is the instruction index to execute next; the main loop will
-	// pc++ after this, so step back by one.
-	return l.contPC - 1, labels, st, nil
-}
+// numeric evaluates the instructions kept out of run that compute one value
+// from a and b: floating point, the conversions, popcnt. A float comparison
+// yields its boolean as 0 or 1. Besides calling into package math, several
+// compile to a CPU-feature check (math.Floor, bits.OnesCount) that the
+// compiler would hoist into run's loop head.
+func numeric(op byte, a, b uint64) (uint64, error) {
+	switch op {
+	case opI32Popcnt:
+		return uint64(bits.OnesCount32(uint32(b))), nil
+	case opI64Popcnt:
+		return uint64(bits.OnesCount64(b)), nil
 
-var errFunctionBranch = fmt.Errorf("wasm: branch to function label")
+	// ---- f32/f64 compare ----
+	case opF32Eq:
+		return b2u(f32(a) == f32(b)), nil
+	case opF32Ne:
+		return b2u(f32(a) != f32(b)), nil
+	case opF32Lt:
+		return b2u(f32(a) < f32(b)), nil
+	case opF32Gt:
+		return b2u(f32(a) > f32(b)), nil
+	case opF32Le:
+		return b2u(f32(a) <= f32(b)), nil
+	case opF32Ge:
+		return b2u(f32(a) >= f32(b)), nil
+	case opF64Eq:
+		return b2u(f64(a) == f64(b)), nil
+	case opF64Ne:
+		return b2u(f64(a) != f64(b)), nil
+	case opF64Lt:
+		return b2u(f64(a) < f64(b)), nil
+	case opF64Gt:
+		return b2u(f64(a) > f64(b)), nil
+	case opF64Le:
+		return b2u(f64(a) <= f64(b)), nil
+	case opF64Ge:
+		return b2u(f64(a) >= f64(b)), nil
 
-func (inst *Instance) doCall(fi uint32, st []uint64, depth int) ([]uint64, error) {
-	f := &inst.funcs[fi]
-	nArgs := len(f.typ.Params)
-	if len(st) < nArgs {
-		return nil, TrapStackUnderflow
+	// ---- f32 arithmetic ----
+	case opF32Abs:
+		return uint64(uint32(b) &^ 0x8000_0000), nil
+	case opF32Neg:
+		return uint64(uint32(b) ^ 0x8000_0000), nil
+	case opF32Ceil:
+		return u32(float32(math.Ceil(float64(f32(b))))), nil
+	case opF32Floor:
+		return u32(float32(math.Floor(float64(f32(b))))), nil
+	case opF32Trunc:
+		return u32(float32(math.Trunc(float64(f32(b))))), nil
+	case opF32Nearest:
+		return u32(float32(math.RoundToEven(float64(f32(b))))), nil
+	case opF32Sqrt:
+		return u32(float32(math.Sqrt(float64(f32(b))))), nil
+	case opF32Add:
+		return u32(f32(a) + f32(b)), nil
+	case opF32Sub:
+		return u32(f32(a) - f32(b)), nil
+	case opF32Mul:
+		return u32(f32(a) * f32(b)), nil
+	case opF32Div:
+		return u32(f32(a) / f32(b)), nil
+	case opF32Min:
+		return u32(float32(math.Min(float64(f32(a)), float64(f32(b))))), nil
+	case opF32Max:
+		return u32(float32(math.Max(float64(f32(a)), float64(f32(b))))), nil
+	case opF32Copysign:
+		return uint64(uint32(a)&^0x8000_0000 | uint32(b)&0x8000_0000), nil
+
+	// ---- f64 arithmetic ----
+	case opF64Abs:
+		return b &^ (1 << 63), nil
+	case opF64Neg:
+		return b ^ (1 << 63), nil
+	case opF64Ceil:
+		return math.Float64bits(math.Ceil(f64(b))), nil
+	case opF64Floor:
+		return math.Float64bits(math.Floor(f64(b))), nil
+	case opF64Trunc:
+		return math.Float64bits(math.Trunc(f64(b))), nil
+	case opF64Nearest:
+		return math.Float64bits(math.RoundToEven(f64(b))), nil
+	case opF64Sqrt:
+		return math.Float64bits(math.Sqrt(f64(b))), nil
+	case opF64Add:
+		return math.Float64bits(f64(a) + f64(b)), nil
+	case opF64Sub:
+		return math.Float64bits(f64(a) - f64(b)), nil
+	case opF64Mul:
+		return math.Float64bits(f64(a) * f64(b)), nil
+	case opF64Div:
+		return math.Float64bits(f64(a) / f64(b)), nil
+	case opF64Min:
+		return math.Float64bits(math.Min(f64(a), f64(b))), nil
+	case opF64Max:
+		return math.Float64bits(math.Max(f64(a), f64(b))), nil
+	case opF64Copysign:
+		return a&^(1<<63) | b&(1<<63), nil
+
+	// ---- conversions ----
+	case opI32TruncF32S, opI32TruncF32U, opI32TruncF64S, opI32TruncF64U,
+		opI64TruncF32S, opI64TruncF32U, opI64TruncF64S, opI64TruncF64U:
+		return truncate(op, b)
+	case opF32ConvertI32S:
+		return u32(float32(int32(b))), nil
+	case opF32ConvertI32U:
+		return u32(float32(uint32(b))), nil
+	case opF32ConvertI64S:
+		return u32(float32(int64(b))), nil
+	case opF32ConvertI64U:
+		return u32(float32(b)), nil
+	case opF32DemoteF64:
+		return u32(float32(f64(b))), nil
+	case opF64ConvertI32S:
+		return math.Float64bits(float64(int32(b))), nil
+	case opF64ConvertI32U:
+		return math.Float64bits(float64(uint32(b))), nil
+	case opF64ConvertI64S:
+		return math.Float64bits(float64(int64(b))), nil
+	case opF64ConvertI64U:
+		return math.Float64bits(float64(b)), nil
+	case opF64PromoteF32:
+		return math.Float64bits(float64(f32(b))), nil
+	default:
+		return 0, fmt.Errorf("exec opcode 0x%02x: %w", op, ErrUnsupported)
 	}
-	// The callee's arguments are the top of this frame's stack, in place:
-	// invoke copies them into the callee frame (or a host scratch) before
-	// anything can overwrite them.
-	args := st[len(st)-nArgs:]
-	st = st[:len(st)-nArgs]
-	results, err := inst.invoke(fi, args, depth+1)
-	if err != nil {
-		return nil, fmt.Errorf("call %s: %w", f.name, err)
-	}
-	return append(st, results...), nil
 }
 
 func b2u(b bool) uint64 {
@@ -815,107 +606,37 @@ func b2u(b bool) uint64 {
 	return 0
 }
 
-func bin32(st []uint64, f func(a, b uint32) uint32) []uint64 {
-	n := len(st) - 1
-	st[n-1] = uint64(f(uint32(st[n-1]), uint32(st[n])))
-	return st[:n]
-}
+func f32(v uint64) float32 { return math.Float32frombits(uint32(v)) }
+func f64(v uint64) float64 { return math.Float64frombits(v) }
+func u32(f float32) uint64 { return uint64(math.Float32bits(f)) }
 
-func bin64(st []uint64, f func(a, b uint64) uint64) []uint64 {
-	n := len(st) - 1
-	st[n-1] = f(st[n-1], st[n])
-	return st[:n]
-}
-
-func cmp32(st []uint64, f func(a, b uint32) bool) []uint64 {
-	n := len(st) - 1
-	st[n-1] = b2u(f(uint32(st[n-1]), uint32(st[n])))
-	return st[:n]
-}
-
-func cmp64(st []uint64, f func(a, b uint64) bool) []uint64 {
-	n := len(st) - 1
-	st[n-1] = b2u(f(st[n-1], st[n]))
-	return st[:n]
-}
-
-func cmpF32(st []uint64, f func(a, b float32) bool) []uint64 {
-	n := len(st) - 1
-	st[n-1] = b2u(f(math.Float32frombits(uint32(st[n-1])), math.Float32frombits(uint32(st[n]))))
-	return st[:n]
-}
-
-func cmpF64(st []uint64, f func(a, b float64) bool) []uint64 {
-	n := len(st) - 1
-	st[n-1] = b2u(f(math.Float64frombits(st[n-1]), math.Float64frombits(st[n])))
-	return st[:n]
-}
-
-func bin32f(st []uint64, f func(a, b float32) float32) []uint64 {
-	n := len(st) - 1
-	st[n-1] = uint64(math.Float32bits(f(math.Float32frombits(uint32(st[n-1])), math.Float32frombits(uint32(st[n])))))
-	return st[:n]
-}
-
-func bin64f(st []uint64, f func(a, b float64) float64) []uint64 {
-	n := len(st) - 1
-	st[n-1] = math.Float64bits(f(math.Float64frombits(st[n-1]), math.Float64frombits(st[n])))
-	return st[:n]
-}
-
-func un32f(st []uint64, f func(v float32) float32) []uint64 {
-	n := len(st) - 1
-	st[n] = uint64(math.Float32bits(f(math.Float32frombits(uint32(st[n])))))
-	return st
-}
-
-func un64f(st []uint64, f func(v float64) float64) []uint64 {
-	n := len(st) - 1
-	st[n] = math.Float64bits(f(math.Float64frombits(st[n])))
-	return st
-}
-
-func truncS32(v float64) (uint64, error) {
-	if math.IsNaN(v) {
+// truncate implements the eight trapping float-to-integer conversions: NaN
+// is an invalid conversion, a truncated value outside the target range an
+// integer overflow.
+func truncate(op byte, v uint64) (uint64, error) {
+	x := f64(v)
+	switch op {
+	case opI32TruncF32S, opI32TruncF32U, opI64TruncF32S, opI64TruncF32U:
+		x = float64(f32(v))
+	}
+	if math.IsNaN(x) {
 		return 0, TrapInvalidConv
 	}
-	t := math.Trunc(v)
-	if t < math.MinInt32 || t > math.MaxInt32 {
+	x = math.Trunc(x)
+	var ok bool
+	switch op {
+	case opI32TruncF32S, opI32TruncF64S:
+		v, ok = uint64(uint32(int32(x))), x >= math.MinInt32 && x <= math.MaxInt32
+	case opI32TruncF32U, opI32TruncF64U:
+		v, ok = uint64(uint32(x)), x >= 0 && x <= math.MaxUint32
+	case opI64TruncF32S, opI64TruncF64S:
+		// 2^63 is exactly representable; MaxInt64 is not.
+		v, ok = uint64(int64(x)), x >= math.MinInt64 && x < math.MaxInt64
+	default:
+		v, ok = uint64(x), x >= 0 && x < math.MaxUint64
+	}
+	if !ok {
 		return 0, TrapIntegerOverflow
 	}
-	return uint64(uint32(int32(t))), nil
-}
-
-func truncU32(v float64) (uint64, error) {
-	if math.IsNaN(v) {
-		return 0, TrapInvalidConv
-	}
-	t := math.Trunc(v)
-	if t < 0 || t > math.MaxUint32 {
-		return 0, TrapIntegerOverflow
-	}
-	return uint64(uint32(t)), nil
-}
-
-func truncS64(v float64) (uint64, error) {
-	if math.IsNaN(v) {
-		return 0, TrapInvalidConv
-	}
-	t := math.Trunc(v)
-	// 2^63 is exactly representable; MaxInt64 is not.
-	if t < math.MinInt64 || t >= math.MaxInt64 {
-		return 0, TrapIntegerOverflow
-	}
-	return uint64(int64(t)), nil
-}
-
-func truncU64(v float64) (uint64, error) {
-	if math.IsNaN(v) {
-		return 0, TrapInvalidConv
-	}
-	t := math.Trunc(v)
-	if t < 0 || t >= math.MaxUint64 {
-		return 0, TrapIntegerOverflow
-	}
-	return uint64(t), nil
+	return v, nil
 }

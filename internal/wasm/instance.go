@@ -7,11 +7,10 @@ import (
 
 // Instantiation errors.
 var (
-	ErrNoSuchExport    = errors.New("wasm: no such export")
-	ErrImportMissing   = errors.New("wasm: unresolved import")
-	ErrImportType      = errors.New("wasm: import signature mismatch")
-	ErrDataOutOfRange  = errors.New("wasm: data segment out of range")
-	ErrGlobalImmutable = errors.New("wasm: assignment to immutable global")
+	ErrNoSuchExport   = errors.New("wasm: no such export")
+	ErrImportMissing  = errors.New("wasm: unresolved import")
+	ErrImportType     = errors.New("wasm: import signature mismatch")
+	ErrDataOutOfRange = errors.New("wasm: data segment out of range")
 )
 
 // HostContext is passed to host functions, giving them mediated access to
@@ -48,13 +47,12 @@ func (im Imports) Add(module, name string, f HostFunc) {
 	mod[name] = f
 }
 
-// function is one callable unit: either a compiled Wasm body or a host
-// function.
+// function is one callable unit: either a Wasm body, compiled with its
+// module and shared with its other instances, or a host function.
 type function struct {
 	typ  FuncType
 	cf   *compiledFunc
 	host *HostFunc
-	name string // diagnostic
 }
 
 // Config tunes instantiation.
@@ -70,24 +68,24 @@ type Config struct {
 //
 // An Instance executes one call tree at a time and is not safe for
 // concurrent Call use — callers serialize, as the shim's VM lock does. This
-// is what lets the interpreter recycle its per-depth frames (see execFrame)
-// and run warm calls without allocating.
+// is what lets the interpreter recycle its per-depth frames (see
+// Instance.frame) and run warm calls without allocating. Instances of one
+// module share its compiled code and nothing else.
 type Instance struct {
 	module   *Module
 	mem      *Memory
 	globals  []uint64
-	globmut  []bool
 	funcs    []function
 	table    []int32 // function indices; -1 = uninitialized element
 	exports  map[string]Export
 	maxDepth int
-	frames   []*execFrame // recycled interpreter frames, indexed by depth
-	hostCtx  HostContext  // reused context for host-function calls
+	frames   [][]uint64  // recycled interpreter frames, indexed by depth
+	hostCtx  HostContext // reused context for host-function calls
 }
 
-// Instantiate links a decoded module against host imports, compiles every
-// function body, initializes globals, table and data segments, and runs the
-// start function.
+// Instantiate links a decoded module against host imports, initializes
+// globals, table and data segments, and runs the start function. The
+// function bodies were compiled by Decode.
 func Instantiate(m *Module, imports Imports, cfg *Config) (*Instance, error) {
 	if cfg == nil {
 		cfg = &Config{}
@@ -113,19 +111,17 @@ func Instantiate(m *Module, imports Imports, cfg *Config) (*Instance, error) {
 				return nil, fmt.Errorf("%s.%s: have %v want %v: %w", imp.Module, imp.Name, hf.Type, want, ErrImportType)
 			}
 			f := hf
-			inst.funcs = append(inst.funcs, function{typ: want, host: &f, name: imp.Module + "." + imp.Name})
+			inst.funcs = append(inst.funcs, function{typ: want, host: &f})
 		default:
 			return nil, fmt.Errorf("import %s.%s kind %d: %w", imp.Module, imp.Name, imp.Kind, ErrUnsupported)
 		}
 	}
 
-	// Compile module-defined functions.
-	for i := range m.Codes {
-		cf, err := compileFunc(m, i)
-		if err != nil {
-			return nil, fmt.Errorf("compile func %d: %w", i, err)
-		}
-		inst.funcs = append(inst.funcs, function{typ: m.Types[cf.typeIdx], cf: cf, name: fmt.Sprintf("func[%d]", m.NumImportedFuncs+i)})
+	if len(m.code) != len(m.Codes) {
+		return nil, fmt.Errorf("module was not produced by Decode: %w", ErrMalformed)
+	}
+	for i, cf := range m.code {
+		inst.funcs = append(inst.funcs, function{typ: m.Types[m.FuncTypes[i]], cf: cf})
 	}
 
 	// Memory + data segments.
@@ -147,10 +143,8 @@ func Instantiate(m *Module, imports Imports, cfg *Config) (*Instance, error) {
 
 	// Globals.
 	inst.globals = make([]uint64, len(m.Globals))
-	inst.globmut = make([]bool, len(m.Globals))
 	for i, g := range m.Globals {
 		inst.globals[i] = g.Init
-		inst.globmut[i] = g.Mutable
 	}
 
 	// Table + element segments.
@@ -180,6 +174,23 @@ func Instantiate(m *Module, imports Imports, cfg *Config) (*Instance, error) {
 		}
 	}
 	return inst, nil
+}
+
+// funcName names function fi in a trap's call chain.
+func (inst *Instance) funcName(fi uint32) string {
+	if int(fi) >= inst.module.NumImportedFuncs {
+		return fmt.Sprintf("func[%d]", fi)
+	}
+	for _, imp := range inst.module.Imports {
+		if imp.Kind != ExternFunc {
+			continue
+		}
+		if fi == 0 {
+			return imp.Module + "." + imp.Name
+		}
+		fi--
+	}
+	return "?"
 }
 
 // Memory returns the instance's linear memory (nil when the module declares

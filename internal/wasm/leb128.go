@@ -39,6 +39,17 @@ func (r *reader) bytes(n int) ([]byte, error) {
 	return b, nil
 }
 
+// vecLen decodes the element count of a vector. Every element takes at
+// least one byte, so a count beyond the bytes that remain is malformed —
+// checked here, before any caller sizes an allocation by it.
+func (r *reader) vecLen() (uint32, error) {
+	n, err := r.u32()
+	if err == nil && int64(n) > int64(r.len()) {
+		err = fmt.Errorf("vector of %d elements in %d bytes: %w", n, r.len(), ErrMalformed)
+	}
+	return n, err
+}
+
 // u32 decodes an unsigned LEB128 value of at most 32 bits.
 func (r *reader) u32() (uint32, error) {
 	var result uint64

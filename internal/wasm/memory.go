@@ -1,9 +1,6 @@
 package wasm
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "fmt"
 
 // Memory is a WebAssembly linear memory: a contiguous, byte-addressable
 // array that can grow in 64 KiB pages (§2.1 "Linear Memory"). The host-side
@@ -93,44 +90,6 @@ func (m *Memory) WriteAt(src []byte, ptr uint32) error {
 func (m *Memory) check(ptr, n uint32) error {
 	if uint64(ptr)+uint64(n) > uint64(len(m.data)) {
 		return fmt.Errorf("memory access [%d,+%d) of %d bytes: %w", ptr, n, len(m.data), TrapOutOfBounds)
-	}
-	return nil
-}
-
-// Typed guest-side accessors used by the interpreter. ea is the effective
-// address (base + static offset) as a 64-bit sum so overflow cannot wrap.
-
-func (m *Memory) load(ea uint64, size int) (uint64, error) {
-	if ea+uint64(size) > uint64(len(m.data)) {
-		return 0, fmt.Errorf("load%d at %d of %d: %w", size*8, ea, len(m.data), TrapOutOfBounds)
-	}
-	b := m.data[ea:]
-	switch size {
-	case 1:
-		return uint64(b[0]), nil
-	case 2:
-		return uint64(binary.LittleEndian.Uint16(b)), nil
-	case 4:
-		return uint64(binary.LittleEndian.Uint32(b)), nil
-	default:
-		return binary.LittleEndian.Uint64(b), nil
-	}
-}
-
-func (m *Memory) store(ea uint64, size int, v uint64) error {
-	if ea+uint64(size) > uint64(len(m.data)) {
-		return fmt.Errorf("store%d at %d of %d: %w", size*8, ea, len(m.data), TrapOutOfBounds)
-	}
-	b := m.data[ea:]
-	switch size {
-	case 1:
-		b[0] = byte(v)
-	case 2:
-		binary.LittleEndian.PutUint16(b, uint16(v))
-	case 4:
-		binary.LittleEndian.PutUint32(b, uint32(v))
-	default:
-		binary.LittleEndian.PutUint64(b, v)
 	}
 	return nil
 }

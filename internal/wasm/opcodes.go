@@ -204,3 +204,12 @@ const (
 	opMemoryCopySyn = 0xE0 // 0xFC 10
 	opMemoryFillSyn = 0xE1 // 0xFC 11
 )
+
+// knownOpcode reports whether the immediate-free opcode is implemented.
+func knownOpcode(op byte) bool {
+	switch op {
+	case opUnreachable, opNop, opReturn, opDrop, opSelect:
+		return true
+	}
+	return op >= opI32Eqz && op <= opI64Extend32S
+}

@@ -1,8 +1,11 @@
 // Package wasm implements the WebAssembly substrate of the Roadrunner
-// reproduction: a from-scratch binary decoder, structural validator and
-// interpreter for the WebAssembly MVP (plus the sign-extension and
-// bulk-memory operations), with the linear-memory model and host-function
-// interface the paper's data-access layer builds on (§2.1, §3.1).
+// reproduction: a from-scratch binary decoder, validator and interpreter
+// for the WebAssembly MVP (plus the sign-extension and bulk-memory
+// operations), with the linear-memory model and host-function interface the
+// paper's data-access layer builds on (§2.1, §3.1). Decode validates a
+// module and compiles its function bodies once into register-form code
+// (compile.go); the instances of the module share that code and run it on
+// per-call frames (exec.go).
 //
 // The runtime deliberately exposes linear memory to the embedder the same way
 // WasmEdge does to the Roadrunner shim: a contiguous, byte-addressable region
@@ -139,7 +142,8 @@ type ElemSegment struct {
 	FuncIdxs   []uint32
 }
 
-// Module is a decoded WebAssembly module.
+// Module is a decoded WebAssembly module. It is immutable once Decode
+// returns, and any number of instances, on any goroutines, may share it.
 type Module struct {
 	Types     []FuncType
 	Imports   []Import
@@ -156,6 +160,10 @@ type Module struct {
 	// NumImportedFuncs caches the function-index offset of the first
 	// module-defined function.
 	NumImportedFuncs int
+
+	// code is the register-form body of each module-defined function,
+	// compiled once by Decode (compile.go).
+	code []*compiledFunc
 }
 
 // exportedIndex returns the export of the given kind and name.

@@ -282,7 +282,7 @@ func (v *validator) step(op byte, r *reader, hasMemory bool, globalTypes []ValTy
 		}
 		v.pushVals(lt)
 	case opBrTable:
-		n, err := r.u32()
+		n, err := r.vecLen()
 		if err != nil {
 			return err
 		}
@@ -486,8 +486,8 @@ func (v *validator) step(op byte, r *reader, hasMemory bool, globalTypes []ValTy
 		return v.popVals([]ValType{I32, I32, I32})
 
 	default:
-		sig, ok := simpleSignatures[op]
-		if !ok {
+		sig := &simpleSignatures[op]
+		if sig.params == nil {
 			return fmt.Errorf("opcode 0x%02x: %w", op, ErrUnsupported)
 		}
 		if sig.mem {
@@ -530,11 +530,12 @@ type simpleSig struct {
 }
 
 // simpleSignatures covers every opcode with a fixed signature (loads,
-// stores, comparisons, arithmetic, conversions).
+// stores, comparisons, arithmetic, conversions), indexed by opcode; they all
+// take operands, so an entry without params is no such opcode. The lowerer
+// reads each one's operand shape off the same table.
 var simpleSignatures = buildSimpleSignatures()
 
-func buildSimpleSignatures() map[byte]simpleSig {
-	sigs := make(map[byte]simpleSig, 160)
+func buildSimpleSignatures() (sigs [256]simpleSig) {
 	load := func(op byte, t ValType) {
 		sigs[op] = simpleSig{params: []ValType{I32}, results: []ValType{t}, mem: true}
 	}
