@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race fuzz-smoke chaos bench perfgate lint loc staticcheck vuln cover clean
+.PHONY: all build test race fuzz-smoke chaos bench pairs perfgate lint loc staticcheck vuln cover clean
 
 all: lint build race bench perfgate
 
@@ -71,6 +71,16 @@ bench:
 	@cat BENCH_6.json
 	$(GO) run ./cmd/roadrunner-bench -exp hotpath -json > BENCH_8.json
 	@cat BENCH_8.json
+
+## pairs: the ten-pair protocol of the BENCH_N.md files — N alternating
+## parent/change runs of `bench` (prebuilt binaries, parent from `git archive
+## $(PARENT)`, change = the working tree) and the end-to-end table with wins,
+## quartiles and the parent's IQR; WORKLOAD narrows the runs to one workload.
+## ~45 min for ten full pairs; run nothing else meanwhile (scripts/pairs.sh)
+N ?= 10
+pairs:
+	@test -n "$(PARENT)" || { echo "usage: make pairs PARENT=<rev> [N=10] [WORKLOAD=<name>]"; exit 2; }
+	scripts/pairs.sh "$(PARENT)" "$(N)" "$(WORKLOAD)"
 
 ## perfgate: regenerate the hot-path trajectory and gate it against the
 ## committed BENCH_8.json (CI's perf-gate job); also re-pins the allocation

@@ -463,7 +463,7 @@ func receiveLeg(dst *Function, ch *channel, n uint32, ctx context.Context) (Inbo
 	if err != nil {
 		return InboundRef{}, m, err
 	}
-	if err := drainHose(dst.shim, ctx, wv, ch, &m); err != nil {
+	if err := drainHose(dst.shim, ctx, wv, ch, &m, nil); err != nil {
 		ref, err := ingressAbort(dst, dstPtr, err)
 		return ref, m, err
 	}

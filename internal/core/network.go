@@ -174,6 +174,7 @@ func (networkOps) egress(st *pipelineState) (OutputRef, error) {
 	swT := metrics.NewStopwatch(s.now)
 	if sp.batchSyscalls {
 		s.proc.BeginBatch()
+		defer s.proc.EndBatch()
 	}
 	for off := 0; off < len(view); {
 		if err := CtxErr(sp.ctx); err != nil {
@@ -198,9 +199,6 @@ func (networkOps) egress(st *pipelineState) (OutputRef, error) {
 			moved += n
 		}
 		off += chunk
-	}
-	if sp.batchSyscalls {
-		s.proc.EndBatch()
 	}
 	sendT := swT.Lap()
 	s.acct.CPU(metrics.Kernel, sendT)
@@ -232,12 +230,10 @@ func (networkOps) ingress(st *pipelineState, out OutputRef) (InboundRef, error) 
 	} else {
 		if sp.batchSyscalls {
 			s.proc.BeginBatch()
+			defer s.proc.EndBatch()
 		}
-		if err := drainHose(s, sp.ctx, wv, ch, &st.im); err != nil {
+		if err := drainHose(s, sp.ctx, wv, ch, &st.im, st); err != nil {
 			return ingressAbort(f, dstPtr, err)
-		}
-		if sp.batchSyscalls {
-			s.proc.EndBatch()
 		}
 	}
 
@@ -262,15 +258,35 @@ func (networkOps) ingress(st *pipelineState, out OutputRef) (InboundRef, error) 
 // off the hose and deposits them directly into wv, the target VM's linear
 // memory — the single unavoidable copy of the near-zero-copy path. A
 // same-node fan-out leg has no hose to splice into: its socketpair IS the
-// channel, and the references come straight off the socket. Kernel time
-// lands in m.transfer, the deposit in m.wasmIO. Callers hold the target's VM
-// lock; ctx (nil = never cancelled) is polled at every chunk boundary.
-func drainHose(s *Shim, ctx context.Context, wv []byte, ch *channel, m *stageMetrics) error {
+// channel, and the references come straight off the socket. Callers hold the
+// target's VM lock; ctx (nil = never cancelled) is polled at every chunk
+// boundary.
+//
+// With st — a pipeline transfer, whose caller goroutine serves deposit jobs
+// at the join (awaitIngress) — the drain is striped over two depositors: the
+// loop still issues every syscall, but deals each chunk it reads, whole, to
+// the caller whenever the one-slot st.depositCh is free, and deposits it
+// itself otherwise. The first chunk is dealt away rather than copied here,
+// so both cores copy from the start; the last one never is — the loop would
+// only wait for it. The VM lock this goroutine holds covers the caller's
+// writes: it is not released before joinDeposits has settled every dealt
+// job, on every return path, so nothing writes wv after an abort rewinds the
+// target's heap. A fan-out leg passes no st and runs the plain loop.
+//
+// Kernel time lands in m.transfer, this goroutine's deposits in m.wasmIO
+// together with its wait at the join: m.wasmIO is the stage's critical
+// path, never the sum over depositors. CPU is charged per depositor — each
+// charges its own copy time to the target shim's User account, and the wait
+// at the join is charged to nobody.
+func drainHose(s *Shim, ctx context.Context, wv []byte, ch *channel, m *stageMetrics, st *pipelineState) error {
 	rfd := ch.trfd
 	if ch.kind == chanKernel {
 		rfd = ch.fdB
 	}
 	sw := metrics.NewStopwatch(s.now)
+	if st != nil {
+		defer st.joinDeposits(s, m, sw)
+	}
 	for received := 0; received < len(wv); {
 		if err := CtxErr(ctx); err != nil {
 			return err
@@ -292,19 +308,55 @@ func drainHose(s *Shim, ctx context.Context, wv []byte, ch *channel, m *stageMet
 		if err != nil {
 			return fmt.Errorf("drain hose: %w", err)
 		}
-		n := 0
-		for _, ref := range refs {
-			n += copy(wv[received+n:], ref.Bytes())
-		}
-		pagebuf.ReleaseAll(refs)
+		n := pagebuf.TotalLen(refs)
 		if n == 0 {
+			pagebuf.ReleaseAll(refs)
 			return fmt.Errorf("drain hose: zero-byte read at offset %d of %d", received, len(wv))
 		}
-		s.acct.Copy(metrics.User, n)
+		dst := wv[received : received+n]
 		received += n
+		if st != nil && received < len(wv) && len(st.depositCh) == 0 {
+			// This loop is the slot's only sender: seen empty, the send
+			// cannot block.
+			st.deposits.Add(1)
+			st.depositCh <- depositJob{dst: dst, refs: refs}
+		} else {
+			s.deposit(dst, refs)
+		}
 		wIO := sw.Lap()
 		s.acct.CPU(metrics.User, wIO)
 		m.wasmIO += wIO
 	}
 	return nil
+}
+
+// deposit is write_memory_host for one hose chunk: it copies the chunk's
+// pages into dst, their place in the target's linear memory, releases them
+// and charges the copy to the target shim s. Either depositor of a striped
+// drain calls it, under the target VM lock the ingress stage holds.
+func (s *Shim) deposit(dst []byte, refs []pagebuf.Ref) {
+	n := 0
+	for _, ref := range refs {
+		n += copy(dst[n:], ref.Bytes())
+	}
+	pagebuf.ReleaseAll(refs)
+	s.acct.Copy(metrics.User, n)
+}
+
+// joinDeposits settles the jobs a striped drain dealt, before the ingress
+// stage returns on any path: a job still in the slot is taken back and
+// deposited here, a claimed one is waited for. The wait is on the transfer's
+// critical path but is not CPU time — the caller charges its own copies.
+func (st *pipelineState) joinDeposits(s *Shim, m *stageMetrics, sw *metrics.Stopwatch) {
+	select {
+	case job := <-st.depositCh:
+		s.deposit(job.dst, job.refs)
+		st.deposits.Done()
+		t := sw.Lap()
+		s.acct.CPU(metrics.User, t)
+		m.wasmIO += t
+	default:
+	}
+	st.deposits.Wait()
+	m.wasmIO += sw.Lap()
 }

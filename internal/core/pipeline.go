@@ -21,7 +21,13 @@
 //   - the two stages run on separate goroutines, so the target drains chunk
 //     k while the source vmsplices chunk k+1. Breakdown.Overlap records the
 //     window both stages ran concurrently, making the reported latency the
-//     pipeline's critical path rather than the sum of sequential laps.
+//     pipeline's critical path rather than the sum of sequential laps;
+//   - the caller's goroutine, done with a zero-copy egress in microseconds,
+//     does not park at the join: it is the hose's second depositor. The
+//     ingress stage still issues every syscall and holds the target VM lock
+//     for the whole drain, but deals whole hose chunks to the caller through
+//     a one-slot channel (awaitIngress, drainHose), so the one payload copy
+//     of the network path runs on two cores.
 //
 // Both copy-bearing channels stream: the hose moves a payload chunk by chunk
 // through a bounded pipe, and the kernel path's socketpair carries a send
@@ -65,6 +71,7 @@ import (
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/guest"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/metrics"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/netsim"
+	"github.com/polaris-slo-cloud/roadrunner-go/internal/pagebuf"
 )
 
 // errEgressAborted is the ingress stage's result when the source stage
@@ -206,13 +213,23 @@ type ingressResult struct {
 	err error
 }
 
+// depositJob is one hose chunk the ingress stage deals to the caller's
+// goroutine: the chunk's page references and the window of the target's
+// linear memory they belong in. It travels by value through the pooled
+// state's one-slot channel, so dealing a chunk allocates nothing.
+type depositJob struct {
+	dst  []byte
+	refs []pagebuf.Ref
+}
+
 // pipelineState is the per-transfer scratch: the spec, the acquired
 // channel, both stages' metrics and the two rendezvous channels. States are
 // recycled through statePool, so a warm transfer allocates none of it; the
 // channels are never closed (see announceMsg) and carry exactly one message
 // each per transfer, which is what makes recycling safe — after the caller
 // receives the ingress result both channels are empty and no goroutine
-// retains the state.
+// retains the state. The deposit slot is empty by then too: the ingress
+// stage settles every job it dealt before it reports (joinDeposits).
 type pipelineState struct {
 	spec      pipelineSpec
 	ch        *channel
@@ -224,12 +241,21 @@ type pipelineState struct {
 	ingressFailed atomic.Bool
 	announceCh    chan announceMsg
 	ingressCh     chan ingressResult
+	// depositCh is the slot the ingress stage deals hose chunks into for the
+	// caller's goroutine (awaitIngress); deposits counts the dealt jobs not
+	// yet copied or taken back.
+	depositCh chan depositJob
+	deposits  sync.WaitGroup
+	// callerDeposited counts the payload bytes the caller's goroutine
+	// copied; the ingress stage copied the rest. Read by tests only.
+	callerDeposited int
 }
 
 var statePool = sync.Pool{New: func() any {
 	return &pipelineState{
 		announceCh: make(chan announceMsg, 1),
 		ingressCh:  make(chan ingressResult, 1),
+		depositCh:  make(chan depositJob, 1),
 	}
 }}
 
@@ -241,6 +267,7 @@ func putPipelineState(st *pipelineState) {
 	st.em, st.im = stageMetrics{}, stageMetrics{}
 	st.out = OutputRef{}
 	st.announced = false
+	st.callerDeposited = 0
 	st.ingressFailed.Store(false)
 	statePool.Put(st)
 }
@@ -319,6 +346,35 @@ func (st *pipelineState) runIngress() {
 	st.ingressCh <- ingressResult{ref: ref, m: st.im, err: err}
 }
 
+// awaitIngress is the caller's side of the join. Instead of parking until
+// the ingress result arrives, the caller serves the deposit jobs the ingress
+// stage deals it (drainHose): each is one whole hose chunk, copied into the
+// target's linear memory under the target VM lock the ingress stage holds
+// for the whole drain, and charged to the target shim's account like the
+// ingress's own deposits. The result is sent only after every dealt job is
+// settled, so the slot is empty when it arrives. A transfer that deals
+// nothing — the copy paths, a single-chunk payload, an egress that failed
+// before announcing — parks in a plain receive, which is cheaper than a
+// select and is all the small-payload fast path can afford.
+func (st *pipelineState) awaitIngress() ingressResult {
+	if st.spec.chunks(st.out) == 1 {
+		return <-st.ingressCh
+	}
+	s := st.spec.dst.shim
+	for {
+		select {
+		case job := <-st.depositCh:
+			sw := metrics.NewStopwatch(s.now)
+			s.deposit(job.dst, job.refs)
+			st.callerDeposited += len(job.dst)
+			s.acct.CPU(metrics.User, sw.Lap())
+			st.deposits.Done()
+		case ires := <-st.ingressCh:
+			return ires
+		}
+	}
+}
+
 // sourceOutput resolves the region a transfer's source stage reads: the
 // guest's current output (locate_memory_region), or — when the caller pins
 // an explicit region, as streaming chains do — set_output followed by
@@ -337,8 +393,8 @@ func (f *Function) sourceOutput(pinned *OutputRef) (OutputRef, error) {
 
 // runPipeline executes a staged transfer. Stage scheduling:
 //
-//	caller goroutine:  pair lock → channel → [src lock: egress] → join
-//	stage worker:              wait announce → [dst lock: ingress]
+//	caller goroutine:  pair lock → channel → [src lock: egress] → deposit dealt chunks → join
+//	stage worker:              wait announce → [dst lock: ingress, dealing hose chunks]
 //
 // The pair lock is the only lock held across stages; VM locks never nest —
 // except in the phase-locked ablation, where lockShims takes both up front
@@ -393,7 +449,7 @@ func runPipeline(spec *pipelineSpec) (InboundRef, metrics.TransferReport, error)
 			ch.destroy()
 		}
 	}
-	ires := <-st.ingressCh
+	ires := st.awaitIngress()
 	out, em := st.out, st.em
 	putPipelineState(st)
 	if eerr != nil && !ingressFirst {

@@ -101,16 +101,6 @@ func TestWindowedKernelFailuresReportCauseAndConserve(t *testing.T) {
 			}
 		}},
 	}
-	probe := func(f *core.Function) uint32 {
-		ptr, err := f.View().Allocate(16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Deallocate(ptr); err != nil {
-			t.Fatal(err)
-		}
-		return ptr
-	}
 	deliver := func(e *env, opts core.KernelOptions) {
 		t.Helper()
 		ref, rep, err := core.KernelSpaceTransfer(e.fa, e.fb, opts)
@@ -150,7 +140,7 @@ func TestWindowedKernelFailuresReportCauseAndConserve(t *testing.T) {
 				opts := core.KernelOptions{Ctx: ctx, PhaseLocked: phaseLocked}
 				deliver(e, opts) // warm: grows the target's memory, caches the channel
 
-				heap := probe(e.fb)
+				heap := heapTop(t, e.fb)
 				failing := opts
 				isCause := tc.arm(e, &failing)
 				resident := [2]int64{s1.Account().Snapshot().ResidentBytes, s2.Account().Snapshot().ResidentBytes}
@@ -179,7 +169,7 @@ func TestWindowedKernelFailuresReportCauseAndConserve(t *testing.T) {
 					t.Fatalf("residency = %v, want %v", got, resident)
 				}
 				if e.blocker == 0 {
-					if got := probe(e.fb); got != heap {
+					if got := heapTop(t, e.fb); got != heap {
 						t.Fatalf("target heap at %#x, want %#x: aborted ingress not rewound", got, heap)
 					}
 				}
@@ -195,14 +185,14 @@ func TestWindowedKernelFailuresReportCauseAndConserve(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				heapBefore := probe(e.fb)
+				heapBefore := heapTop(t, e.fb)
 				misses := s1.ChannelStats().Misses
 				recovery := core.KernelOptions{PhaseLocked: phaseLocked}
 				deliver(e, recovery)
 				if got := s1.ChannelStats().Misses; got != misses+1 {
 					t.Fatalf("recovery transfer: %d channel misses, want a re-establishment", got-misses)
 				}
-				if got := probe(e.fb); got != heapBefore {
+				if got := heapTop(t, e.fb); got != heapBefore {
 					t.Fatalf("target heap at %#x after recovery, want %#x", got, heapBefore)
 				}
 			})

@@ -229,6 +229,11 @@ func WithClock(now func() time.Time) Option {
 }
 
 // WithDataHoseSize sets the shim's virtual-data-hose pipe capacity in bytes.
+// The hose size is also the striping unit of a cross-node transfer: a
+// payload crosses in hose-sized chunks, and from the second chunk on the
+// target's ingress stage and the calling goroutine deposit whole chunks into
+// the target VM side by side (DESIGN.md §3). A payload that fits one hose
+// chunk is deposited by the ingress stage alone.
 func WithDataHoseSize(n int) Option {
 	return func(c *platformConfig) { c.hose = n }
 }
