@@ -42,7 +42,9 @@ fuzz-smoke:
 chaos:
 	$(GO) test -race -count=1 -v -run 'TestChaos|TestSubmitSurvives|TestFaultedOps' .
 
-## bench: one iteration of every benchmark plus the harness smoke runs
+## bench: one iteration of every benchmark plus the harness smoke runs; every
+## fresh result lands under artifacts/ — the committed BENCH_*.json baselines
+## are read by perfgate, never rewritten
 bench:
 	$(GO) test -run 'XXX' -bench . -benchtime 1x ./...
 	$(GO) run ./bench -smoke
@@ -60,17 +62,14 @@ bench:
 	$(GO) run ./cmd/roadrunner-load -workflows 2 -requests 40 -replicas 4 -mode kernel -placement round-robin -kills 1 -compact \
 		| python3 -c 'import json,sys; d=json.load(sys.stdin); assert d["kills"] == 1 and d["ops"] >= 28 and d["cancelled"] == 0, d'
 	$(GO) run ./cmd/roadrunner-bench -exp fig7 -sizes 1 -json
-	@mkdir -p artifacts
 	$(GO) run ./cmd/roadrunner-bench -exp chancache -sizes 1,4 -json > artifacts/bench-chancache.json
 	@cat artifacts/bench-chancache.json
-	$(GO) run ./cmd/roadrunner-bench -exp pipeline -json > BENCH_3.json
-	@cat BENCH_3.json
-	$(GO) run ./cmd/roadrunner-bench -exp placement -json > BENCH_4.json
-	@cat BENCH_4.json
-	$(GO) run ./cmd/roadrunner-bench -exp failure -json > BENCH_6.json
-	@cat BENCH_6.json
-	$(GO) run ./cmd/roadrunner-bench -exp hotpath -json > BENCH_8.json
-	@cat BENCH_8.json
+	@for exp in pipeline placement failure hotpath fanoutshare; do \
+		echo "$(GO) run ./cmd/roadrunner-bench -exp $$exp -json > artifacts/bench-$$exp.json"; \
+		$(GO) run ./cmd/roadrunner-bench -exp $$exp -json > artifacts/bench-$$exp.json || exit 1; \
+		cat artifacts/bench-$$exp.json; \
+	done
+	$(GO) run ./cmd/roadrunner-load -workflows 2 -requests 8 -mode fanout -targets 8 -compact | tee artifacts/load-fanout.json
 
 ## pairs: the ten-pair protocol of the BENCH_N.md files — N alternating
 ## parent/change runs of `bench` (prebuilt binaries, parent from `git archive
@@ -82,13 +81,14 @@ pairs:
 	@test -n "$(PARENT)" || { echo "usage: make pairs PARENT=<rev> [N=10] [WORKLOAD=<name>]"; exit 2; }
 	scripts/pairs.sh "$(PARENT)" "$(N)" "$(WORKLOAD)"
 
-## perfgate: regenerate the hot-path trajectory and gate it against the
-## committed BENCH_8.json (CI's perf-gate job); also re-pins the allocation
-## ceilings (0 allocs/op on the warm transfer fast path)
+## perfgate: regenerate the hot-path and shared-egress fan-out trajectories
+## and gate them against the committed BENCH_8.json + BENCH_9.json (CI's
+## perf-gate job); also re-pins the allocation ceilings (0 allocs/op on the
+## warm transfer fast path)
 perfgate:
 	@mkdir -p artifacts
-	$(GO) run ./cmd/roadrunner-bench -exp hotpath -json > artifacts/bench8-fresh.json
-	$(GO) run ./cmd/perfgate -baseline BENCH_8.json -fresh artifacts/bench8-fresh.json
+	$(GO) run ./cmd/roadrunner-bench -exp hotpath,fanoutshare -json > artifacts/bench-fresh.json
+	$(GO) run ./cmd/perfgate -baseline BENCH_8.json,BENCH_9.json -fresh artifacts/bench-fresh.json
 	$(GO) test -run TestAllocCeilings -v .
 
 ## lint: go vet plus the roadvet suite (regionrelease, poolreturn,
@@ -101,13 +101,15 @@ lint:
 
 ## loc: non-test, non-testdata, non-vendor Go lines per top-level package
 ## dir, and for the lint gate as a whole — the "net LoC per PR" figure
-## ROADMAP.md asks every PR to report
+## ROADMAP.md asks every PR to report — then the root package's exported
+## surface (functions + methods in `go doc -all .`)
 loc:
 	@count() { find "$$@" -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './vendor/*' -print0 | xargs -0 cat | wc -l; }; \
 	printf '%7d  %s\n' "$$(count . -maxdepth 1)" "(root package)"; \
 	for d in bench cmd/* examples internal/*; do printf '%7d  %s\n' "$$(count $$d)" "$$d"; done; \
 	printf '%7d  %s\n' "$$(count internal/analysis cmd/roadvet)" "internal/analysis + cmd/roadvet"; \
-	printf '%7d  %s\n' "$$(count internal/wasm/compile.go internal/wasm/exec.go)" "internal/wasm compile.go + exec.go (1207 before the register-form IR, PR 17)"
+	printf '%7d  %s\n' "$$(count internal/wasm/compile.go internal/wasm/exec.go)" "internal/wasm compile.go + exec.go (1207 before the register-form IR, PR 17)"; \
+	printf '%7d  %s\n' "$$($(GO) doc -all . | grep -cE '^func |^    func ')" "exported functions + methods of the root package"
 
 ## staticcheck: static-analysis gate (CI's lint job; needs the binary or network)
 staticcheck:

@@ -23,10 +23,10 @@ const (
 	// A warm same-node fan-out is one shared-egress multicast pass: the
 	// per-operation slices (channels, drains, refs, reports, configs), one
 	// drain goroutine and one drained reference run per target, and the one
-	// extent header of the tee pass (measured 85, +10 %). Its budget is per
+	// extent header of the tee pass (measured 77, +10 %). Its budget is per
 	// operation, not per target — the shared pass is what keeps it from
 	// scaling with N payload copies.
-	allocCeilingWarmFanout = 93
+	allocCeilingWarmFanout = 84
 )
 
 // allocFanoutDegree sizes the fan-out ceiling probe: enough targets that a
@@ -56,7 +56,7 @@ func buildWarmPair(tb testing.TB, dstNode string, payload int) (*roadrunner.Plat
 	if err := src.Produce(payload); err != nil {
 		tb.Fatal(err)
 	}
-	ref, _, err := p.Transfer(src, dst)
+	ref, _, err := p.TransferCtx(bg, src, dst)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func benchWarmTransfer(dstNode string, payload int) func(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			ref, _, err := p.Transfer(src, dst)
+			ref, _, err := p.TransferCtx(bg, src, dst)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -105,7 +105,7 @@ func buildWarmFanout(tb testing.TB) (*roadrunner.Platform, *roadrunner.Function,
 			tb.Fatal(err)
 		}
 	}
-	refs, _, err := p.Fanout(src, targets, allocBenchPayload)
+	refs, _, err := p.FanoutCtx(bg, src, targets, allocBenchPayload)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func benchWarmFanout(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		refs, _, err := p.Fanout(src, targets, allocBenchPayload)
+		refs, _, err := p.FanoutCtx(bg, src, targets, allocBenchPayload)
 		if err != nil {
 			b.Fatal(err)
 		}

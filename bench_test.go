@@ -67,7 +67,7 @@ func BenchmarkFig7RoadrunnerUserSpace(b *testing.B) {
 	b.SetBytes(benchPayload)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ref, _, err := p.Transfer(a, dst)
+		ref, _, err := p.TransferCtx(bg, a, dst)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -94,7 +94,7 @@ func BenchmarkFig7RoadrunnerKernelSpace(b *testing.B) {
 	b.SetBytes(benchPayload)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ref, _, err := p.Transfer(a, dst)
+		ref, _, err := p.TransferCtx(bg, a, dst)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -171,7 +171,7 @@ func BenchmarkFig8RoadrunnerNetwork(b *testing.B) {
 	b.SetBytes(benchPayload)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ref, _, err := p.Transfer(a, dst)
+		ref, _, err := p.TransferCtx(bg, a, dst)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -253,7 +253,7 @@ func benchmarkFanout(b *testing.B, degree int, remote bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, dst := range targets {
-			ref, _, err := p.Transfer(src, dst, roadrunner.WithFlows(degree))
+			ref, _, err := p.TransferCtx(bg, src, dst, roadrunner.WithFlows(degree))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -395,16 +395,10 @@ func BenchmarkChainThreeModes(b *testing.B) {
 	b.SetBytes(3 * n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := p.Chain(n, a, b2, c, d); err != nil {
+		if _, _, err := p.ChainCtx(bg, n, []*roadrunner.Function{a, b2, c, d}); err != nil {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkAblationBatchedSyscalls quantifies the §9 syscall-batching
-// extension against the plain Algorithm-1 path.
-func BenchmarkAblationBatchedSyscalls(b *testing.B) {
-	benchNetworkTransfer(b, core.NetworkOptions{BatchSyscalls: true})
 }
 
 // ---- Concurrent engine ---------------------------------------------------------------
@@ -433,7 +427,7 @@ func benchmarkPairTransfers(b *testing.B, concurrent bool, topts ...roadrunner.T
 		}
 	}
 	transfer := func(i int) {
-		ref, _, err := p.Transfer(srcs[i], dsts[i], topts...)
+		ref, _, err := p.TransferCtx(bg, srcs[i], dsts[i], topts...)
 		if err != nil {
 			b.Error(err)
 			return
@@ -511,7 +505,7 @@ func benchmarkChannelChurn(b *testing.B, topts ...roadrunner.TransferOption) {
 		go func(i, iters int) {
 			defer wg.Done()
 			for j := 0; j < iters; j++ {
-				ref, _, err := p.Transfer(srcs[i], dsts[i], topts...)
+				ref, _, err := p.TransferCtx(bg, srcs[i], dsts[i], topts...)
 				if err != nil {
 					b.Error(err)
 					return
@@ -571,7 +565,7 @@ func benchmarkChain(b *testing.B, phaseLocked bool) {
 	var modeled time.Duration
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ref, rep, err := p.ChainWith(n, opts, fns...)
+		ref, rep, err := p.ChainCtx(bg, n, fns, opts...)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -632,7 +626,7 @@ func BenchmarkMulticast8(b *testing.B) {
 	b.SetBytes(8 * benchPayload)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		refs, _, err := p.Multicast(src, targets)
+		refs, _, err := p.MulticastCtx(bg, src, targets)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -646,10 +640,10 @@ func BenchmarkMulticast8(b *testing.B) {
 
 // ---- Plan/Submit plane -------------------------------------------------------
 
-// BenchmarkPlanSubmit compares one kernel-space transfer issued three ways:
-// direct (the legacy one-shot, itself a single-node plan run inline), via
-// the explicit Plan builder + Submit + Wait (the DAG plane, pool-dispatched),
-// and via TransferCtx. The acceptance bar is Plan-submitted singles within a
+// BenchmarkPlanSubmit compares one kernel-space transfer issued two ways:
+// direct (TransferCtx: the node's check and body on the calling goroutine)
+// and via the explicit Plan builder + Submit + Wait (the DAG plane,
+// pool-dispatched). The acceptance bar is Plan-submitted singles within a
 // few percent of direct — the plane must add no hot-path overhead beyond
 // its bookkeeping allocations.
 func BenchmarkPlanSubmit(b *testing.B) {
@@ -675,23 +669,7 @@ func BenchmarkPlanSubmit(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			ref, _, err := p.Transfer(src, dst)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := dst.Release(ref); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("transfer-ctx", func(b *testing.B) {
-		p, src, dst := build(b)
-		ctx := context.Background()
-		b.SetBytes(benchPayload)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ref, _, err := p.TransferCtx(ctx, src, dst)
+			ref, _, err := p.TransferCtx(bg, src, dst)
 			if err != nil {
 				b.Fatal(err)
 			}

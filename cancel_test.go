@@ -149,7 +149,7 @@ func TestCancelMidTransferConservesBaselines(t *testing.T) {
 	if err := src.Produce(n); err != nil {
 		t.Fatal(err)
 	}
-	ref, rep, err := p.Transfer(src, dst)
+	ref, rep, err := p.TransferCtx(bg, src, dst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestCancelMidChainReleasesInteriorRefs(t *testing.T) {
 				cancel()
 			}
 		}
-		_, _, err := p.ChainWithCtx(ctx, n, []roadrunner.TransferOption{roadrunner.TestingWithGates(gate)}, fns...)
+		_, _, err := p.ChainCtx(ctx, n, fns, roadrunner.TestingWithGates(gate))
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("cancelled chain = %v, want context.Canceled", err)
 		}
@@ -209,7 +209,7 @@ func TestCancelMidChainReleasesInteriorRefs(t *testing.T) {
 	assertBaselines(t, p, platformNodes, base, fns...)
 
 	// The chain recovers end to end.
-	ref, rep, err := p.Chain(n, fns...)
+	ref, rep, err := p.ChainCtx(bg, n, fns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestCancelMidFanoutConservesBaselines(t *testing.T) {
 	assertBaselines(t, p, nodes, base, all...)
 
 	// The fan-out recovers, now returning per-target refs.
-	refs, reports, err := p.Fanout(src, targets, n)
+	refs, reports, err := p.FanoutCtx(bg, src, targets, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +308,7 @@ func TestSubmitAfterCloseReturnsErrClosed(t *testing.T) {
 	if _, err := p.InvokeCtx(context.Background(), src, dst, 1024); !errors.Is(err, roadrunner.ErrClosed) {
 		t.Fatalf("InvokeCtx after Close = %v, want ErrClosed", err)
 	}
-	if _, _, err := p.ChainCtx(context.Background(), 1024, src, dst); !errors.Is(err, roadrunner.ErrClosed) {
+	if _, _, err := p.ChainCtx(context.Background(), 1024, []*roadrunner.Function{src, dst}); !errors.Is(err, roadrunner.ErrClosed) {
 		t.Fatalf("ChainCtx after Close = %v, want ErrClosed", err)
 	}
 	if _, _, err := p.MulticastCtx(context.Background(), src, []*roadrunner.Function{dst}); !errors.Is(err, roadrunner.ErrClosed) {
@@ -317,8 +317,10 @@ func TestSubmitAfterCloseReturnsErrClosed(t *testing.T) {
 	if _, _, err := p.FanoutCtx(context.Background(), src, []*roadrunner.Function{dst}, 1024); !errors.Is(err, roadrunner.ErrClosed) {
 		t.Fatalf("FanoutCtx after Close = %v, want ErrClosed", err)
 	}
-	if _, _, err := p.MulticastAsync(src, []*roadrunner.Function{dst}).Wait(); !errors.Is(err, roadrunner.ErrClosed) {
-		t.Fatalf("MulticastAsync after Close = %v, want ErrClosed", err)
+	cast := roadrunner.NewPlan()
+	cast.Cast(src, []*roadrunner.Function{dst})
+	if _, err := p.Submit(context.Background(), cast); !errors.Is(err, roadrunner.ErrClosed) {
+		t.Fatalf("Submit(cast) after Close = %v, want ErrClosed", err)
 	}
 }
 

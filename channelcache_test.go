@@ -27,7 +27,7 @@ func TestChannelCachePublicAPI(t *testing.T) {
 	}
 
 	// Cold: the pair's channel is established — Setup > 0, one miss.
-	ref, rep, err := p.Transfer(a, b)
+	ref, rep, err := p.TransferCtx(bg, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestChannelCachePublicAPI(t *testing.T) {
 	}
 
 	// Warm: reuse — Setup exactly 0, one hit, checksum still exact.
-	ref, rep, err = p.Transfer(a, b)
+	ref, rep, err = p.TransferCtx(bg, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestChannelCachePublicAPI(t *testing.T) {
 
 	// Bypassed: per-call channel, Setup charged every time, stats frozen.
 	before := p.ChannelStats()
-	ref, rep, err = p.Transfer(a, b, roadrunner.WithChannelCache(false))
+	ref, rep, err = p.TransferCtx(bg, a, b, roadrunner.WithChannelCache(false))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,7 +82,7 @@ const chaosPayload = 64 << 10
 // allocated. Failures are the point of the exercise — their paths must
 // conserve on their own — so only successes have anything to release.
 func (fx *chaosFixture) invokeAndRelease() {
-	inv, err := fx.p.Invoke(fx.src, fx.dst, chaosPayload)
+	inv, err := fx.p.InvokeCtx(bg, fx.src, fx.dst, chaosPayload)
 	if err != nil {
 		return
 	}
@@ -99,7 +99,7 @@ func (fx *chaosFixture) transferAndRelease() {
 		return
 	}
 	si := fx.src.ActiveInstance()
-	ref, _, err := fx.p.Transfer(fx.src, fx.dst)
+	ref, _, err := fx.p.TransferCtx(bg, fx.src, fx.dst)
 	if err == nil {
 		_ = fx.dst.ActiveInstance().Release(ref)
 	}
@@ -318,7 +318,7 @@ func TestFaultedOpsLeaveNoInFlightResidue(t *testing.T) {
 			t.Fatal(err)
 		}
 		fns[2].Instance(0).Crash()
-		if _, _, err := p.Transfer(fns[0], fns[2]); err == nil {
+		if _, _, err := p.TransferCtx(bg, fns[0], fns[2]); err == nil {
 			t.Fatal("transfer to crashed single-replica target succeeded")
 		}
 		assertIdle(t, fns)
@@ -326,7 +326,7 @@ func TestFaultedOpsLeaveNoInFlightResidue(t *testing.T) {
 	t.Run("invoke", func(t *testing.T) {
 		p, fns := newTrio(t)
 		fns[2].Instance(0).DropWire(0)
-		if _, err := p.Invoke(fns[0], fns[2], chaosPayload); err == nil {
+		if _, err := p.InvokeCtx(bg, fns[0], fns[2], chaosPayload); err == nil {
 			t.Fatal("invoke onto dropped wire succeeded")
 		}
 		assertIdle(t, fns)
@@ -334,7 +334,7 @@ func TestFaultedOpsLeaveNoInFlightResidue(t *testing.T) {
 	t.Run("chain", func(t *testing.T) {
 		p, fns := newTrio(t)
 		fns[1].Instance(0).Crash()
-		if _, _, err := p.Chain(chaosPayload, fns[0], fns[1], fns[2]); err == nil {
+		if _, _, err := p.ChainCtx(bg, chaosPayload, []*roadrunner.Function{fns[0], fns[1], fns[2]}); err == nil {
 			t.Fatal("chain through crashed interior hop succeeded")
 		}
 		assertIdle(t, fns)
@@ -342,7 +342,7 @@ func TestFaultedOpsLeaveNoInFlightResidue(t *testing.T) {
 	t.Run("fanout", func(t *testing.T) {
 		p, fns := newTrio(t)
 		fns[1].Instance(0).Crash()
-		if _, _, err := p.Fanout(fns[0], []*roadrunner.Function{fns[1], fns[2]}, chaosPayload); err == nil {
+		if _, _, err := p.FanoutCtx(bg, fns[0], []*roadrunner.Function{fns[1], fns[2]}, chaosPayload); err == nil {
 			t.Fatal("fanout with crashed target succeeded")
 		}
 		assertIdle(t, fns)
@@ -370,7 +370,7 @@ func TestFaultedOpsLeaveNoInFlightResidue(t *testing.T) {
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		if _, _, err := p.ChainWithCtx(ctx, chaosPayload, nil, a, b); !errors.Is(err, context.Canceled) {
+		if _, _, err := p.ChainCtx(ctx, chaosPayload, []*roadrunner.Function{a, b}); !errors.Is(err, context.Canceled) {
 			t.Fatalf("pre-cancelled chain: err = %v, want context.Canceled", err)
 		}
 		assertIdle(t, []*roadrunner.Function{a, b})
@@ -379,7 +379,7 @@ func TestFaultedOpsLeaveNoInFlightResidue(t *testing.T) {
 		// alternates the next chains across both head replicas; a phantom
 		// in-flight would pin them all to the survivor.
 		for k := 0; k < 4; k++ {
-			if _, _, err := p.Chain(chaosPayload, a, b); err != nil {
+			if _, _, err := p.ChainCtx(bg, chaosPayload, []*roadrunner.Function{a, b}); err != nil {
 				t.Fatalf("chain %d after aborted chain: %v", k, err)
 			}
 		}
@@ -405,7 +405,7 @@ func TestFaultedOpsLeaveNoInFlightResidue(t *testing.T) {
 			fns[i] = f
 		}
 		fns[1].Instance(0).Crash()
-		if _, _, err := p.Fanout(fns[0], []*roadrunner.Function{fns[1], fns[2]}, chaosPayload); err == nil {
+		if _, _, err := p.FanoutCtx(bg, fns[0], []*roadrunner.Function{fns[1], fns[2]}, chaosPayload); err == nil {
 			t.Fatal("same-node fanout with crashed target succeeded")
 		}
 		assertIdle(t, fns)
@@ -419,7 +419,7 @@ func TestFaultedOpsLeaveNoInFlightResidue(t *testing.T) {
 		if err := fns[0].Produce(chaosPayload); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := p.Transfer(fns[0], fns[2]); err != nil {
+		if _, _, err := p.TransferCtx(bg, fns[0], fns[2]); err != nil {
 			t.Fatal(err)
 		}
 		n := fns[0].Instance(0).PoisonChannels() + fns[2].Instance(0).PoisonChannels()
@@ -429,13 +429,13 @@ func TestFaultedOpsLeaveNoInFlightResidue(t *testing.T) {
 		if err := fns[0].Produce(chaosPayload); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := p.Transfer(fns[0], fns[2]); err != nil {
+		if _, _, err := p.TransferCtx(bg, fns[0], fns[2]); err != nil {
 			if !errors.Is(err, roadrunner.ErrInjectedIO) && !errors.Is(err, roadrunner.ErrNoHealthyInstance) {
 				t.Fatalf("transfer over poisoned channel: %v", err)
 			}
 			// The poisoned entry is gone now; the next transfer must
 			// re-establish cleanly.
-			if _, _, err := p.Transfer(fns[0], fns[2]); err != nil {
+			if _, _, err := p.TransferCtx(bg, fns[0], fns[2]); err != nil {
 				t.Fatalf("transfer after poisoned channel was destroyed: %v", err)
 			}
 		}
@@ -472,7 +472,7 @@ func newFanoutFixture(t *testing.T, degree int) *fanoutFixture {
 // fanoutAndRelease runs one fan-out and hands back every region a success
 // landed, source region included.
 func (fx *fanoutFixture) fanoutAndRelease(n int) error {
-	refs, _, err := fx.p.Fanout(fx.src, fx.targets, n)
+	refs, _, err := fx.p.FanoutCtx(bg, fx.src, fx.targets, n)
 	if err == nil {
 		for i, t := range fx.targets {
 			_ = t.Release(refs[i])
@@ -587,7 +587,7 @@ func TestChaosCancelDuringSharedEgressConservesBaselines(t *testing.T) {
 	assertBaselines(t, fx.p, nodes, base, fx.all...)
 
 	// The plane recovers: the same fan-out lands shared-egress afterwards.
-	refs, reps, err := fx.p.Fanout(fx.src, fx.targets, n)
+	refs, reps, err := fx.p.FanoutCtx(bg, fx.src, fx.targets, n)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,5 +1,5 @@
-// Tests for platform teardown semantics: Close drains the async worker
-// pool before tearing down shims, and every public data-plane API called
+// Tests for platform teardown semantics: Close drains the worker pool (every
+// accepted Job resolves) before tearing down shims, and every public data-plane API called
 // after Close returns ErrClosed instead of racing teardown.
 package roadrunner_test
 
@@ -12,12 +12,13 @@ import (
 	roadrunner "github.com/polaris-slo-cloud/roadrunner-go"
 )
 
-// TestCloseDrainsAsyncInFlight closes the platform while a burst of async
-// transfers is in flight: every accepted future must resolve — either with
-// a completed delivery (it was drained against live shims) or with
-// ErrClosed (it was submitted after Close began) — and never hang, panic or
-// race teardown. Run under -race.
-func TestCloseDrainsAsyncInFlight(t *testing.T) {
+// TestCloseDrainsSubmittedJobs closes the platform while a burst of
+// submitted transfers is in flight: every submission must either be rejected
+// with ErrClosed (it arrived after Close began) or hand back a Job that
+// resolves exactly once — with a completed delivery (it was drained against
+// live shims) or with ErrClosed — and never hang, panic or race teardown.
+// Run under -race.
+func TestCloseDrainsSubmittedJobs(t *testing.T) {
 	p := roadrunner.New(roadrunner.WithWorkers(4))
 	const pairs = 4
 	srcs := make([]*roadrunner.Function, pairs)
@@ -37,7 +38,12 @@ func TestCloseDrainsAsyncInFlight(t *testing.T) {
 	}
 
 	const perPair = 12
-	futs := make(chan *roadrunner.TransferFuture, pairs*perPair)
+	type submission struct {
+		job  *roadrunner.Job
+		node *roadrunner.PlanNode
+		err  error
+	}
+	subs := make(chan submission, pairs*perPair)
 	var launchers sync.WaitGroup
 	for i := 0; i < pairs; i++ {
 		i := i
@@ -45,7 +51,10 @@ func TestCloseDrainsAsyncInFlight(t *testing.T) {
 		go func() {
 			defer launchers.Done()
 			for k := 0; k < perPair; k++ {
-				futs <- p.TransferAsync(srcs[i], dsts[i])
+				job, node, err := submitOne(bg, p, func(pl *roadrunner.Plan) *roadrunner.PlanNode {
+					return pl.Xfer(srcs[i], dsts[i])
+				})
+				subs <- submission{job, node, err}
 			}
 		}()
 	}
@@ -55,17 +64,34 @@ func TestCloseDrainsAsyncInFlight(t *testing.T) {
 		close(closed)
 	}()
 	launchers.Wait()
-	close(futs)
+	close(subs)
 
 	resolved := 0
-	for fut := range futs {
-		if _, _, err := fut.Wait(); err != nil && !errors.Is(err, roadrunner.ErrClosed) {
-			t.Fatalf("future resolved with %v, want success or ErrClosed", err)
+	for sub := range subs {
+		err := sub.err
+		if err == nil {
+			res, werr := sub.job.Wait(bg)
+			if werr != nil {
+				t.Fatalf("Wait on an accepted job = %v", werr)
+			}
+			// Resolved exactly once: the per-node hook, the aggregate and
+			// the progress counter all describe the same single outcome.
+			nr := awaitNode(t, sub.job, sub.node)
+			if done, total := sub.job.Progress(); done != 1 || total != 1 {
+				t.Fatalf("progress = %d/%d, want 1/1", done, total)
+			}
+			if !errors.Is(res.Err, nr.Err) || res.Node(sub.node).Ref() != nr.Ref() {
+				t.Fatalf("aggregate %v / %+v disagrees with node outcome %v / %+v", res.Err, res.Node(sub.node).Ref(), nr.Err, nr.Ref())
+			}
+			err = nr.Err
+		}
+		if err != nil && !errors.Is(err, roadrunner.ErrClosed) {
+			t.Fatalf("submission resolved with %v, want success or ErrClosed", err)
 		}
 		resolved++
 	}
 	if resolved != pairs*perPair {
-		t.Fatalf("resolved %d futures, want %d", resolved, pairs*perPair)
+		t.Fatalf("resolved %d submissions, want %d", resolved, pairs*perPair)
 	}
 	<-closed
 
@@ -76,15 +102,15 @@ func TestCloseDrainsAsyncInFlight(t *testing.T) {
 			_, err := p.Deploy(roadrunner.FunctionSpec{Name: "late", Node: "edge"})
 			return err
 		}(),
-		"Transfer": func() error { _, _, err := p.Transfer(src, dst); return err }(),
-		"Invoke":   func() error { _, err := p.Invoke(src, dst, 1024); return err }(),
-		"Chain":    func() error { _, _, err := p.Chain(1024, src, dst); return err }(),
+		"Transfer": func() error { _, _, err := p.TransferCtx(bg, src, dst); return err }(),
+		"Invoke":   func() error { _, err := p.InvokeCtx(bg, src, dst, 1024); return err }(),
+		"Chain":    func() error { _, _, err := p.ChainCtx(bg, 1024, []*roadrunner.Function{src, dst}); return err }(),
 		"Multicast": func() error {
-			_, _, err := p.Multicast(src, []*roadrunner.Function{dst})
+			_, _, err := p.MulticastCtx(bg, src, []*roadrunner.Function{dst})
 			return err
 		}(),
 		"Fanout": func() error {
-			_, _, err := p.Fanout(src, []*roadrunner.Function{dst}, 1024)
+			_, _, err := p.FanoutCtx(bg, src, []*roadrunner.Function{dst}, 1024)
 			return err
 		}(),
 		"Produce":          src.Produce(1024),
@@ -101,10 +127,20 @@ func TestCloseDrainsAsyncInFlight(t *testing.T) {
 			_, err := src.Instance(0).Checksum(roadrunner.DataRef{})
 			return err
 		}(),
-		"TransferAsync": func() error { _, _, err := p.TransferAsync(src, dst).Wait(); return err }(),
-		"ChainAsync":    func() error { _, _, err := p.ChainAsync(1024, src, dst).Wait(); return err }(),
-		"FanoutAsync": func() error {
-			_, err := p.FanoutAsync(src, []*roadrunner.Function{dst}, 1024)
+		"Submit(xfer)": func() error {
+			_, _, err := submitOne(bg, p, func(pl *roadrunner.Plan) *roadrunner.PlanNode { return pl.Xfer(src, dst) })
+			return err
+		}(),
+		"Submit(hop)": func() error {
+			_, _, err := submitOne(bg, p, func(pl *roadrunner.Plan) *roadrunner.PlanNode {
+				return pl.Hop(1024, []*roadrunner.Function{src, dst})
+			})
+			return err
+		}(),
+		"Submit(fan)": func() error {
+			_, _, err := submitOne(bg, p, func(pl *roadrunner.Plan) *roadrunner.PlanNode {
+				return pl.Fan(src, []*roadrunner.Function{dst}, 1024)
+			})
 			return err
 		}(),
 	}
@@ -137,7 +173,7 @@ func TestCloseWithSyncTransfersInFlight(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for k := 0; k < 16; k++ {
-				if _, _, err := p.Transfer(src, dst); err != nil {
+				if _, _, err := p.TransferCtx(bg, src, dst); err != nil {
 					if !errors.Is(err, roadrunner.ErrClosed) {
 						t.Errorf("transfer during close: %v", err)
 					}

@@ -1,10 +1,11 @@
 // Stress and semantics tests for the concurrent transfer engine: overlapping
 // transfers across all three modes with per-transfer integrity and exact
-// copy accounting, plus the async (future-based) API. All of it must stay
+// copy accounting, plus asynchronous execution (Submit + Job). All of it must stay
 // clean under `go test -race`.
 package roadrunner_test
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -113,7 +114,7 @@ func TestConcurrentTransferStress(t *testing.T) {
 					t.Errorf("%v produce: %v", pair.mode, err)
 					return
 				}
-				ref, rep, err := p.Transfer(pair.src, pair.dst, roadrunner.WithMode(pair.mode))
+				ref, rep, err := p.TransferCtx(bg, pair.src, pair.dst, roadrunner.WithMode(pair.mode))
 				if err != nil {
 					t.Errorf("%v transfer: %v", pair.mode, err)
 					return
@@ -142,39 +143,47 @@ func TestConcurrentTransferStress(t *testing.T) {
 	wg.Wait()
 }
 
-// TestTransferAsyncMatchesSync drives the future-based API concurrently and
-// checks it yields exactly what the synchronous API would.
-func TestTransferAsyncMatchesSync(t *testing.T) {
+// TestSubmittedXferMatchesSync drives one submitted Xfer job per pair
+// concurrently and checks each yields exactly what TransferCtx would.
+func TestSubmittedXferMatchesSync(t *testing.T) {
 	p := roadrunner.New(roadrunner.WithNodes("edge", "cloud"), roadrunner.WithWorkers(4))
 	defer p.Close()
 	pairs := deployStressPairs(t, p, 4)
 
-	futs := make([]*roadrunner.TransferFuture, len(pairs))
+	jobs := make([]*roadrunner.Job, len(pairs))
+	nodes := make([]*roadrunner.PlanNode, len(pairs))
 	for i, pair := range pairs {
 		if err := pair.src.Produce(pair.payload); err != nil {
 			t.Fatal(err)
 		}
-		futs[i] = p.TransferAsync(pair.src, pair.dst, roadrunner.WithMode(pair.mode))
-	}
-	for i, fut := range futs {
-		ref, rep, err := fut.Wait()
+		var err error
+		jobs[i], nodes[i], err = submitOne(bg, p, func(pl *roadrunner.Plan) *roadrunner.PlanNode {
+			return pl.Xfer(pair.src, pair.dst, roadrunner.WithMode(pair.mode))
+		})
 		if err != nil {
-			t.Fatalf("future %d: %v", i, err)
+			t.Fatalf("submit %d: %v", i, err)
 		}
-		checkAccounting(t, pairs[i].mode, pairs[i].payload, rep)
-		sum, err := pairs[i].dst.Checksum(ref)
+	}
+	for i := range jobs {
+		nr := awaitNode(t, jobs[i], nodes[i])
+		if nr.Err != nil {
+			t.Fatalf("job %d: %v", i, nr.Err)
+		}
+		checkAccounting(t, pairs[i].mode, pairs[i].payload, nr.Report())
+		sum, err := pairs[i].dst.Checksum(nr.Ref())
 		if err != nil {
 			t.Fatal(err)
 		}
 		if want := roadrunner.ExpectedChecksum(pairs[i].payload); sum != want {
-			t.Fatalf("future %d: checksum %#x, want %#x", i, sum, want)
+			t.Fatalf("job %d: checksum %#x, want %#x", i, sum, want)
 		}
 	}
 	if st := p.SchedulerStats(); st.Submitted != int64(len(pairs)) {
 		t.Fatalf("scheduler stats = %+v, want %d submitted", st, len(pairs))
 	}
-	// The completed counter is incremented by the worker after the future
-	// resolves, so it may trail Wait momentarily; poll instead of asserting.
+	// The completed counter is incremented by the worker after the node is
+	// published, so it may trail NodeDone momentarily; poll instead of
+	// asserting.
 	deadline := time.Now().Add(2 * time.Second)
 	for p.SchedulerStats().Completed != int64(len(pairs)) {
 		if time.Now().After(deadline) {
@@ -184,15 +193,16 @@ func TestTransferAsyncMatchesSync(t *testing.T) {
 	}
 }
 
-// TestChainAsyncPipelinesIndependentChains runs several multi-hop chains as
-// one batch of futures.
-func TestChainAsyncPipelinesIndependentChains(t *testing.T) {
+// TestSubmittedChainsPipelineIndependently runs several multi-hop chains as
+// one batch of submitted Hop jobs.
+func TestSubmittedChainsPipelineIndependently(t *testing.T) {
 	p := roadrunner.New(roadrunner.WithNodes("edge", "cloud"), roadrunner.WithWorkers(4))
 	defer p.Close()
 
 	const chains = 4
 	const n = 16 << 10
-	futs := make([]*roadrunner.TransferFuture, chains)
+	jobs := make([]*roadrunner.Job, chains)
+	nodes := make([]*roadrunner.PlanNode, chains)
 	lasts := make([]*roadrunner.Function, chains)
 	for i := 0; i < chains; i++ {
 		wf := roadrunner.Workflow{Name: fmt.Sprintf("chain-%d", i), Tenant: "async"}
@@ -209,17 +219,22 @@ func TestChainAsyncPipelinesIndependentChains(t *testing.T) {
 			t.Fatal(err)
 		}
 		lasts[i] = c
-		futs[i] = p.ChainAsync(n, a, b, c)
-	}
-	for i, fut := range futs {
-		ref, rep, err := fut.Wait()
+		jobs[i], nodes[i], err = submitOne(bg, p, func(pl *roadrunner.Plan) *roadrunner.PlanNode {
+			return pl.Hop(n, []*roadrunner.Function{a, b, c})
+		})
 		if err != nil {
-			t.Fatalf("chain %d: %v", i, err)
+			t.Fatalf("submit chain %d: %v", i, err)
 		}
-		if rep.Bytes != 2*n {
+	}
+	for i := range jobs {
+		nr := awaitNode(t, jobs[i], nodes[i])
+		if nr.Err != nil {
+			t.Fatalf("chain %d: %v", i, nr.Err)
+		}
+		if rep := nr.Report(); rep.Bytes != 2*n {
 			t.Fatalf("chain %d: merged bytes = %d, want %d", i, rep.Bytes, 2*n)
 		}
-		sum, err := lasts[i].Checksum(ref)
+		sum, err := lasts[i].Checksum(nr.Ref())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,9 +244,11 @@ func TestChainAsyncPipelinesIndependentChains(t *testing.T) {
 	}
 }
 
-// TestFanoutAsync delivers one payload to several remote targets through
-// the pool.
-func TestFanoutAsync(t *testing.T) {
+// TestFanoutPerTargetCompletion delivers one payload to several remote targets as ONE job
+// of one Xfer node per target, every node pinned to the produced region and
+// its instance: each target's delivery is collected off its own NodeDone
+// channel as it lands, all flows modeled as sharing the link.
+func TestFanoutPerTargetCompletion(t *testing.T) {
 	p := roadrunner.New(roadrunner.WithNodes("edge", "cloud"))
 	defer p.Close()
 	src, err := p.Deploy(roadrunner.FunctionSpec{Name: "src", Node: "edge"})
@@ -245,19 +262,33 @@ func TestFanoutAsync(t *testing.T) {
 		}
 	}
 	const n = 8 << 10
-	futs, err := p.FanoutAsync(src, targets, n)
+	if err := src.Produce(n); err != nil {
+		t.Fatal(err)
+	}
+	si := src.ActiveInstance()
+	out, err := si.Output()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, fut := range futs {
-		ref, rep, err := fut.Wait()
-		if err != nil {
-			t.Fatalf("target %d: %v", i, err)
+	pl := roadrunner.NewPlan()
+	nodes := make([]*roadrunner.PlanNode, len(targets))
+	for i, dst := range targets {
+		nodes[i] = pl.Xfer(src, dst, roadrunner.WithSourceInstance(si),
+			roadrunner.WithSourceRef(out), roadrunner.WithFlows(len(targets)))
+	}
+	job, err := p.Submit(bg, pl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, node := range nodes {
+		nr := awaitNode(t, job, node)
+		if nr.Err != nil {
+			t.Fatalf("target %d: %v", i, nr.Err)
 		}
-		if rep.Mode != "network" {
-			t.Fatalf("target %d: mode %q", i, rep.Mode)
+		if mode := nr.Report().Mode; mode != "network" {
+			t.Fatalf("target %d: mode %q", i, mode)
 		}
-		sum, err := targets[i].Checksum(ref)
+		sum, err := targets[i].Checksum(nr.Ref())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -265,11 +296,15 @@ func TestFanoutAsync(t *testing.T) {
 			t.Fatalf("target %d: checksum %#x, want %#x", i, sum, want)
 		}
 	}
+	<-job.Done()
+	if done, total := job.Progress(); done != len(targets) || total != len(targets) {
+		t.Fatalf("progress = %d/%d, want %d/%d", done, total, len(targets), len(targets))
+	}
 }
 
-// TestAsyncAfterCloseResolvesWithError: futures created on a closed
-// platform must resolve (with ErrClosed), never hang.
-func TestAsyncAfterCloseResolvesWithError(t *testing.T) {
+// TestSubmitAfterCloseIsRejected: a submission on a closed platform
+// is rejected with ErrClosed at once — no Job to hang on.
+func TestSubmitAfterCloseIsRejected(t *testing.T) {
 	p := roadrunner.New(roadrunner.WithNodes("edge", "cloud"))
 	a, err := p.Deploy(roadrunner.FunctionSpec{Name: "a", Node: "edge"})
 	if err != nil {
@@ -280,8 +315,9 @@ func TestAsyncAfterCloseResolvesWithError(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Close()
-	if _, _, err := p.TransferAsync(a, b).Wait(); err == nil {
-		t.Fatal("transfer on closed platform must fail")
+	job, _, err := submitOne(bg, p, func(pl *roadrunner.Plan) *roadrunner.PlanNode { return pl.Xfer(a, b) })
+	if !errors.Is(err, roadrunner.ErrClosed) || job != nil {
+		t.Fatalf("submit on closed platform = (%v, %v), want (nil, ErrClosed)", job, err)
 	}
 	if _, err := p.Deploy(roadrunner.FunctionSpec{Name: "late", Node: "edge"}); err == nil {
 		t.Fatal("deploy on closed platform must fail")
@@ -314,7 +350,7 @@ func TestConcurrentDeployAndTransfer(t *testing.T) {
 				t.Errorf("produce: %v", err)
 				return
 			}
-			ref, _, err := p.Transfer(pair.src, pair.dst)
+			ref, _, err := p.TransferCtx(bg, pair.src, pair.dst)
 			if err != nil {
 				t.Errorf("transfer: %v", err)
 				return

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -28,6 +29,7 @@ func main() {
 }
 
 func run() error {
+	ctx := context.Background()
 	// One strike excludes a replica; probes may run almost immediately, so
 	// the recovery half of the drill fits in one example run. Production
 	// configs keep the defaults (3 strikes, 100 ms cooldown, 2× backoff).
@@ -54,7 +56,7 @@ func run() error {
 	// The load keeps flowing: the faulted delivery re-routes onto a
 	// surviving replica, and no invocation fails.
 	for k := 0; k < 4*replicas; k++ {
-		inv, err := p.Invoke(src, dst, payload)
+		inv, err := p.InvokeCtx(ctx, src, dst, payload)
 		if err != nil {
 			return fmt.Errorf("invocation %d: %w", k, err)
 		}
@@ -79,7 +81,7 @@ func run() error {
 	dst.Instance(doomed).Recover()
 	time.Sleep(5 * time.Millisecond) // wait out ProbeAfter
 	for k := 0; k < 2*replicas; k++ {
-		inv, err := p.Invoke(src, dst, payload)
+		inv, err := p.InvokeCtx(ctx, src, dst, payload)
 		if err != nil {
 			return fmt.Errorf("post-recovery invocation %d: %w", k, err)
 		}

@@ -1,7 +1,7 @@
-// Extensions: the three §9 future-work items of the paper, implemented and
+// Extensions: two §9 future-work items of the paper, implemented and
 // demonstrated together — function state management (a shim-side,
-// workflow-scoped store), zero-copy multicast (tee(2) page sharing on the
-// data hose), and syscall batching (io_uring-style submissions).
+// workflow-scoped store) and zero-copy multicast (tee(2) page sharing on
+// the data hose).
 //
 // Scenario: an edge aggregator checkpoints a model state between
 // invocations, then multicasts a weight update to three cloud workers in a
@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -23,6 +24,7 @@ func main() {
 }
 
 func run() error {
+	ctx := context.Background()
 	p := roadrunner.New(
 		roadrunner.WithNodes("edge", "cloud-1", "cloud-2", "cloud-3"),
 		roadrunner.WithLink(100*roadrunner.Mbps, time.Millisecond),
@@ -71,7 +73,7 @@ func run() error {
 	if err := agg.SetOutput(restored); err != nil {
 		return err
 	}
-	refs, reports, err := p.Multicast(agg, workers)
+	refs, reports, err := p.MulticastCtx(ctx, agg, workers)
 	if err != nil {
 		return err
 	}
@@ -86,7 +88,7 @@ func run() error {
 		reports[0].Usage.KernelCopyBytes == 0)
 
 	// --- Comparison: the same delivery as sequential unicast fan-out ------
-	_, seqReports, err := p.Fanout(agg, workers, modelBytes)
+	_, seqReports, err := p.FanoutCtx(ctx, agg, workers, modelBytes)
 	if err != nil {
 		return err
 	}
@@ -96,7 +98,5 @@ func run() error {
 		seqSys += seqReports[i].Usage.Syscalls
 	}
 	fmt.Printf("multicast: %d total syscalls vs %d for sequential fan-out\n", mcSys, seqSys)
-	fmt.Println("\n(syscall batching is exercised per transfer via core.NetworkOptions.BatchSyscalls;")
-	fmt.Println(" see BenchmarkAblationBatchedSyscalls for its effect)")
 	return nil
 }

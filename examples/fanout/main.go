@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -100,7 +101,7 @@ func broadcast(p *roadrunner.Platform, src *roadrunner.Function, targets []*road
 // timedBroadcast is one verified, released, wall-clocked fan-out.
 func timedBroadcast(p *roadrunner.Platform, src *roadrunner.Function, targets []*roadrunner.Function, label string, opts []roadrunner.TransferOption) (regime, error) {
 	start := time.Now()
-	refs, reports, err := p.Fanout(src, targets, payload, opts...)
+	refs, reports, err := p.FanoutCtx(context.Background(), src, targets, payload, opts...)
 	wall := time.Since(start)
 	if err != nil {
 		return regime{}, fmt.Errorf("%s: %w", label, err)

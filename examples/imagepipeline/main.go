@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -26,6 +27,7 @@ func main() {
 }
 
 func run() error {
+	ctx := context.Background()
 	p := roadrunner.New(
 		roadrunner.WithNodes("edge", "cloud"),
 		roadrunner.WithLink(100*roadrunner.Mbps, time.Millisecond),
@@ -57,7 +59,7 @@ func run() error {
 
 	// Stage 2 — frame moves to the extractor through the shared VM
 	// (user-space mode), which downsamples it 2x for transmission.
-	frameRef, repUser, err := p.Transfer(ingest, extract)
+	frameRef, repUser, err := p.TransferCtx(ctx, ingest, extract)
 	if err != nil {
 		return err
 	}
@@ -73,7 +75,7 @@ func run() error {
 	if err := extract.SetOutput(small); err != nil {
 		return err
 	}
-	cloudRef, repNet, err := p.Transfer(extract, infer)
+	cloudRef, repNet, err := p.TransferCtx(ctx, extract, infer)
 	if err != nil {
 		return err
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -42,7 +43,7 @@ func run() error {
 	if err := a.Produce(payload); err != nil {
 		return err
 	}
-	ref, rep, err := p.Transfer(a, b)
+	ref, rep, err := p.TransferCtx(context.Background(), a, b)
 	if err != nil {
 		return err
 	}

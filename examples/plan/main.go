@@ -84,11 +84,12 @@ func run() error {
 	// cancelled attempt leaked nothing.
 	expired, cancelNow := context.WithCancel(context.Background())
 	cancelNow()
-	if _, _, err := p.ChainCtx(expired, payload, ingest, prep, modelA); !errors.Is(err, context.Canceled) {
+	line := []*roadrunner.Function{ingest, prep, modelA}
+	if _, _, err := p.ChainCtx(expired, payload, line); !errors.Is(err, context.Canceled) {
 		return fmt.Errorf("cancelled chain returned %v, want context.Canceled", err)
 	}
 	fmt.Println("cancelled chain: context.Canceled, baselines conserved")
-	if _, _, err := p.Chain(payload, ingest, prep, modelA); err != nil {
+	if _, _, err := p.ChainCtx(context.Background(), payload, line); err != nil {
 		return err
 	}
 	fmt.Println("same chain after cancellation: delivered")

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -17,6 +18,7 @@ func main() {
 }
 
 func run() error {
+	ctx := context.Background()
 	// One edge node is enough for a co-located workflow.
 	p := roadrunner.New(roadrunner.WithNodes("edge"))
 	defer p.Close()
@@ -45,7 +47,7 @@ func run() error {
 	}
 
 	// a → b: auto mode resolves to user space (same VM).
-	ref, rep, err := p.Transfer(a, b)
+	ref, rep, err := p.TransferCtx(ctx, a, b)
 	if err != nil {
 		return err
 	}
@@ -56,7 +58,7 @@ func run() error {
 
 	// a → c: auto mode resolves to kernel space (same node, different
 	// sandboxes).
-	ref, rep2, err := p.Transfer(a, c)
+	ref, rep2, err := p.TransferCtx(ctx, a, c)
 	if err != nil {
 		return err
 	}

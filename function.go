@@ -188,43 +188,13 @@ func ExpectedChecksum(n int) uint64 {
 	return guest.ReferenceProduceChecksum(n)
 }
 
-// Chain produces an n-byte payload at the first function and forwards it hop
-// by hop through the rest (the sequential invocation pattern of §6.1),
-// selecting the transfer mode per hop by locality. Every hop's endpoint
-// instances are routed by the placement policy. It returns the merged
-// report and the final delivery. See ChainWith for the execution model.
-func (p *Platform) Chain(n int, fns ...*Function) (DataRef, Report, error) {
-	return p.ChainWith(n, nil, fns...)
-}
-
-// ChainCtx is Chain bounded by ctx; see ChainWithCtx for the cancellation
-// contract.
-func (p *Platform) ChainCtx(ctx context.Context, n int, fns ...*Function) (DataRef, Report, error) {
-	return p.ChainWithCtx(ctx, n, nil, fns...)
-}
-
-// ChainWithCtx is ChainWith bounded by ctx: cancellation is observed
-// between hops and inside each hop's pipeline stages. A cancelled (or
-// otherwise failed) chain releases every region it allocated — the head's
-// produced payload and each interior hop's delivery — back to the owning
-// guests' allocators, so an aborted chain leaves linear memory, FD tables,
-// the page pool and the channel cache at their pre-chain baselines. It
-// executes as a single Hop-node Plan (DESIGN.md §7).
-func (p *Platform) ChainWithCtx(ctx context.Context, n int, opts []TransferOption, fns ...*Function) (DataRef, Report, error) {
-	pl := NewPlan()
-	node := pl.Hop(n, fns, opts...)
-	res, err := p.runPlan(ctx, pl)
-	if err != nil {
-		return DataRef{}, Report{}, err
-	}
-	nr := res.Node(node)
-	return nr.Ref(), nr.Report(), nr.Err
-}
-
-// ChainWith is Chain with per-hop transfer options (e.g. WithPhaseLocked
-// for the phase-locked ablation regime). Instance pins in opts are ignored:
-// a chain's source instance is always the previous hop's delivery, and each
-// hop's target is routed by the placement policy.
+// ChainCtx produces an n-byte payload at the first function and forwards it
+// hop by hop through the rest (the sequential invocation pattern of §6.1),
+// selecting the transfer mode per hop by locality; opts apply to every hop
+// (e.g. WithPhaseLocked for the phase-locked ablation regime). Every hop's
+// endpoint instances are routed by the placement policy — instance pins in
+// opts are ignored: a chain's source instance is always the previous hop's
+// delivery. It returns the merged report and the final delivery.
 //
 // Chains stream: every hop pins its input region explicitly (WithSourceRef),
 // so the set_output + locate step runs atomically inside the hop's source
@@ -235,20 +205,29 @@ func (p *Platform) ChainWithCtx(ctx context.Context, n int, opts []TransferOptio
 // locked-idle for whole hops as in the phase-locked regime.
 //
 // A failing hop is named in the error: "hop i/h (src->dst)" with the hop's
-// 1-based index, total hop count and concrete instance names. ChainWith
-// never cancels; ChainWithCtx is the context-aware form.
-func (p *Platform) ChainWith(n int, opts []TransferOption, fns ...*Function) (DataRef, Report, error) {
-	return p.ChainWithCtx(context.Background(), n, opts, fns...)
+// 1-based index, total hop count and concrete instance names. Cancellation
+// of ctx is observed between hops and inside each hop's pipeline stages. A
+// cancelled (or otherwise failed) chain releases every region it allocated
+// — the head's produced payload and each interior hop's delivery — back to
+// the owning guests' allocators, so an aborted chain leaves linear memory,
+// FD tables, the page pool and the channel cache at their pre-chain
+// baselines. It is the one-shot form of a Plan's Hop node (DESIGN.md §7).
+func (p *Platform) ChainCtx(ctx context.Context, n int, fns []*Function, opts ...TransferOption) (DataRef, Report, error) {
+	node := PlanNode{op: opHop, fns: fns, bytes: n, opts: opts, label: "hop#0"}
+	if err := node.admit(ctx, p); err != nil {
+		return DataRef{}, Report{}, err
+	}
+	ref, rep, _, err := p.chainWithCtx(ctx, n, opts, fns...)
+	return ref, rep, err
 }
 
 // chainWithCtx executes one streaming chain under ctx — the engine behind
-// Hop plan nodes and therefore behind Chain/ChainWith/ChainAsync and their
-// Ctx forms. Cancellation is polled before every hop and inside each hop's
-// pipeline; on any failure the chain releases every region it allocated so
-// far (in reverse allocation order — the guests' allocators are LIFO), so
-// a chain cancelled while an interior hop is on the wire frees all pinned
-// interior refs. It also returns the concrete instance the final delivery
-// landed on, feeding plan dataflow (From) edges.
+// Hop plan nodes and ChainCtx. Cancellation is polled before every hop and
+// inside each hop's pipeline; on any failure the chain releases every
+// region it allocated so far (in reverse allocation order — the guests'
+// allocators are LIFO), so a chain cancelled while an interior hop is on
+// the wire frees all pinned interior refs. It also returns the concrete
+// instance the final delivery landed on, feeding plan dataflow (From) edges.
 func (p *Platform) chainWithCtx(ctx context.Context, n int, opts []TransferOption, fns ...*Function) (DataRef, Report, *Instance, error) {
 	if err := p.beginOp(); err != nil {
 		return DataRef{}, Report{}, nil, err
@@ -320,8 +299,8 @@ func (p *Platform) chainWithCtx(ctx context.Context, n int, opts []TransferOptio
 	return ref, total, cur, nil
 }
 
-// Multicast delivers src's current output to every target in a single pass
-// over the virtual data hose, duplicating page references with tee(2)
+// MulticastCtx delivers src's current output to every target in a single
+// pass over the virtual data hose, duplicating page references with tee(2)
 // semantics instead of re-reading the source per target — the zero-copy
 // fan-out extension of Algorithm 1. Targets may live anywhere except inside
 // the source instance's own VM: replicated targets are routed preferring an
@@ -342,28 +321,21 @@ func (p *Platform) chainWithCtx(ctx context.Context, n int, opts []TransferOptio
 // to cross-node ones); ModeUserSpace — like pinning a single target
 // instance — is rejected with ErrModeUnavailable, since multicast shares
 // kernel pages across VMs with policy-routed targets.
-func (p *Platform) Multicast(src *Function, targets []*Function, opts ...TransferOption) ([]DataRef, []Report, error) {
-	return p.MulticastCtx(context.Background(), src, targets, opts...)
-}
-
-// MulticastCtx is Multicast bounded by ctx: cancellation is observed at
-// entry, during the source tee pass and at every target drain, and an
-// aborted fan-out destroys its channels (draining stranded pages) exactly
-// as other multicast failures do. It executes as a single Cast-node Plan
-// (DESIGN.md §7).
+//
+// Cancellation of ctx is observed at entry, during the source tee pass and
+// at every target drain, and an aborted fan-out destroys its channels
+// (draining stranded pages) exactly as other multicast failures do. It is
+// the one-shot form of a Plan's Cast node (DESIGN.md §7).
 func (p *Platform) MulticastCtx(ctx context.Context, src *Function, targets []*Function, opts ...TransferOption) ([]DataRef, []Report, error) {
-	pl := NewPlan()
-	n := pl.Cast(src, targets, opts...)
-	res, err := p.runPlan(ctx, pl)
-	if err != nil {
+	n := PlanNode{op: opCast, src: src, targets: targets, opts: opts, label: "cast#0"}
+	if err := n.admit(ctx, p); err != nil {
 		return nil, nil, err
 	}
-	nr := res.Node(n)
-	return nr.Refs, nr.Reports, nr.Err
+	return p.multicastCtx(ctx, src, targets, opts)
 }
 
 // multicastCtx executes one multicast under ctx — the engine behind Cast
-// plan nodes and therefore behind Multicast/MulticastCtx/MulticastAsync.
+// plan nodes and MulticastCtx.
 func (p *Platform) multicastCtx(ctx context.Context, src *Function, targets []*Function, opts []TransferOption) ([]DataRef, []Report, error) {
 	if err := p.beginOp(); err != nil {
 		return nil, nil, err
@@ -456,16 +428,14 @@ func (p *Platform) multicastCtx(ctx context.Context, src *Function, targets []*F
 		return nil, nil, err
 	}
 	outRefs := make([]DataRef, len(refs))
-	outReps := make([]Report, len(reps))
 	for i := range refs {
 		outRefs[i] = DataRef{Ptr: refs[i].Ptr, Len: refs[i].Len}
-		outReps[i] = fromReport(reps[i])
 		targets[i].setActive(chosen[i])
 	}
-	return outRefs, outReps, nil
+	return outRefs, reps, nil
 }
 
-// Fanout produces an n-byte payload at a routed instance of src and
+// FanoutCtx produces an n-byte payload at a routed instance of src and
 // delivers it to every target (the fan-out pattern of §6.4), each target
 // routed to an instance by the placement policy. The produce step runs
 // once. Targets with a healthy replica co-located with the producing
@@ -479,35 +449,26 @@ func (p *Platform) multicastCtx(ctx context.Context, src *Function, targets []*F
 // sharing the link. WithPerTargetFanout disables the tee group — the
 // ablation baseline the fan-out experiments compare against. It returns one
 // delivery ref and one report per target, in target order — the same shape
-// Multicast returns (DESIGN.md §7 documents this change; the reports-only
-// view remains one Plan Fan-node result away). The produce side may be
-// pinned with WithSourceInstance; pinning a single target instance is
-// rejected with ErrModeUnavailable, since every target is routed by the
-// placement policy.
-func (p *Platform) Fanout(src *Function, targets []*Function, n int, opts ...TransferOption) ([]DataRef, []Report, error) {
-	return p.FanoutCtx(context.Background(), src, targets, n, opts...)
-}
-
-// FanoutCtx is Fanout bounded by ctx: cancellation is observed at queue
-// admission of every delivery and inside each delivery's pipeline. An
-// aborted fan-out releases the produced source region and every delivery
-// that had already landed, restoring the guests' allocators and data-plane
-// baselines. It executes as a single Fan-node Plan (DESIGN.md §7).
+// MulticastCtx returns. The produce side may be pinned with
+// WithSourceInstance; pinning a single target instance is rejected with
+// ErrModeUnavailable, since every target is routed by the placement policy.
+//
+// Cancellation of ctx is observed at queue admission of every delivery and
+// inside each delivery's pipeline. An aborted fan-out releases the produced
+// source region and every delivery that had already landed, restoring the
+// guests' allocators and data-plane baselines. It is the one-shot form of a
+// Plan's Fan node (DESIGN.md §7).
 func (p *Platform) FanoutCtx(ctx context.Context, src *Function, targets []*Function, n int, opts ...TransferOption) ([]DataRef, []Report, error) {
-	pl := NewPlan()
-	node := pl.Fan(src, targets, n, opts...)
-	res, err := p.runPlan(ctx, pl)
-	if err != nil {
+	node := PlanNode{op: opFan, src: src, targets: targets, bytes: n, opts: opts, label: "fan#0"}
+	if err := node.admit(ctx, p); err != nil {
 		return nil, nil, err
 	}
-	nr := res.Node(node)
-	return nr.Refs, nr.Reports, nr.Err
+	return p.fanoutCtx(ctx, src, targets, n, opts)
 }
 
 // fanoutCtx executes one fan-out under ctx — the engine behind Fan plan
-// nodes and therefore behind Fanout/FanoutCtx. On failure it releases
-// every region the operation allocated: completed deliveries first, then
-// the pinned source region.
+// nodes and FanoutCtx. On failure it releases every region the operation
+// allocated: completed deliveries first, then the pinned source region.
 func (p *Platform) fanoutCtx(ctx context.Context, src *Function, targets []*Function, n int, opts []TransferOption) ([]DataRef, []Report, error) {
 	if err := p.beginOp(); err != nil {
 		return nil, nil, err
@@ -671,7 +632,7 @@ func (p *Platform) fanoutGroup(ctx context.Context, si *Instance, group []int, c
 	}
 	for k, i := range group {
 		refs[i] = DataRef{Ptr: coreRefs[k].Ptr, Len: coreRefs[k].Len}
-		reports[i] = fromReport(reps[k])
+		reports[i] = reps[k]
 		observeDelivery(si, chosen[i], reports[i], nil)
 	}
 	return nil

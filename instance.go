@@ -60,7 +60,7 @@ func (inst *Instance) SharesVMWith(o *Instance) bool {
 // of §6.1). Instances deployed into a shared VM report the shim account
 // they share with their host.
 func (inst *Instance) Usage() Usage {
-	return fromUsage(inst.inner.Shim().Account().Snapshot())
+	return inst.inner.Shim().Account().Snapshot()
 }
 
 // Produce runs the guest payload generator on this instance and records it
@@ -250,7 +250,7 @@ type FunctionReport struct {
 func (f *Function) Report() FunctionReport {
 	rep := FunctionReport{Function: f.name}
 	seen := make(map[*metrics.Account]bool, len(f.insts))
-	distinct := make([]metrics.Usage, 0, len(f.insts))
+	distinct := make([]Usage, 0, len(f.insts))
 	for i, inst := range f.insts {
 		u := inst.inner.Shim().Account().Snapshot()
 		rep.Instances = append(rep.Instances, InstanceAccount{
@@ -259,13 +259,13 @@ func (f *Function) Report() FunctionReport {
 			InFlight:    f.route.InFlight(i),
 			Invocations: f.route.Total(i),
 			Health:      f.route.Health(i),
-			Usage:       fromUsage(u),
+			Usage:       u,
 		})
 		if acct := inst.inner.Shim().Account(); !seen[acct] {
 			seen[acct] = true
 			distinct = append(distinct, u)
 		}
 	}
-	rep.Total = fromUsage(metrics.SumUsage(distinct...))
+	rep.Total = metrics.SumUsage(distinct...)
 	return rep
 }

@@ -1,11 +1,8 @@
 // Package ctxcheck is the analyzer form of the context-first API
-// contract (previously the standalone cmd/ctxcheck gate): every public
-// data-plane entry point of the root roadrunner package must be
-// cancellable. Every exported method on *Platform whose parameters
-// mention *Function must take a context, end in Async (cancelled via
-// futures), or have a <Name>Ctx sibling whose first parameter is a
-// context; and every exported Wait method without a ctx needs a WaitCtx
-// sibling.
+// contract: every public data-plane entry point of the root roadrunner
+// package must be cancellable. One rule: an exported method on *Platform
+// whose parameters mention *Function (or []*Function) takes a
+// context.Context as its first parameter.
 package ctxcheck
 
 import (
@@ -22,78 +19,34 @@ const rootPkg = "roadrunner"
 // Analyzer is the ctxcheck pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "ctxcheck",
-	Doc:  "check that every public data-plane entry point has a ctx-taking form",
+	Doc:  "check that every public data-plane entry point takes a context first",
 	Run:  run,
-}
-
-// method describes one exported method of the package.
-type method struct {
-	decl     *ast.FuncDecl
-	recv     string // receiver base type name
-	name     string
-	takesCtx bool // any parameter is context.Context
-	firstCtx bool // the FIRST parameter is context.Context
-	touches  bool // parameters mention *Function or []*Function
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {
 	if pass.Pkg.Name() != rootPkg {
 		return nil, nil
 	}
-	var methods []method
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Recv == nil || !fn.Name.IsExported() {
+			if !ok || fn.Recv == nil || !fn.Name.IsExported() || recvName(fn) != "Platform" {
 				continue
 			}
-			methods = append(methods, describe(fn))
-		}
-	}
-
-	byRecv := make(map[string]map[string]method)
-	for _, m := range methods {
-		if byRecv[m.recv] == nil {
-			byRecv[m.recv] = make(map[string]method)
-		}
-		byRecv[m.recv][m.name] = m
-	}
-
-	for _, m := range methods {
-		if m.recv == "Platform" && m.touches && !m.takesCtx &&
-			!strings.HasSuffix(m.name, "Async") && !strings.HasSuffix(m.name, "Ctx") {
-			sib, ok := byRecv[m.recv][m.name+"Ctx"]
-			if !ok || !sib.firstCtx {
-				pass.Reportf(m.decl.Pos(),
-					"(*%s).%s: data-plane entry point with no ctx parameter and no %sCtx sibling", m.recv, m.name, m.name)
+			params := fn.Type.Params.List
+			touches := false
+			for _, field := range params {
+				if strings.Contains(typeString(field.Type), "*Function") {
+					touches = true
+				}
 			}
-		}
-		if m.name == "Wait" && !m.takesCtx {
-			sib, ok := byRecv[m.recv]["WaitCtx"]
-			if !ok || !sib.firstCtx {
-				pass.Reportf(m.decl.Pos(),
-					"(*%s).Wait: blocking wait with no ctx parameter and no WaitCtx sibling", m.recv)
+			if touches && typeString(params[0].Type) != "context.Context" {
+				pass.Reportf(fn.Pos(),
+					"(*Platform).%s: data-plane entry point whose first parameter is not a context.Context", fn.Name.Name)
 			}
 		}
 	}
 	return nil, nil
-}
-
-func describe(fn *ast.FuncDecl) method {
-	m := method{decl: fn, recv: recvName(fn), name: fn.Name.Name}
-	for i, field := range fn.Type.Params.List {
-		t := typeString(field.Type)
-		if t == "context.Context" {
-			m.takesCtx = true
-			if i == 0 {
-				m.firstCtx = true
-			}
-		}
-		if strings.Contains(t, "*Function") {
-			m.touches = true
-		}
-	}
-	return m
 }
 
 // recvName extracts the receiver's base type name ("Platform" from

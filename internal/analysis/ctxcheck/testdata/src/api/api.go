@@ -1,5 +1,5 @@
 // Package roadrunner mimics the root package's public surface for the
-// ctxcheck contract: Platform data-plane entry points and future Waits.
+// ctxcheck contract: Platform data-plane entry points take a context first.
 package roadrunner
 
 import "context"
@@ -11,31 +11,22 @@ type Function struct{}
 type Platform struct{}
 
 // Transfer is a data-plane entry point with no ctx story.
-func (p *Platform) Transfer(src, dst *Function) error { return nil } // want "no TransferCtx sibling"
+func (p *Platform) Transfer(src, dst *Function) error { return nil } // want "first parameter is not a context.Context"
 
-// Invoke is covered by its InvokeCtx sibling below.
-func (p *Platform) Invoke(f *Function) error { return nil }
+// TransferCtx is the one form per verb: context first.
+func (p *Platform) TransferCtx(ctx context.Context, src, dst *Function) error { return nil }
 
-// InvokeCtx is the context-taking form of Invoke.
-func (p *Platform) InvokeCtx(ctx context.Context, f *Function) error { return nil }
+// ChainCtx takes its functions as a slice.
+func (p *Platform) ChainCtx(ctx context.Context, n int, fns []*Function) error { return nil }
 
-// SubmitCtx takes the context itself.
-func (p *Platform) SubmitCtx(ctx context.Context, fns []*Function) error { return nil }
+// FanoutLate has a context, but not where a caller looks for it.
+func (p *Platform) FanoutLate(src *Function, ctx context.Context) error { return nil } // want "first parameter is not a context.Context"
 
-// TransferAsync is exempt: asynchronous forms cancel through futures.
-func (p *Platform) TransferAsync(src, dst *Function) *Future { return nil }
+// Deploy touches no deployed function and is out of scope.
+func (p *Platform) Deploy(name string) (*Function, error) { return nil, nil }
 
-// Future mimics an async result with no cancellable wait.
-type Future struct{}
+// helper is unexported and out of scope.
+func (p *Platform) helper(f *Function) {}
 
-// Wait blocks forever with no ctx escape hatch.
-func (f *Future) Wait() error { return nil } // want "no WaitCtx sibling"
-
-// CancellableFuture pairs Wait with WaitCtx.
-type CancellableFuture struct{}
-
-// Wait blocks; WaitCtx below is its cancellable sibling.
-func (f *CancellableFuture) Wait() error { return nil }
-
-// WaitCtx is the cancellable wait.
-func (f *CancellableFuture) WaitCtx(ctx context.Context) error { return nil }
+// Produce is a method of Function, not a Platform entry point.
+func (f *Function) Produce(n int) error { return nil }

@@ -429,65 +429,3 @@ func TestHoseLeavesNoResidentPages(t *testing.T) {
 	}
 	_ = pagebuf.PageSize
 }
-
-// TestSyscallBatchingExtension verifies the §9 future-work extension: the
-// batched network path moves the identical payload with far fewer kernel
-// entries while keeping the zero-copy property.
-func TestSyscallBatchingExtension(t *testing.T) {
-	run := func(batch bool) (int64, int64) {
-		k1, k2 := kernel.New("edge"), kernel.New("cloud")
-		s1 := newShim(t, "s1", k1)
-		s2 := newShim(t, "s2", k2)
-		fa, fb := addFn(t, s1, "a"), addFn(t, s2, "b")
-		const n = 8 << 20
-		if _, err := fa.CallPacked(guest.ExportProduce, uint64(n)); err != nil {
-			t.Fatal(err)
-		}
-		ref, rep, err := core.NetworkTransfer(fa, fb, core.NetworkOptions{BatchSyscalls: batch})
-		if err != nil {
-			t.Fatal(err)
-		}
-		verifyDelivery(t, fb, ref, n)
-		if rep.Usage.KernelCopyBytes != 0 {
-			t.Fatalf("batching broke zero-copy: %d kernel bytes", rep.Usage.KernelCopyBytes)
-		}
-		return rep.Usage.Syscalls, rep.Bytes
-	}
-	plain, _ := run(false)
-	batched, _ := run(true)
-	if batched >= plain {
-		t.Fatalf("batched syscalls = %d, plain = %d", batched, plain)
-	}
-	if batched > plain/2 {
-		t.Fatalf("batching saved too little: %d vs %d", batched, plain)
-	}
-}
-
-func TestBatchingAccountsOps(t *testing.T) {
-	k := kernel.New("n")
-	acct := s1Acct(t, k)
-	_ = acct
-}
-
-// s1Acct exercises Begin/EndBatch directly.
-func s1Acct(t *testing.T, k *kernel.Kernel) *kernel.Proc {
-	t.Helper()
-	p := k.NewProc("p", nil)
-	t.Cleanup(p.CloseAll)
-	p.BeginBatch()
-	rfd, wfd := p.Pipe()
-	if _, err := p.Write(wfd, []byte("abc")); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 3)
-	if _, err := p.Read(rfd, buf); err != nil {
-		t.Fatal(err)
-	}
-	if ops := p.EndBatch(); ops != 3 { // pipe + write + read
-		t.Fatalf("batched ops = %d, want 3", ops)
-	}
-	if ops := p.EndBatch(); ops != 0 {
-		t.Fatalf("empty batch ops = %d", ops)
-	}
-	return p
-}

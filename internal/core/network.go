@@ -31,10 +31,6 @@ type NetworkOptions struct {
 	// transmission — the ablation quantifying the serialization-free win
 	// (DESIGN.md §5.2).
 	SerializeFirst bool
-	// BatchSyscalls submits the per-chunk vmsplice/splice operations as
-	// io_uring-style batches (one kernel entry per side), implementing the
-	// syscall-batching extension of the paper's future work (§9).
-	BatchSyscalls bool
 	// NoChannelCache forces per-call channel establishment and teardown
 	// (connection + hose pipes created and closed around every transfer —
 	// the pre-cache behavior, kept as the cold-path ablation). By default
@@ -103,7 +99,6 @@ func NetworkTransfer(src, dst *Function, opts NetworkOptions) (InboundRef, metri
 
 		forceCopy:      opts.ForceCopyPath,
 		serializeFirst: opts.SerializeFirst,
-		batchSyscalls:  opts.BatchSyscalls,
 	}
 	return runPipeline(&spec)
 }
@@ -122,7 +117,7 @@ func hoseChunks(out OutputRef, hoseCap int) int {
 
 // networkOps is the network-mode stage pair; like kernelOps it is a
 // zero-size stateless type, with the mode's knobs (forceCopy,
-// serializeFirst, batchSyscalls) read from the spec.
+// serializeFirst) read from the spec.
 type networkOps struct{}
 
 // egress is FunctionA's side of Algorithm 1 (lines 1-13): locate the
@@ -172,10 +167,6 @@ func (networkOps) egress(st *pipelineState) (OutputRef, error) {
 		return out, copySend(s, ch.cfd, view, &st.em)
 	}
 	swT := metrics.NewStopwatch(s.now)
-	if sp.batchSyscalls {
-		s.proc.BeginBatch()
-		defer s.proc.EndBatch()
-	}
 	for off := 0; off < len(view); {
 		if err := CtxErr(sp.ctx); err != nil {
 			return OutputRef{}, err
@@ -227,14 +218,8 @@ func (networkOps) ingress(st *pipelineState, out OutputRef) (InboundRef, error) 
 		if err := copyRecv(s, sp.ctx, ch.sfd, wv, &st.im); err != nil {
 			return ingressAbort(f, dstPtr, err)
 		}
-	} else {
-		if sp.batchSyscalls {
-			s.proc.BeginBatch()
-			defer s.proc.EndBatch()
-		}
-		if err := drainHose(s, sp.ctx, wv, ch, &st.im, st); err != nil {
-			return ingressAbort(f, dstPtr, err)
-		}
+	} else if err := drainHose(s, sp.ctx, wv, ch, &st.im, st); err != nil {
+		return ingressAbort(f, dstPtr, err)
 	}
 
 	// Ablation follow-up: decode in the target guest.

@@ -187,7 +187,6 @@ type pipelineSpec struct {
 	// Network-mode knobs (see NetworkOptions).
 	forceCopy      bool
 	serializeFirst bool
-	batchSyscalls  bool
 }
 
 // chunks is the transfer's pipeline depth for a payload of out.Len bytes.

@@ -196,53 +196,3 @@ func TestStripedDrainFailuresConserve(t *testing.T) {
 		})
 	}
 }
-
-// TestFailedBatchedTransferClosesItsBatch: a BatchSyscalls transfer that
-// fails or is cancelled mid-egress or mid-ingress must still submit its
-// batch. A batch left open queues every later syscall of that shim
-// uncharged, so the check is the warm syscall count TestAlgorithm1SyscallTrace
-// pins — two per chunk and side — on a plain transfer after the failure.
-func TestFailedBatchedTransferClosesItsBatch(t *testing.T) {
-	const n = 3 * stripedHose
-	cases := []struct {
-		name   string
-		source bool   // which shim's syscall trips
-		op     string // the tripping syscall: its second call
-		want   error  // errInjected fails that call; context.Canceled cancels there instead
-	}{
-		{"fault mid-egress", true, "vmsplice", errInjected},
-		{"fault mid-ingress", false, "splice", errInjected},
-		{"cancel mid-egress", true, "vmsplice", context.Canceled},
-		{"cancel mid-ingress", false, "readrefs", context.Canceled},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			p := newStripedPair(t)
-			p.produce(t, n)
-			p.deliver(t, n, false)
-
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			proc := p.s2.Proc()
-			if tc.source {
-				proc = p.s1.Proc()
-			}
-			trip := kernel.NewFaultPlan(kernel.FaultSpec{Ops: []string{tc.op}, After: 1, Count: 1, Err: errInjected}).Hook()
-			proc.InjectFault(func(op string) error {
-				err := trip(op)
-				if err != nil && tc.want == context.Canceled {
-					cancel()
-					return nil
-				}
-				return err
-			})
-			_, _, err := core.NetworkTransfer(p.fa, p.fb, core.NetworkOptions{Ctx: ctx, BatchSyscalls: true})
-			proc.InjectFault(nil)
-			if !errors.Is(err, tc.want) {
-				t.Fatalf("error = %v, want %v", err, tc.want)
-			}
-			p.deliver(t, n, false) // re-establishes the channel
-			p.deliver(t, n, true)  // 6 syscalls a side, or the batch leaked
-		})
-	}
-}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -73,7 +74,7 @@ func chanCachePoints(x float64, n, runs int) ([]Point, error) {
 		}
 		var collected []Point
 		for r := 0; r < runs; r++ {
-			ref, rep, err := p.Transfer(a, b, topts...)
+			ref, rep, err := p.TransferCtx(context.Background(), a, b, topts...)
 			if err != nil {
 				return err
 			}
@@ -86,7 +87,7 @@ func chanCachePoints(x float64, n, runs int) ([]Point, error) {
 			if warm && rep.Breakdown.Setup != 0 {
 				return fmt.Errorf("warm transfer paid setup %v", rep.Breakdown.Setup)
 			}
-			collected = append(collected, pointFromPublic(system, x, rep))
+			collected = append(collected, pointFrom(system, x, rep))
 		}
 		points = append(points, averagePoints(collected))
 		return nil

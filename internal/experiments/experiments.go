@@ -20,7 +20,6 @@ import (
 	"time"
 
 	roadrunner "github.com/polaris-slo-cloud/roadrunner-go"
-	"github.com/polaris-slo-cloud/roadrunner-go/internal/metrics"
 )
 
 // MB is 10^6 bytes, matching the paper's payload-size axis.
@@ -162,44 +161,23 @@ func fmtDur(d time.Duration) string {
 	return fmt.Sprintf("%.6gs", d.Seconds())
 }
 
-// pointFromPublic derives a Point from a public-API report.
-func pointFromPublic(system string, xMB float64, rep roadrunner.Report) Point {
-	return buildPoint(system, xMB,
-		rep.Latency(), rep.Breakdown.Serialization+rep.Breakdown.WasmIO,
-		rep.Usage.UserCPU, rep.Usage.KernelCPU, rep.Usage.PeakResident,
-		rep.Breakdown)
-}
-
-// pointFromMetrics derives a Point from an internal baseline report.
-func pointFromMetrics(system string, xMB float64, rep metrics.TransferReport) Point {
-	bd := roadrunner.Breakdown{
-		Setup:         rep.Breakdown.Setup,
-		Transfer:      rep.Breakdown.Transfer,
-		Serialization: rep.Breakdown.Serialization,
-		WasmIO:        rep.Breakdown.WasmIO,
-		Network:       rep.Breakdown.Network,
-		Compute:       rep.Breakdown.Compute,
-		Overlap:       rep.Breakdown.Overlap,
-	}
-	return buildPoint(system, xMB,
-		rep.Latency(), rep.Breakdown.Serialization+rep.Breakdown.WasmIO,
-		rep.Usage.UserCPU, rep.Usage.KernelCPU, rep.Usage.PeakResident,
-		bd)
-}
-
-func buildPoint(system string, x float64, latency, serLatency time.Duration, userCPU, kernelCPU time.Duration, peakResident int64, bd roadrunner.Breakdown) Point {
+// pointFrom derives a Point from one transfer report — Roadrunner's or a
+// baseline's, the same type.
+func pointFrom(system string, x float64, rep roadrunner.Report) Point {
+	latency := rep.Latency()
+	serLatency := rep.Breakdown.Serialization + rep.Breakdown.WasmIO
 	p := Point{
 		System:     system,
 		X:          x,
 		Latency:    latency,
 		SerLatency: serLatency,
-		RAMMB:      float64(peakResident) / MB,
-		Breakdown:  bd,
+		RAMMB:      float64(rep.Usage.PeakResident) / MB,
+		Breakdown:  rep.Breakdown,
 	}
 	if latency > 0 {
 		p.RPS = float64(time.Second) / float64(latency)
-		p.CPUUser = float64(userCPU) / float64(latency) * 100
-		p.CPUKernel = float64(kernelCPU) / float64(latency) * 100
+		p.CPUUser = float64(rep.Usage.UserCPU) / float64(latency) * 100
+		p.CPUKernel = float64(rep.Usage.KernelCPU) / float64(latency) * 100
 		p.CPUTotal = p.CPUUser + p.CPUKernel
 	}
 	if serLatency > 0 {

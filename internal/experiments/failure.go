@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"time"
@@ -107,7 +108,7 @@ type failureRun struct {
 // the pool's makespan is the busiest instance's invocation count times the
 // median invocation latency (count-driven, jitter-robust; see Failure).
 func (r failureRun) point(median time.Duration) Point {
-	pt := pointFromPublic(r.system, failureReplicas, r.total)
+	pt := pointFrom(r.system, failureReplicas, r.total)
 	pt.Latency = median
 	if makespan := time.Duration(r.busiest) * median; makespan > 0 {
 		pt.RPS = float64(len(r.lats)) / makespan.Seconds()
@@ -153,7 +154,7 @@ func failurePoint(system string, kill bool) (failureRun, error) {
 		// channel misses on those fresh pairs would confound the capacity
 		// comparison; with the cache off every invocation pays identical
 		// setup in both runs.
-		inv, err := p.Invoke(src, dst, failurePayload, roadrunner.WithChannelCache(false))
+		inv, err := p.InvokeCtx(context.Background(), src, dst, failurePayload, roadrunner.WithChannelCache(false))
 		if err != nil {
 			return failureRun{}, fmt.Errorf("invocation %d: %w", k, err)
 		}

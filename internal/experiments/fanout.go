@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -8,7 +9,6 @@ import (
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/baseline"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/guest"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/kernel"
-	"github.com/polaris-slo-cloud/roadrunner-go/internal/metrics"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/netsim"
 )
 
@@ -23,18 +23,7 @@ type flatRep struct {
 	peak      int64
 }
 
-func flatFromPublic(rep roadrunner.Report) flatRep {
-	return flatRep{
-		latency:   rep.Latency(),
-		serLat:    rep.Breakdown.Serialization + rep.Breakdown.WasmIO,
-		network:   rep.Breakdown.Network,
-		userCPU:   rep.Usage.UserCPU,
-		kernelCPU: rep.Usage.KernelCPU,
-		peak:      rep.Usage.PeakResident,
-	}
-}
-
-func flatFromMetrics(rep metrics.TransferReport) flatRep {
+func flatFrom(rep roadrunner.Report) flatRep {
 	return flatRep{
 		latency:   rep.Latency(),
 		serLat:    rep.Breakdown.Serialization + rep.Breakdown.WasmIO,
@@ -131,13 +120,13 @@ func intraFanoutPoints(degree, n int) ([]Point, error) {
 				return nil, err
 			}
 		}
-		_, reports, err := p.Fanout(src, targets, n)
+		_, reports, err := p.FanoutCtx(context.Background(), src, targets, n)
 		if err != nil {
 			return nil, err
 		}
 		flats := make([]flatRep, len(reports))
 		for i, r := range reports {
-			flats[i] = flatFromPublic(r)
+			flats[i] = flatFrom(r)
 		}
 		points = append(points, fanoutPoint(SysRRUser, degree, flats))
 		p.Close()
@@ -158,13 +147,13 @@ func intraFanoutPoints(degree, n int) ([]Point, error) {
 				return nil, err
 			}
 		}
-		_, reports, err := p.Fanout(src, targets, n)
+		_, reports, err := p.FanoutCtx(context.Background(), src, targets, n)
 		if err != nil {
 			return nil, err
 		}
 		flats := make([]flatRep, len(reports))
 		for i, r := range reports {
-			flats[i] = flatFromPublic(r)
+			flats[i] = flatFrom(r)
 		}
 		points = append(points, fanoutPoint(SysRRKernel, degree, flats))
 		p.Close()
@@ -183,7 +172,7 @@ func intraFanoutPoints(degree, n int) ([]Point, error) {
 			if err != nil {
 				return nil, err
 			}
-			flats = append(flats, flatFromMetrics(rep))
+			flats = append(flats, flatFrom(rep))
 			dst.Close()
 		}
 		points = append(points, fanoutPoint(SysRunC, degree, flats))
@@ -211,7 +200,7 @@ func intraFanoutPoints(degree, n int) ([]Point, error) {
 			if err != nil {
 				return nil, err
 			}
-			flats = append(flats, flatFromMetrics(rep))
+			flats = append(flats, flatFrom(rep))
 			dst.Close()
 		}
 		points = append(points, fanoutPoint(SysWasmEdge, degree, flats))
@@ -261,13 +250,13 @@ func interFanoutPoints(degree, n int) ([]Point, error) {
 				return nil, err
 			}
 		}
-		_, reports, err := p.Fanout(src, targets, n)
+		_, reports, err := p.FanoutCtx(context.Background(), src, targets, n)
 		if err != nil {
 			return nil, err
 		}
 		flats := make([]flatRep, len(reports))
 		for i, r := range reports {
-			flats[i] = flatFromPublic(r)
+			flats[i] = flatFrom(r)
 		}
 		points = append(points, fanoutPoint(SysRRNetwork, degree, flats))
 		p.Close()
@@ -286,7 +275,7 @@ func interFanoutPoints(degree, n int) ([]Point, error) {
 			if err != nil {
 				return nil, err
 			}
-			flats = append(flats, flatFromMetrics(rep))
+			flats = append(flats, flatFrom(rep))
 			dst.Close()
 		}
 		points = append(points, fanoutPoint(SysRunC, degree, flats))
@@ -314,7 +303,7 @@ func interFanoutPoints(degree, n int) ([]Point, error) {
 			if err != nil {
 				return nil, err
 			}
-			flats = append(flats, flatFromMetrics(rep))
+			flats = append(flats, flatFrom(rep))
 			dst.Close()
 		}
 		points = append(points, fanoutPoint(SysWasmEdge, degree, flats))

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"time"
@@ -124,7 +125,7 @@ func fanoutSharePoint(system string, degree, payload, runs int, perTarget bool) 
 	)
 	run := func() (time.Duration, error) {
 		start := time.Now()
-		refs, reports, err := p.Fanout(src, targets, payload, xopts...)
+		refs, reports, err := p.FanoutCtx(context.Background(), src, targets, payload, xopts...)
 		wall := time.Since(start)
 		if err != nil {
 			return 0, err
@@ -162,7 +163,7 @@ func fanoutSharePoint(system string, degree, payload, runs int, perTarget bool) 
 	}
 	flats := make([]flatRep, len(lastReports))
 	for i, r := range lastReports {
-		flats[i] = flatFromPublic(r)
+		flats[i] = flatFrom(r)
 	}
 	pt := fanoutPoint(system, degree, flats)
 	// Unlike the modeled Fig. 9 makespan, this sweep has a measured wall

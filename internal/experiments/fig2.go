@@ -103,7 +103,7 @@ func Fig2b(opts Options) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			res.Points = append(res.Points, pointFromMetrics("Cont", float64(sizeMB), rep))
+			res.Points = append(res.Points, pointFrom("Cont", float64(sizeMB), rep))
 			res.Notes = append(res.Notes, normNote("Cont", sizeMB, rep.Breakdown.Serialization, rep.Latency()))
 			src.Close()
 			dst.Close()
@@ -127,7 +127,7 @@ func Fig2b(opts Options) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			res.Points = append(res.Points, pointFromMetrics("Wasm", float64(sizeMB), rep))
+			res.Points = append(res.Points, pointFrom("Wasm", float64(sizeMB), rep))
 			res.Notes = append(res.Notes, normNote("Wasm", sizeMB, rep.Breakdown.Serialization, rep.Latency()))
 			src.Close()
 			dst.Close()

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	roadrunner "github.com/polaris-slo-cloud/roadrunner-go"
@@ -65,14 +66,14 @@ func intraNodePoints(xMB float64, n int) ([]Point, error) {
 		if err := warmupRR(p, a, b); err != nil {
 			return nil, err
 		}
-		ref, rep, err := p.Transfer(a, b)
+		ref, rep, err := p.TransferCtx(context.Background(), a, b)
 		if err != nil {
 			return nil, err
 		}
 		if err := verifyChecksum(b, ref, n); err != nil {
 			return nil, err
 		}
-		points = append(points, pointFromPublic(SysRRUser, xMB, rep))
+		points = append(points, pointFrom(SysRRUser, xMB, rep))
 		p.Close()
 	}
 
@@ -93,14 +94,14 @@ func intraNodePoints(xMB float64, n int) ([]Point, error) {
 		if err := warmupRR(p, a, b); err != nil {
 			return nil, err
 		}
-		ref, rep, err := p.Transfer(a, b)
+		ref, rep, err := p.TransferCtx(context.Background(), a, b)
 		if err != nil {
 			return nil, err
 		}
 		if err := verifyChecksum(b, ref, n); err != nil {
 			return nil, err
 		}
-		points = append(points, pointFromPublic(SysRRKernel, xMB, rep))
+		points = append(points, pointFrom(SysRRKernel, xMB, rep))
 		p.Close()
 	}
 
@@ -120,7 +121,7 @@ func intraNodePoints(xMB float64, n int) ([]Point, error) {
 		if dst.Checksum(body) != guest.ReferenceProduceChecksum(n) {
 			return nil, fmt.Errorf("runc payload corrupted at %d bytes", n)
 		}
-		points = append(points, pointFromMetrics(SysRunC, xMB, rep))
+		points = append(points, pointFrom(SysRunC, xMB, rep))
 		src.Close()
 		dst.Close()
 	}
@@ -155,7 +156,7 @@ func intraNodePoints(xMB float64, n int) ([]Point, error) {
 		if sum != guest.ReferenceProduceChecksum(n) {
 			return nil, fmt.Errorf("wasmedge payload corrupted at %d bytes", n)
 		}
-		points = append(points, pointFromMetrics(SysWasmEdge, xMB, rep))
+		points = append(points, pointFrom(SysWasmEdge, xMB, rep))
 		src.Close()
 		dst.Close()
 	}
@@ -203,7 +204,7 @@ func fig7Headlines(points []Point) []string {
 // growth, page-pool population) do not pollute the measured run — the
 // equivalent of the paper's repeated-run methodology (§6.2: 10 runs, mean).
 func warmupRR(p *roadrunner.Platform, a, b *roadrunner.Function) error {
-	ref, _, err := p.Transfer(a, b)
+	ref, _, err := p.TransferCtx(context.Background(), a, b)
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -62,14 +63,14 @@ func interNodePoints(x float64, n, flows int) ([]Point, error) {
 		if err := warmupRR(p, a, b); err != nil {
 			return nil, err
 		}
-		ref, rep, err := p.Transfer(a, b, roadrunner.WithFlows(flows))
+		ref, rep, err := p.TransferCtx(context.Background(), a, b, roadrunner.WithFlows(flows))
 		if err != nil {
 			return nil, err
 		}
 		if err := verifyChecksum(b, ref, n); err != nil {
 			return nil, err
 		}
-		points = append(points, pointFromPublic(SysRRNetwork, x, rep))
+		points = append(points, pointFrom(SysRRNetwork, x, rep))
 		p.Close()
 	}
 
@@ -89,7 +90,7 @@ func interNodePoints(x float64, n, flows int) ([]Point, error) {
 		if dst.Checksum(body) != guest.ReferenceProduceChecksum(n) {
 			return nil, fmt.Errorf("runc payload corrupted")
 		}
-		points = append(points, pointFromMetrics(SysRunC, x, rep))
+		points = append(points, pointFrom(SysRunC, x, rep))
 		src.Close()
 		dst.Close()
 	}
@@ -124,7 +125,7 @@ func interNodePoints(x float64, n, flows int) ([]Point, error) {
 		if sum != guest.ReferenceProduceChecksum(n) {
 			return nil, fmt.Errorf("wasmedge payload corrupted")
 		}
-		points = append(points, pointFromMetrics(SysWasmEdge, x, rep))
+		points = append(points, pointFrom(SysWasmEdge, x, rep))
 		src.Close()
 		dst.Close()
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync/atomic"
@@ -140,7 +141,7 @@ func hotpathPoint(system string, w int, pool submitPool) (Point, error) {
 	// persistent kernel channel so the timed run is all warm path. The
 	// source produces its page once; every transfer re-reads that output.
 	xfer := func(lane int) error {
-		ref, _, err := p.Transfer(src, dst,
+		ref, _, err := p.TransferCtx(context.Background(), src, dst,
 			roadrunner.WithSourceInstance(src.Instance(lane)),
 			roadrunner.WithTargetInstance(dst.Instance(lane)))
 		if err != nil {
@@ -179,7 +180,7 @@ func hotpathPoint(system string, w int, pool submitPool) (Point, error) {
 		return Point{}, fmt.Errorf("degenerate wall clock %v", wall)
 	}
 
-	pt := pointFromPublic(system, float64(w), roadrunner.Report{})
+	pt := pointFrom(system, float64(w), roadrunner.Report{})
 	pt.RPS = float64(tasks) / wall.Seconds()
 	pt.Latency = wall * time.Duration(w) / time.Duration(tasks)
 	return pt, nil

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -100,7 +101,7 @@ func pipelineChainPoint(system string, hops, n, runs int, phaseLocked bool) (Poi
 	// so the measured runs below are the steady state (the chancache
 	// experiment measures the cold regime explicitly).
 	for w := 0; w < 2; w++ {
-		ref, _, err := p.ChainWith(n, topts, fns...)
+		ref, _, err := p.ChainCtx(context.Background(), n, fns, topts...)
 		if err != nil {
 			return Point{}, err
 		}
@@ -117,7 +118,7 @@ func pipelineChainPoint(system string, hops, n, runs int, phaseLocked bool) (Poi
 	}
 	var best *Point
 	for r := 0; r < runs; r++ {
-		ref, rep, err := p.ChainWith(n, topts, fns...)
+		ref, rep, err := p.ChainCtx(context.Background(), n, fns, topts...)
 		if err != nil {
 			return Point{}, err
 		}
@@ -130,7 +131,7 @@ func pipelineChainPoint(system string, hops, n, runs int, phaseLocked bool) (Poi
 		if err := release(ref); err != nil {
 			return Point{}, err
 		}
-		pt := pointFromPublic(system, float64(hops), rep)
+		pt := pointFrom(system, float64(hops), rep)
 		if best == nil || pt.Latency < best.Latency {
 			best = &pt
 		}

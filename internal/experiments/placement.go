@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -57,7 +58,7 @@ func Placement(opts Options) (*Result, error) {
 // placementPoint measures one (policy, pool size) cell on a fresh two-node
 // deployment: source replicas spread edge,cloud,…, target replicas spread
 // cloud,edge,… (two pools a placement-oblivious router cannot align), and
-// 2R invocations driven sequentially through Platform.Invoke. Throughput is
+// 2R invocations driven sequentially through Platform.InvokeCtx. Throughput is
 // the modeled aggregate: invocations are grouped by the concrete instance
 // pair they ran on — distinct pairs are distinct shims and execute in
 // parallel — so the pool's makespan is the busiest pair's summed modeled
@@ -88,7 +89,7 @@ func placementPoint(system string, policy roadrunner.PlacementPolicy, replicas, 
 		network  time.Duration
 	)
 	for k := 0; k < invocations; k++ {
-		inv, err := p.Invoke(src, dst, n)
+		inv, err := p.InvokeCtx(context.Background(), src, dst, n)
 		if err != nil {
 			return Point{}, err
 		}
@@ -116,7 +117,7 @@ func placementPoint(system string, policy roadrunner.PlacementPolicy, replicas, 
 	}
 	meanLatency := total.Latency() / time.Duration(invocations)
 
-	pt := pointFromPublic(system, float64(replicas), total)
+	pt := pointFrom(system, float64(replicas), total)
 	pt.Latency = meanLatency
 	if makespan > 0 {
 		// Aggregate modeled throughput across the pool's parallel pairs.

@@ -253,7 +253,7 @@ func (p Policy) PickTarget(src Endpoint, st *State, dst []Endpoint, eligible fun
 }
 
 // PickPair selects both ends of an invocation when neither is pinned (the
-// invoker-plane entry point Platform.Invoke). eligible, when non-nil,
+// invoker-plane entry point Platform.InvokeCtx). eligible, when non-nil,
 // restricts candidate pairs. Returns (-1, -1) when no pair qualifies.
 func (p Policy) PickPair(srcSt *State, src []Endpoint, dstSt *State, dst []Endpoint, eligible func(si, di int) bool, cost LinkCost) (int, int) {
 	switch p {

@@ -158,11 +158,6 @@ type Proc struct {
 	fds  map[int]file
 	next int
 
-	// batching state (io_uring-style submission, see BeginBatch).
-	batchMu    sync.Mutex
-	batching   bool
-	batchedOps int64
-
 	// fault injection hook (tests), see InjectFault.
 	faultMu sync.Mutex
 	faultFn func(op string) error
@@ -205,42 +200,6 @@ func (p *Proc) NumFDs() int {
 	return len(p.fds)
 }
 
-// syscall charges one syscall, or queues it when a submission batch is open.
-func (p *Proc) syscall() {
-	p.batchMu.Lock()
-	if p.batching {
-		p.batchedOps++
-		p.batchMu.Unlock()
-		return
-	}
-	p.batchMu.Unlock()
-	p.acct.Syscall()
-}
-
-// BeginBatch opens an io_uring-style submission batch: subsequent syscalls
-// on this process are queued and charged as a single kernel entry at
-// EndBatch. This implements the syscall-batching extension the paper lists
-// as future work (§9 "we aim to introduce … syscall batching").
-func (p *Proc) BeginBatch() {
-	p.batchMu.Lock()
-	p.batching = true
-	p.batchMu.Unlock()
-}
-
-// EndBatch submits the open batch, charging one syscall for the whole
-// submission, and returns the number of operations it covered.
-func (p *Proc) EndBatch() int64 {
-	p.batchMu.Lock()
-	ops := p.batchedOps
-	p.batching = false
-	p.batchedOps = 0
-	p.batchMu.Unlock()
-	if ops > 0 {
-		p.acct.Syscall()
-	}
-	return ops
-}
-
 // Kernel returns the kernel this process runs on.
 func (p *Proc) Kernel() *Kernel { return p.k }
 
@@ -278,7 +237,7 @@ func (p *Proc) Close(fd int) error {
 	if !ok {
 		return fmt.Errorf("fd %d: %w", fd, ErrBadFD)
 	}
-	p.syscall()
+	p.acct.Syscall()
 	return f.close()
 }
 
@@ -330,7 +289,7 @@ func (p *Proc) Write(fd int, b []byte) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	p.syscall()
+	p.acct.Syscall()
 	p.acct.Copy(metrics.Kernel, len(b))
 	sp := refScratch.Get().(*[]pagebuf.Ref)
 	n, refs, err := f.writeCopy(p.k.pool, (*sp)[:0], b)
@@ -361,7 +320,7 @@ func (p *Proc) Read(fd int, b []byte) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	p.syscall()
+	p.acct.Syscall()
 	n, err := f.readInto(b)
 	p.acct.Copy(metrics.Kernel, n)
 	return n, err
@@ -383,7 +342,7 @@ func (p *Proc) ReadFull(fd int, b []byte) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	p.syscall()
+	p.acct.Syscall()
 	sp := refScratch.Get().(*[]pagebuf.Ref)
 	refs := (*sp)[:0]
 	n := 0
@@ -414,7 +373,7 @@ func (p *Proc) Vmsplice(fd int, b []byte) (int, error) {
 	if _, ok := f.(*pipeEnd); !ok {
 		return 0, fmt.Errorf("vmsplice fd %d: %w", fd, ErrNotSupported)
 	}
-	p.syscall()
+	p.acct.Syscall()
 	// The ref run rides the pooled scratch (the pipe copies the value);
 	// only the extent's one header — which lives until its last slice
 	// drains — is allocated, inside AppendGift.
@@ -452,7 +411,7 @@ func (p *Proc) Splice(infd, outfd int, n int) (int, error) {
 	if n <= 0 {
 		return 0, fmt.Errorf("splice: n=%d: %w", n, ErrInvalid)
 	}
-	p.syscall()
+	p.acct.Syscall()
 	sp := refScratch.Get().(*[]pagebuf.Ref)
 	refs, err := in.readRefs((*sp)[:0], n)
 	moved := pagebuf.TotalLen(refs)
@@ -477,7 +436,7 @@ func (p *Proc) ReadRefs(fd int, max int) ([]pagebuf.Ref, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.syscall()
+	p.acct.Syscall()
 	return f.readRefs(nil, max)
 }
 
@@ -490,7 +449,7 @@ func (p *Proc) Pipe() (int, int) {
 // fcntl(F_SETPIPE_SZ). Roadrunner's shim enlarges its data-hose pipes the
 // same way a real implementation would.
 func (p *Proc) PipeSized(capBytes int) (int, int) {
-	p.syscall()
+	p.acct.Syscall()
 	pi := newPipe(capBytes)
 	rfd := p.install(&pipeEnd{pipe: pi, readable: true})
 	wfd := p.install(&pipeEnd{pipe: pi, writable: true})
@@ -555,7 +514,7 @@ func (p *Proc) Tee(infd, outfd int, n int) (int, error) {
 	if n <= 0 {
 		return 0, fmt.Errorf("tee: n=%d: %w", n, ErrInvalid)
 	}
-	p.syscall()
+	p.acct.Syscall()
 	sp := refScratch.Get().(*[]pagebuf.Ref)
 	refs, err := pe.pipe.ring.Clone((*sp)[:0], n)
 	cloned := pagebuf.TotalLen(refs)

@@ -1,6 +1,6 @@
 // Package sched provides the bounded worker pool behind the platform's
-// pipelined transfer API: TransferAsync, the batched fan-out/chain entry
-// points and the workload generator submit transfer closures here and a
+// Plan/Submit plane: Platform.Submit's node bodies, a fan-out's per-target
+// deliveries and the workload generator submit transfer closures here and a
 // fixed set of workers drains them.
 //
 // The pool deliberately has no knowledge of transfers. Per-VM serialization

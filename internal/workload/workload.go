@@ -480,7 +480,7 @@ func (r *Runner) execute(inst *instance) error {
 		dst := fns[(h+1)%len(fns)]
 		// Streaming hop: the input region is pinned atomically inside the
 		// transfer's source stage (WithSourceRef) instead of a separate
-		// SetOutput call, exactly as Platform.Chain does; the source
+		// SetOutput call, exactly as Platform.ChainCtx does; the source
 		// instance is pinned to the previous hop's delivery.
 		opts := append(append(make([]roadrunner.TransferOption, 0, len(r.topts)+2), r.topts...),
 			roadrunner.WithSourceInstance(last), roadrunner.WithSourceRef(ref))

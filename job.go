@@ -147,8 +147,9 @@ func (j *Job) Progress() (completed, total int) {
 }
 
 // NodeDone returns a channel closed when one node completes — the per-node
-// progress hook (FanoutAsync resolves its per-target futures off these). A
-// node from a different plan yields a closed channel.
+// progress hook: a plan of one Xfer node per target is the asynchronous
+// fan-out, each target's delivery collected off its own channel with
+// NodeResult. A node from a different plan yields a closed channel.
 func (j *Job) NodeDone(n *PlanNode) <-chan struct{} {
 	if n == nil || n.plan != j.plan || n.id >= len(j.nodes) {
 		ch := make(chan struct{})
@@ -199,12 +200,12 @@ func (p *Platform) Submit(ctx context.Context, plan *Plan) (*Job, error) {
 	}
 	job := newJob(plan)
 	// Root nodes (no dependencies) dispatch straight onto the pool from
-	// here — no orchestration goroutines, so a single-node plan (the shape
-	// behind every legacy wrapper and async call) costs exactly one pool
-	// task over the direct call. Submission applies the pool's usual
-	// backpressure. Dependent nodes (and Fan bodies, which coordinate
-	// their own deliveries through the pool and must not occupy a worker)
-	// each get a goroutine to wait their dependencies out.
+	// here — no orchestration goroutines, so a single-node plan costs
+	// exactly one pool task over the one-shot ...Ctx call. Submission
+	// applies the pool's usual backpressure. Dependent nodes (and Fan
+	// bodies, which coordinate their own deliveries through the pool and
+	// must not occupy a worker) each get a goroutine to wait their
+	// dependencies out.
 	for i := range plan.nodes {
 		n := plan.nodes[i]
 		if len(n.deps) == 0 && n.op != opFan {
@@ -283,43 +284,6 @@ func (j *Job) runNode(ctx context.Context, p *Platform, pool *sched.Pool, n *Pla
 		return
 	}
 	<-ran
-}
-
-// runPlan validates and executes a plan synchronously on the calling
-// goroutine in dependency order — the engine behind the legacy one-shot
-// wrappers, which are single-node (or single-chain) plans. Validation
-// failures return a *PlanError; node failures are reported per node inside
-// the Result.
-func (p *Platform) runPlan(ctx context.Context, plan *Plan) (*Result, error) {
-	order, err := plan.validate(p)
-	if err != nil {
-		return nil, err
-	}
-	nodes := make([]NodeResult, len(plan.nodes))
-	for _, i := range order {
-		n := plan.nodes[i]
-		skipped := false
-		for _, dep := range n.deps {
-			if derr := nodes[dep.id].Err; derr != nil {
-				nodes[i] = NodeResult{Node: n.label, Err: fmt.Errorf("dependency %s: %w", dep.label, derr)}
-				skipped = true
-				break
-			}
-		}
-		if skipped {
-			continue
-		}
-		if err := ctxErr(ctx); err != nil {
-			nodes[i] = NodeResult{Node: n.label, Err: err}
-			continue
-		}
-		var input *NodeResult
-		if n.input != nil {
-			input = &nodes[n.input.id]
-		}
-		nodes[i] = p.execNode(ctx, n, input)
-	}
-	return assemble(plan, nodes), nil
 }
 
 // execNode runs one node's body through the engine, translating the op kind

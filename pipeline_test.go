@@ -32,7 +32,7 @@ func TestChainPhaseLockedAblation(t *testing.T) {
 	const n = 256 << 10
 	run := func(opts []roadrunner.TransferOption) roadrunner.Report {
 		p, fns := build()
-		ref, rep, err := p.ChainWith(n, opts, fns...)
+		ref, rep, err := p.ChainCtx(bg, n, fns, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +81,7 @@ func TestConcurrentSharedInteriorChainsPublic(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				ref, _, err := p.Chain(n, heads[i], interior, tails[i])
+				ref, _, err := p.ChainCtx(bg, n, []*roadrunner.Function{heads[i], interior, tails[i]})
 				if err != nil {
 					t.Errorf("chain %d: %v", i, err)
 					return
@@ -116,7 +116,7 @@ func TestMulticastPerTargetLinks(t *testing.T) {
 	if err := src.Produce(n); err != nil {
 		t.Fatal(err)
 	}
-	refs, reports, err := p.Multicast(src, []*roadrunner.Function{tFast, tSlow})
+	refs, reports, err := p.MulticastCtx(bg, src, []*roadrunner.Function{tFast, tSlow})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestMulticastPerTargetLinks(t *testing.T) {
 	if err := src.Produce(n); err != nil {
 		t.Fatal(err)
 	}
-	_, reports2, err := p.Multicast(src, []*roadrunner.Function{tFast, tSlow}, roadrunner.WithFlows(2))
+	_, reports2, err := p.MulticastCtx(bg, src, []*roadrunner.Function{tFast, tSlow}, roadrunner.WithFlows(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestMulticastSharedLinkSplitsFlows(t *testing.T) {
 	if err := src.Produce(n); err != nil {
 		t.Fatal(err)
 	}
-	_, reports, err := p.Multicast(src, targets)
+	_, reports, err := p.MulticastCtx(bg, src, targets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,12 +189,12 @@ func TestMulticastRejectsForcedMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, mode := range []roadrunner.Mode{roadrunner.ModeUserSpace, roadrunner.ModeKernelSpace} {
-		if _, _, err := p.Multicast(src, []*roadrunner.Function{dst}, roadrunner.WithMode(mode)); !errors.Is(err, roadrunner.ErrModeUnavailable) {
+		if _, _, err := p.MulticastCtx(bg, src, []*roadrunner.Function{dst}, roadrunner.WithMode(mode)); !errors.Is(err, roadrunner.ErrModeUnavailable) {
 			t.Fatalf("forced %v multicast = %v, want ErrModeUnavailable", mode, err)
 		}
 	}
 	// ModeNetwork and ModeAuto are both fine.
-	if _, _, err := p.Multicast(src, []*roadrunner.Function{dst}, roadrunner.WithMode(roadrunner.ModeNetwork)); err != nil {
+	if _, _, err := p.MulticastCtx(bg, src, []*roadrunner.Function{dst}, roadrunner.WithMode(roadrunner.ModeNetwork)); err != nil {
 		t.Fatalf("explicit network multicast: %v", err)
 	}
 }
@@ -211,7 +211,7 @@ func TestFanoutRunsOnWorkerPool(t *testing.T) {
 	}
 	before := p.SchedulerStats().Submitted
 	const n = 64 << 10
-	_, reports, err := p.Fanout(src, targets, n)
+	_, reports, err := p.FanoutCtx(bg, src, targets, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestFanoutParallelThroughput(t *testing.T) {
 			targets[i] = deploy(t, p, roadrunner.FunctionSpec{Name: fmt.Sprintf("t%d", i), Node: "cloud"})
 		}
 		// Prime channels so both arms are warm.
-		if _, _, err := p.Fanout(src, targets, n); err != nil {
+		if _, _, err := p.FanoutCtx(bg, src, targets, n); err != nil {
 			t.Fatal(err)
 		}
 		return p, src, targets
@@ -273,7 +273,7 @@ func TestFanoutParallelThroughput(t *testing.T) {
 	}
 
 	p1, src1, targets1 := build()
-	_, parallel, err := p1.Fanout(src1, targets1, n)
+	_, parallel, err := p1.FanoutCtx(bg, src1, targets1, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestFanoutParallelThroughput(t *testing.T) {
 	}
 	sequential := make([]roadrunner.Report, degree)
 	for i, dst := range targets2 {
-		if _, sequential[i], err = p2.Transfer(src2, dst, roadrunner.WithFlows(degree)); err != nil {
+		if _, sequential[i], err = p2.TransferCtx(bg, src2, dst, roadrunner.WithFlows(degree)); err != nil {
 			t.Fatal(err)
 		}
 	}

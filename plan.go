@@ -3,12 +3,13 @@
 // Hop chains, Cast, Fan and Invoke nodes, each with its own TransferOptions
 // and explicit After dependencies — and Platform.Submit (job.go) executes it
 // through the invoke-routing engine and the worker pool under one
-// context.Context. Every legacy entry point (Transfer, Chain, Multicast,
-// Fanout, Invoke and their Async mirrors) is a thin wrapper over a
-// single-node or linear Plan; see DESIGN.md §7 for the full mapping.
+// context.Context. Each node kind also has one synchronous one-shot form
+// (TransferCtx, ChainCtx, MulticastCtx, FanoutCtx, InvokeCtx) that runs the
+// node's validation and body without building a Plan; see DESIGN.md §7.
 package roadrunner
 
 import (
+	"context"
 	"errors"
 	"fmt"
 )
@@ -134,8 +135,8 @@ func (n *PlanNode) From(dep *PlanNode) *PlanNode {
 
 // Plan is a declarative DAG of data-plane operations. Build it with the
 // node methods (Xfer, Hop, Cast, Fan, Invoke), wire dependencies with
-// PlanNode.After, and execute it with Platform.Submit — or synchronously
-// through the legacy one-shot wrappers, each of which is a single-node plan.
+// PlanNode.After, and execute it with Platform.Submit. A plan of one node
+// has a synchronous shortcut: the one-shot ...Ctx method of the node's kind.
 //
 // A Plan is validated once per submission (cycle, mode, workflow and
 // ownership checks, each failure a typed *PlanError naming the node) and is
@@ -164,13 +165,13 @@ func (pl *Plan) add(n *PlanNode) *PlanNode {
 }
 
 // Xfer declares a transfer of src's current output to dst (the Plan form of
-// Transfer): source resolved from src's active instance, target routed by
+// TransferCtx): source resolved from src's active instance, target routed by
 // the placement policy, both overridable with instance pins in opts.
 func (pl *Plan) Xfer(src, dst *Function, opts ...TransferOption) *PlanNode {
 	return pl.add(&PlanNode{op: opXfer, src: src, dst: dst, opts: opts})
 }
 
-// Hop declares a streaming chain (the Plan form of Chain/ChainWith): an
+// Hop declares a streaming chain (the Plan form of ChainCtx): an
 // n-byte payload produced at fns[0] and forwarded hop by hop through the
 // rest, opts applied per hop.
 func (pl *Plan) Hop(n int, fns []*Function, opts ...TransferOption) *PlanNode {
@@ -178,19 +179,19 @@ func (pl *Plan) Hop(n int, fns []*Function, opts ...TransferOption) *PlanNode {
 }
 
 // Cast declares a multicast of src's current output to every target in one
-// pass over the virtual data hose (the Plan form of Multicast).
+// pass over the virtual data hose (the Plan form of MulticastCtx).
 func (pl *Plan) Cast(src *Function, targets []*Function, opts ...TransferOption) *PlanNode {
 	return pl.add(&PlanNode{op: opCast, src: src, targets: targets, opts: opts})
 }
 
 // Fan declares a produce-once fan-out of an n-byte payload from src to
-// every target across the worker pool (the Plan form of Fanout).
+// every target across the worker pool (the Plan form of FanoutCtx).
 func (pl *Plan) Fan(src *Function, targets []*Function, n int, opts ...TransferOption) *PlanNode {
 	return pl.add(&PlanNode{op: opFan, src: src, targets: targets, bytes: n, opts: opts})
 }
 
 // Invoke declares a routed end-to-end invocation (the Plan form of
-// Platform.Invoke): the placement policy picks the instance pair, an n-byte
+// InvokeCtx): the placement policy picks the instance pair, an n-byte
 // payload is produced at the source instance and delivered to the target
 // instance. The node's result carries the concrete Invocation.
 func (pl *Plan) Invoke(src, dst *Function, n int, opts ...TransferOption) *PlanNode {
@@ -231,9 +232,20 @@ func (n *PlanNode) checkFn(p *Platform, f *Function) error {
 	return nil
 }
 
+// admit is the front half of every one-shot verb (TransferCtx, ChainCtx,
+// MulticastCtx, FanoutCtx, InvokeCtx): the node's plan validation, failing
+// with the same typed *PlanError a Submit of that node would, then one poll
+// of ctx before the engine body runs.
+func (n *PlanNode) admit(ctx context.Context, p *Platform) error {
+	if err := n.check(p); err != nil {
+		return err
+	}
+	return ctxErr(ctx)
+}
+
 // check validates one node's functions, options and mode against the
-// platform. It allocates only on failure, so the direct single-node entry
-// points (TransferCtx) can run it per call.
+// platform. It allocates only on failure, so the one-shot verbs can run it
+// per call.
 func (n *PlanNode) check(p *Platform) error {
 	switch n.op {
 	case opXfer, opInvoke:

@@ -1,7 +1,7 @@
 // Tests for the Plan/Submit plane: builder validation (typed *PlanError
 // naming the offending node), DAG execution through the worker pool with
-// dependency gating and per-node progress, and the new async surface
-// (MulticastAsync, future WaitCtx, Fanout's per-target refs).
+// dependency gating and per-node progress, and asynchronous collection
+// (a submitted Cast, an abandoned Wait, Fanout's per-target refs).
 package roadrunner_test
 
 import (
@@ -35,6 +35,26 @@ func planFixture(t *testing.T) (*roadrunner.Platform, [4]*roadrunner.Function) {
 		fns[i] = f
 	}
 	return p, fns
+}
+
+// submitOne submits a plan of the one node build declares — the asynchronous
+// form of the matching one-shot verb — and returns the job with that node.
+func submitOne(ctx context.Context, p *roadrunner.Platform, build func(*roadrunner.Plan) *roadrunner.PlanNode) (*roadrunner.Job, *roadrunner.PlanNode, error) {
+	pl := roadrunner.NewPlan()
+	node := build(pl)
+	job, err := p.Submit(ctx, pl)
+	return job, node, err
+}
+
+// awaitNode blocks until the job's node completes and returns its outcome.
+func awaitNode(t testing.TB, job *roadrunner.Job, node *roadrunner.PlanNode) roadrunner.NodeResult {
+	t.Helper()
+	<-job.NodeDone(node)
+	nr, ok := job.NodeResult(node)
+	if !ok {
+		t.Fatalf("node %s: NodeDone closed but NodeResult not ready", node.Label())
+	}
+	return nr
 }
 
 func TestPlanValidationNamesOffendingNode(t *testing.T) {
@@ -261,22 +281,32 @@ func TestJobWaitCtx(t *testing.T) {
 	}
 }
 
-// TestMulticastAsync: the previously missing async mirror delivers to every
-// target with checksummed payloads and supports WaitCtx.
-func TestMulticastAsync(t *testing.T) {
+// TestSubmittedCast: a submitted Cast node delivers to every target with
+// checksummed payloads, collected through a context-bounded Wait.
+func TestSubmittedCast(t *testing.T) {
 	p, fns := planFixture(t)
 	a, c, d := fns[0], fns[2], fns[3]
 	const n = 16 << 10
 	if err := a.Produce(n); err != nil {
 		t.Fatal(err)
 	}
-	fut := p.MulticastAsync(a, []*roadrunner.Function{c, d})
-	refs, reports, err := fut.WaitCtx(context.Background())
+	job, node, err := submitOne(bg, p, func(pl *roadrunner.Plan) *roadrunner.PlanNode {
+		return pl.Cast(a, []*roadrunner.Function{c, d})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res, err := job.Wait(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	nr := res.Node(node)
+	if nr.Err != nil {
+		t.Fatal(nr.Err)
+	}
+	refs, reports := nr.Refs, nr.Reports
 	if len(refs) != 2 || len(reports) != 2 {
-		t.Fatalf("multicast async: %d refs / %d reports, want 2/2", len(refs), len(reports))
+		t.Fatalf("submitted cast: %d refs / %d reports, want 2/2", len(refs), len(reports))
 	}
 	for i, dst := range []*roadrunner.Function{c, d} {
 		if reports[i].Mode != "network-multicast" {
@@ -292,24 +322,35 @@ func TestMulticastAsync(t *testing.T) {
 	}
 }
 
-// TestFutureWaitCtx: an expired context abandons the wait; the future still
-// resolves for a later Wait.
-func TestFutureWaitCtx(t *testing.T) {
+// TestAbandonedWaitNodeStillResolves: an expired context abandons the wait on a submitted
+// Xfer; the node still resolves, once, for NodeDone and a later Wait.
+func TestAbandonedWaitNodeStillResolves(t *testing.T) {
 	p, fns := planFixture(t)
 	a, c := fns[0], fns[2]
 	if err := a.Produce(8 << 10); err != nil {
 		t.Fatal(err)
 	}
 	release := make(chan struct{})
-	fut := p.TransferAsync(a, c, roadrunner.TestingWithGates(func() { <-release }))
+	job, node, err := submitOne(bg, p, func(pl *roadrunner.Plan) *roadrunner.PlanNode {
+		return pl.Xfer(a, c, roadrunner.TestingWithGates(func() { <-release }))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
-	if _, _, err := fut.WaitCtx(ctx); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("bounded WaitCtx = %v, want DeadlineExceeded", err)
+	if _, err := job.Wait(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("bounded Wait = %v, want DeadlineExceeded", err)
+	}
+	if _, ok := job.NodeResult(node); ok {
+		t.Fatal("NodeResult ready while the transfer is gated on the wire")
 	}
 	close(release)
-	if _, _, err := fut.Wait(); err != nil {
-		t.Fatalf("future after abandoned wait: %v", err)
+	if nr := awaitNode(t, job, node); nr.Err != nil {
+		t.Fatalf("node after abandoned wait: %v", nr.Err)
+	}
+	if res, err := job.Wait(context.Background()); err != nil || res.Err != nil {
+		t.Fatalf("job after abandoned wait: %v / %v", err, res)
 	}
 }
 
@@ -337,52 +378,6 @@ func TestPlanReuse(t *testing.T) {
 	}
 	if got := b.Instance(0).Invocations(); got < 2 {
 		t.Fatalf("target invocations = %d, want >= 2", got)
-	}
-}
-
-// TestPlanWrapperParity: the legacy one-shots and their plan forms agree on
-// the delivered payload (the wrappers ARE single-node plans; this pins the
-// equivalence observably).
-func TestPlanWrapperParity(t *testing.T) {
-	p, fns := planFixture(t)
-	a, c := fns[0], fns[2]
-	const n = 8 << 10
-	if err := a.Produce(n); err != nil {
-		t.Fatal(err)
-	}
-	directRef, directRep, err := p.Transfer(a, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Produce(n); err != nil {
-		t.Fatal(err)
-	}
-	pl := roadrunner.NewPlan()
-	node := pl.Xfer(a, c)
-	job, err := p.Submit(context.Background(), pl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := job.Wait(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	nr := res.Node(node)
-	if nr.Err != nil {
-		t.Fatal(nr.Err)
-	}
-	if nr.Report().Mode != directRep.Mode || nr.Report().Bytes != directRep.Bytes {
-		t.Fatalf("plan report (%s, %d) != direct report (%s, %d)",
-			nr.Report().Mode, nr.Report().Bytes, directRep.Mode, directRep.Bytes)
-	}
-	for _, ref := range []roadrunner.DataRef{directRef, nr.Ref()} {
-		sum, err := c.Checksum(ref)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := roadrunner.ExpectedChecksum(n); sum != want {
-			t.Fatalf("checksum = %#x, want %#x", sum, want)
-		}
 	}
 }
 

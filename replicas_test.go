@@ -76,7 +76,7 @@ func TestPlacementRoutesByLocality(t *testing.T) {
 		src := deployPool(t, p, "src", 4)
 		dst := deployPool(t, p, "dst", 4)
 		for k := 0; k < 8; k++ {
-			inv, err := p.Invoke(src, dst, 4<<10)
+			inv, err := p.InvokeCtx(bg, src, dst, 4<<10)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -117,14 +117,14 @@ func TestForcedModeRoutesEligibleInstances(t *testing.T) {
 	if err := src.Produce(4 << 10); err != nil {
 		t.Fatal(err)
 	}
-	_, rep, err := p.Transfer(src, dst, roadrunner.WithMode(roadrunner.ModeNetwork))
+	_, rep, err := p.TransferCtx(bg, src, dst, roadrunner.WithMode(roadrunner.ModeNetwork))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Mode != "network" || dst.ActiveInstance().Node() != "cloud" {
 		t.Fatalf("forced network delivered %q to %s", rep.Mode, dst.ActiveInstance().Node())
 	}
-	_, rep, err = p.Transfer(src, dst, roadrunner.WithMode(roadrunner.ModeKernelSpace))
+	_, rep, err = p.TransferCtx(bg, src, dst, roadrunner.WithMode(roadrunner.ModeKernelSpace))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,11 +132,11 @@ func TestForcedModeRoutesEligibleInstances(t *testing.T) {
 		t.Fatalf("forced kernel delivered %q to %s", rep.Mode, dst.ActiveInstance().Node())
 	}
 	// No instance of dst shares a VM with src: user space is unreachable.
-	if _, _, err := p.Transfer(src, dst, roadrunner.WithMode(roadrunner.ModeUserSpace)); !errors.Is(err, roadrunner.ErrModeUnavailable) {
+	if _, _, err := p.TransferCtx(bg, src, dst, roadrunner.WithMode(roadrunner.ModeUserSpace)); !errors.Is(err, roadrunner.ErrModeUnavailable) {
 		t.Fatalf("forced user space: %v", err)
 	}
 	// Pinning an instance of the wrong function is rejected.
-	if _, _, err := p.Transfer(src, dst, roadrunner.WithTargetInstance(src.Instance(0))); !errors.Is(err, roadrunner.ErrForeignInstance) {
+	if _, _, err := p.TransferCtx(bg, src, dst, roadrunner.WithTargetInstance(src.Instance(0))); !errors.Is(err, roadrunner.ErrForeignInstance) {
 		t.Fatalf("foreign instance pin: %v", err)
 	}
 }
@@ -157,7 +157,7 @@ func TestShareVMReplicasPairwise(t *testing.T) {
 			t.Fatalf("guest#%d does not share host#%d's VM", i, i)
 		}
 	}
-	inv, err := p.Invoke(host, guest, 4<<10)
+	inv, err := p.InvokeCtx(bg, host, guest, 4<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestReplicatedInvokeStress(t *testing.T) {
 			if si.Node() != di.Node() {
 				continue
 			}
-			inv, err := p.Invoke(src, dst, n,
+			inv, err := p.InvokeCtx(bg, src, dst, n,
 				roadrunner.WithSourceInstance(si), roadrunner.WithTargetInstance(di))
 			if err != nil {
 				t.Fatalf("warm %s->%s: %v", si.Name(), di.Name(), err)
@@ -232,7 +232,7 @@ func TestReplicatedInvokeStress(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			inv, err := p.Invoke(src, dst, n)
+			inv, err := p.InvokeCtx(bg, src, dst, n)
 			if err != nil {
 				t.Errorf("invoke: %v", err)
 				return
@@ -338,9 +338,8 @@ func TestChainNamesFailingHop(t *testing.T) {
 	a, b, c := deploy("a", "edge"), deploy("b", "edge"), deploy("c", "cloud")
 	// Hop 1 (a->b) is a legal kernel transfer; hop 2 (b->c) crosses nodes
 	// and must fail under the forced kernel mode, naming itself.
-	_, _, err := p.ChainWith(16<<10, []roadrunner.TransferOption{
-		roadrunner.WithMode(roadrunner.ModeKernelSpace),
-	}, a, b, c)
+	_, _, err := p.ChainCtx(bg, 16<<10, []*roadrunner.Function{a, b, c},
+		roadrunner.WithMode(roadrunner.ModeKernelSpace))
 	if err == nil {
 		t.Fatal("cross-node kernel hop must fail")
 	}

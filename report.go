@@ -1,10 +1,6 @@
 package roadrunner
 
-import (
-	"time"
-
-	"github.com/polaris-slo-cloud/roadrunner-go/internal/metrics"
-)
+import "github.com/polaris-slo-cloud/roadrunner-go/internal/metrics"
 
 // Breakdown decomposes one transfer's latency into the components the paper
 // reports (Fig. 6a): kernel-path transfer time, serialization time, the Wasm
@@ -12,122 +8,18 @@ import (
 // wall-clock window the transfer's source and target pipeline stages ran
 // concurrently; Total credits it back, so Latency reports the pipeline's
 // critical path rather than the sum of sequential laps.
-type Breakdown struct {
-	Setup         time.Duration
-	Transfer      time.Duration
-	Serialization time.Duration
-	WasmIO        time.Duration
-	Network       time.Duration
-	Compute       time.Duration
-	Overlap       time.Duration
-}
-
-// Total sums every component, minus the overlapped window (critical path).
-func (b Breakdown) Total() time.Duration {
-	t := b.Setup + b.Transfer + b.Serialization + b.WasmIO + b.Network + b.Compute - b.Overlap
-	if t < 0 {
-		return 0
-	}
-	return t
-}
+type Breakdown = metrics.Breakdown
 
 // Usage reports the resources one transfer consumed across the sandboxes
 // involved, mirroring the paper's cgroup-level measurements (§6.1c).
-type Usage struct {
-	UserCopyBytes   int64
-	KernelCopyBytes int64
-	Syscalls        int64
-	ContextSwitches int64
-	UserCPU         time.Duration
-	KernelCPU       time.Duration
-	PeakResident    int64
-}
+type Usage = metrics.Usage
 
-// TotalCopyBytes sums copy volume across both spaces.
-func (u Usage) TotalCopyBytes() int64 { return u.UserCopyBytes + u.KernelCopyBytes }
-
-// TotalCPU sums CPU time across both spaces.
-func (u Usage) TotalCPU() time.Duration { return u.UserCPU + u.KernelCPU }
-
-// Report describes one completed transfer.
-type Report struct {
-	// Bytes moved on the wire (serialized size for codec paths, raw
-	// payload size for Roadrunner paths).
-	Bytes int64
-	// Mode is the data path taken: "user", "kernel", "network",
-	// "runc-http" or "wasmedge-http".
-	Mode string
-	// Breakdown decomposes the latency.
-	Breakdown Breakdown
-	// Usage aggregates resource consumption.
-	Usage Usage
-}
-
-// Latency is the end-to-end transfer duration (§6.1a).
-func (r Report) Latency() time.Duration { return r.Breakdown.Total() }
-
-// Throughput extrapolates requests per second from the latency (§6.1b).
-func (r Report) Throughput() float64 {
-	lat := r.Latency()
-	if lat <= 0 {
-		return 0
-	}
-	return float64(time.Second) / float64(lat)
-}
-
-// Merge combines reports of sequentially executed transfers.
-func (r Report) Merge(o Report) Report {
-	return Report{
-		Bytes: r.Bytes + o.Bytes,
-		Mode:  r.Mode,
-		Breakdown: Breakdown{
-			Setup:         r.Breakdown.Setup + o.Breakdown.Setup,
-			Transfer:      r.Breakdown.Transfer + o.Breakdown.Transfer,
-			Serialization: r.Breakdown.Serialization + o.Breakdown.Serialization,
-			WasmIO:        r.Breakdown.WasmIO + o.Breakdown.WasmIO,
-			Network:       r.Breakdown.Network + o.Breakdown.Network,
-			Compute:       r.Breakdown.Compute + o.Breakdown.Compute,
-			Overlap:       r.Breakdown.Overlap + o.Breakdown.Overlap,
-		},
-		Usage: Usage{
-			UserCopyBytes:   r.Usage.UserCopyBytes + o.Usage.UserCopyBytes,
-			KernelCopyBytes: r.Usage.KernelCopyBytes + o.Usage.KernelCopyBytes,
-			Syscalls:        r.Usage.Syscalls + o.Usage.Syscalls,
-			ContextSwitches: r.Usage.ContextSwitches + o.Usage.ContextSwitches,
-			UserCPU:         r.Usage.UserCPU + o.Usage.UserCPU,
-			KernelCPU:       r.Usage.KernelCPU + o.Usage.KernelCPU,
-			PeakResident:    max(r.Usage.PeakResident, o.Usage.PeakResident),
-		},
-	}
-}
-
-// fromReport converts the internal representation.
-func fromReport(r metrics.TransferReport) Report {
-	return Report{
-		Bytes: r.Bytes,
-		Mode:  r.Mode,
-		Breakdown: Breakdown{
-			Setup:         r.Breakdown.Setup,
-			Transfer:      r.Breakdown.Transfer,
-			Serialization: r.Breakdown.Serialization,
-			WasmIO:        r.Breakdown.WasmIO,
-			Network:       r.Breakdown.Network,
-			Compute:       r.Breakdown.Compute,
-			Overlap:       r.Breakdown.Overlap,
-		},
-		Usage: fromUsage(r.Usage),
-	}
-}
-
-// fromUsage converts an internal account snapshot.
-func fromUsage(u metrics.Usage) Usage {
-	return Usage{
-		UserCopyBytes:   u.UserCopyBytes,
-		KernelCopyBytes: u.KernelCopyBytes,
-		Syscalls:        u.Syscalls,
-		ContextSwitches: u.ContextSwitches,
-		UserCPU:         u.UserCPU,
-		KernelCPU:       u.KernelCPU,
-		PeakResident:    u.PeakResident,
-	}
-}
+// Report describes one completed transfer: Bytes moved on the wire
+// (serialized size for codec paths, raw payload size for Roadrunner paths),
+// the data path taken as Mode ("user", "kernel", "network",
+// "kernel-multicast", "network-multicast", or "plan" for a Result's merged
+// report), the latency Breakdown and the resource Usage. Latency is the
+// end-to-end duration (§6.1a), Throughput extrapolates requests per second
+// from it (§6.1b), and Merge combines reports of sequentially executed
+// transfers.
+type Report = metrics.TransferReport

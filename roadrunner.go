@@ -18,9 +18,11 @@
 // Plan declares a DAG of operations (Xfer, Hop chains, Cast, Fan, Invoke)
 // with From dataflow edges, Platform.Submit(ctx, plan) executes it through
 // the invoker plane and worker pool, and cancellation reaches queue
-// admission, hop scheduling and the pipeline's stage boundaries. The
-// one-shot entry points below are thin wrappers over single-node plans,
-// each with a ...Ctx twin.
+// admission, hop scheduling and the pipeline's stage boundaries. Each kind
+// of node also has one synchronous, ctx-first one-shot form — TransferCtx,
+// ChainCtx, MulticastCtx, FanoutCtx, InvokeCtx — that validates the node
+// and runs its body on the calling goroutine; asynchronous execution is
+// Submit plus Job.NodeDone/NodeResult.
 //
 // Quick start:
 //
@@ -38,7 +40,7 @@
 // Or, the one-shot shortcut:
 //
 //	a.Produce(8 << 20)
-//	ref, report, _ := p.Transfer(a, b) // TransferCtx(ctx, ...) to bound it
+//	ref, report, _ := p.TransferCtx(ctx, a, b)
 package roadrunner
 
 import (
@@ -52,7 +54,6 @@ import (
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/guest"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/invoke"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/kernel"
-	"github.com/polaris-slo-cloud/roadrunner-go/internal/metrics"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/netsim"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/sched"
 )
@@ -238,8 +239,8 @@ func WithDataHoseSize(n int) Option {
 	return func(c *platformConfig) { c.hose = n }
 }
 
-// WithWorkers sets the size of the worker pool behind TransferAsync,
-// ChainAsync and FanoutAsync (default: GOMAXPROCS).
+// WithWorkers sets the size of the worker pool behind Submit's node bodies
+// and a fan-out's per-target deliveries (default: GOMAXPROCS).
 func WithWorkers(n int) Option {
 	return func(c *platformConfig) { c.workers = n }
 }
@@ -315,8 +316,8 @@ func (p *Platform) Placement() PlacementPolicy { return p.place }
 func GuestModule() []byte { return guest.Module() }
 
 // Close shuts the platform down in three strict steps: (1) reject new
-// deployments and async submissions, (2) drain the async worker pool —
-// every accepted future resolves against live shims — and (3) wait for
+// deployments and plan submissions, (2) drain the worker pool — every
+// accepted Job resolves against live shims — and (3) wait for
 // in-flight synchronous operations, after which every public data-plane
 // call returns ErrClosed and the shims are torn down. Close never races
 // teardown against a running transfer.
@@ -341,8 +342,8 @@ func (p *Platform) Close() {
 
 // beginOp admits one public data-plane operation, holding teardown off until
 // the matching endOp; it fails with ErrClosed once Close has finished
-// draining (operations admitted earlier, and async work accepted before
-// Close, complete against live shims first). Public entry points call it
+// draining (operations admitted earlier, and jobs accepted before Close,
+// complete against live shims first). Public entry points call it
 // exactly once — internal helpers never do, so the read lock is never
 // nested within one goroutine.
 func (p *Platform) beginOp() error {
@@ -373,7 +374,7 @@ func (p *Platform) scheduler() *sched.Pool {
 }
 
 // SchedulerStats reports worker-pool activity (zero value before the first
-// async call).
+// Submit or fan-out).
 func (p *Platform) SchedulerStats() sched.Stats {
 	p.mu.RLock()
 	pool := p.pool
@@ -423,7 +424,7 @@ type Function struct {
 	// last instance a routed produce/call/delivery landed on. Peerless
 	// reads (Output, Checksum, Release, …) address it. Sequential
 	// workflows get exact continuity; concurrent invocations that must
-	// not share it use Platform.Invoke or explicit Instance handles.
+	// not share it use Platform.InvokeCtx or explicit Instance handles.
 	activeMu sync.Mutex
 	active   *Instance
 }
@@ -613,7 +614,7 @@ func WithPhaseLocked(on bool) TransferOption {
 	return func(c *transferConfig) { c.phaseLocked = on }
 }
 
-// WithPerTargetFanout forces (true) a Fanout (or plan Fan node) to deliver
+// WithPerTargetFanout forces (true) a FanoutCtx (or plan Fan node) to deliver
 // to every target through an independent unicast transfer — the
 // pre-shared-egress behavior — instead of serving co-located targets from
 // one multicast tee group. It is the ablation baseline the fan-out
@@ -670,29 +671,21 @@ type DataRef struct {
 	Len uint32
 }
 
-// Transfer moves src's current output to dst, selecting the mechanism by
+// TransferCtx moves src's current output to dst, selecting the mechanism by
 // locality unless a mode is forced. The source side reads from src's
 // active instance (the holder of its current output) unless pinned with
 // WithSourceInstance; the target instance is chosen by the platform's
-// placement policy unless pinned with WithTargetInstance. Transfer never
-// cancels; TransferCtx is the context-aware form.
-func (p *Platform) Transfer(src, dst *Function, opts ...TransferOption) (DataRef, Report, error) {
-	return p.TransferCtx(context.Background(), src, dst, opts...)
-}
-
-// TransferCtx is Transfer bounded by ctx: cancellation (or a deadline) is
-// honored at queue admission and at the pipeline's stage boundaries, and an
-// aborted transfer restores the FD, page-pool and channel-cache baselines
-// exactly as any other transfer failure does. It is semantically a
-// single-Xfer Plan (DESIGN.md §7) and runs that node's validation, but
-// executes the node body directly: a warm transfer builds no DAG, keeping
-// the whole call allocation-free above the pipeline.
+// placement policy unless pinned with WithTargetInstance. Cancellation of
+// ctx (or its deadline) is honored at entry and at the pipeline's stage
+// boundaries, and an aborted transfer restores the FD, page-pool and
+// channel-cache baselines exactly as any other transfer failure does. It
+// is the one-shot form of a Plan's Xfer node (DESIGN.md §7): it runs that
+// node's validation (typed *PlanError) and then the node body directly, so
+// a warm transfer builds no DAG and the whole call stays allocation-free
+// above the pipeline.
 func (p *Platform) TransferCtx(ctx context.Context, src, dst *Function, opts ...TransferOption) (DataRef, Report, error) {
 	n := PlanNode{op: opXfer, src: src, dst: dst, opts: opts, label: "xfer#0"}
-	if err := n.check(p); err != nil {
-		return DataRef{}, Report{}, err
-	}
-	if err := ctxErr(ctx); err != nil {
+	if err := n.admit(ctx, p); err != nil {
 		return DataRef{}, Report{}, err
 	}
 	ref, rep, _, err := p.transferCtx(ctx, src, dst, opts)
@@ -700,9 +693,8 @@ func (p *Platform) TransferCtx(ctx context.Context, src, dst *Function, opts ...
 }
 
 // transferCtx executes one transfer under ctx — the engine behind Xfer plan
-// nodes and therefore behind Transfer/TransferCtx/TransferAsync. It also
-// returns the concrete instance the delivery landed on, feeding plan
-// dataflow (From) edges.
+// nodes and TransferCtx. It also returns the concrete instance the delivery
+// landed on, feeding plan dataflow (From) edges.
 func (p *Platform) transferCtx(ctx context.Context, src, dst *Function, opts []TransferOption) (DataRef, Report, *Instance, error) {
 	if err := p.beginOp(); err != nil {
 		return DataRef{}, Report{}, nil, err
@@ -821,7 +813,7 @@ func (p *Platform) transferInstances(si, di *Instance, cfg *transferConfig) (Dat
 }
 
 // transferResolved is transferInstances without the in-flight bracketing,
-// for callers (Invoke) that already hold both ends in flight.
+// for callers (invokeOnce) that already hold both ends in flight.
 func (p *Platform) transferResolved(si, di *Instance, cfg *transferConfig) (DataRef, Report, error) {
 	mode := cfg.mode
 	if mode == ModeAuto {
@@ -890,7 +882,7 @@ type Invocation struct {
 	Target *Instance
 }
 
-// Invoke runs one invocation end to end through the invoker plane: the
+// InvokeCtx runs one invocation end to end through the invoker plane: the
 // placement policy picks a (source-instance, target-instance) pair — both
 // ends free unless pinned with WithSourceInstance/WithTargetInstance — an
 // n-byte payload is produced at the source instance, and the transfer
@@ -898,35 +890,24 @@ type Invocation struct {
 // concurrent invocations through the same instances cannot interleave
 // between produce and read. This is the concurrency-safe entry point for
 // replicated functions: everything the caller needs to continue (or verify)
-// the flow is in the returned Invocation.
-func (p *Platform) Invoke(src, dst *Function, n int, opts ...TransferOption) (*Invocation, error) {
-	return p.InvokeCtx(context.Background(), src, dst, n, opts...)
-}
-
-// InvokeCtx is Invoke bounded by ctx. A cancelled invocation releases the
-// region it produced at the source instance and restores the data-plane
-// baselines like any other failed transfer. It executes as a single-node
-// Plan (DESIGN.md §7).
+// the flow is in the returned Invocation. A cancelled invocation releases
+// the region it produced at the source instance and restores the data-plane
+// baselines like any other failed transfer. It is the one-shot form of a
+// Plan's Invoke node (DESIGN.md §7).
 func (p *Platform) InvokeCtx(ctx context.Context, src, dst *Function, n int, opts ...TransferOption) (*Invocation, error) {
-	pl := NewPlan()
-	node := pl.Invoke(src, dst, n, opts...)
-	res, err := p.runPlan(ctx, pl)
-	if err != nil {
+	node := PlanNode{op: opInvoke, src: src, dst: dst, bytes: n, opts: opts, label: "invoke#0"}
+	if err := node.admit(ctx, p); err != nil {
 		return nil, err
 	}
-	nr := res.Node(node)
-	if nr.Err != nil {
-		return nil, nr.Err
-	}
-	return nr.Invocation, nil
+	return p.invokeCtx(ctx, src, dst, n, opts)
 }
 
 // invokeCtx executes one routed invocation under ctx — the engine behind
-// Invoke plan nodes and therefore behind Invoke/InvokeCtx. Instance-fault
-// failures retry with exclusion on both ends: the target takes the strike
-// first; a source that keeps failing across distinct targets is excluded
-// too (when unpinned and replicated), so an invocation survives the death
-// of either end while any healthy pair remains.
+// Invoke plan nodes and InvokeCtx. Instance-fault failures retry with
+// exclusion on both ends: the target takes the strike first; a source that
+// keeps failing across distinct targets is excluded too (when unpinned and
+// replicated), so an invocation survives the death of either end while any
+// healthy pair remains.
 func (p *Platform) invokeCtx(ctx context.Context, src, dst *Function, n int, opts []TransferOption) (*Invocation, error) {
 	if err := p.beginOp(); err != nil {
 		return nil, err
@@ -1086,9 +1067,9 @@ func coreSourceRef(ref *DataRef) *core.OutputRef {
 	return &core.OutputRef{Ptr: ref.Ptr, Len: ref.Len}
 }
 
-func convert(ref core.InboundRef, rep metrics.TransferReport, err error) (DataRef, Report, error) {
+func convert(ref core.InboundRef, rep Report, err error) (DataRef, Report, error) {
 	if err != nil {
 		return DataRef{}, Report{}, err
 	}
-	return DataRef{Ptr: ref.Ptr, Len: ref.Len}, fromReport(rep), nil
+	return DataRef{Ptr: ref.Ptr, Len: ref.Len}, rep, nil
 }

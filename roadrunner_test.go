@@ -1,12 +1,16 @@
 package roadrunner_test
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
 
 	roadrunner "github.com/polaris-slo-cloud/roadrunner-go"
 )
+
+// bg is the context of every test call that is not about cancellation.
+var bg = context.Background()
 
 func newPlatform(t *testing.T, opts ...roadrunner.Option) *roadrunner.Platform {
 	t.Helper()
@@ -58,7 +62,7 @@ func TestAutoModeSelectsByLocality(t *testing.T) {
 		{c, "kernel"},
 		{d, "network"},
 	} {
-		ref, rep, err := p.Transfer(a, tc.dst)
+		ref, rep, err := p.TransferCtx(bg, a, tc.dst)
 		if err != nil {
 			t.Fatalf("transfer to %s: %v", tc.dst.Name(), err)
 		}
@@ -107,10 +111,10 @@ func TestForcedModeValidation(t *testing.T) {
 	if err := a.Produce(100); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := p.Transfer(a, b, roadrunner.WithMode(roadrunner.ModeNetwork)); !errors.Is(err, roadrunner.ErrModeUnavailable) {
+	if _, _, err := p.TransferCtx(bg, a, b, roadrunner.WithMode(roadrunner.ModeNetwork)); !errors.Is(err, roadrunner.ErrModeUnavailable) {
 		t.Fatalf("same-node network transfer = %v", err)
 	}
-	if _, _, err := p.Transfer(a, b, roadrunner.WithMode(roadrunner.ModeKernelSpace)); err != nil {
+	if _, _, err := p.TransferCtx(bg, a, b, roadrunner.WithMode(roadrunner.ModeKernelSpace)); err != nil {
 		t.Fatalf("forced kernel transfer: %v", err)
 	}
 }
@@ -123,7 +127,7 @@ func TestNetworkTimeFollowsConfiguredLink(t *testing.T) {
 	if err := a.Produce(n); err != nil {
 		t.Fatal(err)
 	}
-	_, rep, err := p.Transfer(a, b)
+	_, rep, err := p.TransferCtx(bg, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +145,7 @@ func TestChainAcrossThreeLocalities(t *testing.T) {
 	d := deploy(t, p, roadrunner.FunctionSpec{Name: "d", Node: "cloud"})
 
 	const n = 80_000
-	ref, rep, err := p.Chain(n, a, b, c, d)
+	ref, rep, err := p.ChainCtx(bg, n, []*roadrunner.Function{a, b, c, d})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +168,7 @@ func TestChainAcrossThreeLocalities(t *testing.T) {
 func TestChainRequiresTwoFunctions(t *testing.T) {
 	p := newPlatform(t)
 	a := deploy(t, p, roadrunner.FunctionSpec{Name: "a", Node: "edge"})
-	if _, _, err := p.Chain(10, a); err == nil {
+	if _, _, err := p.ChainCtx(bg, 10, []*roadrunner.Function{a}); err == nil {
 		t.Fatal("single-function chain accepted")
 	}
 }
@@ -177,7 +181,7 @@ func TestFanout(t *testing.T) {
 		targets[i] = deploy(t, p, roadrunner.FunctionSpec{Name: "t", Node: "cloud"})
 	}
 	const n = 100_000
-	_, reports, err := p.Fanout(src, targets, n)
+	_, reports, err := p.FanoutCtx(bg, src, targets, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +194,7 @@ func TestFanout(t *testing.T) {
 	if err := src.Produce(n); err != nil {
 		t.Fatal(err)
 	}
-	_, soloRep, err := p.Transfer(src, single)
+	_, soloRep, err := p.TransferCtx(bg, src, single)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +212,7 @@ func TestResizeHalfAPI(t *testing.T) {
 	if err := a.Produce(w * h); err != nil {
 		t.Fatal(err)
 	}
-	ref, _, err := p.Transfer(a, b)
+	ref, _, err := p.TransferCtx(bg, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +290,7 @@ func TestMulticastPublicAPI(t *testing.T) {
 	if err := src.Produce(n); err != nil {
 		t.Fatal(err)
 	}
-	refs, reports, err := p.Multicast(src, []*roadrunner.Function{t1, t2})
+	refs, reports, err := p.MulticastCtx(bg, src, []*roadrunner.Function{t1, t2})
 	if err != nil {
 		t.Fatal(err)
 	}
