@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race fuzz-smoke chaos bench pairs perfgate lint loc staticcheck vuln cover clean
+.PHONY: all build test race fuzz-smoke chaos bench bench-kernel pairs perfgate lint loc staticcheck vuln cover clean
 
 all: lint build race bench perfgate
 
@@ -70,6 +70,14 @@ bench:
 		cat artifacts/bench-$$exp.json; \
 	done
 	$(GO) run ./cmd/roadrunner-load -workflows 2 -requests 8 -mode fanout -targets 8 -compact | tee artifacts/load-fanout.json
+
+## bench-kernel: the copy path as a layer beside its floors — Write ∥ ReadFull
+## over a sized socketpair (BenchmarkCopyPath4M) and 4 MiB through a bounce
+## buffer on one core, on two cores that each keep their own, and handed from
+## one core to the other (BenchmarkBounceFloor) — at 1 and 2 Ps. Compare
+## within one run only: the box's memory bandwidth drifts by tens of percent
+bench-kernel:
+	$(GO) test -run '^$$' -bench 'BounceFloor|CopyPath4M' -cpu 1,2 -count 3 ./internal/kernel
 
 ## pairs: the ten-pair protocol of the BENCH_N.md files — N alternating
 ## parent/change runs of `bench` (prebuilt binaries, parent from `git archive

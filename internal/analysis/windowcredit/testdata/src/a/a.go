@@ -9,51 +9,65 @@ type Ref struct{}
 
 type sendWindow struct{ charged int }
 
-func (w *sendWindow) reserve(n int) error                 { return nil }
-func (w *sendWindow) push(refs []Ref, charged bool) error { return nil }
+// reserve and push as the kernel's window declares them (minus the pool):
+// reserve hands out the segment it charged and carries the caller's held
+// relay block through; its error ends the write.
+func (w *sendWindow) reserve(held []Ref, b []byte) ([]byte, []Ref, error) { return b, held, nil }
+func (w *sendWindow) push(refs []Ref, charged bool) error                 { return nil }
 
 type conn struct{ snd, rcv *sendWindow }
 
 func copyInto(refs []Ref, b []byte) []Ref { return refs }
 
+func release(refs []Ref) {}
+
+func tail(part, whole []byte) bool { return len(part) == len(whole) }
+
 var errTooBig = errors.New("segment too big")
 
 // writeCopy is the production shape, verbatim: per segment, reserve (a
-// failed reserve holds no credit), copy, push — whose failure still
-// queued nothing but has settled the bracket with the window. No
-// diagnostic.
-func (c *conn) writeCopy(refs []Ref, b []byte, seg int) (int, []Ref, error) {
-	done := 0
-	for done < len(b) {
-		chunk := b[done:min(done+seg, len(b))]
-		if err := c.snd.reserve(len(chunk)); err != nil {
-			return done, refs, err
+// failed reserve holds no credit and has ended the write), copy, push —
+// whose failure still queued nothing but has settled the bracket with the
+// window, and is reported by the next reserve. No diagnostic.
+func (c *conn) writeCopy(refs []Ref, b []byte) (int, []Ref, error) {
+	w := c.snd
+	var block [1]Ref
+	held, unqueued := block[:0], 0
+	var chunk []byte
+	var err error
+	for src := b; ; src = nil {
+		if chunk, held, err = w.reserve(held, src); err != nil {
+			release(held)
+			return len(b) - len(chunk) - unqueued, refs, err
 		}
 		refs = copyInto(refs[:0], chunk)
-		if err := c.snd.push(refs, true); err != nil {
-			return done, refs, err
+		if w.push(refs, true) != nil {
+			unqueued = len(chunk)
+		} else if tail(chunk, b) {
+			release(held)
+			return len(b), refs, nil
 		}
-		done += len(chunk)
 	}
-	return done, refs, nil
 }
 
 // earlyReturn reserves, then bails before the push: the window stays
 // charged for bytes no reader will ever consume.
 func (c *conn) earlyReturn(refs []Ref, b []byte) error {
-	if err := c.snd.reserve(len(b)); err != nil { // want `c\.snd\.reserve\(\) is not followed by a push on every path`
+	chunk, _, err := c.snd.reserve(nil, b) // want `c\.snd\.reserve\(\) is not followed by a push on every path`
+	if err != nil {
 		return err
 	}
-	if len(b) > 1<<16 {
+	if len(chunk) > 1<<16 {
 		return errTooBig
 	}
-	return c.snd.push(copyInto(refs, b), true)
+	return c.snd.push(copyInto(refs, chunk), true)
 }
 
 // wrongWindow pushes on the peer's window: the bracket is keyed on the
 // receiver, so the reservation on snd stays open.
 func (c *conn) wrongWindow(refs []Ref, b []byte) error {
-	if err := c.snd.reserve(len(b)); err != nil { // want `c\.snd\.reserve\(\) is not followed by a push`
+	_, _, err := c.snd.reserve(nil, b) // want `c\.snd\.reserve\(\) is not followed by a push`
+	if err != nil {
 		return err
 	}
 	return c.rcv.push(refs, true)

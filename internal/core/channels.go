@@ -20,10 +20,14 @@ const (
 )
 
 // kernelSendWindow is the SO_SNDBUF of the kernel-mode socketpair: four
-// slabs. The source's write stages at most this much ahead of the target's
-// receive, so the bounce set of a kernel transfer is 256 KiB whatever the
-// payload — small enough to stay L2-resident next to the source and target
-// streams — and deep enough that neither stage parks per hand-off.
+// slabs. It is the bound on what the source's write may queue ahead of a
+// receive that has not arrived — a writer that fills it parks, handing its
+// core to the ingress stage — and the ceiling on the kernel memory a
+// transfer holds whatever its payload: 256 KiB queued, or, once the two
+// calls have met and relay (kernel.sendWindow), one block per thread. It is
+// not a pipeline depth: as a conveyor between the two stages it parked each
+// side 11–13 times per 4 MiB (measured, ISSUE 23), which is why nothing is
+// queued through it any more once both ends are there.
 const kernelSendWindow = 4 * pagebuf.SlabSize
 
 // chanKind distinguishes the two persistent-hose flavors.

@@ -31,13 +31,20 @@
 //
 // Both copy-bearing channels stream: the hose moves a payload chunk by chunk
 // through a bounded pipe, and the kernel path's socketpair carries a send
-// window (channels.go, kernelSendWindow), so its one write and one receive
-// interleave slab by slab rather than staging the whole payload between
-// them. Either way an egress can be blocked on a channel the ingress is
-// supposed to drain, so a failing ingress destroys the channel before it
-// reports, and the error join in runPipeline reports the error of the stage
-// that failed first — the ingress's cause, not the ring-closed error the
-// unblocked egress sees.
+// window (channels.go, kernelSendWindow): its one write queues at most the
+// window ahead of the receive, and from the moment the receive is there the
+// two calls relay the rest — each stage's goroutine moves whole segments
+// source → its own kernel block → target on its own core — rather than
+// staging the payload, or handing it slab by slab, between them. So the
+// egress's goroutine writes into the target's linear memory and the
+// ingress's reads the source's, each only while the other stage's call is in
+// progress, i.e. under the VM lock that stage holds: the egress keeps the
+// source lock until Write returns, the ingress the target lock until
+// ReadFull returns. Either way an egress can be blocked on a channel the
+// ingress is supposed to drain, so a failing ingress destroys the channel
+// before it reports, and the error join in runPipeline reports the error of
+// the stage that failed first — the ingress's cause, not the ring-closed
+// error the unblocked egress sees.
 //
 // Serialization that must remain is provided by the pair lock
 // (Shim.pairLock): transfers of one ordered (source shim, target shim)

@@ -54,8 +54,12 @@ func ingressRegion(f *Function, n uint32, m *stageMetrics) (uint32, []byte, erro
 
 // copySend is the copy path's send half, shared by kernel mode and the
 // ForceCopyPath ablation: one write(2) — one copy_from_user — of the source
-// view into fd. On the kernel channel's sized socket the write streams
-// through the send window while the target stage drains.
+// view into fd. On the kernel channel's sized socket the write queues up to
+// the send window ahead of the target stage and relays with it once it is
+// there, so this goroutine may spend part of the call copying into the
+// target's memory. Its lap is charged as it always was, to the account of
+// the Proc whose syscall it is — the source's: CPU time follows the thread,
+// the syscall and copy counts follow the Proc.
 func copySend(s *Shim, fd int, view []byte, m *stageMetrics) error {
 	sw := metrics.NewStopwatch(s.now)
 	if _, err := s.proc.Write(fd, view); err != nil {
@@ -68,9 +72,11 @@ func copySend(s *Shim, fd int, view []byte, m *stageMetrics) error {
 }
 
 // copyRecv is the copy path's receive half: one recv(MSG_WAITALL) straight
-// into the target's linear memory. The context is polled on both sides of
-// the call — the receive itself ends when the payload is in or the channel
-// dies, and a failing source stage destroys the channel.
+// into the target's linear memory (filled, once the two calls relay, by both
+// stages' goroutines; the lap here is this goroutine's, charged to the
+// target's account). The context is polled on both sides of the call — the
+// receive itself ends when the payload is in or the channel dies, and a
+// failing source stage destroys the channel.
 func copyRecv(s *Shim, ctx context.Context, fd int, wv []byte, m *stageMetrics) error {
 	if err := CtxErr(ctx); err != nil {
 		return err
@@ -236,11 +242,13 @@ func (kernelOps) ingress(st *pipelineState, out OutputRef) (InboundRef, error) {
 // kernel exactly twice, once per payload crossing.
 //
 // The transfer runs as a staged pipeline (pipeline.go): the source VM is
-// locked only for copy_from_user, the target VM only while the socket
-// drains into its linear memory, and the two stages overlap for real — the
-// socketpair carries a send window (kernelSendWindow), so the source's one
-// write streams through a few cache-resident slabs while the target's one
-// receive drains them, instead of staging the whole payload first.
+// locked for the source's one write, the target VM for the target's one
+// receive, and the two stages overlap for real — the socketpair carries a
+// send window (kernelSendWindow), so the write queues at most four slabs
+// ahead of the receive, and once both calls are in progress they relay: the
+// two stages' goroutines each move whole segments source → a kernel block of
+// their own → target, instead of staging the payload or conveying it slab
+// by slab from one core to the other.
 func KernelSpaceTransfer(src, dst *Function, opts KernelOptions) (InboundRef, metrics.TransferReport, error) {
 	if src.shim == dst.shim {
 		return InboundRef{}, metrics.TransferReport{}, ErrSameVM

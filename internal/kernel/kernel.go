@@ -13,8 +13,14 @@
 // room, which is the hose's back-pressure. Socket rings are unbounded and
 // never make a sender of references wait; what bounds a socket is the send
 // window of a sized pair (SocketPairSized), which charges only the bytes
-// Write copies into pool blocks — so the copy path streams through a fixed,
-// cache-resident window while lent (spliced, tee'd) pages queue freely.
+// Write copies into pool blocks — the most a writer may queue ahead of a
+// reader that has not arrived — while lent (spliced, tee'd) pages queue
+// freely. Once a Write and a ReadFull are both in progress on a sized socket
+// and the queue between them has drained, nothing more is queued at all: the
+// two calling threads relay the rest, each moving whole segments source →
+// its own pool block → destination (pipe.go, sendWindow). Which thread
+// executes a copy is the one thing idealised there; the syscalls, the two
+// copies through kernel memory and who is charged for them are not.
 package kernel
 
 import (
@@ -143,6 +149,10 @@ type file interface {
 	// write(2) — building the run in scratch, which it returns for
 	// recycling along with the number of bytes queued.
 	writeCopy(pool *pagebuf.Pool, scratch []pagebuf.Ref, b []byte) (int, []pagebuf.Ref, error)
+	// readFull fills b from the queue — the body of recv(MSG_WAITALL) —
+	// popping through scratch, which it returns for recycling along with
+	// the number of bytes delivered; short only with an error.
+	readFull(pool *pagebuf.Pool, scratch []pagebuf.Ref, b []byte) (int, []pagebuf.Ref, error)
 	close() error
 }
 
@@ -278,9 +288,17 @@ func putScratch(sp *[]pagebuf.Ref, run []pagebuf.Ref) {
 // the whole payload is staged, then queued. On a sized socket
 // (SocketPairSized) the call proceeds segment by segment as write(2) does
 // against SO_SNDBUF — wait until the segment fits the send window, copy it
-// into a slab, queue it, wake the reader — so at most the window's worth of
-// copied bytes is ever staged, and the reader drains while the writer is
-// still copying. It returns the number of bytes queued.
+// into a slab, queue it — so at most the window's worth of copied bytes is
+// ever staged ahead of the reader, and a writer that fills it parks. From
+// the moment a ReadFull is in progress on the other end it queues nothing
+// more: when what is queued has drained, the two calls relay — each of the
+// two calling threads claims the next segment and moves it b → a pool block
+// it holds for the whole call → the reader's buffer — so b may be read by the
+// reader's thread until Write returns, not after. The syscall and the
+// copy_from_user of len(b) are charged to p up front either way; no CPU time
+// is charged here (callers time the call, so each thread's copying lands on
+// the account of the Proc whose syscall it is inside). It returns the number
+// of bytes queued or relayed.
 func (p *Proc) Write(fd int, b []byte) (int, error) {
 	if err := p.fault("write"); err != nil {
 		return 0, err
@@ -330,10 +348,12 @@ func (p *Proc) Read(fd int, b []byte) (int, error) {
 // MSG_WAITALL: one syscall however the bytes trickle in, so the crossing
 // count of a transfer does not depend on how writer and reader interleave.
 // It returns when b is full, or short with io.EOF once the buffer is closed
-// and drained. References are popped a slab's worth at a time and copied
-// and released outside the buffer's lock, so a writer queues — and, on a
-// sized socket, whose window is credited at the pop, copies — its next
-// segment while this one is being copied out.
+// and drained — short by a contiguous prefix of b. What is queued is popped
+// a slab's worth at a time and copied and released outside the buffer's
+// lock. On a sized socket that is only how the call starts: once it has
+// drained what a Write in progress on the other end queued ahead of it, the
+// two calls have met and the rest is relayed (see Write) — so b may be
+// written by the writer's thread until ReadFull returns, not after.
 func (p *Proc) ReadFull(fd int, b []byte) (int, error) {
 	if err := p.fault("read"); err != nil {
 		return 0, err
@@ -344,7 +364,16 @@ func (p *Proc) ReadFull(fd int, b []byte) (int, error) {
 	}
 	p.acct.Syscall()
 	sp := refScratch.Get().(*[]pagebuf.Ref)
-	refs := (*sp)[:0]
+	n, refs, err := f.readFull(p.k.pool, (*sp)[:0], b)
+	putScratch(sp, refs)
+	p.acct.Copy(metrics.Kernel, n)
+	return n, err
+}
+
+// popFull is readFull for a buffer without a send window: pop up to a slab
+// of references, copy them out, release them, until b is full.
+func popFull(f file, refs []pagebuf.Ref, b []byte) (int, []pagebuf.Ref, error) {
+	var err error
 	n := 0
 	for err == nil && n < len(b) {
 		refs, err = f.readRefs(refs[:0], min(len(b)-n, pagebuf.SlabSize))
@@ -353,9 +382,7 @@ func (p *Proc) ReadFull(fd int, b []byte) (int, error) {
 		}
 		pagebuf.ReleaseAll(refs)
 	}
-	putScratch(sp, refs)
-	p.acct.Copy(metrics.Kernel, n)
-	return n, err
+	return n, refs, err
 }
 
 // Vmsplice maps user memory into the file's buffer without copying, modeling

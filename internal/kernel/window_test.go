@@ -5,7 +5,9 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -286,5 +288,385 @@ func TestReadFullSemantics(t *testing.T) {
 	}
 	if _, err := a.ReadFull(wfd, buf); !errors.Is(err, ErrBadFD) {
 		t.Fatalf("ReadFull on a write end = %v, want ErrBadFD", err)
+	}
+}
+
+// windowOf returns the send window of p's end of a sized pair: the direction
+// p writes and its peer reads.
+func windowOf(t *testing.T, p *Proc, fd int) *sendWindow {
+	t.Helper()
+	f, err := p.lookup(fd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f.(*conn).snd
+}
+
+// parked reports whether a thread is parked on q, one of w's two queues.
+func parked(w *sendWindow, q *waitq) bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return q.parked > 0
+}
+
+// transferResult is what one side of a Write ∥ ReadFull pair returned.
+type transferResult struct {
+	n   int
+	err error
+}
+
+// The relay changes which thread moves a byte, never which byte arrives
+// where or who is charged for it: every payload size around every boundary
+// the path has, with the reader arriving first (the writer relays from its
+// first byte), the writer arriving first (the reader meets it mid-queue) and
+// the reader held until the writer has filled the window and parked, is
+// delivered byte-exact by one write and one recv — each Proc charged its own
+// syscall and the payload's bytes once, whichever thread copied them — and
+// leaves nothing resident.
+func TestRelayDeliversExactly(t *testing.T) {
+	const sndbuf = 4 * pagebuf.SlabSize
+	seg := (&sendWindow{limit: sndbuf}).segment()
+	sizes := []int{0, 1, seg - 1, seg, seg + 1, sndbuf - 1, sndbuf, sndbuf + 1, 4<<20 + 3}
+	for _, order := range []string{"reader first", "writer first", "window full"} {
+		for _, n := range sizes {
+			k, a, b, fa, fb := sizedPair(t, sndbuf)
+			w := windowOf(t, a, fa)
+			src, got := make([]byte, n), make([]byte, n)
+			rand.New(rand.NewSource(int64(n))).Read(src)
+			beforeA, beforeB := a.Account().Snapshot(), b.Account().Snapshot()
+
+			wrote, read := make(chan transferResult, 1), make(chan transferResult, 1)
+			write := func() {
+				n, err := a.Write(fa, src)
+				wrote <- transferResult{n, err}
+			}
+			recv := func() {
+				n, err := b.ReadFull(fb, got)
+				read <- transferResult{n, err}
+			}
+			settled := func(done chan transferResult, q *waitq) func() bool {
+				return func() bool { return len(done) > 0 || parked(w, q) }
+			}
+			switch order {
+			case "reader first":
+				go recv()
+				waitFor(t, "the reader to park", settled(read, &w.data))
+				go write()
+			case "writer first":
+				go write()
+				go recv()
+			case "window full":
+				go write()
+				waitFor(t, "the writer to park", settled(wrote, &w.room))
+				go recv()
+			}
+			wres, rres := <-wrote, <-read
+			if wres.n != n || wres.err != nil || rres.n != n || rres.err != nil {
+				t.Fatalf("%s, %d bytes: Write = %d, %v; ReadFull = %d, %v", order, n, wres.n, wres.err, rres.n, rres.err)
+			}
+			if !bytes.Equal(got, src) {
+				t.Fatalf("%s, %d bytes: payload corrupted", order, n)
+			}
+			ua, ub := a.Account().Snapshot().Sub(beforeA), b.Account().Snapshot().Sub(beforeB)
+			if ua.Syscalls != 1 || ub.Syscalls != 1 || ua.KernelCopyBytes != int64(n) || ub.KernelCopyBytes != int64(n) {
+				t.Fatalf("%s, %d bytes: charged write %d syscalls/%d bytes, read %d/%d; want 1/%d each",
+					order, n, ua.Syscalls, ua.KernelCopyBytes, ub.Syscalls, ub.KernelCopyBytes, n)
+			}
+			if res := k.Pool().Resident(); res != 0 {
+				t.Fatalf("%s, %d bytes: resident = %d", order, n, res)
+			}
+			if peak := k.Pool().PeakResident(); peak > sndbuf+pagebuf.SlabSize {
+				t.Fatalf("%s, %d bytes: peak resident = %d, want <= window + one slab", order, n, peak)
+			}
+		}
+	}
+}
+
+// The rendezvous starts only where the stream is aligned: bytes an earlier
+// Write queued and references Tee and Splice lent onto the socket before the
+// two calls met are delivered first and in order, and the relayed rest lands
+// behind them.
+func TestRelayDrainsQueuedAndLentFirst(t *testing.T) {
+	const sndbuf, early, lent, late = 4 * pagebuf.SlabSize, 100 << 10, 128 << 10, 1 << 20
+	_, a, b, fa, fb := sizedPair(t, sndbuf)
+	w := windowOf(t, a, fa)
+	var relayed atomic.Int32
+	w.claimed = func(bool) { relayed.Add(1) }
+	rng := rand.New(rand.NewSource(3))
+	first, user, last := make([]byte, early), make([]byte, lent), make([]byte, late)
+	rng.Read(first)
+	rng.Read(user)
+	rng.Read(last)
+
+	if n, err := a.Write(fa, first); n != early || err != nil {
+		t.Fatalf("early write = %d, %v", n, err)
+	}
+	rfd, wfd := a.PipeSized(lent)
+	if _, err := a.Vmsplice(wfd, user); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := a.Tee(rfd, fa, lent); n != lent || err != nil {
+		t.Fatalf("tee = %d, %v", n, err)
+	}
+	if n, err := a.Splice(rfd, fa, lent); n != lent || err != nil {
+		t.Fatalf("splice = %d, %v", n, err)
+	}
+	wrote := make(chan error, 1)
+	go func() {
+		_, err := a.Write(fa, last)
+		wrote <- err
+	}()
+	waitFor(t, "the late writer to park", func() bool { return parked(w, &w.room) })
+
+	got := make([]byte, early+2*lent+late)
+	if n, err := b.ReadFull(fb, got); n != len(got) || err != nil {
+		t.Fatalf("ReadFull = %d, %v", n, err)
+	}
+	if err := <-wrote; err != nil {
+		t.Fatal(err)
+	}
+	want := bytes.Join([][]byte{first, user, user, last}, nil)
+	if !bytes.Equal(got, want) {
+		t.Fatal("stream delivered out of order")
+	}
+	if relayed.Load() == 0 {
+		t.Fatal("nothing was relayed once the queue had drained")
+	}
+}
+
+// Closing either end in the middle of a relay ends both calls with what they
+// report today: Write the bytes it got rid of and the ring-closed error,
+// ReadFull a contiguous prefix and io.EOF — here the same count, nothing
+// having been queued — with no block left resident or released twice (a
+// double release panics).
+func TestRelayCloseMidway(t *testing.T) {
+	const sndbuf, payload, closeAt = 4 * pagebuf.SlabSize, 4 << 20, 9
+	for _, closer := range []string{"reader", "writer"} {
+		t.Run(closer+" end closes", func(t *testing.T) {
+			k, a, b, fa, fb := sizedPair(t, sndbuf)
+			w := windowOf(t, a, fa)
+			var claims atomic.Int32
+			w.claimed = func(bool) {
+				if claims.Add(1) != closeAt {
+					return
+				}
+				if closer == "reader" {
+					_ = b.Close(fb)
+				} else {
+					_ = a.Close(fa)
+				}
+			}
+			src, got := make([]byte, payload), make([]byte, payload)
+			rand.New(rand.NewSource(4)).Read(src)
+			read := make(chan transferResult, 1)
+			go func() {
+				n, err := b.ReadFull(fb, got)
+				read <- transferResult{n, err}
+			}()
+			waitFor(t, "the reader to park", func() bool { return parked(w, &w.data) })
+			wn, werr := a.Write(fa, src)
+			rres := <-read
+			if !errors.Is(werr, pagebuf.ErrClosedRing) || rres.err != io.EOF {
+				t.Fatalf("Write = %d, %v; ReadFull = %d, %v; want ErrClosedRing and io.EOF", wn, werr, rres.n, rres.err)
+			}
+			if wn != rres.n || wn < closeAt*pagebuf.SlabSize || wn >= payload {
+				t.Fatalf("Write got rid of %d bytes, ReadFull delivered %d; want the same partial count", wn, rres.n)
+			}
+			if !bytes.Equal(got[:rres.n], src[:rres.n]) {
+				t.Fatal("the delivered prefix is not the source's")
+			}
+			a.CloseAll()
+			b.CloseAll()
+			if res := k.Pool().Resident(); res != 0 {
+				t.Fatalf("resident after close = %d", res)
+			}
+		})
+	}
+}
+
+// A faulted call never reaches the window: the other side stays exactly
+// where it was — a ReadFull waiting for bytes, a Write parked on the full
+// window — until the connection is torn down, and then reports what it
+// would have without the relay.
+func TestRelayFaults(t *testing.T) {
+	const sndbuf, payload = 4 * pagebuf.SlabSize, 1 << 20
+	boom := errors.New("boom")
+	failing := func(op string) func(string) error {
+		return func(got string) error {
+			if got == op {
+				return boom
+			}
+			return nil
+		}
+	}
+	t.Run("write", func(t *testing.T) {
+		k, a, b, fa, fb := sizedPair(t, sndbuf)
+		w := windowOf(t, a, fa)
+		read := make(chan transferResult, 1)
+		go func() {
+			n, err := b.ReadFull(fb, make([]byte, payload))
+			read <- transferResult{n, err}
+		}()
+		waitFor(t, "the reader to park", func() bool { return parked(w, &w.data) })
+		a.InjectFault(failing("write"))
+		if n, err := a.Write(fa, make([]byte, payload)); n != 0 || !errors.Is(err, boom) {
+			t.Fatalf("faulted Write = %d, %v", n, err)
+		}
+		if got := a.Account().Snapshot(); got.Syscalls != 1 || got.KernelCopyBytes != 0 {
+			t.Fatalf("a faulted Write was charged: %+v", got) // the one syscall is socketpair
+		}
+		_ = a.Close(fa)
+		if res := <-read; res.n != 0 || res.err != io.EOF {
+			t.Fatalf("ReadFull after the writer's end closed = %d, %v", res.n, res.err)
+		}
+		if res := k.Pool().Resident(); res != 0 {
+			t.Fatalf("resident = %d", res)
+		}
+	})
+	t.Run("read", func(t *testing.T) {
+		k, a, b, fa, fb := sizedPair(t, sndbuf)
+		w := windowOf(t, a, fa)
+		wrote := make(chan transferResult, 1)
+		go func() {
+			n, err := a.Write(fa, make([]byte, payload))
+			wrote <- transferResult{n, err}
+		}()
+		waitFor(t, "the writer to park", func() bool { return parked(w, &w.room) })
+		b.InjectFault(failing("read"))
+		if n, err := b.ReadFull(fb, make([]byte, payload)); n != 0 || !errors.Is(err, boom) {
+			t.Fatalf("faulted ReadFull = %d, %v", n, err)
+		}
+		_ = b.Close(fb)
+		if res := <-wrote; res.n != sndbuf || !errors.Is(res.err, pagebuf.ErrClosedRing) {
+			t.Fatalf("Write after the reader's end closed = %d, %v; want the window and ErrClosedRing", res.n, res.err)
+		}
+		if res := k.Pool().Resident(); res != 0 {
+			t.Fatalf("resident = %d", res)
+		}
+	})
+}
+
+// Once both ends have met, both threads move bytes. The hook holds whichever
+// thread claims first until the other has claimed too — so the split does not
+// depend on scheduling or the core count — and parks to do so: at one P the
+// second thread can only claim if nothing on the path busy-waits. The same
+// transfer then runs unhooked on a single P, where one thread may well move
+// everything but must still finish.
+func TestRelayUsesBothThreads(t *testing.T) {
+	const sndbuf, payload = 4 * pagebuf.SlabSize, 1 << 20
+	src := make([]byte, payload)
+	rand.New(rand.NewSource(5)).Read(src)
+	transfer := func(t *testing.T, hook func(*sendWindow)) {
+		k, a, b, fa, fb := sizedPair(t, sndbuf)
+		hook(windowOf(t, a, fa))
+		wrote := make(chan error, 1)
+		go func() {
+			_, err := a.Write(fa, src)
+			wrote <- err
+		}()
+		got := make([]byte, payload)
+		if n, err := b.ReadFull(fb, got); n != payload || err != nil {
+			t.Fatalf("ReadFull = %d, %v", n, err)
+		}
+		if err := <-wrote; err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, src) {
+			t.Fatal("payload corrupted")
+		}
+		if res := k.Pool().Resident(); res != 0 {
+			t.Fatalf("resident = %d", res)
+		}
+	}
+
+	var segments [2]atomic.Int32
+	transfer(t, func(w *sendWindow) {
+		claimed := [2]chan struct{}{make(chan struct{}), make(chan struct{})}
+		w.claimed = func(byWriter bool) {
+			me, other := 0, 1
+			if byWriter {
+				me, other = 1, 0
+			}
+			if segments[me].Add(1) == 1 {
+				close(claimed[me])
+			}
+			<-claimed[other]
+		}
+	})
+	if r, w := segments[0].Load(), segments[1].Load(); r == 0 || w == 0 || (r+w)*pagebuf.SlabSize > payload {
+		t.Fatalf("the reader's thread relayed %d segments, the writer's %d, of a %d-segment payload", r, w, payload/pagebuf.SlabSize)
+	}
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	transfer(t, func(*sendWindow) {})
+}
+
+// Calls of one side take turns: two Writes racing on one socket each arrive
+// whole, in one order or the other, whichever threads moved their bytes.
+func TestConcurrentWritesTakeTurns(t *testing.T) {
+	const sndbuf, each = 4 * pagebuf.SlabSize, 512 << 10
+	_, a, b, fa, fb := sizedPair(t, sndbuf)
+	var wg sync.WaitGroup
+	for _, fill := range []byte{0xAA, 0xBB} {
+		wg.Add(1)
+		go func(fill byte) {
+			defer wg.Done()
+			if n, err := a.Write(fa, bytes.Repeat([]byte{fill}, each)); n != each || err != nil {
+				t.Errorf("Write = %d, %v", n, err)
+			}
+		}(fill)
+	}
+	got := make([]byte, 2*each)
+	if n, err := b.ReadFull(fb, got); n != 2*each || err != nil {
+		t.Fatalf("ReadFull = %d, %v", n, err)
+	}
+	wg.Wait()
+	lo, hi := got[:each], got[each:]
+	if lo[0] == hi[0] || !bytes.Equal(lo, bytes.Repeat(lo[:1], each)) || !bytes.Equal(hi, bytes.Repeat(hi[:1], each)) {
+		t.Fatal("the two writes interleaved")
+	}
+}
+
+// Read and ReadRefs take bytes off a sized socket through the window as
+// ReadFull does — waiting on it, crediting what they consumed — so a writer
+// parked on the full window resumes behind either.
+func TestSizedSocketReadAndReadRefsCredit(t *testing.T) {
+	const sndbuf = pagebuf.SlabSize
+	k, a, b, fa, fb := sizedPair(t, sndbuf)
+	w := windowOf(t, a, fa)
+	src := make([]byte, 2*sndbuf)
+	rand.New(rand.NewSource(6)).Read(src)
+	wrote := make(chan error, 1)
+	go func() {
+		_, err := a.Write(fa, src)
+		wrote <- err
+	}()
+	waitFor(t, "the writer to park", func() bool { return parked(w, &w.room) })
+
+	got := make([]byte, 0, len(src))
+	buf := make([]byte, sndbuf/2)
+	n, err := b.Read(fb, buf)
+	if n != len(buf) || err != nil {
+		t.Fatalf("Read = %d, %v", n, err)
+	}
+	got = append(got, buf[:n]...)
+	for len(got) < len(src) {
+		refs, err := b.ReadRefs(fb, len(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range refs {
+			got = append(got, r.Bytes()...)
+		}
+		pagebuf.ReleaseAll(refs)
+	}
+	if err := <-wrote; err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, src) {
+		t.Fatal("payload corrupted")
+	}
+	if res := k.Pool().Resident(); res != 0 {
+		t.Fatalf("resident = %d", res)
 	}
 }
