@@ -22,13 +22,16 @@ test:
 	$(GO) test ./...
 
 ## race: the suite under the race detector (CI's test job), then the copy
-## path's packages again at 1, 2 and 4 Ps — the windowed hand-off interleaves
-## differently when both stages share one P, and tier-1 must not depend on
-## the core count — and the interpreter's packages, whose instances read
-## one module's compiled code from different goroutines
+## path's packages and the root package's transfer, cancel and close tests
+## again at 1, 2 and 4 Ps — the windowed hand-off interleaves differently
+## when both stages share one P, its two direct hand-offs are scheduling
+## decisions, and tier-1 must not depend on the core count — and the
+## interpreter's packages, whose instances read one module's compiled code
+## from different goroutines
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -cpu 1,2,4 ./internal/pagebuf ./internal/kernel ./internal/core
+	$(GO) test -race -cpu 1,2,4 -run 'Transfer|Cancel|Close' .
 	$(GO) test -race -count=3 ./internal/wasm ./internal/guest ./internal/abi
 
 ## fuzz-smoke: 20 s of each interpreter fuzz target (stdlib fuzzing, seed
@@ -74,10 +77,13 @@ bench:
 ## bench-kernel: the copy path as a layer beside its floors — Write ∥ ReadFull
 ## over a sized socketpair (BenchmarkCopyPath4M) and 4 MiB through a bounce
 ## buffer on one core, on two cores that each keep their own, and handed from
-## one core to the other (BenchmarkBounceFloor) — at 1 and 2 Ps. Compare
-## within one run only: the box's memory bandwidth drifts by tens of percent
+## one core to the other (BenchmarkBounceFloor) — at 1 and 2 Ps, and what it
+## costs a second core to join (BenchmarkSecondCoreJoin: a readied goroutine
+## stolen from the waker's next-in-line slot vs taken from the run queue
+## after the waker yields; 2 Ps only). Compare within one run only: the box's
+## memory bandwidth drifts by tens of percent
 bench-kernel:
-	$(GO) test -run '^$$' -bench 'BounceFloor|CopyPath4M' -cpu 1,2 -count 3 ./internal/kernel
+	$(GO) test -run '^$$' -bench 'BounceFloor|CopyPath4M|SecondCoreJoin' -cpu 1,2 -count 3 ./internal/kernel
 
 ## pairs: the ten-pair protocol of the BENCH_N.md files — N alternating
 ## parent/change runs of `bench` (prebuilt binaries, parent from `git archive

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -42,6 +43,11 @@ type MulticastOptions struct {
 	// runs once per target drain.
 	Gates *PipelineGates
 }
+
+// errEgressAborted is a multicast target stage's result when the source pass
+// failed before announcing the payload size; the source's error is the one
+// reported.
+var errEgressAborted = errors.New("core: source stage aborted before announcing output")
 
 // multicastDrain is one target stage's outcome.
 type multicastDrain struct {

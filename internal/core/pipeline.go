@@ -35,16 +35,18 @@
 // window ahead of the receive, and from the moment the receive is there the
 // two calls relay the rest — each stage's goroutine moves whole segments
 // source → its own kernel block → target on its own core — rather than
-// staging the payload, or handing it slab by slab, between them. So the
-// egress's goroutine writes into the target's linear memory and the
-// ingress's reads the source's, each only while the other stage's call is in
-// progress, i.e. under the VM lock that stage holds: the egress keeps the
-// source lock until Write returns, the ingress the target lock until
-// ReadFull returns. Either way an egress can be blocked on a channel the
-// ingress is supposed to drain, so a failing ingress destroys the channel
-// before it reports, and the error join in runPipeline reports the error of
-// the stage that failed first — the ingress's cause, not the ring-closed
-// error the unblocked egress sees.
+// staging the payload, or handing it slab by slab, between them. A payload
+// of more than one segment gives the receive the caller's core when the
+// announce dispatches it, so the receive is there before the write starts
+// (kernelOps.egress). So the egress's goroutine writes into the target's
+// linear memory and the ingress's reads the source's, each only while the
+// other stage's call is in progress, i.e. under the VM lock that stage
+// holds: the egress keeps the source lock until Write returns, the ingress
+// the target lock until ReadFull returns. Either way an egress can be
+// blocked on a channel the ingress is supposed to drain, so a failing
+// ingress destroys the channel before it reports, and the error join in
+// runPipeline reports the error of the stage that failed first — the
+// ingress's cause, not the ring-closed error the unblocked egress sees.
 //
 // Serialization that must remain is provided by the pair lock
 // (Shim.pairLock): transfers of one ordered (source shim, target shim)
@@ -58,19 +60,17 @@
 // front and held for the whole transfer on the stages' behalf.
 //
 // Memory model (DESIGN.md §10): the steady-state transfer path allocates
-// nothing. Per-transfer state — the announce/result channels, both stages'
-// metrics, the spec itself — lives in a pooled pipelineState recycled
-// through a sync.Pool, and the ingress stage runs on a parked stage worker
-// fed through an unbuffered queue rather than a freshly spawned goroutine
-// (a `go` statement with arguments allocates its closure). The recycled
-// channels are never closed: an aborting egress sends an explicit sentinel
-// message instead, so the same channel instance can carry the next
-// transfer's announcement.
+// nothing. Per-transfer state — the result and deposit channels, both
+// stages' metrics, the spec itself — lives in a pooled pipelineState
+// recycled through a sync.Pool, and the ingress stage runs on a parked stage
+// worker fed through an unbuffered queue rather than a freshly spawned
+// goroutine (a `go` statement with arguments allocates its closure). The
+// recycled channels are never closed, so the same channel instances carry
+// the next transfer's messages.
 package core
 
 import (
 	"context"
-	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -80,11 +80,6 @@ import (
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/netsim"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/pagebuf"
 )
-
-// errEgressAborted is the ingress stage's result when the source stage
-// failed before announcing the payload size; the egress error is the one
-// reported.
-var errEgressAborted = errors.New("core: source stage aborted before announcing output")
 
 // CtxErr reports a context's cancellation non-blockingly, treating a nil
 // context as never cancelled. The data plane polls it at its cancellation
@@ -108,9 +103,9 @@ func CtxErr(ctx context.Context) error {
 // PipelineGates carries test instrumentation for the staged pipeline. All
 // fields are optional; production callers leave the struct nil.
 type PipelineGates struct {
-	// BeforeIngress runs in the target-stage goroutine after the source
-	// has announced its output region and before the target VM lock is
-	// taken. Blocking here holds the transfer in its "wire in flight"
+	// BeforeIngress runs in the target-stage goroutine, dispatched by the
+	// source's announcement of its output region, before the target VM lock
+	// is taken. Blocking here holds the transfer in its "wire in flight"
 	// state — payload queued in the channel, neither VM lock held — which
 	// is how tests prove an interior VM stays free mid-transfer.
 	BeforeIngress func()
@@ -157,9 +152,9 @@ func modeledOverlap(k int, e, w, i time.Duration) time.Duration {
 // allocates nothing.
 type stageOps interface {
 	// egress runs under the source VM lock: resolve the output region,
-	// announce it via st.announce (unblocking the target stage), push the
-	// payload into st.ch. It must call st.announce exactly once, before
-	// the first byte moves.
+	// announce it via st.announce (which dispatches the target stage), push
+	// the payload into st.ch. It calls st.announce exactly once, before the
+	// first byte moves — unless it fails first, touching nothing.
 	egress(st *pipelineState) (OutputRef, error)
 	// ingress runs under the target VM lock: drain st.ch into the
 	// target's linear memory and return the delivered region.
@@ -204,14 +199,6 @@ func (sp *pipelineSpec) chunks(out OutputRef) int {
 	return hoseChunks(out, sp.chunkBytes)
 }
 
-// announceMsg carries the egress announcement to the ingress stage. The
-// aborted sentinel replaces closing the channel — the channels are pooled
-// and reused, and a closed channel could never be.
-type announceMsg struct {
-	out     OutputRef
-	aborted bool
-}
-
 // ingressResult is the ingress stage's outcome.
 type ingressResult struct {
 	ref InboundRef
@@ -231,9 +218,9 @@ type depositJob struct {
 // pipelineState is the per-transfer scratch: the spec, the acquired
 // channel, both stages' metrics and the two rendezvous channels. States are
 // recycled through statePool, so a warm transfer allocates none of it; the
-// channels are never closed (see announceMsg) and carry exactly one message
-// each per transfer, which is what makes recycling safe — after the caller
-// receives the ingress result both channels are empty and no goroutine
+// channels are never closed and the result channel carries exactly one
+// message per dispatched ingress, which is what makes recycling safe — after
+// the caller receives the ingress result it is empty and no goroutine
 // retains the state. The deposit slot is empty by then too: the ingress
 // stage settles every job it dealt before it reports (joinDeposits).
 type pipelineState struct {
@@ -241,11 +228,10 @@ type pipelineState struct {
 	ch        *channel
 	em, im    stageMetrics
 	out       OutputRef
-	announced bool
+	announced bool // an ingress stage was dispatched for out
 	// ingressFailed is set by the ingress stage before it destroys the
 	// channel, so the egress's join can tell a symptom from a cause.
 	ingressFailed atomic.Bool
-	announceCh    chan announceMsg
 	ingressCh     chan ingressResult
 	// depositCh is the slot the ingress stage deals hose chunks into for the
 	// caller's goroutine (awaitIngress); deposits counts the dealt jobs not
@@ -259,9 +245,8 @@ type pipelineState struct {
 
 var statePool = sync.Pool{New: func() any {
 	return &pipelineState{
-		announceCh: make(chan announceMsg, 1),
-		ingressCh:  make(chan ingressResult, 1),
-		depositCh:  make(chan depositJob, 1),
+		ingressCh: make(chan ingressResult, 1),
+		depositCh: make(chan depositJob, 1),
 	}
 }}
 
@@ -278,13 +263,15 @@ func putPipelineState(st *pipelineState) {
 	statePool.Put(st)
 }
 
-// announce records the source's output region and unblocks the ingress
-// stage. Stage bodies call it exactly once, before the first payload byte
+// announce records the source's output region and dispatches the ingress
+// stage for it: the target stage starts knowing the payload size, so it
+// never waits for it, and a source that fails before announcing has started
+// nothing. Stage bodies call it exactly once, before the first payload byte
 // moves.
 func (st *pipelineState) announce(o OutputRef) {
 	st.out = o
 	st.announced = true
-	st.announceCh <- announceMsg{out: o}
+	dispatchIngress(st)
 }
 
 // ingressQ hands states to parked stage workers. It is unbuffered on
@@ -294,9 +281,11 @@ var ingressQ = make(chan *pipelineState)
 
 // dispatchIngress schedules st's ingress stage: on a parked stage worker
 // when one is available (the warm path — no goroutine spawn, no
-// allocation), else on a new worker that parks afterwards. Workers live for
-// the process and their population is bounded by the peak number of
-// concurrent transfers.
+// allocation), else on a new worker that parks afterwards. Either way the
+// worker is made runnable on the dispatching thread's P, next in line for
+// it: a source that yields right after announcing hands the ingress its core
+// (kernelOps.egress). Workers live for the process and their population is
+// bounded by the peak number of concurrent transfers.
 func dispatchIngress(st *pipelineState) {
 	select {
 	case ingressQ <- st:
@@ -314,19 +303,14 @@ func ingressWorker(st *pipelineState) {
 	}
 }
 
-// runIngress is the target stage: wait for the announced output, then drain
-// under the target VM lock alone (the phase-locked caller already holds it
-// for the stage). Any failure destroys the channel before it is reported:
-// that releases the queued pages back to the pool and unblocks an egress
-// still pushing into a full hose or send window, which nothing would drain
-// any more. It sends exactly one result on st.ingressCh and touches st never
+// runIngress is the target stage for the announced output: drain under the
+// target VM lock alone (the phase-locked caller already holds it for the
+// stage). Any failure destroys the channel before it is reported: that
+// releases the queued pages back to the pool and unblocks an egress still
+// pushing into a full hose or send window, which nothing would drain any
+// more. It sends exactly one result on st.ingressCh and touches st never
 // again afterwards.
 func (st *pipelineState) runIngress() {
-	msg := <-st.announceCh
-	if msg.aborted {
-		st.ingressCh <- ingressResult{err: errEgressAborted}
-		return
-	}
 	sp := &st.spec
 	if sp.gates != nil && sp.gates.BeforeIngress != nil {
 		sp.gates.BeforeIngress()
@@ -340,7 +324,7 @@ func (st *pipelineState) runIngress() {
 		if !sp.phaseLocked {
 			dstShim.mu.Lock()
 		}
-		ref, err = sp.ops.ingress(st, msg.out)
+		ref, err = sp.ops.ingress(st, st.out)
 		if !sp.phaseLocked {
 			dstShim.mu.Unlock()
 		}
@@ -359,9 +343,9 @@ func (st *pipelineState) runIngress() {
 // for the whole drain, and charged to the target shim's account like the
 // ingress's own deposits. The result is sent only after every dealt job is
 // settled, so the slot is empty when it arrives. A transfer that deals
-// nothing — the copy paths, a single-chunk payload, an egress that failed
-// before announcing — parks in a plain receive, which is cheaper than a
-// select and is all the small-payload fast path can afford.
+// nothing — the copy paths, a single-chunk payload — parks in a plain
+// receive, which is cheaper than a select and is all the small-payload fast
+// path can afford.
 func (st *pipelineState) awaitIngress() ingressResult {
 	if st.spec.chunks(st.out) == 1 {
 		return <-st.ingressCh
@@ -399,12 +383,15 @@ func (f *Function) sourceOutput(pinned *OutputRef) (OutputRef, error) {
 
 // runPipeline executes a staged transfer. Stage scheduling:
 //
-//	caller goroutine:  pair lock → channel → [src lock: egress] → deposit dealt chunks → join
-//	stage worker:              wait announce → [dst lock: ingress, dealing hose chunks]
+//	caller goroutine:  pair lock → channel → [src lock: egress … announce … push] → deposit dealt chunks → join
+//	stage worker:                                          └→ [dst lock: ingress, dealing hose chunks]
 //
-// The pair lock is the only lock held across stages; VM locks never nest —
-// except in the phase-locked ablation, where lockShims takes both up front
-// and the stage bodies run under them without locking themselves.
+// The egress's announce dispatches the ingress; an egress that fails before
+// announcing dispatched none, never touched the channel, and returns its own
+// error with the channel released healthy. The pair lock is the only lock
+// held across stages; VM locks never nest — except in the phase-locked
+// ablation, where lockShims takes both up front and the stage bodies run
+// under them without locking themselves.
 func runPipeline(spec *pipelineSpec) (InboundRef, metrics.TransferReport, error) {
 	srcShim, dstShim := spec.src.shim, spec.dst.shim
 	pl := srcShim.pairLock(dstShim, spec.kind)
@@ -430,9 +417,9 @@ func runPipeline(spec *pipelineSpec) (InboundRef, metrics.TransferReport, error)
 	st := statePool.Get().(*pipelineState)
 	st.spec = *spec
 	st.ch = ch
-	dispatchIngress(st)
 
-	// Source stage, inline, under the source VM lock alone.
+	// Source stage, inline, under the source VM lock alone; its announce
+	// dispatches the target stage.
 	if !spec.phaseLocked {
 		srcShim.mu.Lock()
 	}
@@ -440,20 +427,21 @@ func runPipeline(spec *pipelineSpec) (InboundRef, metrics.TransferReport, error)
 	if !spec.phaseLocked {
 		srcShim.mu.Unlock()
 	}
+	if !st.announced {
+		putPipelineState(st)
+		releaseTransferChannel(ch, spec.perCall, true)
+		return InboundRef{}, metrics.TransferReport{}, eerr
+	}
 	// A failing stage destroys the channel, which then fails the other
 	// stage with whatever symptom its next step meets (ring closed, bad
 	// descriptor, end of stream): the stage that failed first has the cause.
 	ingressFirst := false
 	if eerr != nil {
 		ingressFirst = st.ingressFailed.Load()
-		if !st.announced {
-			st.announceCh <- announceMsg{aborted: true}
-		} else {
-			// The target stage may be blocked draining a channel that will
-			// never fill; poisoning the channel unblocks it. The release
-			// below destroys it again — destroy is idempotent.
-			ch.destroy()
-		}
+		// The target stage may be blocked draining a channel that will never
+		// fill; poisoning the channel unblocks it. The release below destroys
+		// it again — destroy is idempotent.
+		ch.destroy()
 	}
 	ires := st.awaitIngress()
 	out, em := st.out, st.em

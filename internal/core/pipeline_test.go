@@ -4,6 +4,7 @@
 package core_test
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/guest"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/kernel"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/metrics"
+	"github.com/polaris-slo-cloud/roadrunner-go/internal/wasm"
 )
 
 // TestInteriorVMFreeDuringWireStage pins the pipeline's headline property:
@@ -365,5 +367,74 @@ func TestPipelineOverlapAttribution(t *testing.T) {
 	}
 	if overlap := run(false); overlap <= 0 {
 		t.Fatalf("pipelined multi-chunk transfer reported no overlap (%v)", overlap)
+	}
+}
+
+// A source stage that fails before it announces its output — here a pinned
+// source region beyond the guest's linear memory, which the read view
+// refuses — dispatches no target stage and never touches the channel: the
+// transfer returns that cause, descriptors, pool pages and residency stay at
+// baseline, and the pair's cached channel stays warm, so the next transfer
+// is a cache hit.
+func TestFailureBeforeAnnounceKeepsChannelWarm(t *testing.T) {
+	const n = 1 << 20
+	for _, mode := range []string{"kernel", "network"} {
+		t.Run(mode, func(t *testing.T) {
+			k1, k2 := kernel.New("edge"), kernel.New("cloud")
+			if mode == "kernel" {
+				k2 = k1
+			}
+			s1, s2 := newShim(t, "s1", k1), newShim(t, "s2", k2)
+			fa, fb := addFn(t, s1, "a"), addFn(t, s2, "b")
+			out, err := fa.CallPacked(guest.ExportProduce, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gates := &core.PipelineGates{}
+			transfer := func(src core.OutputRef) (core.InboundRef, error) {
+				if mode == "kernel" {
+					ref, _, err := core.KernelSpaceTransfer(fa, fb, core.KernelOptions{SourceRef: &src, Gates: gates})
+					return ref, err
+				}
+				ref, _, err := core.NetworkTransfer(fa, fb, core.NetworkOptions{SourceRef: &src, Gates: gates})
+				return ref, err
+			}
+			deliver := func() {
+				t.Helper()
+				ref, err := transfer(out)
+				if err != nil {
+					t.Fatal(err)
+				}
+				verifyDelivery(t, fb, ref, n)
+				if err := fb.Deallocate(ref.Ptr); err != nil {
+					t.Fatal(err)
+				}
+			}
+			deliver() // caches the pair's channel
+
+			fds := [2]int{s1.Proc().NumFDs(), s2.Proc().NumFDs()}
+			resident := [2]int64{s1.Account().Snapshot().ResidentBytes, s2.Account().Snapshot().ResidentBytes}
+			gates.BeforeIngress = func() { t.Error("a target stage ran for a source that never announced") }
+			_, err = transfer(core.OutputRef{Ptr: 1 << 31, Len: 4096})
+			gates.BeforeIngress = nil
+			if !errors.Is(err, wasm.TrapOutOfBounds) {
+				t.Fatalf("error = %v, want the source's out-of-bounds view", err)
+			}
+			if res := k1.Pool().Resident() + k2.Pool().Resident(); res != 0 {
+				t.Fatalf("%d pool bytes resident", res)
+			}
+			if got := [2]int64{s1.Account().Snapshot().ResidentBytes, s2.Account().Snapshot().ResidentBytes}; got != resident {
+				t.Fatalf("residency = %v, want %v", got, resident)
+			}
+
+			stats := s1.ChannelStats()
+			deliver()
+			if got := s1.ChannelStats(); got.Hits != stats.Hits+1 || got.Misses != stats.Misses {
+				t.Fatalf("channel stats %+v after the failure, %+v after one more transfer: want a hit", stats, got)
+			}
+			if got := [2]int{s1.Proc().NumFDs(), s2.Proc().NumFDs()}; got != fds {
+				t.Fatalf("FDs = %v, want %v", got, fds)
+			}
+		})
 	}
 }

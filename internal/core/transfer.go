@@ -5,9 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/kernel"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/metrics"
+	"github.com/polaris-slo-cloud/roadrunner-go/internal/pagebuf"
 )
 
 // ErrSameVM signals a kernel/network transfer attempted between functions of
@@ -199,6 +201,17 @@ type kernelOps struct{}
 // egress is steps 1-2 then the send half: locate + zero-copy read of the
 // source region (Wasm IO), one copy_from_user into the socketpair. Runs
 // under the source VM lock.
+//
+// A payload longer than one relay segment (a slab) hands the caller's core
+// to the ingress it has just dispatched: one yield, after which the receive
+// runs here, hot, and is inside ReadFull before the Write starts, while this
+// goroutine continues on the other core from the run queue. The whole
+// payload then relays from its first segment — nothing is queued ahead of
+// an absent reader, nobody parks on a full window — and the second core
+// joins from the run queue, which on a 2-vCPU VM takes ~6 µs where stealing
+// a goroutine readied next in line on a running P takes ~64 µs
+// (BenchmarkSecondCoreJoin; DESIGN §3, "the copy path"). A single-segment
+// payload has nothing to relay and keeps queueing its one slab.
 func (kernelOps) egress(st *pipelineState) (OutputRef, error) {
 	f := st.spec.src
 	s := f.shim
@@ -215,6 +228,9 @@ func (kernelOps) egress(st *pipelineState) (OutputRef, error) {
 	s.acct.CPU(metrics.User, ioT)
 	st.em.wasmIO += ioT
 	st.announce(out)
+	if len(view) > pagebuf.SlabSize {
+		runtime.Gosched()
+	}
 	return out, copySend(s, st.ch.fdA, view, &st.em)
 }
 
@@ -244,11 +260,14 @@ func (kernelOps) ingress(st *pipelineState, out OutputRef) (InboundRef, error) {
 // The transfer runs as a staged pipeline (pipeline.go): the source VM is
 // locked for the source's one write, the target VM for the target's one
 // receive, and the two stages overlap for real — the socketpair carries a
-// send window (kernelSendWindow), so the write queues at most four slabs
+// send window (kernelSendWindow), so a write can queue at most four slabs
 // ahead of the receive, and once both calls are in progress they relay: the
 // two stages' goroutines each move whole segments source → a kernel block of
 // their own → target, instead of staging the payload or conveying it slab
-// by slab from one core to the other.
+// by slab from one core to the other. A payload of more than one segment
+// gives the receive the caller's core at dispatch (see kernelOps.egress), so
+// the receive is waiting when the write starts and the two relay from the
+// first segment.
 func KernelSpaceTransfer(src, dst *Function, opts KernelOptions) (InboundRef, metrics.TransferReport, error) {
 	if src.shim == dst.shim {
 		return InboundRef{}, metrics.TransferReport{}, ErrSameVM

@@ -2,9 +2,11 @@ package kernel
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/metrics"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/pagebuf"
@@ -124,4 +126,65 @@ func BenchmarkCopyPath4M(b *testing.B) {
 		}
 	}
 	wg.Wait()
+}
+
+// BenchmarkSecondCoreJoin is what it costs the relay's second thread to
+// join: a goroutine readied by a running one after the other P has been idle
+// for joinGap, until both run on their own P. runnext-steal: the waker keeps
+// running, so the readied goroutine, queued next in line on the waker's P,
+// must be stolen by the idle one — which the Go runtime does only after a
+// short sleep. run-queue: the waker yields at once (the copy path's two
+// hand-offs), the readied goroutine runs on the waker's P and the waker is
+// taken from the run queue by the idle P. Both report the median and the
+// 90th percentile in µs; compare them within one run.
+func BenchmarkSecondCoreJoin(b *testing.B) {
+	const joinGap = 20 * time.Microsecond
+	for _, yield := range []bool{false, true} {
+		name := "runnext-steal"
+		if yield {
+			name = "run-queue"
+		}
+		b.Run(name, func(b *testing.B) {
+			// -cpu sets GOMAXPROCS per sub-benchmark, so this is where to look.
+			if runtime.GOMAXPROCS(0) < 2 {
+				b.Skip("needs two Ps")
+			}
+			wake := make(chan struct{})
+			var started, released atomic.Int64 // iterations
+			go func() {
+				for i := int64(1); ; i++ {
+					if _, ok := <-wake; !ok {
+						return
+					}
+					started.Store(i)
+					for released.Load() < i { // hold this P until both run
+					}
+				}
+			}()
+			joins := make([]time.Duration, b.N)
+			b.ResetTimer()
+			for i := range joins {
+				// By the end of the gap the sleeper is parked in the receive
+				// and the other P has gone idle.
+				for t := time.Now(); time.Since(t) < joinGap; {
+				}
+				t0 := time.Now()
+				wake <- struct{}{}
+				if yield {
+					runtime.Gosched()
+				}
+				for started.Load() <= int64(i) {
+				}
+				joins[i] = time.Since(t0)
+				released.Store(int64(i) + 1)
+			}
+			b.StopTimer()
+			close(wake)
+			slices.Sort(joins)
+			us := func(q float64) float64 { return float64(joins[int(q*float64(len(joins)-1))]) / 1e3 }
+			b.ReportMetric(us(0.5), "p50-us")
+			b.ReportMetric(us(0.9), "p90-us")
+			b.ReportMetric(0, "ns/op")
+		})
+	}
 }

@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"io"
+	"runtime"
 	"sync"
 
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/pagebuf"
@@ -135,10 +136,13 @@ func (q *waitq) wait() {
 	q.parked--
 }
 
-func (q *waitq) wake() {
-	if q.parked > 0 {
-		q.cond.Broadcast()
+// wake makes whoever is parked on q runnable and reports whether anyone was.
+func (q *waitq) wake() bool {
+	if q.parked == 0 {
+		return false
 	}
+	q.cond.Broadcast()
+	return true
 }
 
 // windowRun is n consecutive queued bytes that are all charged or all lent.
@@ -227,19 +231,26 @@ func (w *sendWindow) aligned() bool {
 // ReadFull's — for as long as the stream is aligned: claim the next one from
 // both buffers, bounce it through held outside the lock, come back for
 // another. Whoever claims while more remains wakes the peer's thread, which
-// does the same on its own core with its own blocks. Caller holds w.mu, as
-// it does again on return.
+// does the same with its own blocks. A claim that wakes a parked peer hands
+// it this core, once per call: one yield, holding no lock, so the peer runs
+// here at once and the yielder continues on the other core, taken from the
+// run queue — rather than the other core stealing the peer from this one's
+// next-in-line slot, which takes ten times as long (BenchmarkSecondCoreJoin,
+// DESIGN §3). Caller holds w.mu, as it does again on return.
 func (w *sendWindow) relay(writer bool, pool *pagebuf.Pool, held []pagebuf.Ref) []pagebuf.Ref {
 	me, peer, _, wake := w.side(writer)
+	yielded := false
 	for w.aligned() {
 		n := min(w.segment(), len(w.wr.rest), len(w.rd.rest))
 		src, dst := w.wr.rest[:n], w.rd.rest[:n]
 		w.wr.rest, w.rd.rest = w.wr.rest[n:], w.rd.rest[n:]
 		me.moving = true
-		if w.aligned() {
-			wake.wake()
-		}
+		handoff := w.aligned() && wake.wake() && !yielded
 		w.mu.Unlock()
+		if handoff {
+			yielded = true
+			runtime.Gosched()
+		}
 		if w.claimed != nil {
 			w.claimed(writer)
 		}

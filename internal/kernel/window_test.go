@@ -601,6 +601,111 @@ func TestRelayUsesBothThreads(t *testing.T) {
 	transfer(t, func(*sendWindow) {})
 }
 
+// The shape the kernel channel's hand-off at dispatch sets up: the ReadFull
+// is already in progress when a 4 MiB + 3 Write starts, so nothing is ever
+// queued — every segment is relayed, the window is never charged and the
+// pool holds at most one block per thread — and each Proc is still charged
+// exactly its one syscall and the payload's bytes.
+func TestRelayWithReaderWaitingNeverChargesWindow(t *testing.T) {
+	const sndbuf, payload = 4 * pagebuf.SlabSize, 4<<20 + 3
+	k, a, b, fa, fb := sizedPair(t, sndbuf)
+	w := windowOf(t, a, fa)
+	var claims atomic.Int32
+	w.claimed = func(bool) { claims.Add(1) }
+	src, got := make([]byte, payload), make([]byte, payload)
+	rand.New(rand.NewSource(7)).Read(src)
+	beforeA, beforeB := a.Account().Snapshot(), b.Account().Snapshot()
+
+	read := make(chan transferResult, 1)
+	go func() {
+		n, err := b.ReadFull(fb, got)
+		read <- transferResult{n, err}
+	}()
+	waitFor(t, "the reader to park", func() bool { return parked(w, &w.data) })
+	if n, err := a.Write(fa, src); n != payload || err != nil {
+		t.Fatalf("Write = %d, %v", n, err)
+	}
+	if res := <-read; res.n != payload || res.err != nil {
+		t.Fatalf("ReadFull = %d, %v", res.n, res.err)
+	}
+	if !bytes.Equal(got, src) {
+		t.Fatal("payload corrupted")
+	}
+	seg := w.segment()
+	if n, want := claims.Load(), (payload+seg-1)/seg; int(n) != want {
+		t.Fatalf("%d segments relayed, want all %d: the rest was queued", n, want)
+	}
+	if peak := k.Pool().PeakResident(); peak > 2*pagebuf.SlabSize {
+		t.Fatalf("peak resident = %d, want <= one block per thread (%d)", peak, 2*pagebuf.SlabSize)
+	}
+	ua, ub := a.Account().Snapshot().Sub(beforeA), b.Account().Snapshot().Sub(beforeB)
+	if ua.Syscalls != 1 || ub.Syscalls != 1 || ua.KernelCopyBytes != payload || ub.KernelCopyBytes != payload {
+		t.Fatalf("charged write %d syscalls/%d bytes, read %d/%d; want 1/%d each",
+			ua.Syscalls, ua.KernelCopyBytes, ub.Syscalls, ub.KernelCopyBytes, payload)
+	}
+	if res := k.Pool().Resident(); res != 0 {
+		t.Fatalf("resident = %d", res)
+	}
+}
+
+// The other order: the writer has filled the window and parked before the
+// reader arrives. The reader drains the queue, and once the stream is
+// aligned both threads relay — the hook holds whichever claims first until
+// the other has claimed too, parking to do so, so the split holds at any
+// core count. The same transfer then completes unhooked on a single P.
+func TestRelayAfterFullWindowUsesBothThreads(t *testing.T) {
+	const sndbuf, payload = 4 * pagebuf.SlabSize, 1 << 20
+	src := make([]byte, payload)
+	rand.New(rand.NewSource(8)).Read(src)
+	transfer := func(t *testing.T, hook func(*sendWindow)) {
+		k, a, b, fa, fb := sizedPair(t, sndbuf)
+		w := windowOf(t, a, fa)
+		hook(w)
+		wrote := make(chan error, 1)
+		go func() {
+			_, err := a.Write(fa, src)
+			wrote <- err
+		}()
+		waitFor(t, "the writer to fill the window and park", func() bool { return parked(w, &w.room) })
+		got := make([]byte, payload)
+		if n, err := b.ReadFull(fb, got); n != payload || err != nil {
+			t.Fatalf("ReadFull = %d, %v", n, err)
+		}
+		if err := <-wrote; err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, src) {
+			t.Fatal("payload corrupted")
+		}
+		if res := k.Pool().Resident(); res != 0 {
+			t.Fatalf("resident = %d", res)
+		}
+	}
+
+	var segments [2]atomic.Int32 // by the reader's thread, by the writer's
+	transfer(t, func(w *sendWindow) {
+		claimed := [2]chan struct{}{make(chan struct{}), make(chan struct{})}
+		w.claimed = func(byWriter bool) {
+			me := 0
+			if byWriter {
+				me = 1
+			}
+			if segments[me].Add(1) == 1 {
+				close(claimed[me])
+			}
+			<-claimed[1-me]
+		}
+	})
+	queued := sndbuf / pagebuf.SlabSize
+	if r, w := segments[0].Load(), segments[1].Load(); r == 0 || w == 0 || int(r+w) != payload/pagebuf.SlabSize-queued {
+		t.Fatalf("the reader's thread relayed %d segments, the writer's %d, of the %d behind the full window",
+			r, w, payload/pagebuf.SlabSize-queued)
+	}
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	transfer(t, func(*sendWindow) {})
+}
+
 // Calls of one side take turns: two Writes racing on one socket each arrive
 // whole, in one order or the other, whichever threads moved their bytes.
 func TestConcurrentWritesTakeTurns(t *testing.T) {

@@ -109,7 +109,22 @@ def plain(title, layer):
                 row += f" {side} {statistics.median(v):>10.4g} (min {min(v):.4g} max {max(v):.4g}) "
             print(row.rstrip())
 
+have_layers = all("layers" in r["workloads"][workloads[0]] for side in runs for r in runs[side])
+if have_layers:
+    # Guest produce speed moves with where the linker puts the interpreter's
+    # hot loop (ROADMAP "Parked"); set-up and plan_* ops run guest code, so
+    # read their change beside it.
+    print("\nLAYOUT COIN: wasm.produce_mb_s (layer run) beside the metrics that run guest code (median over runs)")
+    for w in workloads:
+        row = f"{w:<17}"
+        for name, layer in (("wasm.produce_mb_s", True), ("setup_s", False), ("op_p50_us", False)):
+            if name == "op_p50_us" and not w.startswith("plan_"):
+                continue
+            p, c = (statistics.median(values(side, w, name, layer)) for side in ("parent", "change"))
+            row += f"  {name} {p:.4g} -> {c:.4g} ({(c - p) / p * 100:+.1f}%)"
+        print(row)
+
 plain("OTHER COUNTERS OF THE ROUNDS", False)
-if all("layers" in r["workloads"][workloads[0]] for side in runs for r in runs[side]):
+if have_layers:
     plain("LAYER RUN", True)
 PY
