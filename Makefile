@@ -53,7 +53,7 @@ bench:
 	$(GO) run ./bench -smoke
 	$(GO) run ./cmd/roadrunner-load -workflows 4 -requests 8 -compact
 	$(GO) run ./cmd/roadrunner-load -workflows 4 -requests 8 -cold-channels -compact
-	$(GO) run ./cmd/roadrunner-load -workflows 2 -requests 4 -mode chain -phase-locked -compact
+	$(GO) run ./cmd/roadrunner-load -workflows 2 -requests 4 -mode chain -compact
 	@mkdir -p artifacts
 	$(GO) run ./cmd/roadrunner-load -workflows 2 -requests 8 -mode plan -compact | tee artifacts/load-plan.json
 	$(GO) run ./cmd/roadrunner-load -workflows 2 -requests 4 -mode plan -deadline 40us -payload 1048576 -compact \
@@ -67,7 +67,7 @@ bench:
 	$(GO) run ./cmd/roadrunner-bench -exp fig7 -sizes 1 -json
 	$(GO) run ./cmd/roadrunner-bench -exp chancache -sizes 1,4 -json > artifacts/bench-chancache.json
 	@cat artifacts/bench-chancache.json
-	@for exp in pipeline placement failure hotpath fanoutshare; do \
+	@for exp in placement failure hotpath fanoutshare; do \
 		echo "$(GO) run ./cmd/roadrunner-bench -exp $$exp -json > artifacts/bench-$$exp.json"; \
 		$(GO) run ./cmd/roadrunner-bench -exp $$exp -json > artifacts/bench-$$exp.json || exit 1; \
 		cat artifacts/bench-$$exp.json; \

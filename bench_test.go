@@ -530,15 +530,13 @@ func BenchmarkChannelCache(b *testing.B) {
 	b.Run("cold", func(b *testing.B) { benchmarkChannelChurn(b, roadrunner.WithChannelCache(false)) })
 }
 
-// benchmarkChain drives a 3-hop chain a(edge) → b(cloud) → c(edge) →
+// BenchmarkPipelinedChain drives a 3-hop chain a(edge) → b(cloud) → c(edge) →
 // d(cloud) — three network hops, each payload crossing the hose in 8
-// chunks — in either execution regime. Wall ns/op measures the host's CPU
-// cost; the reported modeledMB/s metric is the chain's aggregate throughput
-// on the modeled testbed (critical-path latency, overlap-aware), which is
-// what the pipelined-vs-phase-locked comparison pins: identical syscalls
-// and copies, but the staged pipeline hides each hop's endpoint stages
-// behind its wire and peer stages.
-func benchmarkChain(b *testing.B, phaseLocked bool) {
+// chunks. Wall ns/op measures the host's CPU cost; the reported
+// modeledMB/s metric is the chain's aggregate throughput on the modeled
+// testbed (critical-path latency, overlap-aware: the staged pipeline hides
+// each hop's endpoint stages behind its wire and peer stages).
+func BenchmarkPipelinedChain(b *testing.B) {
 	p := roadrunner.New(
 		roadrunner.WithLink(100*roadrunner.Gbps, 10*time.Microsecond),
 		roadrunner.WithDataHoseSize(128<<10),
@@ -555,17 +553,13 @@ func benchmarkChain(b *testing.B, phaseLocked bool) {
 			b.Fatal(err)
 		}
 	}
-	var opts []roadrunner.TransferOption
-	if phaseLocked {
-		opts = append(opts, roadrunner.WithPhaseLocked(true))
-	}
 	const n = 1 << 20
 	const hops = 3
 	b.SetBytes(hops * n)
 	var modeled time.Duration
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ref, rep, err := p.ChainCtx(bg, n, fns, opts...)
+		ref, rep, err := p.ChainCtx(bg, n, fns)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -591,16 +585,6 @@ func benchmarkChain(b *testing.B, phaseLocked bool) {
 	if modeled > 0 {
 		b.ReportMetric(float64(b.N)*float64(hops*n)/modeled.Seconds()/1e6, "modeledMB/s")
 	}
-}
-
-// BenchmarkPipelinedChain contrasts the staged pipeline against the
-// phase-locked ablation on a 3-hop chain. The modeledMB/s ratio is the
-// pipeline's aggregate-throughput win (≥25% expected: each hop's source
-// egress, wire and target ingress overlap chunk-by-chunk instead of
-// executing strictly in sequence).
-func BenchmarkPipelinedChain(b *testing.B) {
-	b.Run("pipelined", func(b *testing.B) { benchmarkChain(b, false) })
-	b.Run("phase-locked", func(b *testing.B) { benchmarkChain(b, true) })
 }
 
 // BenchmarkMulticast8 vs BenchmarkFig10FanoutInter8: the tee(2)-based

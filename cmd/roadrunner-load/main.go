@@ -8,7 +8,6 @@
 //	roadrunner-load -workflows 16 -requests 256
 //	roadrunner-load -mode network -payload 1048576
 //	roadrunner-load -mode chain -hops 6      # chain-depth scaling scenario
-//	roadrunner-load -mode chain -phase-locked # pre-pipeline ablation regime
 //	roadrunner-load -replicas 4              # 4-instance pools per function, locality-routed
 //	roadrunner-load -replicas 4 -placement round-robin # placement-oblivious ablation
 //	roadrunner-load -mode plan               # a Plan/Submit DAG per iteration
@@ -23,6 +22,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -30,13 +30,13 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "roadrunner-load:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("roadrunner-load", flag.ContinueOnError)
 	var (
 		workflows = fs.Int("workflows", 8, "independent workflow instances")
@@ -50,7 +50,6 @@ func run(args []string) error {
 		targets   = fs.Int("targets", 0, "fanout-mode deliveries per execution (default 4; requires -mode fanout)")
 		verify    = fs.Bool("verify", true, "checksum every final delivery")
 		cold      = fs.Bool("cold-channels", false, "disable the channel cache: per-call hose setup/teardown (cold regime)")
-		locked    = fs.Bool("phase-locked", false, "run transfers in the phase-locked (pre-pipeline) regime: both VM locks per hop, no stage overlap")
 		replicas  = fs.Int("replicas", 1, "warm instance-pool size per function, spread across both nodes")
 		placement = fs.String("placement", "locality", "invoker-plane placement policy: locality, least-loaded or round-robin")
 		deadline  = fs.Duration("deadline", 0, "per-operation context timeout (0 = none); tripped executions count as cancelled")
@@ -74,7 +73,6 @@ func run(args []string) error {
 		Targets:      *targets,
 		Verify:       *verify,
 		ColdChannels: *cold,
-		PhaseLocked:  *locked,
 		Replicas:     *replicas,
 		Placement:    *placement,
 		Deadline:     *deadline,
@@ -85,7 +83,7 @@ func run(args []string) error {
 		return err
 	}
 
-	enc := json.NewEncoder(os.Stdout)
+	enc := json.NewEncoder(out)
 	if !*compact {
 		enc.SetIndent("", "  ")
 	}

@@ -33,8 +33,8 @@
 //
 // The rest:
 //
-//   - lockorder: nested Shim.mu acquisitions must go through the ordered
-//     lockShims helper — the AB/BA transfer deadlock.
+//   - lockorder: no goroutine holds two Shim.mu — VM locks never nest,
+//     which rules out the AB/BA transfer deadlock.
 //   - lockguard: every access to a field declared `//roadvet:guards mu`
 //     happens with mu provably held — including lock-in-caller,
 //     access-in-callee splits, whose entry lock sets are inferred from

@@ -191,7 +191,7 @@ func ExpectedChecksum(n int) uint64 {
 // ChainCtx produces an n-byte payload at the first function and forwards it
 // hop by hop through the rest (the sequential invocation pattern of §6.1),
 // selecting the transfer mode per hop by locality; opts apply to every hop
-// (e.g. WithPhaseLocked for the phase-locked ablation regime). Every hop's
+// (e.g. WithChannelCache(false) for the cold-channel ablation). Every hop's
 // endpoint instances are routed by the placement policy — instance pins in
 // opts are ignored: a chain's source instance is always the previous hop's
 // delivery. It returns the merged report and the final delivery.
@@ -201,8 +201,7 @@ func ExpectedChecksum(n int) uint64 {
 // stage, hop i+1's egress starts as soon as hop i's ingress lands, and at
 // any moment a hop holds only the VM lock of the side actually touching
 // bytes. Interior VMs are therefore free between their stages — free to
-// serve other chains or unrelated transfers — instead of sitting
-// locked-idle for whole hops as in the phase-locked regime.
+// serve other chains or unrelated transfers.
 //
 // A failing hop is named in the error: "hop i/h (src->dst)" with the hop's
 // 1-based index, total hop count and concrete instance names. Cancellation
@@ -316,7 +315,7 @@ func (p *Platform) chainWithCtx(ctx context.Context, n int, opts []TransferOptio
 // instance's node, shared by the number of multicast targets using the same
 // link (override the sharing degree with WithFlows); same-node legs charge
 // no wire time. Supported options are WithFlows, WithChannelCache,
-// WithPhaseLocked, WithSourceRef, WithSourceInstance and WithMode
+// WithSourceRef, WithSourceInstance and WithMode
 // (ModeKernelSpace restricts routing to co-located instances, ModeNetwork
 // to cross-node ones); ModeUserSpace — like pinning a single target
 // instance — is rejected with ErrModeUnavailable, since multicast shares
@@ -420,7 +419,6 @@ func (p *Platform) multicastCtx(ctx context.Context, src *Function, targets []*F
 		Links:          links,
 		Flows:          flows,
 		NoChannelCache: cfg.coldChannel,
-		PhaseLocked:    cfg.phaseLocked,
 		SourceRef:      coreSourceRef(cfg.sourceRef),
 		Gates:          cfg.gates,
 	})
@@ -623,7 +621,6 @@ func (p *Platform) fanoutGroup(ctx context.Context, si *Instance, group []int, c
 	coreRefs, reps, err := core.MulticastTransfer(si.inner, inner, core.MulticastOptions{
 		Ctx:            ctx,
 		NoChannelCache: base.coldChannel,
-		PhaseLocked:    base.phaseLocked,
 		SourceRef:      coreSourceRef(&srcRef),
 		Gates:          base.gates,
 	})

@@ -1,10 +1,7 @@
-// Package lockorder enforces the data-plane's VM-lock ordering protocol:
-// a goroutine holding one Shim's mu must not take another Shim's mu
-// directly. Multi-shim sections must go through the ordered helpers
-// (lockShims/unlockShims and the pairLock/pairUnlock wrappers), which
-// sort the shims by identity before acquiring. Nested direct takes are
-// the classic AB/BA deadlock: transfer A→B locking (A, B) racing
-// transfer B→A locking (B, A).
+// Package lockorder enforces the data-plane's VM-lock protocol: VM locks
+// never nest — no goroutine may hold two Shim.mu. Every pipeline stage
+// takes its own VM lock exactly once; a nested take is the classic AB/BA
+// deadlock: transfer A→B locking (A, B) racing transfer B→A locking (B, A).
 package lockorder
 
 import (
@@ -25,18 +22,10 @@ const (
 	fieldName = "mu"
 )
 
-// orderedHelpers are the functions allowed to take several VM locks;
-// they own the ordering discipline, so lock events inside them are
-// exempt.
-var orderedHelpers = map[string]bool{
-	"lockShims":   true,
-	"unlockShims": true,
-}
-
 // Analyzer is the lockorder pass.
 var Analyzer = &analysis.Analyzer{
 	Name:     "lockorder",
-	Doc:      "check that nested VM-lock (Shim.mu) acquisitions go through the ordered lockShims helper",
+	Doc:      "check that no goroutine holds two VM locks (Shim.mu) at once",
 	Requires: []*analysis.Analyzer{ctrlflow.Analyzer},
 	Run:      run,
 }
@@ -47,7 +36,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch fn := n.(type) {
 			case *ast.FuncDecl:
-				if fn.Body == nil || orderedHelpers[fn.Name.Name] {
+				if fn.Body == nil {
 					return true
 				}
 				checkFunc(pass, cfgs.FuncDecl(fn))
@@ -75,8 +64,8 @@ func checkFunc(pass *analysis.Pass, g *cfg.CFG) {
 		return
 	}
 
-	// held sets are small (the protocol allows at most one direct
-	// holding); the path state is their sorted, space-joined rendering.
+	// held sets are small (the protocol allows at most one holding); the
+	// path state is their sorted, space-joined rendering.
 	reported := make(map[*ast.CallExpr]bool)
 	matchutil.Paths(g.Blocks[0], 0, "", func(b *cfg.Block, i int, held string) (string, bool) {
 		cur := strings.Fields(held)
@@ -87,7 +76,7 @@ func checkFunc(pass *analysis.Pass, g *cfg.CFG) {
 				if len(cur) > 0 && !holds && !reported[ev.call] {
 					reported[ev.call] = true
 					pass.Reportf(ev.call.Pos(),
-						"nested VM-lock acquisition: %s.mu taken while another Shim.mu is held; order multi-shim sections through lockShims to avoid AB/BA deadlock",
+						"nested VM-lock acquisition: %s.mu taken while another Shim.mu is held; no goroutine may hold two Shim.mu (AB/BA deadlock)",
 						ev.owner)
 				}
 				if !ev.deferred && !holds {

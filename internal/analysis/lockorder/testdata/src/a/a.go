@@ -1,5 +1,5 @@
 // Package a exercises the lockorder analyzer: a mimic of the VM-lock
-// protocol around Shim.mu and the ordered lockShims helper.
+// protocol around Shim.mu, under which VM locks never nest.
 package a
 
 import "sync"
@@ -10,21 +10,6 @@ type Shim struct {
 	id int
 }
 
-// lockShims is the ordered multi-shim helper; it owns the ordering
-// discipline, so its nested acquisitions are exempt.
-func lockShims(shims ...*Shim) {
-	for _, s := range shims {
-		s.mu.Lock()
-	}
-}
-
-// unlockShims releases in reverse; exempt like lockShims.
-func unlockShims(shims ...*Shim) {
-	for i := len(shims) - 1; i >= 0; i-- {
-		shims[i].mu.Unlock()
-	}
-}
-
 // transferDeadlock reproduces the AB/BA hazard: transfer A→B locking
 // (A, B) races transfer B→A locking (B, A).
 func transferDeadlock(src, dst *Shim) {
@@ -32,12 +17,6 @@ func transferDeadlock(src, dst *Shim) {
 	dst.mu.Lock() // want "nested VM-lock"
 	dst.mu.Unlock()
 	src.mu.Unlock()
-}
-
-// transferOrdered is the fix: the ordered helper takes both locks.
-func transferOrdered(src, dst *Shim) {
-	lockShims(src, dst)
-	defer unlockShims(src, dst)
 }
 
 // sequential takes the locks one at a time; never nested, no diagnostic.

@@ -33,10 +33,6 @@ type MulticastOptions struct {
 	// NoChannelCache forces per-call channel establishment and teardown
 	// (the cold-path ablation), as in NetworkOptions.
 	NoChannelCache bool
-	// PhaseLocked runs the fan-out in the pre-pipeline regime: every
-	// participating VM locked for the whole operation, targets drained
-	// strictly after the source pass and strictly one after another.
-	PhaseLocked bool
 	// SourceRef pins the source region (see UserOptions.SourceRef).
 	SourceRef *OutputRef
 	// Gates carries test instrumentation (see PipelineGates); BeforeIngress
@@ -107,10 +103,10 @@ func MulticastTransfer(src *Function, dsts []*Function, opts MulticastOptions) (
 	// Pair locks, one per distinct target shim — the socketpair kind for
 	// co-located shims, the network kind otherwise, matching the locks the
 	// unicast paths take so a fan-out leg serializes with unicast transfers
-	// of the same pair — acquired in ascending shim creation order: the
-	// same global order lockShims uses, which keeps overlapping multicasts
-	// from one source deadlock-free. They are taken before any VM lock, per
-	// the pipeline's lock order.
+	// of the same pair — acquired in ascending shim creation order
+	// (distinctBySeq), which keeps overlapping multicasts from one source
+	// deadlock-free. They are taken before any VM lock, per the pipeline's
+	// lock order.
 	dstShims := make([]*Shim, len(dsts))
 	for i, dst := range dsts {
 		dstShims[i] = dst.shim
@@ -123,15 +119,6 @@ func MulticastTransfer(src *Function, dsts []*Function, opts MulticastOptions) (
 	// First cancellation point: abort before acquiring channels or VM locks.
 	if err := CtxErr(opts.Ctx); err != nil {
 		return nil, nil, err
-	}
-	if opts.PhaseLocked {
-		all := make([]*Shim, 0, len(dsts)+1)
-		all = append(all, srcShim)
-		for _, dst := range dsts {
-			all = append(all, dst.shim)
-		}
-		locked := lockShims(all...)
-		defer unlockShims(locked)
 	}
 	beforeSrc := srcShim.acct.Snapshot()
 	beforeDst := make([]metrics.Usage, len(dsts))
@@ -224,8 +211,7 @@ func MulticastTransfer(src *Function, dsts []*Function, opts MulticastOptions) (
 
 	// Target stages: spawned before the source pass so the drains overlap
 	// it, each waiting for the announced output size. Targets sharing a
-	// shim serialize naturally on its VM lock. Phase-locked runs them
-	// inline after the source pass instead. Same-node targets drain their
+	// shim serialize naturally on its VM lock. Same-node targets drain their
 	// socketpair end directly; cross-node ones run the Algorithm 1 ingress
 	// over their target hose.
 	var (
@@ -237,39 +223,34 @@ func MulticastTransfer(src *Function, dsts []*Function, opts MulticastOptions) (
 	ready := make(chan struct{})
 	drains := make([]multicastDrain, len(dsts))
 	var wg sync.WaitGroup
-	if !opts.PhaseLocked {
-		for i, dst := range dsts {
-			wg.Add(1)
-			go func(i int, dst *Function) {
-				defer wg.Done()
-				<-ready
-				if !announced {
-					drains[i].err = errEgressAborted
-					return
-				}
-				if opts.Gates != nil && opts.Gates.BeforeIngress != nil {
-					opts.Gates.BeforeIngress()
-				}
-				// Stage-boundary cancellation point: this target's share of
-				// the payload is on the wire, no VM lock held.
-				if err := CtxErr(opts.Ctx); err != nil {
-					drains[i].err = err
-					return
-				}
-				ds := dst.shim
-				ds.mu.Lock()
-				drains[i].ref, drains[i].m, drains[i].err = receiveLeg(dst, chans[i], out.Len, opts.Ctx)
-				ds.mu.Unlock()
-			}(i, dst)
-		}
+	for i, dst := range dsts {
+		wg.Add(1)
+		go func(i int, dst *Function) {
+			defer wg.Done()
+			<-ready
+			if !announced {
+				drains[i].err = errEgressAborted
+				return
+			}
+			if opts.Gates != nil && opts.Gates.BeforeIngress != nil {
+				opts.Gates.BeforeIngress()
+			}
+			// Stage-boundary cancellation point: this target's share of the
+			// payload is on the wire, no VM lock held.
+			if err := CtxErr(opts.Ctx); err != nil {
+				drains[i].err = err
+				return
+			}
+			ds := dst.shim
+			ds.mu.Lock()
+			drains[i].ref, drains[i].m, drains[i].err = receiveLeg(dst, chans[i], out.Len, opts.Ctx)
+			ds.mu.Unlock()
+		}(i, dst)
 	}
 
 	// Source stage under the source VM lock alone: locate + zero-copy view
-	// (Wasm IO), then the single tee pass over the shared hose. In the
-	// phase-locked regime lockShims above already holds every VM lock.
-	if !opts.PhaseLocked {
-		srcShim.mu.Lock()
-	}
+	// (Wasm IO), then the single tee pass over the shared hose.
+	srcShim.mu.Lock()
 	outFD := func(i int) int {
 		if local[i] {
 			return chans[i].fdA
@@ -333,17 +314,14 @@ func MulticastTransfer(src *Function, dsts []*Function, opts MulticastOptions) (
 		srcShim.acct.CPU(metrics.Kernel, sendT)
 		return nil
 	}()
-	if !opts.PhaseLocked {
-		srcShim.mu.Unlock()
-	}
+	srcShim.mu.Unlock()
 	if !announced {
 		close(ready)
 	}
 	// releaseLanded hands back deliveries that completed before the fan-out
 	// failed, so an aborted (e.g. cancelled) multicast doesn't strand
 	// regions in the fast targets' heaps. Descending-pointer order releases
-	// duplicate targets of one VM LIFO; VM locks are taken per target
-	// unless the phase-locked regime already holds them all.
+	// duplicate targets of one VM LIFO, each under its own VM lock.
 	releaseLanded := func() {
 		idx := make([]int, 0, len(drains))
 		for i := range drains {
@@ -354,13 +332,9 @@ func MulticastTransfer(src *Function, dsts []*Function, opts MulticastOptions) (
 		sort.Slice(idx, func(a, b int) bool { return drains[idx[a]].ref.Ptr > drains[idx[b]].ref.Ptr })
 		for _, i := range idx {
 			ds := dsts[i].shim
-			if !opts.PhaseLocked {
-				ds.mu.Lock()
-			}
+			ds.mu.Lock()
 			_ = dsts[i].view.Deallocate(drains[i].ref.Ptr)
-			if !opts.PhaseLocked {
-				ds.mu.Unlock()
-			}
+			ds.mu.Unlock()
 		}
 	}
 	if eerr != nil {
@@ -379,20 +353,7 @@ func MulticastTransfer(src *Function, dsts []*Function, opts MulticastOptions) (
 		return nil, nil, eerr
 	}
 
-	if opts.PhaseLocked {
-		for i, dst := range dsts {
-			if err := CtxErr(opts.Ctx); err != nil {
-				drains[i].err = err
-				break
-			}
-			drains[i].ref, drains[i].m, drains[i].err = receiveLeg(dst, chans[i], out.Len, opts.Ctx)
-			if drains[i].err != nil {
-				break
-			}
-		}
-	} else {
-		wg.Wait()
-	}
+	wg.Wait()
 	for i, d := range drains {
 		if d.err != nil {
 			releaseLanded()
@@ -434,12 +395,10 @@ func MulticastTransfer(src *Function, dsts []*Function, opts MulticastOptions) (
 			}
 			bd.Network = opts.Links[i].TransferTime(int64(out.Len), flows)
 		}
-		if !opts.PhaseLocked {
-			// Per-target chunk pipeline: the source's shared tee pass feeds
-			// this target's wire and drain chunk by chunk.
-			srcShare := perTargetSend + srcWasmIO/time.Duration(len(dsts))
-			bd.Overlap = modeledOverlap(hoseChunks(out, srcShim.hoseCap), srcShare, bd.Network, dm.activity())
-		}
+		// Per-target chunk pipeline: the source's shared tee pass feeds this
+		// target's wire and drain chunk by chunk.
+		srcShare := perTargetSend + srcWasmIO/time.Duration(len(dsts))
+		bd.Overlap = modeledOverlap(hoseChunks(out, srcShim.hoseCap), srcShare, bd.Network, dm.activity())
 		mode := "network-multicast"
 		if local[i] {
 			mode = "kernel-multicast"

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/core"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/guest"
@@ -161,6 +162,93 @@ func TestMulticastSameNodeKernelPath(t *testing.T) {
 	}
 }
 
+// TestMulticastSameNodeSpansHose drives a same-node fan-out whose payload
+// is several hose chunks long, so the shared source pass has to wait on
+// every target's drain chunk by chunk. Each target takes its own VM lock
+// while the source holds only its own; the call must complete, deliver
+// checksum-clean payloads and leave the page pool balanced.
+func TestMulticastSameNodeSpansHose(t *testing.T) {
+	k := kernel.New("edge")
+	shim := func(name string) *core.Shim {
+		s, err := core.NewShim(core.ShimConfig{
+			Name: name, Workflow: wf, Kernel: k, Module: guest.Module(), DataHoseBytes: 256 << 10,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.Close)
+		return s
+	}
+	src := addFn(t, shim("src"), "src")
+	dsts := []*core.Function{addFn(t, shim("s0"), "t0"), addFn(t, shim("s1"), "t1")}
+	const n = 700_000 // three hose chunks
+	if _, err := src.CallPacked(guest.ExportProduce, uint64(n)); err != nil {
+		t.Fatal(err)
+	}
+	type result struct {
+		refs []core.InboundRef
+		err  error
+	}
+	done := make(chan result, 1)
+	go func() {
+		refs, _, err := core.MulticastTransfer(src, dsts, core.MulticastOptions{})
+		done <- result{refs, err}
+	}()
+	var r result
+	select {
+	case r = <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("same-node multi-chunk multicast did not return")
+	}
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	for i, dst := range dsts {
+		verifyDelivery(t, dst, r.refs[i], n)
+	}
+	if res := k.Pool().Resident(); res != 0 {
+		t.Fatalf("leaked %d resident kernel bytes", res)
+	}
+}
+
+// TestMulticastOverlapAttribution: every target of a multi-chunk cross-node
+// fan-out carries a positive Overlap credit, and the credit never pulls the
+// critical path below the wire time alone.
+func TestMulticastOverlapAttribution(t *testing.T) {
+	sSrc, err := core.NewShim(core.ShimConfig{
+		Name: "src", Workflow: wf, Kernel: kernel.New("edge"), Module: guest.Module(), DataHoseBytes: 256 << 10,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sSrc.Close)
+	src := addFn(t, sSrc, "src")
+	const degree, n = 3, 1 << 20 // four hose chunks
+	dsts := make([]*core.Function, degree)
+	for i := range dsts {
+		sd := newShim(t, fmt.Sprintf("s%d", i), kernel.New(fmt.Sprintf("cloud-%d", i)))
+		dsts[i] = addFn(t, sd, fmt.Sprintf("t%d", i))
+	}
+	if _, err := src.CallPacked(guest.ExportProduce, uint64(n)); err != nil {
+		t.Fatal(err)
+	}
+	link := netsim.NewLink(100*netsim.Mbps, 0)
+	refs, reports, err := core.MulticastTransfer(src, dsts, multicastLinks(link, degree))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, dst := range dsts {
+		verifyDelivery(t, dst, refs[i], n)
+		bd := reports[i].Breakdown
+		if bd.Overlap <= 0 {
+			t.Fatalf("target %d: multi-chunk multicast reported no overlap (%v)", i, bd.Overlap)
+		}
+		if bd.Total() < bd.Network {
+			t.Fatalf("target %d: critical path %v below the wire time %v", i, bd.Total(), bd.Network)
+		}
+	}
+}
+
 // TestMulticastMixedSetSplits covers the mixed fan-out: one tee group feeds
 // a same-node socketpair and a cross-node connection from the same source
 // pass, each leg reporting its own mode and only the remote leg charged
@@ -195,34 +283,6 @@ func TestMulticastMixedSetSplits(t *testing.T) {
 		t.Fatal("remote leg missing wire time")
 	}
 	if res := kEdge.Pool().Resident() + kCloud.Pool().Resident(); res != 0 {
-		t.Fatalf("leaked %d resident kernel bytes", res)
-	}
-}
-
-// TestMulticastSameNodePhaseLocked exercises the all-local fan-out in the
-// pre-pipeline regime, which drains targets strictly after the source pass —
-// the per-call hose pipe must absorb the whole payload and still tear down
-// clean.
-func TestMulticastSameNodePhaseLocked(t *testing.T) {
-	k := kernel.New("edge")
-	sSrc := newShim(t, "src", k)
-	src := addFn(t, sSrc, "src")
-	dsts := []*core.Function{
-		addFn(t, newShim(t, "s0", k), "t0"),
-		addFn(t, newShim(t, "s1", k), "t1"),
-	}
-	const n = 700_000
-	if _, err := src.CallPacked(guest.ExportProduce, uint64(n)); err != nil {
-		t.Fatal(err)
-	}
-	refs, _, err := core.MulticastTransfer(src, dsts, core.MulticastOptions{PhaseLocked: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, dst := range dsts {
-		verifyDelivery(t, dst, refs[i], n)
-	}
-	if res := k.Pool().Resident(); res != 0 {
 		t.Fatalf("leaked %d resident kernel bytes", res)
 	}
 }

@@ -37,10 +37,6 @@ type NetworkOptions struct {
 	// the channel is cached and reused across transfers of the same shim
 	// pair, so warm transfers issue zero connect/pipe syscalls.
 	NoChannelCache bool
-	// PhaseLocked runs the transfer in the pre-pipeline locking regime —
-	// both VM locks held for the whole operation — kept as the ablation
-	// baseline for the staged pipeline's stage-scoped locks.
-	PhaseLocked bool
 	// SourceRef pins the source region (see UserOptions.SourceRef).
 	SourceRef *OutputRef
 	// Gates carries test instrumentation (see PipelineGates).
@@ -83,19 +79,18 @@ func NetworkTransfer(src, dst *Function, opts NetworkOptions) (InboundRef, metri
 		chunkBytes = 0
 	}
 	spec := pipelineSpec{
-		mode:        "network",
-		kind:        kind,
-		perCall:     opts.NoChannelCache,
-		phaseLocked: opts.PhaseLocked,
-		ctx:         opts.Ctx,
-		gates:       opts.Gates,
-		src:         src,
-		dst:         dst,
-		link:        opts.Link,
-		flows:       opts.Flows,
-		chunkBytes:  chunkBytes,
-		sourceRef:   opts.SourceRef,
-		ops:         networkOps{},
+		mode:       "network",
+		kind:       kind,
+		perCall:    opts.NoChannelCache,
+		ctx:        opts.Ctx,
+		gates:      opts.Gates,
+		src:        src,
+		dst:        dst,
+		link:       opts.Link,
+		flows:      opts.Flows,
+		chunkBytes: chunkBytes,
+		sourceRef:  opts.SourceRef,
+		ops:        networkOps{},
 
 		forceCopy:      opts.ForceCopyPath,
 		serializeFirst: opts.SerializeFirst,

@@ -6,10 +6,8 @@
 // contribute only the two stage bodies, as stateless stageOps
 // implementations; multicast.go orchestrates its fan-out itself.
 //
-// Concurrency model (DESIGN.md §3): the pre-pipeline engine held BOTH VM
-// locks for a transfer's whole duration, so a chain's interior VMs sat
-// locked-idle while the other endpoint worked. The pipeline instead scopes
-// each VM lock to its stage:
+// Concurrency model (DESIGN.md §3): each VM lock is scoped to its stage, so
+// a chain's interior VMs are never locked while the other endpoint works:
 //
 //   - the source VM lock is held only while the source's pages enter the
 //     channel (locate/view/vmsplice-or-write). The payload stays valid past
@@ -53,11 +51,8 @@
 // pair share one cached channel and therefore execute one at a time.
 // Transfers of different pairs — including pairs that share a VM —
 // interleave stage by stage, which is what frees a chain's interior VMs
-// between their stages. lockShims (ordered whole-transfer locking) remains
-// the discipline wherever two VM locks must still nest: the phase-locked
-// ablation regime, which is this same pipeline — same stages, same
-// goroutines, same syscall and copy sequence — with both VM locks taken up
-// front and held for the whole transfer on the stages' behalf.
+// between their stages. VM locks never nest: each stage takes its own VM
+// lock exactly once, and no goroutine ever holds two.
 //
 // Memory model (DESIGN.md §10): the steady-state transfer path allocates
 // nothing. Per-transfer state — the result and deposit channels, both
@@ -167,15 +162,14 @@ type stageOps interface {
 // union of the modes' knobs (a plain value struct keeps the spec free of
 // per-call closures).
 type pipelineSpec struct {
-	mode        string // report mode tag
-	kind        chanKind
-	perCall     bool            // NoChannelCache: ephemeral channel, per-call teardown
-	phaseLocked bool            // ablation: both VM locks for the whole transfer
-	ctx         context.Context // cancellation; nil means never cancelled
-	gates       *PipelineGates
-	src, dst    *Function
-	link        *netsim.Link // modeled wire; nil = no network time
-	flows       int
+	mode     string // report mode tag
+	kind     chanKind
+	perCall  bool            // NoChannelCache: ephemeral channel, per-call teardown
+	ctx      context.Context // cancellation; nil means never cancelled
+	gates    *PipelineGates
+	src, dst *Function
+	link     *netsim.Link // modeled wire; nil = no network time
+	flows    int
 	// chunkBytes is the channel chunk size the payload crosses in — the
 	// pipeline depth for overlap attribution is ceil(len/chunkBytes).
 	// Zero means 1 chunk: no overlap is attributed. The copy paths leave
@@ -304,11 +298,10 @@ func ingressWorker(st *pipelineState) {
 }
 
 // runIngress is the target stage for the announced output: drain under the
-// target VM lock alone (the phase-locked caller already holds it for the
-// stage). Any failure destroys the channel before it is reported: that
-// releases the queued pages back to the pool and unblocks an egress still
-// pushing into a full hose or send window, which nothing would drain any
-// more. It sends exactly one result on st.ingressCh and touches st never
+// target VM lock alone. Any failure destroys the channel before it is
+// reported: that releases the queued pages back to the pool and unblocks an
+// egress still pushing into a full hose or send window, which nothing would
+// drain any more. It sends exactly one result on st.ingressCh and touches st never
 // again afterwards.
 func (st *pipelineState) runIngress() {
 	sp := &st.spec
@@ -321,13 +314,9 @@ func (st *pipelineState) runIngress() {
 	var ref InboundRef
 	if err == nil {
 		dstShim := sp.dst.shim
-		if !sp.phaseLocked {
-			dstShim.mu.Lock()
-		}
+		dstShim.mu.Lock()
 		ref, err = sp.ops.ingress(st, st.out)
-		if !sp.phaseLocked {
-			dstShim.mu.Unlock()
-		}
+		dstShim.mu.Unlock()
 	}
 	if err != nil {
 		st.ingressFailed.Store(true)
@@ -389,9 +378,7 @@ func (f *Function) sourceOutput(pinned *OutputRef) (OutputRef, error) {
 // The egress's announce dispatches the ingress; an egress that fails before
 // announcing dispatched none, never touched the channel, and returns its own
 // error with the channel released healthy. The pair lock is the only lock
-// held across stages; VM locks never nest — except in the phase-locked
-// ablation, where lockShims takes both up front and the stage bodies run
-// under them without locking themselves.
+// held across stages; VM locks never nest.
 func runPipeline(spec *pipelineSpec) (InboundRef, metrics.TransferReport, error) {
 	srcShim, dstShim := spec.src.shim, spec.dst.shim
 	pl := srcShim.pairLock(dstShim, spec.kind)
@@ -401,10 +388,6 @@ func runPipeline(spec *pipelineSpec) (InboundRef, metrics.TransferReport, error)
 	// pair lock aborts before acquiring a channel or touching either VM.
 	if err := CtxErr(spec.ctx); err != nil {
 		return InboundRef{}, metrics.TransferReport{}, err
-	}
-	if spec.phaseLocked {
-		locked := lockShims(srcShim, dstShim)
-		defer unlockShims(locked)
 	}
 	beforeSrc := srcShim.acct.Snapshot()
 	beforeDst := dstShim.acct.Snapshot()
@@ -420,13 +403,9 @@ func runPipeline(spec *pipelineSpec) (InboundRef, metrics.TransferReport, error)
 
 	// Source stage, inline, under the source VM lock alone; its announce
 	// dispatches the target stage.
-	if !spec.phaseLocked {
-		srcShim.mu.Lock()
-	}
+	srcShim.mu.Lock()
 	_, eerr := spec.ops.egress(st)
-	if !spec.phaseLocked {
-		srcShim.mu.Unlock()
-	}
+	srcShim.mu.Unlock()
 	if !st.announced {
 		putPipelineState(st)
 		releaseTransferChannel(ch, spec.perCall, true)
@@ -462,9 +441,7 @@ func runPipeline(spec *pipelineSpec) (InboundRef, metrics.TransferReport, error)
 
 // assembleReport folds both stages' measurements into the transfer report.
 // Modeled syscall mode-switch time joins the Transfer component as before;
-// Overlap is the modeled critical-path credit of the chunk pipeline (zero
-// in the phase-locked regime by definition: it is the baseline the credit
-// is measured against).
+// Overlap is the modeled critical-path credit of the chunk pipeline.
 func assembleReport(spec *pipelineSpec, out OutputRef, setup time.Duration, em, im stageMetrics, usage metrics.Usage) metrics.TransferReport {
 	srcShim := spec.src.shim
 	bd := metrics.Breakdown{
@@ -476,9 +453,7 @@ func assembleReport(spec *pipelineSpec, out OutputRef, setup time.Duration, em, 
 	if spec.link != nil {
 		bd.Network = spec.link.TransferTime(int64(out.Len), spec.flows)
 	}
-	if !spec.phaseLocked {
-		bd.Overlap = modeledOverlap(spec.chunks(out), em.activity(), bd.Network, im.activity())
-	}
+	bd.Overlap = modeledOverlap(spec.chunks(out), em.activity(), bd.Network, im.activity())
 	return metrics.TransferReport{
 		Bytes:     int64(out.Len),
 		Breakdown: bd,

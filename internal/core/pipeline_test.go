@@ -1,6 +1,6 @@
 // Tests for the staged data-plane pipeline: stage-scoped VM locking,
 // overlapped source/target stages, streaming chains over shared interior
-// functions, and the phase-locked ablation's trace equivalence.
+// functions, and the staged trace in absolute counts.
 package core_test
 
 import (
@@ -13,16 +13,13 @@ import (
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/core"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/guest"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/kernel"
-	"github.com/polaris-slo-cloud/roadrunner-go/internal/metrics"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/wasm"
 )
 
 // TestInteriorVMFreeDuringWireStage pins the pipeline's headline property:
 // while a transfer's payload is in flight on the wire — egress done or
 // draining, ingress gated — NEITHER endpoint VM lock is held, so the target
-// VM accepts an unrelated transfer mid-flight. Under the phase-locked
-// regime the same interleaving would deadlock the unrelated transfer until
-// the first one finished.
+// VM accepts an unrelated transfer mid-flight.
 func TestInteriorVMFreeDuringWireStage(t *testing.T) {
 	kEdge, kCloud := kernel.New("edge"), kernel.New("cloud")
 	sA := newShim(t, "sA", kEdge)
@@ -213,160 +210,119 @@ func releaseRound(t *testing.T, regions map[*core.Function]core.InboundRef, head
 	}
 }
 
-// TestPhaseLockedMatchesPipelinedTrace pins the ablation contract: the
-// pipelined and phase-locked regimes issue the identical syscall sequence
-// and copy volume on every cross-sandbox mode, cold and warm — pipelining
-// moves when work happens, never how much.
-func TestPhaseLockedMatchesPipelinedTrace(t *testing.T) {
+// TestStagedTraceCounts pins the staged pipeline's syscall and copy volume
+// on both unicast modes, cold and warm, for a 3 MiB payload over a 1 MiB
+// hose. Kernel: socketpair + one write on the source, one receive on the
+// target, each side copying the payload once across the kernel boundary.
+// Network: the Algorithm 1 trace of TestAlgorithm1SyscallTrace, the target
+// paying the one user-space copy.
+func TestStagedTraceCounts(t *testing.T) {
 	const n = 3 << 20
 	type trace struct {
 		srcSys, dstSys   int64
 		srcCopy, dstCopy int64
 	}
-	measure := func(t *testing.T, network, phaseLocked bool) []trace {
-		mkKernel := kernel.New("edge")
-		dstKernel := mkKernel
-		if network {
-			dstKernel = kernel.New("cloud")
-		}
-		s1, err := core.NewShim(core.ShimConfig{
-			Name: "s1", Workflow: wf, Kernel: mkKernel, Module: guest.Module(), DataHoseBytes: 1 << 20,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(s1.Close)
-		s2, err := core.NewShim(core.ShimConfig{
-			Name: "s2", Workflow: wf, Kernel: dstKernel, Module: guest.Module(), DataHoseBytes: 1 << 20,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(s2.Close)
-		fa, fb := addFn(t, s1, "a"), addFn(t, s2, "b")
-		if _, err := fa.CallPacked(guest.ExportProduce, uint64(n)); err != nil {
-			t.Fatal(err)
-		}
-		var traces []trace
-		for round := 0; round < 2; round++ { // cold then warm
-			sb, db := s1.Account().Snapshot(), s2.Account().Snapshot()
-			var ref core.InboundRef
+	for _, tc := range []struct {
+		mode       string
+		cold, warm trace
+	}{
+		{"kernel", trace{2, 1, n, n}, trace{1, 1, n, n}},
+		{"network", trace{8, 8, 0, n}, trace{6, 6, 0, n}},
+	} {
+		t.Run(tc.mode, func(t *testing.T) {
+			network := tc.mode == "network"
+			srcKernel := kernel.New("edge")
+			dstKernel := srcKernel
 			if network {
-				ref, _, err = core.NetworkTransfer(fa, fb, core.NetworkOptions{PhaseLocked: phaseLocked})
-			} else {
-				ref, _, err = core.KernelSpaceTransfer(fa, fb, core.KernelOptions{PhaseLocked: phaseLocked})
+				dstKernel = kernel.New("cloud")
 			}
+			s1, err := core.NewShim(core.ShimConfig{
+				Name: "s1", Workflow: wf, Kernel: srcKernel, Module: guest.Module(), DataHoseBytes: 1 << 20,
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			verifyDelivery(t, fb, ref, n)
-			sd := s1.Account().Snapshot().Sub(sb)
-			dd := s2.Account().Snapshot().Sub(db)
-			traces = append(traces, trace{
-				srcSys: sd.Syscalls, dstSys: dd.Syscalls,
-				srcCopy: sd.TotalCopyBytes(), dstCopy: dd.TotalCopyBytes(),
+			t.Cleanup(s1.Close)
+			s2, err := core.NewShim(core.ShimConfig{
+				Name: "s2", Workflow: wf, Kernel: dstKernel, Module: guest.Module(), DataHoseBytes: 1 << 20,
 			})
-		}
-		return traces
-	}
-	for _, mode := range []string{"kernel", "network"} {
-		t.Run(mode, func(t *testing.T) {
-			pipelined := measure(t, mode == "network", false)
-			locked := measure(t, mode == "network", true)
-			for i := range pipelined {
-				if pipelined[i] != locked[i] {
-					t.Fatalf("round %d: pipelined trace %+v != phase-locked trace %+v", i, pipelined[i], locked[i])
-				}
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(s2.Close)
+			fa, fb := addFn(t, s1, "a"), addFn(t, s2, "b")
+			if _, err := fa.CallPacked(guest.ExportProduce, uint64(n)); err != nil {
+				t.Fatal(err)
+			}
+			// The rounds share one pair: cold establishes the channel, warm
+			// reuses it, so they run in this order.
+			for _, round := range []struct {
+				name string
+				want trace
+			}{{"cold", tc.cold}, {"warm", tc.warm}} {
+				t.Run(round.name, func(t *testing.T) {
+					sb, db := s1.Account().Snapshot(), s2.Account().Snapshot()
+					var ref core.InboundRef
+					var err error
+					if network {
+						ref, _, err = core.NetworkTransfer(fa, fb, core.NetworkOptions{})
+					} else {
+						ref, _, err = core.KernelSpaceTransfer(fa, fb, core.KernelOptions{})
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					verifyDelivery(t, fb, ref, n)
+					sd := s1.Account().Snapshot().Sub(sb)
+					dd := s2.Account().Snapshot().Sub(db)
+					got := trace{
+						srcSys: sd.Syscalls, dstSys: dd.Syscalls,
+						srcCopy: sd.TotalCopyBytes(), dstCopy: dd.TotalCopyBytes(),
+					}
+					if got != round.want {
+						t.Fatalf("trace %+v, want %+v", got, round.want)
+					}
+				})
 			}
 		})
-	}
-}
-
-// TestPhaseLockedMulticastDelivers is the regression test for the
-// phase-locked multicast self-deadlock: lockShims already holds the source
-// VM lock, so the source stage must not re-acquire it. The call has to
-// complete (not hang) and deliver checksum-clean payloads with zero
-// overlap reported.
-func TestPhaseLockedMulticastDelivers(t *testing.T) {
-	kSrc := kernel.New("edge")
-	sSrc := newShim(t, "src", kSrc)
-	src := addFn(t, sSrc, "src")
-	const degree, n = 3, 300_000
-	dsts := make([]*core.Function, degree)
-	for i := range dsts {
-		sd := newShim(t, fmt.Sprintf("t%d", i), kernel.New(fmt.Sprintf("cloud-%d", i)))
-		dsts[i] = addFn(t, sd, fmt.Sprintf("f%d", i))
-	}
-	if _, err := src.CallPacked(guest.ExportProduce, uint64(n)); err != nil {
-		t.Fatal(err)
-	}
-	type result struct {
-		refs    []core.InboundRef
-		reports []metrics.TransferReport
-		err     error
-	}
-	done := make(chan result, 1)
-	go func() {
-		refs, reports, err := core.MulticastTransfer(src, dsts, core.MulticastOptions{PhaseLocked: true})
-		done <- result{refs, reports, err}
-	}()
-	select {
-	case r := <-done:
-		if r.err != nil {
-			t.Fatal(r.err)
-		}
-		for i, dst := range dsts {
-			verifyDelivery(t, dst, r.refs[i], n)
-			if r.reports[i].Breakdown.Overlap != 0 {
-				t.Fatalf("target %d: phase-locked overlap = %v", i, r.reports[i].Breakdown.Overlap)
-			}
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("phase-locked multicast deadlocked")
 	}
 }
 
 // TestPipelineOverlapAttribution: a multi-chunk pipelined network transfer
 // reports a positive Overlap component (the stages genuinely ran
 // concurrently) and a critical-path latency below the summed component
-// laps; the phase-locked regime reports exactly zero overlap.
+// laps.
 func TestPipelineOverlapAttribution(t *testing.T) {
-	run := func(phaseLocked bool) time.Duration {
-		k1, k2 := kernel.New("edge"), kernel.New("cloud")
-		s1, err := core.NewShim(core.ShimConfig{
-			Name: "s1", Workflow: wf, Kernel: k1, Module: guest.Module(), DataHoseBytes: 256 << 10,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(s1.Close)
-		s2, err := core.NewShim(core.ShimConfig{
-			Name: "s2", Workflow: wf, Kernel: k2, Module: guest.Module(), DataHoseBytes: 256 << 10,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(s2.Close)
-		fa, fb := addFn(t, s1, "a"), addFn(t, s2, "b")
-		const n = 4 << 20 // 16 hose chunks
-		if _, err := fa.CallPacked(guest.ExportProduce, uint64(n)); err != nil {
-			t.Fatal(err)
-		}
-		ref, rep, err := core.NetworkTransfer(fa, fb, core.NetworkOptions{PhaseLocked: phaseLocked})
-		if err != nil {
-			t.Fatal(err)
-		}
-		verifyDelivery(t, fb, ref, n)
-		if got := rep.Breakdown.Total(); got > rep.Breakdown.Setup+rep.Breakdown.Transfer+rep.Breakdown.WasmIO {
-			t.Fatalf("critical path %v exceeds summed laps", got)
-		}
-		return rep.Breakdown.Overlap
+	k1, k2 := kernel.New("edge"), kernel.New("cloud")
+	s1, err := core.NewShim(core.ShimConfig{
+		Name: "s1", Workflow: wf, Kernel: k1, Module: guest.Module(), DataHoseBytes: 256 << 10,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if overlap := run(true); overlap != 0 {
-		t.Fatalf("phase-locked transfer reported overlap %v", overlap)
+	t.Cleanup(s1.Close)
+	s2, err := core.NewShim(core.ShimConfig{
+		Name: "s2", Workflow: wf, Kernel: k2, Module: guest.Module(), DataHoseBytes: 256 << 10,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if overlap := run(false); overlap <= 0 {
-		t.Fatalf("pipelined multi-chunk transfer reported no overlap (%v)", overlap)
+	t.Cleanup(s2.Close)
+	fa, fb := addFn(t, s1, "a"), addFn(t, s2, "b")
+	const n = 4 << 20 // 16 hose chunks
+	if _, err := fa.CallPacked(guest.ExportProduce, uint64(n)); err != nil {
+		t.Fatal(err)
+	}
+	ref, rep, err := core.NetworkTransfer(fa, fb, core.NetworkOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	verifyDelivery(t, fb, ref, n)
+	if got := rep.Breakdown.Total(); got > rep.Breakdown.Setup+rep.Breakdown.Transfer+rep.Breakdown.WasmIO {
+		t.Fatalf("critical path %v exceeds summed laps", got)
+	}
+	if rep.Breakdown.Overlap <= 0 {
+		t.Fatalf("pipelined multi-chunk transfer reported no overlap (%v)", rep.Breakdown.Overlap)
 	}
 }
 

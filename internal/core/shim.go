@@ -89,7 +89,7 @@ type Shim struct {
 	now      func() time.Time
 	hoseCap  int
 
-	// seq is the shim's position in the global lock order (see lockShims).
+	// seq is the shim's position in the pair-lock order (see distinctBySeq).
 	seq uint64
 	// mu is the VM lock: it guards functions, coldStart, every guest call
 	// and every view over the VM's linear memory (including Function.out).
@@ -124,14 +124,13 @@ type Shim struct {
 	chanCap       int
 }
 
-// shimSeq issues lock-order positions; creation order is the lock order.
+// shimSeq numbers shims in creation order, the pair-lock order.
 var shimSeq atomic.Uint64
 
 // distinctBySeq deduplicates shims and orders them by ascending creation
-// sequence — THE global lock order. Both whole-transfer VM locking
-// (lockShims) and multicast pair-lock acquisition derive their ordering
-// from this one definition, so the deadlock-freedom invariant cannot drift
-// between them.
+// sequence — the order a multicast takes its pair locks in, which keeps
+// overlapping fan-outs from one source deadlock-free. VM locks need no
+// order: they never nest.
 func distinctBySeq(shims []*Shim) []*Shim {
 	distinct := shims[:0:0]
 	for _, s := range shims {
@@ -148,25 +147,6 @@ func distinctBySeq(shims []*Shim) []*Shim {
 	}
 	sort.Slice(distinct, func(i, j int) bool { return distinct[i].seq < distinct[j].seq })
 	return distinct
-}
-
-// lockShims acquires the VM locks of every distinct shim in ascending
-// creation order — the single global lock order that keeps multi-shim
-// phase-locked transfers deadlock-free no matter which pairs overlap. The
-// returned slice (deduplicated, sorted) is what unlockShims expects.
-func lockShims(shims ...*Shim) []*Shim {
-	distinct := distinctBySeq(shims)
-	for _, s := range distinct {
-		s.mu.Lock()
-	}
-	return distinct
-}
-
-// unlockShims releases locks taken by lockShims (any order is safe).
-func unlockShims(locked []*Shim) {
-	for _, s := range locked {
-		s.mu.Unlock()
-	}
 }
 
 // NewShim creates the shim's sandbox and prepares the Wasm runtime. The

@@ -183,10 +183,6 @@ type KernelOptions struct {
 	// channel is a persistent cached socketpair reused across transfers of
 	// the same shim pair.
 	NoChannelCache bool
-	// PhaseLocked runs the transfer in the pre-pipeline locking regime —
-	// both VM locks held for the whole operation — kept as the ablation
-	// baseline for the staged pipeline's stage-scoped locks.
-	PhaseLocked bool
 	// SourceRef pins the source region (see UserOptions.SourceRef).
 	SourceRef *OutputRef
 	// Gates carries test instrumentation (see PipelineGates).
@@ -276,16 +272,15 @@ func KernelSpaceTransfer(src, dst *Function, opts KernelOptions) (InboundRef, me
 		return InboundRef{}, metrics.TransferReport{}, ErrDifferentNode
 	}
 	spec := pipelineSpec{
-		mode:        "kernel",
-		kind:        chanKernel,
-		perCall:     opts.NoChannelCache,
-		phaseLocked: opts.PhaseLocked,
-		ctx:         opts.Ctx,
-		gates:       opts.Gates,
-		src:         src,
-		dst:         dst,
-		sourceRef:   opts.SourceRef,
-		ops:         kernelOps{},
+		mode:      "kernel",
+		kind:      chanKernel,
+		perCall:   opts.NoChannelCache,
+		ctx:       opts.Ctx,
+		gates:     opts.Gates,
+		src:       src,
+		dst:       dst,
+		sourceRef: opts.SourceRef,
+		ops:       kernelOps{},
 	}
 	return runPipeline(&spec)
 }

@@ -33,7 +33,7 @@ func cappedGuest(t *testing.T, pages int) []byte {
 // TestWindowedKernelFailuresReportCauseAndConserve drives a kernel transfer
 // larger than the send window — so its egress is parked inside Write when
 // the ingress fails — through every way the target stage can fail and one
-// way the source can, pipelined and phase-locked. Each must return promptly
+// way the source can. Each must return promptly
 // with the cause (never the ring-closed error the unblocked egress sees),
 // leave descriptors, pool pages, residency, the target's bump heap and the
 // channel cache at baseline, and leave the pair able to re-establish and
@@ -116,87 +116,80 @@ func TestWindowedKernelFailuresReportCauseAndConserve(t *testing.T) {
 		}
 	}
 
-	for _, phaseLocked := range []bool{false, true} {
-		for _, tc := range cases {
-			name := tc.name
-			if phaseLocked {
-				name += "/phase-locked"
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			k := kernel.New("node")
+			s1 := newShim(t, "s1", k)
+			s2, err := core.NewShim(core.ShimConfig{Name: "s2", Workflow: wf, Kernel: k, Module: cappedGuest(t, 24)})
+			if err != nil {
+				t.Fatal(err)
 			}
-			t.Run(name, func(t *testing.T) {
-				k := kernel.New("node")
-				s1 := newShim(t, "s1", k)
-				s2, err := core.NewShim(core.ShimConfig{Name: "s2", Workflow: wf, Kernel: k, Module: cappedGuest(t, 24)})
-				if err != nil {
+			t.Cleanup(s2.Close)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			e := &env{k: k, s1: s1, s2: s2, fa: addFn(t, s1, "a"), fb: addFn(t, s2, "b"), cancel: cancel}
+			if _, err := e.fa.CallPacked(guest.ExportProduce, uint64(n)); err != nil {
+				t.Fatal(err)
+			}
+			fds := [2]int{s1.Proc().NumFDs(), s2.Proc().NumFDs()}
+			opts := core.KernelOptions{Ctx: ctx}
+			deliver(e, opts) // warm: grows the target's memory, caches the channel
+
+			heap := heapTop(t, e.fb)
+			failing := opts
+			isCause := tc.arm(e, &failing)
+			resident := [2]int64{s1.Account().Snapshot().ResidentBytes, s2.Account().Snapshot().ResidentBytes}
+			done := make(chan error, 1)
+			go func() {
+				_, _, err := core.KernelSpaceTransfer(e.fa, e.fb, failing)
+				done <- err
+			}()
+			select {
+			case err = <-done:
+			case <-time.After(20 * time.Second):
+				t.Fatal("failing transfer did not return")
+			}
+			s2.Proc().InjectFault(nil)
+			if !isCause(err) {
+				t.Fatalf("error = %v, not the cause", err)
+			}
+
+			if got := [2]int{s1.Proc().NumFDs(), s2.Proc().NumFDs()}; got != fds {
+				t.Fatalf("FDs = %v, want the channel-free baseline %v", got, fds)
+			}
+			if res := k.Pool().Resident(); res != 0 {
+				t.Fatalf("%d pool bytes resident", res)
+			}
+			if got := [2]int64{s1.Account().Snapshot().ResidentBytes, s2.Account().Snapshot().ResidentBytes}; got != resident {
+				t.Fatalf("residency = %v, want %v", got, resident)
+			}
+			if e.blocker == 0 {
+				if got := heapTop(t, e.fb); got != heap {
+					t.Fatalf("target heap at %#x, want %#x: aborted ingress not rewound", got, heap)
+				}
+			}
+			if st := s1.ChannelStats(); st.Active != 0 {
+				t.Fatalf("channel cache holds %d channels after the failure", st.Active)
+			}
+
+			// Recovery: drop the allocate case's blocker (which also
+			// rewinds the guest's bump pointer past the allocation that
+			// trapped), then the pair re-establishes and delivers.
+			if e.blocker != 0 {
+				if err := e.fb.Deallocate(e.blocker); err != nil {
 					t.Fatal(err)
 				}
-				t.Cleanup(s2.Close)
-				ctx, cancel := context.WithCancel(context.Background())
-				defer cancel()
-				e := &env{k: k, s1: s1, s2: s2, fa: addFn(t, s1, "a"), fb: addFn(t, s2, "b"), cancel: cancel}
-				if _, err := e.fa.CallPacked(guest.ExportProduce, uint64(n)); err != nil {
-					t.Fatal(err)
-				}
-				fds := [2]int{s1.Proc().NumFDs(), s2.Proc().NumFDs()}
-				opts := core.KernelOptions{Ctx: ctx, PhaseLocked: phaseLocked}
-				deliver(e, opts) // warm: grows the target's memory, caches the channel
-
-				heap := heapTop(t, e.fb)
-				failing := opts
-				isCause := tc.arm(e, &failing)
-				resident := [2]int64{s1.Account().Snapshot().ResidentBytes, s2.Account().Snapshot().ResidentBytes}
-				done := make(chan error, 1)
-				go func() {
-					_, _, err := core.KernelSpaceTransfer(e.fa, e.fb, failing)
-					done <- err
-				}()
-				select {
-				case err = <-done:
-				case <-time.After(20 * time.Second):
-					t.Fatal("failing transfer did not return")
-				}
-				s2.Proc().InjectFault(nil)
-				if !isCause(err) {
-					t.Fatalf("error = %v, not the cause", err)
-				}
-
-				if got := [2]int{s1.Proc().NumFDs(), s2.Proc().NumFDs()}; got != fds {
-					t.Fatalf("FDs = %v, want the channel-free baseline %v", got, fds)
-				}
-				if res := k.Pool().Resident(); res != 0 {
-					t.Fatalf("%d pool bytes resident", res)
-				}
-				if got := [2]int64{s1.Account().Snapshot().ResidentBytes, s2.Account().Snapshot().ResidentBytes}; got != resident {
-					t.Fatalf("residency = %v, want %v", got, resident)
-				}
-				if e.blocker == 0 {
-					if got := heapTop(t, e.fb); got != heap {
-						t.Fatalf("target heap at %#x, want %#x: aborted ingress not rewound", got, heap)
-					}
-				}
-				if st := s1.ChannelStats(); st.Active != 0 {
-					t.Fatalf("channel cache holds %d channels after the failure", st.Active)
-				}
-
-				// Recovery: drop the allocate case's blocker (which also
-				// rewinds the guest's bump pointer past the allocation that
-				// trapped), then the pair re-establishes and delivers.
-				if e.blocker != 0 {
-					if err := e.fb.Deallocate(e.blocker); err != nil {
-						t.Fatal(err)
-					}
-				}
-				heapBefore := heapTop(t, e.fb)
-				misses := s1.ChannelStats().Misses
-				recovery := core.KernelOptions{PhaseLocked: phaseLocked}
-				deliver(e, recovery)
-				if got := s1.ChannelStats().Misses; got != misses+1 {
-					t.Fatalf("recovery transfer: %d channel misses, want a re-establishment", got-misses)
-				}
-				if got := heapTop(t, e.fb); got != heapBefore {
-					t.Fatalf("target heap at %#x after recovery, want %#x", got, heapBefore)
-				}
-			})
-		}
+			}
+			heapBefore := heapTop(t, e.fb)
+			misses := s1.ChannelStats().Misses
+			deliver(e, core.KernelOptions{})
+			if got := s1.ChannelStats().Misses; got != misses+1 {
+				t.Fatalf("recovery transfer: %d channel misses, want a re-establishment", got-misses)
+			}
+			if got := heapTop(t, e.fb); got != heapBefore {
+				t.Fatalf("target heap at %#x after recovery, want %#x", got, heapBefore)
+			}
+		})
 	}
 }
 

@@ -89,8 +89,8 @@ func Quick() Options {
 // table header line and the -json document), so CI benchmark smoke runs can
 // be diffed across PRs. Version 3 added the breakdown's Setup component and
 // the chancache warm/cold experiment; version 4 added the breakdown's
-// Overlap component (critical-path credit of the staged pipeline) and the
-// pipeline chain experiment; version 5 added the placement experiment
+// Overlap component (critical-path credit of the staged pipeline);
+// version 5 added the placement experiment
 // (locality vs round-robin routing over replicated instance pools);
 // version 6 added the failure experiment (aggregate throughput with 1 of
 // 16 replicas killed mid-load, pinned to proportional degradation);
@@ -248,7 +248,6 @@ var Registry = map[string]func(Options) (*Result, error){
 	"fig9":        Fig9,
 	"fig10":       Fig10,
 	"chancache":   ChanCache,
-	"pipeline":    Pipeline,
 	"placement":   Placement,
 	"failure":     Failure,
 	"hotpath":     Hotpath,
@@ -257,7 +256,7 @@ var Registry = map[string]func(Options) (*Result, error){
 
 // IDs lists the experiment identifiers, paper figures first.
 func IDs() []string {
-	return []string{"fig2a", "fig2b", "fig6", "fig7", "fig8", "fig9", "fig10", "chancache", "pipeline", "placement", "failure", "hotpath", "fanoutshare"}
+	return []string{"fig2a", "fig2b", "fig6", "fig7", "fig8", "fig9", "fig10", "chancache", "placement", "failure", "hotpath", "fanoutshare"}
 }
 
 // RunAll executes every experiment and prints the results.

@@ -222,34 +222,6 @@ func TestFig10FanoutShape(t *testing.T) {
 	}
 }
 
-// TestPipelineExperimentWin pins the staged pipeline's structural bar: on
-// 3-hop (and deeper) chains the pipelined points carry a positive overlap
-// credit and the phase-locked ones exactly zero. The throughput ratio of
-// the two regimes is a wall-clock comparison and awaits the bench sweeps
-// (ROADMAP item 1).
-func TestPipelineExperimentWin(t *testing.T) {
-	res, err := Pipeline(testOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, depth := range []float64{3, 5} {
-		sys := bySystem(res.Points, depth)
-		pipe, lock := sys[SysRRChainPipelined], sys[SysRRChainLocked]
-		if pipe.Latency <= 0 || lock.Latency <= 0 {
-			t.Fatalf("depth %v: missing points %+v", depth, sys)
-		}
-		if lock.Breakdown.Overlap != 0 {
-			t.Fatalf("depth %v: phase-locked overlap = %v", depth, lock.Breakdown.Overlap)
-		}
-		if pipe.Breakdown.Overlap <= 0 {
-			t.Fatalf("depth %v: pipelined chain reported no overlap", depth)
-		}
-	}
-	if len(res.Notes) == 0 {
-		t.Fatal("pipeline experiment produced no headline notes")
-	}
-}
-
 // TestPlacementExperimentWin pins the invoker plane's acceptance bar: on a
 // two-node edge–cloud topology with pools of ≥4 replicas straddling the
 // link, locality placement must beat the round-robin ablation's aggregate

@@ -21,7 +21,7 @@ type Breakdown struct {
 	Network       time.Duration // modeled wire time (bandwidth share + RTT)
 	Compute       time.Duration // guest function compute, when measured separately
 	// Overlap is the wall-clock time the transfer's source and target
-	// pipeline stages ran concurrently (zero in the phase-locked regime).
+	// pipeline stages ran concurrently (zero for a single-chunk payload).
 	// The per-component durations above are measured within each stage, so
 	// their sum double-counts the overlapped window; Total subtracts it,
 	// making the reported latency the pipeline's critical path rather than

@@ -32,7 +32,7 @@ import (
 
 // SchemaVersion identifies the Result JSON layout. Version 2 added the
 // "channels" field (warm/cold channel-cache regime); version 3 added the
-// "pipeline" field (pipelined vs phase-locked data plane) and the "chain"
+// "pipeline" field (the data plane's execution regime) and the "chain"
 // mode (chain-depth scaling over a line of functions); version 4 added the
 // "replicas" and "placement" fields (replicated instance pools routed by
 // the invoker plane's placement policy); version 5 added the "deadline_ns"
@@ -41,8 +41,9 @@ import (
 // "kills" field (replicas crashed mid-load per pool, served by
 // health-aware retry-with-exclusion routing); version 7 added the "fanout"
 // field (deliveries per execution) and the "fanout" mode (one shared-egress
-// same-node fan-out per iteration, one produce serving Targets sandboxes).
-const SchemaVersion = 7
+// same-node fan-out per iteration, one produce serving Targets sandboxes);
+// version 8 removed the "pipeline" field (the data plane has one regime).
+const SchemaVersion = 8
 
 // Modes the generator can drive. Mixed chains one hop of each mechanism;
 // chain runs a Hops-deep line of functions alternating kernel and network
@@ -93,11 +94,6 @@ type Config struct {
 	// for warm-vs-cold comparisons. Default false: after the first
 	// execution per instance the harness measures steady-state reuse.
 	ColdChannels bool
-	// PhaseLocked runs every transfer in the pre-pipeline regime (both VM
-	// locks held per hop, phases strictly sequential) — the ablation
-	// baseline for pipelined-vs-phase-locked comparisons. Default false:
-	// the staged pipeline.
-	PhaseLocked bool
 	// Replicas sizes every deployed function's warm instance pool
 	// (default 1). Pools are spread across both nodes, so the placement
 	// policy decides how much traffic stays on cheap same-node paths.
@@ -231,7 +227,6 @@ type Result struct {
 	Loop          string `json:"loop"` // "closed" or "open"
 	Mode          string `json:"mode"`
 	Channels      string `json:"channels"` // "warm" (cached hoses) or "cold" (per-call)
-	Pipeline      string `json:"pipeline"` // "pipelined" (staged) or "phase-locked" (ablation)
 	Workflows     int    `json:"workflows"`
 	Hops          int    `json:"hops"`
 	PayloadBytes  int    `json:"payload_bytes"`
@@ -293,9 +288,6 @@ func NewRunner(cfg Config) (*Runner, error) {
 	r := &Runner{cfg: cfg, platform: p}
 	if cfg.ColdChannels {
 		r.topts = append(r.topts, roadrunner.WithChannelCache(false))
-	}
-	if cfg.PhaseLocked {
-		r.topts = append(r.topts, roadrunner.WithPhaseLocked(true))
 	}
 	for i := 0; i < cfg.Workflows; i++ {
 		inst, err := deployInstance(p, cfg.Mode, cfg.Hops, cfg.Replicas, cfg.Targets, i)
@@ -695,16 +687,11 @@ func (r *Runner) result(loop string, rec *recorder, elapsed time.Duration, open 
 	if cfg.ColdChannels {
 		channels = "cold"
 	}
-	pipeline := "pipelined"
-	if cfg.PhaseLocked {
-		pipeline = "phase-locked"
-	}
 	res := &Result{
 		SchemaVersion: SchemaVersion,
 		Loop:          loop,
 		Mode:          cfg.Mode,
 		Channels:      channels,
-		Pipeline:      pipeline,
 		Workflows:     cfg.Workflows,
 		Hops:          cfg.Hops,
 		PayloadBytes:  cfg.PayloadBytes,

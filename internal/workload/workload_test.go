@@ -218,6 +218,9 @@ func TestResultJSONCarriesSchemaAndMode(t *testing.T) {
 	if m["mode"] != ModeUser {
 		t.Fatalf("mode = %v", m["mode"])
 	}
+	if _, ok := m["pipeline"]; ok {
+		t.Fatal(`result still carries the "pipeline" field removed in schema version 8`)
+	}
 	if m["channels"] != "warm" {
 		t.Fatalf("channels = %v, want warm", m["channels"])
 	}
@@ -277,36 +280,25 @@ func TestColdChannelsRegime(t *testing.T) {
 // non-counter fields.
 type ChannelStatsLike struct{ Hits, Misses int64 }
 
-// TestChainDepthAndPhaseLockedRegime: the chain mode deploys a hops-deep
-// line of functions (no ring wrap), and the phase-locked regime is carried
-// in the result schema while delivering identical checksums.
-func TestChainDepthAndPhaseLockedRegime(t *testing.T) {
-	for _, phaseLocked := range []bool{false, true} {
-		res, err := Run(Config{
-			Workflows:    2,
-			Requests:     6,
-			Hops:         5,
-			PayloadBytes: 8 << 10,
-			Mode:         ModeChain,
-			Verify:       true,
-			PhaseLocked:  phaseLocked,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Errors != 0 {
-			t.Fatalf("phaseLocked=%v: %d failed executions", phaseLocked, res.Errors)
-		}
-		if res.Hops != 5 || res.Mode != ModeChain {
-			t.Fatalf("hops/mode = %d/%s", res.Hops, res.Mode)
-		}
-		want := "pipelined"
-		if phaseLocked {
-			want = "phase-locked"
-		}
-		if res.Pipeline != want {
-			t.Fatalf("pipeline = %q, want %q", res.Pipeline, want)
-		}
+// TestChainDepth: the chain mode deploys a hops-deep line of functions (no
+// ring wrap) and delivers checksum-clean payloads through every hop.
+func TestChainDepth(t *testing.T) {
+	res, err := Run(Config{
+		Workflows:    2,
+		Requests:     6,
+		Hops:         5,
+		PayloadBytes: 8 << 10,
+		Mode:         ModeChain,
+		Verify:       true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Errors != 0 {
+		t.Fatalf("%d failed executions", res.Errors)
+	}
+	if res.Hops != 5 || res.Mode != ModeChain {
+		t.Fatalf("hops/mode = %d/%s", res.Hops, res.Mode)
 	}
 }
 

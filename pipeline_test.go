@@ -12,51 +12,55 @@ import (
 	roadrunner "github.com/polaris-slo-cloud/roadrunner-go"
 )
 
-// TestChainPhaseLockedAblation: the two regimes deliver identical payloads
-// and identical syscall/copy accounting; only the overlap attribution
-// differs. (Which critical path is shorter is a wall-clock comparison of
-// two runs; it belongs to the bench sweeps, not to go test.)
-func TestChainPhaseLockedAblation(t *testing.T) {
-	build := func() (*roadrunner.Platform, []*roadrunner.Function) {
-		p := newPlatform(t, roadrunner.WithDataHoseSize(64<<10))
-		fns := make([]*roadrunner.Function, 4)
-		for i := range fns {
-			node := "edge"
-			if i%2 == 1 {
-				node = "cloud"
+// TestChainMultiChunkOverlap: a four-function chain whose payload spans
+// several hose chunks delivers checksum-clean bytes on and across nodes.
+// Cross-node hops cross in hose chunks and earn a positive Overlap credit
+// that keeps the critical path above zero; a same-node hop moves the
+// payload in one write, so an all-local chain has no chunk pipeline and
+// reports no overlap.
+func TestChainMultiChunkOverlap(t *testing.T) {
+	const n = 256 << 10 // four 64 KiB hose chunks per hop
+	for _, tc := range []struct {
+		name      string
+		nodes     [4]string
+		chunkWise bool
+	}{
+		{"alternating-nodes", [4]string{"edge", "cloud", "edge", "cloud"}, true},
+		{"same-node", [4]string{"edge", "edge", "edge", "edge"}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := newPlatform(t, roadrunner.WithDataHoseSize(64<<10))
+			fns := make([]*roadrunner.Function, len(tc.nodes))
+			for i, node := range tc.nodes {
+				fns[i] = deploy(t, p, roadrunner.FunctionSpec{Name: fmt.Sprintf("f%d", i), Node: node})
 			}
-			fns[i] = deploy(t, p, roadrunner.FunctionSpec{Name: fmt.Sprintf("f%d", i), Node: node})
-		}
-		return p, fns
-	}
-	const n = 256 << 10
-	run := func(opts []roadrunner.TransferOption) roadrunner.Report {
-		p, fns := build()
-		ref, rep, err := p.ChainCtx(bg, n, fns, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum, err := fns[len(fns)-1].Checksum(ref)
-		if err != nil || sum != roadrunner.ExpectedChecksum(n) {
-			t.Fatalf("chain corrupted: %v", err)
-		}
-		return rep
-	}
-	pipelined := run(nil)
-	locked := run([]roadrunner.TransferOption{roadrunner.WithPhaseLocked(true)})
-
-	if pipelined.Usage.Syscalls != locked.Usage.Syscalls {
-		t.Fatalf("syscalls: pipelined %d != phase-locked %d", pipelined.Usage.Syscalls, locked.Usage.Syscalls)
-	}
-	if pipelined.Usage.TotalCopyBytes() != locked.Usage.TotalCopyBytes() {
-		t.Fatalf("copies: pipelined %d != phase-locked %d",
-			pipelined.Usage.TotalCopyBytes(), locked.Usage.TotalCopyBytes())
-	}
-	if locked.Breakdown.Overlap != 0 {
-		t.Fatalf("phase-locked chain reported overlap %v", locked.Breakdown.Overlap)
-	}
-	if pipelined.Breakdown.Overlap <= 0 {
-		t.Fatal("pipelined multi-chunk chain reported no overlap")
+			ref, rep, err := p.ChainCtx(bg, n, fns)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum, err := fns[len(fns)-1].Checksum(ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := roadrunner.ExpectedChecksum(n); sum != want {
+				t.Fatalf("checksum %#x, want %#x", sum, want)
+			}
+			if rep.Bytes != 3*n {
+				t.Fatalf("chain bytes = %d, want %d", rep.Bytes, 3*n)
+			}
+			if !tc.chunkWise {
+				if rep.Breakdown.Overlap != 0 {
+					t.Fatalf("single-write chain reported overlap %v", rep.Breakdown.Overlap)
+				}
+				return
+			}
+			if rep.Breakdown.Overlap <= 0 {
+				t.Fatalf("multi-chunk chain reported no overlap (%v)", rep.Breakdown.Overlap)
+			}
+			if rep.Breakdown.Total() <= 0 {
+				t.Fatalf("overlap %v swallowed the whole critical path", rep.Breakdown.Overlap)
+			}
+		})
 	}
 }
 

@@ -552,7 +552,6 @@ type transferConfig struct {
 	mode            Mode
 	flows           int
 	coldChannel     bool
-	phaseLocked     bool
 	perTargetFanout bool
 	sourceRef       *DataRef
 	srcInst         *Instance
@@ -600,18 +599,6 @@ func WithFlows(n int) TransferOption {
 // Disabling restores per-call setup and teardown — the cold-path ablation.
 func WithChannelCache(on bool) TransferOption {
 	return func(c *transferConfig) { c.coldChannel = !on }
-}
-
-// WithPhaseLocked selects (true) the pre-pipeline execution regime for this
-// transfer: both VM locks held for the whole operation and the source's
-// send phase run strictly before the target's receive phase. The default
-// (false) is the staged pipeline — each VM locked only for its own stage,
-// stages overlapped on separate goroutines. Phase-locked execution issues
-// the identical syscall and copy sequence (pipelining moves when work
-// happens, never how much) and exists as the ablation baseline for
-// pipelined-vs-phase-locked comparisons.
-func WithPhaseLocked(on bool) TransferOption {
-	return func(c *transferConfig) { c.phaseLocked = on }
 }
 
 // WithPerTargetFanout forces (true) a FanoutCtx (or plan Fan node) to deliver
@@ -842,7 +829,6 @@ func (p *Platform) transferResolved(si, di *Instance, cfg *transferConfig) (Data
 		ref, rep, err := core.KernelSpaceTransfer(si.inner, di.inner, core.KernelOptions{
 			Ctx:            cfg.ctx,
 			NoChannelCache: cfg.coldChannel,
-			PhaseLocked:    cfg.phaseLocked,
 			SourceRef:      srcRef,
 			Gates:          cfg.gates,
 		})
@@ -857,7 +843,6 @@ func (p *Platform) transferResolved(si, di *Instance, cfg *transferConfig) (Data
 			Link:           link,
 			Flows:          flows,
 			NoChannelCache: cfg.coldChannel,
-			PhaseLocked:    cfg.phaseLocked,
 			SourceRef:      srcRef,
 			Gates:          cfg.gates,
 		})
