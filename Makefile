@@ -22,16 +22,17 @@ test:
 	$(GO) test ./...
 
 ## race: the suite under the race detector (CI's test job), then the copy
-## path's packages and the root package's transfer, cancel and close tests
-## again at 1, 2 and 4 Ps — the windowed hand-off interleaves differently
-## when both stages share one P, its two direct hand-offs are scheduling
-## decisions, and tier-1 must not depend on the core count — and the
+## path's packages and the root package's transfer, cancel, close,
+## multicast and fan-out tests again at 1, 2 and 4 Ps — the windowed
+## hand-off interleaves differently when both stages share one P, its two
+## direct hand-offs are scheduling decisions, fan-out legs share the unicast
+## stage workers, and tier-1 must not depend on the core count — and the
 ## interpreter's packages, whose instances read one module's compiled code
 ## from different goroutines
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -cpu 1,2,4 ./internal/pagebuf ./internal/kernel ./internal/core
-	$(GO) test -race -cpu 1,2,4 -run 'Transfer|Cancel|Close' .
+	$(GO) test -race -cpu 1,2,4 -run 'Transfer|Cancel|Close|Multicast|Fanout' .
 	$(GO) test -race -count=3 ./internal/wasm ./internal/guest ./internal/abi
 
 ## fuzz-smoke: 20 s of each interpreter fuzz target (stdlib fuzzing, seed

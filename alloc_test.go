@@ -21,12 +21,16 @@ const (
 	allocCeilingPlanSubmit   = 20
 	allocCeilingPoolSubmit   = 0
 	// A warm same-node fan-out is one shared-egress multicast pass: the
-	// per-operation slices (channels, drains, refs, reports, configs), one
-	// drain goroutine and one drained reference run per target, and the one
-	// extent header of the tee pass (measured 77, +10 %). Its budget is per
-	// operation, not per target — the shared pass is what keeps it from
-	// scaling with N payload copies.
-	allocCeilingWarmFanout = 84
+	// per-operation slices (channels, legs, refs, reports, configs), one
+	// drained reference run per target — each leg runs on a pooled pipeline
+	// state and a parked stage worker — and the one extent header of the tee
+	// pass (measured 58, +10 %). Its budget is per operation, not per target
+	// — the shared pass is what keeps it from scaling with N payload copies.
+	allocCeilingWarmFanout = 64
+	// A warm multicast of one 1 MiB output to allocFanoutDegree same-node
+	// targets: the same pass without the produce and the worker-pool
+	// bookkeeping of a fan-out (measured 40, +10 %).
+	allocCeilingWarmMulticast = 44
 )
 
 // allocFanoutDegree sizes the fan-out ceiling probe: enough targets that a
@@ -36,6 +40,10 @@ const allocFanoutDegree = 8
 // allocBenchPayload keeps the ceiling measurements about per-operation
 // bookkeeping, not payload size: one simulated kernel page.
 const allocBenchPayload = 4 << 10
+
+// allocMulticastPayload is the multicast probe's payload, the benchmark's
+// mcast_8x1m shape: one hose chunk per leg.
+const allocMulticastPayload = 1 << 20
 
 // buildWarmPair deploys two single-replica functions — on one node, or on
 // two when dstNode differs — produces a payload-byte source output, and
@@ -149,6 +157,34 @@ func benchWarmFanout(b *testing.B) {
 	}
 }
 
+// benchWarmMulticast is the multicast's allocation probe: one source output
+// of allocMulticastPayload bytes, teed to allocFanoutDegree warm same-node
+// socketpairs per operation, each leg a pooled pipeline state on a parked
+// stage worker.
+func benchWarmMulticast(b *testing.B) {
+	p, src, targets := buildWarmFanout(b)
+	if err := src.Produce(allocMulticastPayload); err != nil {
+		b.Fatal(err)
+	}
+	cast := func() {
+		refs, _, err := p.MulticastCtx(bg, src, targets)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for k := range targets {
+			if err := targets[k].Release(refs[k]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	cast() // warm the channels at this payload size
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cast()
+	}
+}
+
 // benchPlanSubmit measures one single-Xfer plan through the DAG plane:
 // build, submit, wait, release. The plan plane's bookkeeping (plan, node,
 // job, result set) is its fixed per-operation budget.
@@ -198,9 +234,10 @@ func benchPoolSubmit(b *testing.B) {
 func BenchmarkAllocWarmKernelTransfer(b *testing.B) {
 	benchWarmTransfer("node", allocBenchPayload)(b)
 }
-func BenchmarkAllocWarmFanout(b *testing.B) { benchWarmFanout(b) }
-func BenchmarkAllocPlanSubmit(b *testing.B) { benchPlanSubmit(b) }
-func BenchmarkAllocPoolSubmit(b *testing.B) { benchPoolSubmit(b) }
+func BenchmarkAllocWarmFanout(b *testing.B)    { benchWarmFanout(b) }
+func BenchmarkAllocWarmMulticast(b *testing.B) { benchWarmMulticast(b) }
+func BenchmarkAllocPlanSubmit(b *testing.B)    { benchPlanSubmit(b) }
+func BenchmarkAllocPoolSubmit(b *testing.B)    { benchPoolSubmit(b) }
 
 // TestAllocCeilings pins allocs/op ceilings for the three hot paths and
 // fails on any increase — the in-tree half of the perf gate (cmd/perfgate
@@ -219,6 +256,7 @@ func TestAllocCeilings(t *testing.T) {
 	}{
 		{"warm-kernel-transfer", allocCeilingWarmTransfer, benchWarmTransfer("node", allocBenchPayload)},
 		{"warm-fanout", allocCeilingWarmFanout, benchWarmFanout},
+		{"warm-multicast", allocCeilingWarmMulticast, benchWarmMulticast},
 		{"plan-submit", allocCeilingPlanSubmit, benchPlanSubmit},
 		{"pool-submit", allocCeilingPoolSubmit, benchPoolSubmit},
 	}

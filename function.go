@@ -354,7 +354,6 @@ func (p *Platform) multicastCtx(ctx context.Context, src *Function, targets []*F
 	if err != nil {
 		return nil, nil, err
 	}
-	inner := make([]*core.Function, len(targets))
 	links := make([]*netsim.Link, len(targets))
 	chosen := make([]*Instance, len(targets))
 	for i, t := range targets {
@@ -392,7 +391,6 @@ func (p *Platform) multicastCtx(ctx context.Context, src *Function, targets []*F
 			return nil, nil, fmt.Errorf("multicast to %s: %w", t.Name(), ErrNoHealthyInstance)
 		}
 		chosen[i] = t.insts[j]
-		inner[i] = chosen[i].inner
 		if chosen[i].node != si.node {
 			links[i] = p.topo.LinkBetween(si.node, chosen[i].node)
 		}
@@ -404,17 +402,7 @@ func (p *Platform) multicastCtx(ctx context.Context, src *Function, targets []*F
 			flows[i] = cfg.flows
 		}
 	}
-	si.fn.route.Enter(si.index)
-	for _, di := range chosen {
-		di.fn.route.Enter(di.index)
-	}
-	defer func() {
-		si.fn.route.Exit(si.index)
-		for _, di := range chosen {
-			di.fn.route.Exit(di.index)
-		}
-	}()
-	refs, reps, err := core.MulticastTransfer(si.inner, inner, core.MulticastOptions{
+	refs, reps, err := castInstances(si, chosen, core.MulticastOptions{
 		Ctx:            cfg.ctx,
 		Links:          links,
 		Flows:          flows,
@@ -425,12 +413,43 @@ func (p *Platform) multicastCtx(ctx context.Context, src *Function, targets []*F
 	if err != nil {
 		return nil, nil, err
 	}
-	outRefs := make([]DataRef, len(refs))
 	for i := range refs {
-		outRefs[i] = DataRef{Ptr: refs[i].Ptr, Len: refs[i].Len}
 		targets[i].setActive(chosen[i])
 	}
-	return outRefs, reps, nil
+	return refs, reps, nil
+}
+
+// castInstances runs one multicast from the source instance si to the
+// placed target instances chosen — the one path Cast and Fan nodes take
+// into the core. It brackets every endpoint's routing load around the
+// transfer and feeds each landed leg into both endpoints' health FSMs, as
+// every other delivery does; legs are never retried (they share one tee
+// pass, DESIGN.md §8). Placement stays with the callers.
+func castInstances(si *Instance, chosen []*Instance, opts core.MulticastOptions) ([]DataRef, []Report, error) {
+	inner := make([]*core.Function, len(chosen))
+	for i, di := range chosen {
+		inner[i] = di.inner
+	}
+	si.fn.route.Enter(si.index)
+	for _, di := range chosen {
+		di.fn.route.Enter(di.index)
+	}
+	defer func() {
+		si.fn.route.Exit(si.index)
+		for _, di := range chosen {
+			di.fn.route.Exit(di.index)
+		}
+	}()
+	refs, reps, err := core.MulticastTransfer(si.inner, inner, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	out := make([]DataRef, len(refs))
+	for i := range refs {
+		out[i] = DataRef{Ptr: refs[i].Ptr, Len: refs[i].Len}
+		observeDelivery(si, chosen[i], reps[i], nil)
+	}
+	return out, reps, nil
 }
 
 // FanoutCtx produces an n-byte payload at a routed instance of src and
@@ -553,7 +572,7 @@ func (p *Platform) fanoutCtx(ctx context.Context, src *Function, targets []*Func
 		}
 	}
 	if len(group) > 0 {
-		if gerr := p.fanoutGroup(ctx, si, group, chosen, &base, out, refs, reports); gerr != nil {
+		if gerr := fanoutGroup(ctx, si, group, chosen, &base, out, refs, reports); gerr != nil {
 			// The tee group fails atomically (one shared pass). A
 			// cancellation fails the whole fan-out; an instance fault falls
 			// back to the per-target path, whose retry-with-exclusion
@@ -597,28 +616,18 @@ func (p *Platform) fanoutCtx(ctx context.Context, src *Function, targets []*Func
 }
 
 // fanoutGroup delivers the fan-out's co-located targets through one
-// shared-egress multicast tee pass reading the pinned source region once,
-// filling refs and reports at the group's indices and feeding each landed
-// leg into the health observer. The group either lands whole or returns an
-// error having released everything it allocated (MulticastTransfer's own
-// failure contract), so the caller can retry its members individually.
-func (p *Platform) fanoutGroup(ctx context.Context, si *Instance, group []int, chosen []*Instance, base *transferConfig, out DataRef, refs []DataRef, reports []Report) error {
-	inner := make([]*core.Function, len(group))
+// shared-egress multicast tee pass (castInstances) reading the pinned source
+// region once, filling refs and reports at the group's indices. The group
+// either lands whole or returns an error having released everything it
+// allocated (MulticastTransfer's own failure contract), so the caller can
+// retry its members individually.
+func fanoutGroup(ctx context.Context, si *Instance, group []int, chosen []*Instance, base *transferConfig, out DataRef, refs []DataRef, reports []Report) error {
+	members := make([]*Instance, len(group))
 	for k, i := range group {
-		inner[k] = chosen[i].inner
+		members[k] = chosen[i]
 	}
-	si.fn.route.Enter(si.index)
-	for _, i := range group {
-		chosen[i].fn.route.Enter(chosen[i].index)
-	}
-	defer func() {
-		si.fn.route.Exit(si.index)
-		for _, i := range group {
-			chosen[i].fn.route.Exit(chosen[i].index)
-		}
-	}()
 	srcRef := out
-	coreRefs, reps, err := core.MulticastTransfer(si.inner, inner, core.MulticastOptions{
+	groupRefs, reps, err := castInstances(si, members, core.MulticastOptions{
 		Ctx:            ctx,
 		NoChannelCache: base.coldChannel,
 		SourceRef:      coreSourceRef(&srcRef),
@@ -628,9 +637,7 @@ func (p *Platform) fanoutGroup(ctx context.Context, si *Instance, group []int, c
 		return err
 	}
 	for k, i := range group {
-		refs[i] = DataRef{Ptr: coreRefs[k].Ptr, Len: coreRefs[k].Len}
-		reports[i] = reps[k]
-		observeDelivery(si, chosen[i], reports[i], nil)
+		refs[i], reports[i] = groupRefs[k], reps[k]
 	}
 	return nil
 }

@@ -282,9 +282,10 @@ func (s *Shim) acquireChannel(dst *Shim, kind chanKind) (*channel, bool, error) 
 	return c, false, nil
 }
 
-// acquireTransferChannel is the shared entry of the unicast transfer paths:
-// it acquires (or, perCall, freshly establishes) the channel, measures the
-// cold establishment time and charges it to src as kernel CPU. The caller
+// acquireTransferChannel is the channel entry of every transfer path (each
+// unicast transfer, each multicast leg): it acquires (or, perCall, freshly
+// establishes) the channel, measures the cold establishment time and
+// charges it to src as kernel CPU. The caller
 // must pair it with releaseTransferChannel on every exit path, passing the
 // transfer's outcome. Cached channels come back pinned; release unpins
 // them. (An explicit release call, not a returned closure: allocating a

@@ -76,8 +76,8 @@ func TestStripedDrainUsesBothDepositors(t *testing.T) {
 		if _, err := fa.CallPacked(guest.ExportProduce, uint64(tc.n)); err != nil {
 			t.Fatal(err)
 		}
-		spec := pipelineSpec{mode: "network", kind: chanNetwork, src: fa, dst: fb, chunkBytes: hose, ops: spy}
-		ref, rep, err := runPipeline(&spec)
+		spec := pipelineSpec{mode: "network", kind: chanNetwork, src: fa, dst: fb, chunkBytes: hose}
+		ref, rep, err := runPipeline(&spec, spy)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,10 +2,8 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/metrics"
@@ -40,18 +38,6 @@ type MulticastOptions struct {
 	Gates *PipelineGates
 }
 
-// errEgressAborted is a multicast target stage's result when the source pass
-// failed before announcing the payload size; the source's error is the one
-// reported.
-var errEgressAborted = errors.New("core: source stage aborted before announcing output")
-
-// multicastDrain is one target stage's outcome.
-type multicastDrain struct {
-	ref InboundRef
-	m   stageMetrics
-	err error
-}
-
 // MulticastTransfer delivers the source's output to several targets from a
 // single pass over the virtual data hose — an extension of Algorithm 1 for
 // the paper's fan-out pattern (§6.4). Instead of re-running the source
@@ -71,10 +57,14 @@ type multicastDrain struct {
 // hose; an all-local fan-out creates a per-call hose pipe instead, closed
 // (and drained) by the transfer itself.
 //
-// Like the unicast paths, the fan-out runs as a staged pipeline: the source
-// VM is locked only for the tee pass, and each target drains its own
-// channel under its own VM lock, all targets in parallel, overlapping the
-// source pass.
+// The fan-out is the staged pipeline of pipeline.go with one egress and N
+// ingress stages: the source VM is locked only for the tee pass, whose
+// announce dispatches every target's leg (receiveLeg) onto a stage worker,
+// and each leg drains its own channel under its own VM lock, all legs in
+// parallel, overlapping the source pass. A source that fails before
+// announcing dispatched no leg and leaves every channel pristine and warm;
+// once legs run, any failure destroys all channels and the join reports the
+// stage that failed first, as runPipeline does.
 func MulticastTransfer(src *Function, dsts []*Function, opts MulticastOptions) ([]InboundRef, []metrics.TransferReport, error) {
 	if len(dsts) == 0 {
 		return nil, nil, fmt.Errorf("core: multicast requires targets")
@@ -86,12 +76,12 @@ func MulticastTransfer(src *Function, dsts []*Function, opts MulticastOptions) (
 		return nil, nil, fmt.Errorf("core: multicast got %d flow counts for %d targets", len(opts.Flows), len(dsts))
 	}
 	srcShim := src.shim
-	local := make([]bool, len(dsts))
+	dstShims := make([]*Shim, len(dsts))
 	for i, dst := range dsts {
 		if dst.shim == srcShim {
 			return nil, nil, ErrSameVM
 		}
-		local[i] = dst.shim.Kernel() == srcShim.Kernel()
+		dstShims[i] = dst.shim
 	}
 	chanKindFor := func(ds *Shim) chanKind {
 		if ds.Kernel() == srcShim.Kernel() {
@@ -107,10 +97,6 @@ func MulticastTransfer(src *Function, dsts []*Function, opts MulticastOptions) (
 	// (distinctBySeq), which keeps overlapping multicasts from one source
 	// deadlock-free. They are taken before any VM lock, per the pipeline's
 	// lock order.
-	dstShims := make([]*Shim, len(dsts))
-	for i, dst := range dsts {
-		dstShims[i] = dst.shim
-	}
 	for _, ds := range distinctBySeq(dstShims) {
 		m := srcShim.pairLock(ds, chanKindFor(ds))
 		m.Lock()
@@ -126,21 +112,26 @@ func MulticastTransfer(src *Function, dsts []*Function, opts MulticastOptions) (
 		beforeDst[i] = dst.shim.acct.Snapshot()
 	}
 
-	// One channel per target, cached per shim pair like the unicast paths:
+	// One channel per target through the unicast acquire/release helpers:
 	// connection + target hose for cross-node targets, the IPC socketpair
 	// for same-node ones. Two targets inside one shim would collide on the
-	// pair's cached channel, so duplicates of an already acquired shim fall
-	// back to per-call channels. The first cross-node channel's source hose
+	// pair's cached channel, so duplicates of an already acquired shim get
+	// ephemeral channels. The first cross-node channel's source hose
 	// doubles as the shared multicast hose.
-	swSetup := metrics.NewStopwatch(srcShim.now)
 	chans := make([]*channel, len(dsts))
 	setups := make([]time.Duration, len(dsts))
+	legs := make([]*pipelineState, len(dsts))
 	seen := make(map[*Shim]bool, len(dsts))
-	healthy := false
-	dataStarted := false
+	healthy, announced := false, false
 	hoseR, hoseW := -1, -1
 	ownHose := false
 	defer func() {
+		// Every dispatched leg has been joined by now.
+		for _, st := range legs {
+			if st != nil {
+				putPipelineState(st)
+			}
+		}
 		if ownHose {
 			// The per-call hose always tears down — control-plane closes are
 			// never fault-intercepted, and closing the read end drains any
@@ -148,115 +139,68 @@ func MulticastTransfer(src *Function, dsts []*Function, opts MulticastOptions) (
 			_ = srcShim.proc.Close(hoseW)
 			_ = srcShim.proc.Close(hoseR)
 		}
+		// A failure before the announce left every channel pristine; after
+		// it, any channel may hold stranded pages.
 		for _, c := range chans {
-			if c == nil {
-				continue
-			}
-			c.unpin()
-			// Ephemeral (per-call or duplicate-shim) channels always tear
-			// down. Cached ones are destroyed only when the transfer failed
-			// after payload started moving — then any channel may hold
-			// stranded pages; failures before the first vmsplice leave all
-			// channels pristine and warm.
-			if !c.cached || (!healthy && dataStarted) {
-				c.destroy()
+			if c != nil {
+				releaseTransferChannel(c, !c.cached, healthy || !announced)
 			}
 		}
 	}()
 	for i, dst := range dsts {
-		var hit bool
-		var err error
 		kind := chanKindFor(dst.shim)
-		if opts.NoChannelCache || seen[dst.shim] {
+		ephemeral := opts.NoChannelCache || seen[dst.shim]
+		if ephemeral && kind == chanNetwork && hoseR >= 0 {
 			// Ephemeral channels skip the source hose except for the first
 			// cross-node one, which supplies the fan-out's shared tee hose —
 			// per-call multicast then issues exactly the pre-cache trace:
 			// one source hose plus connection + target hose per target.
-			if kind == chanNetwork && hoseR >= 0 {
-				kind = chanNetworkTarget
-			}
-			chans[i], err = establishChannel(srcShim, dst.shim, kind)
-		} else {
-			// acquireChannel returns the channel pinned, shielding it from
-			// eviction by this fan-out's own later acquisitions (and by
-			// concurrent transfers of other pairs) until the deferred unpin.
-			chans[i], hit, err = srcShim.acquireChannel(dst.shim, kind)
+			kind = chanNetworkTarget
 		}
+		c, setup, err := acquireTransferChannel(srcShim, dst.shim, kind, ephemeral)
 		if err != nil {
 			return nil, nil, fmt.Errorf("multicast channel to %s: %w", dst.name, err)
 		}
+		chans[i], setups[i] = c, setup
 		seen[dst.shim] = true
-		if hoseR < 0 && chans[i].kind == chanNetwork {
-			hoseR, hoseW = chans[i].rfd, chans[i].wfd
-		}
-		if !hit {
-			setups[i] = swSetup.Lap()
-		} else {
-			swSetup.Lap()
+		if hoseR < 0 && c.kind == chanNetwork {
+			hoseR, hoseW = c.rfd, c.wfd
 		}
 	}
 	if hoseR < 0 {
 		// All targets are same-node: no network channel supplies a source
 		// hose, so the tee pass runs over a per-call pipe owned (and always
-		// closed) by this transfer — see the deferred teardown above.
+		// closed) by this transfer — see the deferred teardown above. Its
+		// establishment is charged once, and reported with the first leg.
+		sw := metrics.NewStopwatch(srcShim.now)
 		hoseR, hoseW = srcShim.proc.PipeSized(srcShim.hoseCap)
 		ownHose = true
-		setups[0] += swSetup.Lap()
+		lap := sw.Lap()
+		srcShim.acct.CPU(metrics.Kernel, lap)
+		setups[0] += lap
 	}
-	var setupTotal time.Duration
-	for _, d := range setups {
-		setupTotal += d
+	for i, dst := range dsts {
+		st := statePool.Get().(*pipelineState)
+		st.spec = pipelineSpec{ctx: opts.Ctx, gates: opts.Gates, dst: dst, ops: receiveLeg{}}
+		st.ch = chans[i]
+		legs[i] = st
 	}
-	srcShim.acct.CPU(metrics.Kernel, setupTotal)
 
-	// Target stages: spawned before the source pass so the drains overlap
-	// it, each waiting for the announced output size. Targets sharing a
-	// shim serialize naturally on its VM lock. Same-node targets drain their
-	// socketpair end directly; cross-node ones run the Algorithm 1 ingress
-	// over their target hose.
+	// Source stage under the source VM lock alone: locate + zero-copy view
+	// (Wasm IO), the announce that dispatches every leg, then the single tee
+	// pass over the shared hose.
 	var (
 		out       OutputRef
 		srcWasmIO time.Duration
 		sendT     time.Duration
-		announced bool
 	)
-	ready := make(chan struct{})
-	drains := make([]multicastDrain, len(dsts))
-	var wg sync.WaitGroup
-	for i, dst := range dsts {
-		wg.Add(1)
-		go func(i int, dst *Function) {
-			defer wg.Done()
-			<-ready
-			if !announced {
-				drains[i].err = errEgressAborted
-				return
-			}
-			if opts.Gates != nil && opts.Gates.BeforeIngress != nil {
-				opts.Gates.BeforeIngress()
-			}
-			// Stage-boundary cancellation point: this target's share of the
-			// payload is on the wire, no VM lock held.
-			if err := CtxErr(opts.Ctx); err != nil {
-				drains[i].err = err
-				return
-			}
-			ds := dst.shim
-			ds.mu.Lock()
-			drains[i].ref, drains[i].m, drains[i].err = receiveLeg(dst, chans[i], out.Len, opts.Ctx)
-			ds.mu.Unlock()
-		}(i, dst)
-	}
-
-	// Source stage under the source VM lock alone: locate + zero-copy view
-	// (Wasm IO), then the single tee pass over the shared hose.
-	srcShim.mu.Lock()
-	outFD := func(i int) int {
-		if local[i] {
-			return chans[i].fdA
+	outFD := func(c *channel) int {
+		if c.kind == chanKernel {
+			return c.fdA
 		}
-		return chans[i].cfd
+		return c.cfd
 	}
+	srcShim.mu.Lock()
 	eerr := func() error {
 		swIO := metrics.NewStopwatch(srcShim.now)
 		o, err := src.sourceOutput(opts.SourceRef)
@@ -270,29 +214,28 @@ func MulticastTransfer(src *Function, dsts []*Function, opts MulticastOptions) (
 		out = o
 		srcWasmIO = swIO.Lap()
 		srcShim.acct.CPU(metrics.User, srcWasmIO)
+		for _, st := range legs {
+			st.announce(out) // legs drain while the chunks below still flow
+		}
 		announced = true
-		close(ready) // drains start while the chunks below are still flowing
 
 		// Single hose, chunk-by-chunk: tee to all but the last target,
 		// splice to the last.
 		swT := metrics.NewStopwatch(srcShim.now)
-		dataStarted = true
+		last := len(dsts) - 1
 		for off := 0; off < len(view); {
 			if err := CtxErr(opts.Ctx); err != nil {
 				return err
 			}
-			chunk := len(view) - off
-			if chunk > srcShim.hoseCap {
-				chunk = srcShim.hoseCap
-			}
+			chunk := min(len(view)-off, srcShim.hoseCap)
 			if _, err := srcShim.proc.Vmsplice(hoseW, view[off:off+chunk]); err != nil {
 				return fmt.Errorf("multicast vmsplice: %w", err)
 			}
-			for i := 0; i < len(dsts)-1; i++ {
+			for i, c := range chans[:last] {
 				// tee(2) does not consume the pipe, so one call covers the
 				// whole (fully queued) chunk; a short clone would duplicate
 				// its prefix again and must be treated as a fault.
-				n, err := srcShim.proc.Tee(hoseR, outFD(i), chunk)
+				n, err := srcShim.proc.Tee(hoseR, outFD(c), chunk)
 				if err != nil {
 					return fmt.Errorf("multicast tee to %s: %w", dsts[i].name, err)
 				}
@@ -300,9 +243,8 @@ func MulticastTransfer(src *Function, dsts []*Function, opts MulticastOptions) (
 					return fmt.Errorf("multicast tee to %s: short clone %d of %d", dsts[i].name, n, chunk)
 				}
 			}
-			last := len(dsts) - 1
 			for moved := 0; moved < chunk; {
-				n, err := srcShim.proc.Splice(hoseR, outFD(last), chunk-moved)
+				n, err := srcShim.proc.Splice(hoseR, outFD(chans[last]), chunk-moved)
 				if err != nil {
 					return fmt.Errorf("multicast splice to %s: %w", dsts[last].name, err)
 				}
@@ -316,121 +258,123 @@ func MulticastTransfer(src *Function, dsts []*Function, opts MulticastOptions) (
 	}()
 	srcShim.mu.Unlock()
 	if !announced {
-		close(ready)
-	}
-	// releaseLanded hands back deliveries that completed before the fan-out
-	// failed, so an aborted (e.g. cancelled) multicast doesn't strand
-	// regions in the fast targets' heaps. Descending-pointer order releases
-	// duplicate targets of one VM LIFO, each under its own VM lock.
-	releaseLanded := func() {
-		idx := make([]int, 0, len(drains))
-		for i := range drains {
-			if drains[i].err == nil && drains[i].ref.Len > 0 {
-				idx = append(idx, i)
-			}
-		}
-		sort.Slice(idx, func(a, b int) bool { return drains[idx[a]].ref.Ptr > drains[idx[b]].ref.Ptr })
-		for _, i := range idx {
-			ds := dsts[i].shim
-			ds.mu.Lock()
-			_ = dsts[i].view.Deallocate(drains[i].ref.Ptr)
-			ds.mu.Unlock()
-		}
-	}
-	if eerr != nil {
-		if dataStarted {
-			// Some drains may be blocked on sockets that will never fill;
-			// poisoning the channels unblocks them (the deferred cleanup
-			// destroys them again — destroy is idempotent).
-			for _, c := range chans {
-				if c != nil {
-					c.destroy()
-				}
-			}
-		}
-		wg.Wait()
-		releaseLanded()
 		return nil, nil, eerr
 	}
-
-	wg.Wait()
-	for i, d := range drains {
-		if d.err != nil {
-			releaseLanded()
-			return nil, nil, fmt.Errorf("multicast receive at %s: %w", dsts[i].name, d.err)
+	// A failing leg destroys its channel, which fails the tee pass with a
+	// symptom (bad descriptor, broken pipe): a leg whose failure was flagged
+	// before the egress failed has the cause.
+	cause := -1
+	if eerr != nil {
+		for i, st := range legs {
+			if st.ingressFailed.Load() {
+				cause = i
+				break
+			}
+		}
+		// Legs may be blocked on channels that will never fill; poisoning
+		// the channels unblocks them (the deferred release destroys them
+		// again — destroy is idempotent).
+		for _, c := range chans {
+			c.destroy()
 		}
 	}
-
-	srcUsage := srcShim.acct.Snapshot().Sub(beforeSrc)
-	// The source-side cost is shared across targets.
-	perTargetSend := sendT / time.Duration(len(dsts))
-	linkShare := make(map[*netsim.Link]int, len(dsts))
-	if opts.Links != nil {
-		for _, l := range opts.Links {
-			linkShare[l]++
-		}
-	}
-
+	// The join: without a source failure the first failed leg reports.
 	refs := make([]InboundRef, len(dsts))
+	var legErr error
+	for i, st := range legs {
+		ires := st.awaitIngress()
+		refs[i] = ires.ref
+		if ires.err != nil && legErr == nil && (eerr == nil || i == cause) {
+			legErr = fmt.Errorf("multicast receive at %s: %w", dsts[i].name, ires.err)
+		}
+	}
+	if legErr != nil {
+		eerr = legErr
+	}
+	if eerr != nil {
+		return nil, nil, releaseLanded(dsts, refs, eerr)
+	}
+
+	// The source-side cost is shared across targets: each leg's report
+	// carries an equal share of the tee pass and of the source's Wasm IO as
+	// its egress stage, with the source's usage attributed once, to the
+	// first leg.
+	srcUsage := srcShim.acct.Snapshot().Sub(beforeSrc)
+	srcShare := stageMetrics{
+		transfer: sendT / time.Duration(len(dsts)),
+		wasmIO:   srcWasmIO / time.Duration(len(dsts)),
+	}
+	linkShare := make(map[*netsim.Link]int, len(dsts))
+	for _, l := range opts.Links {
+		linkShare[l]++
+	}
 	reports := make([]metrics.TransferReport, len(dsts))
-	for i, dst := range dsts {
-		refs[i] = drains[i].ref
-		usage := dst.shim.acct.Snapshot().Sub(beforeDst[i])
+	for i, st := range legs {
+		sp := &st.spec
+		sp.src, sp.mode = src, "kernel-multicast"
+		if chans[i].kind != chanKernel {
+			sp.mode = "network-multicast"
+		}
+		if opts.Links != nil && opts.Links[i] != nil {
+			sp.link, sp.flows = opts.Links[i], linkShare[opts.Links[i]]
+			if opts.Flows != nil && opts.Flows[i] > 0 {
+				sp.flows = opts.Flows[i]
+			}
+		}
+		// Legs deal no chunks to the caller, so the pipeline depth is set
+		// only now, for the overlap credit: the shared tee pass feeds each
+		// target's wire and drain chunk by chunk.
+		sp.chunkBytes = srcShim.hoseCap
+		usage := dsts[i].shim.acct.Snapshot().Sub(beforeDst[i])
 		if i == 0 {
 			usage = usage.Add(srcUsage) // attribute source work once
 		}
-		dm := drains[i].m
-		bd := metrics.Breakdown{
-			Setup:    setups[i],
-			Transfer: dm.transfer + perTargetSend + srcShim.Kernel().SyscallTime(usage.Syscalls),
-			WasmIO:   dm.wasmIO + srcWasmIO/time.Duration(len(dsts)),
-		}
-		if opts.Links != nil && opts.Links[i] != nil {
-			flows := 0
-			if opts.Flows != nil {
-				flows = opts.Flows[i]
-			}
-			if flows <= 0 {
-				flows = linkShare[opts.Links[i]]
-			}
-			bd.Network = opts.Links[i].TransferTime(int64(out.Len), flows)
-		}
-		// Per-target chunk pipeline: the source's shared tee pass feeds this
-		// target's wire and drain chunk by chunk.
-		srcShare := perTargetSend + srcWasmIO/time.Duration(len(dsts))
-		bd.Overlap = modeledOverlap(hoseChunks(out, srcShim.hoseCap), srcShare, bd.Network, dm.activity())
-		mode := "network-multicast"
-		if local[i] {
-			mode = "kernel-multicast"
-		}
-		reports[i] = metrics.TransferReport{
-			Bytes:     int64(out.Len),
-			Breakdown: bd,
-			Usage:     usage,
-			Mode:      mode,
-		}
+		reports[i] = assembleReport(sp, out, setups[i], srcShare, st.im, usage)
 	}
 	healthy = true
 	return refs, reports, nil
 }
 
-// receiveLeg runs one target's ingress of a fan-out over ch. A cross-node
-// leg is the target half of Algorithm 1: socket → target hose → linear
-// memory. A same-node leg pops the teed page references straight off its
-// socketpair end (the socketpair IS the channel — no target hose) into
-// linear memory, the single user-space copy the kernel path allows. Callers
-// hold the target's VM lock. Descriptors stay open — teardown belongs to the
-// channel's lifecycle, not the transfer. ctx (nil = never cancelled) is
-// polled at every chunk boundary.
-func receiveLeg(dst *Function, ch *channel, n uint32, ctx context.Context) (InboundRef, stageMetrics, error) {
-	var m stageMetrics
-	dstPtr, wv, err := ingressRegion(dst, n, &m)
+// releaseLanded hands back the legs that landed before a fan-out failed with
+// err, so an aborted (e.g. cancelled) multicast doesn't strand regions in the
+// fast targets' heaps; a failed leg's ref is zero, its ingress already
+// rewound. Descending-pointer order releases duplicate targets of one VM
+// LIFO, each under its own VM lock. It returns err.
+func releaseLanded(dsts []*Function, refs []InboundRef, err error) error {
+	idx := make([]int, 0, len(refs))
+	for i := range refs {
+		if refs[i].Len > 0 {
+			idx = append(idx, i)
+		}
+	}
+	sort.Slice(idx, func(a, b int) bool { return refs[idx[a]].Ptr > refs[idx[b]].Ptr })
+	for _, i := range idx {
+		ds := dsts[i].shim
+		ds.mu.Lock()
+		_ = dsts[i].view.Deallocate(refs[i].Ptr)
+		ds.mu.Unlock()
+	}
+	return err
+}
+
+// receiveLeg is a fan-out target's ingress stage, run by runIngress under
+// the target's VM lock like every other ingress. A cross-node leg is the
+// target half of Algorithm 1: socket → target hose → linear memory. A
+// same-node leg pops the teed page references straight off its socketpair
+// end (the socketpair IS the channel — no target hose) into linear memory,
+// the single user-space copy the kernel path allows. The leg drains alone:
+// the caller joins N legs, so it deals no chunks to the caller's goroutine.
+// Descriptors stay open — teardown belongs to the channel's lifecycle.
+type receiveLeg struct{}
+
+func (receiveLeg) ingress(st *pipelineState, out OutputRef) (InboundRef, error) {
+	f := st.spec.dst
+	dstPtr, wv, err := ingressRegion(f, out.Len, &st.im)
 	if err != nil {
-		return InboundRef{}, m, err
+		return InboundRef{}, err
 	}
-	if err := drainHose(dst.shim, ctx, wv, ch, &m, nil); err != nil {
-		ref, err := ingressAbort(dst, dstPtr, err)
-		return ref, m, err
+	if err := drainHose(f.shim, st.spec.ctx, wv, st.ch, &st.im, nil); err != nil {
+		return ingressAbort(f, dstPtr, err)
 	}
-	return InboundRef{Ptr: dstPtr, Len: n}, m, nil
+	return InboundRef{Ptr: dstPtr, Len: out.Len}, nil
 }

@@ -90,12 +90,11 @@ func NetworkTransfer(src, dst *Function, opts NetworkOptions) (InboundRef, metri
 		flows:      opts.Flows,
 		chunkBytes: chunkBytes,
 		sourceRef:  opts.SourceRef,
-		ops:        networkOps{},
 
 		forceCopy:      opts.ForceCopyPath,
 		serializeFirst: opts.SerializeFirst,
 	}
-	return runPipeline(&spec)
+	return runPipeline(&spec, networkOps{})
 }
 
 // hoseChunks is the number of hose-sized chunks a payload crosses in.

@@ -4,7 +4,9 @@
 // the target's linear memory (ingress), assemble usage and breakdown — and
 // this file owns that skeleton. The per-mode files (transfer.go, network.go)
 // contribute only the two stage bodies, as stateless stageOps
-// implementations; multicast.go orchestrates its fan-out itself.
+// implementations; a multicast (multicast.go) is one egress — the tee pass —
+// whose announce dispatches one ingress stage (receiveLeg) per target onto
+// the same stage workers, joined leg by leg.
 //
 // Concurrency model (DESIGN.md §3): each VM lock is scoped to its stage, so
 // a chain's interior VMs are never locked while the other endpoint works:
@@ -141,24 +143,29 @@ func modeledOverlap(k int, e, w, i time.Duration) time.Duration {
 	return (e + w + i - longest) * time.Duration(k-1) / time.Duration(k)
 }
 
-// stageOps is one transfer mode's pair of stage bodies. Implementations are
-// stateless zero-size types (kernelOps, networkOps): everything a stage
-// needs rides in the pipelineState, so storing an implementation in a spec
-// allocates nothing.
-type stageOps interface {
-	// egress runs under the source VM lock: resolve the output region,
-	// announce it via st.announce (which dispatches the target stage), push
-	// the payload into st.ch. It calls st.announce exactly once, before the
-	// first byte moves — unless it fails first, touching nothing.
-	egress(st *pipelineState) (OutputRef, error)
+// ingressOps is a target-stage body, all runIngress needs. Implementations
+// are stateless zero-size types (kernelOps, networkOps, receiveLeg):
+// everything a stage needs rides in the pipelineState, so storing an
+// implementation in a spec allocates nothing.
+type ingressOps interface {
 	// ingress runs under the target VM lock: drain st.ch into the
 	// target's linear memory and return the delivered region.
 	ingress(st *pipelineState, out OutputRef) (InboundRef, error)
 }
 
+// stageOps is a unicast mode's pair of stage bodies, run by runPipeline.
+type stageOps interface {
+	ingressOps
+	// egress runs under the source VM lock: resolve the output region,
+	// announce it via st.announce (which dispatches the target stage), push
+	// the payload into st.ch. It calls st.announce exactly once, before the
+	// first byte moves — unless it fails first, touching nothing.
+	egress(st *pipelineState) (OutputRef, error)
+}
+
 // pipelineSpec describes one staged cross-sandbox transfer. The engine owns
 // locking, channel lifecycle, stage scheduling and report assembly; ops
-// carries the mode-specific stage bodies, and the remaining fields are the
+// carries the mode-specific ingress body, and the remaining fields are the
 // union of the modes' knobs (a plain value struct keeps the spec free of
 // per-call closures).
 type pipelineSpec struct {
@@ -178,7 +185,7 @@ type pipelineSpec struct {
 	// (DESIGN.md §3), so their modeled latency stays the sum of the laps.
 	chunkBytes int
 	sourceRef  *OutputRef // pinned source region (see UserOptions.SourceRef)
-	ops        stageOps
+	ops        ingressOps // the target-stage body runIngress runs
 
 	// Network-mode knobs (see NetworkOptions).
 	forceCopy      bool
@@ -370,7 +377,8 @@ func (f *Function) sourceOutput(pinned *OutputRef) (OutputRef, error) {
 	return f.locateQuiet()
 }
 
-// runPipeline executes a staged transfer. Stage scheduling:
+// runPipeline executes a staged transfer with the stage pair ops. Stage
+// scheduling:
 //
 //	caller goroutine:  pair lock → channel → [src lock: egress … announce … push] → deposit dealt chunks → join
 //	stage worker:                                          └→ [dst lock: ingress, dealing hose chunks]
@@ -379,7 +387,7 @@ func (f *Function) sourceOutput(pinned *OutputRef) (OutputRef, error) {
 // announcing dispatched none, never touched the channel, and returns its own
 // error with the channel released healthy. The pair lock is the only lock
 // held across stages; VM locks never nest.
-func runPipeline(spec *pipelineSpec) (InboundRef, metrics.TransferReport, error) {
+func runPipeline(spec *pipelineSpec, ops stageOps) (InboundRef, metrics.TransferReport, error) {
 	srcShim, dstShim := spec.src.shim, spec.dst.shim
 	pl := srcShim.pairLock(dstShim, spec.kind)
 	pl.Lock()
@@ -399,12 +407,13 @@ func runPipeline(spec *pipelineSpec) (InboundRef, metrics.TransferReport, error)
 
 	st := statePool.Get().(*pipelineState)
 	st.spec = *spec
+	st.spec.ops = ops
 	st.ch = ch
 
 	// Source stage, inline, under the source VM lock alone; its announce
 	// dispatches the target stage.
 	srcShim.mu.Lock()
-	_, eerr := spec.ops.egress(st)
+	_, eerr := ops.egress(st)
 	srcShim.mu.Unlock()
 	if !st.announced {
 		putPipelineState(st)

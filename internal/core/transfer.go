@@ -280,7 +280,6 @@ func KernelSpaceTransfer(src, dst *Function, opts KernelOptions) (InboundRef, me
 		src:       src,
 		dst:       dst,
 		sourceRef: opts.SourceRef,
-		ops:       kernelOps{},
 	}
-	return runPipeline(&spec)
+	return runPipeline(&spec, kernelOps{})
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	roadrunner "github.com/polaris-slo-cloud/roadrunner-go"
+	"github.com/polaris-slo-cloud/roadrunner-go/internal/wasm"
 )
 
 // TestChainMultiChunkOverlap: a four-function chain whose payload spans
@@ -200,6 +201,109 @@ func TestMulticastRejectsForcedMode(t *testing.T) {
 	// ModeNetwork and ModeAuto are both fine.
 	if _, _, err := p.MulticastCtx(bg, src, []*roadrunner.Function{dst}, roadrunner.WithMode(roadrunner.ModeNetwork)); err != nil {
 		t.Fatalf("explicit network multicast: %v", err)
+	}
+}
+
+// TestMulticastLegsFeedHealth: a multicast leg is a delivery like any other,
+// so a landed leg moves its target's health FSM exactly as a successful Xfer
+// does. One instance-fault strike leaves the target Suspect; a successful
+// Xfer clears it, and so must a successful multicast (legs are observed,
+// never retried).
+func TestMulticastLegsFeedHealth(t *testing.T) {
+	p := newPlatform(t)
+	src := deploy(t, p, roadrunner.FunctionSpec{Name: "src", Node: "edge"})
+	dst := deploy(t, p, roadrunner.FunctionSpec{Name: "dst", Node: "edge"})
+	inst := dst.Instance(0)
+	const n = 64 << 10
+	if err := src.Produce(n); err != nil {
+		t.Fatal(err)
+	}
+	strike := func() {
+		t.Helper()
+		inst.Crash()
+		if _, _, err := p.TransferCtx(bg, src, dst); !errors.Is(err, roadrunner.ErrNoHealthyInstance) {
+			t.Fatalf("transfer into the crashed only replica = %v, want ErrNoHealthyInstance", err)
+		}
+		inst.Recover()
+		if got := inst.Health(); got != roadrunner.HealthSuspect {
+			t.Fatalf("after one strike Health = %v, want suspect", got)
+		}
+	}
+
+	strike()
+	ref, _, err := p.TransferCtx(bg, src, dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.Release(ref); err != nil {
+		t.Fatal(err)
+	}
+	afterXfer := inst.Health()
+	if afterXfer == roadrunner.HealthSuspect {
+		t.Fatalf("a successful Xfer left the struck target suspect")
+	}
+
+	strike()
+	refs, _, err := p.MulticastCtx(bg, src, []*roadrunner.Function{dst})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.Release(refs[0]); err != nil {
+		t.Fatal(err)
+	}
+	if got := inst.Health(); got != afterXfer {
+		t.Fatalf("after a successful multicast Health = %v, want %v as after a successful Xfer", got, afterXfer)
+	}
+}
+
+// TestMulticastFailureBeforeAnnounce pins the fan-out's pre-announce
+// contract: a source stage that fails before announcing its output — here a
+// pinned source region beyond the guest's linear memory — dispatches no leg
+// and touches no channel. The multicast returns that cause, descriptors,
+// pool pages and residency stay at baseline, and every target's channel
+// stays warm: the next multicast to the same targets is all cache hits.
+func TestMulticastFailureBeforeAnnounce(t *testing.T) {
+	p := newPlatform(t)
+	nodes := []string{"edge", "cloud"}
+	src := deploy(t, p, roadrunner.FunctionSpec{Name: "src", Node: "edge"})
+	targets := []*roadrunner.Function{
+		deploy(t, p, roadrunner.FunctionSpec{Name: "near", Node: "edge"}),
+		deploy(t, p, roadrunner.FunctionSpec{Name: "far", Node: "cloud"}),
+	}
+	const n = 256 << 10
+	cast := func() {
+		t.Helper()
+		if err := src.Produce(n); err != nil {
+			t.Fatal(err)
+		}
+		refs, _, err := p.MulticastCtx(bg, src, targets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, tgt := range targets {
+			if sum, err := tgt.Checksum(refs[i]); err != nil || sum != roadrunner.ExpectedChecksum(n) {
+				t.Fatalf("target %d checksum %#x (%v)", i, sum, err)
+			}
+			if err := tgt.Release(refs[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	cast() // caches both targets' channels
+	fns := append([]*roadrunner.Function{src}, targets...)
+	base := snapshotBaselines(t, p, nodes, fns...)
+
+	leg := roadrunner.TestingWithGates(func() { t.Error("a leg ran for a source that never announced") })
+	_, _, err := p.MulticastCtx(bg, src, targets, roadrunner.WithSourceRef(roadrunner.DataRef{Ptr: 1 << 31, Len: 4096}), leg)
+	if !errors.Is(err, wasm.TrapOutOfBounds) {
+		t.Fatalf("error = %v, want the source's out-of-bounds view", err)
+	}
+	assertBaselines(t, p, nodes, base, fns...)
+
+	stats := p.ChannelStats()
+	cast()
+	if got := p.ChannelStats(); got.Hits != stats.Hits+int64(len(targets)) || got.Misses != stats.Misses {
+		t.Fatalf("channel stats %+v after the failure, %+v after one more multicast: want %d hits", stats, got, len(targets))
 	}
 }
 
