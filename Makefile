@@ -117,7 +117,10 @@ lint:
 ## loc: non-test, non-testdata, non-vendor Go lines per top-level package
 ## dir, and for the lint gate as a whole — the "net LoC per PR" figure
 ## ROADMAP.md asks every PR to report — then the root package's exported
-## surface (functions + methods in `go doc -all .`)
+## surface (functions + methods in `go doc -all .`) and the knob count: the
+## settable values a caller can turn (the root package's With* constructors,
+## the exported fields of internal/core's *Options and ShimConfig structs and
+## of wasi.Host, all from `go doc -all`)
 loc:
 	@count() { find "$$@" -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './vendor/*' -print0 | xargs -0 cat | wc -l; }; \
 	printf '%7d  %s\n' "$$(count . -maxdepth 1)" "(root package)"; \
@@ -125,6 +128,10 @@ loc:
 	printf '%7d  %s\n' "$$(count internal/analysis cmd/roadvet)" "internal/analysis + cmd/roadvet"; \
 	printf '%7d  %s\n' "$$(count internal/wasm/compile.go internal/wasm/exec.go)" "internal/wasm compile.go + exec.go (1207 before the register-form IR, PR 17)"; \
 	printf '%7d  %s\n' "$$($(GO) doc -all . | grep -cE '^func |^    func ')" "exported functions + methods of the root package"
+	@printf '%7d  %s\n' "$$( { $(GO) doc -all . | grep -E '^func With'; \
+		$(GO) doc -all ./internal/core | awk '/^type [A-Za-z]*(Options|ShimConfig) struct/ {f=1; next} /^}/ {f=0} f && /^\t[A-Z]/'; \
+		$(GO) doc -all ./internal/wasi | awk '/^type Host struct/ {f=1; next} /^}/ {f=0} f && /^\t[A-Z]/'; } | wc -l)" \
+		"settable values: root With* + internal/core *Options/ShimConfig fields + wasi.Host fields"
 
 ## staticcheck: static-analysis gate (CI's lint job; needs the binary or network)
 staticcheck:

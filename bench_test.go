@@ -1,8 +1,8 @@
 // Benchmarks regenerating the paper's evaluation artifacts as testing.B
-// targets, one group per table/figure, plus the ablation benches called out
-// in DESIGN.md §5. The per-op metric corresponds to one data transfer (or
-// one cold start for Fig. 2a). Payloads are bench-scaled; use
-// cmd/roadrunner-bench -full for the paper's axes.
+// targets, one group per table/figure, plus end-to-end workflow benches. The
+// per-op metric corresponds to one data transfer (or one cold start for
+// Fig. 2a). Payloads are bench-scaled; use cmd/roadrunner-bench -full for the
+// paper's axes.
 package roadrunner_test
 
 import (
@@ -14,7 +14,6 @@ import (
 
 	roadrunner "github.com/polaris-slo-cloud/roadrunner-go"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/baseline"
-	"github.com/polaris-slo-cloud/roadrunner-go/internal/core"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/guest"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/kernel"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/netsim"
@@ -266,109 +265,6 @@ func benchmarkFanout(b *testing.B, degree int, remote bool) {
 
 func BenchmarkFig9FanoutIntra8(b *testing.B)  { benchmarkFanout(b, 8, false) }
 func BenchmarkFig10FanoutInter8(b *testing.B) { benchmarkFanout(b, 8, true) }
-
-// ---- Ablations (DESIGN.md §5) ------------------------------------------------------
-
-// newNetworkPair builds a two-node Roadrunner deployment at the core layer,
-// where the ablation switches live.
-func newNetworkPair(b *testing.B) (*core.Function, *core.Function, func()) {
-	b.Helper()
-	k1, k2 := kernel.New("edge"), kernel.New("cloud")
-	wf := core.Workflow{Name: "bench", Tenant: "bench"}
-	s1, err := core.NewShim(core.ShimConfig{Name: "s1", Workflow: wf, Kernel: k1, Module: guest.Module()})
-	if err != nil {
-		b.Fatal(err)
-	}
-	s2, err := core.NewShim(core.ShimConfig{Name: "s2", Workflow: wf, Kernel: k2, Module: guest.Module()})
-	if err != nil {
-		b.Fatal(err)
-	}
-	fa, err := s1.AddFunction("a")
-	if err != nil {
-		b.Fatal(err)
-	}
-	fb, err := s2.AddFunction("b")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := fa.CallPacked(guest.ExportProduce, uint64(benchPayload)); err != nil {
-		b.Fatal(err)
-	}
-	return fa, fb, func() { s1.Close(); s2.Close() }
-}
-
-func benchNetworkTransfer(b *testing.B, opts core.NetworkOptions) {
-	fa, fb, cleanup := newNetworkPair(b)
-	defer cleanup()
-	b.SetBytes(benchPayload)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ref, _, err := core.NetworkTransfer(fa, fb, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := fb.Deallocate(ref.Ptr); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationZeroCopyHose vs BenchmarkAblationCopyHose quantify the
-// near-zero-copy win: identical path, page-reference movement vs plain
-// write/read copies.
-func BenchmarkAblationZeroCopyHose(b *testing.B) {
-	benchNetworkTransfer(b, core.NetworkOptions{})
-}
-
-func BenchmarkAblationCopyHose(b *testing.B) {
-	benchNetworkTransfer(b, core.NetworkOptions{ForceCopyPath: true})
-}
-
-// BenchmarkAblationSerializeFirst re-enables the in-guest codec on
-// Roadrunner's network path, quantifying the serialization-free win.
-func BenchmarkAblationSerializeFirst(b *testing.B) {
-	benchNetworkTransfer(b, core.NetworkOptions{SerializeFirst: true})
-}
-
-// BenchmarkAblationWASIStaging quantifies the WASI staging copy's share of
-// the WasmEdge baseline (DisableStagingCopy removes it).
-func BenchmarkAblationWASIStaging(b *testing.B) {
-	for _, disable := range []bool{false, true} {
-		name := "staging-on"
-		if disable {
-			name = "staging-off"
-		}
-		b.Run(name, func(b *testing.B) {
-			k := kernel.New("node")
-			src, err := baseline.NewWasmEdgeFunction("a", k, guest.Module(), nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			dst, err := baseline.NewWasmEdgeFunction("b", k, guest.Module(), nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer src.Close()
-			defer dst.Close()
-			src.WASI().DisableStagingCopy = disable
-			dst.WASI().DisableStagingCopy = disable
-			if err := src.Produce(benchPayload); err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(benchPayload)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ptr, _, _, err := src.Transfer(dst, baseline.TransferEnv{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := dst.Release(ptr); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
 
 // ---- End-to-end workflow benches ----------------------------------------------------
 

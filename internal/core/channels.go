@@ -30,7 +30,9 @@ const (
 // queued through it any more once both ends are there.
 const kernelSendWindow = 4 * pagebuf.SlabSize
 
-// chanKind distinguishes the two persistent-hose flavors.
+// chanKind distinguishes the channel flavors: the same-node socketpair, the
+// cross-node channel of Algorithm 1, and a multicast's receive-only variant
+// of the latter.
 type chanKind uint8
 
 const (
@@ -39,11 +41,6 @@ const (
 	// chanNetwork is the cross-node channel: a TCP-like connection plus the
 	// source and target virtual-data-hose pipes of Algorithm 1.
 	chanNetwork
-	// chanNetworkCopy is the connection-only variant the ForceCopyPath
-	// ablation uses: plain write/read needs no hose pipes, and creating
-	// them anyway would inflate the copy-path baseline's setup cost and
-	// FD footprint.
-	chanNetworkCopy
 	// chanNetworkTarget is connection + target hose, without a source
 	// hose: the ephemeral channels of a multicast's secondary targets,
 	// which receive through their own hose but send through the shared
@@ -128,8 +125,6 @@ func establishChannel(src, dst *Shim, kind chanKind) (*channel, error) {
 		c.cfd, c.sfd = kernel.Connect(src.proc, dst.proc)
 		c.rfd, c.wfd = src.proc.PipeSized(src.hoseCap)
 		c.trfd, c.twfd = dst.proc.PipeSized(dst.hoseCap)
-	case chanNetworkCopy:
-		c.cfd, c.sfd = kernel.Connect(src.proc, dst.proc)
 	case chanNetworkTarget:
 		c.cfd, c.sfd = kernel.Connect(src.proc, dst.proc)
 		c.trfd, c.twfd = dst.proc.PipeSized(dst.hoseCap)
@@ -172,9 +167,6 @@ func (c *channel) closeFDs() {
 		_ = c.src.proc.Close(c.cfd)
 		_ = c.dst.proc.Close(c.trfd)
 		_ = c.dst.proc.Close(c.twfd)
-		_ = c.dst.proc.Close(c.sfd)
-	case chanNetworkCopy:
-		_ = c.src.proc.Close(c.cfd)
 		_ = c.dst.proc.Close(c.sfd)
 	case chanNetworkTarget:
 		_ = c.src.proc.Close(c.cfd)

@@ -386,17 +386,14 @@ func TestTransferErrorPathsConserveFDsAndPages(t *testing.T) {
 				_, _, err := core.KernelSpaceTransfer(fa, fb, core.KernelOptions{})
 				return err
 			}}
-		case "network", "network-copy", "network-uncached":
+		case "network", "network-uncached":
 			k1, k2 := kernel.New("edge"), kernel.New("cloud")
 			s1, s2 := mkShim("s1", k1), mkShim("s2", k2)
 			fa, fb := addFn(t, s1, "a"), addFn(t, s2, "b")
 			if _, err := fa.CallPacked(guest.ExportProduce, uint64(n)); err != nil {
 				t.Fatal(err)
 			}
-			opts := core.NetworkOptions{
-				ForceCopyPath:  mode == "network-copy",
-				NoChannelCache: mode == "network-uncached",
-			}
+			opts := core.NetworkOptions{NoChannelCache: mode == "network-uncached"}
 			return &faultEnv{kernels: []*kernel.Kernel{k1, k2}, shims: []*core.Shim{s1, s2}, run: func() error {
 				_, _, err := core.NetworkTransfer(fa, fb, opts)
 				return err
@@ -428,7 +425,7 @@ func TestTransferErrorPathsConserveFDsAndPages(t *testing.T) {
 		}
 	}
 
-	for _, mode := range []string{"kernel", "network", "network-copy", "network-uncached", "multicast"} {
+	for _, mode := range []string{"kernel", "network", "network-uncached", "multicast"} {
 		mode := mode
 		t.Run(mode, func(t *testing.T) {
 			// Pass 1: count the data-plane ops of a successful transfer.

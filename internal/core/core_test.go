@@ -214,8 +214,8 @@ func TestNetworkTransfer(t *testing.T) {
 	if report.Breakdown.Network < 150_000_000 || report.Breakdown.Network > 170_000_000 {
 		t.Fatalf("network time = %v", report.Breakdown.Network)
 	}
-	if link.Carried() != n {
-		t.Fatalf("link carried %d", link.Carried())
+	if want := link.TransferTime(n, 1); report.Breakdown.Network != want {
+		t.Fatalf("network time = %v, want the link's %v", report.Breakdown.Network, want)
 	}
 }
 
@@ -307,47 +307,39 @@ func TestNetworkTransferValidations(t *testing.T) {
 	}
 }
 
-func TestNetworkTransferCopyPathAblation(t *testing.T) {
-	k1, k2 := kernel.New("n1"), kernel.New("n2")
+// TestNetworkReportsNoSerialization: the cross-node paths move the guest's
+// bytes as they are — cold, warm, per-call and multicast alike, a report
+// carries exactly the payload and no codec time.
+func TestNetworkReportsNoSerialization(t *testing.T) {
+	k1, k2 := kernel.New("edge"), kernel.New("cloud")
 	s1, s2 := newShim(t, "s1", k1), newShim(t, "s2", k2)
 	fa, fb := addFn(t, s1, "a"), addFn(t, s2, "b")
-
-	const n = 1_000_000
-	if _, err := fa.CallPacked(guest.ExportProduce, uint64(n)); err != nil {
-		t.Fatal(err)
-	}
-	ref, report, err := core.NetworkTransfer(fa, fb, core.NetworkOptions{ForceCopyPath: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	verifyDelivery(t, fb, ref, n)
-	// Copy path: payload crosses user→kernel and kernel→user.
-	if report.Usage.KernelCopyBytes != 2*n {
-		t.Fatalf("kernel copies = %d, want %d", report.Usage.KernelCopyBytes, 2*n)
-	}
-}
-
-func TestNetworkTransferSerializeAblation(t *testing.T) {
-	k1, k2 := kernel.New("n1"), kernel.New("n2")
-	s1, s2 := newShim(t, "s1", k1), newShim(t, "s2", k2)
-	fa, fb := addFn(t, s1, "a"), addFn(t, s2, "b")
-
 	const n = 200_000
 	if _, err := fa.CallPacked(guest.ExportProduce, uint64(n)); err != nil {
 		t.Fatal(err)
 	}
-	ref, report, err := core.NetworkTransfer(fa, fb, core.NetworkOptions{SerializeFirst: true})
+	check := func(name string, ref core.InboundRef, report metrics.TransferReport) {
+		t.Helper()
+		verifyDelivery(t, fb, ref, n)
+		if report.Breakdown.Serialization != 0 || report.Bytes != n {
+			t.Fatalf("%s: serialization = %v, bytes = %d; want 0, %d", name, report.Breakdown.Serialization, report.Bytes, n)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		opts core.NetworkOptions
+	}{{"cold", core.NetworkOptions{}}, {"warm", core.NetworkOptions{}}, {"uncached", core.NetworkOptions{NoChannelCache: true}}} {
+		ref, report, err := core.NetworkTransfer(fa, fb, c.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(c.name, ref, report)
+	}
+	refs, reports, err := core.MulticastTransfer(fa, []*core.Function{fb}, core.MulticastOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	verifyDelivery(t, fb, ref, n)
-	if report.Breakdown.Serialization <= 0 {
-		t.Fatal("serialization ablation did not measure codec time")
-	}
-	// Serialized bytes on the wire exceed the raw payload.
-	if report.Bytes <= n {
-		t.Fatalf("wire bytes = %d, want > %d", report.Bytes, n)
-	}
+	check("multicast", refs[0], reports[0])
 }
 
 func TestSendToHostRegistersOutput(t *testing.T) {

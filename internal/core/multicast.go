@@ -106,25 +106,51 @@ func MulticastTransfer(src *Function, dsts []*Function, opts MulticastOptions) (
 	if err := CtxErr(opts.Ctx); err != nil {
 		return nil, nil, err
 	}
+	// Usage is snapshotted once per distinct target shim, and a shim's delta
+	// is reported with its first leg (first maps each shim to that leg), as
+	// the source's is with leg 0: a VM holding two legs is counted once.
 	beforeSrc := srcShim.acct.Snapshot()
 	beforeDst := make([]metrics.Usage, len(dsts))
-	for i, dst := range dsts {
-		beforeDst[i] = dst.shim.acct.Snapshot()
+	first := make(map[*Shim]int, len(dsts))
+	for i, ds := range dstShims {
+		if _, ok := first[ds]; !ok {
+			first[ds] = i
+			beforeDst[i] = ds.acct.Snapshot()
+		}
 	}
 
 	// One channel per target through the unicast acquire/release helpers:
 	// connection + target hose for cross-node targets, the IPC socketpair
 	// for same-node ones. Two targets inside one shim would collide on the
-	// pair's cached channel, so duplicates of an already acquired shim get
-	// ephemeral channels. The first cross-node channel's source hose
-	// doubles as the shared multicast hose.
+	// pair's cached channel, so every leg but a shim's first gets an
+	// ephemeral channel. The first cross-node channel's source hose doubles
+	// as the shared multicast hose.
 	chans := make([]*channel, len(dsts))
 	setups := make([]time.Duration, len(dsts))
 	legs := make([]*pipelineState, len(dsts))
-	seen := make(map[*Shim]bool, len(dsts))
-	healthy, announced := false, false
+	announced, released := false, false
 	hoseR, hoseW := -1, -1
 	ownHose := false
+	// release tears the fan-out's channels down, once. The per-call hose
+	// always closes — control-plane closes are never fault-intercepted, and
+	// closing the read end drains any pages a failed tee pass stranded back
+	// to their pool. A failure before the announce left every channel
+	// pristine; after it, any channel may hold stranded pages.
+	release := func(healthy bool) {
+		if released {
+			return
+		}
+		released = true
+		if ownHose {
+			_ = srcShim.proc.Close(hoseW)
+			_ = srcShim.proc.Close(hoseR)
+		}
+		for _, c := range chans {
+			if c != nil {
+				releaseTransferChannel(c, !c.cached, healthy)
+			}
+		}
+	}
 	defer func() {
 		// Every dispatched leg has been joined by now.
 		for _, st := range legs {
@@ -132,24 +158,11 @@ func MulticastTransfer(src *Function, dsts []*Function, opts MulticastOptions) (
 				putPipelineState(st)
 			}
 		}
-		if ownHose {
-			// The per-call hose always tears down — control-plane closes are
-			// never fault-intercepted, and closing the read end drains any
-			// pages a failed tee pass stranded back to their pool.
-			_ = srcShim.proc.Close(hoseW)
-			_ = srcShim.proc.Close(hoseR)
-		}
-		// A failure before the announce left every channel pristine; after
-		// it, any channel may hold stranded pages.
-		for _, c := range chans {
-			if c != nil {
-				releaseTransferChannel(c, !c.cached, healthy || !announced)
-			}
-		}
+		release(!announced)
 	}()
 	for i, dst := range dsts {
 		kind := chanKindFor(dst.shim)
-		ephemeral := opts.NoChannelCache || seen[dst.shim]
+		ephemeral := opts.NoChannelCache || first[dst.shim] != i
 		if ephemeral && kind == chanNetwork && hoseR >= 0 {
 			// Ephemeral channels skip the source hose except for the first
 			// cross-node one, which supplies the fan-out's shared tee hose —
@@ -162,7 +175,6 @@ func MulticastTransfer(src *Function, dsts []*Function, opts MulticastOptions) (
 			return nil, nil, fmt.Errorf("multicast channel to %s: %w", dst.name, err)
 		}
 		chans[i], setups[i] = c, setup
-		seen[dst.shim] = true
 		if hoseR < 0 && c.kind == chanNetwork {
 			hoseR, hoseW = c.rfd, c.wfd
 		}
@@ -295,6 +307,11 @@ func MulticastTransfer(src *Function, dsts []*Function, opts MulticastOptions) (
 		return nil, nil, releaseLanded(dsts, refs, eerr)
 	}
 
+	// Tear down before the usage snapshot, as runPipeline releases before
+	// its own: the closes of the per-call hose and of ephemeral channels are
+	// part of the transfer the reports account for.
+	release(true)
+
 	// The source-side cost is shared across targets: each leg's report
 	// carries an equal share of the tee pass and of the source's Wasm IO as
 	// its egress stage, with the source's usage attributed once, to the
@@ -325,13 +342,15 @@ func MulticastTransfer(src *Function, dsts []*Function, opts MulticastOptions) (
 		// only now, for the overlap credit: the shared tee pass feeds each
 		// target's wire and drain chunk by chunk.
 		sp.chunkBytes = srcShim.hoseCap
-		usage := dsts[i].shim.acct.Snapshot().Sub(beforeDst[i])
+		var usage metrics.Usage
+		if ds := dsts[i].shim; first[ds] == i {
+			usage = ds.acct.Snapshot().Sub(beforeDst[i])
+		}
 		if i == 0 {
 			usage = usage.Add(srcUsage) // attribute source work once
 		}
 		reports[i] = assembleReport(sp, out, setups[i], srcShare, st.im, usage)
 	}
-	healthy = true
 	return refs, reports, nil
 }
 

@@ -9,6 +9,7 @@ import (
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/core"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/guest"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/kernel"
+	"github.com/polaris-slo-cloud/roadrunner-go/internal/metrics"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/netsim"
 )
 
@@ -374,5 +375,72 @@ func TestKernelTeeSemantics(t *testing.T) {
 	}
 	if _, err := p.Tee(rfd, w2, 0); !errors.Is(err, kernel.ErrInvalid) {
 		t.Fatalf("tee n=0 = %v", err)
+	}
+}
+
+// TestMulticastReportsSumToAccounts: a fan-out's reports add up to what its
+// accounts charged. The per-call hose's closes and the ephemeral channels'
+// teardown belong to some leg's report, and a VM holding two legs is counted
+// once, not once per leg. Cold (first call, channels established) and warm,
+// for distinct same-node targets and for a set with two targets in one VM.
+func TestMulticastReportsSumToAccounts(t *testing.T) {
+	const n = 1 << 20
+	for _, c := range []struct {
+		name   string
+		shared bool // the last two targets live in one VM
+	}{{"distinct", false}, {"shared-vm", true}} {
+		t.Run(c.name, func(t *testing.T) {
+			k := kernel.New("edge")
+			sSrc := newShim(t, "src", k)
+			src := addFn(t, sSrc, "src")
+			shims := []*core.Shim{sSrc}
+			dsts := make([]*core.Function, 8)
+			for i := range dsts {
+				if c.shared && i == len(dsts)-1 {
+					dsts[i] = addFn(t, shims[len(shims)-1], fmt.Sprintf("t%d", i))
+					continue
+				}
+				sd := newShim(t, fmt.Sprintf("s%d", i), k)
+				shims = append(shims, sd)
+				dsts[i] = addFn(t, sd, fmt.Sprintf("t%d", i))
+			}
+			if _, err := src.CallPacked(guest.ExportProduce, n); err != nil {
+				t.Fatal(err)
+			}
+			for _, phase := range []string{"cold", "warm"} {
+				t.Run(phase, func(t *testing.T) {
+					var want metrics.Usage
+					before := make([]metrics.Usage, len(shims))
+					for i, s := range shims {
+						before[i] = s.Account().Snapshot()
+					}
+					refs, reports, err := core.MulticastTransfer(src, dsts, core.MulticastOptions{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i, s := range shims {
+						want = want.Add(s.Account().Snapshot().Sub(before[i]))
+					}
+					var got metrics.Usage
+					for i, r := range reports {
+						verifyDelivery(t, dsts[i], refs[i], n)
+						got = got.Add(r.Usage)
+					}
+					if got.UserCopyBytes != want.UserCopyBytes || got.Syscalls != want.Syscalls {
+						t.Fatalf("reports sum to %d user copy bytes / %d syscalls, accounts charged %d / %d",
+							got.UserCopyBytes, got.Syscalls, want.UserCopyBytes, want.Syscalls)
+					}
+					if want.UserCopyBytes != int64(len(dsts))*n {
+						t.Fatalf("accounts charged %d user copy bytes for %d deliveries of %d", want.UserCopyBytes, len(dsts), n)
+					}
+					// Release LIFO, so the shared VM's bump heap rewinds.
+					for i := len(dsts) - 1; i >= 0; i-- {
+						if err := dsts[i].Deallocate(refs[i].Ptr); err != nil {
+							t.Fatal(err)
+						}
+					}
+				})
+			}
+		})
 	}
 }

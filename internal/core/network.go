@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"github.com/polaris-slo-cloud/roadrunner-go/internal/guest"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/metrics"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/netsim"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/pagebuf"
@@ -23,14 +22,6 @@ type NetworkOptions struct {
 	// Flows is the number of concurrent flows sharing the link
 	// (fan-out degree); values < 1 mean 1.
 	Flows int
-	// ForceCopyPath disables vmsplice/splice and moves the payload with
-	// plain write/read syscalls — the ablation quantifying the
-	// near-zero-copy win in isolation (DESIGN.md §5.1).
-	ForceCopyPath bool
-	// SerializeFirst re-enables the codec inside the guest before
-	// transmission — the ablation quantifying the serialization-free win
-	// (DESIGN.md §5.2).
-	SerializeFirst bool
 	// NoChannelCache forces per-call channel establishment and teardown
 	// (connection + hose pipes created and closed around every transfer —
 	// the pre-cache behavior, kept as the cold-path ablation). By default
@@ -63,6 +54,9 @@ type NetworkOptions struct {
 // it (reported as Breakdown.Setup), and warm transfers issue zero
 // connect/pipe syscalls. Teardown moves from per-call close_all to channel
 // eviction and shim Close; NoChannelCache restores the per-call behavior.
+// That is the only variant: the copies and the serialization Algorithm 1
+// avoids are measured by the runC and WasmEdge baselines (DESIGN.md §5),
+// never by switching them back on here.
 func NetworkTransfer(src, dst *Function, opts NetworkOptions) (InboundRef, metrics.TransferReport, error) {
 	if src.shim == dst.shim {
 		return InboundRef{}, metrics.TransferReport{}, ErrSameVM
@@ -70,17 +64,9 @@ func NetworkTransfer(src, dst *Function, opts NetworkOptions) (InboundRef, metri
 	if src.shim.Kernel() == dst.shim.Kernel() {
 		return InboundRef{}, metrics.TransferReport{}, ErrSameNode
 	}
-	kind := chanNetwork
-	chunkBytes := src.shim.hoseCap
-	if opts.ForceCopyPath {
-		kind = chanNetworkCopy // plain write/read needs no hose pipes
-		// The copy-path ablation moves the payload as one write/read
-		// exchange and gets no chunk pipelining.
-		chunkBytes = 0
-	}
 	spec := pipelineSpec{
 		mode:       "network",
-		kind:       kind,
+		kind:       chanNetwork,
 		perCall:    opts.NoChannelCache,
 		ctx:        opts.Ctx,
 		gates:      opts.Gates,
@@ -88,11 +74,8 @@ func NetworkTransfer(src, dst *Function, opts NetworkOptions) (InboundRef, metri
 		dst:        dst,
 		link:       opts.Link,
 		flows:      opts.Flows,
-		chunkBytes: chunkBytes,
+		chunkBytes: src.shim.hoseCap,
 		sourceRef:  opts.SourceRef,
-
-		forceCopy:      opts.ForceCopyPath,
-		serializeFirst: opts.SerializeFirst,
 	}
 	return runPipeline(&spec, networkOps{})
 }
@@ -109,15 +92,15 @@ func hoseChunks(out OutputRef, hoseCap int) int {
 	return k
 }
 
-// networkOps is the network-mode stage pair; like kernelOps it is a
-// zero-size stateless type, with the mode's knobs (forceCopy,
-// serializeFirst) read from the spec.
+// networkOps is the network-mode stage pair, Algorithm 1's two halves; like
+// kernelOps it is a zero-size stateless type reading everything from the
+// pipelineState.
 type networkOps struct{}
 
 // egress is FunctionA's side of Algorithm 1 (lines 1-13): locate the
-// output region, optionally serialize (ablation), take the zero-copy view,
-// then vmsplice each chunk into the data hose and splice it onward into the
-// socket. Runs under the source VM lock.
+// output region, take the zero-copy view, then vmsplice each chunk into the
+// data hose and splice it onward into the socket. Runs under the source VM
+// lock.
 func (networkOps) egress(st *pipelineState) (OutputRef, error) {
 	sp := &st.spec
 	f := sp.src
@@ -134,17 +117,6 @@ func (networkOps) egress(st *pipelineState) (OutputRef, error) {
 	s.acct.CPU(metrics.User, locT)
 	st.em.wasmIO += locT
 
-	// Optional ablation: re-enable in-guest serialization.
-	if sp.serializeFirst {
-		swSer := metrics.NewStopwatch(s.now)
-		encOut, err := f.callPacked(guest.ExportSerialize, uint64(out.Ptr), uint64(out.Len))
-		if err != nil {
-			return OutputRef{}, fmt.Errorf("serialize ablation: %w", err)
-		}
-		st.em.serialization += swSer.Lap()
-		out = encOut
-	}
-
 	// read_memory_host: zero-copy view of the source region.
 	swIO2 := metrics.NewStopwatch(s.now)
 	view, err := f.view.ReadView(out.Ptr, out.Len)
@@ -157,9 +129,6 @@ func (networkOps) egress(st *pipelineState) (OutputRef, error) {
 	st.announce(out)
 
 	// network_data_transfer_source (Algorithm 1 lines 6-13).
-	if sp.forceCopy {
-		return out, copySend(s, ch.cfd, view, &st.em)
-	}
 	swT := metrics.NewStopwatch(s.now)
 	for off := 0; off < len(view); {
 		if err := CtxErr(sp.ctx); err != nil {
@@ -192,42 +161,20 @@ func (networkOps) egress(st *pipelineState) (OutputRef, error) {
 }
 
 // ingress is FunctionB's side of Algorithm 1 (lines 15-29): allocate
-// target memory, splice each chunk from the socket into the target hose and
-// deposit its pages into linear memory — the single unavoidable copy of the
-// near-zero-copy path — then optionally deserialize (ablation). Runs under
-// the target VM lock.
+// target memory, then splice each chunk from the socket into the target hose
+// and deposit its pages into linear memory — the single unavoidable copy of
+// the near-zero-copy path (network_data_transfer_target, lines 21-29). Runs
+// under the target VM lock.
 func (networkOps) ingress(st *pipelineState, out OutputRef) (InboundRef, error) {
-	sp := &st.spec
-	f := sp.dst
-	s := f.shim
-	ch := st.ch
-
+	f := st.spec.dst
 	dstPtr, wv, err := ingressRegion(f, out.Len, &st.im)
 	if err != nil {
 		return InboundRef{}, err
 	}
-
-	// network_data_transfer_target (Algorithm 1 lines 21-29).
-	if sp.forceCopy {
-		if err := copyRecv(s, sp.ctx, ch.sfd, wv, &st.im); err != nil {
-			return ingressAbort(f, dstPtr, err)
-		}
-	} else if err := drainHose(s, sp.ctx, wv, ch, &st.im, st); err != nil {
+	if err := drainHose(f.shim, st.spec.ctx, wv, st.ch, &st.im, st); err != nil {
 		return ingressAbort(f, dstPtr, err)
 	}
-
-	// Ablation follow-up: decode in the target guest.
-	resultRef := InboundRef{Ptr: dstPtr, Len: out.Len}
-	if sp.serializeFirst {
-		swDe := metrics.NewStopwatch(s.now)
-		decOut, err := f.callPacked(guest.ExportDeserialize, uint64(dstPtr), uint64(out.Len))
-		if err != nil {
-			return ingressAbort(f, dstPtr, fmt.Errorf("deserialize ablation: %w", err))
-		}
-		st.im.serialization += swDe.Lap()
-		resultRef = InboundRef{Ptr: decOut.Ptr, Len: decOut.Len}
-	}
-	return resultRef, nil
+	return InboundRef{Ptr: dstPtr, Len: out.Len}, nil
 }
 
 // drainHose is the receive loop every zero-copy ingress shares

@@ -110,14 +110,13 @@ type PipelineGates struct {
 
 // stageMetrics accumulates one stage's breakdown contributions.
 type stageMetrics struct {
-	wasmIO        time.Duration
-	transfer      time.Duration
-	serialization time.Duration
+	wasmIO   time.Duration
+	transfer time.Duration
 }
 
 // activity is the stage's total measured work.
 func (m stageMetrics) activity() time.Duration {
-	return m.wasmIO + m.transfer + m.serialization
+	return m.wasmIO + m.transfer
 }
 
 // modeledOverlap is the critical-path credit of a k-chunk staged transfer.
@@ -165,9 +164,9 @@ type stageOps interface {
 
 // pipelineSpec describes one staged cross-sandbox transfer. The engine owns
 // locking, channel lifecycle, stage scheduling and report assembly; ops
-// carries the mode-specific ingress body, and the remaining fields are the
-// union of the modes' knobs (a plain value struct keeps the spec free of
-// per-call closures).
+// carries the mode-specific ingress body, and the remaining fields are what
+// every mode shares — the modes have no knobs of their own (a plain value
+// struct keeps the spec free of per-call closures).
 type pipelineSpec struct {
 	mode     string // report mode tag
 	kind     chanKind
@@ -179,17 +178,13 @@ type pipelineSpec struct {
 	flows    int
 	// chunkBytes is the channel chunk size the payload crosses in — the
 	// pipeline depth for overlap attribution is ceil(len/chunkBytes).
-	// Zero means 1 chunk: no overlap is attributed. The copy paths leave
-	// it zero — their one write and one receive do interleave through the
-	// send window, but the modeled credit is not claimed for them yet
-	// (DESIGN.md §3), so their modeled latency stays the sum of the laps.
+	// Zero means 1 chunk: no overlap is attributed. The copy path leaves
+	// it zero — its one write and one receive do interleave through the
+	// send window, but the modeled credit is not claimed for it yet
+	// (DESIGN.md §3), so its modeled latency stays the sum of the laps.
 	chunkBytes int
 	sourceRef  *OutputRef // pinned source region (see UserOptions.SourceRef)
 	ops        ingressOps // the target-stage body runIngress runs
-
-	// Network-mode knobs (see NetworkOptions).
-	forceCopy      bool
-	serializeFirst bool
 }
 
 // chunks is the transfer's pipeline depth for a payload of out.Len bytes.
@@ -449,15 +444,14 @@ func runPipeline(spec *pipelineSpec, ops stageOps) (InboundRef, metrics.Transfer
 }
 
 // assembleReport folds both stages' measurements into the transfer report.
-// Modeled syscall mode-switch time joins the Transfer component as before;
-// Overlap is the modeled critical-path credit of the chunk pipeline.
+// Modeled syscall mode-switch time joins the Transfer component; Overlap is
+// the modeled critical-path credit of the chunk pipeline. Nothing on the data
+// plane serializes, so Serialization stays zero — only the baselines fill it.
 func assembleReport(spec *pipelineSpec, out OutputRef, setup time.Duration, em, im stageMetrics, usage metrics.Usage) metrics.TransferReport {
-	srcShim := spec.src.shim
 	bd := metrics.Breakdown{
-		Setup:         setup,
-		Transfer:      em.transfer + im.transfer + srcShim.Kernel().SyscallTime(usage.Syscalls),
-		Serialization: em.serialization + im.serialization,
-		WasmIO:        em.wasmIO + im.wasmIO,
+		Setup:    setup,
+		Transfer: em.transfer + im.transfer + spec.src.shim.Kernel().SyscallTime(usage.Syscalls),
+		WasmIO:   em.wasmIO + im.wasmIO,
 	}
 	if spec.link != nil {
 		bd.Network = spec.link.TransferTime(int64(out.Len), spec.flows)

@@ -54,8 +54,8 @@ func ingressRegion(f *Function, n uint32, m *stageMetrics) (uint32, []byte, erro
 	return dstPtr, wv, nil
 }
 
-// copySend is the copy path's send half, shared by kernel mode and the
-// ForceCopyPath ablation: one write(2) — one copy_from_user — of the source
+// copySend is the copy path's send half, kernel mode's (the network path
+// never copies on send): one write(2) — one copy_from_user — of the source
 // view into fd. On the kernel channel's sized socket the write queues up to
 // the send window ahead of the target stage and relays with it once it is
 // there, so this goroutine may spend part of the call copying into the

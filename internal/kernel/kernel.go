@@ -57,20 +57,12 @@ const (
 	DefaultSocketCap = 1 << 62
 )
 
-// CostModel carries the modeled (non-measured) per-operation costs. Only
-// mode-switch overhead is modeled; all data movement is measured for real.
-type CostModel struct {
-	// SyscallOverhead is charged per syscall as kernel CPU time; it
-	// models the user→kernel→user mode switch that a function call in
-	// this simulation does not pay. Linux syscall entry/exit costs are
-	// on the order of hundreds of nanoseconds.
-	SyscallOverhead time.Duration
-}
-
-// DefaultCostModel returns the calibration used by the experiments.
-func DefaultCostModel() CostModel {
-	return CostModel{SyscallOverhead: 400 * time.Nanosecond}
-}
+// SyscallOverhead is the modeled cost of one syscall, the only modeled
+// (non-measured) per-operation cost: all data movement is measured for real.
+// It stands for the user→kernel→user mode switch that a function call in
+// this simulation does not pay; Linux syscall entry/exit costs are on the
+// order of hundreds of nanoseconds.
+const SyscallOverhead = 400 * time.Nanosecond
 
 // Kernel is one simulated host kernel. Each cluster node has its own.
 type Kernel struct {
@@ -78,7 +70,6 @@ type Kernel struct {
 	pool *pagebuf.Pool
 
 	mu    sync.Mutex
-	costs CostModel
 	procs []*Proc
 
 	// kernel-wide fault injection hook (node-level failure), see
@@ -87,9 +78,9 @@ type Kernel struct {
 	faultFn func(op string) error
 }
 
-// New returns a kernel for the named node using the default cost model.
+// New returns a kernel for the named node.
 func New(name string) *Kernel {
-	return &Kernel{name: name, pool: pagebuf.NewPool(), costs: DefaultCostModel()}
+	return &Kernel{name: name, pool: pagebuf.NewPool()}
 }
 
 // Name returns the node name this kernel belongs to.
@@ -98,24 +89,11 @@ func (k *Kernel) Name() string { return k.name }
 // Pool exposes the kernel page pool (for residency metrics).
 func (k *Kernel) Pool() *pagebuf.Pool { return k.pool }
 
-// Costs returns the kernel's cost model.
-func (k *Kernel) Costs() CostModel {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.costs
-}
-
-// SetCosts replaces the cost model (used by ablation benchmarks).
-func (k *Kernel) SetCosts(c CostModel) {
-	k.mu.Lock()
-	k.costs = c
-	k.mu.Unlock()
-}
-
-// SyscallTime converts a syscall count into modeled mode-switch time; the
-// shim layers add it to the Transfer component of latency breakdowns.
+// SyscallTime converts a syscall count into modeled mode-switch time
+// (n × SyscallOverhead); the shim layers add it to the Transfer component of
+// latency breakdowns.
 func (k *Kernel) SyscallTime(n int64) time.Duration {
-	return time.Duration(n) * k.Costs().SyscallOverhead
+	return time.Duration(n) * SyscallOverhead
 }
 
 // NewProc creates a process on this kernel charging work to acct. A nil

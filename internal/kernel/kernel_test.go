@@ -296,12 +296,8 @@ func TestStreamAdapter(t *testing.T) {
 
 func TestSyscallTime(t *testing.T) {
 	k := New("n")
-	k.SetCosts(CostModel{SyscallOverhead: 100})
-	if got := k.SyscallTime(5); got != 500 {
-		t.Fatalf("syscall time = %v", got)
-	}
-	if k.Costs().SyscallOverhead != 100 {
-		t.Fatal("SetCosts not applied")
+	if got := k.SyscallTime(5); got != 5*SyscallOverhead {
+		t.Fatalf("syscall time = %v, want %v", got, 5*SyscallOverhead)
 	}
 }
 

@@ -42,14 +42,12 @@ func (b Bandwidth) String() string {
 }
 
 // Link is a point-to-point connection with fixed bandwidth and round-trip
-// time. The zero value is unusable; construct with NewLink.
+// time. It is immutable, so any number of transfers may model their wire
+// time on one Link concurrently. The zero value is unusable; construct with
+// NewLink.
 type Link struct {
 	bw  Bandwidth
 	rtt time.Duration
-
-	mu      sync.Mutex
-	active  int   // flows currently open
-	carried int64 // total payload bytes ever carried
 }
 
 // NewLink returns a link with the given bandwidth and round-trip time.
@@ -66,13 +64,6 @@ func (l *Link) Bandwidth() Bandwidth { return l.bw }
 // RTT reports the link's configured round-trip time.
 func (l *Link) RTT() time.Duration { return l.rtt }
 
-// Carried reports total payload bytes ever attributed to the link.
-func (l *Link) Carried() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.carried
-}
-
 // TransferTime models the wire time for moving `bytes` payload bytes while
 // `flows` identical flows share the link (flows < 1 is treated as 1):
 //
@@ -87,35 +78,8 @@ func (l *Link) TransferTime(bytes int64, flows int) time.Duration {
 	if bytes < 0 {
 		bytes = 0
 	}
-	l.mu.Lock()
-	l.carried += bytes
-	l.mu.Unlock()
 	wire := time.Duration(float64(bytes*8*int64(flows)) / float64(l.bw) * float64(time.Second))
 	return l.rtt + wire
-}
-
-// OpenFlow registers a live flow and returns its closer. Callers that do not
-// know their fan-out degree statically can use the live count via
-// ActiveFlows.
-func (l *Link) OpenFlow() func() {
-	l.mu.Lock()
-	l.active++
-	l.mu.Unlock()
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			l.mu.Lock()
-			l.active--
-			l.mu.Unlock()
-		})
-	}
-}
-
-// ActiveFlows reports the number of currently open flows.
-func (l *Link) ActiveFlows() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.active
 }
 
 // Topology describes the nodes of a simulated cluster and the links between
@@ -126,7 +90,7 @@ type Topology struct {
 	index    map[string]int
 	links    map[[2]int]*Link
 	fallback *Link // used for node pairs without an explicit link
-	loopback *Link
+	loopback *Link // fixed at construction
 }
 
 // DefaultLoopback mirrors in-memory loopback: effectively unconstrained
@@ -197,19 +161,8 @@ func (t *Topology) LinkBetween(a, b string) *Link {
 	return t.fallback
 }
 
-// Loopback returns the intra-node link.
-func (t *Topology) Loopback() *Link {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.loopback
-}
-
-// SetLoopback replaces the intra-node link (for ablations).
-func (t *Topology) SetLoopback(l *Link) {
-	t.mu.Lock()
-	t.loopback = l
-	t.mu.Unlock()
-}
+// Loopback returns the intra-node link, DefaultLoopback's.
+func (t *Topology) Loopback() *Link { return t.loopback }
 
 func edge(a, b int) [2]int {
 	if a > b {

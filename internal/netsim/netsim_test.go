@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -36,12 +37,25 @@ func TestTransferTimeDegenerateInputs(t *testing.T) {
 	}
 }
 
-func TestCarriedAccumulates(t *testing.T) {
-	l := NewLink(Gbps, 0)
-	l.TransferTime(100, 1)
-	l.TransferTime(200, 3)
-	if got := l.Carried(); got != 300 {
-		t.Fatalf("carried = %d", got)
+// TestTransferTimeConcurrent: a Link is shared by every transfer crossing
+// it, so concurrent callers (run under -race) must all see the same model.
+func TestTransferTimeConcurrent(t *testing.T) {
+	l := NewLink(100*Mbps, time.Millisecond)
+	want := l.TransferTime(1<<20, 4)
+	var wg sync.WaitGroup
+	got := make([]time.Duration, 64)
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = l.TransferTime(1<<20, 4)
+		}()
+	}
+	wg.Wait()
+	for i, d := range got {
+		if d != want {
+			t.Fatalf("goroutine %d: transfer time = %v, want %v", i, d, want)
+		}
 	}
 }
 
@@ -66,21 +80,6 @@ func TestNewLinkRejectsZeroBandwidth(t *testing.T) {
 		}
 	}()
 	NewLink(0, 0)
-}
-
-func TestOpenFlowTracking(t *testing.T) {
-	l := NewLink(Gbps, 0)
-	c1 := l.OpenFlow()
-	c2 := l.OpenFlow()
-	if got := l.ActiveFlows(); got != 2 {
-		t.Fatalf("active = %d", got)
-	}
-	c1()
-	c1() // idempotent
-	c2()
-	if got := l.ActiveFlows(); got != 0 {
-		t.Fatalf("active after close = %d", got)
-	}
 }
 
 func TestBandwidthString(t *testing.T) {
@@ -139,11 +138,10 @@ func TestTopologyAddNodeIdempotent(t *testing.T) {
 	}
 }
 
-func TestSetLoopback(t *testing.T) {
+func TestLinkBetweenSelfIsDefaultLoopback(t *testing.T) {
 	topo := NewTopology(nil)
-	slow := NewLink(Mbps, time.Second)
-	topo.SetLoopback(slow)
-	if topo.LinkBetween("x", "x") != slow {
-		t.Fatal("loopback override not used")
+	l := topo.LinkBetween("x", "x")
+	if l.Bandwidth() != 20*Gbps || l.RTT() != 50*time.Microsecond {
+		t.Fatalf("loopback = %v/%v, want 20Gbps/50µs", l.Bandwidth(), l.RTT())
 	}
 }

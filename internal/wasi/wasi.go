@@ -43,9 +43,6 @@ type Host struct {
 	// staging copy real WASI implementations perform between linear
 	// memory and the syscall.
 	staging []byte
-	// DisableStagingCopy removes the staging copy (ablation: how much of
-	// the WasmEdge baseline's overhead is WASI's extra copy).
-	DisableStagingCopy bool
 }
 
 // NewHost creates a WASI host bound to a simulated process. acct is charged
@@ -94,12 +91,9 @@ func (h *Host) sockSend(ctx *wasm.HostContext, args []uint64) ([]uint64, error) 
 	if err != nil {
 		return []uint64{uint64(ErrnoInval)}, nil
 	}
-	buf := view
-	if !h.DisableStagingCopy {
-		buf = h.stage(int(n))
-		copy(buf, view)
-		h.acct.Copy(metrics.User, int(n))
-	}
+	buf := h.stage(int(n))
+	copy(buf, view)
+	h.acct.Copy(metrics.User, int(n))
 	if _, err := h.proc.Write(fd, buf); err != nil {
 		return []uint64{uint64(ErrnoIO)}, nil
 	}

@@ -220,7 +220,10 @@ func TestRandomGetFillsMemory(t *testing.T) {
 	}
 }
 
-func TestDisableStagingCopyAblation(t *testing.T) {
+// TestSockSendChargesStagingCopy: sock_send always stages, so n bytes cost
+// one user copy into the staging buffer, one kernel copy into the socket and
+// one syscall.
+func TestSockSendChargesStagingCopy(t *testing.T) {
 	k := kernel.New("n")
 	acct := &metrics.Account{}
 	pa := k.NewProc("a", acct)
@@ -231,19 +234,17 @@ func TestDisableStagingCopyAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	host := wasi.NewHost(pa, acct)
-	host.DisableStagingCopy = true
-	inst := testGuest(t, host)
+	inst := testGuest(t, wasi.NewHost(pa, acct))
+	const n = 512
 	before := acct.Snapshot()
-	if _, err := inst.Call("send", uint64(fa), 0, 512); err != nil {
-		t.Fatal(err)
+	res, err := inst.Call("send", uint64(fa), 0, n)
+	if err != nil || uint32(res[0]) != wasi.ErrnoSuccess {
+		t.Fatalf("send = %v, %v", res, err)
 	}
 	delta := acct.Snapshot().Sub(before)
-	if delta.UserCopyBytes != 0 {
-		t.Fatalf("staging disabled but %d user bytes copied", delta.UserCopyBytes)
-	}
-	if delta.KernelCopyBytes != 512 {
-		t.Fatalf("kernel copy = %d", delta.KernelCopyBytes)
+	if delta.UserCopyBytes != n || delta.KernelCopyBytes != n || delta.Syscalls != 1 {
+		t.Fatalf("sock_send charged %d user / %d kernel bytes, %d syscalls; want %d / %d / 1",
+			delta.UserCopyBytes, delta.KernelCopyBytes, delta.Syscalls, n, n)
 	}
 }
 
