@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race fuzz-smoke chaos bench bench-kernel pairs perfgate lint loc staticcheck vuln cover clean
+.PHONY: all build test race fuzz-smoke chaos bench bench-kernel pairs perfgate lint cross loc staticcheck vuln cover clean
 
 all: lint build race bench perfgate
 
@@ -113,6 +113,14 @@ perfgate:
 lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/roadvet -budget ROADVET_BASELINE.json ./...
+
+## cross: the builds without a mapped linear memory — everything for
+## Windows, where internal/wasm keeps every linear memory on the Go heap,
+## and internal/wasm vetted for macOS, whose mapped backing differs from
+## Linux's only in its syscall package (CI's lint job)
+cross:
+	GOOS=windows $(GO) build ./...
+	GOOS=darwin $(GO) vet ./internal/wasm
 
 ## loc: non-test, non-testdata, non-vendor Go lines per top-level package
 ## dir, and for the lint gate as a whole — the "net LoC per PR" figure

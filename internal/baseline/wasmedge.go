@@ -51,7 +51,7 @@ func NewWasmEdgeFunction(name string, k *kernel.Kernel, module []byte, now func(
 	if err != nil {
 		return nil, fmt.Errorf("wasmedge %s: %w", name, err)
 	}
-	inst, err := wasm.Instantiate(m, imports, &wasm.Config{
+	inst, err := wasm.InstantiateMapped(m, imports, &wasm.Config{
 		MemoryResizeHook: func(delta int64) { acct.Allocate(delta) },
 	})
 	if err != nil {
@@ -60,6 +60,7 @@ func NewWasmEdgeFunction(name string, k *kernel.Kernel, module []byte, now func(
 	f.inst = inst
 	view, err := abi.NewView(inst, acct)
 	if err != nil {
+		inst.Close()
 		return nil, fmt.Errorf("wasmedge %s: %w", name, err)
 	}
 	f.view = view
@@ -79,8 +80,13 @@ func (f *WasmEdgeFunction) WASI() *wasi.Host { return f.wasiHost }
 // ColdStart reports provisioning time.
 func (f *WasmEdgeFunction) ColdStart() time.Duration { return f.coldStart }
 
-// Close tears the sandbox down.
-func (f *WasmEdgeFunction) Close() { f.proc.CloseAll() }
+// Close tears the sandbox down: its descriptors, then its linear memory
+// (the baseline copies through its sockets and gifts nothing, but the
+// descriptors go first all the same, as in core.Shim.Close).
+func (f *WasmEdgeFunction) Close() {
+	f.proc.CloseAll()
+	f.inst.Close()
+}
 
 // call charges guest execution to user CPU.
 func (f *WasmEdgeFunction) call(name string, args ...uint64) ([]uint64, error) {

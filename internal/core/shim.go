@@ -231,7 +231,7 @@ func (s *Shim) AddFunction(name string) (*Function, error) {
 		}
 	}))
 
-	inst, err := wasm.Instantiate(s.decoded, imports, &wasm.Config{
+	inst, err := wasm.InstantiateMapped(s.decoded, imports, &wasm.Config{
 		MemoryResizeHook: func(delta int64) { s.acct.Allocate(delta) },
 	})
 	if err != nil {
@@ -239,6 +239,7 @@ func (s *Shim) AddFunction(name string) (*Function, error) {
 	}
 	view, err := abi.NewView(inst, s.acct)
 	if err != nil {
+		inst.Close()
 		return nil, fmt.Errorf("bind ABI for %s: %w", name, err)
 	}
 	f.inst = inst
@@ -278,11 +279,20 @@ func (s *Shim) ColdStart() time.Duration {
 	return s.coldStart
 }
 
-// Close tears down the shim's cached channels (both directions) and then
-// the sandbox with every descriptor it still holds.
+// Close tears down the shim's cached channels (both directions), then the
+// sandbox with every descriptor it still holds, and last the VM's linear
+// memories. The order matters: a page vmspliced out of linear memory aliases
+// it, and it is dropped from its pipe or socket buffer when that descriptor
+// closes, so no kernel buffer can reach a memory by the time it is
+// unmapped. Close must not run while a transfer uses the shim.
 func (s *Shim) Close() {
 	s.closeChannels()
 	s.proc.CloseAll()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, f := range s.functions {
+		f.inst.Close()
+	}
 }
 
 // OutputRef is a guest-announced (pointer, length) output region.

@@ -5,6 +5,10 @@ import "unsafe"
 // InstrBytes is the size of one register-form instruction.
 const InstrBytes = unsafe.Sizeof(instr{})
 
+// Mapped reports whether the memory lives in a reservation outside the Go
+// heap rather than on it.
+func (m *Memory) Mapped() bool { return m.reserved != nil }
+
 // SharesCode reports whether every module-defined function of both
 // instances runs the one body their module compiled.
 func SharesCode(a, b *Instance) bool {

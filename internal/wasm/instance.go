@@ -85,8 +85,25 @@ type Instance struct {
 
 // Instantiate links a decoded module against host imports, initializes
 // globals, table and data segments, and runs the start function. The
-// function bodies were compiled by Decode.
+// function bodies were compiled by Decode. Linear memory lives on the Go
+// heap, and the GC frees it with the instance.
 func Instantiate(m *Module, imports Imports, cfg *Config) (*Instance, error) {
+	return instantiate(m, imports, cfg, NewMemory)
+}
+
+// InstantiateMapped is Instantiate with linear memory outside the Go heap,
+// as WebAssembly runtimes keep it: an address-space reservation of the
+// declared maximum whose pages memory.grow commits in place, with no
+// allocation and no copy, and which the GC neither scans nor counts toward
+// its heap goal. The caller owns the reservation and must Close the
+// instance once nothing can reach its memory; until then it outlives the
+// instance. Race builds, platforms other than Linux and macOS, and failed
+// reservations keep the memory on the Go heap, where Close does nothing.
+func InstantiateMapped(m *Module, imports Imports, cfg *Config) (*Instance, error) {
+	return instantiate(m, imports, cfg, newMappedMemory)
+}
+
+func instantiate(m *Module, imports Imports, cfg *Config, newMemory func(Limits) *Memory) (_ *Instance, err error) {
 	if cfg == nil {
 		cfg = &Config{}
 	}
@@ -126,7 +143,13 @@ func Instantiate(m *Module, imports Imports, cfg *Config) (*Instance, error) {
 
 	// Memory + data segments.
 	if m.Memory != nil {
-		inst.mem = NewMemory(*m.Memory)
+		mem := newMemory(*m.Memory)
+		inst.mem = mem
+		defer func() {
+			if err != nil {
+				mem.release()
+			}
+		}()
 		if cfg.MemoryResizeHook != nil {
 			inst.mem.SetResizeHook(cfg.MemoryResizeHook)
 		}
@@ -196,6 +219,18 @@ func (inst *Instance) funcName(fi uint32) string {
 // Memory returns the instance's linear memory (nil when the module declares
 // none).
 func (inst *Instance) Memory() *Memory { return inst.mem }
+
+// Close releases the linear memory of an instance from InstantiateMapped.
+// Every slice over that memory — a View, a vmspliced page still queued in a
+// kernel buffer — must be gone first: an access through one after Close
+// faults. The memory is left empty, so the instance's own accessors trap
+// out of bounds instead. Close is idempotent, and does nothing for memory
+// on the Go heap.
+func (inst *Instance) Close() {
+	if inst.mem != nil {
+		inst.mem.release()
+	}
+}
 
 // Module returns the underlying decoded module.
 func (inst *Instance) Module() *Module { return inst.module }

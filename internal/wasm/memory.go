@@ -1,6 +1,9 @@
 package wasm
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // Memory is a WebAssembly linear memory: a contiguous, byte-addressable
 // array that can grow in 64 KiB pages (§2.1 "Linear Memory"). The host-side
@@ -8,22 +11,69 @@ import "fmt"
 // reach guest data through (pointer, length) pairs without copies — every
 // access is bounds-checked so the sandbox boundary holds (§3.1, §7
 // "Security Concerns").
+//
+// A memory lives on the Go heap (NewMemory), where a grow allocates the new
+// size and copies, or in an address-space reservation of its maximum size
+// outside the Go heap (a memory of InstantiateMapped), where a grow commits
+// the next pages in place. Either way data is exactly the committed size,
+// so every bounds check stops there.
 type Memory struct {
 	data     []byte
 	maxPages uint32
+	// reserved is the whole reservation data is carved from, nil on the
+	// heap backing. It is released by release, never by the GC.
+	reserved []byte
 	// onResize, when set, observes allocation deltas in bytes (wired to
 	// the owning sandbox's metrics.Account).
 	onResize func(delta int64)
 }
 
-// NewMemory allocates a linear memory with the given limits.
+// NewMemory allocates a linear memory with the given limits on the Go heap.
 func NewMemory(lim Limits) *Memory {
-	maxPages := uint32(65536)
-	if lim.HasMax && lim.Max < maxPages {
-		maxPages = lim.Max
+	return &Memory{data: make([]byte, int(lim.Min)*PageSize), maxPages: lim.maxPages()}
+}
+
+// newMappedMemory reserves a linear memory of the limits' maximum size
+// outside the Go heap, falling back to NewMemory when the platform, the
+// build or the address space does not allow the reservation.
+func newMappedMemory(lim Limits) *Memory {
+	maxPages := lim.maxPages()
+	reserved := reserve(uint64(lim.Min)*PageSize, uint64(maxPages)*PageSize)
+	if reserved == nil {
+		return NewMemory(lim)
 	}
-	m := &Memory{data: make([]byte, int(lim.Min)*PageSize), maxPages: maxPages}
-	return m
+	liveMappings.Add(1)
+	n := int(lim.Min) * PageSize
+	return &Memory{data: reserved[:n:n], maxPages: maxPages, reserved: reserved}
+}
+
+// liveMappings counts the reservations not yet released.
+var liveMappings atomic.Int64
+
+// LiveMappings reports how many mapped linear memories have not been
+// released by Instance.Close. Test suites that create instances through
+// InstantiateMapped check that it is back to zero once every test is done.
+func LiveMappings() int64 { return liveMappings.Load() }
+
+// maxPages is the most pages a memory of these limits may hold: the
+// declared maximum, or the whole 4 GiB wasm32 space.
+func (lim Limits) maxPages() uint32 {
+	if lim.HasMax && lim.Max < 65536 {
+		return lim.Max
+	}
+	return 65536
+}
+
+// release unmaps a mapped memory and leaves it empty with a zero maximum, so
+// a later access traps out of bounds and a later grow fails. It does nothing
+// on the heap backing, which the GC frees.
+func (m *Memory) release() {
+	if m.reserved == nil {
+		return
+	}
+	unmap(m.reserved)
+	liveMappings.Add(-1)
+	m.reserved, m.data, m.maxPages = nil, nil, 0
 }
 
 // SetResizeHook registers a callback observing memory allocation deltas.
@@ -41,16 +91,26 @@ func (m *Memory) Size() int { return len(m.data) }
 func (m *Memory) Pages() uint32 { return uint32(len(m.data) / PageSize) }
 
 // Grow adds delta pages, returning the previous page count, or -1 when the
-// limit would be exceeded (the memory.grow semantics).
+// limit would be exceeded or the pages cannot be committed (the memory.grow
+// semantics). A mapped memory commits the pages in place, O(delta); a heap
+// memory allocates the new size and copies.
 func (m *Memory) Grow(delta uint32) int32 {
 	prev := m.Pages()
 	if uint64(prev)+uint64(delta) > uint64(m.maxPages) {
 		return -1
 	}
 	if delta > 0 {
-		grown := make([]byte, (int(prev)+int(delta))*PageSize)
-		copy(grown, m.data)
-		m.data = grown
+		n := (int(prev) + int(delta)) * PageSize
+		if m.reserved != nil {
+			if err := commit(m.reserved, len(m.data), n); err != nil {
+				return -1
+			}
+			m.data = m.reserved[:n:n]
+		} else {
+			grown := make([]byte, n)
+			copy(grown, m.data)
+			m.data = grown
+		}
 		if m.onResize != nil {
 			m.onResize(int64(delta) * PageSize)
 		}

@@ -1,0 +1,42 @@
+//go:build (linux || darwin) && !race
+
+package wasm
+
+import (
+	"math"
+	"syscall"
+)
+
+// reserve maps an address-space reservation of maxBytes for a linear memory
+// and commits its first minBytes read-write. The rest is PROT_NONE and
+// MAP_NORESERVE: it costs address space, not memory, until a grow commits
+// it. It returns nil when the reservation cannot be made (a 32-bit address
+// space, RLIMIT_AS), and the caller keeps the memory on the Go heap.
+func reserve(minBytes, maxBytes uint64) []byte {
+	if maxBytes == 0 || maxBytes > math.MaxInt {
+		return nil
+	}
+	b, err := syscall.Mmap(-1, 0, int(maxBytes), syscall.PROT_NONE,
+		syscall.MAP_PRIVATE|syscall.MAP_ANON|syscall.MAP_NORESERVE)
+	if err != nil {
+		return nil
+	}
+	if err := commit(b, 0, int(minBytes)); err != nil {
+		_ = syscall.Munmap(b)
+		return nil
+	}
+	return b
+}
+
+// commit makes reserved[from:to] readable and writable. The pages were
+// never touched, so they read zero, and they become resident only as the
+// guest writes them.
+func commit(reserved []byte, from, to int) error {
+	if to <= from {
+		return nil
+	}
+	return syscall.Mprotect(reserved[from:to], syscall.PROT_READ|syscall.PROT_WRITE)
+}
+
+// unmap releases a reservation.
+func unmap(reserved []byte) { _ = syscall.Munmap(reserved) }

@@ -1,0 +1,20 @@
+package roadrunner_test
+
+import (
+	"fmt"
+	"os"
+	"testing"
+
+	"github.com/polaris-slo-cloud/roadrunner-go/internal/wasm"
+)
+
+// TestMain fails the suite when a test leaves a mapped linear memory behind:
+// a shim's memory lives outside the Go heap, and only Close releases it.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if n := wasm.LiveMappings(); n != 0 && code == 0 {
+		fmt.Fprintf(os.Stderr, "%d mapped linear memories were never closed\n", n)
+		code = 1
+	}
+	os.Exit(code)
+}
