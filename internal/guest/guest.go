@@ -129,7 +129,7 @@ func buildModule() []byte {
 	_ = hello
 
 	// ---- produce(n) -> packed(ptr, n) --------------------------------------------
-	// Fills n bytes with a deterministic LCG pattern (8 bytes per iteration,
+	// Fills n bytes with a deterministic LCG pattern (one word per LCG step,
 	// per-byte tail) and registers the buffer as the function output.
 	produce := b.NewFunc(ExportProduce, []wasm.ValType{i32}, []wasm.ValType{i64})
 	{
@@ -141,22 +141,15 @@ func buildModule() []byte {
 		produce.LocalGet(ptr).LocalSet(s)
 		produce.LocalGet(ptr).LocalGet(0).I32Add().LocalSet(end)
 		produce.I64Const(produceSeed).LocalSet(seed)
-		// Word loop.
-		produce.Block().Loop().
-			LocalGet(s).I32Const(8).I32Add().LocalGet(end).I32GtU().BrIf(1).
-			LocalGet(s).LocalGet(seed).I64Store(0).
-			LocalGet(seed).I64Const(lcgMul).I64Mul().I64Const(lcgAdd).I64Add().LocalSet(seed).
-			LocalGet(s).I32Const(8).I32Add().LocalSet(s).
-			Br(0).
-			End().End()
-		// Byte tail.
-		produce.Block().Loop().
-			LocalGet(s).LocalGet(end).I32GeU().BrIf(1).
-			LocalGet(s).LocalGet(seed).I32WrapI64().I32Store8(0).
-			LocalGet(seed).I64Const(8).I64Rotl().LocalSet(seed).
-			LocalGet(s).I32Const(1).I32Add().LocalSet(s).
-			Br(0).
-			End().End()
+		kernelLoops(produce, s, end,
+			func(off uint32) {
+				produce.LocalGet(s).LocalGet(seed).I64Store(off).
+					LocalGet(seed).I64Const(lcgMul).I64Mul().I64Const(lcgAdd).I64Add().LocalSet(seed)
+			},
+			func() {
+				produce.LocalGet(s).LocalGet(seed).I32WrapI64().I32Store8(0).
+					LocalGet(seed).I64Const(8).I64Rotl().LocalSet(seed)
+			})
 		produce.LocalGet(ptr).LocalGet(0).Call(setOut.Ref())
 		produce.LocalGet(ptr).LocalGet(0).Call(pack.Ref())
 	}
@@ -165,27 +158,18 @@ func buildModule() []byte {
 	consume := b.NewFunc(ExportConsume, []wasm.ValType{i32, i32}, []wasm.ValType{i64})
 	{
 		s := consume.AddLocal(i32)
-		end8 := consume.AddLocal(i32)
 		end := consume.AddLocal(i32)
 		h := consume.AddLocal(i64)
 		consume.I64Const(-3750763034362895579).LocalSet(h) // fnvOffset as signed bits
 		consume.LocalGet(0).LocalSet(s)
 		consume.LocalGet(0).LocalGet(1).I32Add().LocalSet(end)
-		consume.LocalGet(0).LocalGet(1).I32Const(-8).I32And().I32Add().LocalSet(end8)
-		// Word loop.
-		consume.Block().Loop().
-			LocalGet(s).LocalGet(end8).I32GeU().BrIf(1).
-			LocalGet(h).LocalGet(s).I64Load(0).I64Xor().I64Const(fnvPrime).I64Mul().LocalSet(h).
-			LocalGet(s).I32Const(8).I32Add().LocalSet(s).
-			Br(0).
-			End().End()
-		// Byte tail.
-		consume.Block().Loop().
-			LocalGet(s).LocalGet(end).I32GeU().BrIf(1).
-			LocalGet(h).LocalGet(s).I64Load8U(0).I64Xor().I64Const(fnvPrime).I64Mul().LocalSet(h).
-			LocalGet(s).I32Const(1).I32Add().LocalSet(s).
-			Br(0).
-			End().End()
+		kernelLoops(consume, s, end,
+			func(off uint32) {
+				consume.LocalGet(h).LocalGet(s).I64Load(off).I64Xor().I64Const(fnvPrime).I64Mul().LocalSet(h)
+			},
+			func() {
+				consume.LocalGet(h).LocalGet(s).I64Load8U(0).I64Xor().I64Const(fnvPrime).I64Mul().LocalSet(h)
+			})
 		consume.LocalGet(h)
 	}
 
@@ -388,6 +372,31 @@ func buildModule() []byte {
 	}
 
 	return b.Build()
+}
+
+// kernelLoops emits the loop nest a compiler makes of a kernel that walks
+// [s, end) one 8-byte word at a time, the shape of the paper's release-built
+// guests (§6.2): a main loop of eight words, 64 bytes, per iteration, each
+// word at its own folded offset from s; then a loop over the whole words
+// left; then a byte loop over the rest. word(off) emits one word's work at
+// s+off, tail one byte's at s. Every guard is end−s < step, which cannot
+// wrap in i32 where s+step > end can.
+func kernelLoops(f *wasmbuild.FuncBuilder, s, end uint32, word func(off uint32), tail func()) {
+	loop := func(step uint32, body func()) {
+		f.Block().Loop().
+			LocalGet(end).LocalGet(s).I32Sub().I32Const(int32(step)).I32LtU().BrIf(1)
+		body()
+		f.LocalGet(s).I32Const(int32(step)).I32Add().LocalSet(s).
+			Br(0).
+			End().End()
+	}
+	loop(64, func() {
+		for off := uint32(0); off < 64; off += 8 {
+			word(off)
+		}
+	})
+	loop(8, func() { word(0) })
+	loop(1, tail)
 }
 
 // ---------------------------------------------------------------------------

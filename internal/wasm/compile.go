@@ -347,7 +347,7 @@ func (l *lowerer) lowerFunc(fnIdx int) (*compiledFunc, error) {
 	l.cf = &compiledFunc{
 		numLocals:  len(ft.Params) + len(body.Locals),
 		numResults: len(ft.Results),
-		code:       make([]instr, 0, len(body.Body)/4+4), // the guest lowers to one per 4.4 bytes
+		code:       make([]instr, 0, len(body.Body)/4+4), // the guest lowers to one per 5.1 bytes
 	}
 	l.stack, l.ctrls, l.maxStack = l.stack[:0], l.ctrls[:0], 0
 	l.open(0, len(ft.Results))

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"github.com/polaris-slo-cloud/roadrunner-go/internal/guest"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/wasm"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/wasmbuild"
 )
@@ -375,6 +376,28 @@ func TestLoweredShape(t *testing.T) {
 	// loop: add, compare-and-branch, store, add, jump; return.
 	if got := m.LoweredLen("loop"); got != 6 {
 		t.Errorf("loop lowers to %d instructions, want 6", got)
+	}
+}
+
+// The guest's produce and consume kernels are what a set-up spends its time
+// in, and their main loop moves 64 bytes per iteration in the shape a
+// compiler emits. Per 64 bytes it lowers to 28 instructions: the guard
+// end−s < 64 (subtract, compare-and-branch), eight word steps of 3 (produce:
+// store, LCG multiply, add; consume: load, xor, multiply), s += 64 and the
+// jump back. A loop of one word per iteration takes 56 (produce) and 48
+// (consume) per 64 bytes, so a guest edit that undoes the unrolling moves
+// these counts.
+func TestGuestKernelShape(t *testing.T) {
+	m, err := wasm.Decode(guest.Module())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each is the main loop's 28, the 8-byte loop's 7, the byte loop's 7,
+	// and the set-up, calls and return around them (13 and 5).
+	for export, want := range map[string]int{guest.ExportProduce: 55, guest.ExportConsume: 47} {
+		if got := m.LoweredLen(export); got != want {
+			t.Errorf("%s lowers to %d instructions, want %d", export, got, want)
+		}
 	}
 }
 
