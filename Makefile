@@ -130,18 +130,26 @@ cross:
 ## surface (functions + methods in `go doc -all .`) and the knob count: the
 ## settable values a caller can turn (the root package's With* constructors,
 ## the exported fields of internal/core's *Options and ShimConfig structs and
-## of wasi.Host, all from `go doc -all`)
+## of wasi.Host, all from `go doc -all`). It fails when either of the last
+## two counts rises above its ceiling below; lower a ceiling when a change
+## shrinks the surface, raise one only with the reason in CHANGES.md
+LOC_MAX_EXPORTED := 99
+LOC_MAX_KNOBS := 39
 loc:
 	@count() { find "$$@" -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './vendor/*' -print0 | xargs -0 cat | wc -l; }; \
 	printf '%7d  %s\n' "$$(count . -maxdepth 1)" "(root package)"; \
 	for d in bench cmd/* examples internal/*; do printf '%7d  %s\n' "$$(count $$d)" "$$d"; done; \
 	printf '%7d  %s\n' "$$(count internal/analysis cmd/roadvet)" "internal/analysis + cmd/roadvet"; \
 	printf '%7d  %s\n' "$$(count internal/wasm/compile.go internal/wasm/exec.go)" "internal/wasm compile.go + exec.go (1207 before the register-form IR, PR 17)"; \
-	printf '%7d  %s\n' "$$($(GO) doc -all . | grep -cE '^func |^    func ')" "exported functions + methods of the root package"
-	@printf '%7d  %s\n' "$$( { $(GO) doc -all . | grep -E '^func With'; \
+	exported=$$($(GO) doc -all . | grep -cE '^func |^    func '); \
+	printf '%7d  %s\n' "$$exported" "exported functions + methods of the root package (ceiling $(LOC_MAX_EXPORTED))"; \
+	knobs=$$( { $(GO) doc -all . | grep -E '^func With'; \
 		$(GO) doc -all ./internal/core | awk '/^type [A-Za-z]*(Options|ShimConfig) struct/ {f=1; next} /^}/ {f=0} f && /^\t[A-Z]/'; \
-		$(GO) doc -all ./internal/wasi | awk '/^type Host struct/ {f=1; next} /^}/ {f=0} f && /^\t[A-Z]/'; } | wc -l)" \
-		"settable values: root With* + internal/core *Options/ShimConfig fields + wasi.Host fields"
+		$(GO) doc -all ./internal/wasi | awk '/^type Host struct/ {f=1; next} /^}/ {f=0} f && /^\t[A-Z]/'; } | wc -l); \
+	printf '%7d  %s\n' "$$knobs" "settable values: root With* + internal/core *Options/ShimConfig fields + wasi.Host fields (ceiling $(LOC_MAX_KNOBS))"; \
+	if [ "$$exported" -gt $(LOC_MAX_EXPORTED) ] || [ "$$knobs" -gt $(LOC_MAX_KNOBS) ]; then \
+		echo "loc: exported surface or knob count above its ceiling" >&2; exit 1; \
+	fi
 
 ## staticcheck: static-analysis gate (CI's lint job; needs the binary or network)
 staticcheck:

@@ -435,7 +435,7 @@ func BenchmarkChannelCache(b *testing.B) {
 func BenchmarkPipelinedChain(b *testing.B) {
 	p := roadrunner.New(
 		roadrunner.WithLink(100*roadrunner.Gbps, 10*time.Microsecond),
-		roadrunner.WithDataHoseSize(128<<10),
+		roadrunner.TestingWithDataHoseSize(128<<10),
 	)
 	defer p.Close()
 	fns := make([]*roadrunner.Function, 4)
@@ -468,7 +468,7 @@ func BenchmarkPipelinedChain(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, f := range fns[:len(fns)-1] {
-			out, err := f.Output()
+			out, err := f.ActiveInstance().Output()
 			if err != nil {
 				b.Fatal(err)
 			}

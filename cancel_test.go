@@ -61,7 +61,13 @@ func snapshotBaselines(t *testing.T, p *roadrunner.Platform, nodes []string, fns
 // active instance, without disturbing the heap (produce then release).
 func allocProbe(t *testing.T, f *roadrunner.Function) uint32 {
 	t.Helper()
-	inst := f.ActiveInstance()
+	return instanceProbe(t, f.ActiveInstance())
+}
+
+// instanceProbe is allocProbe on one instance. The probe's produce makes
+// inst its function's active instance.
+func instanceProbe(t *testing.T, inst *roadrunner.Instance) uint32 {
+	t.Helper()
 	if err := inst.Produce(64); err != nil {
 		t.Fatalf("probe produce at %s: %v", inst.Name(), err)
 	}
@@ -156,7 +162,7 @@ func TestCancelMidTransferConservesBaselines(t *testing.T) {
 	if rep.Mode != "network" {
 		t.Fatalf("recovery mode = %q", rep.Mode)
 	}
-	sum, err := dst.Checksum(ref)
+	sum, err := checksumAtOwner(ref)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +222,7 @@ func TestCancelMidChainReleasesInteriorRefs(t *testing.T) {
 	if rep.Bytes != int64(5*n) {
 		t.Fatalf("recovery chain bytes = %d, want %d", rep.Bytes, 5*n)
 	}
-	sum, err := fns[len(fns)-1].Checksum(ref)
+	sum, err := checksumAtOwner(ref)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +278,7 @@ func TestCancelMidFanoutConservesBaselines(t *testing.T) {
 		t.Fatalf("recovery fanout: %d refs / %d reports, want %d", len(refs), len(reports), len(targets))
 	}
 	for i := range targets {
-		sum, err := targets[i].Checksum(refs[i])
+		sum, err := checksumAtOwner(refs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -401,7 +407,7 @@ func TestCancelAtEveryPollSiteConservesBaselines(t *testing.T) {
 		{"network", "cloud", "network"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			p := roadrunner.New(roadrunner.WithNodes("edge", "cloud"), roadrunner.WithDataHoseSize(16<<10))
+			p := roadrunner.New(roadrunner.WithNodes("edge", "cloud"), roadrunner.TestingWithDataHoseSize(16<<10))
 			defer p.Close()
 			src, err := p.Deploy(roadrunner.FunctionSpec{Name: "src", Node: "edge"})
 			if err != nil {
@@ -420,7 +426,7 @@ func TestCancelAtEveryPollSiteConservesBaselines(t *testing.T) {
 				if err := f.Produce(n); err != nil {
 					t.Fatal(err)
 				}
-				out, err := f.Output()
+				out, err := f.ActiveInstance().Output()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -446,7 +452,7 @@ func TestCancelAtEveryPollSiteConservesBaselines(t *testing.T) {
 					if rep.Mode != tc.wantMode {
 						t.Fatalf("k=%d: mode = %q, want %q", k, rep.Mode, tc.wantMode)
 					}
-					sum, err := dst.Checksum(ref)
+					sum, err := checksumAtOwner(ref)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -462,7 +468,7 @@ func TestCancelAtEveryPollSiteConservesBaselines(t *testing.T) {
 				// The fresh produce is this iteration's only intended
 				// allocation: hand it back so the comparison sees exactly
 				// what the cancelled transfer left behind.
-				if out, oerr := src.Output(); oerr == nil {
+				if out, oerr := src.ActiveInstance().Output(); oerr == nil {
 					if rerr := src.ActiveInstance().Release(out); rerr != nil {
 						t.Fatalf("k=%d: release produce: %v", k, rerr)
 					}

@@ -49,7 +49,7 @@ func TestChannelCachePublicAPI(t *testing.T) {
 	if rep.Breakdown.Setup != 0 {
 		t.Fatalf("warm transfer Setup = %v, want 0", rep.Breakdown.Setup)
 	}
-	sum, err := b.Checksum(ref)
+	sum, err := checksumAtOwner(ref)
 	if err != nil {
 		t.Fatal(err)
 	}

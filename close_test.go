@@ -113,18 +113,21 @@ func TestCloseDrainsSubmittedJobs(t *testing.T) {
 			_, _, err := p.FanoutCtx(bg, src, []*roadrunner.Function{dst}, 1024)
 			return err
 		}(),
-		"Produce":          src.Produce(1024),
-		"Output":           func() error { _, err := src.Output(); return err }(),
-		"SetOutput":        src.SetOutput(roadrunner.DataRef{}),
-		"Checksum":         func() error { _, err := src.Checksum(roadrunner.DataRef{}); return err }(),
-		"Release":          src.Release(roadrunner.DataRef{}),
-		"Call":             func() error { _, err := src.Call("produce", 8); return err }(),
-		"ResizeHalf":       func() error { _, err := src.ResizeHalf(roadrunner.DataRef{}, 0, 0); return err }(),
-		"SaveState":        src.SaveState("k"),
-		"LoadState":        func() error { _, err := src.LoadState("k"); return err }(),
-		"Instance.Produce": src.Instance(0).Produce(1024),
+		"Produce":            src.Produce(1024),
+		"Release":            src.Release(roadrunner.DataRef{}),
+		"Call":               func() error { _, err := src.Call("produce", 8); return err }(),
+		"SaveState":          src.SaveState("k"),
+		"LoadState":          func() error { _, err := src.LoadState("k"); return err }(),
+		"Instance.Produce":   src.Instance(0).Produce(1024),
+		"Instance.Output":    func() error { _, err := src.Instance(0).Output(); return err }(),
+		"Instance.SetOutput": src.Instance(0).SetOutput(roadrunner.DataRef{}),
 		"Instance.Checksum": func() error {
 			_, err := src.Instance(0).Checksum(roadrunner.DataRef{})
+			return err
+		}(),
+		"Instance.Release": src.Instance(0).Release(roadrunner.DataRef{}),
+		"Instance.ResizeHalf": func() error {
+			_, err := src.Instance(0).ResizeHalf(roadrunner.DataRef{}, 0, 0)
 			return err
 		}(),
 		"Submit(xfer)": func() error {

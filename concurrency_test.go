@@ -123,7 +123,7 @@ func TestConcurrentTransferStress(t *testing.T) {
 					t.Errorf("mode = %q, want %q", rep.Mode, pair.mode)
 				}
 				checkAccounting(t, pair.mode, pair.payload, rep)
-				sum, err := pair.dst.Checksum(ref)
+				sum, err := checksumAtOwner(ref)
 				if err != nil {
 					t.Errorf("%v checksum: %v", pair.mode, err)
 					return
@@ -134,7 +134,7 @@ func TestConcurrentTransferStress(t *testing.T) {
 				if err := pair.dst.Release(ref); err != nil {
 					t.Errorf("%v release: %v", pair.mode, err)
 				}
-				if out, err := pair.src.Output(); err == nil {
+				if out, err := pair.src.ActiveInstance().Output(); err == nil {
 					_ = pair.src.Release(out)
 				}
 			}
@@ -170,7 +170,7 @@ func TestSubmittedXferMatchesSync(t *testing.T) {
 			t.Fatalf("job %d: %v", i, nr.Err)
 		}
 		checkAccounting(t, pairs[i].mode, pairs[i].payload, nr.Report())
-		sum, err := pairs[i].dst.Checksum(nr.Ref())
+		sum, err := checksumAtOwner(nr.Ref())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,7 +234,7 @@ func TestSubmittedChainsPipelineIndependently(t *testing.T) {
 		if rep := nr.Report(); rep.Bytes != 2*n {
 			t.Fatalf("chain %d: merged bytes = %d, want %d", i, rep.Bytes, 2*n)
 		}
-		sum, err := lasts[i].Checksum(nr.Ref())
+		sum, err := checksumAtOwner(nr.Ref())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -288,7 +288,7 @@ func TestFanoutPerTargetCompletion(t *testing.T) {
 		if mode := nr.Report().Mode; mode != "network" {
 			t.Fatalf("target %d: mode %q", i, mode)
 		}
-		sum, err := targets[i].Checksum(nr.Ref())
+		sum, err := checksumAtOwner(nr.Ref())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -62,7 +62,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	sum, err := agg.Checksum(restored)
+	sum, err := restored.Instance().Checksum(restored)
 	if err != nil {
 		return err
 	}
@@ -70,15 +70,15 @@ func run() error {
 		sum == roadrunner.ExpectedChecksum(modelBytes), agg.StateKeys())
 
 	// --- Zero-copy multicast (§9): one hose pass, three targets -----------
-	if err := agg.SetOutput(restored); err != nil {
+	if err := restored.Instance().SetOutput(restored); err != nil {
 		return err
 	}
 	refs, reports, err := p.MulticastCtx(ctx, agg, workers)
 	if err != nil {
 		return err
 	}
-	for i, w := range workers {
-		s, err := w.Checksum(refs[i])
+	for i, ref := range refs {
+		s, err := ref.Instance().Checksum(ref)
 		if err != nil || s != roadrunner.ExpectedChecksum(modelBytes) {
 			return fmt.Errorf("worker %d received corrupt update", i)
 		}

@@ -108,14 +108,14 @@ func timedBroadcast(p *roadrunner.Platform, src *roadrunner.Function, targets []
 	}
 	want := roadrunner.ExpectedChecksum(payload)
 	for i, ref := range refs {
-		sum, err := targets[i].Checksum(ref)
+		sum, err := ref.Instance().Checksum(ref)
 		if err != nil {
 			return regime{}, fmt.Errorf("%s: checksum %s: %w", label, targets[i].Name(), err)
 		}
 		if sum != want {
 			return regime{}, fmt.Errorf("%s: %s received a corrupt payload", label, targets[i].Name())
 		}
-		if err := targets[i].Release(ref); err != nil {
+		if err := ref.Instance().Release(ref); err != nil {
 			return regime{}, fmt.Errorf("%s: release %s: %w", label, targets[i].Name(), err)
 		}
 	}

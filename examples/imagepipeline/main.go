@@ -63,7 +63,10 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	small, err := extract.ResizeHalf(frameRef, frameW, frameH)
+	// The delivery names the extractor replica it landed in; the resize
+	// and the re-registration run there.
+	extractor := frameRef.Instance()
+	small, err := extractor.ResizeHalf(frameRef, frameW, frameH)
 	if err != nil {
 		return err
 	}
@@ -72,7 +75,7 @@ func run() error {
 
 	// Stage 3 — the reduced frame crosses the 100 Mbps edge–cloud link
 	// through the virtual data hose (network mode).
-	if err := extract.SetOutput(small); err != nil {
+	if err := extractor.SetOutput(small); err != nil {
 		return err
 	}
 	cloudRef, repNet, err := p.TransferCtx(ctx, extract, infer)
@@ -85,7 +88,7 @@ func run() error {
 		repNet.Usage.KernelCopyBytes == 0)
 
 	// "Inference": digest the delivered frame inside the cloud sandbox.
-	score, err := infer.Checksum(cloudRef)
+	score, err := cloudRef.Instance().Checksum(cloudRef)
 	if err != nil {
 		return err
 	}

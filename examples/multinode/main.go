@@ -47,7 +47,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if sum, err := b.Checksum(ref); err != nil || sum != roadrunner.ExpectedChecksum(payload) {
+	if sum, err := ref.Instance().Checksum(ref); err != nil || sum != roadrunner.ExpectedChecksum(payload) {
 		return fmt.Errorf("roadrunner delivery corrupt: %v", err)
 	}
 	row("Roadrunner (data hose)", rep.Latency(), rep.Breakdown.Serialization,

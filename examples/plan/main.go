@@ -72,7 +72,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	sum, err := modelB.Checksum(res.Node(toB).Ref())
+	atB := res.Node(toB).Ref()
+	sum, err := atB.Instance().Checksum(atB)
 	if err != nil {
 		return err
 	}

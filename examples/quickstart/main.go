@@ -51,7 +51,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if err := verify(b, ref, payload); err != nil {
+	if err := verify(ref, payload); err != nil {
 		return err
 	}
 	show("a → b (same VM)", rep)
@@ -62,7 +62,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if err := verify(c, ref, payload); err != nil {
+	if err := verify(ref, payload); err != nil {
 		return err
 	}
 	show("a → c (same node)", rep2)
@@ -72,13 +72,13 @@ func run() error {
 	return nil
 }
 
-func verify(f *roadrunner.Function, ref roadrunner.DataRef, n int) error {
-	sum, err := f.Checksum(ref)
+func verify(ref roadrunner.DataRef, n int) error {
+	sum, err := ref.Instance().Checksum(ref)
 	if err != nil {
 		return err
 	}
 	if sum != roadrunner.ExpectedChecksum(n) {
-		return fmt.Errorf("%s: payload corrupted", f.Name())
+		return fmt.Errorf("%s: payload corrupted", ref.Instance().Name())
 	}
 	return nil
 }

@@ -61,3 +61,13 @@ func TestingPruneChannels(p *Platform) int {
 	}
 	return n
 }
+
+// TestingWithDataHoseSize sets every shim's virtual-data-hose pipe capacity
+// in bytes — also the striping unit of a cross-node transfer: a payload
+// crosses in hose-sized chunks, and from the second chunk on the target's
+// ingress stage and the calling goroutine deposit whole chunks into the
+// target VM side by side (DESIGN.md §3). The pipeline tests shrink it to
+// get multi-chunk transfers out of small payloads.
+func TestingWithDataHoseSize(n int) Option {
+	return func(c *platformConfig) { c.hose = n }
+}

@@ -102,53 +102,21 @@ func (f *Function) SharesVMWith(o *Function) bool {
 // Produce runs the guest payload generator on a policy-routed instance,
 // making an n-byte deterministic payload the function's current output.
 func (f *Function) Produce(n int) error {
-	_, _, err := f.platform.produceRouted(f, n)
-	return err
+	return f.platform.produceRouted(f, n)
 }
 
-// Output returns the active instance's current output region.
-func (f *Function) Output() (DataRef, error) {
-	if err := f.platform.beginOp(); err != nil {
-		return DataRef{}, err
-	}
-	defer f.platform.endOp()
-	out, err := f.ActiveInstance().inner.Output()
-	if err != nil {
-		return DataRef{}, err
-	}
-	return DataRef{Ptr: out.Ptr, Len: out.Len}, nil
-}
-
-// SetOutput registers delivered data in the active instance as the
-// function's output, enabling the next hop of a chained workflow.
-func (f *Function) SetOutput(ref DataRef) error {
-	if err := f.platform.beginOp(); err != nil {
-		return err
-	}
-	defer f.platform.endOp()
-	return f.ActiveInstance().setOutput(ref)
-}
-
-// Checksum digests a delivered region inside the active instance's guest;
-// it matches ExpectedChecksum for payloads created by Produce.
-func (f *Function) Checksum(ref DataRef) (uint64, error) {
-	if err := f.platform.beginOp(); err != nil {
-		return 0, err
-	}
-	defer f.platform.endOp()
-	return f.ActiveInstance().checksum(ref)
-}
-
-// Release returns delivered data to the active instance's guest allocator
-// (deallocate_memory), rewinding the bump heap when the region is the most
-// recent live allocation. Long-running functions release inbound payloads
-// between invocations to keep linear memory bounded.
+// Release returns a region to the guest allocator of the instance that owns
+// it (ref.Instance()), as Instance.Release does. A ref with no owner, or
+// one owned by another function's instance, fails with ErrForeignInstance.
 func (f *Function) Release(ref DataRef) error {
 	if err := f.platform.beginOp(); err != nil {
 		return err
 	}
 	defer f.platform.endOp()
-	return f.ActiveInstance().inner.Deallocate(ref.Ptr)
+	if ref.inst == nil || ref.inst.fn != f {
+		return fmt.Errorf("%s: release of a ref it does not own: %w", f.name, ErrForeignInstance)
+	}
+	return ref.release()
 }
 
 // Call invokes any guest export on a policy-routed instance (see
@@ -171,19 +139,9 @@ func (f *Function) Call(export string, args ...uint64) ([]uint64, error) {
 	return res, err
 }
 
-// ResizeHalf runs the guest's 2×2 box-filter downsample over a delivered
-// grayscale image in the active instance, returning the output region.
-func (f *Function) ResizeHalf(ref DataRef, w, h int) (DataRef, error) {
-	if err := f.platform.beginOp(); err != nil {
-		return DataRef{}, err
-	}
-	defer f.platform.endOp()
-	return f.ActiveInstance().resizeHalf(ref, w, h)
-}
-
-// ExpectedChecksum returns the digest Checksum yields for an n-byte payload
-// created by Produce — the end-to-end integrity oracle used by the examples
-// and tests.
+// ExpectedChecksum returns the digest Instance.Checksum yields for an
+// n-byte payload created by Produce — the end-to-end integrity oracle used
+// by the examples and tests.
 func ExpectedChecksum(n int) uint64 {
 	return guest.ReferenceProduceChecksum(n)
 }
@@ -216,8 +174,7 @@ func (p *Platform) ChainCtx(ctx context.Context, n int, fns []*Function, opts ..
 	if err := node.admit(ctx, p); err != nil {
 		return DataRef{}, Report{}, err
 	}
-	ref, rep, _, err := p.chainWithCtx(ctx, n, opts, fns...)
-	return ref, rep, err
+	return p.chainWithCtx(ctx, n, opts, fns...)
 }
 
 // chainWithCtx executes one streaming chain under ctx — the engine behind
@@ -225,17 +182,16 @@ func (p *Platform) ChainCtx(ctx context.Context, n int, fns []*Function, opts ..
 // inside each hop's pipeline; on any failure the chain releases every
 // region it allocated so far (in reverse allocation order — the guests'
 // allocators are LIFO), so a chain cancelled while an interior hop is on
-// the wire frees all pinned interior refs. It also returns the concrete
-// instance the final delivery landed on, feeding plan dataflow (From) edges.
-func (p *Platform) chainWithCtx(ctx context.Context, n int, opts []TransferOption, fns ...*Function) (DataRef, Report, *Instance, error) {
+// the wire frees all pinned interior refs.
+func (p *Platform) chainWithCtx(ctx context.Context, n int, opts []TransferOption, fns ...*Function) (DataRef, Report, error) {
 	if err := p.beginOp(); err != nil {
-		return DataRef{}, Report{}, nil, err
+		return DataRef{}, Report{}, err
 	}
 	defer p.endOp()
 
 	head, err := fns[0].pickInstance()
 	if err != nil {
-		return DataRef{}, Report{}, nil, fmt.Errorf("chain head: %w", err)
+		return DataRef{}, Report{}, fmt.Errorf("chain head: %w", err)
 	}
 	// The head's in-flight mark is retired on every path out of the produce
 	// — the bracket must not outlive the operation, or the gauge baseline
@@ -244,23 +200,19 @@ func (p *Platform) chainWithCtx(ctx context.Context, n int, opts []TransferOptio
 	ref, err := head.produceAt(n)
 	fns[0].route.Exit(head.index)
 	if err != nil {
-		return DataRef{}, Report{}, nil, fmt.Errorf("chain head %s: produce: %w", head.Name(), err)
+		return DataRef{}, Report{}, fmt.Errorf("chain head %s: produce: %w", head.Name(), err)
 	}
 
 	// Every region this chain allocates, in order: the head's produce, then
 	// one delivery per completed hop. On failure they are handed back to
 	// their guests newest-first, rewinding each touched instance's bump
 	// allocator to its pre-chain position.
-	type chainAlloc struct {
-		inst *Instance
-		ref  DataRef
-	}
-	allocs := []chainAlloc{{head, ref}}
-	fail := func(err error) (DataRef, Report, *Instance, error) {
+	allocs := []DataRef{ref}
+	fail := func(err error) (DataRef, Report, error) {
 		for i := len(allocs) - 1; i >= 0; i-- {
-			_ = allocs[i].inst.inner.Deallocate(allocs[i].ref.Ptr)
+			_ = allocs[i].release()
 		}
-		return DataRef{}, Report{}, nil, err
+		return DataRef{}, Report{}, err
 	}
 
 	cur := head
@@ -281,21 +233,20 @@ func (p *Platform) chainWithCtx(ctx context.Context, n int, opts []TransferOptio
 		// survivors of the next function's pool; the hop's source is the
 		// previous delivery and is never re-routed (its region is fixed).
 		var rep Report
-		var di *Instance
-		ref, rep, di, err = p.deliverRouted(cur, fns[i+1], &cfg)
+		ref, rep, err = p.deliverRouted(cur, fns[i+1], &cfg)
 		if err != nil {
 			return fail(fmt.Errorf("hop %d/%d (%s->%s): %w", i+1, hops, cur.Name(), fns[i+1].Name(), err))
 		}
-		allocs = append(allocs, chainAlloc{di, ref})
-		fns[i+1].setActive(di)
+		allocs = append(allocs, ref)
+		cur = ref.inst
+		fns[i+1].setActive(cur)
 		if i == 0 {
 			total = rep
 		} else {
 			total = total.Merge(rep)
 		}
-		cur = di
 	}
-	return ref, total, cur, nil
+	return ref, total, nil
 }
 
 // MulticastCtx delivers src's current output to every target in a single
@@ -446,7 +397,7 @@ func castInstances(si *Instance, chosen []*Instance, opts core.MulticastOptions)
 	}
 	out := make([]DataRef, len(refs))
 	for i := range refs {
-		out[i] = DataRef{Ptr: refs[i].Ptr, Len: refs[i].Len}
+		out[i] = DataRef{Ptr: refs[i].Ptr, Len: refs[i].Len, inst: chosen[i]}
 		observeDelivery(si, chosen[i], reps[i], nil)
 	}
 	return out, reps, nil
@@ -511,7 +462,7 @@ func (p *Platform) fanoutCtx(ctx context.Context, src *Function, targets []*Func
 		return nil, nil, err
 	}
 	fail := func(err error) ([]DataRef, []Report, error) {
-		_ = si.inner.Deallocate(out.Ptr)
+		_ = out.release()
 		return nil, nil, err
 	}
 	pool := p.scheduler()
@@ -565,7 +516,7 @@ func (p *Platform) fanoutCtx(ctx context.Context, src *Function, targets []*Func
 		wg.Add(1)
 		if err := pool.SubmitCtx(ctx, func() {
 			defer wg.Done()
-			refs[i], reports[i], chosen[i], errs[i] = p.deliverRouted(si, targets[i], &cfgs[i])
+			refs[i], reports[i], errs[i] = p.deliverRouted(si, targets[i], &cfgs[i])
 		}); err != nil {
 			errs[i] = err
 			wg.Done()
@@ -583,7 +534,7 @@ func (p *Platform) fanoutCtx(ctx context.Context, src *Function, targets []*Func
 				}
 			} else {
 				for _, i := range group {
-					refs[i], reports[i], chosen[i], errs[i] = p.deliverRouted(si, targets[i], &cfgs[i])
+					refs[i], reports[i], errs[i] = p.deliverRouted(si, targets[i], &cfgs[i])
 				}
 			}
 		}
@@ -604,13 +555,13 @@ func (p *Platform) fanoutCtx(ctx context.Context, src *Function, targets []*Func
 			}
 			sort.Slice(landed, func(a, b int) bool { return refs[landed[a]].Ptr > refs[landed[b]].Ptr })
 			for _, k := range landed {
-				_ = chosen[k].inner.Deallocate(refs[k].Ptr)
+				_ = refs[k].release()
 			}
 			return fail(fmt.Errorf("fanout to %s: %w", targets[i].Name(), err))
 		}
 	}
 	for i := range targets {
-		targets[i].setActive(chosen[i])
+		targets[i].setActive(refs[i].inst)
 	}
 	return refs, reports, nil
 }
@@ -667,18 +618,14 @@ func (f *Function) SaveState(key string) error {
 }
 
 // LoadState delivers a previously saved payload back into the active
-// instance's linear memory. Only the saving workflow/tenant can see the
-// entry.
+// instance's linear memory; the returned ref carries that instance. Only
+// the saving workflow/tenant can see the entry.
 func (f *Function) LoadState(key string) (DataRef, error) {
 	if err := f.platform.beginOp(); err != nil {
 		return DataRef{}, err
 	}
 	defer f.platform.endOp()
-	ref, err := f.platform.state.Get(f.ActiveInstance().inner, key)
-	if err != nil {
-		return DataRef{}, err
-	}
-	return DataRef{Ptr: ref.Ptr, Len: ref.Len}, nil
+	return f.ActiveInstance().loadState(key)
 }
 
 // DeleteState removes a state entry of the function's workflow.

@@ -14,9 +14,9 @@ import (
 // sandbox and Wasm VM (unless deployed into a shared VM) on one node. The
 // invoker plane normally resolves instances per invocation behind the
 // *Function API; Instance handles are the explicit escape hatch — tests pin
-// them with WithSourceInstance/WithTargetInstance, and instance-affine
-// callers drive them directly with the same data-plane surface Function
-// offers.
+// them with WithSourceInstance/WithTargetInstance — and the home of the
+// data verbs on delivered regions (Output, SetOutput, Checksum, Release,
+// ResizeHalf): every DataRef the platform returns names its Instance.
 type Instance struct {
 	fn    *Function
 	inner *core.Function
@@ -86,7 +86,7 @@ func (inst *Instance) produceAt(n int) (DataRef, error) {
 		return DataRef{}, err
 	}
 	inst.fn.setActive(inst)
-	return DataRef{Ptr: out.Ptr, Len: out.Len}, nil
+	return DataRef{Ptr: out.Ptr, Len: out.Len, inst: inst}, nil
 }
 
 // Output returns the instance's current output region.
@@ -99,20 +99,20 @@ func (inst *Instance) Output() (DataRef, error) {
 	if err != nil {
 		return DataRef{}, err
 	}
-	return DataRef{Ptr: out.Ptr, Len: out.Len}, nil
+	return DataRef{Ptr: out.Ptr, Len: out.Len, inst: inst}, nil
 }
 
-// SetOutput registers delivered data as the instance's output.
+// SetOutput registers delivered data as the instance's output, enabling the
+// next hop of a chained workflow. A ref owned by another instance fails
+// with ErrForeignInstance.
 func (inst *Instance) SetOutput(ref DataRef) error {
 	if err := inst.fn.platform.beginOp(); err != nil {
 		return err
 	}
 	defer inst.fn.platform.endOp()
-	return inst.setOutput(ref)
-}
-
-// setOutput is SetOutput without the lifecycle guard (for guarded callers).
-func (inst *Instance) setOutput(ref DataRef) error {
+	if err := ref.checkOwner(inst); err != nil {
+		return err
+	}
 	if _, err := inst.inner.Call(guest.ExportSetOutput, uint64(ref.Ptr), uint64(ref.Len)); err != nil {
 		return err
 	}
@@ -121,17 +121,17 @@ func (inst *Instance) setOutput(ref DataRef) error {
 	return err
 }
 
-// Checksum digests a delivered region inside the instance's guest.
+// Checksum digests a delivered region inside the instance's guest; it
+// matches ExpectedChecksum for payloads created by Produce. A ref owned by
+// another instance fails with ErrForeignInstance.
 func (inst *Instance) Checksum(ref DataRef) (uint64, error) {
 	if err := inst.fn.platform.beginOp(); err != nil {
 		return 0, err
 	}
 	defer inst.fn.platform.endOp()
-	return inst.checksum(ref)
-}
-
-// checksum is Checksum without the lifecycle guard (for guarded callers).
-func (inst *Instance) checksum(ref DataRef) (uint64, error) {
+	if err := ref.checkOwner(inst); err != nil {
+		return 0, err
+	}
 	res, err := inst.inner.Call(guest.ExportConsume, uint64(ref.Ptr), uint64(ref.Len))
 	if err != nil {
 		return 0, err
@@ -139,12 +139,19 @@ func (inst *Instance) checksum(ref DataRef) (uint64, error) {
 	return res[0], nil
 }
 
-// Release returns delivered data to the instance's guest allocator.
+// Release returns a region to the instance's guest allocator
+// (deallocate_memory), rewinding the bump heap when the region is the most
+// recent live allocation; long-running functions release inbound payloads
+// between invocations to keep linear memory bounded. A ref owned by
+// another instance fails with ErrForeignInstance.
 func (inst *Instance) Release(ref DataRef) error {
 	if err := inst.fn.platform.beginOp(); err != nil {
 		return err
 	}
 	defer inst.fn.platform.endOp()
+	if err := ref.checkOwner(inst); err != nil {
+		return err
+	}
 	return inst.inner.Deallocate(ref.Ptr)
 }
 
@@ -165,17 +172,16 @@ func (inst *Instance) Call(export string, args ...uint64) ([]uint64, error) {
 }
 
 // ResizeHalf runs the guest's 2×2 box-filter downsample over a delivered
-// grayscale image on this instance, returning the output region.
+// grayscale image on this instance, returning the output region. A ref
+// owned by another instance fails with ErrForeignInstance.
 func (inst *Instance) ResizeHalf(ref DataRef, w, h int) (DataRef, error) {
 	if err := inst.fn.platform.beginOp(); err != nil {
 		return DataRef{}, err
 	}
 	defer inst.fn.platform.endOp()
-	return inst.resizeHalf(ref, w, h)
-}
-
-// resizeHalf is ResizeHalf without the lifecycle guard.
-func (inst *Instance) resizeHalf(ref DataRef, w, h int) (DataRef, error) {
+	if err := ref.checkOwner(inst); err != nil {
+		return DataRef{}, err
+	}
 	if uint32(w*h) != ref.Len {
 		return DataRef{}, fmt.Errorf("roadrunner: resize %dx%d does not match %d delivered bytes", w, h, ref.Len)
 	}
@@ -183,7 +189,7 @@ func (inst *Instance) resizeHalf(ref DataRef, w, h int) (DataRef, error) {
 	if err != nil {
 		return DataRef{}, err
 	}
-	return DataRef{Ptr: out.Ptr, Len: out.Len}, nil
+	return DataRef{Ptr: out.Ptr, Len: out.Len, inst: inst}, nil
 }
 
 // SaveState snapshots the instance's current output under a named key in
@@ -203,11 +209,16 @@ func (inst *Instance) LoadState(key string) (DataRef, error) {
 		return DataRef{}, err
 	}
 	defer inst.fn.platform.endOp()
+	return inst.loadState(key)
+}
+
+// loadState is LoadState without the lifecycle guard.
+func (inst *Instance) loadState(key string) (DataRef, error) {
 	ref, err := inst.fn.platform.state.Get(inst.inner, key)
 	if err != nil {
 		return DataRef{}, err
 	}
-	return DataRef{Ptr: ref.Ptr, Len: ref.Len}, nil
+	return DataRef{Ptr: ref.Ptr, Len: ref.Len, inst: inst}, nil
 }
 
 // InstanceAccount is one replica's slice of a FunctionReport: its sandbox

@@ -78,7 +78,7 @@ func chanCachePoints(x float64, n, runs int) ([]Point, error) {
 			if err != nil {
 				return err
 			}
-			if err := verifyChecksum(b, ref, n); err != nil {
+			if err := verifyChecksum(ref, n); err != nil {
 				return err
 			}
 			if err := b.Release(ref); err != nil {

@@ -70,7 +70,7 @@ func intraNodePoints(xMB float64, n int) ([]Point, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := verifyChecksum(b, ref, n); err != nil {
+		if err := verifyChecksum(ref, n); err != nil {
 			return nil, err
 		}
 		points = append(points, pointFrom(SysRRUser, xMB, rep))
@@ -98,7 +98,7 @@ func intraNodePoints(xMB float64, n int) ([]Point, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := verifyChecksum(b, ref, n); err != nil {
+		if err := verifyChecksum(ref, n); err != nil {
 			return nil, err
 		}
 		points = append(points, pointFrom(SysRRKernel, xMB, rep))
@@ -164,8 +164,8 @@ func intraNodePoints(xMB float64, n int) ([]Point, error) {
 	return points, nil
 }
 
-func verifyChecksum(f *roadrunner.Function, ref roadrunner.DataRef, n int) error {
-	sum, err := f.Checksum(ref)
+func verifyChecksum(ref roadrunner.DataRef, n int) error {
+	sum, err := ref.Instance().Checksum(ref)
 	if err != nil {
 		return err
 	}

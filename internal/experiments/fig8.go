@@ -67,7 +67,7 @@ func interNodePoints(x float64, n, flows int) ([]Point, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := verifyChecksum(b, ref, n); err != nil {
+		if err := verifyChecksum(ref, n); err != nil {
 			return nil, err
 		}
 		points = append(points, pointFrom(SysRRNetwork, x, rep))

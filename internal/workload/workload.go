@@ -455,46 +455,36 @@ func (r *Runner) execute(inst *instance) error {
 	// function to different replicas, which is why the map is keyed by
 	// instance rather than function.
 	earliest := make(map[*roadrunner.Instance]roadrunner.DataRef, len(fns))
-	cur := head.ActiveInstance()
-	if out, err := cur.Output(); err == nil {
-		earliest[cur] = out
+	ref, err := head.ActiveInstance().Output()
+	if err != nil {
+		return fmt.Errorf("head output: %w", err)
 	}
+	earliest[ref.Instance()] = ref
 	defer func() {
 		for target, ref := range earliest {
 			_ = target.Release(ref)
 		}
 	}()
 
-	var ref roadrunner.DataRef
-	last := cur
 	for h := 0; h < cfg.Hops; h++ {
 		src := fns[h%len(fns)]
 		dst := fns[(h+1)%len(fns)]
 		// Streaming hop: the input region is pinned atomically inside the
 		// transfer's source stage (WithSourceRef) instead of a separate
-		// SetOutput call, exactly as Platform.ChainCtx does; the source
-		// instance is pinned to the previous hop's delivery.
-		opts := append(append(make([]roadrunner.TransferOption, 0, len(r.topts)+2), r.topts...),
-			roadrunner.WithSourceInstance(last), roadrunner.WithSourceRef(ref))
-		if h == 0 {
-			out, err := last.Output()
-			if err != nil {
-				return fmt.Errorf("head output: %w", err)
-			}
-			opts[len(opts)-1] = roadrunner.WithSourceRef(out)
-		}
-		var err error
+		// SetOutput call, exactly as Platform.ChainCtx does; the ref's
+		// owner — the previous hop's delivery — is the source instance.
+		opts := append(append(make([]roadrunner.TransferOption, 0, len(r.topts)+1), r.topts...),
+			roadrunner.WithSourceRef(ref))
 		ref, _, err = r.platform.TransferCtx(ctx, src, dst, opts...)
 		if err != nil {
 			return fmt.Errorf("hop %d %s->%s: %w", h, src.Name(), dst.Name(), err)
 		}
-		last = dst.ActiveInstance()
-		if _, ok := earliest[last]; !ok {
-			earliest[last] = ref
+		if _, ok := earliest[ref.Instance()]; !ok {
+			earliest[ref.Instance()] = ref
 		}
 	}
 	if cfg.Verify {
-		sum, err := last.Checksum(ref)
+		sum, err := ref.Instance().Checksum(ref)
 		if err != nil {
 			return fmt.Errorf("checksum: %w", err)
 		}
@@ -519,7 +509,7 @@ func (r *Runner) executeFanout(ctx context.Context, inst *instance) error {
 	}
 	var verr error
 	for t, ref := range refs {
-		target := targets[t].ActiveInstance()
+		target := ref.Instance()
 		if cfg.Verify && verr == nil {
 			sum, err := target.Checksum(ref)
 			switch {
@@ -569,7 +559,8 @@ func (r *Runner) executePlan(ctx context.Context, inst *instance) error {
 	// bump allocators rewind exactly.
 	var verr error
 	if cfg.Verify && res.Err == nil {
-		sum, err := c.ActiveInstance().Checksum(res.Node(n2).Ref())
+		toC := res.Node(n2).Ref()
+		sum, err := toC.Instance().Checksum(toC)
 		switch {
 		case err != nil:
 			verr = fmt.Errorf("checksum: %w", err)
@@ -577,12 +568,10 @@ func (r *Runner) executePlan(ctx context.Context, inst *instance) error {
 			verr = fmt.Errorf("checksum mismatch: got %#x want %#x", sum, roadrunner.ExpectedChecksum(cfg.PayloadBytes))
 		}
 	}
-	for _, leaf := range []struct {
-		node *roadrunner.PlanNode
-		fn   *roadrunner.Function
-	}{{n2, c}, {n3, d}, {n1, b}} {
-		if nr := res.Node(leaf.node); nr.Err == nil {
-			_ = leaf.fn.ActiveInstance().Release(nr.Ref())
+	for _, leaf := range []*roadrunner.PlanNode{n2, n3, n1} {
+		if nr := res.Node(leaf); nr.Err == nil {
+			ref := nr.Ref()
+			_ = ref.Instance().Release(ref)
 		}
 	}
 	if inv := res.Node(n1).Invocation; inv != nil {

@@ -36,13 +36,11 @@ type NodeResult struct {
 	// the dependency's error (wrapped) for a skipped node, or the
 	// context's error when cancellation preempted the node.
 	Err error
-	// delivered is the concrete instance a single-delivery node landed on,
-	// feeding downstream From edges.
-	delivered *Instance
 }
 
 // Ref returns the node's first delivery (the only one for single-delivery
-// nodes), or the zero DataRef for a failed node.
+// nodes), whose Instance is where it landed, or the zero DataRef for a
+// failed node.
 func (nr NodeResult) Ref() DataRef {
 	if len(nr.Refs) == 0 {
 		return DataRef{}
@@ -289,33 +287,30 @@ func (j *Job) runNode(ctx context.Context, p *Platform, pool *sched.Pool, n *Pla
 // execNode runs one node's body through the engine, translating the op kind
 // to the corresponding internal ctx-taking entry point. input is the
 // completed dependency a From edge wired in (nil without one): its delivery
-// is pinned as the node's source region and source instance, ahead of the
-// node's own options so explicit pins still win.
+// is pinned as the node's source region — and, through the ref's owner, its
+// source instance — ahead of the node's own options, so an explicit
+// WithSourceRef still wins.
 func (p *Platform) execNode(ctx context.Context, n *PlanNode, input *NodeResult) NodeResult {
 	res := NodeResult{Node: n.label}
 	opts := n.opts
-	if input != nil && input.delivered != nil {
-		wired := []TransferOption{
-			WithSourceInstance(input.delivered),
-			WithSourceRef(input.Ref()),
-		}
-		opts = append(wired, opts...)
+	if input != nil {
+		opts = append([]TransferOption{WithSourceRef(input.Ref())}, opts...)
 	}
 	switch n.op {
 	case opXfer:
-		ref, rep, inst, err := p.transferCtx(ctx, n.src, n.dst, opts)
+		ref, rep, err := p.transferCtx(ctx, n.src, n.dst, opts)
 		if err != nil {
 			res.Err = err
 			return res
 		}
-		res.Refs, res.Reports, res.delivered = []DataRef{ref}, []Report{rep}, inst
+		res.Refs, res.Reports = []DataRef{ref}, []Report{rep}
 	case opHop:
-		ref, rep, inst, err := p.chainWithCtx(ctx, n.bytes, opts, n.fns...)
+		ref, rep, err := p.chainWithCtx(ctx, n.bytes, opts, n.fns...)
 		if err != nil {
 			res.Err = err
 			return res
 		}
-		res.Refs, res.Reports, res.delivered = []DataRef{ref}, []Report{rep}, inst
+		res.Refs, res.Reports = []DataRef{ref}, []Report{rep}
 	case opCast:
 		refs, reps, err := p.multicastCtx(ctx, n.src, n.targets, opts)
 		if err != nil {
@@ -338,7 +333,6 @@ func (p *Platform) execNode(ctx context.Context, n *PlanNode, input *NodeResult)
 		}
 		res.Invocation = inv
 		res.Refs, res.Reports = []DataRef{inv.Ref}, []Report{inv.Report}
-		res.delivered = inv.Target
 	default:
 		res.Err = fmt.Errorf("roadrunner: unknown plan op %v", n.op)
 	}

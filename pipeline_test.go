@@ -30,7 +30,7 @@ func TestChainMultiChunkOverlap(t *testing.T) {
 		{"same-node", [4]string{"edge", "edge", "edge", "edge"}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			p := newPlatform(t, roadrunner.WithDataHoseSize(64<<10))
+			p := newPlatform(t, roadrunner.TestingWithDataHoseSize(64<<10))
 			fns := make([]*roadrunner.Function, len(tc.nodes))
 			for i, node := range tc.nodes {
 				fns[i] = deploy(t, p, roadrunner.FunctionSpec{Name: fmt.Sprintf("f%d", i), Node: node})
@@ -39,7 +39,7 @@ func TestChainMultiChunkOverlap(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sum, err := fns[len(fns)-1].Checksum(ref)
+			sum, err := checksumAtOwner(ref)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -91,7 +91,7 @@ func TestConcurrentSharedInteriorChainsPublic(t *testing.T) {
 					t.Errorf("chain %d: %v", i, err)
 					return
 				}
-				sum, err := tails[i].Checksum(ref)
+				sum, err := checksumAtOwner(ref)
 				if err != nil {
 					t.Errorf("chain %d checksum: %v", i, err)
 					return
@@ -126,7 +126,10 @@ func TestMulticastPerTargetLinks(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, dst := range []*roadrunner.Function{tFast, tSlow} {
-		sum, err := dst.Checksum(refs[i])
+		if refs[i].Instance().Function() != dst {
+			t.Fatalf("target %d: ref not owned by %s", i, dst.Name())
+		}
+		sum, err := checksumAtOwner(refs[i])
 		if err != nil || sum != roadrunner.ExpectedChecksum(n) {
 			t.Fatalf("target %d corrupted: %v", i, err)
 		}
@@ -281,7 +284,7 @@ func TestMulticastFailureBeforeAnnounce(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, tgt := range targets {
-			if sum, err := tgt.Checksum(refs[i]); err != nil || sum != roadrunner.ExpectedChecksum(n) {
+			if sum, err := checksumAtOwner(refs[i]); err != nil || sum != roadrunner.ExpectedChecksum(n) {
 				t.Fatalf("target %d checksum %#x (%v)", i, sum, err)
 			}
 			if err := tgt.Release(refs[i]); err != nil {

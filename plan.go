@@ -120,14 +120,14 @@ func (n *PlanNode) After(deps ...*PlanNode) *PlanNode {
 }
 
 // From wires dep's delivery into this node as its source region: the
-// consumer transfers exactly the payload dep delivered, pinned to the
-// concrete instance it landed on (WithSourceRef + WithSourceInstance
-// semantics), with After(dep) implied. This is the DAG's explicit dataflow
-// edge — a delivered region does not otherwise become the target's
-// registered output (that remains SetOutput's job). Only Xfer and Cast
-// nodes consume an input, and only from a single-delivery dependency
-// (Xfer, Hop or Invoke) whose delivery function is this node's source;
-// validation rejects anything else with a *PlanError.
+// consumer transfers exactly the payload dep delivered, read from the
+// concrete instance it landed on (WithSourceRef semantics: the ref's owner
+// is the source instance), with After(dep) implied. This is the DAG's
+// explicit dataflow edge — a delivered region does not otherwise become
+// the target's registered output (that remains SetOutput's job). Only Xfer
+// and Cast nodes consume an input, and only from a single-delivery
+// dependency (Xfer, Hop or Invoke) whose delivery function is this node's
+// source; validation rejects anything else with a *PlanError.
 func (n *PlanNode) From(dep *PlanNode) *PlanNode {
 	n.input = dep
 	return n.After(dep)
@@ -298,6 +298,20 @@ func (n *PlanNode) check(p *Platform) error {
 // check so the pooled config can be returned on one path regardless of
 // which validation fails.
 func (n *PlanNode) checkOpts(cfg *transferConfig) error {
+	if n.op == opXfer || n.op == opCast {
+		// A pinned source region names its instance: it must agree with
+		// any explicit pin, and it is the source pin the checks below see.
+		si, err := cfg.sourcePin()
+		if err != nil {
+			return n.fail(err)
+		}
+		cfg.srcInst = si
+	}
+	// A chain's source instances are always routed (ChainCtx); every other
+	// kind reads from or produces at a pinned source instance.
+	if n.op != opHop && cfg.srcInst != nil && cfg.srcInst.fn != n.src {
+		return n.fail(fmt.Errorf("source %s: %w", cfg.srcInst.Name(), ErrForeignInstance))
+	}
 	switch n.op {
 	case opCast:
 		if cfg.mode == ModeUserSpace {
@@ -314,9 +328,6 @@ func (n *PlanNode) checkOpts(cfg *transferConfig) error {
 			return n.fail(fmt.Errorf("fanout routes every target by policy, cannot pin one target instance: %w", ErrModeUnavailable))
 		}
 	case opXfer, opInvoke:
-		if cfg.srcInst != nil && cfg.srcInst.fn != n.src {
-			return n.fail(fmt.Errorf("source %s: %w", cfg.srcInst.Name(), ErrForeignInstance))
-		}
 		if cfg.dstInst != nil && cfg.dstInst.fn != n.dst {
 			return n.fail(fmt.Errorf("target %s: %w", cfg.dstInst.Name(), ErrForeignInstance))
 		}

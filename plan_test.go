@@ -200,7 +200,7 @@ func TestPlanDAGExecution(t *testing.T) {
 		}
 	}
 	// The final chain's delivery checksums at a.
-	sum, err := a.Checksum(res.Node(back).Ref())
+	sum, err := checksumAtOwner(res.Node(back).Ref())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,10 +309,13 @@ func TestSubmittedCast(t *testing.T) {
 		t.Fatalf("submitted cast: %d refs / %d reports, want 2/2", len(refs), len(reports))
 	}
 	for i, dst := range []*roadrunner.Function{c, d} {
+		if refs[i].Instance().Function() != dst {
+			t.Fatalf("target %d: ref not owned by %s", i, dst.Name())
+		}
 		if reports[i].Mode != "network-multicast" {
 			t.Fatalf("target %d mode = %q", i, reports[i].Mode)
 		}
-		sum, err := dst.Checksum(refs[i])
+		sum, err := checksumAtOwner(refs[i])
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -86,7 +86,7 @@ func observeDelivery(si, di *Instance, rep Report, err error) {
 // as cancellation does (the core layer restores FD, page-pool and channel
 // baselines per attempt), so a retried delivery leaves no residue behind
 // the replicas it gave up on.
-func (p *Platform) deliverRouted(si *Instance, dst *Function, cfg *transferConfig) (DataRef, Report, *Instance, error) {
+func (p *Platform) deliverRouted(si *Instance, dst *Function, cfg *transferConfig) (DataRef, Report, error) {
 	attempts := maxDeliveryAttempts
 	if cfg.dstInst != nil {
 		attempts = 1
@@ -95,19 +95,19 @@ func (p *Platform) deliverRouted(si *Instance, dst *Function, cfg *transferConfi
 	var lastErr error
 	for a := 0; a < attempts; a++ {
 		if err := ctxErr(cfg.ctx); err != nil {
-			return DataRef{}, Report{}, nil, err
+			return DataRef{}, Report{}, err
 		}
 		di, err := p.resolveTarget(si, dst, cfg, excluded)
 		if err != nil {
 			if lastErr != nil {
 				err = fmt.Errorf("%w (after delivery failure: %v)", err, lastErr)
 			}
-			return DataRef{}, Report{}, nil, err
+			return DataRef{}, Report{}, err
 		}
 		ref, rep, err := p.transferInstances(si, di, cfg)
 		if err == nil {
 			observeDelivery(si, di, rep, nil)
-			return ref, rep, di, nil
+			return ref, rep, nil
 		}
 		// Cancellations and caller errors say nothing about the instances:
 		// only instance faults strike the FSM — and they strike the target,
@@ -115,7 +115,7 @@ func (p *Platform) deliverRouted(si *Instance, dst *Function, cfg *transferConfi
 		// that is actually dead fails every re-routed target and surfaces
 		// as attempt exhaustion instead).
 		if !isInstanceFault(err) {
-			return DataRef{}, Report{}, nil, err
+			return DataRef{}, Report{}, err
 		}
 		di.fn.route.Observe(di.index, rep.Latency(), err)
 		if excluded == nil {
@@ -128,7 +128,7 @@ func (p *Platform) deliverRouted(si *Instance, dst *Function, cfg *transferConfi
 	if len(excluded) >= 2 {
 		si.fn.route.Observe(si.index, 0, lastErr)
 	}
-	return DataRef{}, Report{}, nil, lastErr
+	return DataRef{}, Report{}, lastErr
 }
 
 // produceRouted routes one produce into the source pool with the same
@@ -136,10 +136,10 @@ func (p *Platform) deliverRouted(si *Instance, dst *Function, cfg *transferConfi
 // with an instance fault takes the strike, is excluded, and the produce is
 // re-routed among the surviving replicas. Produce outcomes feed the health
 // FSM either way, so a recovering replica's successful produce counts as
-// its probe. Callers get the instance the payload actually landed on.
-func (p *Platform) produceRouted(src *Function, n int) (*Instance, DataRef, error) {
+// its probe.
+func (p *Platform) produceRouted(src *Function, n int) error {
 	if err := p.beginOp(); err != nil {
-		return nil, DataRef{}, err
+		return err
 	}
 	defer p.endOp()
 	var excluded map[*Instance]bool
@@ -150,19 +150,19 @@ func (p *Platform) produceRouted(src *Function, n int) (*Instance, DataRef, erro
 			if lastErr != nil {
 				err = fmt.Errorf("%w (after produce failure: %v)", err, lastErr)
 			}
-			return nil, DataRef{}, err
+			return err
 		}
-		out, err := func() (DataRef, error) {
+		_, err = func() (DataRef, error) {
 			src.route.Enter(si.index)
 			defer src.route.Exit(si.index)
 			return si.produceAt(n)
 		}()
 		if err == nil {
 			src.route.Observe(si.index, 0, nil)
-			return si, out, nil
+			return nil
 		}
 		if !isInstanceFault(err) {
-			return nil, DataRef{}, err
+			return err
 		}
 		src.route.Observe(si.index, 0, err)
 		if excluded == nil {
@@ -171,5 +171,5 @@ func (p *Platform) produceRouted(src *Function, n int) (*Instance, DataRef, erro
 		excluded[si] = true
 		lastErr = err
 	}
-	return nil, DataRef{}, lastErr
+	return lastErr
 }

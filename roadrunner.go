@@ -34,7 +34,8 @@
 //	inv := plan.Invoke(a, b, 8<<20)
 //	job, _ := p.Submit(ctx, plan)
 //	res, _ := job.Wait(ctx)
-//	sum, _ := b.Checksum(res.Node(inv).Ref())
+//	ref := res.Node(inv).Ref()
+//	sum, _ := ref.Instance().Checksum(ref)
 //	fmt.Println(res.Node(inv).Report().Latency(), sum)
 //
 // Or, the one-shot shortcut:
@@ -123,7 +124,8 @@ var (
 	// ErrClosed reports an operation submitted after Platform.Close.
 	ErrClosed = errors.New("roadrunner: platform closed")
 	// ErrForeignInstance rejects an instance pin (WithSourceInstance,
-	// WithTargetInstance) naming an instance of some other function.
+	// WithTargetInstance) naming an instance of some other function, and a
+	// DataRef handed to an instance (or function) that does not own it.
 	ErrForeignInstance = errors.New("roadrunner: pinned instance belongs to a different function")
 	// ErrNoHealthyInstance reports that a function's entire replica pool is
 	// excluded by the health FSM (DESIGN.md §8): every instance is Unhealthy
@@ -168,8 +170,6 @@ type Platform struct {
 	topo *netsim.Topology
 	//roadvet:guards mu
 	kernels map[string]*kernel.Kernel
-	module  []byte
-	now     func() time.Time
 	//roadvet:guards mu
 	shims  []*core.Shim
 	hose   int
@@ -197,8 +197,6 @@ type Option func(*platformConfig)
 type platformConfig struct {
 	nodes   []string
 	link    *netsim.Link
-	module  []byte
-	now     func() time.Time
 	hose    int
 	workers int
 	place   PlacementPolicy
@@ -216,29 +214,6 @@ func WithLink(bw Bandwidth, rtt time.Duration) Option {
 	return func(c *platformConfig) { c.link = netsim.NewLink(bw, rtt) }
 }
 
-// WithModule replaces the guest module binary (default: the canonical guest
-// implementing the Roadrunner ABI and the evaluation workloads).
-func WithModule(bin []byte) Option {
-	return func(c *platformConfig) { c.module = bin }
-}
-
-// WithClock injects a deterministic clock for tests. Transfers read the
-// clock from both pipeline-stage goroutines, so the function must be safe
-// for concurrent use.
-func WithClock(now func() time.Time) Option {
-	return func(c *platformConfig) { c.now = now }
-}
-
-// WithDataHoseSize sets the shim's virtual-data-hose pipe capacity in bytes.
-// The hose size is also the striping unit of a cross-node transfer: a
-// payload crosses in hose-sized chunks, and from the second chunk on the
-// target's ingress stage and the calling goroutine deposit whole chunks into
-// the target VM side by side (DESIGN.md §3). A payload that fits one hose
-// chunk is deposited by the ingress stage alone.
-func WithDataHoseSize(n int) Option {
-	return func(c *platformConfig) { c.hose = n }
-}
-
 // WithWorkers sets the size of the worker pool behind Submit's node bodies
 // and a fan-out's per-target deliveries (default: GOMAXPROCS).
 func WithWorkers(n int) Option {
@@ -253,8 +228,8 @@ func WithPlacement(p PlacementPolicy) Option {
 
 // WithHealth tunes the per-instance health FSM of every function deployed
 // after the option takes effect (DESIGN.md §8): strike thresholds, probe
-// cooldowns and the probe backoff. The FSM's clock defaults to the
-// platform's (WithClock), then to real time.
+// cooldowns and the probe backoff. The FSM's clock is cfg.Now, defaulting
+// to real time.
 func WithHealth(cfg HealthConfig) Option {
 	return func(c *platformConfig) { c.health = cfg }
 }
@@ -262,9 +237,8 @@ func WithHealth(cfg HealthConfig) Option {
 // New creates a platform.
 func New(opts ...Option) *Platform {
 	cfg := platformConfig{
-		nodes:  []string{"edge", "cloud"},
-		module: guest.Module(),
-		place:  PlacementLocality,
+		nodes: []string{"edge", "cloud"},
+		place: PlacementLocality,
 	}
 	for _, opt := range opts {
 		opt(&cfg)
@@ -272,16 +246,11 @@ func New(opts ...Option) *Platform {
 	p := &Platform{
 		topo:    netsim.NewTopology(cfg.link),
 		kernels: make(map[string]*kernel.Kernel, len(cfg.nodes)),
-		module:  cfg.module,
-		now:     cfg.now,
 		hose:    cfg.hose,
 		state:   core.NewStateStore(),
 		place:   cfg.place,
 		health:  cfg.health,
 		workers: cfg.workers,
-	}
-	if p.health.Now == nil {
-		p.health.Now = cfg.now // nil falls through to the FSM's default
 	}
 	for _, n := range cfg.nodes {
 		p.AddNode(n)
@@ -421,10 +390,10 @@ type Function struct {
 	route    *invoke.State
 
 	// active is the instance holding the function's current output: the
-	// last instance a routed produce/call/delivery landed on. Peerless
-	// reads (Output, Checksum, Release, …) address it. Sequential
-	// workflows get exact continuity; concurrent invocations that must
-	// not share it use Platform.InvokeCtx or explicit Instance handles.
+	// last instance a routed produce/call/delivery landed on. A transfer
+	// without a source pin reads from it, as do SaveState and LoadState.
+	// Data verbs on a delivered region route by the region's owner
+	// (DataRef.Instance), never by it.
 	activeMu sync.Mutex
 	active   *Instance
 }
@@ -501,8 +470,7 @@ func (p *Platform) Deploy(spec FunctionSpec) (*Function, error) {
 				Name:          "shim-" + instName,
 				Workflow:      core.Workflow{Name: wf.Name, Tenant: wf.Tenant},
 				Kernel:        k,
-				Module:        p.module,
-				Now:           p.now,
+				Module:        guest.Module(),
 				DataHoseBytes: p.hose,
 			})
 			if err == nil {
@@ -618,6 +586,12 @@ func WithPerTargetFanout(on bool) TransferOption {
 // source stage, under the source VM lock — which is what lets streaming
 // chains hand a delivered region to the next hop with no window in which a
 // concurrent transfer through the same function could retarget its output.
+// A ref the platform returned also pins the source instance: the region is
+// read from ref.Instance(). Such a ref owned by an instance outside the
+// source function's pool, or combined with a WithSourceInstance pin naming
+// another instance, fails with ErrForeignInstance. A caller-built
+// DataRef{Ptr, Len} has no owner and addresses the resolved source
+// instance.
 func WithSourceRef(ref DataRef) TransferOption {
 	return func(c *transferConfig) { c.sourceRef = &ref }
 }
@@ -652,17 +626,47 @@ func (p *Platform) ChannelStats() ChannelStats {
 	return st
 }
 
-// DataRef locates delivered data inside a function's linear memory.
+// DataRef locates data inside one instance's linear memory: Len bytes at
+// address Ptr. A region means something only in the VM it was allocated
+// in, so every ref the platform returns carries its owning instance
+// (Instance), and the data verbs route by it: Instance's Checksum,
+// Release, SetOutput and ResizeHalf reject a ref owned by another instance
+// with ErrForeignInstance, Function.Release hands the region back to its
+// owner, and WithSourceRef reads it from there. A caller-built
+// DataRef{Ptr, Len} has no owner and addresses whichever instance it is
+// handed to.
 type DataRef struct {
 	Ptr uint32
 	Len uint32
+	// inst is the instance whose linear memory holds the region (nil for
+	// caller-built refs).
+	inst *Instance
+}
+
+// Instance returns the instance whose linear memory holds the region, or
+// nil for a caller-built ref.
+func (r DataRef) Instance() *Instance { return r.inst }
+
+// release hands the region back to its owner's guest allocator — the
+// cleanup step of every operation that abandons its allocations. The ref
+// must carry an owner.
+func (r DataRef) release() error { return r.inst.inner.Deallocate(r.Ptr) }
+
+// checkOwner rejects a ref owned by an instance other than inst; an
+// owner-less ref passes.
+func (r DataRef) checkOwner(inst *Instance) error {
+	if r.inst != nil && r.inst != inst {
+		return fmt.Errorf("ref owned by %s, not %s: %w", r.inst.Name(), inst.Name(), ErrForeignInstance)
+	}
+	return nil
 }
 
 // TransferCtx moves src's current output to dst, selecting the mechanism by
-// locality unless a mode is forced. The source side reads from src's
-// active instance (the holder of its current output) unless pinned with
-// WithSourceInstance; the target instance is chosen by the platform's
-// placement policy unless pinned with WithTargetInstance. Cancellation of
+// locality unless a mode is forced. The source side reads from the owner of
+// a WithSourceRef region, else from the WithSourceInstance pin, else from
+// src's active instance (the holder of its current output); the target
+// instance is chosen by the platform's placement policy unless pinned with
+// WithTargetInstance. The returned ref carries the instance it landed in. Cancellation of
 // ctx (or its deadline) is honored at entry and at the pipeline's stage
 // boundaries, and an aborted transfer restores the FD, page-pool and
 // channel-cache baselines exactly as any other transfer failure does. It
@@ -675,20 +679,18 @@ func (p *Platform) TransferCtx(ctx context.Context, src, dst *Function, opts ...
 	if err := n.admit(ctx, p); err != nil {
 		return DataRef{}, Report{}, err
 	}
-	ref, rep, _, err := p.transferCtx(ctx, src, dst, opts)
-	return ref, rep, err
+	return p.transferCtx(ctx, src, dst, opts)
 }
 
 // transferCtx executes one transfer under ctx — the engine behind Xfer plan
-// nodes and TransferCtx. It also returns the concrete instance the delivery
-// landed on, feeding plan dataflow (From) edges.
-func (p *Platform) transferCtx(ctx context.Context, src, dst *Function, opts []TransferOption) (DataRef, Report, *Instance, error) {
+// nodes and TransferCtx.
+func (p *Platform) transferCtx(ctx context.Context, src, dst *Function, opts []TransferOption) (DataRef, Report, error) {
 	if err := p.beginOp(); err != nil {
-		return DataRef{}, Report{}, nil, err
+		return DataRef{}, Report{}, err
 	}
 	defer p.endOp()
 	if err := ctxErr(ctx); err != nil {
-		return DataRef{}, Report{}, nil, err
+		return DataRef{}, Report{}, err
 	}
 	cfg := cfgPool.Get().(*transferConfig)
 	*cfg = transferConfig{flows: 1, ctx: ctx}
@@ -698,27 +700,46 @@ func (p *Platform) transferCtx(ctx context.Context, src, dst *Function, opts []T
 	si, err := resolveSource(src, cfg)
 	if err != nil {
 		putTransferConfig(cfg)
-		return DataRef{}, Report{}, nil, err
+		return DataRef{}, Report{}, err
 	}
-	ref, rep, di, err := p.deliverRouted(si, dst, cfg)
+	ref, rep, err := p.deliverRouted(si, dst, cfg)
 	putTransferConfig(cfg)
 	if err != nil {
-		return DataRef{}, Report{}, nil, err
+		return DataRef{}, Report{}, err
 	}
-	dst.setActive(di)
-	return ref, rep, di, nil
+	dst.setActive(ref.inst)
+	return ref, rep, nil
+}
+
+// sourcePin returns the instance a transfer's options pin its source to:
+// the owner of a WithSourceRef region, else the WithSourceInstance pin (nil
+// when neither pins one). A ref owner that disagrees with an explicit pin
+// fails with ErrForeignInstance.
+func (cfg *transferConfig) sourcePin() (*Instance, error) {
+	if cfg.sourceRef == nil || cfg.sourceRef.inst == nil {
+		return cfg.srcInst, nil
+	}
+	owner := cfg.sourceRef.inst
+	if cfg.srcInst != nil && cfg.srcInst != owner {
+		return nil, fmt.Errorf("source ref owned by %s, pinned source %s: %w", owner.Name(), cfg.srcInst.Name(), ErrForeignInstance)
+	}
+	return owner, nil
 }
 
 // resolveSource returns the instance a transfer reads from: the pinned one
-// (validated) or the function's active instance.
+// (validated against src's pool) or the function's active instance.
 func resolveSource(src *Function, cfg *transferConfig) (*Instance, error) {
-	if cfg.srcInst != nil {
-		if cfg.srcInst.fn != src {
-			return nil, fmt.Errorf("source %s: %w", cfg.srcInst.Name(), ErrForeignInstance)
-		}
-		return cfg.srcInst, nil
+	si, err := cfg.sourcePin()
+	if err != nil {
+		return nil, err
 	}
-	return src.ActiveInstance(), nil
+	if si == nil {
+		return src.ActiveInstance(), nil
+	}
+	if si.fn != src {
+		return nil, fmt.Errorf("source %s: %w", si.Name(), ErrForeignInstance)
+	}
+	return si, nil
 }
 
 // resolveTarget returns the instance a transfer delivers into: the pinned
@@ -824,7 +845,7 @@ func (p *Platform) transferResolved(si, di *Instance, cfg *transferConfig) (Data
 			Ctx:       cfg.ctx,
 			SourceRef: srcRef,
 		})
-		return convert(ref, rep, err)
+		return convert(di, ref, rep, err)
 	case ModeKernelSpace:
 		ref, rep, err := core.KernelSpaceTransfer(si.inner, di.inner, core.KernelOptions{
 			Ctx:            cfg.ctx,
@@ -832,7 +853,7 @@ func (p *Platform) transferResolved(si, di *Instance, cfg *transferConfig) (Data
 			SourceRef:      srcRef,
 			Gates:          cfg.gates,
 		})
-		return convert(ref, rep, err)
+		return convert(di, ref, rep, err)
 	case ModeNetwork:
 		if si.node == di.node {
 			return DataRef{}, Report{}, fmt.Errorf("network mode on one node: %w", ErrModeUnavailable)
@@ -846,7 +867,7 @@ func (p *Platform) transferResolved(si, di *Instance, cfg *transferConfig) (Data
 			SourceRef:      srcRef,
 			Gates:          cfg.gates,
 		})
-		return convert(ref, rep, err)
+		return convert(di, ref, rep, err)
 	default:
 		return DataRef{}, Report{}, fmt.Errorf("mode %v: %w", mode, ErrModeUnavailable)
 	}
@@ -976,7 +997,7 @@ func (p *Platform) invokeOnce(si, di *Instance, n int, cfg *transferConfig) (*In
 		// The invocation owns the region it produced; hand it back to the
 		// guest allocator so an aborted (cancelled, faulted) attempt leaves
 		// the source instance's linear memory where it found it.
-		_ = si.inner.Deallocate(out.Ptr)
+		_ = out.release()
 		return nil, err
 	}
 	observeDelivery(si, di, rep, nil)
@@ -1052,9 +1073,10 @@ func coreSourceRef(ref *DataRef) *core.OutputRef {
 	return &core.OutputRef{Ptr: ref.Ptr, Len: ref.Len}
 }
 
-func convert(ref core.InboundRef, rep Report, err error) (DataRef, Report, error) {
+// convert lifts a delivery into di to the public form.
+func convert(di *Instance, ref core.InboundRef, rep Report, err error) (DataRef, Report, error) {
 	if err != nil {
 		return DataRef{}, Report{}, err
 	}
-	return DataRef{Ptr: ref.Ptr, Len: ref.Len}, rep, nil
+	return DataRef{Ptr: ref.Ptr, Len: ref.Len, inst: di}, rep, nil
 }

@@ -28,6 +28,11 @@ func deploy(t *testing.T, p *roadrunner.Platform, spec roadrunner.FunctionSpec) 
 	return f
 }
 
+// checksumAtOwner digests ref inside the instance that owns it.
+func checksumAtOwner(ref roadrunner.DataRef) (uint64, error) {
+	return ref.Instance().Checksum(ref)
+}
+
 func TestDefaultNodes(t *testing.T) {
 	p := newPlatform(t)
 	nodes := p.Nodes()
@@ -69,7 +74,7 @@ func TestAutoModeSelectsByLocality(t *testing.T) {
 		if rep.Mode != tc.mode {
 			t.Fatalf("mode to %s = %q, want %q", tc.dst.Name(), rep.Mode, tc.mode)
 		}
-		sum, err := tc.dst.Checksum(ref)
+		sum, err := checksumAtOwner(ref)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +154,7 @@ func TestChainAcrossThreeLocalities(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, err := d.Checksum(ref)
+	sum, err := checksumAtOwner(ref)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,14 +221,20 @@ func TestResizeHalfAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := b.ResizeHalf(ref, w, h)
+	if ref.Instance() != b.Instance(0) {
+		t.Fatal("delivery not owned by b's instance")
+	}
+	out, err := ref.Instance().ResizeHalf(ref, w, h)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Len != (w/2)*(h/2) {
 		t.Fatalf("resize output = %d", out.Len)
 	}
-	if _, err := b.ResizeHalf(ref, 10, 10); err == nil {
+	if out.Instance() != b.Instance(0) {
+		t.Fatal("resize output not owned by b's instance")
+	}
+	if _, err := ref.Instance().ResizeHalf(ref, 10, 10); err == nil {
 		t.Fatal("dimension mismatch accepted")
 	}
 }
@@ -247,7 +258,7 @@ func TestColdStartAndVMShare(t *testing.T) {
 func TestOutputBeforeProduceFails(t *testing.T) {
 	p := newPlatform(t)
 	a := deploy(t, p, roadrunner.FunctionSpec{Name: "a", Node: "edge"})
-	if _, err := a.Output(); err == nil {
+	if _, err := a.ActiveInstance().Output(); err == nil {
 		t.Fatal("output before produce accepted")
 	}
 }
@@ -298,7 +309,10 @@ func TestMulticastPublicAPI(t *testing.T) {
 		t.Fatalf("refs=%d reports=%d", len(refs), len(reports))
 	}
 	for i, dst := range []*roadrunner.Function{t1, t2} {
-		sum, err := dst.Checksum(refs[i])
+		if refs[i].Instance().Function() != dst {
+			t.Fatalf("target %d: ref not owned by %s", i, dst.Name())
+		}
+		sum, err := checksumAtOwner(refs[i])
 		if err != nil || sum != roadrunner.ExpectedChecksum(n) {
 			t.Fatalf("target %d corrupted: %v", i, err)
 		}
@@ -325,7 +339,7 @@ func TestStatePublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, err := f.Checksum(ref)
+	sum, err := checksumAtOwner(ref)
 	if err != nil || sum != roadrunner.ExpectedChecksum(n) {
 		t.Fatalf("state payload corrupted: %v", err)
 	}

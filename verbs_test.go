@@ -137,7 +137,7 @@ func runVerb(t *testing.T, vc verbCase, form verbForm) verbOutcome {
 	}
 	out := verbOutcome{syscalls: delta.Syscalls, userCopy: delta.UserCopyBytes, kernCopy: delta.KernelCopyBytes}
 	for i, dst := range targets {
-		sum, err := dst.Checksum(refs[i])
+		sum, err := checksumAtOwner(refs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
