@@ -35,13 +35,15 @@ race:
 	$(GO) test -race -cpu 1,2,4 -run 'Transfer|Cancel|Close|Multicast|Fanout' .
 	$(GO) test -race -count=3 ./internal/wasm ./internal/guest ./internal/abi
 
-## fuzz-smoke: 20 s of each interpreter fuzz target and of the guest kernels
-## against their Go references (stdlib fuzzing, seed corpora in
-## internal/{wasm,guest}/testdata/fuzz; a finding lands there too)
+## fuzz-smoke: 20 s of each interpreter fuzz target, of the guest kernels
+## and of the guest allocator against their Go references (stdlib fuzzing,
+## seed corpora in internal/{wasm,guest}/testdata/fuzz; a finding lands
+## there too)
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzExecAgainstTreeEval -fuzztime 20s ./internal/wasm
 	$(GO) test -run '^$$' -fuzz FuzzDecodeValidate -fuzztime 20s ./internal/wasm
 	$(GO) test -run '^$$' -fuzz FuzzGuestKernels -fuzztime 20s ./internal/guest
+	$(GO) test -run '^$$' -fuzz FuzzGuestAllocator -fuzztime 20s ./internal/guest
 
 ## chaos: the failure-domain suite under -race (CI's chaos job); the seed is
 ## logged and CHAOS_SEED=N reruns a schedule

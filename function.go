@@ -3,7 +3,6 @@ package roadrunner
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -106,8 +105,9 @@ func (f *Function) Produce(n int) error {
 }
 
 // Release returns a region to the guest allocator of the instance that owns
-// it (ref.Instance()), as Instance.Release does. A ref with no owner, or
-// one owned by another function's instance, fails with ErrForeignInstance.
+// it (ref.Instance()), as Instance.Release does. A ref with no owner, one
+// owned by another function's instance, or one released already fails with
+// ErrForeignInstance.
 func (f *Function) Release(ref DataRef) error {
 	if err := f.platform.beginOp(); err != nil {
 		return err
@@ -180,9 +180,8 @@ func (p *Platform) ChainCtx(ctx context.Context, n int, fns []*Function, opts ..
 // chainWithCtx executes one streaming chain under ctx — the engine behind
 // Hop plan nodes and ChainCtx. Cancellation is polled before every hop and
 // inside each hop's pipeline; on any failure the chain releases every
-// region it allocated so far (in reverse allocation order — the guests'
-// allocators are LIFO), so a chain cancelled while an interior hop is on
-// the wire frees all pinned interior refs.
+// region it allocated so far, so a chain cancelled while an interior hop is
+// on the wire frees all pinned interior refs.
 func (p *Platform) chainWithCtx(ctx context.Context, n int, opts []TransferOption, fns ...*Function) (DataRef, Report, error) {
 	if err := p.beginOp(); err != nil {
 		return DataRef{}, Report{}, err
@@ -203,14 +202,13 @@ func (p *Platform) chainWithCtx(ctx context.Context, n int, opts []TransferOptio
 		return DataRef{}, Report{}, fmt.Errorf("chain head %s: produce: %w", head.Name(), err)
 	}
 
-	// Every region this chain allocates, in order: the head's produce, then
-	// one delivery per completed hop. On failure they are handed back to
-	// their guests newest-first, rewinding each touched instance's bump
-	// allocator to its pre-chain position.
+	// Every region this chain allocates: the head's produce, then one
+	// delivery per completed hop. On failure each goes back to its guest,
+	// leaving every touched instance's heap at its pre-chain position.
 	allocs := []DataRef{ref}
 	fail := func(err error) (DataRef, Report, error) {
-		for i := len(allocs) - 1; i >= 0; i-- {
-			_ = allocs[i].release()
+		for _, r := range allocs {
+			_ = r.release()
 		}
 		return DataRef{}, Report{}, err
 	}
@@ -543,19 +541,11 @@ func (p *Platform) fanoutCtx(ctx context.Context, src *Function, targets []*Func
 	for i, err := range errs {
 		if err != nil {
 			// Completed deliveries are this operation's allocations too:
-			// hand them back before the source region. Descending-pointer
-			// order releases duplicates that landed in one instance LIFO —
-			// concurrent deliveries allocate in VM-lock arrival order, not
-			// index order, so index order would not rewind the heap.
-			landed := make([]int, 0, len(targets))
+			// hand them back before the source region.
 			for k := range targets {
 				if errs[k] == nil {
-					landed = append(landed, k)
+					_ = refs[k].release()
 				}
-			}
-			sort.Slice(landed, func(a, b int) bool { return refs[landed[a]].Ptr > refs[landed[b]].Ptr })
-			for _, k := range landed {
-				_ = refs[k].release()
 			}
 			return fail(fmt.Errorf("fanout to %s: %w", targets[i].Name(), err))
 		}

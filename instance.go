@@ -140,10 +140,11 @@ func (inst *Instance) Checksum(ref DataRef) (uint64, error) {
 }
 
 // Release returns a region to the instance's guest allocator
-// (deallocate_memory), rewinding the bump heap when the region is the most
-// recent live allocation; long-running functions release inbound payloads
-// between invocations to keep linear memory bounded. A ref owned by
-// another instance fails with ErrForeignInstance.
+// (deallocate_memory), which frees exactly that block, in any order;
+// long-running functions release inbound payloads between invocations to
+// keep linear memory bounded. A ref owned by another instance, or whose Ptr
+// is not a live block of this one (released already, inside a block, past
+// the heap), fails with ErrForeignInstance and changes nothing.
 func (inst *Instance) Release(ref DataRef) error {
 	if err := inst.fn.platform.beginOp(); err != nil {
 		return err
@@ -152,7 +153,8 @@ func (inst *Instance) Release(ref DataRef) error {
 	if err := ref.checkOwner(inst); err != nil {
 		return err
 	}
-	return inst.inner.Deallocate(ref.Ptr)
+	ref.inst = inst
+	return ref.release()
 }
 
 // Call invokes any guest export on this instance and records it as its

@@ -14,6 +14,7 @@ package abi
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/metrics"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/wasm"
@@ -102,25 +103,32 @@ func (v *View) Allocate(n uint32) (uint32, error) {
 	return ptr, nil
 }
 
-// Deallocate releases a guest allocation (deallocate_memory) and revokes any
-// registrations inside it.
+// Deallocate releases the guest allocation at ptr (deallocate_memory) and
+// revokes the registrations inside it: those starting within the furthest
+// extent registered at ptr. The guest frees exactly that block, so
+// registrations of other live blocks stay. An address that is not a live
+// block traps in the guest, leaves its heap as it was, and fails with
+// ErrNotRegistered.
 func (v *View) Deallocate(ptr uint32) error {
 	if _, err := v.free.Call(uint64(ptr)); err != nil {
-		return fmt.Errorf("deallocate_memory(%d): %w", ptr, err)
+		return fmt.Errorf("deallocate_memory(%d): %w: %w", ptr, ErrNotRegistered, err)
 	}
-	v.writable = dropRegionsFrom(v.writable, ptr)
-	v.readable = dropRegionsFrom(v.readable, ptr)
+	end := uint64(ptr) + 1
+	for _, rs := range [2][]region{v.writable, v.readable} {
+		for _, r := range rs {
+			if r.ptr == ptr {
+				end = max(end, uint64(r.ptr)+uint64(r.n))
+			}
+		}
+	}
+	v.writable = dropRegionsIn(v.writable, ptr, end)
+	v.readable = dropRegionsIn(v.readable, ptr, end)
 	return nil
 }
 
-func dropRegionsFrom(rs []region, ptr uint32) []region {
-	out := rs[:0]
-	for _, r := range rs {
-		if r.ptr < ptr {
-			out = append(out, r)
-		}
-	}
-	return out
+// dropRegionsIn removes the regions starting in [ptr, end).
+func dropRegionsIn(rs []region, ptr uint32, end uint64) []region {
+	return slices.DeleteFunc(rs, func(r region) bool { return r.ptr >= ptr && uint64(r.ptr) < end })
 }
 
 // Locate asks the guest for its current output region

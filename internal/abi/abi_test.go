@@ -12,7 +12,8 @@ import (
 )
 
 // minimalABIModule builds the smallest module satisfying the Table-1 ABI: a
-// bump allocator over one memory page plus output registration.
+// bump allocator over one memory page that never reuses what it frees, plus
+// output registration.
 func minimalABIModule(t *testing.T) *wasm.Instance {
 	t.Helper()
 	b := wasmbuild.New()
@@ -29,7 +30,7 @@ func minimalABIModule(t *testing.T) *wasm.Instance {
 		LocalGet(ptr)
 
 	free := b.NewFunc(abi.ExportDeallocate, []wasm.ValType{i32}, nil)
-	free.LocalGet(0).GlobalSet(heap)
+	free.Nop()
 
 	loc := b.NewFunc(abi.ExportLocate, nil, []wasm.ValType{i64})
 	loc.GlobalGet(outPtr).I64ExtendI32U().I64Const(32).I64Shl().
@@ -146,6 +147,8 @@ func TestLocateRegistersReadable(t *testing.T) {
 	}
 }
 
+// TestDeallocateRevokesRegistrations frees the older of two blocks: only
+// the registrations inside it go, the newer block's stay.
 func TestDeallocateRevokesRegistrations(t *testing.T) {
 	inst := minimalABIModule(t)
 	view, err := abi.NewView(inst, nil)
@@ -160,14 +163,22 @@ func TestDeallocateRevokesRegistrations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := view.Deallocate(p2); err != nil {
+	view.RegisterOutput(p1+8, 16)
+	view.RegisterOutput(p2, 64)
+	if err := view.Deallocate(p1); err != nil {
 		t.Fatal(err)
 	}
-	if err := view.Write([]byte("x"), p2); !errors.Is(err, abi.ErrNotRegistered) {
+	if err := view.Write([]byte("x"), p1); !errors.Is(err, abi.ErrNotRegistered) {
 		t.Fatalf("write to freed region = %v", err)
 	}
-	if err := view.Write([]byte("x"), p1); err != nil {
+	if _, err := view.ReadView(p1+8, 16); !errors.Is(err, abi.ErrNotRegistered) {
+		t.Fatalf("read of an output inside the freed region = %v", err)
+	}
+	if err := view.Write([]byte("x"), p2); err != nil {
 		t.Fatalf("write to live region = %v", err)
+	}
+	if _, err := view.ReadView(p2, 64); err != nil {
+		t.Fatalf("read of live output = %v", err)
 	}
 }
 

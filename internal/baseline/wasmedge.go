@@ -196,9 +196,8 @@ func (f *WasmEdgeFunction) Transfer(dst *WasmEdgeFunction, env TransferEnv) (ptr
 	if err != nil {
 		return failConn(err)
 	}
-	// Failures past the receive allocation rewind the destination's bump
-	// heap (the staging buffer is its top allocation) before surfacing, so
-	// an aborted baseline transfer does not strand the buffer.
+	// Failures past the receive allocation free the staging buffer before
+	// surfacing, so an aborted baseline transfer does not strand it.
 	abort := func(e error) (uint32, uint32, metrics.TransferReport, error) {
 		if derr := dst.view.Deallocate(dstPtr); derr != nil {
 			e = errors.Join(e, derr)
@@ -224,6 +223,11 @@ func (f *WasmEdgeFunction) Transfer(dst *WasmEdgeFunction, env TransferEnv) (ptr
 	deT := codecTime(int64(encLen))
 	dst.acct.CPU(metrics.User, deT)
 
+	// The staging buffer is decoded: hand it back, so the decoded output is
+	// the transfer's only allocation in the destination.
+	if err := dst.view.Deallocate(dstPtr); err != nil {
+		return failConn(fmt.Errorf("wasmedge release staging: %w", err))
+	}
 	_ = f.proc.Close(cfd)
 	_ = dst.proc.Close(sfd)
 	dst.out.ptr, dst.out.n = decPtr, decLen
@@ -239,13 +243,5 @@ func (f *WasmEdgeFunction) Transfer(dst *WasmEdgeFunction, env TransferEnv) (ptr
 		Usage: usage,
 		Mode:  "wasmedge-http",
 	}
-	// Re-verified with the interprocedural analyzer: the suppressed path is
-	// exactly this success return, which hands out decPtr while dstPtr's
-	// staging buffer stays allocated. No flow analysis can prove this safe —
-	// the argument rests on bump-heap address ordering (decPtr sits above
-	// dstPtr, so a rewind would free the result), which lives outside the
-	// analyzer's model. The stagingGarbage fixture in regionrelease's
-	// testdata pins this exact shape as a true diagnostic.
-	//roadvet:ignore regionrelease the decoded output sits above the encoded staging buffer in the guest bump heap, so rewinding it would free the result; the buffer is reclaimed with the instance, mirroring the baseline's in-sandbox garbage
 	return decPtr, decLen, report, nil
 }

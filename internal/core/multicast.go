@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/metrics"
@@ -357,21 +356,15 @@ func MulticastTransfer(src *Function, dsts []*Function, opts MulticastOptions) (
 // releaseLanded hands back the legs that landed before a fan-out failed with
 // err, so an aborted (e.g. cancelled) multicast doesn't strand regions in the
 // fast targets' heaps; a failed leg's ref is zero, its ingress already
-// rewound. Descending-pointer order releases duplicate targets of one VM
-// LIFO, each under its own VM lock. It returns err.
+// rewound. Each release runs under its target's VM lock. It returns err.
 func releaseLanded(dsts []*Function, refs []InboundRef, err error) error {
-	idx := make([]int, 0, len(refs))
-	for i := range refs {
-		if refs[i].Len > 0 {
-			idx = append(idx, i)
+	for i, ref := range refs {
+		if ref.Ptr != 0 {
+			ds := dsts[i].shim
+			ds.mu.Lock()
+			_ = dsts[i].view.Deallocate(ref.Ptr)
+			ds.mu.Unlock()
 		}
-	}
-	sort.Slice(idx, func(a, b int) bool { return refs[idx[a]].Ptr > refs[idx[b]].Ptr })
-	for _, i := range idx {
-		ds := dsts[i].shim
-		ds.mu.Lock()
-		_ = dsts[i].view.Deallocate(refs[i].Ptr)
-		ds.mu.Unlock()
 	}
 	return err
 }

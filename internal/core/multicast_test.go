@@ -433,8 +433,7 @@ func TestMulticastReportsSumToAccounts(t *testing.T) {
 					if want.UserCopyBytes != int64(len(dsts))*n {
 						t.Fatalf("accounts charged %d user copy bytes for %d deliveries of %d", want.UserCopyBytes, len(dsts), n)
 					}
-					// Release LIFO, so the shared VM's bump heap rewinds.
-					for i := len(dsts) - 1; i >= 0; i-- {
+					for i := range dsts {
 						if err := dsts[i].Deallocate(refs[i].Ptr); err != nil {
 							t.Fatal(err)
 						}

@@ -15,7 +15,9 @@
 //     channel (locate/view/vmsplice-or-write). The payload stays valid past
 //     unlock because the channel holds page references — pool pages own
 //     their bytes, and gifted (vmspliced) pages alias a region of linear
-//     memory that nothing rewrites while the transfer is in flight;
+//     memory that nothing rewrites while the transfer is in flight: the
+//     guest frees exactly the block a release names, so no other region of
+//     the source VM is ever allocated over it;
 //   - the target VM lock is held only while the channel drains into the
 //     target's linear memory (allocate/splice/copy);
 //   - the two stages run on separate goroutines, so the target drains chunk

@@ -174,9 +174,8 @@ func TestConcurrentSharedInteriorChains(t *testing.T) {
 				t.Fatalf("round %d chain %d: %v", round, i, err)
 			}
 		}
-		// Joined: no region is in flight, so the guest bump heaps rewind.
-		// The shared B collected one region per chain; releasing the lowest
-		// frees them all (LIFO heap).
+		// Joined: no region is in flight, so every chain's regions go
+		// back, in whatever order the chains landed in the shared B.
 		for i := 0; i < chains; i++ {
 			releaseRound(t, roundRegions[i], srcs[i])
 		}
@@ -193,9 +192,8 @@ func TestConcurrentSharedInteriorChains(t *testing.T) {
 }
 
 // releaseRound returns one chain execution's regions to the guest
-// allocators: the head's produce region plus, per function, the
-// lowest-addressed inbound region (the bump allocator rewinds everything at
-// or above it).
+// allocators: the head's produce region plus each function's inbound
+// region.
 func releaseRound(t *testing.T, regions map[*core.Function]core.InboundRef, head *core.Function) {
 	t.Helper()
 	if out, err := head.Output(); err == nil {

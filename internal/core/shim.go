@@ -387,8 +387,8 @@ func (f *Function) Call(name string, args ...uint64) ([]uint64, error) {
 }
 
 // Deallocate returns a delivered region to the guest allocator
-// (deallocate_memory), rewinding the bump heap when the region is the most
-// recent live allocation.
+// (deallocate_memory), which frees exactly that block; an address that is
+// not a live block fails with abi.ErrNotRegistered and changes nothing.
 func (f *Function) Deallocate(ptr uint32) error {
 	f.shim.mu.Lock()
 	defer f.shim.mu.Unlock()

@@ -172,15 +172,19 @@ func TestWindowedKernelFailuresReportCauseAndConserve(t *testing.T) {
 				t.Fatalf("channel cache holds %d channels after the failure", st.Active)
 			}
 
-			// Recovery: drop the allocate case's blocker (which also
-			// rewinds the guest's bump pointer past the allocation that
-			// trapped), then the pair re-establishes and delivers.
+			// Recovery: drop the allocate case's blocker (the allocation
+			// that trapped never advanced the guest's heap, so this
+			// rewinds it to the baseline), then the pair re-establishes
+			// and delivers.
 			if e.blocker != 0 {
 				if err := e.fb.Deallocate(e.blocker); err != nil {
 					t.Fatal(err)
 				}
 			}
 			heapBefore := heapTop(t, e.fb)
+			if heapBefore != heap {
+				t.Fatalf("target heap at %#x before recovery, want %#x", heapBefore, heap)
+			}
 			misses := s1.ChannelStats().Misses
 			deliver(e, core.KernelOptions{})
 			if got := s1.ChannelStats().Misses; got != misses+1 {

@@ -1,5 +1,6 @@
 // Package guest authors the WebAssembly guest modules used throughout the
-// repo: the Roadrunner data-access ABI of Table 1 (bump allocator, output
+// repo: the Roadrunner data-access ABI of Table 1 (an allocator whose
+// deallocate_memory frees exactly the block it is given, output
 // registration, locate_memory_region), payload producer/consumer functions,
 // an in-sandbox implementation of the internal/serial wire format (the
 // serialization cost the WasmEdge baseline pays, §2.2), an image-resize
@@ -46,9 +47,19 @@ const (
 	fnvPrime    = 0x100000001b3
 )
 
-// heapBase is where the guest bump allocator starts; the region below it is
-// reserved scratch.
-const heapBase = 1024
+// The guest allocator (allocate_memory / deallocate_memory, Table 1) bumps
+// a heap pointer from heapBase. Every block's payload is 8-aligned and
+// preceded by an 8-byte header whose low word links to the previous block's
+// payload (0 for the first) with freeBit marking the block free; the top
+// global names the last block. Freeing marks exactly one block, and the heap
+// rewinds over every free block at the top, so an empty heap allocates at
+// heapBase again whatever order its blocks were released in. The first
+// block's header sits in the reserved scratch below heapBase.
+const (
+	heapBase    = 1024
+	headerBytes = 8
+	freeBit     = 1
+)
 
 var moduleOnce = sync.OnceValue(buildModule)
 
@@ -70,6 +81,7 @@ func buildModule() []byte {
 
 	b.Memory(2, 65536, abi.ExportMemory)
 	heap := b.Global("", i32, true, heapBase)
+	top := b.Global("", i32, true, 0)
 	outPtr := b.Global("", i32, true, 0)
 	outLen := b.Global("", i32, true, 0)
 
@@ -79,17 +91,24 @@ func buildModule() []byte {
 		LocalGet(1).I64ExtendI32U().I64Or()
 
 	// ---- allocate_memory(len) -> ptr ------------------------------------------
+	// Bumps heap past an 8-aligned payload and links the new block's header
+	// to the previous top. The end is computed in i64 so a huge len traps
+	// instead of wrapping, and nothing is written until memory.grow has
+	// succeeded: a trapped allocation leaves heap, top and memory as found.
 	alloc := b.NewFunc(abi.ExportAllocate, []wasm.ValType{i32}, []wasm.ValType{i32})
 	{
 		ptr := alloc.AddLocal(i32)
+		end := alloc.AddLocal(i64)
 		need := alloc.AddLocal(i32)
-		// len = (len + 7) &^ 7
-		alloc.LocalGet(0).I32Const(7).I32Add().I32Const(-8).I32And().LocalSet(0)
-		// ptr = heap; heap = ptr + len
 		alloc.GlobalGet(heap).LocalSet(ptr)
-		alloc.LocalGet(ptr).LocalGet(0).I32Add().GlobalSet(heap)
-		// need = (heap + 65535) >> 16
-		alloc.GlobalGet(heap).I32Const(65535).I32Add().I32Const(16).I32ShrU().LocalSet(need)
+		// end = ptr + ((len + 7) &^ 7); heap = end + header must not wrap, a
+		// bound only a fully committed 4 GiB memory leaves to check here
+		alloc.LocalGet(ptr).I64ExtendI32U().
+			LocalGet(0).I64ExtendI32U().I64Const(7).I64Add().I64Const(-8).I64And().
+			I64Add().LocalSet(end)
+		alloc.LocalGet(end).I64Const(1<<32 - headerBytes).I64GeU().If().Unreachable().End()
+		// need = (end + 65535) >> 16
+		alloc.LocalGet(end).I64Const(65535).I64Add().I64Const(16).I64ShrU().I32WrapI64().LocalSet(need)
 		// if need > memory.size { if memory.grow(need - size) == -1 { unreachable } }
 		alloc.LocalGet(need).MemorySize().I32GtU().
 			If().
@@ -97,19 +116,43 @@ func buildModule() []byte {
 			I32Const(-1).I32Eq().
 			If().Unreachable().End().
 			End()
+		// header(ptr) = top; top = ptr; heap = end + header
+		alloc.LocalGet(ptr).I32Const(headerBytes).I32Sub().GlobalGet(top).I32Store(0)
+		alloc.LocalGet(ptr).GlobalSet(top)
+		alloc.LocalGet(end).I32WrapI64().I32Const(headerBytes).I32Add().GlobalSet(heap)
 		alloc.LocalGet(ptr)
 	}
 
 	// ---- deallocate_memory(addr) ----------------------------------------------
-	// Bump-allocator LIFO release: freeing an address rewinds the heap to it
-	// when it is the most recent live allocation boundary.
+	// Frees exactly the block at addr: the walk down the header links from
+	// top must meet addr, and its header must not be marked free already;
+	// anything else traps before a write. The block is marked free, then
+	// heap rewinds over every free block at the top, so releases may come
+	// in any order and a fully released heap is back at heapBase.
 	free := b.NewFunc(abi.ExportDeallocate, []wasm.ValType{i32}, nil)
-	free.LocalGet(0).I32Const(heapBase).I32GeU().
-		If().
-		LocalGet(0).GlobalGet(heap).I32LtU().
-		If().LocalGet(0).GlobalSet(heap).End().
-		End()
-	_ = free
+	{
+		blk := free.AddLocal(i32)
+		link := free.AddLocal(i32)
+		free.GlobalGet(top).LocalSet(blk)
+		free.Block().Loop().
+			LocalGet(blk).I32Eqz().If().Unreachable().End().
+			LocalGet(blk).LocalGet(0).I32Eq().BrIf(1).
+			LocalGet(blk).I32Const(headerBytes).I32Sub().I32Load(0).I32Const(^freeBit).I32And().LocalSet(blk).
+			Br(0).
+			End().End()
+		free.LocalGet(0).I32Const(headerBytes).I32Sub().I32Load(0).LocalSet(link)
+		free.LocalGet(link).I32Const(freeBit).I32And().If().Unreachable().End()
+		free.LocalGet(0).I32Const(headerBytes).I32Sub().LocalGet(link).I32Const(freeBit).I32Or().I32Store(0)
+		// while top != 0 and top's header is marked free { heap = top; top = its link }
+		free.Block().Loop().
+			GlobalGet(top).I32Eqz().BrIf(1).
+			GlobalGet(top).I32Const(headerBytes).I32Sub().I32Load(0).LocalSet(link).
+			LocalGet(link).I32Const(freeBit).I32And().I32Eqz().BrIf(1).
+			GlobalGet(top).GlobalSet(heap).
+			LocalGet(link).I32Const(^freeBit).I32And().GlobalSet(top).
+			Br(0).
+			End().End()
+	}
 
 	// ---- set_output(ptr, len) ---------------------------------------------------
 	setOut := b.NewFunc(ExportSetOutput, []wasm.ValType{i32, i32}, nil)

@@ -82,29 +82,54 @@ func TestHello(t *testing.T) {
 	}
 }
 
+// TestAllocatorBumpAndAlignment pins the block layout — payloads 8-aligned,
+// each behind an 8-byte header — and exact release: freeing the oldest block
+// leaves the heap where it is and the later blocks' bytes intact, and the
+// heap rewinds only over free blocks at the top.
 func TestAllocatorBumpAndAlignment(t *testing.T) {
 	h := newHarness(t)
-	p1, err := h.view.Allocate(13)
-	if err != nil {
+	alloc := func(n uint32) uint32 {
+		t.Helper()
+		p, err := h.view.Allocate(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	free := func(p uint32) {
+		t.Helper()
+		if err := h.view.Deallocate(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p1, p2, p3 := alloc(13), alloc(8), alloc(8)
+	if p1 != 1024 || p2-p1 != 24 || p3-p2 != 16 { // 13 rounds to 16; each payload sits behind an 8-byte header
+		t.Fatalf("blocks at %d, %d, %d; want 1024, 1048, 1064", p1, p2, p3)
+	}
+	if err := h.view.Write([]byte("survives"), p2); err != nil {
 		t.Fatal(err)
 	}
-	p2, err := h.view.Allocate(8)
-	if err != nil {
-		t.Fatal(err)
+	// Out of order: the oldest block goes first, and nothing else with it.
+	free(p1)
+	if p := alloc(8); p != p3+16 {
+		t.Fatalf("after freeing the oldest block the next lands at %d, want %d", p, p3+16)
+	} else {
+		free(p)
 	}
-	if p2-p1 != 16 { // 13 rounds to 16
-		t.Fatalf("alignment: p2-p1 = %d, want 16", p2-p1)
+	if got, _ := h.inst.Memory().View(p2, 8); string(got) != "survives" {
+		t.Fatalf("freeing the oldest block clobbered its successor: %q", got)
 	}
-	// LIFO deallocate rewinds the heap.
-	if err := h.view.Deallocate(p1); err != nil {
-		t.Fatal(err)
+	// The top rewinds over itself only while p2 is live, then over p2 and
+	// the already-free p1 to the heap base.
+	free(p3)
+	if p := alloc(8); p != p3 {
+		t.Fatalf("heap not rewound over the top block: %d, want %d", p, p3)
+	} else {
+		free(p)
 	}
-	p3, err := h.view.Allocate(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p3 != p1 {
-		t.Fatalf("heap not rewound: p3 = %d, want %d", p3, p1)
+	free(p2)
+	if p := alloc(8); p != p1 {
+		t.Fatalf("heap not rewound to its base: %d, want %d", p, p1)
 	}
 }
 

@@ -448,21 +448,17 @@ func (r *Runner) execute(inst *instance) error {
 	if err := head.Produce(cfg.PayloadBytes); err != nil {
 		return fmt.Errorf("produce: %w", err)
 	}
-	// earliest[inst] is each concrete instance's first allocation of this
-	// execution; the guest's LIFO allocator rewinds everything at or above
-	// it on release, so one release per touched instance frees the whole
-	// execution. Replicated rings may deliver successive visits of one
-	// function to different replicas, which is why the map is keyed by
-	// instance rather than function.
-	earliest := make(map[*roadrunner.Instance]roadrunner.DataRef, len(fns))
+	// held is every region this execution allocated: the head's produce,
+	// then one delivery per hop. Each goes back to the instance that owns
+	// it, in any order.
 	ref, err := head.ActiveInstance().Output()
 	if err != nil {
 		return fmt.Errorf("head output: %w", err)
 	}
-	earliest[ref.Instance()] = ref
+	held := []roadrunner.DataRef{ref}
 	defer func() {
-		for target, ref := range earliest {
-			_ = target.Release(ref)
+		for _, ref := range held {
+			_ = ref.Instance().Release(ref)
 		}
 	}()
 
@@ -479,9 +475,7 @@ func (r *Runner) execute(inst *instance) error {
 		if err != nil {
 			return fmt.Errorf("hop %d %s->%s: %w", h, src.Name(), dst.Name(), err)
 		}
-		if _, ok := earliest[ref.Instance()]; !ok {
-			earliest[ref.Instance()] = ref
-		}
+		held = append(held, ref)
 	}
 	if cfg.Verify {
 		sum, err := ref.Instance().Checksum(ref)
@@ -554,9 +548,7 @@ func (r *Runner) executePlan(ctx context.Context, inst *instance) error {
 		return err
 	}
 	// Verify while the delivery is live, then release everything the DAG
-	// allocated: leaves before the shared input, then the invoke's produce
-	// — each region is its VM's only allocation this iteration, so the
-	// bump allocators rewind exactly.
+	// allocated: the three deliveries and the invoke's produce.
 	var verr error
 	if cfg.Verify && res.Err == nil {
 		toC := res.Node(n2).Ref()

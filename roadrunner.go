@@ -124,8 +124,9 @@ var (
 	// ErrClosed reports an operation submitted after Platform.Close.
 	ErrClosed = errors.New("roadrunner: platform closed")
 	// ErrForeignInstance rejects an instance pin (WithSourceInstance,
-	// WithTargetInstance) naming an instance of some other function, and a
-	// DataRef handed to an instance (or function) that does not own it.
+	// WithTargetInstance) naming an instance of some other function, a
+	// DataRef handed to an instance (or function) that does not own it, and
+	// a release of an address that is not a live region of the instance.
 	ErrForeignInstance = errors.New("roadrunner: pinned instance belongs to a different function")
 	// ErrNoHealthyInstance reports that a function's entire replica pool is
 	// excluded by the health FSM (DESIGN.md §8): every instance is Unhealthy
@@ -648,9 +649,16 @@ type DataRef struct {
 func (r DataRef) Instance() *Instance { return r.inst }
 
 // release hands the region back to its owner's guest allocator — the
-// cleanup step of every operation that abandons its allocations. The ref
-// must carry an owner.
-func (r DataRef) release() error { return r.inst.inner.Deallocate(r.Ptr) }
+// cleanup step of every operation that abandons its allocations, and the
+// work of Release. The ref must carry an owner. A Ptr that is not a live
+// block of the owner fails with ErrForeignInstance and leaves its heap as
+// it was.
+func (r DataRef) release() error {
+	if err := r.inst.inner.Deallocate(r.Ptr); err != nil {
+		return fmt.Errorf("%s holds no live region at %d: %w: %w", r.inst.Name(), r.Ptr, ErrForeignInstance, err)
+	}
+	return nil
+}
 
 // checkOwner rejects a ref owned by an instance other than inst; an
 // owner-less ref passes.
