@@ -55,6 +55,10 @@ const (
 	opMoveN = 0xD1 // frame[d:d+imm] = frame[a:a+imm]
 	opJmp   = 0xD2 // pc = d
 	opNez   = 0xD3 // compare family: b != 0, what br_if and if test on a plain value
+	// Superinstructions: an i64 operation fused with the one that produced
+	// its operand (lowerer.fuse).
+	opXorLoad = 0xD4 // frame[d] = frame[b] ^ the i64 at mem[a+imm]
+	opMulAdd  = 0xD5 // frame[d] = a*imm + the next instruction's imm, an extension word run skips
 )
 
 // compiledFunc is a lowered function body, shared by every instance of its
@@ -662,6 +666,9 @@ func (l *lowerer) lowerSimple(op byte, imm uint64) error {
 		l.stack = l.stack[:n-1]
 		l.def(in)
 	default:
+		if l.fuse(op, n) {
+			return nil
+		}
 		ia, ib := n-2, n-1
 		if l.stack[ia].kind == isConst && l.stack[ib].kind != isConst && commutative(op) {
 			ia, ib = ib, ia // only b has an immediate form
@@ -672,6 +679,39 @@ func (l *lowerer) lowerSimple(op byte, imm uint64) error {
 		l.def(in)
 	}
 	return nil
+}
+
+// fuse lowers the binary op on the top two stack entries into the
+// instruction that produced one of them, when that instruction is still the
+// last one emitted (so no branch lands between the two) and the pair is a
+// data-path step of the guest's kernels:
+//
+//	i64.xor of x and an i64.load → xorLoad, x a slot or local, not a constant
+//	i64.add of a constant K2 and an i64.mul by a constant K1 → mulAdd, K2 in
+//	an extension word after it
+//
+// It reports whether it did.
+func (l *lowerer) fuse(op byte, n int) bool {
+	i, j := l.defAt, l.lastDef
+	if (op != opI64Xor && op != opI64Add) || (i != n-1 && i != n-2) || !l.defines(i) {
+		return false
+	}
+	other := 2*n - 3 - i
+	x, in := l.stack[other], &l.cf.code[j]
+	switch {
+	case op == opI64Xor && in.op == opI64Load && x.kind != isConst:
+		in.op = opXorLoad
+		in.b, _ = l.srcB(other)
+	case op == opI64Add && in.op == opI64Mul && in.b == 0 && x.kind == isConst:
+		in.op = opMulAdd
+		l.cf.code = append(l.cf.code, instr{imm: x.v})
+	default:
+		return false
+	}
+	l.cf.code[j].d = l.slot(n - 2)
+	l.stack = append(l.stack[:n-2], operand{kind: inSlot})
+	l.lastDef, l.defAt = j, n-2
+	return true
 }
 
 func commutative(op byte) bool {

@@ -124,7 +124,10 @@ func (inst *Instance) exec(cf *compiledFunc, fr []uint64, depth int) error {
 			return TrapIntegerOverflow
 		default:
 			ea := uint64(uint32(fr[in.a])) + fr[in.b] + in.imm
-			if len(simpleSignatures[in.op].params) == 2 { // a store keeps its offset in d
+			switch {
+			case in.op == opXorLoad: // b is the other xor operand
+				ea = uint64(uint32(fr[in.a])) + in.imm
+			case len(simpleSignatures[in.op].params) == 2: // a store keeps its offset in d
 				ea = uint64(uint32(fr[in.a])) + uint64(in.d)
 			}
 			return fmt.Errorf("memory access at %d of %d: %w", ea, len(mem), TrapOutOfBounds)
@@ -227,6 +230,12 @@ func run(inst *Instance, cf *compiledFunc, fr []uint64, mem []byte, pc int) (int
 				return pc, stopOutOfBounds
 			}
 			fr[in.d] = binary.LittleEndian.Uint64(mem[ea:])
+		case opXorLoad:
+			ea := uint64(uint32(a)) + in.imm
+			if ea+8 > uint64(len(mem)) {
+				return pc, stopOutOfBounds
+			}
+			fr[in.d] = fr[in.b] ^ binary.LittleEndian.Uint64(mem[ea:])
 		case opI32Load8U, opI64Load8U:
 			ea := uint64(uint32(a)) + b
 			if ea >= uint64(len(mem)) {
@@ -410,6 +419,9 @@ func run(inst *Instance, cf *compiledFunc, fr []uint64, mem []byte, pc int) (int
 			fr[in.d] = a - b
 		case opI64Mul:
 			fr[in.d] = a * b
+		case opMulAdd:
+			fr[in.d] = a*b + code[pc].imm
+			pc++
 		case opI64DivS:
 			x, y := int64(a), int64(b)
 			if y == 0 {

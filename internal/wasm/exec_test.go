@@ -1,7 +1,11 @@
 package wasm_test
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/guest"
@@ -348,7 +352,8 @@ func TestInstantiateSharesCompiledCode(t *testing.T) {
 
 // The shape of the lowered code is what the speed-up rests on: an
 // instruction is 24 bytes, local.get/const/local.set vanish into operands,
-// and compare + br_if is one instruction.
+// compare + br_if is one instruction, and so are the guest kernels' load +
+// xor and multiply + add.
 func TestLoweredShape(t *testing.T) {
 	if wasm.InstrBytes > 24 {
 		t.Fatalf("instr is %d bytes, want <= 24", wasm.InstrBytes)
@@ -370,33 +375,128 @@ func TestLoweredShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	// bump: add, move to the result slot, return.
-	if got := m.LoweredLen("bump"); got != 3 {
+	if got := len(m.LoweredOps("bump")); got != 3 {
 		t.Errorf("bump lowers to %d instructions, want 3", got)
 	}
 	// loop: add, compare-and-branch, store, add, jump; return.
-	if got := m.LoweredLen("loop"); got != 6 {
+	if got := len(m.LoweredOps("loop")); got != 6 {
 		t.Errorf("loop lowers to %d instructions, want 6", got)
+	}
+
+	// The superinstructions form only where nothing can come between their
+	// two halves and the operands fit the fused form: xorLoad takes its other
+	// operand from a slot (the immediate holds the load's offset), mulAdd
+	// multiplies by a constant and adds one. Each row runs f(addr, x) with the
+	// i64 at addr+8 = w, so a wrong fusion shows as a wrong value too.
+	const addr, w, x = 8, 0x0123_4567_89AB_CDEF, 0x5555
+	var k1, k2 uint64 = 6364136223846793005, 1442695040888963407 // wrap like the guest's
+	for _, tc := range []struct {
+		name  string
+		body  func(f *wasmbuild.FuncBuilder)
+		fused byte // 0: neither superinstruction may appear
+		want  uint64
+	}{
+		{"xor(local, load)", func(f *wasmbuild.FuncBuilder) { f.LocalGet(1).LocalGet(0).I64Load(8).I64Xor() }, wasm.OpXorLoad, x ^ w},
+		{"xor(load, local)", func(f *wasmbuild.FuncBuilder) { f.LocalGet(0).I64Load(8).LocalGet(1).I64Xor() }, wasm.OpXorLoad, x ^ w},
+		{"xor(const, load)", func(f *wasmbuild.FuncBuilder) { f.I64Const(x).LocalGet(0).I64Load(8).I64Xor() }, 0, x ^ w},
+		{"branch target between load and xor", func(f *wasmbuild.FuncBuilder) {
+			f.LocalGet(1).BlockT(i64).LocalGet(0).I64Load(8).LocalGet(0).BrIf(0).End().I64Xor()
+		}, 0, x ^ w},
+		{"load teed before xor", func(f *wasmbuild.FuncBuilder) {
+			f.LocalGet(1).LocalGet(0).I64Load(8).LocalTee(2).I64Xor().LocalGet(2).I64Xor()
+		}, 0, x},
+		{"mul(local, K1) + K2", func(f *wasmbuild.FuncBuilder) {
+			f.LocalGet(1).I64Const(int64(k1)).I64Mul().I64Const(int64(k2)).I64Add()
+		}, wasm.OpMulAdd, x*k1 + k2},
+		{"K2 + mul(local, K1)", func(f *wasmbuild.FuncBuilder) {
+			f.I64Const(int64(k2)).LocalGet(1).I64Const(int64(k1)).I64Mul().I64Add()
+		}, wasm.OpMulAdd, x*k1 + k2},
+		{"mul(local, local) + K2", func(f *wasmbuild.FuncBuilder) { f.LocalGet(1).LocalGet(1).I64Mul().I64Const(int64(k2)).I64Add() }, 0, x*x + k2},
+		{"mul teed before add", func(f *wasmbuild.FuncBuilder) {
+			f.LocalGet(1).I64Const(int64(k1)).I64Mul().LocalTee(2).I64Const(int64(k2)).I64Add().LocalGet(2).I64Sub()
+		}, 0, k2},
+	} {
+		b := wasmbuild.New()
+		b.Memory(1, 1, "memory")
+		f := b.NewFunc("f", []wasm.ValType{i32, i64}, []wasm.ValType{i64})
+		f.AddLocal(i64)
+		tc.body(f)
+		inst := instantiate(t, b, nil)
+		if err := inst.Memory().WriteAt(binary.LittleEndian.AppendUint64(nil, w), addr+8); err != nil {
+			t.Fatal(err)
+		}
+		ops := inst.Module().LoweredOps("f")
+		for _, op := range []byte{wasm.OpXorLoad, wasm.OpMulAdd} {
+			if n := bytes.Count(ops, []byte{op}); n != int(b2u(op == tc.fused)) {
+				t.Errorf("%s: %d instructions of op %#x, want %d", tc.name, n, op, b2u(op == tc.fused))
+			}
+		}
+		if got := call1(t, inst, "f", addr, x); got != tc.want {
+			t.Errorf("%s: f = %#x, want %#x", tc.name, got, tc.want)
+		}
+	}
+}
+
+// A fused load traps as the load would, at the load's own address, and
+// before its destination is written: the xor below writes back into x's own
+// local.
+func TestXorLoadTrapsAtItsAddress(t *testing.T) {
+	b := wasmbuild.New()
+	b.Memory(1, 1, "memory")
+	f := b.NewFunc("f", []wasm.ValType{i32, i64}, []wasm.ValType{i64})
+	f.LocalGet(1).LocalGet(0).I64Load(8).I64Xor().LocalSet(1).LocalGet(1)
+	inst := instantiate(t, b, nil)
+	if n := bytes.Count(inst.Module().LoweredOps("f"), []byte{wasm.OpXorLoad}); n != 1 {
+		t.Fatalf("%d xorLoads, want 1", n)
+	}
+	const x = 0xFEED
+	last := uint64(wasm.PageSize - 8 - 8) // the load ends at the last byte
+	if got := call1(t, inst, "f", last, x); got != x {
+		t.Fatalf("f(%d) = %#x, want %#x (memory is zero)", last, got, uint64(x))
+	}
+	_, err := inst.Call("f", last+1, x)
+	if !errors.Is(err, wasm.TrapOutOfBounds) {
+		t.Fatalf("f(%d): err = %v, want TrapOutOfBounds", last+1, err)
+	}
+	if want := fmt.Sprintf("memory access at %d of %d", last+1+8, wasm.PageSize); !strings.Contains(err.Error(), want) {
+		t.Errorf("f(%d): err = %v, want it to name %q", last+1, err, want)
+	}
+	if got := inst.LastFrame()[2]; got != x { // slot 2: local 1
+		t.Errorf("x's local holds %#x after the trap, want %#x unwritten", got, uint64(x))
 	}
 }
 
 // The guest's produce and consume kernels are what a set-up spends its time
 // in, and their main loop moves 64 bytes per iteration in the shape a
-// compiler emits. Per 64 bytes it lowers to 28 instructions: the guard
-// end−s < 64 (subtract, compare-and-branch), eight word steps of 3 (produce:
-// store, LCG multiply, add; consume: load, xor, multiply), s += 64 and the
-// jump back. A loop of one word per iteration takes 56 (produce) and 48
-// (consume) per 64 bytes, so a guest edit that undoes the unrolling moves
-// these counts.
+// compiler emits. Per 64 bytes it dispatches 20 instructions: the guard
+// end−s < 64 (subtract, compare-and-branch), eight word steps of 2 (produce:
+// the store, then the LCG step seed*K1+K2 as one mulAdd; consume: the load
+// and the FNV xor as one xorLoad, then the multiply), s += 64 and the jump
+// back. Unfused it is 28, and a loop of one word per iteration takes 56
+// (produce) and 48 (consume), so a guest edit that undoes the unrolling, or a
+// lowerer edit that loses a fusion, moves these counts.
 func TestGuestKernelShape(t *testing.T) {
 	m, err := wasm.Decode(guest.Module())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Each is the main loop's 28, the 8-byte loop's 7, the byte loop's 7,
-	// and the set-up, calls and return around them (13 and 5).
-	for export, want := range map[string]int{guest.ExportProduce: 55, guest.ExportConsume: 47} {
-		if got := m.LoweredLen(export); got != want {
-			t.Errorf("%s lowers to %d instructions, want %d", export, got, want)
+	// The total is the main loop's 20, the 8-byte loop's 6, the byte loop's
+	// 7, and the set-up, calls and return around them (13 and 5).
+	for _, k := range []struct {
+		export string
+		fused  byte
+		total  int
+	}{{guest.ExportProduce, wasm.OpMulAdd, 46}, {guest.ExportConsume, wasm.OpXorLoad, 38}} {
+		if got := len(m.LoweredOps(k.export)); got != k.total {
+			t.Errorf("%s dispatches %d instructions, want %d", k.export, got, k.total)
+		}
+		loops := m.LoweredLoops(k.export)
+		if len(loops) != 3 {
+			t.Fatalf("%s has %d loops, want 3", k.export, len(loops))
+		}
+		if main := loops[0]; len(main) != 20 || bytes.Count(main, []byte{k.fused}) != 8 {
+			t.Errorf("%s main loop dispatches %d instructions, %d of them fused (op %#x), want 20 and 8",
+				k.export, len(main), bytes.Count(main, []byte{k.fused}), k.fused)
 		}
 	}
 }

@@ -32,7 +32,9 @@ import (
 // depth 0-3 with and without a value, loads and stores of every integer
 // width at addresses straddling the memory end, memory.size/grow (also by
 // the host, mid-call), a call to a second generated function and to a host
-// import, and the dead-code shapes after br / return / unreachable.
+// import, the dead-code shapes after br / return / unreachable, and the
+// shapes the lowerer fuses: xor with a full-width load (also one straddling
+// the memory end) and a multiply by a constant plus a constant.
 // Not covered: floating point (float_test.go has properties for it),
 // call_indirect, memory.copy/fill, multi-value blocks, the start function.
 func FuzzExecAgainstTreeEval(f *testing.F) {
@@ -367,7 +369,7 @@ func (g *gen) target(t wasm.ValType) (depth uint64, ok bool) {
 
 func (g *gen) expr(t wasm.ValType, depth int) *node {
 	g.budget--
-	choice := g.intn(23)
+	choice := g.intn(25)
 	if depth > 4 || g.budget <= 0 {
 		choice %= 3
 	}
@@ -434,6 +436,16 @@ func (g *gen) expr(t wasm.ValType, depth int) *node {
 			return &node{k: kBrIfVal, t: t, n: d, kids: []*node{g.expr(t, depth+1), g.expr(i32, depth+1)}}
 		}
 		return &node{k: kLocalGet, t: t, n: g.local(t)}
+	case 23: // x ^ a full-width load, either way round: the guest's FNV step
+		load := &node{k: kLoad, t: t, op: loadOps[ti][0], n: offsets[g.intn(len(offsets))], kids: []*node{g.address(depth + 1)}}
+		kids := []*node{g.expr(t, depth+1), load}
+		if g.byte()&3 == 0 {
+			kids[0], kids[1] = load, kids[0]
+		}
+		return &node{k: kBin, t: t, op: binOps[ti][9], kids: kids}
+	case 24: // x*K1 + K2: the guest's LCG step
+		mul := &node{k: kBin, t: t, op: binOps[ti][2], kids: []*node{g.expr(t, depth+1), {k: kConst, t: t, n: g.constant(t)}}}
+		return &node{k: kBin, t: t, op: binOps[ti][0], kids: []*node{mul, {k: kConst, t: t, n: g.constant(t)}}}
 	}
 }
 
@@ -1106,6 +1118,28 @@ var seedShapes = map[string]func(n *node) bool{
 	"call-host":         func(n *node) bool { return n.k == kCall && n.n == 0 },
 	"if-else-value":     func(n *node) bool { return n.k == kIfElse },
 	"select":            func(n *node) bool { return n.k == kSelect },
+	"xor-load":          isXorLoad,
+	"mul-add":           isMulAdd,
+}
+
+// isXorLoad matches i64.xor of a non-constant and an i64.load: a
+// superinstruction once lowered.
+func isXorLoad(n *node) bool {
+	if n.k != kBin || n.op != 0x85 {
+		return false
+	}
+	for i, k := range n.kids {
+		if k.k == kLoad && k.op == 0x29 && n.kids[1-i].k != kConst {
+			return true
+		}
+	}
+	return false
+}
+
+// isMulAdd matches i64.add of an i64.mul by a constant and a constant.
+func isMulAdd(n *node) bool {
+	return n.k == kBin && n.op == 0x7C && n.kids[1].k == kConst &&
+		n.kids[0].k == kBin && n.kids[0].op == 0x7E && n.kids[0].kids[1].k == kConst
 }
 
 // The committed seeds are generator inputs, so an edit to the generator

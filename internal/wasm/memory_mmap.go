@@ -16,13 +16,12 @@ func reserve(minBytes, maxBytes uint64) []byte {
 	if maxBytes == 0 || maxBytes > math.MaxInt {
 		return nil
 	}
-	b, err := syscall.Mmap(-1, 0, int(maxBytes), syscall.PROT_NONE,
-		syscall.MAP_PRIVATE|syscall.MAP_ANON|syscall.MAP_NORESERVE)
-	if err != nil {
+	b := mapReservation(int(maxBytes))
+	if b == nil {
 		return nil
 	}
 	if err := commit(b, 0, int(minBytes)); err != nil {
-		_ = syscall.Munmap(b)
+		unmap(b)
 		return nil
 	}
 	return b
@@ -37,6 +36,3 @@ func commit(reserved []byte, from, to int) error {
 	}
 	return syscall.Mprotect(reserved[from:to], syscall.PROT_READ|syscall.PROT_WRITE)
 }
-
-// unmap releases a reservation.
-func unmap(reserved []byte) { _ = syscall.Munmap(reserved) }

@@ -12,6 +12,9 @@
 # run is the full `bench -seed S -out F` (six workloads and the layer run,
 # ~2 min 10 s each); with it, `-workload W -trace 0`. Every run's result
 # file and log are kept beside the table (artifacts/pairs/{parent,change}.S.*).
+# Above the table it prints where each binary's linker put the interpreter's
+# two dispatch functions, wasm.(*Instance).exec and wasm.run, mod 64: guest
+# code speed, so set-up and plan_* ops, moves with that placement alone.
 # Run nothing else on the box meanwhile. Needs git, go, tar and python3.
 set -eu
 
@@ -30,6 +33,12 @@ git archive "$rev" | tar -x -C "$out/src"
 (cd "$out/src" && go build -o "$out/bench.parent" ./bench)
 go build -o "$out/bench.change" ./bench
 rm -rf "$out/src"
+for side in parent change; do
+	go tool nm "$out/bench.$side" | grep -E 'wasm\.(\(\*Instance\)\.exec|run)$' |
+		while read -r addr _ name; do
+			echo "$side ${name##*/} at 0x$addr: $((0x$addr % 64)) mod 64"
+		done
+done >"$out/layout.txt"
 
 run() { # side seed
 	if [ -n "$workload" ]; then
@@ -58,6 +67,8 @@ if [ -s "$out/failed.txt" ]; then
 	echo "RUNS THE BENCHMARK FAILED (kept in the table):"
 	cat "$out/failed.txt"
 fi
+echo "LAYOUT (the interpreter's dispatch functions in each binary)"
+cat "$out/layout.txt"
 echo "parent $rev, change: working tree at $(git rev-parse --short HEAD)$(git diff --quiet HEAD || echo ' + uncommitted')"
 python3 - "$out" "$n" "$root/BENCHMARK.json" <<'PY'
 import json, statistics, sys
