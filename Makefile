@@ -111,8 +111,8 @@ perfgate:
 	$(GO) test -run TestAllocCeilings -v .
 
 ## lint: go vet plus the roadvet suite (regionrelease, poolreturn,
-## refbalance, gaugebalance, fdclose, windowcredit, lockorder, lockguard,
-## ctxpoll, errclass, ctxcheck, doccheck — the order of `suite` in
+## refbalance, gaugebalance, fdclose, windowcredit, lockguard, ctxpoll,
+## errclass, ctxcheck, doccheck — the order of `suite` in
 ## cmd/roadvet/main.go — and the gofmt gate)
 lint:
 	$(GO) vet ./...
@@ -135,7 +135,7 @@ cross:
 ## of wasi.Host, all from `go doc -all`). It fails when either of the last
 ## two counts rises above its ceiling below; lower a ceiling when a change
 ## shrinks the surface, raise one only with the reason in CHANGES.md
-LOC_MAX_EXPORTED := 99
+LOC_MAX_EXPORTED := 96
 LOC_MAX_KNOBS := 39
 loc:
 	@count() { find "$$@" -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './vendor/*' -print0 | xargs -0 cat | wc -l; }; \

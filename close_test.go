@@ -116,8 +116,6 @@ func TestCloseDrainsSubmittedJobs(t *testing.T) {
 		"Produce":            src.Produce(1024),
 		"Release":            src.Release(roadrunner.DataRef{}),
 		"Call":               func() error { _, err := src.Call("produce", 8); return err }(),
-		"SaveState":          src.SaveState("k"),
-		"LoadState":          func() error { _, err := src.LoadState("k"); return err }(),
 		"Instance.Produce":   src.Instance(0).Produce(1024),
 		"Instance.Output":    func() error { _, err := src.Instance(0).Output(); return err }(),
 		"Instance.SetOutput": src.Instance(0).SetOutput(roadrunner.DataRef{}),
@@ -125,7 +123,9 @@ func TestCloseDrainsSubmittedJobs(t *testing.T) {
 			_, err := src.Instance(0).Checksum(roadrunner.DataRef{})
 			return err
 		}(),
-		"Instance.Release": src.Instance(0).Release(roadrunner.DataRef{}),
+		"Instance.Release":   src.Instance(0).Release(roadrunner.DataRef{}),
+		"Instance.SaveState": src.Instance(0).SaveState("k"),
+		"Instance.LoadState": func() error { _, err := src.Instance(0).LoadState("k"); return err }(),
 		"Instance.ResizeHalf": func() error {
 			_, err := src.Instance(0).ResizeHalf(roadrunner.DataRef{}, 0, 0)
 			return err

@@ -33,12 +33,13 @@
 //
 // The rest:
 //
-//   - lockorder: no goroutine holds two Shim.mu — VM locks never nest,
-//     which rules out the AB/BA transfer deadlock.
 //   - lockguard: every access to a field declared `//roadvet:guards mu`
 //     happens with mu provably held — including lock-in-caller,
 //     access-in-callee splits, whose entry lock sets are inferred from
-//     call sites. RWMutex reads accept RLock; writes require Lock.
+//     call sites. RWMutex reads accept RLock; writes require Lock. And no
+//     goroutine holds two locks of one guard field, in one function or
+//     across calls: VM locks (Shim.mu) never nest, which rules out the
+//     AB/BA transfer deadlock.
 //   - ctxpoll: hose-chunk syscall loops poll the context per chunk
 //     (directly or through a helper that provably polls), so
 //     cancellation lands mid-stream.
@@ -92,7 +93,6 @@ import (
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/analysis/fdclose"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/analysis/gaugebalance"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/analysis/lockguard"
-	"github.com/polaris-slo-cloud/roadrunner-go/internal/analysis/lockorder"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/analysis/poolreturn"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/analysis/refbalance"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/analysis/regionrelease"
@@ -107,7 +107,6 @@ var suite = []*analysis.Analyzer{
 	gaugebalance.Analyzer,
 	fdclose.Analyzer,
 	windowcredit.Analyzer,
-	lockorder.Analyzer,
 	lockguard.Analyzer,
 	ctxpoll.Analyzer,
 	errclass.Analyzer,
@@ -148,13 +147,15 @@ func usage() {
 Usage: roadvet [flags] [packages]   (default "./...")
 
 Analyzers (the names //roadvet:ignore accepts): regionrelease,
-poolreturn, refbalance, gaugebalance, fdclose, windowcredit, lockorder,
-lockguard, ctxpoll, errclass, ctxcheck, doccheck; plus the gofmt gate.
+poolreturn, refbalance, gaugebalance, fdclose, windowcredit, lockguard,
+ctxpoll, errclass, ctxcheck, doccheck; plus the gofmt gate.
 
 Annotations recognised in source:
   //roadvet:guards <mutexField>   on a struct field: every access must
                                   hold the named sync.Mutex/RWMutex,
-                                  proved interprocedurally (lockguard).
+                                  proved interprocedurally (lockguard);
+                                  two locks of that mutex field are never
+                                  held at once.
   //roadvet:unguarded <reason>    exempt the access on this or the next
                                   line from lockguard; reason mandatory,
                                   stale hatches are themselves findings.

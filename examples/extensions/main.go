@@ -49,16 +49,17 @@ func run() error {
 
 	// --- State management (§9): checkpoint across invocations -------------
 	const modelBytes = 2 << 20
-	if err := agg.Produce(modelBytes); err != nil {
+	inst := agg.Instance(0)
+	if err := inst.Produce(modelBytes); err != nil {
 		return err
 	}
-	if err := agg.SaveState("model-v1"); err != nil {
+	if err := inst.SaveState("model-v1"); err != nil {
 		return err
 	}
 	fmt.Printf("state:     checkpointed %d KB as %q (workflow-scoped)\n", modelBytes/1024, "model-v1")
 
 	// A later invocation restores the checkpoint into fresh linear memory.
-	restored, err := agg.LoadState("model-v1")
+	restored, err := inst.LoadState("model-v1")
 	if err != nil {
 		return err
 	}

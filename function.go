@@ -595,29 +595,6 @@ func resolveProducer(src *Function, cfg *transferConfig) (*Instance, error) {
 	return src.pickInstance()
 }
 
-// SaveState snapshots the active instance's current output under a named
-// key in the platform's shim-side state store — the function state
-// management the paper lists as future work (§9). Entries are scoped to the
-// function's workflow and tenant and shared by every replica instance.
-func (f *Function) SaveState(key string) error {
-	if err := f.platform.beginOp(); err != nil {
-		return err
-	}
-	defer f.platform.endOp()
-	return f.platform.state.Put(f.ActiveInstance().inner, key)
-}
-
-// LoadState delivers a previously saved payload back into the active
-// instance's linear memory; the returned ref carries that instance. Only
-// the saving workflow/tenant can see the entry.
-func (f *Function) LoadState(key string) (DataRef, error) {
-	if err := f.platform.beginOp(); err != nil {
-		return DataRef{}, err
-	}
-	defer f.platform.endOp()
-	return f.ActiveInstance().loadState(key)
-}
-
 // DeleteState removes a state entry of the function's workflow.
 func (f *Function) DeleteState(key string) {
 	f.platform.state.Delete(core.Workflow{Name: f.workflow.Name, Tenant: f.workflow.Tenant}, key)

@@ -184,7 +184,9 @@ func (inst *Instance) ResizeHalf(ref DataRef, w, h int) (DataRef, error) {
 	if err := ref.checkOwner(inst); err != nil {
 		return DataRef{}, err
 	}
-	if uint32(w*h) != ref.Len {
+	// w×h must equal the delivered length exactly. The division form
+	// cannot wrap, and the guest reads both dimensions as 32-bit.
+	if n := int64(ref.Len); w <= 0 || h <= 0 || n%int64(w) != 0 || n/int64(w) != int64(h) {
 		return DataRef{}, fmt.Errorf("roadrunner: resize %dx%d does not match %d delivered bytes", w, h, ref.Len)
 	}
 	out, err := inst.inner.CallPacked(guest.ExportResizeHalf, uint64(ref.Ptr), uint64(w), uint64(h))
@@ -195,7 +197,9 @@ func (inst *Instance) ResizeHalf(ref DataRef, w, h int) (DataRef, error) {
 }
 
 // SaveState snapshots the instance's current output under a named key in
-// the platform's state store (workflow-scoped, shared by all replicas).
+// the platform's shim-side state store — the function state management the
+// paper lists as future work (§9). Entries are scoped to the function's
+// workflow and tenant and shared by every replica instance.
 func (inst *Instance) SaveState(key string) error {
 	if err := inst.fn.platform.beginOp(); err != nil {
 		return err
@@ -205,17 +209,13 @@ func (inst *Instance) SaveState(key string) error {
 }
 
 // LoadState delivers a previously saved payload into this instance's linear
-// memory.
+// memory; the returned ref carries this instance. Only the saving
+// workflow/tenant can see the entry.
 func (inst *Instance) LoadState(key string) (DataRef, error) {
 	if err := inst.fn.platform.beginOp(); err != nil {
 		return DataRef{}, err
 	}
 	defer inst.fn.platform.endOp()
-	return inst.loadState(key)
-}
-
-// loadState is LoadState without the lifecycle guard.
-func (inst *Instance) loadState(key string) (DataRef, error) {
 	ref, err := inst.fn.platform.state.Get(inst.inner, key)
 	if err != nil {
 		return DataRef{}, err

@@ -27,7 +27,7 @@ var a = 1
 
 var b = 2 //roadvet:ignore gaugebalance same-line justification
 
-//roadvet:ignore lockorder
+//roadvet:ignore lockguard
 var c = 3
 `
 
@@ -65,7 +65,7 @@ func TestMatchIgnore(t *testing.T) {
 	if matchIgnore(igs, sameLine) == nil {
 		t.Error("same-line annotation did not suppress the finding")
 	}
-	wrongAnalyzer := Finding{Analyzer: "lockorder", Pos: token.Position{Filename: "fixture.go", Line: 4}}
+	wrongAnalyzer := Finding{Analyzer: "lockguard", Pos: token.Position{Filename: "fixture.go", Line: 4}}
 	if matchIgnore(igs, wrongAnalyzer) != nil {
 		t.Error("annotation suppressed a different analyzer's finding")
 	}

@@ -11,6 +11,11 @@
 // site annotation (atomic fast paths, single-goroutine initialization
 // before publish), and a hatch that covers a provable access is itself a
 // finding, so the escape list can only shrink as the prover improves.
+//
+// The same lock sets prove that locks never nest: taking a guard mutex
+// while the same mutex field is held on another value is a finding —
+// for Shim.mu, the VM-lock rule that keeps transfer A→B locking (A, B)
+// from deadlocking against transfer B→A locking (B, A).
 package lockguard
 
 import (
@@ -23,6 +28,8 @@ import (
 	"golang.org/x/tools/go/analysis"
 	"golang.org/x/tools/go/analysis/passes/ctrlflow"
 	"golang.org/x/tools/go/cfg"
+
+	"github.com/polaris-slo-cloud/roadrunner-go/internal/analysis/matchutil"
 )
 
 // Analyzer is the lockguard pass.
@@ -72,7 +79,7 @@ type checker struct {
 	pass    *analysis.Pass
 	cfgs    *ctrlflow.CFGs
 	guarded map[*types.Var]guardInfo
-	guards  map[*types.Var]bool // the mutex fields named by any guards decl
+	guards  map[*types.Var]string // mutex field named by a guards decl -> its struct's name
 	decls   map[*types.Func]*ast.FuncDecl
 	cand    map[*types.Func]bool            // helpers eligible for entry inference
 	entries map[*types.Func]map[lockKey]int // inferred entry lock sets
@@ -89,7 +96,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		pass:    pass,
 		cfgs:    pass.ResultOf[ctrlflow.Analyzer].(*ctrlflow.CFGs),
 		guarded: make(map[*types.Var]guardInfo),
-		guards:  make(map[*types.Var]bool),
+		guards:  make(map[*types.Var]string),
 		decls:   make(map[*types.Func]*ast.FuncDecl),
 		cand:    make(map[*types.Func]bool),
 		entries: make(map[*types.Func]map[lockKey]int),
@@ -139,7 +146,7 @@ func (c *checker) collectGuards() {
 					c.pass.Reportf(fld.Pos(), "//roadvet:guards %s: struct %s has no sync.Mutex/RWMutex field named %q", gname, ts.Name.Name, gname)
 					continue
 				}
-				c.guards[gv] = true
+				c.guards[gv] = ts.Name.Name
 				for _, name := range fld.Names {
 					if v, ok := c.pass.TypesInfo.Defs[name].(*types.Var); ok {
 						c.guarded[v] = guardInfo{owner: ts.Name.Name, field: name.Name, guard: gv, gname: gname, rw: rw}
@@ -271,7 +278,7 @@ func (c *checker) findCandidates() {
 	// A use outside call position means the function escapes as a value
 	// and can be invoked from anywhere with any lock set.
 	for _, f := range c.pass.Files {
-		walkWithStack(f, func(n ast.Node, stack []ast.Node) bool {
+		matchutil.WalkWithStack(f, func(n ast.Node, stack []ast.Node) bool {
 			id, ok := n.(*ast.Ident)
 			if !ok {
 				return true
@@ -397,7 +404,7 @@ type event struct {
 	deferred bool
 	sel      *ast.SelectorExpr
 	info     guardInfo
-	call     *ast.CallExpr
+	call     *ast.CallExpr // the lock operation or the candidate call
 	callee   *types.Func
 }
 
@@ -436,6 +443,11 @@ func (c *checker) flow(g *cfg.CFG, entry map[lockKey]int, check bool) {
 			for _, ev := range c.eventsIn(n) {
 				switch ev.kind {
 				case evLock:
+					if check && !reported[ev.call.Pos()] && holdsOther(cur, ev.key) {
+						reported[ev.call.Pos()] = true
+						c.pass.Reportf(ev.call.Pos(), "nested lock acquisition: %s.%s taken while another %s.%s is held; no goroutine may hold two at once (AB/BA deadlock)",
+							ev.key.base, ev.key.guard.Name(), c.guards[ev.key.guard], ev.key.guard.Name())
+					}
 					if !ev.deferred && ev.mode > cur[ev.key] {
 						cur[ev.key] = ev.mode
 					}
@@ -465,6 +477,18 @@ func (c *checker) flow(g *cfg.CFG, entry map[lockKey]int, check bool) {
 		}
 	}
 	visit(g.Blocks[0], entry)
+}
+
+// holdsOther reports whether the lock set holds the key's mutex field on
+// another base: two locks of one field nest, and two goroutines taking
+// them in opposite orders deadlock.
+func holdsOther(held map[lockKey]int, key lockKey) bool {
+	for k := range held {
+		if k.guard == key.guard && k.base != key.base {
+			return true
+		}
+	}
+	return false
 }
 
 // reportAccess emits the fail-closed diagnostic for one unproven access,
@@ -513,8 +537,10 @@ func (c *checker) contribute(callee *types.Func, mapped map[lockKey]int) {
 
 // mapHeld translates the caller's held locks into the callee's
 // namespace: a lock rooted at the receiver argument or at a positional
-// argument is renamed to the callee's receiver/parameter name; locks the
-// callee cannot name are dropped.
+// argument is renamed to the callee's receiver/parameter name. A lock the
+// callee cannot name stays held under the anonymous base "", which no
+// field access renders to: it proves no access, but a nested take of the
+// same mutex field in the callee is still found.
 func (c *checker) mapHeld(held map[lockKey]int, call *ast.CallExpr, fd *ast.FuncDecl) map[lockKey]int {
 	if fd == nil || len(held) == 0 {
 		return nil
@@ -540,14 +566,10 @@ func (c *checker) mapHeld(held map[lockKey]int, call *ast.CallExpr, fd *ast.Func
 		}
 		rename[normExprString(arg)] = params[i]
 	}
-	var out map[lockKey]int
+	out := make(map[lockKey]int, len(held))
 	for k, m := range held {
-		if to, ok := rename[k.base]; ok {
-			if out == nil {
-				out = make(map[lockKey]int)
-			}
-			out[lockKey{base: to, guard: k.guard}] = m
-		}
+		key := lockKey{base: rename[k.base], guard: k.guard}
+		out[key] = max(out[key], m)
 	}
 	return out
 }
@@ -573,7 +595,7 @@ func (c *checker) eventsIn(n ast.Node) []event {
 		deferred = true
 		n = d.Call
 	}
-	walkWithStack(n, func(m ast.Node, stack []ast.Node) bool {
+	matchutil.WalkWithStack(n, func(m ast.Node, stack []ast.Node) bool {
 		if _, ok := m.(*ast.FuncLit); ok {
 			return false
 		}
@@ -644,10 +666,10 @@ func (c *checker) lockEvent(call *ast.CallExpr) (event, bool) {
 		return event{}, false
 	}
 	gv, ok := fs.Obj().(*types.Var)
-	if !ok || !c.guards[gv] {
+	if !ok || c.guards[gv] == "" {
 		return event{}, false
 	}
-	return event{kind: kind, mode: mode, key: lockKey{base: types.ExprString(inner.X), guard: gv}}, true
+	return event{kind: kind, mode: mode, key: lockKey{base: types.ExprString(inner.X), guard: gv}, call: call}, true
 }
 
 // staticCallee resolves a direct call to a same-package function or
@@ -720,21 +742,4 @@ func copyLockSet(m map[lockKey]int) map[lockKey]int {
 		out[k] = v
 	}
 	return out
-}
-
-// walkWithStack is ast.Inspect with an ancestor stack; returning false
-// skips the subtree.
-func walkWithStack(root ast.Node, fn func(n ast.Node, stack []ast.Node) bool) {
-	var stack []ast.Node
-	ast.Inspect(root, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		if !fn(n, stack) {
-			return false
-		}
-		stack = append(stack, n)
-		return true
-	})
 }

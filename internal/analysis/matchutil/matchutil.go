@@ -9,6 +9,7 @@ package matchutil
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 
 	"golang.org/x/tools/go/cfg"
@@ -40,29 +41,6 @@ func MethodOnAny(info *types.Info, call *ast.CallExpr, typeNames []string, metho
 		}
 	}
 	return nil, false
-}
-
-// MutexField matches calls of the form owner.<field>.Lock() /
-// owner.<field>.Unlock() where <field> is a sync.Mutex-like field named
-// fieldName on a named type called ownerType. It returns the owner
-// expression and the operation name ("Lock"/"Unlock").
-func MutexField(info *types.Info, call *ast.CallExpr, ownerType, fieldName string) (owner ast.Expr, op string, ok bool) {
-	sel, isSel := call.Fun.(*ast.SelectorExpr)
-	if !isSel || (sel.Sel.Name != "Lock" && sel.Sel.Name != "Unlock") {
-		return nil, "", false
-	}
-	inner, isSel := sel.X.(*ast.SelectorExpr)
-	if !isSel || inner.Sel.Name != fieldName {
-		return nil, "", false
-	}
-	fs, found := info.Selections[inner]
-	if !found || fs.Kind() != types.FieldVal {
-		return nil, "", false
-	}
-	if NamedName(fs.Recv()) != ownerType {
-		return nil, "", false
-	}
-	return inner.X, sel.Sel.Name, true
 }
 
 // CalleeName returns the bare name a call invokes: the identifier for
@@ -165,6 +143,60 @@ func Contains(outer, target ast.Node) bool {
 		return !found
 	})
 	return found
+}
+
+// WalkWithStack is ast.Inspect with each node's ancestor chain
+// (outermost first, not including the node itself); fn returning false
+// skips the node's subtree.
+func WalkWithStack(root ast.Node, fn func(n ast.Node, stack []ast.Node) bool) {
+	var stack []ast.Node
+	ast.Inspect(root, func(n ast.Node) bool {
+		if n == nil {
+			stack = stack[:len(stack)-1]
+			return true
+		}
+		if !fn(n, stack) {
+			return false
+		}
+		stack = append(stack, n)
+		return true
+	})
+}
+
+// InNonNilBranch reports whether the site whose ancestor chain is stack
+// (outermost first) sits inside a branch that established some checked
+// value as non-nil — the then-branch of `X != nil` (including the
+// `if x := f(); x != nil` form) or the else-branch of `X == nil` — for
+// an X that checked accepts. The scan stops at a function literal: a
+// guard outside a closure does not dominate the closure body's
+// execution.
+func InNonNilBranch(stack []ast.Node, checked func(x ast.Expr) bool) bool {
+	for i := len(stack) - 1; i > 0; i-- {
+		if _, ok := stack[i-1].(*ast.FuncLit); ok {
+			return false
+		}
+		ifs, ok := stack[i-1].(*ast.IfStmt)
+		if !ok {
+			continue
+		}
+		bin, ok := ast.Unparen(ifs.Cond).(*ast.BinaryExpr)
+		if !ok {
+			continue
+		}
+		x := bin.X
+		if IsNil(bin.X) {
+			x = bin.Y
+		} else if !IsNil(bin.Y) {
+			continue
+		}
+		if !checked(x) {
+			continue
+		}
+		if (bin.Op == token.NEQ && stack[i] == ast.Node(ifs.Body)) || (bin.Op == token.EQL && stack[i] == ifs.Else) {
+			return true
+		}
+	}
+	return false
 }
 
 // InspectSkippingFuncLits walks root, visiting every node except those

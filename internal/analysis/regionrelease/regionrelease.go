@@ -30,7 +30,6 @@ package regionrelease
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 
 	"golang.org/x/tools/go/analysis"
@@ -64,7 +63,7 @@ var Analyzer = obligation.New(Row)
 // package comment's forms a, b, c).
 func checkDiscardedErrors(pass *analysis.Pass, prog *summary.Program) {
 	for _, f := range pass.Files {
-		summary.WalkWithStack(f, func(n ast.Node, stack []ast.Node) {
+		matchutil.WalkWithStack(f, func(n ast.Node, stack []ast.Node) bool {
 			var call *ast.CallExpr
 			switch s := n.(type) {
 			case *ast.AssignStmt:
@@ -76,16 +75,10 @@ func checkDiscardedErrors(pass *analysis.Pass, prog *summary.Program) {
 			case *ast.ExprStmt:
 				call, _ = s.X.(*ast.CallExpr)
 			}
-			if call == nil {
-				return
+			if call != nil && summary.MatcherOf(summary.Region).Release(pass.TypesInfo, call) != nil && !onErrPath(pass, prog, stack) {
+				pass.Reportf(call.Pos(), "Deallocate error discarded: a failed rewind breaks the conservation baseline; handle it or justify with //roadvet:ignore")
 			}
-			if summary.MatcherOf(summary.Region).Release(pass.TypesInfo, call) == nil {
-				return
-			}
-			if onErrPath(pass, prog, stack) {
-				return
-			}
-			pass.Reportf(call.Pos(), "Deallocate error discarded: a failed rewind breaks the conservation baseline; handle it or justify with //roadvet:ignore")
+			return true
 		})
 	}
 }
@@ -124,42 +117,12 @@ func onErrPath(pass *analysis.Pass, prog *summary.Program, stack []ast.Node) boo
 }
 
 // errGuarded reports whether the site sits inside a branch that
-// established some error value as non-nil: the then-branch of `X != nil`
-// or the else-branch of `X == nil`, with X of type error. The scan stops
-// at a function-literal boundary — a guard outside a closure does not
-// dominate the closure body's execution.
+// established some value of type error as non-nil.
 func errGuarded(pass *analysis.Pass, stack []ast.Node) bool {
-	for i := len(stack) - 1; i > 0; i-- {
-		if _, ok := stack[i-1].(*ast.FuncLit); ok {
-			return false
-		}
-		ifs, ok := stack[i-1].(*ast.IfStmt)
-		if !ok {
-			continue
-		}
-		bin, ok := ast.Unparen(ifs.Cond).(*ast.BinaryExpr)
-		if !ok || (bin.Op != token.NEQ && bin.Op != token.EQL) {
-			continue
-		}
-		var checked ast.Expr
-		switch {
-		case matchutil.IsNil(bin.Y):
-			checked = bin.X
-		case matchutil.IsNil(bin.X):
-			checked = bin.Y
-		default:
-			continue
-		}
-		if t := pass.TypesInfo.TypeOf(checked); t == nil || !matchutil.IsErrorType(t) {
-			continue
-		}
-		inThen := stack[i] == ast.Node(ifs.Body)
-		inElse := stack[i] == ifs.Else
-		if (bin.Op == token.NEQ && inThen) || (bin.Op == token.EQL && inElse) {
-			return true
-		}
-	}
-	return false
+	return matchutil.InNonNilBranch(stack, func(x ast.Expr) bool {
+		t := pass.TypesInfo.TypeOf(x)
+		return t != nil && matchutil.IsErrorType(t)
+	})
 }
 
 // abortClosure proves form (c): the function literal at stack[li] is an
@@ -210,30 +173,27 @@ func abortClosure(pass *analysis.Pass, prog *summary.Program, stack []ast.Node, 
 		return false
 	}
 	calls, sound := 0, true
-	summary.WalkWithStack(root, func(n ast.Node, st []ast.Node) {
+	matchutil.WalkWithStack(root, func(n ast.Node, st []ast.Node) bool {
 		use, isID := n.(*ast.Ident)
 		if !isID || use == def || matchutil.Obj(pass.TypesInfo, use) != obj {
-			return
+			return true
 		}
 		if len(st) == 0 {
 			sound = false
-			return
+			return true
 		}
 		call, isCall := st[len(st)-1].(*ast.CallExpr)
 		if !isCall || ast.Unparen(call.Fun) != ast.Expr(use) {
 			sound = false
-			return
+			return true
 		}
 		calls++
 		if argIdx < 0 {
-			if !errGuarded(pass, st) {
-				sound = false
-			}
-			return
-		}
-		if argIdx >= len(call.Args) || !prog.NonNilError(pkg, st, call.Args[argIdx]) {
+			sound = sound && errGuarded(pass, st)
+		} else if argIdx >= len(call.Args) || !prog.NonNilError(pkg, st, call.Args[argIdx]) {
 			sound = false
 		}
+		return true
 	})
 	return sound && calls > 0
 }

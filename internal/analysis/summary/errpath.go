@@ -54,38 +54,24 @@ func (p *Program) collectSites(pkgs []*callgraph.Pkg) {
 			p.units[unit.Types.Path()] = unit
 		}
 		for _, f := range unit.Files {
-			WalkWithStack(f, func(n ast.Node, stack []ast.Node) {
+			matchutil.WalkWithStack(f, func(n ast.Node, stack []ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
 				if !ok {
-					return
+					return true
 				}
 				targets, dynamic := p.Graph.ResolveCall(unit, call)
 				if dynamic || len(targets) != 1 {
-					return
+					return true
 				}
 				p.sites[targets[0].Key] = append(p.sites[targets[0].Key], &callSite{
 					pkg:   unit,
 					call:  call,
 					stack: append([]ast.Node(nil), stack...),
 				})
+				return true
 			})
 		}
 	}
-}
-
-// WalkWithStack traverses root, calling fn with each node and the chain
-// of its ancestors (outermost first, not including the node itself).
-func WalkWithStack(root ast.Node, fn func(n ast.Node, stack []ast.Node)) {
-	var stack []ast.Node
-	ast.Inspect(root, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		fn(n, stack)
-		stack = append(stack, n)
-		return true
-	})
 }
 
 // ErrPathOnly reports whether the named function provably runs only
@@ -165,7 +151,7 @@ func argAtPosition(call *ast.CallExpr, pos int) ast.Expr {
 
 // NonNilError reports whether expr is provably a non-nil error at its use
 // site. stack is the AST ancestor chain of the expression's use
-// (outermost first), as produced by WalkWithStack.
+// (outermost first), as produced by matchutil.WalkWithStack.
 func (p *Program) NonNilError(pkg *callgraph.Pkg, stack []ast.Node, expr ast.Expr) bool {
 	expr = ast.Unparen(expr)
 	switch e := expr.(type) {
@@ -180,7 +166,10 @@ func (p *Program) NonNilError(pkg *callgraph.Pkg, stack []ast.Node, expr ast.Exp
 		if v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
 			return p.pkgLevelErrVar(v)
 		}
-		if guardedNonNil(pkg.Info, stack, obj) {
+		if matchutil.InNonNilBranch(stack, func(x ast.Expr) bool {
+			id, ok := ast.Unparen(x).(*ast.Ident)
+			return ok && matchutil.Obj(pkg.Info, id) == obj
+		}) {
 			return true
 		}
 		return p.callerErrParam(pkg, stack, obj)
@@ -234,42 +223,6 @@ func (p *Program) pkgLevelErrVar(v *types.Var) bool {
 					}
 				}
 			}
-		}
-	}
-	return false
-}
-
-// guardedNonNil reports whether the use site sits inside a branch that
-// established obj != nil: the then-branch of `if obj != nil` (including
-// the `if obj := f(); obj != nil` form) or the else-branch of
-// `if obj == nil`.
-func guardedNonNil(info *types.Info, stack []ast.Node, obj types.Object) bool {
-	for i := len(stack) - 1; i > 0; i-- {
-		ifs, ok := stack[i-1].(*ast.IfStmt)
-		if !ok {
-			continue
-		}
-		bin, ok := ast.Unparen(ifs.Cond).(*ast.BinaryExpr)
-		if !ok {
-			continue
-		}
-		var checked ast.Expr
-		switch {
-		case matchutil.IsNil(bin.Y):
-			checked = bin.X
-		case matchutil.IsNil(bin.X):
-			checked = bin.Y
-		default:
-			continue
-		}
-		id, ok := ast.Unparen(checked).(*ast.Ident)
-		if !ok || matchutil.Obj(info, id) != obj {
-			continue
-		}
-		inThen := stack[i] == ast.Node(ifs.Body)
-		inElse := stack[i] == ifs.Else
-		if (bin.Op.String() == "!=" && inThen) || (bin.Op.String() == "==" && inElse) {
-			return true
 		}
 	}
 	return false

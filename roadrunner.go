@@ -281,10 +281,6 @@ func (p *Platform) SetLink(a, b string, bw Bandwidth, rtt time.Duration) {
 // Placement reports the platform's placement policy.
 func (p *Platform) Placement() PlacementPolicy { return p.place }
 
-// GuestModule returns the canonical guest binary (for cmd/wasmrun and custom
-// deployments).
-func GuestModule() []byte { return guest.Module() }
-
 // Close shuts the platform down in three strict steps: (1) reject new
 // deployments and plan submissions, (2) drain the worker pool — every
 // accepted Job resolves against live shims — and (3) wait for
@@ -392,7 +388,7 @@ type Function struct {
 
 	// active is the instance holding the function's current output: the
 	// last instance a routed produce/call/delivery landed on. A transfer
-	// without a source pin reads from it, as do SaveState and LoadState.
+	// without a source pin reads from it.
 	// Data verbs on a delivered region route by the region's owner
 	// (DataRef.Instance), never by it.
 	activeMu sync.Mutex

@@ -234,8 +234,12 @@ func TestResizeHalfAPI(t *testing.T) {
 	if out.Instance() != b.Instance(0) {
 		t.Fatal("resize output not owned by b's instance")
 	}
-	if _, err := ref.Instance().ResizeHalf(ref, 10, 10); err == nil {
-		t.Fatal("dimension mismatch accepted")
+	// A mismatch, a width that wraps to the right 32-bit product, and
+	// negative dimensions whose product matches.
+	for _, d := range [][2]int{{10, 10}, {1<<32 + w*h/2, 2}, {-w, -h}} {
+		if _, err := ref.Instance().ResizeHalf(ref, d[0], d[1]); err == nil {
+			t.Fatalf("ResizeHalf(%d, %d) on %d bytes accepted", d[0], d[1], ref.Len)
+		}
 	}
 }
 
@@ -329,13 +333,14 @@ func TestStatePublicAPI(t *testing.T) {
 	other := deploy(t, p, roadrunner.FunctionSpec{Name: "g", Node: "edge"})
 
 	const n = 64_000
-	if err := f.Produce(n); err != nil {
+	inst := f.Instance(0)
+	if err := inst.Produce(n); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.SaveState("checkpoint"); err != nil {
+	if err := inst.SaveState("checkpoint"); err != nil {
 		t.Fatal(err)
 	}
-	ref, err := f.LoadState("checkpoint")
+	ref, err := inst.LoadState("checkpoint")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +349,7 @@ func TestStatePublicAPI(t *testing.T) {
 		t.Fatalf("state payload corrupted: %v", err)
 	}
 	// Other workflow sees nothing.
-	if _, err := other.LoadState("checkpoint"); err == nil {
+	if _, err := other.Instance(0).LoadState("checkpoint"); err == nil {
 		t.Fatal("cross-workflow state access allowed")
 	}
 	if keys := f.StateKeys(); len(keys) != 1 || keys[0] != "checkpoint" {
