@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race fuzz-smoke chaos bench bench-kernel pairs perfgate lint cross loc staticcheck vuln cover clean
+.PHONY: all build test race fuzz-smoke chaos bench bench-kernel pairs perfgate lint cross codegen loc staticcheck vuln cover clean
 
 all: lint build race bench perfgate
 
@@ -125,6 +125,14 @@ lint:
 cross:
 	GOOS=windows $(GO) build ./...
 	GOOS=darwin $(GO) vet ./internal/wasm
+
+## codegen: the two rules DESIGN §13 sets for the code the compiler makes of
+## the interpreter's dispatch loop, wasm.run — it calls nothing but the
+## index-check panics, and no bounds check is left on a linear-memory access
+## — read from the compiler's -S and check_bce reports; no timing (CI's lint
+## job, scripts/codegen.sh)
+codegen:
+	scripts/codegen.sh
 
 ## loc: non-test, non-testdata, non-vendor Go lines per top-level package
 ## dir, and for the lint gate as a whole — the "net LoC per PR" figure

@@ -123,11 +123,8 @@ func (inst *Instance) exec(cf *compiledFunc, fr []uint64, depth int) error {
 		case stopIntegerOverflow:
 			return TrapIntegerOverflow
 		default:
-			ea := uint64(uint32(fr[in.a])) + fr[in.b] + in.imm
-			switch {
-			case in.op == opXorLoad: // b is the other xor operand
-				ea = uint64(uint32(fr[in.a])) + in.imm
-			case len(simpleSignatures[in.op].params) == 2: // a store keeps its offset in d
+			ea := uint64(uint32(fr[in.a])) + in.imm       // a load's and xorLoad's offset
+			if len(simpleSignatures[in.op].params) == 2 { // a store keeps its offset in d
 				ea = uint64(uint32(fr[in.a])) + uint64(in.d)
 			}
 			return fmt.Errorf("memory access at %d of %d: %w", ea, len(mem), TrapOutOfBounds)
@@ -185,189 +182,221 @@ func (inst *Instance) outOfLine(in *instr, fr []uint64, pc, depth int) (int, err
 
 // run executes code from pc until an instruction needs exec: see there. It
 // must not call anything that returns — a call would make the compiler
-// spill the loop's state around every dispatch.
+// spill the loop's state around every dispatch. For the same reason the
+// loop's head only fetches the instruction and jumps: each case reads the
+// frame slots it uses, so nothing is live across the switch but pc.
+//
+// A memory case checks its effective address against the memory's length
+// and then its width against what remains from there. The two checks trap
+// exactly when the 64-bit sum ea+width passes the end, and they are the
+// form the compiler needs to prove mem[ea:] and the access inside it safe.
 func run(inst *Instance, cf *compiledFunc, fr []uint64, mem []byte, pc int) (int, stop) {
 	code := cf.code
 	for {
 		in := &code[pc]
 		pc++
-		a, b := fr[in.a], fr[in.b]+in.imm
 		switch in.op {
 		case opReturn:
 			return pc, stopReturn
 		case opUnreachable:
 			return pc, stopUnreachable
 		case opMov:
-			fr[in.d] = b
+			fr[in.d] = fr[in.b] + in.imm
 		case opJmp:
 			pc = int(in.d)
 		case opBrTable:
-			i := uint64(uint32(a))
+			i := uint64(uint32(fr[in.a]))
 			if i > in.imm {
 				i = in.imm // the default follows the count listed targets
 			}
 			pc = int(cf.tbl[uint64(in.d)+i])
 		case opSelect:
-			if uint32(a) == 0 {
-				fr[in.d] = b
+			if uint32(fr[in.a]) == 0 {
+				fr[in.d] = fr[in.b] + in.imm
 			}
 		case opGlobalGet:
-			fr[in.d] = inst.globals[b]
+			fr[in.d] = inst.globals[in.imm]
 		case opGlobalSet:
-			inst.globals[in.d] = b
+			inst.globals[in.d] = fr[in.b] + in.imm
 
-		// ---- memory: the effective address is a 64-bit sum, so base +
-		// offset cannot wrap ----
+		// ---- memory: a load's address is a plus the offset in imm, a
+		// store's a plus the offset in d, both summed in 64 bits so they
+		// cannot wrap ----
 		case opI32Load, opF32Load, opI64Load32U:
-			ea := uint64(uint32(a)) + b
-			if ea+4 > uint64(len(mem)) {
+			ea := uint64(uint32(fr[in.a])) + in.imm
+			if ea >= uint64(len(mem)) || len(mem[ea:]) < 4 {
 				return pc, stopOutOfBounds
 			}
 			fr[in.d] = uint64(binary.LittleEndian.Uint32(mem[ea:]))
 		case opI64Load, opF64Load:
-			ea := uint64(uint32(a)) + b
-			if ea+8 > uint64(len(mem)) {
+			ea := uint64(uint32(fr[in.a])) + in.imm
+			if ea >= uint64(len(mem)) || len(mem[ea:]) < 8 {
 				return pc, stopOutOfBounds
 			}
 			fr[in.d] = binary.LittleEndian.Uint64(mem[ea:])
 		case opXorLoad:
-			ea := uint64(uint32(a)) + in.imm
-			if ea+8 > uint64(len(mem)) {
+			ea := uint64(uint32(fr[in.a])) + in.imm
+			if ea >= uint64(len(mem)) || len(mem[ea:]) < 8 {
 				return pc, stopOutOfBounds
 			}
 			fr[in.d] = fr[in.b] ^ binary.LittleEndian.Uint64(mem[ea:])
 		case opI32Load8U, opI64Load8U:
-			ea := uint64(uint32(a)) + b
+			ea := uint64(uint32(fr[in.a])) + in.imm
 			if ea >= uint64(len(mem)) {
 				return pc, stopOutOfBounds
 			}
 			fr[in.d] = uint64(mem[ea])
 		case opI32Load8S:
-			ea := uint64(uint32(a)) + b
+			ea := uint64(uint32(fr[in.a])) + in.imm
 			if ea >= uint64(len(mem)) {
 				return pc, stopOutOfBounds
 			}
 			fr[in.d] = uint64(uint32(int8(mem[ea])))
 		case opI64Load8S:
-			ea := uint64(uint32(a)) + b
+			ea := uint64(uint32(fr[in.a])) + in.imm
 			if ea >= uint64(len(mem)) {
 				return pc, stopOutOfBounds
 			}
 			fr[in.d] = uint64(int8(mem[ea]))
 		case opI32Load16U, opI64Load16U:
-			ea := uint64(uint32(a)) + b
-			if ea+2 > uint64(len(mem)) {
+			ea := uint64(uint32(fr[in.a])) + in.imm
+			if ea >= uint64(len(mem)) || len(mem[ea:]) < 2 {
 				return pc, stopOutOfBounds
 			}
 			fr[in.d] = uint64(binary.LittleEndian.Uint16(mem[ea:]))
 		case opI32Load16S:
-			ea := uint64(uint32(a)) + b
-			if ea+2 > uint64(len(mem)) {
+			ea := uint64(uint32(fr[in.a])) + in.imm
+			if ea >= uint64(len(mem)) || len(mem[ea:]) < 2 {
 				return pc, stopOutOfBounds
 			}
 			fr[in.d] = uint64(uint32(int16(binary.LittleEndian.Uint16(mem[ea:]))))
 		case opI64Load16S:
-			ea := uint64(uint32(a)) + b
-			if ea+2 > uint64(len(mem)) {
+			ea := uint64(uint32(fr[in.a])) + in.imm
+			if ea >= uint64(len(mem)) || len(mem[ea:]) < 2 {
 				return pc, stopOutOfBounds
 			}
 			fr[in.d] = uint64(int16(binary.LittleEndian.Uint16(mem[ea:])))
 		case opI64Load32S:
-			ea := uint64(uint32(a)) + b
-			if ea+4 > uint64(len(mem)) {
+			ea := uint64(uint32(fr[in.a])) + in.imm
+			if ea >= uint64(len(mem)) || len(mem[ea:]) < 4 {
 				return pc, stopOutOfBounds
 			}
 			fr[in.d] = uint64(int32(binary.LittleEndian.Uint32(mem[ea:])))
 
 		case opI32Store, opF32Store, opI64Store32:
-			ea := uint64(uint32(a)) + uint64(in.d)
-			if ea+4 > uint64(len(mem)) {
+			ea := uint64(uint32(fr[in.a])) + uint64(in.d)
+			if ea >= uint64(len(mem)) || len(mem[ea:]) < 4 {
 				return pc, stopOutOfBounds
 			}
-			binary.LittleEndian.PutUint32(mem[ea:], uint32(b))
+			binary.LittleEndian.PutUint32(mem[ea:], uint32(fr[in.b]+in.imm))
 		case opI64Store, opF64Store:
-			ea := uint64(uint32(a)) + uint64(in.d)
-			if ea+8 > uint64(len(mem)) {
+			ea := uint64(uint32(fr[in.a])) + uint64(in.d)
+			if ea >= uint64(len(mem)) || len(mem[ea:]) < 8 {
 				return pc, stopOutOfBounds
 			}
-			binary.LittleEndian.PutUint64(mem[ea:], b)
+			binary.LittleEndian.PutUint64(mem[ea:], fr[in.b]+in.imm)
 		case opI32Store8, opI64Store8:
-			ea := uint64(uint32(a)) + uint64(in.d)
+			ea := uint64(uint32(fr[in.a])) + uint64(in.d)
 			if ea >= uint64(len(mem)) {
 				return pc, stopOutOfBounds
 			}
-			mem[ea] = byte(b)
+			mem[ea] = byte(fr[in.b] + in.imm)
 		case opI32Store16, opI64Store16:
-			ea := uint64(uint32(a)) + uint64(in.d)
-			if ea+2 > uint64(len(mem)) {
+			ea := uint64(uint32(fr[in.a])) + uint64(in.d)
+			if ea >= uint64(len(mem)) || len(mem[ea:]) < 2 {
 				return pc, stopOutOfBounds
 			}
-			binary.LittleEndian.PutUint16(mem[ea:], uint16(b))
+			binary.LittleEndian.PutUint16(mem[ea:], uint16(fr[in.b]+in.imm))
 
 		case opMemorySize:
 			fr[in.d] = uint64(len(mem) / PageSize)
 
 		// ---- compare family: see instr.cmp ----
 		case opNez:
-			pc = in.cmp(fr, pc, uint32(b) != 0)
+			pc = in.cmp(fr, pc, uint32(fr[in.b]+in.imm) != 0)
 		case opI32Eqz:
-			pc = in.cmp(fr, pc, uint32(b) == 0)
+			pc = in.cmp(fr, pc, uint32(fr[in.b]+in.imm) == 0)
+		case opI64Eqz:
+			pc = in.cmp(fr, pc, fr[in.b]+in.imm == 0)
 		case opI32Eq:
+			a, b := fr[in.a], fr[in.b]+in.imm
 			pc = in.cmp(fr, pc, uint32(a) == uint32(b))
 		case opI32Ne:
+			a, b := fr[in.a], fr[in.b]+in.imm
 			pc = in.cmp(fr, pc, uint32(a) != uint32(b))
 		case opI32LtS:
+			a, b := fr[in.a], fr[in.b]+in.imm
 			pc = in.cmp(fr, pc, int32(a) < int32(b))
 		case opI32LtU:
+			a, b := fr[in.a], fr[in.b]+in.imm
 			pc = in.cmp(fr, pc, uint32(a) < uint32(b))
 		case opI32GtS:
+			a, b := fr[in.a], fr[in.b]+in.imm
 			pc = in.cmp(fr, pc, int32(a) > int32(b))
 		case opI32GtU:
+			a, b := fr[in.a], fr[in.b]+in.imm
 			pc = in.cmp(fr, pc, uint32(a) > uint32(b))
 		case opI32LeS:
+			a, b := fr[in.a], fr[in.b]+in.imm
 			pc = in.cmp(fr, pc, int32(a) <= int32(b))
 		case opI32LeU:
+			a, b := fr[in.a], fr[in.b]+in.imm
 			pc = in.cmp(fr, pc, uint32(a) <= uint32(b))
 		case opI32GeS:
+			a, b := fr[in.a], fr[in.b]+in.imm
 			pc = in.cmp(fr, pc, int32(a) >= int32(b))
 		case opI32GeU:
+			a, b := fr[in.a], fr[in.b]+in.imm
 			pc = in.cmp(fr, pc, uint32(a) >= uint32(b))
-		case opI64Eqz:
-			pc = in.cmp(fr, pc, b == 0)
 		case opI64Eq:
+			a, b := fr[in.a], fr[in.b]+in.imm
 			pc = in.cmp(fr, pc, a == b)
 		case opI64Ne:
+			a, b := fr[in.a], fr[in.b]+in.imm
 			pc = in.cmp(fr, pc, a != b)
 		case opI64LtS:
+			a, b := fr[in.a], fr[in.b]+in.imm
 			pc = in.cmp(fr, pc, int64(a) < int64(b))
 		case opI64LtU:
+			a, b := fr[in.a], fr[in.b]+in.imm
 			pc = in.cmp(fr, pc, a < b)
 		case opI64GtS:
+			a, b := fr[in.a], fr[in.b]+in.imm
 			pc = in.cmp(fr, pc, int64(a) > int64(b))
 		case opI64GtU:
+			a, b := fr[in.a], fr[in.b]+in.imm
 			pc = in.cmp(fr, pc, a > b)
 		case opI64LeS:
+			a, b := fr[in.a], fr[in.b]+in.imm
 			pc = in.cmp(fr, pc, int64(a) <= int64(b))
 		case opI64LeU:
+			a, b := fr[in.a], fr[in.b]+in.imm
 			pc = in.cmp(fr, pc, a <= b)
 		case opI64GeS:
+			a, b := fr[in.a], fr[in.b]+in.imm
 			pc = in.cmp(fr, pc, int64(a) >= int64(b))
 		case opI64GeU:
+			a, b := fr[in.a], fr[in.b]+in.imm
 			pc = in.cmp(fr, pc, a >= b)
 
 		// ---- i32 arithmetic ----
 		case opI32Clz:
+			b := fr[in.b] + in.imm
 			fr[in.d] = uint64(bits.LeadingZeros32(uint32(b)))
 		case opI32Ctz:
+			b := fr[in.b] + in.imm
 			fr[in.d] = uint64(bits.TrailingZeros32(uint32(b)))
 		case opI32Add:
+			a, b := fr[in.a], fr[in.b]+in.imm
 			fr[in.d] = uint64(uint32(a) + uint32(b))
 		case opI32Sub:
+			a, b := fr[in.a], fr[in.b]+in.imm
 			fr[in.d] = uint64(uint32(a) - uint32(b))
 		case opI32Mul:
+			a, b := fr[in.a], fr[in.b]+in.imm
 			fr[in.d] = uint64(uint32(a) * uint32(b))
 		case opI32DivS:
-			x, y := int32(a), int32(b)
+			x, y := int32(fr[in.a]), int32(fr[in.b]+in.imm)
 			if y == 0 {
 				return pc, stopDivByZero
 			}
@@ -376,54 +405,70 @@ func run(inst *Instance, cf *compiledFunc, fr []uint64, mem []byte, pc int) (int
 			}
 			fr[in.d] = uint64(uint32(x / y))
 		case opI32DivU:
-			if uint32(b) == 0 {
+			x, y := uint32(fr[in.a]), uint32(fr[in.b]+in.imm)
+			if y == 0 {
 				return pc, stopDivByZero
 			}
-			fr[in.d] = uint64(uint32(a) / uint32(b))
+			fr[in.d] = uint64(x / y)
 		case opI32RemS:
-			x, y := int32(a), int32(b)
+			x, y := int32(fr[in.a]), int32(fr[in.b]+in.imm)
 			if y == 0 {
 				return pc, stopDivByZero
 			}
 			fr[in.d] = uint64(uint32(x % y)) // MinInt32 % -1 is 0 in Go as in Wasm
 		case opI32RemU:
-			if uint32(b) == 0 {
+			x, y := uint32(fr[in.a]), uint32(fr[in.b]+in.imm)
+			if y == 0 {
 				return pc, stopDivByZero
 			}
-			fr[in.d] = uint64(uint32(a) % uint32(b))
+			fr[in.d] = uint64(x % y)
 		case opI32And:
+			a, b := fr[in.a], fr[in.b]+in.imm
 			fr[in.d] = uint64(uint32(a) & uint32(b))
 		case opI32Or:
+			a, b := fr[in.a], fr[in.b]+in.imm
 			fr[in.d] = uint64(uint32(a) | uint32(b))
 		case opI32Xor:
+			a, b := fr[in.a], fr[in.b]+in.imm
 			fr[in.d] = uint64(uint32(a) ^ uint32(b))
 		case opI32Shl:
+			a, b := fr[in.a], fr[in.b]+in.imm
 			fr[in.d] = uint64(uint32(a) << (b & 31))
 		case opI32ShrS:
+			a, b := fr[in.a], fr[in.b]+in.imm
 			fr[in.d] = uint64(uint32(int32(a) >> (b & 31)))
 		case opI32ShrU:
+			a, b := fr[in.a], fr[in.b]+in.imm
 			fr[in.d] = uint64(uint32(a) >> (b & 31))
 		case opI32Rotl:
+			a, b := fr[in.a], fr[in.b]+in.imm
 			fr[in.d] = uint64(bits.RotateLeft32(uint32(a), int(b&31)))
 		case opI32Rotr:
+			a, b := fr[in.a], fr[in.b]+in.imm
 			fr[in.d] = uint64(bits.RotateLeft32(uint32(a), -int(b&31)))
 
 		// ---- i64 arithmetic ----
 		case opI64Clz:
+			b := fr[in.b] + in.imm
 			fr[in.d] = uint64(bits.LeadingZeros64(b))
 		case opI64Ctz:
+			b := fr[in.b] + in.imm
 			fr[in.d] = uint64(bits.TrailingZeros64(b))
 		case opI64Add:
+			a, b := fr[in.a], fr[in.b]+in.imm
 			fr[in.d] = a + b
 		case opI64Sub:
+			a, b := fr[in.a], fr[in.b]+in.imm
 			fr[in.d] = a - b
 		case opI64Mul:
+			a, b := fr[in.a], fr[in.b]+in.imm
 			fr[in.d] = a * b
 		case opMulAdd:
+			a, b := fr[in.a], fr[in.b]+in.imm
 			fr[in.d] = a*b + code[pc].imm
 			pc++
 		case opI64DivS:
-			x, y := int64(a), int64(b)
+			x, y := int64(fr[in.a]), int64(fr[in.b]+in.imm)
 			if y == 0 {
 				return pc, stopDivByZero
 			}
@@ -432,51 +477,61 @@ func run(inst *Instance, cf *compiledFunc, fr []uint64, mem []byte, pc int) (int
 			}
 			fr[in.d] = uint64(x / y)
 		case opI64DivU:
-			if b == 0 {
+			x, y := fr[in.a], fr[in.b]+in.imm
+			if y == 0 {
 				return pc, stopDivByZero
 			}
-			fr[in.d] = a / b
+			fr[in.d] = x / y
 		case opI64RemS:
-			x, y := int64(a), int64(b)
+			x, y := int64(fr[in.a]), int64(fr[in.b]+in.imm)
 			if y == 0 {
 				return pc, stopDivByZero
 			}
 			fr[in.d] = uint64(x % y)
 		case opI64RemU:
-			if b == 0 {
+			x, y := fr[in.a], fr[in.b]+in.imm
+			if y == 0 {
 				return pc, stopDivByZero
 			}
-			fr[in.d] = a % b
+			fr[in.d] = x % y
 		case opI64And:
+			a, b := fr[in.a], fr[in.b]+in.imm
 			fr[in.d] = a & b
 		case opI64Or:
+			a, b := fr[in.a], fr[in.b]+in.imm
 			fr[in.d] = a | b
 		case opI64Xor:
+			a, b := fr[in.a], fr[in.b]+in.imm
 			fr[in.d] = a ^ b
 		case opI64Shl:
+			a, b := fr[in.a], fr[in.b]+in.imm
 			fr[in.d] = a << (b & 63)
 		case opI64ShrS:
+			a, b := fr[in.a], fr[in.b]+in.imm
 			fr[in.d] = uint64(int64(a) >> (b & 63))
 		case opI64ShrU:
+			a, b := fr[in.a], fr[in.b]+in.imm
 			fr[in.d] = a >> (b & 63)
 		case opI64Rotl:
+			a, b := fr[in.a], fr[in.b]+in.imm
 			fr[in.d] = bits.RotateLeft64(a, int(b&63))
 		case opI64Rotr:
+			a, b := fr[in.a], fr[in.b]+in.imm
 			fr[in.d] = bits.RotateLeft64(a, -int(b&63))
 
 		// ---- integer width changes ----
 		case opI32WrapI64, opI64ExtendI32U:
-			fr[in.d] = uint64(uint32(b))
+			fr[in.d] = uint64(uint32(fr[in.b] + in.imm))
 		case opI64ExtendI32S, opI64Extend32S:
-			fr[in.d] = uint64(int64(int32(b)))
+			fr[in.d] = uint64(int64(int32(fr[in.b] + in.imm)))
 		case opI32Extend8S:
-			fr[in.d] = uint64(uint32(int8(b)))
+			fr[in.d] = uint64(uint32(int8(fr[in.b] + in.imm)))
 		case opI32Extend16S:
-			fr[in.d] = uint64(uint32(int16(b)))
+			fr[in.d] = uint64(uint32(int16(fr[in.b] + in.imm)))
 		case opI64Extend8S:
-			fr[in.d] = uint64(int8(b))
+			fr[in.d] = uint64(int8(fr[in.b] + in.imm))
 		case opI64Extend16S:
-			fr[in.d] = uint64(int16(b))
+			fr[in.d] = uint64(int16(fr[in.b] + in.imm))
 
 		default:
 			return pc, stopOutOfLine

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"strings"
 	"testing"
 
@@ -437,33 +439,136 @@ func TestLoweredShape(t *testing.T) {
 	}
 }
 
-// A fused load traps as the load would, at the load's own address, and
-// before its destination is written: the xor below writes back into x's own
-// local.
-func TestXorLoadTrapsAtItsAddress(t *testing.T) {
-	b := wasmbuild.New()
-	b.Memory(1, 1, "memory")
-	f := b.NewFunc("f", []wasm.ValType{i32, i64}, []wasm.ValType{i64})
-	f.LocalGet(1).LocalGet(0).I64Load(8).I64Xor().LocalSet(1).LocalGet(1)
-	inst := instantiate(t, b, nil)
-	if n := bytes.Count(inst.Module().LoweredOps("f"), []byte{wasm.OpXorLoad}); n != 1 {
-		t.Fatalf("%d xorLoads, want 1", n)
+// Every load and store, and the fused xorLoad, traps exactly when its
+// effective address plus its width passes the end of memory: at the last
+// address that fits it succeeds, one byte later it traps (the address is in
+// bounds, the access is not), and at the end, past it and past 2^32 (the
+// 64-bit sum of a 32-bit address and its offset) it traps on the address. A
+// trap names the effective address, leaves a load's destination — the
+// local its result is set to — unwritten, and leaves memory unchanged.
+func TestEveryMemoryAccessTrapsAtItsAddress(t *testing.T) {
+	const (
+		off  = 8
+		size = wasm.PageSize
+		x    = 0x1122_3344_5566_7788 // the local a load overwrites, the value a store writes
+	)
+	f32, f64 := wasm.F32, wasm.F64
+	type access struct {
+		name  string
+		op    byte // 0: xorLoad, an i64.xor of x and an i64.load
+		width int
+		typ   wasm.ValType
+		store bool
 	}
-	const x = 0xFEED
-	last := uint64(wasm.PageSize - 8 - 8) // the load ends at the last byte
-	if got := call1(t, inst, "f", last, x); got != x {
-		t.Fatalf("f(%d) = %#x, want %#x (memory is zero)", last, got, uint64(x))
+	rows := []access{
+		{"i32.load", 0x28, 4, i32, false}, {"i64.load", 0x29, 8, i64, false},
+		{"f32.load", 0x2A, 4, f32, false}, {"f64.load", 0x2B, 8, f64, false},
+		{"i32.load8_s", 0x2C, 1, i32, false}, {"i32.load8_u", 0x2D, 1, i32, false},
+		{"i32.load16_s", 0x2E, 2, i32, false}, {"i32.load16_u", 0x2F, 2, i32, false},
+		{"i64.load8_s", 0x30, 1, i64, false}, {"i64.load8_u", 0x31, 1, i64, false},
+		{"i64.load16_s", 0x32, 2, i64, false}, {"i64.load16_u", 0x33, 2, i64, false},
+		{"i64.load32_s", 0x34, 4, i64, false}, {"i64.load32_u", 0x35, 4, i64, false},
+		{"i32.store", 0x36, 4, i32, true}, {"i64.store", 0x37, 8, i64, true},
+		{"f32.store", 0x38, 4, f32, true}, {"f64.store", 0x39, 8, f64, true},
+		{"i32.store8", 0x3A, 1, i32, true}, {"i32.store16", 0x3B, 2, i32, true},
+		{"i64.store8", 0x3C, 1, i64, true}, {"i64.store16", 0x3D, 2, i64, true},
+		{"i64.store32", 0x3E, 4, i64, true},
+		{"xorLoad", 0, 8, i64, false},
 	}
-	_, err := inst.Call("f", last+1, x)
-	if !errors.Is(err, wasm.TrapOutOfBounds) {
-		t.Fatalf("f(%d): err = %v, want TrapOutOfBounds", last+1, err)
+	// The last 32 bytes of memory hold 0x80, 0x81, …: a sign bit in every
+	// byte, so a sign extension that is lost shows.
+	tail := make([]byte, 32)
+	for i := range tail {
+		tail[i] = 0x80 + byte(i)
 	}
-	if want := fmt.Sprintf("memory access at %d of %d", last+1+8, wasm.PageSize); !strings.Contains(err.Error(), want) {
-		t.Errorf("f(%d): err = %v, want it to name %q", last+1, err, want)
+	for _, r := range rows {
+		b := wasmbuild.New()
+		b.Memory(1, 1, "memory")
+		align := byte(bits.TrailingZeros(uint(r.width)))
+		var f *wasmbuild.FuncBuilder
+		switch {
+		case r.store: // f(addr, x): store x at addr+off
+			f = b.NewFunc("f", []wasm.ValType{i32, r.typ}, nil)
+			f.LocalGet(0).LocalGet(1).Raw(r.op, align, off)
+		case r.op == 0: // f(addr, x): x = x ^ load(addr+off); return x
+			f = b.NewFunc("f", []wasm.ValType{i32, r.typ}, []wasm.ValType{r.typ})
+			f.LocalGet(1).LocalGet(0).I64Load(off).I64Xor().LocalSet(1).LocalGet(1)
+		default: // f(addr, x): x = load(addr+off); return x
+			f = b.NewFunc("f", []wasm.ValType{i32, r.typ}, []wasm.ValType{r.typ})
+			f.LocalGet(0).Raw(r.op, align, off).LocalSet(1).LocalGet(1)
+		}
+		inst := instantiate(t, b, nil)
+		if r.op == 0 {
+			if n := bytes.Count(inst.Module().LoweredOps("f"), []byte{wasm.OpXorLoad}); n != 1 {
+				t.Fatalf("%d xorLoads, want 1", n)
+			}
+		}
+		arg := uint64(x)
+		if r.typ == i32 || r.typ == f32 {
+			arg &= math.MaxUint32
+		}
+		w := uint64(r.width)
+		for _, ea := range []uint64{size - w, size - w + 1, size, size + 5, math.MaxUint32 + off} {
+			mem := inst.Memory()
+			if err := mem.WriteAt(tail, size-uint32(len(tail))); err != nil {
+				t.Fatal(err)
+			}
+			res, err := inst.Call("f", ea-off, arg)
+			after, verr := mem.View(size-uint32(len(tail)), uint32(len(tail)))
+			if verr != nil {
+				t.Fatal(verr)
+			}
+			if ea+w <= size {
+				if err != nil {
+					t.Errorf("%s at %d: %v, want it to succeed", r.name, ea, err)
+					continue
+				}
+				at := int(ea) - (size - len(tail))
+				if r.store {
+					want := binary.LittleEndian.AppendUint64(nil, arg)[:w]
+					if got := after[at:][:w]; !bytes.Equal(got, want) {
+						t.Errorf("%s at %d stored % x, want % x", r.name, ea, got, want)
+					}
+				} else if want := loaded(r.op, r.typ, tail[at:][:w], arg); res[0] != want {
+					t.Errorf("%s at %d = %#x, want %#x", r.name, ea, res[0], want)
+				}
+				continue
+			}
+			if !errors.Is(err, wasm.TrapOutOfBounds) {
+				t.Errorf("%s at %d: err = %v, want TrapOutOfBounds", r.name, ea, err)
+				continue
+			}
+			if want := fmt.Sprintf("memory access at %d of %d", ea, size); !strings.Contains(err.Error(), want) {
+				t.Errorf("%s at %d: err = %v, want it to name %q", r.name, ea, err, want)
+			}
+			if !bytes.Equal(after, tail) {
+				t.Errorf("%s at %d: memory's tail reads % x after the trap, want % x", r.name, ea, after, tail)
+			}
+			if got := inst.LastFrame()[2]; !r.store && got != arg { // slot 2: local 1
+				t.Errorf("%s at %d: the destination holds %#x after the trap, want %#x unwritten", r.name, ea, got, arg)
+			}
+		}
 	}
-	if got := inst.LastFrame()[2]; got != x { // slot 2: local 1
-		t.Errorf("x's local holds %#x after the trap, want %#x unwritten", got, uint64(x))
+}
+
+// loaded is what a load of op returns from the little-endian bytes b, into
+// a local of type typ; x is the other operand of a fused xorLoad (op 0).
+func loaded(op byte, typ wasm.ValType, b []byte, x uint64) uint64 {
+	var v uint64
+	for i := len(b) - 1; i >= 0; i-- {
+		v = v<<8 | uint64(b[i])
 	}
+	switch op {
+	case 0:
+		return x ^ v
+	case 0x2C, 0x2E, 0x30, 0x32, 0x34: // the signed narrow loads
+		shift := 64 - 8*len(b)
+		v = uint64(int64(v<<shift) >> shift)
+	}
+	if typ == wasm.I32 || typ == wasm.F32 {
+		v = uint64(uint32(v))
+	}
+	return v
 }
 
 // The guest's produce and consume kernels are what a set-up spends its time

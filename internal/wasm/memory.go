@@ -126,7 +126,8 @@ func (m *Memory) View(ptr, n uint32) ([]byte, error) {
 	if err := m.check(ptr, n); err != nil {
 		return nil, err
 	}
-	return m.data[ptr : ptr+n : ptr+n], nil
+	end := uint64(ptr) + uint64(n) // in 32 bits it wraps at the 4 GiB end
+	return m.data[ptr:end:end], nil
 }
 
 // ReadAt copies guest memory [ptr, ptr+len(dst)) into dst.
