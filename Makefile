@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race fuzz-smoke chaos bench bench-kernel pairs perfgate lint cross codegen loc staticcheck vuln cover clean
+.PHONY: all build test race fuzz-smoke chaos bench bench-kernel pairs kernels perfgate lint cross codegen loc staticcheck vuln cover clean
 
 all: lint build race bench perfgate
 
@@ -99,6 +99,15 @@ N ?= 10
 pairs:
 	@test -n "$(PARENT)" || { echo "usage: make pairs PARENT=<rev> [N=10] [WORKLOAD=<name>]"; exit 2; }
 	scripts/pairs.sh "$(PARENT)" "$(N)" "$(WORKLOAD)"
+
+## kernels: the guest's produce and consume kernels on $(PARENT) and on the
+## working tree — N alternating runs (12 unless N is given) of
+## BenchmarkGuestProduce1MB/Checksum1MB from prebuilt test binaries, then per
+## kernel the medians, lower quartiles and wins; times, gates nothing, not in
+## CI (scripts/kernels.sh)
+kernels:
+	@test -n "$(PARENT)" || { echo "usage: make kernels PARENT=<rev> [N=12]"; exit 2; }
+	scripts/kernels.sh "$(PARENT)" "$(if $(filter command line,$(origin N)),$(N),12)"
 
 ## perfgate: regenerate the hot-path and shared-egress fan-out trajectories
 ## and gate them against the committed BENCH_8.json + BENCH_9.json (CI's

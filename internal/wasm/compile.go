@@ -56,10 +56,25 @@ const (
 	opJmp   = 0xD2 // pc = d
 	opNez   = 0xD3 // compare family: b != 0, what br_if and if test on a plain value
 	// Superinstructions: an i64 operation fused with the one that produced
-	// its operand (lowerer.fuse).
-	opXorLoad = 0xD4 // frame[d] = frame[b] ^ the i64 at mem[a+imm]
-	opMulAdd  = 0xD5 // frame[d] = a*imm + the next instruction's imm, an extension word run skips
+	// its operand (lowerer.fuse). Operands that do not fit the word go in
+	// extension words after it, which run skips (extWords).
+	opXorLoad     = 0xD4 // frame[d] = frame[b] ^ the i64 at mem[a+imm]
+	opMulAdd      = 0xD5 // frame[d] = a*imm + K2, K2 the imm of its extension word
+	opXorLoadMul  = 0xD6 // frame[d] = (frame[b] ^ the i64 at mem[a+imm]) * K, K the imm of its extension word
+	opStoreMulAdd = 0xD7 // an i64.store of frame[b], then the mulAdd of its two extension words on the same value
 )
+
+// extWords is the number of extension words that follow an instruction of
+// op.
+func extWords(op byte) int {
+	switch op {
+	case opMulAdd, opXorLoadMul:
+		return 1
+	case opStoreMulAdd:
+		return 2
+	}
+	return 0
+}
 
 // compiledFunc is a lowered function body, shared by every instance of its
 // module.
@@ -124,6 +139,8 @@ type lowerer struct {
 	// slot of stack entry defAt; -1 when there is none. It is what
 	// local.set retargets and br_if/if fuse with.
 	lastDef, defAt int
+	// bound is the pc of the last label bound: a branch may land there.
+	bound int
 }
 
 func newLowerer(m *Module) *lowerer {
@@ -149,8 +166,8 @@ func (l *lowerer) emit(in instr) int {
 // bind records that a branch may land on the next instruction, so it cannot
 // be fused with the one before it.
 func (l *lowerer) bind() int {
-	l.lastDef = -1
-	return len(l.cf.code)
+	l.lastDef, l.bound = -1, len(l.cf.code)
+	return l.bound
 }
 
 func (l *lowerer) push(o operand) {
@@ -687,13 +704,17 @@ func (l *lowerer) lowerSimple(op byte, imm uint64) error {
 // data-path step of the guest's kernels:
 //
 //	i64.xor of x and an i64.load → xorLoad, x a slot or local, not a constant
+//	i64.mul of an xorLoad and a constant K → xorLoadMul, K in an extension word
 //	i64.add of a constant K2 and an i64.mul by a constant K1 → mulAdd, K2 in
-//	an extension word after it
+//	an extension word
 //
-// It reports whether it did.
+// A mulAdd whose multiplicand a plain i64.store wrote to memory right before
+// it, with no label between the two, then joins the store (storeMulAdd): its
+// two words become the store's extension words. It reports whether it
+// fused.
 func (l *lowerer) fuse(op byte, n int) bool {
 	i, j := l.defAt, l.lastDef
-	if (op != opI64Xor && op != opI64Add) || (i != n-1 && i != n-2) || !l.defines(i) {
+	if (op != opI64Xor && op != opI64Mul && op != opI64Add) || (i != n-1 && i != n-2) || !l.defines(i) {
 		return false
 	}
 	other := 2*n - 3 - i
@@ -702,8 +723,16 @@ func (l *lowerer) fuse(op byte, n int) bool {
 	case op == opI64Xor && in.op == opI64Load && x.kind != isConst:
 		in.op = opXorLoad
 		in.b, _ = l.srcB(other)
+	case op == opI64Mul && in.op == opXorLoad && x.kind == isConst:
+		in.op = opXorLoadMul
+		l.cf.code = append(l.cf.code, instr{imm: x.v})
 	case op == opI64Add && in.op == opI64Mul && in.b == 0 && x.kind == isConst:
 		in.op = opMulAdd
+		if j > l.bound { // so j-1 exists, and no branch lands between it and j
+			if s := &l.cf.code[j-1]; s.op == opI64Store && s.imm == 0 && s.b == in.a {
+				s.op = opStoreMulAdd
+			}
+		}
 		l.cf.code = append(l.cf.code, instr{imm: x.v})
 	default:
 		return false

@@ -123,8 +123,9 @@ func (inst *Instance) exec(cf *compiledFunc, fr []uint64, depth int) error {
 		case stopIntegerOverflow:
 			return TrapIntegerOverflow
 		default:
-			ea := uint64(uint32(fr[in.a])) + in.imm       // a load's and xorLoad's offset
-			if len(simpleSignatures[in.op].params) == 2 { // a store keeps its offset in d
+			// A store, fused or not, keeps its offset in d; a load in imm.
+			ea := uint64(uint32(fr[in.a])) + in.imm
+			if in.op == opStoreMulAdd || len(simpleSignatures[in.op].params) == 2 {
 				ea = uint64(uint32(fr[in.a])) + uint64(in.d)
 			}
 			return fmt.Errorf("memory access at %d of %d: %w", ea, len(mem), TrapOutOfBounds)
@@ -240,6 +241,13 @@ func run(inst *Instance, cf *compiledFunc, fr []uint64, mem []byte, pc int) (int
 				return pc, stopOutOfBounds
 			}
 			fr[in.d] = fr[in.b] ^ binary.LittleEndian.Uint64(mem[ea:])
+		case opXorLoadMul:
+			ea := uint64(uint32(fr[in.a])) + in.imm
+			if ea >= uint64(len(mem)) || len(mem[ea:]) < 8 {
+				return pc, stopOutOfBounds
+			}
+			fr[in.d] = (fr[in.b] ^ binary.LittleEndian.Uint64(mem[ea:])) * code[pc].imm
+			pc++
 		case opI32Load8U, opI64Load8U:
 			ea := uint64(uint32(fr[in.a])) + in.imm
 			if ea >= uint64(len(mem)) {
@@ -295,6 +303,18 @@ func run(inst *Instance, cf *compiledFunc, fr []uint64, mem []byte, pc int) (int
 				return pc, stopOutOfBounds
 			}
 			binary.LittleEndian.PutUint64(mem[ea:], fr[in.b]+in.imm)
+		case opStoreMulAdd:
+			// A trap returns before the extension words run, so the mulAdd
+			// half writes nothing and code[pc-1] is still this instruction.
+			ea := uint64(uint32(fr[in.a])) + uint64(in.d)
+			if ea >= uint64(len(mem)) || len(mem[ea:]) < 8 {
+				return pc, stopOutOfBounds
+			}
+			v := fr[in.b]
+			binary.LittleEndian.PutUint64(mem[ea:], v)
+			m := &code[pc]
+			fr[m.d] = v*m.imm + code[pc+1].imm
+			pc += 2
 		case opI32Store8, opI64Store8:
 			ea := uint64(uint32(fr[in.a])) + uint64(in.d)
 			if ea >= uint64(len(mem)) {

@@ -23,6 +23,11 @@ var (
 	i64 = wasm.I64
 )
 
+// The constants of the guest kernels' word steps, as variables so that
+// products wrap as the guest's do: the LCG step is seed*lcgMul + lcgAdd, the
+// FNV step (h ^ word) * fnvPrime.
+var lcgMul, lcgAdd, fnvPrime uint64 = 6364136223846793005, 1442695040888963407, 0x100000001b3
+
 // The interpreter caches the memory's backing array; memory.grow replaces
 // it. A store loop that grows memory half-way must see the new pages, and
 // what it wrote before must have moved with them.
@@ -354,8 +359,8 @@ func TestInstantiateSharesCompiledCode(t *testing.T) {
 
 // The shape of the lowered code is what the speed-up rests on: an
 // instruction is 24 bytes, local.get/const/local.set vanish into operands,
-// compare + br_if is one instruction, and so are the guest kernels' load +
-// xor and multiply + add.
+// compare + br_if is one instruction, and so is each word step of the guest
+// kernels: load + xor + multiply, and store + multiply + add.
 func TestLoweredShape(t *testing.T) {
 	if wasm.InstrBytes > 24 {
 		t.Fatalf("instr is %d bytes, want <= 24", wasm.InstrBytes)
@@ -386,16 +391,25 @@ func TestLoweredShape(t *testing.T) {
 	}
 
 	// The superinstructions form only where nothing can come between their
-	// two halves and the operands fit the fused form: xorLoad takes its other
+	// halves and the operands fit the fused form: xorLoad takes its other
 	// operand from a slot (the immediate holds the load's offset), mulAdd
-	// multiplies by a constant and adds one. Each row runs f(addr, x) with the
-	// i64 at addr+8 = w, so a wrong fusion shows as a wrong value too.
+	// multiplies by a constant and adds one, xorLoadMul multiplies an xorLoad
+	// by a constant, and storeMulAdd is a plain i64.store of x followed, with
+	// no label between, by the mulAdd of the same x. Each row runs f(addr, x)
+	// with the i64 at addr+8 = w, so a wrong fusion shows as a wrong value
+	// too; a row that stores at addr+8 adds the word there back in. No row's
+	// jumps may land on an extension word.
 	const addr, w, x = 8, 0x0123_4567_89AB_CDEF, 0x5555
-	var k1, k2 uint64 = 6364136223846793005, 1442695040888963407 // wrap like the guest's
+	k1, k2, xw := lcgMul, lcgAdd, uint64(x^w)
+	// step is the guest's LCG word step after store: x*K1 + K2, plus the
+	// word at addr+8.
+	step := func(f *wasmbuild.FuncBuilder) {
+		f.LocalGet(1).I64Const(int64(k1)).I64Mul().I64Const(int64(k2)).I64Add().LocalGet(0).I64Load(8).I64Add()
+	}
 	for _, tc := range []struct {
 		name  string
 		body  func(f *wasmbuild.FuncBuilder)
-		fused byte // 0: neither superinstruction may appear
+		fused byte // the one superinstruction that must appear, once; 0: none may
 		want  uint64
 	}{
 		{"xor(local, load)", func(f *wasmbuild.FuncBuilder) { f.LocalGet(1).LocalGet(0).I64Load(8).I64Xor() }, wasm.OpXorLoad, x ^ w},
@@ -417,6 +431,43 @@ func TestLoweredShape(t *testing.T) {
 		{"mul teed before add", func(f *wasmbuild.FuncBuilder) {
 			f.LocalGet(1).I64Const(int64(k1)).I64Mul().LocalTee(2).I64Const(int64(k2)).I64Add().LocalGet(2).I64Sub()
 		}, 0, k2},
+		{"(local ^ load) * K", func(f *wasmbuild.FuncBuilder) {
+			f.LocalGet(1).LocalGet(0).I64Load(8).I64Xor().I64Const(int64(fnvPrime)).I64Mul()
+		}, wasm.OpXorLoadMul, xw * fnvPrime},
+		{"K * (load ^ local)", func(f *wasmbuild.FuncBuilder) {
+			f.I64Const(int64(fnvPrime)).LocalGet(0).I64Load(8).LocalGet(1).I64Xor().I64Mul()
+		}, wasm.OpXorLoadMul, xw * fnvPrime},
+		{"(local ^ load) * local", func(f *wasmbuild.FuncBuilder) {
+			f.LocalGet(1).LocalGet(0).I64Load(8).I64Xor().LocalGet(1).I64Mul()
+		}, wasm.OpXorLoad, xw * x},
+		{"xorLoad teed before mul", func(f *wasmbuild.FuncBuilder) {
+			f.LocalGet(1).LocalGet(0).I64Load(8).I64Xor().LocalTee(2).I64Const(int64(fnvPrime)).I64Mul().LocalGet(2).I64Sub()
+		}, wasm.OpXorLoad, xw*fnvPrime - xw},
+		{"store x; x*K1 + K2", func(f *wasmbuild.FuncBuilder) {
+			f.LocalGet(0).LocalGet(1).I64Store(8)
+			step(f)
+		}, wasm.OpStoreMulAdd, x*k1 + k2 + x},
+		{"store x; loop label; x*K1 + K2", func(f *wasmbuild.FuncBuilder) {
+			f.LocalGet(0).LocalGet(1).I64Store(8).Loop()
+			step(f)
+			f.LocalSet(2).I32Const(0).BrIf(0).End().LocalGet(2) // a back edge, never taken
+		}, wasm.OpMulAdd, x*k1 + k2 + x},
+		{"store x; block end; x*K1 + K2", func(f *wasmbuild.FuncBuilder) {
+			f.Block().LocalGet(0).LocalGet(1).I64Store(8).End()
+			step(f)
+		}, wasm.OpMulAdd, x*k1 + k2 + x},
+		{"store another local; x*K1 + K2", func(f *wasmbuild.FuncBuilder) {
+			f.LocalGet(0).LocalGet(2).I64Store(8) // local 2 is zero
+			step(f)
+		}, wasm.OpMulAdd, x*k1 + k2},
+		{"store a constant; x*K1 + K2", func(f *wasmbuild.FuncBuilder) {
+			f.LocalGet(0).I64Const(7).I64Store(8)
+			step(f)
+		}, wasm.OpMulAdd, x*k1 + k2 + 7},
+		{"i64.store32 x; x*K1 + K2", func(f *wasmbuild.FuncBuilder) {
+			f.LocalGet(0).LocalGet(1).Raw(0x3E, 2, 8)
+			step(f)
+		}, wasm.OpMulAdd, x*k1 + k2 + (w&^math.MaxUint32 | x)},
 	} {
 		b := wasmbuild.New()
 		b.Memory(1, 1, "memory")
@@ -427,8 +478,11 @@ func TestLoweredShape(t *testing.T) {
 		if err := inst.Memory().WriteAt(binary.LittleEndian.AppendUint64(nil, w), addr+8); err != nil {
 			t.Fatal(err)
 		}
+		if bad := inst.Module().JumpsIntoExtensionWords("f"); len(bad) > 0 {
+			t.Errorf("%s: jumps into extension words %v", tc.name, bad)
+		}
 		ops := inst.Module().LoweredOps("f")
-		for _, op := range []byte{wasm.OpXorLoad, wasm.OpMulAdd} {
+		for _, op := range []byte{wasm.OpXorLoad, wasm.OpMulAdd, wasm.OpXorLoadMul, wasm.OpStoreMulAdd} {
 			if n := bytes.Count(ops, []byte{op}); n != int(b2u(op == tc.fused)) {
 				t.Errorf("%s: %d instructions of op %#x, want %d", tc.name, n, op, b2u(op == tc.fused))
 			}
@@ -439,13 +493,14 @@ func TestLoweredShape(t *testing.T) {
 	}
 }
 
-// Every load and store, and the fused xorLoad, traps exactly when its
-// effective address plus its width passes the end of memory: at the last
-// address that fits it succeeds, one byte later it traps (the address is in
-// bounds, the access is not), and at the end, past it and past 2^32 (the
-// 64-bit sum of a 32-bit address and its offset) it traps on the address. A
-// trap names the effective address, leaves a load's destination — the
-// local its result is set to — unwritten, and leaves memory unchanged.
+// Every load and store, and each fused instruction with a memory access,
+// traps exactly when its effective address plus its width passes the end of
+// memory: at the last address that fits it succeeds, one byte later it traps
+// (the address is in bounds, the access is not), and at the end, past it and
+// past 2^32 (the 64-bit sum of a 32-bit address and its offset) it traps on
+// the address. A trap names the effective address, leaves a load's
+// destination — the local its result is set to, for storeMulAdd the local
+// its mulAdd half sets — unwritten, and leaves memory unchanged.
 func TestEveryMemoryAccessTrapsAtItsAddress(t *testing.T) {
 	const (
 		off  = 8
@@ -455,7 +510,7 @@ func TestEveryMemoryAccessTrapsAtItsAddress(t *testing.T) {
 	f32, f64 := wasm.F32, wasm.F64
 	type access struct {
 		name  string
-		op    byte // 0: xorLoad, an i64.xor of x and an i64.load
+		op    byte // a load or store opcode; for a fused row, the superinstruction it lowers to
 		width int
 		typ   wasm.ValType
 		store bool
@@ -473,7 +528,9 @@ func TestEveryMemoryAccessTrapsAtItsAddress(t *testing.T) {
 		{"i32.store8", 0x3A, 1, i32, true}, {"i32.store16", 0x3B, 2, i32, true},
 		{"i64.store8", 0x3C, 1, i64, true}, {"i64.store16", 0x3D, 2, i64, true},
 		{"i64.store32", 0x3E, 4, i64, true},
-		{"xorLoad", 0, 8, i64, false},
+		{"xorLoad", wasm.OpXorLoad, 8, i64, false},
+		{"xorLoadMul", wasm.OpXorLoadMul, 8, i64, false},
+		{"storeMulAdd", wasm.OpStoreMulAdd, 8, i64, true},
 	}
 	// The last 32 bytes of memory hold 0x80, 0x81, …: a sign bit in every
 	// byte, so a sign extension that is lost shows.
@@ -486,21 +543,29 @@ func TestEveryMemoryAccessTrapsAtItsAddress(t *testing.T) {
 		b.Memory(1, 1, "memory")
 		align := byte(bits.TrailingZeros(uint(r.width)))
 		var f *wasmbuild.FuncBuilder
+		fused := r.op == wasm.OpXorLoad || r.op == wasm.OpXorLoadMul || r.op == wasm.OpStoreMulAdd
 		switch {
+		case r.op == wasm.OpXorLoad: // f(addr, x): x = x ^ load(addr+off); return x
+			f = b.NewFunc("f", []wasm.ValType{i32, r.typ}, []wasm.ValType{r.typ})
+			f.LocalGet(1).LocalGet(0).I64Load(off).I64Xor().LocalSet(1).LocalGet(1)
+		case r.op == wasm.OpXorLoadMul: // f(addr, x): x = (x ^ load(addr+off)) * fnvPrime; return x
+			f = b.NewFunc("f", []wasm.ValType{i32, r.typ}, []wasm.ValType{r.typ})
+			f.LocalGet(1).LocalGet(0).I64Load(off).I64Xor().I64Const(int64(fnvPrime)).I64Mul().LocalSet(1).LocalGet(1)
+		case r.op == wasm.OpStoreMulAdd: // f(addr, x): store x at addr+off; x = x*lcgMul + lcgAdd; return x
+			f = b.NewFunc("f", []wasm.ValType{i32, r.typ}, []wasm.ValType{r.typ})
+			f.LocalGet(0).LocalGet(1).I64Store(off).
+				LocalGet(1).I64Const(int64(lcgMul)).I64Mul().I64Const(int64(lcgAdd)).I64Add().LocalSet(1).LocalGet(1)
 		case r.store: // f(addr, x): store x at addr+off
 			f = b.NewFunc("f", []wasm.ValType{i32, r.typ}, nil)
 			f.LocalGet(0).LocalGet(1).Raw(r.op, align, off)
-		case r.op == 0: // f(addr, x): x = x ^ load(addr+off); return x
-			f = b.NewFunc("f", []wasm.ValType{i32, r.typ}, []wasm.ValType{r.typ})
-			f.LocalGet(1).LocalGet(0).I64Load(off).I64Xor().LocalSet(1).LocalGet(1)
 		default: // f(addr, x): x = load(addr+off); return x
 			f = b.NewFunc("f", []wasm.ValType{i32, r.typ}, []wasm.ValType{r.typ})
 			f.LocalGet(0).Raw(r.op, align, off).LocalSet(1).LocalGet(1)
 		}
 		inst := instantiate(t, b, nil)
-		if r.op == 0 {
-			if n := bytes.Count(inst.Module().LoweredOps("f"), []byte{wasm.OpXorLoad}); n != 1 {
-				t.Fatalf("%d xorLoads, want 1", n)
+		if fused {
+			if n := bytes.Count(inst.Module().LoweredOps("f"), []byte{r.op}); n != 1 {
+				t.Fatalf("%s: %d instructions of op %#x, want 1", r.name, n, r.op)
 			}
 		}
 		arg := uint64(x)
@@ -529,7 +594,8 @@ func TestEveryMemoryAccessTrapsAtItsAddress(t *testing.T) {
 					if got := after[at:][:w]; !bytes.Equal(got, want) {
 						t.Errorf("%s at %d stored % x, want % x", r.name, ea, got, want)
 					}
-				} else if want := loaded(r.op, r.typ, tail[at:][:w], arg); res[0] != want {
+				}
+				if want := loaded(r.op, r.typ, tail[at:][:w], arg); len(res) > 0 && res[0] != want {
 					t.Errorf("%s at %d = %#x, want %#x", r.name, ea, res[0], want)
 				}
 				continue
@@ -544,23 +610,28 @@ func TestEveryMemoryAccessTrapsAtItsAddress(t *testing.T) {
 			if !bytes.Equal(after, tail) {
 				t.Errorf("%s at %d: memory's tail reads % x after the trap, want % x", r.name, ea, after, tail)
 			}
-			if got := inst.LastFrame()[2]; !r.store && got != arg { // slot 2: local 1
+			if got := inst.LastFrame()[2]; (!r.store || fused) && got != arg { // slot 2: local 1
 				t.Errorf("%s at %d: the destination holds %#x after the trap, want %#x unwritten", r.name, ea, got, arg)
 			}
 		}
 	}
 }
 
-// loaded is what a load of op returns from the little-endian bytes b, into
-// a local of type typ; x is the other operand of a fused xorLoad (op 0).
+// loaded is what f of TestEveryMemoryAccessTrapsAtItsAddress returns for
+// op, when its access reads or overwrites the little-endian bytes b, into a
+// local of type typ; x is the local's value before.
 func loaded(op byte, typ wasm.ValType, b []byte, x uint64) uint64 {
 	var v uint64
 	for i := len(b) - 1; i >= 0; i-- {
 		v = v<<8 | uint64(b[i])
 	}
 	switch op {
-	case 0:
+	case wasm.OpXorLoad:
 		return x ^ v
+	case wasm.OpXorLoadMul:
+		return (x ^ v) * fnvPrime
+	case wasm.OpStoreMulAdd:
+		return x*lcgMul + lcgAdd
 	case 0x2C, 0x2E, 0x30, 0x32, 0x34: // the signed narrow loads
 		shift := 64 - 8*len(b)
 		v = uint64(int64(v<<shift) >> shift)
@@ -573,25 +644,26 @@ func loaded(op byte, typ wasm.ValType, b []byte, x uint64) uint64 {
 
 // The guest's produce and consume kernels are what a set-up spends its time
 // in, and their main loop moves 64 bytes per iteration in the shape a
-// compiler emits. Per 64 bytes it dispatches 20 instructions: the guard
-// end−s < 64 (subtract, compare-and-branch), eight word steps of 2 (produce:
-// the store, then the LCG step seed*K1+K2 as one mulAdd; consume: the load
-// and the FNV xor as one xorLoad, then the multiply), s += 64 and the jump
-// back. Unfused it is 28, and a loop of one word per iteration takes 56
-// (produce) and 48 (consume), so a guest edit that undoes the unrolling, or a
-// lowerer edit that loses a fusion, moves these counts.
+// compiler emits. Per 64 bytes it dispatches 12 instructions: the guard
+// end−s < 64 (subtract, compare-and-branch), eight word steps of one
+// (produce: the store and the LCG step seed*K1+K2 as one storeMulAdd;
+// consume: the load, the FNV xor and the multiply as one xorLoadMul), s += 64
+// and the jump back. With only the pairwise fusions (xorLoad, mulAdd) it is
+// 20, unfused 28, and a loop of one word per iteration takes 56 (produce)
+// and 48 (consume), so a guest edit that undoes the unrolling, or a lowerer
+// edit that loses a fusion, moves these counts.
 func TestGuestKernelShape(t *testing.T) {
 	m, err := wasm.Decode(guest.Module())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The total is the main loop's 20, the 8-byte loop's 6, the byte loop's
+	// The total is the main loop's 12, the 8-byte loop's 5, the byte loop's
 	// 7, and the set-up, calls and return around them (13 and 5).
 	for _, k := range []struct {
 		export string
 		fused  byte
 		total  int
-	}{{guest.ExportProduce, wasm.OpMulAdd, 46}, {guest.ExportConsume, wasm.OpXorLoad, 38}} {
+	}{{guest.ExportProduce, wasm.OpStoreMulAdd, 37}, {guest.ExportConsume, wasm.OpXorLoadMul, 29}} {
 		if got := len(m.LoweredOps(k.export)); got != k.total {
 			t.Errorf("%s dispatches %d instructions, want %d", k.export, got, k.total)
 		}
@@ -599,8 +671,8 @@ func TestGuestKernelShape(t *testing.T) {
 		if len(loops) != 3 {
 			t.Fatalf("%s has %d loops, want 3", k.export, len(loops))
 		}
-		if main := loops[0]; len(main) != 20 || bytes.Count(main, []byte{k.fused}) != 8 {
-			t.Errorf("%s main loop dispatches %d instructions, %d of them fused (op %#x), want 20 and 8",
+		if main := loops[0]; len(main) != 12 || bytes.Count(main, []byte{k.fused}) != 8 {
+			t.Errorf("%s main loop dispatches %d instructions, %d of them fused (op %#x), want 12 and 8",
 				k.export, len(main), bytes.Count(main, []byte{k.fused}), k.fused)
 		}
 	}

@@ -34,7 +34,10 @@ import (
 // the host, mid-call), a call to a second generated function and to a host
 // import, the dead-code shapes after br / return / unreachable, and the
 // shapes the lowerer fuses: xor with a full-width load (also one straddling
-// the memory end) and a multiply by a constant plus a constant.
+// the memory end), that xor times a constant, a multiply by a constant plus
+// a constant, and an i64.store of a local followed by that local's multiply
+// plus constant, also with a label between the two. Beyond the oracle, no
+// branch of the lowered code may land on an extension word.
 // Not covered: floating point (float_test.go has properties for it),
 // call_indirect, memory.copy/fill, multi-value blocks, the start function.
 func FuzzExecAgainstTreeEval(f *testing.F) {
@@ -87,6 +90,11 @@ func checkAgainstTreeEval(t *testing.T, data []byte) {
 		t.Fatalf("instantiate: %v\n%s", err, p)
 	}
 	got, gotErr := inst.Call("main", uint64(p.arg0), p.arg1)
+	for _, name := range []string{"main", "helper"} {
+		if bad := m.JumpsIntoExtensionWords(name); len(bad) > 0 {
+			t.Fatalf("%s: jumps into extension words %v\n%s", name, bad, p)
+		}
+	}
 
 	// The oracle's.
 	ev := newEvaluator(p)
@@ -442,7 +450,17 @@ func (g *gen) expr(t wasm.ValType, depth int) *node {
 		if g.byte()&3 == 0 {
 			kids[0], kids[1] = load, kids[0]
 		}
-		return &node{k: kBin, t: t, op: binOps[ti][9], kids: kids}
+		xor := &node{k: kBin, t: t, op: binOps[ti][9], kids: kids}
+		b := g.byte()
+		if b&1 == 0 {
+			return xor
+		}
+		// (x ^ load) * K: the whole FNV step, K on either side.
+		kids = []*node{xor, {k: kConst, t: t, n: g.constant(t)}}
+		if b&2 == 0 {
+			kids[0], kids[1] = kids[1], kids[0]
+		}
+		return &node{k: kBin, t: t, op: binOps[ti][2], kids: kids}
 	case 24: // x*K1 + K2: the guest's LCG step
 		mul := &node{k: kBin, t: t, op: binOps[ti][2], kids: []*node{g.expr(t, depth+1), {k: kConst, t: t, n: g.constant(t)}}}
 		return &node{k: kBin, t: t, op: binOps[ti][0], kids: []*node{mul, {k: kConst, t: t, n: g.constant(t)}}}
@@ -570,6 +588,17 @@ func (g *gen) stmt(depth int) *node {
 		return n
 	case 12:
 		return &node{k: kReturn, kids: []*node{g.expr(i64, depth)}}
+	case 17:
+		// The guest's LCG word step: store x, then x*K1 + K2 into a local;
+		// now and then an empty block's label between the two.
+		x := &node{k: kLocalGet, t: i64, n: g.local(i64)}
+		store := &node{k: kStore, op: 0x37, n: offsets[g.intn(len(offsets))], kids: []*node{g.address(depth), x}}
+		mul := &node{k: kBin, t: i64, op: 0x7E, kids: []*node{x, {k: kConst, t: i64, n: g.constant(i64)}}}
+		set := &node{k: kLocalSet, n: g.local(i64), kids: []*node{{k: kBin, t: i64, op: 0x7C, kids: []*node{mul, {k: kConst, t: i64, n: g.constant(i64)}}}}}
+		if g.byte()&3 == 0 {
+			return &node{k: kSeq, kids: []*node{store, {k: kBlock, kids: []*node{{k: kSeq}}}, set}}
+		}
+		return &node{k: kSeq, kids: []*node{store, set}}
 	case 13:
 		if g.byte()&7 == 0 {
 			return &node{k: kTrap}
@@ -675,6 +704,8 @@ func (e *emitter) emit(n *node) {
 		f.Block()
 		e.all(n.kids[0].kids)
 		f.End()
+	case kSeq:
+		e.all(n.kids)
 	case kLoop:
 		c := n.aux
 		f.I32Const(int32(n.n)).LocalSet(c).
@@ -901,6 +932,8 @@ func (ev *evaluator) eval(n *node) uint64 {
 		return scope(func() uint64 { return ev.body(n.kids) })
 	case kBlock:
 		scope(func() uint64 { return ev.body(n.kids[0].kids) })
+	case kSeq:
+		ev.body(n.kids)
 	case kLoop:
 		// The emitted shape is block { loop { exit when the counter is 0;
 		// count down; body; continue } }.
@@ -1120,6 +1153,22 @@ var seedShapes = map[string]func(n *node) bool{
 	"select":            func(n *node) bool { return n.k == kSelect },
 	"xor-load":          isXorLoad,
 	"mul-add":           isMulAdd,
+	"xor-load-mul":      isXorLoadMul,
+	"store-mul-add":     func(n *node) bool { return isStoreMulAdd(n, 2) },
+	"store-label-mul":   func(n *node) bool { return isStoreMulAdd(n, 3) },
+}
+
+// seedFusions names, for the seeds of shapes the lowerer fuses, the
+// superinstruction main's lowered code must contain: the tree shape alone
+// does not say that it fused (an operand that is a constant after all, or an
+// instruction emitted between the two halves, keeps them apart). The
+// store-label-mul seed's store and mulAdd must stay apart.
+var seedFusions = map[string]byte{
+	"xor-load":        wasm.OpXorLoad,
+	"mul-add":         wasm.OpMulAdd,
+	"xor-load-mul":    wasm.OpXorLoadMul,
+	"store-mul-add":   wasm.OpStoreMulAdd,
+	"store-label-mul": wasm.OpMulAdd,
 }
 
 // isXorLoad matches i64.xor of a non-constant and an i64.load: a
@@ -1142,16 +1191,48 @@ func isMulAdd(n *node) bool {
 		n.kids[0].k == kBin && n.kids[0].op == 0x7E && n.kids[0].kids[1].k == kConst
 }
 
+// isXorLoadMul matches i64.mul of a constant and an i64.xor that isXorLoad.
+func isXorLoadMul(n *node) bool {
+	if n.k != kBin || n.op != 0x7E {
+		return false
+	}
+	for i, k := range n.kids {
+		if isXorLoad(k) && n.kids[1-i].k == kConst {
+			return true
+		}
+	}
+	return false
+}
+
+// isStoreMulAdd matches the statements of an i64.store of a local x and a
+// local.set of isMulAdd on x: with nothing between them (len 2), or an
+// empty block (len 3).
+func isStoreMulAdd(n *node, length int) bool {
+	if n.k != kSeq || len(n.kids) != length {
+		return false
+	}
+	store, set := n.kids[0], n.kids[length-1]
+	return store.k == kStore && store.op == 0x37 && store.kids[1].k == kLocalGet &&
+		set.k == kLocalSet && isMulAdd(set.kids[0]) && set.kids[0].kids[0].kids[0] == store.kids[1]
+}
+
 // The committed seeds are generator inputs, so an edit to the generator
 // changes the programs they stand for. Each must still give a program that
-// contains the construct it is named for and runs to completion; a stale
+// contains the construct it is named for, lowered to its superinstruction
+// where seedFusions names one, and runs to completion; a stale
 // seed fails with an input to commit in its place. FuzzDecodeValidate's
 // built seeds must validate, or they exercise nothing.
 func TestFuzzSeedsHoldTheirShapes(t *testing.T) {
-	holds := func(data []byte, match func(*node) bool) bool {
+	holds := func(data []byte, match func(*node) bool, fused byte) bool {
 		p := generate(data)
-		_, err := newEvaluator(p).run()
-		return err == nil && has(p.main.body, match)
+		if _, err := newEvaluator(p).run(); err != nil || !has(p.main.body, match) {
+			return false
+		}
+		if fused == 0 {
+			return true
+		}
+		m, err := wasm.Decode(p.module())
+		return err == nil && bytes.IndexByte(m.LoweredOps("main"), fused) >= 0
 	}
 	for i, bin := range deadCodeModules() {
 		if _, err := wasm.Decode(bin); err != nil {
@@ -1170,12 +1251,12 @@ func TestFuzzSeedsHoldTheirShapes(t *testing.T) {
 			t.Errorf("seed %s: not a []byte corpus file: %v", name, err)
 			continue
 		}
-		if holds([]byte(data), match) {
+		if holds([]byte(data), match, seedFusions[name]) {
 			continue
 		}
 		var rng uint64 = 17
 		next := pseudoRandom(&rng, 96)
-		for tries := 0; tries < 200000 && !holds(next, match); tries++ {
+		for tries := 0; tries < 200000 && !holds(next, match, seedFusions[name]); tries++ {
 			next = pseudoRandom(&rng, 96)
 		}
 		t.Errorf("seed %s no longer contains its construct; replace the file with\ngo test fuzz v1\n[]byte(%q)", name, next)
