@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race fuzz-smoke chaos bench bench-kernel pairs kernels perfgate lint cross codegen loc staticcheck vuln cover clean
+.PHONY: all build test race fuzz-smoke chaos bench bench-kernel bench-drain pairs kernels perfgate lint cross codegen loc staticcheck vuln cover clean
 
 all: lint build race bench perfgate
 
@@ -28,10 +28,13 @@ test:
 ## direct hand-offs are scheduling decisions, fan-out legs share the unicast
 ## stage workers, and tier-1 must not depend on the core count — and the
 ## interpreter's packages, whose instances read one module's compiled code
-## from different goroutines
+## from different goroutines. The network drain's tests run twenty times at
+## each P count besides: its two depositors claim pieces of one slot, and the
+## order of their claims is the scheduler's
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -cpu 1,2,4 ./internal/pagebuf ./internal/kernel ./internal/core
+	$(GO) test -race -count=20 -cpu 1,2,4 -run 'Striped|Depositor' ./internal/core
 	$(GO) test -race -cpu 1,2,4 -run 'Transfer|Cancel|Close|Multicast|Fanout' .
 	$(GO) test -race -count=3 ./internal/wasm ./internal/guest ./internal/abi
 
@@ -89,6 +92,15 @@ bench:
 ## memory bandwidth drifts by tens of percent
 bench-kernel:
 	$(GO) test -run '^$$' -bench 'BounceFloor|CopyPath4M|SecondCoreJoin' -cpu 1,2 -count 3 ./internal/kernel
+
+## bench-drain: the network path's drain as a layer beside its floor — a warm
+## cross-node NetworkTransfer of 1, 4 and 16 MiB (BenchmarkNetworkDrain; the
+## deposit into the target VM is its one payload copy) and 16 MiB through a
+## bare memmove on one goroutine and split in halves over two
+## (BenchmarkDrainFloor) — at 1 and 2 Ps. Compare within one run only; not
+## in CI
+bench-drain:
+	$(GO) test -run '^$$' -bench 'NetworkDrain|DrainFloor' -cpu 1,2 -count 3 ./internal/core
 
 ## pairs: the ten-pair protocol of the BENCH_N.md files — N alternating
 ## parent/change runs of `bench` (prebuilt binaries, parent from `git archive

@@ -14,7 +14,7 @@ import (
 
 var wf = core.Workflow{Name: "wf-test", Tenant: "tenant-a"}
 
-func newShim(t *testing.T, name string, k *kernel.Kernel) *core.Shim {
+func newShim(t testing.TB, name string, k *kernel.Kernel) *core.Shim {
 	t.Helper()
 	s, err := core.NewShim(core.ShimConfig{
 		Name:     name,
@@ -29,7 +29,7 @@ func newShim(t *testing.T, name string, k *kernel.Kernel) *core.Shim {
 	return s
 }
 
-func addFn(t *testing.T, s *core.Shim, name string) *core.Function {
+func addFn(t testing.TB, s *core.Shim, name string) *core.Function {
 	t.Helper()
 	f, err := s.AddFunction(name)
 	if err != nil {
@@ -46,8 +46,7 @@ func verifyDelivery(t *testing.T, dst *core.Function, ref core.InboundRef, n int
 	if err != nil {
 		t.Fatalf("consume: %v", err)
 	}
-	want := guest.ReferenceChecksum(guest.ReferenceProduce(n))
-	if res[0] != want {
+	if want := core.ReferenceSum(n); res[0] != want {
 		t.Fatalf("checksum mismatch: got %#x want %#x", res[0], want)
 	}
 }

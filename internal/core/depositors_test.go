@@ -1,41 +1,75 @@
 package core
 
 import (
-	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/guest"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/kernel"
 )
 
-// spyOps is the network stage pair with a view of the ingress stage's state:
-// while the drain runs it exposes the pipelineState (so the test can see the
-// deposit slot), and afterwards the bytes the caller's goroutine copied.
+// spyOps is the network stage pair reporting, after each drain, the bytes
+// the caller's goroutine copied.
 type spyOps struct {
-	st       *pipelineState
 	byCaller int
 }
 
 func (o *spyOps) egress(st *pipelineState) (OutputRef, error) { return networkOps{}.egress(st) }
 
 func (o *spyOps) ingress(st *pipelineState, out OutputRef) (InboundRef, error) {
-	o.st = st
 	ref, err := networkOps{}.ingress(st, out)
-	o.st = nil
 	// The drain has joined: the caller's count is settled.
 	o.byCaller = st.callerDeposited
 	return ref, err
 }
 
+// pieceGate orders one striped drain so that both depositors copy whatever
+// the scheduler does: once the ingress has read a chunk it is held at its
+// next syscall, and at its first take from the slot, until the caller has
+// claimed a piece; the caller holds its first piece until the ingress has
+// taken one.
+type pieceGate struct {
+	read                atomic.Bool // the ingress has read a chunk: pieces are out
+	claimed, took       chan struct{}
+	claimOnce, tookOnce sync.Once
+}
+
+func newPieceGate() *pieceGate {
+	return &pieceGate{claimed: make(chan struct{}), took: make(chan struct{})}
+}
+
+// syscall is the target process's fault hook; it never fails the call.
+func (g *pieceGate) syscall(op string) error {
+	if g.read.Load() {
+		<-g.claimed
+	}
+	if op == "readrefs" {
+		g.read.Store(true)
+	}
+	return nil
+}
+
+// take is the drain's claimed gate.
+func (g *pieceGate) take(byCaller bool) {
+	if byCaller {
+		g.claimOnce.Do(func() { close(g.claimed) })
+		<-g.took
+		return
+	}
+	<-g.claimed
+	g.tookOnce.Do(func() { close(g.took) })
+}
+
 // TestStripedDrainUsesBothDepositors proves the caller's goroutine is the
-// hose's second depositor: on a multi-chunk payload both goroutines copy
-// bytes into the target — the caller some, the ingress stage at least the
-// last chunk — and together exactly the payload, and a one-chunk payload
-// deals nothing. The target's syscall hook holds the drain at each
-// chunk boundary until the job it dealt is claimed, so the split does not
-// depend on scheduling or the core count.
+// hose's second depositor: on a payload of more than one piece both
+// goroutines copy bytes into the target, together exactly the payload, and
+// a one-piece payload publishes nothing. The hose is four pieces, so the
+// cases are one piece, one chunk of four pieces, three chunks and sixteen.
+// pieceGate fixes the order of the claims, so the split does not depend on
+// scheduling or the core count.
 func TestStripedDrainUsesBothDepositors(t *testing.T) {
-	const hose = 64 << 10
+	const hose = 4 * depositPiece
 	wf := Workflow{Name: "wf-test", Tenant: "tenant-a"}
 	mk := func(name string, k *kernel.Kernel) *Shim {
 		s, err := NewShim(ShimConfig{Name: name, Workflow: wf, Kernel: k, Module: guest.Module(), DataHoseBytes: hose})
@@ -54,30 +88,26 @@ func TestStripedDrainUsesBothDepositors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	spy := &spyOps{}
-	s2.proc.InjectFault(func(string) error {
-		for spy.st != nil && len(spy.st.depositCh) > 0 {
-			runtime.Gosched()
-		}
-		return nil
-	})
 	defer s2.proc.InjectFault(nil)
 
+	spy := &spyOps{}
 	for _, tc := range []struct {
 		n          int
 		wantCaller bool
 	}{
-		{hose, false},
-		{4 * hose, true},
-		{hose + 1, true},
+		{depositPiece, false},
+		{hose, true},
+		{3 * hose, true},
 		{16 * hose, true},
 	} {
 		if _, err := fa.CallPacked(guest.ExportProduce, uint64(tc.n)); err != nil {
 			t.Fatal(err)
 		}
-		spec := pipelineSpec{mode: "network", kind: chanNetwork, src: fa, dst: fb, chunkBytes: hose}
+		g := newPieceGate()
+		s2.proc.InjectFault(g.syscall)
+		spec := pipelineSpec{mode: "network", kind: chanNetwork, src: fa, dst: fb, chunkBytes: hose, gates: &PipelineGates{claimed: g.take}}
 		ref, rep, err := runPipeline(&spec, spy)
+		s2.proc.InjectFault(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +121,7 @@ func TestStripedDrainUsesBothDepositors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := guest.ReferenceChecksum(guest.ReferenceProduce(tc.n)); res[0] != want {
+		if want := ReferenceSum(tc.n); res[0] != want {
 			t.Fatalf("%d bytes: checksum %#x, want %#x", tc.n, res[0], want)
 		}
 		if err := fb.Deallocate(ref.Ptr); err != nil {

@@ -1,5 +1,36 @@
 package core
 
+import (
+	"sync"
+
+	"github.com/polaris-slo-cloud/roadrunner-go/internal/guest"
+)
+
 // KernelSendWindow exposes the kernel channel's send window to the tests
 // that pin staged memory against it.
 const KernelSendWindow = kernelSendWindow
+
+// DepositPiece exposes the striped drain's piece size to the tests that
+// deliver at its edges.
+const DepositPiece = depositPiece
+
+// ClaimGates returns pipeline gates whose claimed hook runs in whichever
+// depositor of a striped drain takes a piece off the deposit slot, right
+// after it took it and before it copies it.
+func ClaimGates(claimed func(byCaller bool)) *PipelineGates {
+	return &PipelineGates{claimed: claimed}
+}
+
+// referenceSums memoizes ReferenceSum by n.
+var referenceSums sync.Map
+
+// ReferenceSum is the guest checksum of the n-byte payload produce writes,
+// computed once per n: the striped tests deliver megabytes many times over,
+// and under -race the Go reference is as slow as the guest.
+func ReferenceSum(n int) uint64 {
+	sum, ok := referenceSums.Load(n)
+	if !ok {
+		sum, _ = referenceSums.LoadOrStore(n, guest.ReferenceChecksum(guest.ReferenceProduce(n)))
+	}
+	return sum.(uint64)
+}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/metrics"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/netsim"
@@ -177,6 +178,11 @@ func (networkOps) ingress(st *pipelineState, out OutputRef) (InboundRef, error) 
 	return InboundRef{Ptr: dstPtr, Len: out.Len}, nil
 }
 
+// depositPiece is the unit a striped drain hands out: each hose chunk is cut
+// into pieces of at most this many bytes, and either depositor claims them
+// one at a time.
+const depositPiece = 256 << 10
+
 // drainHose is the receive loop every zero-copy ingress shares
 // (network_data_transfer_target, Algorithm 1 lines 21-29): per hose-sized
 // chunk, splice(socket_fd, target_vdh, length) moves the page references
@@ -188,31 +194,36 @@ func (networkOps) ingress(st *pipelineState, out OutputRef) (InboundRef, error) 
 // target's VM lock; ctx (nil = never cancelled) is polled at every chunk
 // boundary.
 //
-// With st — a pipeline transfer, whose caller goroutine serves deposit jobs
-// at the join (awaitIngress) — the drain is striped over two depositors: the
-// loop still issues every syscall, but deals each chunk it reads, whole, to
-// the caller whenever the one-slot st.depositCh is free, and deposits it
-// itself otherwise. The first chunk is dealt away rather than copied here,
-// so both cores copy from the start; the last one never is — the loop would
-// only wait for it. The VM lock this goroutine holds covers the caller's
-// writes: it is not released before joinDeposits has settled every dealt
-// job, on every return path, so nothing writes wv after an abort rewinds the
-// target's heap. A fan-out leg passes no st and runs the plain loop.
+// With st — a pipeline transfer of more than one piece, whose caller
+// goroutine serves the deposit slot at the join (awaitIngress) — the drain is
+// striped over two depositors: the loop still issues every syscall, but
+// publishes every chunk it reads as pieces in st.depositCh (publish), and
+// after the last chunk drains the slot alongside the caller (joinDeposits).
+// After its first publish it yields once: the caller, readied by that send
+// into this core's next-in-line slot, starts copying here at once, and this
+// goroutine rejoins from the run queue rather than the caller waiting to be
+// stolen onto the other core. The VM lock this goroutine holds covers the
+// caller's writes: it is not released before joinDeposits has settled every
+// published piece, on every return path, so nothing writes wv after an abort
+// rewinds the target's heap. A fan-out leg passes no st and runs the plain
+// loop.
 //
 // Kernel time lands in m.transfer, this goroutine's deposits in m.wasmIO
-// together with its wait at the join: m.wasmIO is the stage's critical
-// path, never the sum over depositors. CPU is charged per depositor — each
-// charges its own copy time to the target shim's User account, and the wait
-// at the join is charged to nobody.
+// together with its yield and its wait at the join: m.wasmIO is the stage's
+// critical path, never the sum over depositors. CPU is charged per
+// depositor — each charges its own copy time to the target shim's User
+// account, and the yield and the wait at the join are charged to nobody.
 func drainHose(s *Shim, ctx context.Context, wv []byte, ch *channel, m *stageMetrics, st *pipelineState) error {
 	rfd := ch.trfd
 	if ch.kind == chanKernel {
 		rfd = ch.fdB
 	}
 	sw := metrics.NewStopwatch(s.now)
-	if st != nil {
+	striped := st != nil && st.spec.striped(st.out)
+	if striped {
 		defer st.joinDeposits(s, m, sw)
 	}
+	yielded := false
 	for received := 0; received < len(wv); {
 		if err := CtxErr(ctx); err != nil {
 			return err
@@ -241,25 +252,26 @@ func drainHose(s *Shim, ctx context.Context, wv []byte, ch *channel, m *stageMet
 		}
 		dst := wv[received : received+n]
 		received += n
-		if st != nil && received < len(wv) && len(st.depositCh) == 0 {
-			// This loop is the slot's only sender: seen empty, the send
-			// cannot block.
-			st.deposits.Add(1)
-			st.depositCh <- depositJob{dst: dst, refs: refs}
+		if striped {
+			st.publish(s, dst, refs)
 		} else {
 			s.deposit(dst, refs)
 		}
 		wIO := sw.Lap()
 		s.acct.CPU(metrics.User, wIO)
 		m.wasmIO += wIO
+		if striped && !yielded {
+			yielded = true
+			runtime.Gosched()
+			m.wasmIO += sw.Lap()
+		}
 	}
 	return nil
 }
 
-// deposit is write_memory_host for one hose chunk: it copies the chunk's
-// pages into dst, their place in the target's linear memory, releases them
-// and charges the copy to the target shim s. Either depositor of a striped
-// drain calls it, under the target VM lock the ingress stage holds.
+// deposit is write_memory_host for one hose chunk of the plain loop: it
+// copies the chunk's pages into dst, their place in the target's linear
+// memory, releases them and charges the copy to the target shim s.
 func (s *Shim) deposit(dst []byte, refs []pagebuf.Ref) {
 	n := 0
 	for _, ref := range refs {
@@ -269,20 +281,59 @@ func (s *Shim) deposit(dst []byte, refs []pagebuf.Ref) {
 	s.acct.Copy(metrics.User, n)
 }
 
-// joinDeposits settles the jobs a striped drain dealt, before the ingress
-// stage returns on any path: a job still in the slot is taken back and
-// deposited here, a claimed one is waited for. The wait is on the transfer's
-// critical path but is not CPU time — the caller charges its own copies.
-func (st *pipelineState) joinDeposits(s *Shim, m *stageMetrics, sw *metrics.Stopwatch) {
-	select {
-	case job := <-st.depositCh:
-		s.deposit(job.dst, job.refs)
-		st.deposits.Done()
-		t := sw.Lap()
-		s.acct.CPU(metrics.User, t)
-		m.wasmIO += t
-	default:
+// depositOne is write_memory_host for one piece of a striped drain. Either
+// depositor calls it, under the target VM lock the ingress stage holds.
+func (s *Shim) depositOne(job depositJob) {
+	n := copy(job.dst, job.ref.Bytes())
+	job.ref.Release()
+	s.acct.Copy(metrics.User, n)
+}
+
+// publish offers one hose chunk — refs, bound for dst — to the caller as
+// pieces of at most depositPiece bytes: each piece takes its own reference
+// (Slice) and is sent by value into the deposit slot without blocking, and
+// a piece that finds the slot full is deposited here. The chunk's own
+// references are released once it is cut.
+func (st *pipelineState) publish(s *Shim, dst []byte, refs []pagebuf.Ref) {
+	for _, ref := range refs {
+		for from := 0; from < ref.Len(); {
+			to := min(ref.Len(), from+depositPiece)
+			job := depositJob{dst: dst[:to-from], ref: ref.Slice(from, to)}
+			dst = dst[to-from:]
+			from = to
+			st.deposits.Add(1)
+			select {
+			case st.depositCh <- job:
+			default:
+				st.deposits.Done()
+				s.depositOne(job)
+			}
+		}
 	}
+	pagebuf.ReleaseAll(refs)
+}
+
+// joinDeposits settles the pieces a striped drain published, before the
+// ingress stage returns on any path: it deposits what is still in the slot,
+// alongside the caller, then waits for the pieces the caller claimed. The
+// wait is on the transfer's critical path but is not CPU time — the caller
+// charges its own copies.
+func (st *pipelineState) joinDeposits(s *Shim, m *stageMetrics, sw *metrics.Stopwatch) {
+	for drained := false; !drained; {
+		select {
+		case job := <-st.depositCh:
+			if g := st.spec.gates; g != nil && g.claimed != nil {
+				g.claimed(false)
+			}
+			s.depositOne(job)
+			st.deposits.Done()
+		default:
+			drained = true
+		}
+	}
+	t := sw.Lap()
+	s.acct.CPU(metrics.User, t)
+	m.wasmIO += t
 	st.deposits.Wait()
 	m.wasmIO += sw.Lap()
 }

@@ -27,9 +27,9 @@
 //   - the caller's goroutine, done with a zero-copy egress in microseconds,
 //     does not park at the join: it is the hose's second depositor. The
 //     ingress stage still issues every syscall and holds the target VM lock
-//     for the whole drain, but deals whole hose chunks to the caller through
-//     a one-slot channel (awaitIngress, drainHose), so the one payload copy
-//     of the network path runs on two cores.
+//     for the whole drain, but publishes every hose chunk as pieces both
+//     goroutines claim from one slot (awaitIngress, drainHose), so the one
+//     payload copy of the network path runs on two cores.
 //
 // Both copy-bearing channels stream: the hose moves a payload chunk by chunk
 // through a bounded pipe, and the kernel path's socketpair carries a send
@@ -108,6 +108,10 @@ type PipelineGates struct {
 	// state — payload queued in the channel, neither VM lock held — which
 	// is how tests prove an interior VM stays free mid-transfer.
 	BeforeIngress func()
+	// claimed, when a test sets it, runs in whichever depositor of a
+	// striped drain takes a piece off the deposit slot — byCaller tells
+	// which — right after it took it and before it copies it.
+	claimed func(byCaller bool)
 }
 
 // stageMetrics accumulates one stage's breakdown contributions.
@@ -189,6 +193,14 @@ type pipelineSpec struct {
 	ops        ingressOps // the target-stage body runIngress runs
 }
 
+// striped reports whether a payload of out.Len bytes is drained by two
+// depositors: a hose transfer of more than one piece (min(depositPiece,
+// chunkBytes)). The ingress publishes pieces and the caller serves them
+// exactly when this holds; anything smaller keeps the plain receive.
+func (sp *pipelineSpec) striped(out OutputRef) bool {
+	return sp.chunkBytes > 0 && int(out.Len) > min(depositPiece, sp.chunkBytes)
+}
+
 // chunks is the transfer's pipeline depth for a payload of out.Len bytes.
 func (sp *pipelineSpec) chunks(out OutputRef) int {
 	if sp.chunkBytes <= 0 {
@@ -204,13 +216,13 @@ type ingressResult struct {
 	err error
 }
 
-// depositJob is one hose chunk the ingress stage deals to the caller's
-// goroutine: the chunk's page references and the window of the target's
-// linear memory they belong in. It travels by value through the pooled
-// state's one-slot channel, so dealing a chunk allocates nothing.
+// depositJob is one piece of a hose chunk the ingress stage publishes: a
+// reference to at most depositPiece bytes of the chunk and the window of the
+// target's linear memory they belong in. It travels by value through the
+// pooled state's deposit slot, so publishing a piece allocates nothing.
 type depositJob struct {
-	dst  []byte
-	refs []pagebuf.Ref
+	dst []byte
+	ref pagebuf.Ref
 }
 
 // pipelineState is the per-transfer scratch: the spec, the acquired
@@ -220,7 +232,7 @@ type depositJob struct {
 // message per dispatched ingress, which is what makes recycling safe — after
 // the caller receives the ingress result it is empty and no goroutine
 // retains the state. The deposit slot is empty by then too: the ingress
-// stage settles every job it dealt before it reports (joinDeposits).
+// stage settles every piece it published before it reports (joinDeposits).
 type pipelineState struct {
 	spec      pipelineSpec
 	ch        *channel
@@ -231,9 +243,10 @@ type pipelineState struct {
 	// channel, so the egress's join can tell a symptom from a cause.
 	ingressFailed atomic.Bool
 	ingressCh     chan ingressResult
-	// depositCh is the slot the ingress stage deals hose chunks into for the
-	// caller's goroutine (awaitIngress); deposits counts the dealt jobs not
-	// yet copied or taken back.
+	// depositCh is the slot the ingress stage publishes pieces into; both
+	// depositors claim them (awaitIngress, joinDeposits). It holds one
+	// default hose of pieces. deposits counts the published pieces not yet
+	// copied.
 	depositCh chan depositJob
 	deposits  sync.WaitGroup
 	// callerDeposited counts the payload bytes the caller's goroutine
@@ -244,7 +257,7 @@ type pipelineState struct {
 var statePool = sync.Pool{New: func() any {
 	return &pipelineState{
 		ingressCh: make(chan ingressResult, 1),
-		depositCh: make(chan depositJob, 1),
+		depositCh: make(chan depositJob, defaultHoseBytes/depositPiece),
 	}
 }}
 
@@ -330,25 +343,28 @@ func (st *pipelineState) runIngress() {
 }
 
 // awaitIngress is the caller's side of the join. Instead of parking until
-// the ingress result arrives, the caller serves the deposit jobs the ingress
-// stage deals it (drainHose): each is one whole hose chunk, copied into the
-// target's linear memory under the target VM lock the ingress stage holds
-// for the whole drain, and charged to the target shim's account like the
-// ingress's own deposits. The result is sent only after every dealt job is
-// settled, so the slot is empty when it arrives. A transfer that deals
-// nothing — the copy paths, a single-chunk payload — parks in a plain
-// receive, which is cheaper than a select and is all the small-payload fast
-// path can afford.
+// the ingress result arrives, the caller claims the pieces the ingress stage
+// publishes (drainHose) and copies each into the target's linear memory
+// under the target VM lock the ingress stage holds for the whole drain,
+// charged to the target shim's account like the ingress's own deposits. The
+// result is sent only after every published piece is settled, so the slot
+// is empty when it arrives. A transfer that publishes nothing — the copy
+// paths, a payload of one piece — parks in a plain receive, which is
+// cheaper than a select and is all the small-payload fast path can afford.
 func (st *pipelineState) awaitIngress() ingressResult {
-	if st.spec.chunks(st.out) == 1 {
+	if !st.spec.striped(st.out) {
 		return <-st.ingressCh
 	}
 	s := st.spec.dst.shim
+	g := st.spec.gates
 	for {
 		select {
 		case job := <-st.depositCh:
+			if g != nil && g.claimed != nil {
+				g.claimed(true)
+			}
 			sw := metrics.NewStopwatch(s.now)
-			s.deposit(job.dst, job.refs)
+			s.depositOne(job)
 			st.callerDeposited += len(job.dst)
 			s.acct.CPU(metrics.User, sw.Lap())
 			st.deposits.Done()
@@ -377,8 +393,8 @@ func (f *Function) sourceOutput(pinned *OutputRef) (OutputRef, error) {
 // runPipeline executes a staged transfer with the stage pair ops. Stage
 // scheduling:
 //
-//	caller goroutine:  pair lock → channel → [src lock: egress … announce … push] → deposit dealt chunks → join
-//	stage worker:                                          └→ [dst lock: ingress, dealing hose chunks]
+//	caller goroutine:  pair lock → channel → [src lock: egress … announce … push] → deposit claimed pieces → join
+//	stage worker:                                          └→ [dst lock: ingress, publishing pieces]
 //
 // The egress's announce dispatches the ingress; an egress that fails before
 // announcing dispatched none, never touched the channel, and returns its own

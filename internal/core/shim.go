@@ -29,6 +29,10 @@ var (
 	ErrNoOutput         = errors.New("core: source function has not produced an output")
 )
 
+// defaultHoseBytes is the data-hose size of a shim whose ShimConfig leaves
+// DataHoseBytes zero.
+const defaultHoseBytes = 4 << 20
+
 // Workflow identifies a trusted execution context: only functions of the
 // same workflow and tenant may share a Wasm VM (§3.1 "Shared Memory").
 type Workflow struct {
@@ -165,7 +169,7 @@ func NewShim(cfg ShimConfig) (*Shim, error) {
 	}
 	hose := cfg.DataHoseBytes
 	if hose <= 0 {
-		hose = 4 << 20
+		hose = defaultHoseBytes
 	}
 	chanIdle := cfg.ChannelIdle
 	if chanIdle <= 0 {

@@ -1,8 +1,10 @@
 package core_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"sync"
 	"testing"
 
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/core"
@@ -10,15 +12,18 @@ import (
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/kernel"
 )
 
-// stripedHose makes 1 MiB sixteen hose chunks, so a network drain deals
-// many jobs to its second depositor.
-const stripedHose = 64 << 10
+// stripedHose is four pieces, so a network drain of a few hose chunks
+// publishes many pieces to its second depositor.
+const stripedHose = 4 * core.DepositPiece
 
 // stripedPair is one cross-node function pair over a stripedHose-sized hose.
 type stripedPair struct {
 	k1, k2 *kernel.Kernel
 	s1, s2 *core.Shim
 	fa, fb *core.Function
+	// payload is a copy of the source's output, what every delivery must
+	// land byte for byte.
+	payload []byte
 }
 
 func newStripedPair(t *testing.T) *stripedPair {
@@ -40,18 +45,30 @@ func newStripedPair(t *testing.T) *stripedPair {
 	return p
 }
 
-// produce replaces the source's output with a fresh n-byte payload.
+// produce replaces the source's output with a fresh n-byte payload and
+// keeps a copy of it.
 func (p *stripedPair) produce(t *testing.T, n int) {
 	t.Helper()
 	if _, err := p.fa.CallPacked(guest.ExportProduce, uint64(n)); err != nil {
 		t.Fatal(err)
 	}
+	out, err := p.fa.Locate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := p.fa.View().Instance().Memory().View(out.Ptr, out.Len)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.payload = append(p.payload[:0], src...)
 }
 
 // deliver runs one transfer that must succeed, checks the payload inside the
-// target and the copy/syscall trace of Algorithm 1 — one user-space copy of
-// every byte whichever goroutine deposited it, two syscalls per chunk and
-// side when warm — and hands the region back.
+// target byte for byte against the source's (a comparison rather than the
+// guest's checksum: these tests move many megabytes under -race, where the
+// interpreter is slow) and the copy/syscall trace of Algorithm 1 — one
+// user-space copy of every byte whichever goroutine deposited it, two
+// syscalls per chunk and side when warm — and hands the region back.
 func (p *stripedPair) deliver(t *testing.T, n int, warm bool) {
 	t.Helper()
 	before := p.s2.Account().Snapshot()
@@ -59,7 +76,13 @@ func (p *stripedPair) deliver(t *testing.T, n int, warm bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	verifyDelivery(t, p.fb, ref, n)
+	got, err := p.fb.View().Instance().Memory().View(ref.Ptr, ref.Len)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, p.payload) {
+		t.Fatalf("%d bytes: the target holds other bytes than the source", n)
+	}
 	u := rep.Usage
 	if u.UserCopyBytes != int64(n) || u.KernelCopyBytes != 0 {
 		t.Fatalf("%d bytes: copies = %d user / %d kernel, want %d / 0", n, u.UserCopyBytes, u.KernelCopyBytes, n)
@@ -92,14 +115,16 @@ func heapTop(t *testing.T, f *core.Function) uint32 {
 }
 
 // TestStripedDrainDeliversAtChunkEdges pins byte-exact delivery and the
-// unchanged accounting of the two-depositor drain at payloads straddling the
-// striping unit: one byte short of, exactly, and one byte past k hose chunks,
-// and the smallest payload that deals a job at all.
+// unchanged accounting of the two-depositor drain at payloads straddling its
+// two units: one byte short of, exactly, and one byte past a piece — the
+// largest payload that publishes nothing and the smallest that does — and a
+// hose chunk, and one byte past three chunks.
 func TestStripedDrainDeliversAtChunkEdges(t *testing.T) {
+	const piece = core.DepositPiece
 	p := newStripedPair(t)
 	p.produce(t, stripedHose)
 	p.deliver(t, stripedHose, false) // cold: establishes the channel
-	for _, n := range []int{4*stripedHose - 1, 4 * stripedHose, 4*stripedHose + 1, stripedHose + 1, 16 * stripedHose} {
+	for _, n := range []int{piece - 1, piece, piece + 1, stripedHose - 1, stripedHose, stripedHose + 1, 3*stripedHose + 1} {
 		p.produce(t, n)
 		top := heapTop(t, p.fb)
 		for i := 0; i < 3; i++ {
@@ -111,29 +136,30 @@ func TestStripedDrainDeliversAtChunkEdges(t *testing.T) {
 	}
 }
 
-// TestStripedDrainFailuresConserve aborts a sixteen-chunk striped drain at
+// TestStripedDrainFailuresConserve aborts a four-chunk striped drain at
 // its first, a middle and its last chunk — a faulted splice or read on the
 // target, a faulted vmsplice on the source, a cancellation observed mid-drain
-// — while jobs are dealt to the caller, and asserts what every transfer
+// — and, with both depositors busy, while the caller holds a claimed piece
+// and the slot holds the rest of its chunk. It asserts what every transfer
 // failure must leave behind: the cause reported, descriptors and pool pages
 // at their channel-free baseline, the target's bump heap rewound (nothing
 // deposited after the abort), and a following transfer byte-exact. Gifted
 // extents carry no gauge; a reference released twice panics.
 func TestStripedDrainFailuresConserve(t *testing.T) {
-	const n = 16 * stripedHose
-	type arm func(p *stripedPair, cancel context.CancelFunc) (cause error)
+	const n = 4 * stripedHose
+	type arm func(p *stripedPair, cancel context.CancelFunc) (cause error, gates *core.PipelineGates)
 	faultOn := func(src bool, op string, after int64) arm {
-		return func(p *stripedPair, _ context.CancelFunc) error {
+		return func(p *stripedPair, _ context.CancelFunc) (error, *core.PipelineGates) {
 			proc := p.s2.Proc()
 			if src {
 				proc = p.s1.Proc()
 			}
 			proc.InjectFault(kernel.NewFaultPlan(kernel.FaultSpec{Ops: []string{op}, After: after, Count: 1, Err: errInjected}).Hook())
-			return errInjected
+			return errInjected, nil
 		}
 	}
 	cancelOn := func(after int64) arm {
-		return func(p *stripedPair, cancel context.CancelFunc) error {
+		return func(p *stripedPair, cancel context.CancelFunc) (error, *core.PipelineGates) {
 			// The hook lets the after-th read through and cancels: the
 			// drain meets the cancellation at its next chunk boundary.
 			plan := kernel.NewFaultPlan(kernel.FaultSpec{Ops: []string{"readrefs"}, After: after, Count: 1})
@@ -144,7 +170,43 @@ func TestStripedDrainFailuresConserve(t *testing.T) {
 				}
 				return nil
 			})
-			return context.Canceled
+			return context.Canceled, nil
+		}
+	}
+	// whileClaimed holds the caller on its first claimed piece until the
+	// after-th op on the target has faulted (or, with cancel, cancelled and
+	// gone through), and holds that op until the caller has claimed: the
+	// abort lands while the caller holds a piece and the rest of its chunk
+	// waits in the slot.
+	whileClaimed := func(op string, after int64, cancelIt bool) arm {
+		return func(p *stripedPair, cancel context.CancelFunc) (error, *core.PipelineGates) {
+			claimed, landed := make(chan struct{}), make(chan struct{})
+			var first sync.Once
+			gates := core.ClaimGates(func(byCaller bool) {
+				if byCaller {
+					first.Do(func() {
+						close(claimed)
+						<-landed
+					})
+				}
+			})
+			hook := kernel.NewFaultPlan(kernel.FaultSpec{Ops: []string{op}, After: after, Count: 1}).Hook()
+			p.s2.Proc().InjectFault(func(o string) error {
+				if hook(o) == nil {
+					return nil
+				}
+				<-claimed
+				defer close(landed)
+				if cancelIt {
+					cancel()
+					return nil
+				}
+				return errInjected
+			})
+			if cancelIt {
+				return context.Canceled, gates
+			}
+			return errInjected, gates
 		}
 	}
 	cases := []struct {
@@ -152,15 +214,18 @@ func TestStripedDrainFailuresConserve(t *testing.T) {
 		arm  arm
 	}{
 		{"splice first chunk", faultOn(false, "splice", 0)},
-		{"splice middle chunk", faultOn(false, "splice", 7)},
-		{"splice last chunk", faultOn(false, "splice", 15)},
+		{"splice middle chunk", faultOn(false, "splice", 2)},
+		{"splice last chunk", faultOn(false, "splice", 3)},
 		{"read first chunk", faultOn(false, "readrefs", 0)},
-		{"read middle chunk", faultOn(false, "readrefs", 7)},
-		{"read last chunk", faultOn(false, "readrefs", 15)},
-		{"source vmsplice middle chunk", faultOn(true, "vmsplice", 7)},
+		{"read middle chunk", faultOn(false, "readrefs", 2)},
+		{"read last chunk", faultOn(false, "readrefs", 3)},
+		{"source vmsplice middle chunk", faultOn(true, "vmsplice", 2)},
 		{"cancel after first chunk", cancelOn(0)},
-		{"cancel mid-drain", cancelOn(7)},
-		{"cancel before last chunk", cancelOn(14)},
+		{"cancel mid-drain", cancelOn(1)},
+		{"cancel before last chunk", cancelOn(2)},
+		{"splice while the caller holds a piece", whileClaimed("splice", 1, false)},
+		{"read last chunk while the caller holds a piece", whileClaimed("readrefs", 3, false)},
+		{"cancel while the caller holds a piece", whileClaimed("readrefs", 1, true)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -172,8 +237,8 @@ func TestStripedDrainFailuresConserve(t *testing.T) {
 
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			cause := tc.arm(p, cancel)
-			_, _, err := core.NetworkTransfer(p.fa, p.fb, core.NetworkOptions{Ctx: ctx})
+			cause, gates := tc.arm(p, cancel)
+			_, _, err := core.NetworkTransfer(p.fa, p.fb, core.NetworkOptions{Ctx: ctx, Gates: gates})
 			p.s1.Proc().InjectFault(nil)
 			p.s2.Proc().InjectFault(nil)
 			if !errors.Is(err, cause) {
