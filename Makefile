@@ -59,19 +59,7 @@ chaos:
 bench:
 	$(GO) test -run 'XXX' -bench . -benchtime 1x ./...
 	$(GO) run ./bench -smoke
-	$(GO) run ./cmd/roadrunner-load -workflows 4 -requests 8 -compact
-	$(GO) run ./cmd/roadrunner-load -workflows 4 -requests 8 -cold-channels -compact
-	$(GO) run ./cmd/roadrunner-load -workflows 2 -requests 4 -mode chain -compact
 	@mkdir -p artifacts
-	$(GO) run ./cmd/roadrunner-load -workflows 2 -requests 8 -mode plan -compact | tee artifacts/load-plan.json
-	$(GO) run ./cmd/roadrunner-load -workflows 2 -requests 4 -mode plan -deadline 40us -payload 1048576 -compact \
-		| python3 -c 'import json,sys; d=json.load(sys.stdin); assert d["cancelled"] > 0 and d["errors"] == 0, d'
-	$(GO) run ./cmd/roadrunner-load -workflows 2 -requests 4 -mode plan -deadline 30s -compact \
-		| python3 -c 'import json,sys; d=json.load(sys.stdin); assert d["cancelled"] == 0 and d["ops"] == 4, d'
-	$(GO) run ./cmd/roadrunner-load -workflows 2 -requests 8 -replicas 3 -compact
-	$(GO) run ./cmd/roadrunner-load -workflows 2 -requests 8 -replicas 3 -placement round-robin -compact
-	$(GO) run ./cmd/roadrunner-load -workflows 2 -requests 40 -replicas 4 -mode kernel -placement round-robin -kills 1 -compact \
-		| python3 -c 'import json,sys; d=json.load(sys.stdin); assert d["kills"] == 1 and d["ops"] >= 28 and d["cancelled"] == 0, d'
 	$(GO) run ./cmd/roadrunner-bench -exp fig7 -sizes 1 -json
 	$(GO) run ./cmd/roadrunner-bench -exp chancache -sizes 1,4 -json > artifacts/bench-chancache.json
 	@cat artifacts/bench-chancache.json
@@ -80,7 +68,6 @@ bench:
 		$(GO) run ./cmd/roadrunner-bench -exp $$exp -json > artifacts/bench-$$exp.json || exit 1; \
 		cat artifacts/bench-$$exp.json; \
 	done
-	$(GO) run ./cmd/roadrunner-load -workflows 2 -requests 8 -mode fanout -targets 8 -compact | tee artifacts/load-fanout.json
 
 ## bench-kernel: the copy path as a layer beside its floors — Write ∥ ReadFull
 ## over a sized socketpair (BenchmarkCopyPath4M) and 4 MiB through a bounce
@@ -164,7 +151,7 @@ codegen:
 ## of wasi.Host, all from `go doc -all`). It fails when either of the last
 ## two counts rises above its ceiling below; lower a ceiling when a change
 ## shrinks the surface, raise one only with the reason in CHANGES.md
-LOC_MAX_EXPORTED := 96
+LOC_MAX_EXPORTED := 95
 LOC_MAX_KNOBS := 39
 loc:
 	@count() { find "$$@" -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './vendor/*' -print0 | xargs -0 cat | wc -l; }; \

@@ -292,15 +292,16 @@ func TestAllocCeilings(t *testing.T) {
 				small, large)
 		}
 	})
-	// A striped drain deals whole chunks to the caller by value through the
-	// pooled pipeline state: a 4-chunk transfer allocates what four 1-chunk
-	// transfers do (the extent header and the drained reference run, per
-	// chunk), nothing per job, join or depositor.
+	// A striped drain publishes every chunk as 256 KiB pieces, sent by value
+	// into the pooled pipeline state's deposit slot for either depositor to
+	// claim: a 4-chunk transfer allocates what four 1-chunk transfers do (the
+	// extent header and the drained reference run, per chunk), nothing per
+	// piece, claim, join or depositor.
 	t.Run("warm-network-striped", func(t *testing.T) {
 		perChunk := testing.Benchmark(benchWarmTransfer("far", 64<<10)).AllocsPerOp()
 		striped := testing.Benchmark(benchWarmTransfer("far", 16<<20)).AllocsPerOp()
 		if striped != 4*perChunk {
-			t.Errorf("warm-network-striped: %d allocs/op for 4 hose chunks, %d for one — dealing a chunk to the second depositor allocates (see DESIGN.md §10)",
+			t.Errorf("warm-network-striped: %d allocs/op for 4 hose chunks, %d for one — publishing or claiming a piece allocates (see DESIGN.md §10)",
 				striped, perChunk)
 		}
 	})

@@ -332,6 +332,12 @@ func TestSubmitAfterCloseReturnsErrClosed(t *testing.T) {
 
 // TestDeadlineExpiredBeforeSubmitCancelsImmediately: an already-expired
 // deadline aborts at admission with DeadlineExceeded, before any bytes move.
+// The "live" rows are its control: a TransferCtx per mode and a 3-node
+// Submit under an hour-long deadline complete as if unbounded. Every row
+// runs its op once unbounded, to warm channels and grow memories, then
+// under its deadline, and checks the error, every region's checksum, each
+// instance's in-flight gauge and the FD, page-pool, channel and allocator
+// baselines the warm-up left. No row times anything.
 func TestDeadlineExpiredBeforeSubmitCancelsImmediately(t *testing.T) {
 	p := roadrunner.New(roadrunner.WithNodes("edge", "cloud"))
 	defer p.Close()
@@ -339,18 +345,121 @@ func TestDeadlineExpiredBeforeSubmitCancelsImmediately(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	near, err := p.Deploy(roadrunner.FunctionSpec{Name: "near", Node: "edge", ShareVMWith: src})
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := p.Deploy(roadrunner.FunctionSpec{Name: "local", Node: "edge"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	dst, err := p.Deploy(roadrunner.FunctionSpec{Name: "dst", Node: "cloud"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := src.Produce(1024); err != nil {
-		t.Fatal(err)
+	fns := []*roadrunner.Function{src, near, local, dst}
+	nodes := []string{"edge", "cloud"}
+
+	const n = 1 << 20 // past the kernel path's send window
+	// An op returns every region it left allocated; each holds the payload.
+	type op func(*testing.T, context.Context) ([]roadrunner.DataRef, error)
+	transfer := func(to *roadrunner.Function, mode string) op {
+		return func(t *testing.T, ctx context.Context) ([]roadrunner.DataRef, error) {
+			if err := src.Produce(n); err != nil {
+				t.Fatal(err)
+			}
+			out, err := src.ActiveInstance().Output()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, rep, err := p.TransferCtx(ctx, src, to, roadrunner.WithSourceRef(out))
+			if err != nil {
+				return []roadrunner.DataRef{out}, err
+			}
+			if rep.Mode != mode {
+				t.Fatalf("transfer to %s: mode %q, want %q", to.Name(), rep.Mode, mode)
+			}
+			return []roadrunner.DataRef{out, ref}, nil
+		}
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
-	defer cancel()
-	<-ctx.Done()
-	if _, _, err := p.TransferCtx(ctx, src, dst); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("expired transfer = %v, want DeadlineExceeded", err)
+	// An invoke feeding two transfers. The wait is unbounded: ctx bounds
+	// the work itself.
+	submit := func(t *testing.T, ctx context.Context) ([]roadrunner.DataRef, error) {
+		pl := roadrunner.NewPlan()
+		inv := pl.Invoke(src, local, n)
+		far := pl.Xfer(local, dst).From(inv)
+		back := pl.Xfer(local, near).From(inv)
+		job, err := p.Submit(ctx, pl)
+		if err != nil {
+			return nil, err
+		}
+		res, err := job.Wait(bg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Err != nil {
+			return nil, res.Err
+		}
+		produced, err := res.Node(inv).Invocation.Source.Output()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return []roadrunner.DataRef{produced, res.Node(inv).Ref(), res.Node(far).Ref(), res.Node(back).Ref()}, nil
+	}
+	for _, row := range []struct {
+		name    string
+		timeout time.Duration
+		want    error
+		op      op
+	}{
+		{"expired/transfer", time.Nanosecond, context.DeadlineExceeded, transfer(dst, "network")},
+		{"expired/submit", time.Nanosecond, context.DeadlineExceeded, submit},
+		{"live/user", time.Hour, nil, transfer(near, "user")},
+		{"live/kernel", time.Hour, nil, transfer(local, "kernel")},
+		{"live/network", time.Hour, nil, transfer(dst, "network")},
+		{"live/submit", time.Hour, nil, submit},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			settle := func(refs []roadrunner.DataRef) {
+				for _, ref := range refs {
+					sum, err := checksumAtOwner(ref)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := roadrunner.ExpectedChecksum(n); sum != want {
+						t.Fatalf("checksum at %s = %#x, want %#x", ref.Instance().Name(), sum, want)
+					}
+					if err := ref.Instance().Release(ref); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			refs, err := row.op(t, bg)
+			if err != nil {
+				t.Fatalf("unbounded warm-up: %v", err)
+			}
+			settle(refs)
+			base := snapshotBaselines(t, p, nodes, fns...)
+
+			ctx, cancel := context.WithTimeout(bg, row.timeout)
+			defer cancel()
+			if row.want != nil {
+				<-ctx.Done()
+			}
+			refs, err = row.op(t, ctx)
+			if !errors.Is(err, row.want) {
+				t.Fatalf("under a %v deadline: %v, want %v", row.timeout, err, row.want)
+			}
+			settle(refs)
+			for _, f := range fns {
+				for _, inst := range f.Instances() {
+					if got := inst.InFlight(); got != 0 {
+						t.Errorf("%s: in-flight = %d after the op, want 0", inst.Name(), got)
+					}
+				}
+			}
+			assertBaselines(t, p, nodes, base, fns...)
+		})
 	}
 }
 

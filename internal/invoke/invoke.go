@@ -126,7 +126,7 @@ const (
 	RoundRobin
 )
 
-// String names the policy as the -placement flags spell it.
+// String names the policy.
 func (p Policy) String() string {
 	switch p {
 	case Locality:
@@ -137,20 +137,6 @@ func (p Policy) String() string {
 		return "round-robin"
 	default:
 		return fmt.Sprintf("Policy(%d)", int(p))
-	}
-}
-
-// ParsePolicy resolves a -placement flag value.
-func ParsePolicy(s string) (Policy, error) {
-	switch s {
-	case "locality":
-		return Locality, nil
-	case "least-loaded":
-		return LeastLoaded, nil
-	case "round-robin":
-		return RoundRobin, nil
-	default:
-		return Locality, fmt.Errorf("invoke: unknown placement policy %q (want locality, least-loaded or round-robin)", s)
 	}
 }
 

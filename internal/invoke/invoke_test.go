@@ -28,18 +28,6 @@ func twoNodePools() (src, dst []Endpoint) {
 
 func flatCost(a, b string) time.Duration { return time.Millisecond }
 
-func TestParsePolicy(t *testing.T) {
-	for _, p := range []Policy{Locality, LeastLoaded, RoundRobin} {
-		got, err := ParsePolicy(p.String())
-		if err != nil || got != p {
-			t.Fatalf("ParsePolicy(%q) = %v, %v", p.String(), got, err)
-		}
-	}
-	if _, err := ParsePolicy("nope"); err == nil {
-		t.Fatal("ParsePolicy accepted an unknown policy")
-	}
-}
-
 func TestRoundRobinCycles(t *testing.T) {
 	src, _ := twoNodePools()
 	st := NewState(len(src))

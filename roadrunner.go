@@ -155,10 +155,6 @@ var (
 	PlacementRoundRobin PlacementPolicy = invoke.RoundRobin
 )
 
-// ParsePlacement resolves a placement-policy name ("locality",
-// "least-loaded", "round-robin") as the -placement command-line flags do.
-func ParsePlacement(s string) (PlacementPolicy, error) { return invoke.ParsePolicy(s) }
-
 // Platform is a simulated multi-node serverless deployment running
 // Roadrunner shims.
 //
