@@ -42,7 +42,6 @@ type loadConfig struct {
 	replicas  int // instance-pool size of every function (default 1)
 	kills     int // highest-indexed replicas of every pool crashed mid-load
 	opts      []roadrunner.Option
-	topts     []roadrunner.TransferOption
 	deadline  time.Duration // per execution; 0 = none
 }
 
@@ -201,7 +200,7 @@ func (r *loadRig) execute(fns []*roadrunner.Function) error {
 	switch r.cfg.shape {
 	case shapeFanout:
 		head := fns[0]
-		refs, reps, err := r.p.FanoutCtx(ctx, head, fns[1:], loadPayload, r.cfg.topts...)
+		refs, reps, err := r.p.FanoutCtx(ctx, head, fns[1:], loadPayload)
 		held = append(held, refs...)
 		if out, oerr := head.ActiveInstance().Output(); oerr == nil {
 			held = append(held, out)
@@ -225,9 +224,9 @@ func (r *loadRig) execute(fns []*roadrunner.Function) error {
 	case shapePlan:
 		a, b, c, d := fns[0], fns[1], fns[2], fns[3]
 		pl := roadrunner.NewPlan()
-		inv := pl.Invoke(a, b, loadPayload, r.cfg.topts...)
-		toC := pl.Xfer(b, c, r.cfg.topts...).From(inv)
-		toD := pl.Xfer(b, d, r.cfg.topts...).From(inv)
+		inv := pl.Invoke(a, b, loadPayload)
+		toC := pl.Xfer(b, c).From(inv)
+		toD := pl.Xfer(b, d).From(inv)
 		job, err := r.p.Submit(ctx, pl)
 		if err != nil {
 			return err
@@ -271,8 +270,7 @@ func (r *loadRig) execute(fns []*roadrunner.Function) error {
 		src, dst := fns[h%len(fns)], fns[(h+1)%len(fns)]
 		// Each hop streams the previous delivery, pinned by the transfer's
 		// source stage, as ChainCtx does.
-		opts := append(append([]roadrunner.TransferOption{}, r.cfg.topts...), roadrunner.WithSourceRef(ref))
-		ref, _, err = r.p.TransferCtx(ctx, src, dst, opts...)
+		ref, _, err = r.p.TransferCtx(ctx, src, dst, roadrunner.WithSourceRef(ref))
 		if err != nil {
 			return fmt.Errorf("hop %d %s->%s: %w", h, src.Name(), dst.Name(), err)
 		}
@@ -401,23 +399,25 @@ func TestMemoryStaysBoundedAcrossManyExecutions(t *testing.T) {
 	assertBaselines(t, r.p, nodes, base, r.wfs[0]...)
 }
 
-// TestColdChannelsRegime: with the channel cache off a load never touches
-// the cache; with it on, each directed pair misses once and every later
-// transfer over it hits.
+// TestColdChannelsRegime: under load, each directed pair's first transfer
+// is cold — one cache miss — and every later transfer over it hits.
 func TestColdChannelsRegime(t *testing.T) {
 	for _, tc := range []struct {
 		name         string
-		topts        []roadrunner.TransferOption
+		executions   int
 		hits, misses int64
 	}{
-		{"cold", []roadrunner.TransferOption{roadrunner.WithChannelCache(false)}, 0, 0},
-		// 2 workflows × 2 directed pairs (a→b and the return hop b→a)
-		// miss once each; the other 8×2 − 4 transfers hit.
-		{"warm", nil, 12, 4},
+		// One execution per workflow: every transfer opens its pair's
+		// channel, 2 workflows × 2 directed pairs (a→b and the return hop
+		// b→a).
+		{"cold", 2, 0, 4},
+		// The same four pairs miss once each; the other 8×2 − 4
+		// transfers hit.
+		{"warm", 8, 12, 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			r := newLoadRig(t, loadConfig{shape: shapeNetwork, workflows: 2, topts: tc.topts})
-			r.run(8).want(t, 8, 0)
+			r := newLoadRig(t, loadConfig{shape: shapeNetwork, workflows: 2})
+			r.run(tc.executions).want(t, tc.executions, 0)
 			if st := r.p.ChannelStats(); st.Hits != tc.hits || st.Misses != tc.misses {
 				t.Fatalf("channel cache hits/misses = %d/%d, want %d/%d", st.Hits, st.Misses, tc.hits, tc.misses)
 			}

@@ -1,11 +1,13 @@
 // Fanout: the one-to-many pattern of §6.4 — one source function
-// broadcasting a payload to eight co-located replicas, run twice: once
-// through the shared-egress tee group (the source's pages are vmspliced
-// once and tee(2)-duplicated into every target's channel, zero source-side
-// payload copies) and once with WithPerTargetFanout, the pre-extension
-// ablation that pays a full independent transfer per target. The two
-// regimes' reports print side by side: identical verified deliveries,
-// O(1) vs O(N) kernel-boundary copy volume.
+// broadcasting a payload to eight co-located replicas, run two ways: once
+// through FanoutCtx's shared-egress tee group (the source's pages are
+// vmspliced once and tee(2)-duplicated into every target's channel, zero
+// source-side payload copies) and once as N independent unicasts — the
+// source produces once and every replica receives its own TransferCtx
+// pinned to that output with WithSourceRef, paying a full transfer per
+// target as fan-out did before the tee group. The two arms' reports print
+// side by side: identical verified deliveries, O(1) vs O(N)
+// kernel-boundary copy volume.
 package main
 
 import (
@@ -53,12 +55,17 @@ func run() error {
 		}
 	}
 
-	shared, err := broadcast(p, src, targets, "shared egress (tee group)")
+	shared, err := broadcast(src, targets, "shared egress (tee group)",
+		func(ctx context.Context) ([]roadrunner.DataRef, []roadrunner.Report, error) {
+			return p.FanoutCtx(ctx, src, targets, payload)
+		})
 	if err != nil {
 		return err
 	}
-	perTarget, err := broadcast(p, src, targets, "per-target (ablation)",
-		roadrunner.WithPerTargetFanout(true))
+	perTarget, err := broadcast(src, targets, "per-target unicasts",
+		func(ctx context.Context) ([]roadrunner.DataRef, []roadrunner.Report, error) {
+			return unicasts(ctx, p, src, targets)
+		})
 	if err != nil {
 		return err
 	}
@@ -86,22 +93,46 @@ func run() error {
 	return nil
 }
 
-// broadcast runs one fan-out, verifies every replica's delivery against
-// the expected checksum, and releases the delivered regions so the next
-// regime starts from the same baseline.
-func broadcast(p *roadrunner.Platform, src *roadrunner.Function, targets []*roadrunner.Function, label string, opts ...roadrunner.TransferOption) (regime, error) {
-	// Untimed warm-up: establish the per-pair channels so the measured
-	// broadcast is the warm path, as in the fanoutshare experiment.
-	if r, err := timedBroadcast(p, src, targets, label, opts); err != nil {
+// fanOut is one arm's way of delivering the payload to every target: one
+// delivery ref and one report per target, in target order.
+type fanOut func(ctx context.Context) ([]roadrunner.DataRef, []roadrunner.Report, error)
+
+// unicasts is the per-target arm: src produces the payload once and every
+// target receives its own kernel-space transfer of that output.
+func unicasts(ctx context.Context, p *roadrunner.Platform, src *roadrunner.Function, targets []*roadrunner.Function) ([]roadrunner.DataRef, []roadrunner.Report, error) {
+	if err := src.Produce(payload); err != nil {
+		return nil, nil, err
+	}
+	out, err := src.Instance(0).Output()
+	if err != nil {
+		return nil, nil, err
+	}
+	refs := make([]roadrunner.DataRef, len(targets))
+	reports := make([]roadrunner.Report, len(targets))
+	for i, t := range targets {
+		if refs[i], reports[i], err = p.TransferCtx(ctx, src, t, roadrunner.WithSourceRef(out)); err != nil {
+			return nil, nil, err
+		}
+	}
+	return refs, reports, nil
+}
+
+// broadcast runs one arm twice, verifying every replica's delivery against
+// the expected checksum and releasing the delivered regions so the next
+// run starts from the same baseline. The first run is an untimed warm-up
+// that establishes the per-pair channels, so the measured run is the warm
+// path.
+func broadcast(src *roadrunner.Function, targets []*roadrunner.Function, label string, fan fanOut) (regime, error) {
+	if r, err := timedBroadcast(src, targets, label, fan); err != nil {
 		return r, err
 	}
-	return timedBroadcast(p, src, targets, label, opts)
+	return timedBroadcast(src, targets, label, fan)
 }
 
 // timedBroadcast is one verified, released, wall-clocked fan-out.
-func timedBroadcast(p *roadrunner.Platform, src *roadrunner.Function, targets []*roadrunner.Function, label string, opts []roadrunner.TransferOption) (regime, error) {
+func timedBroadcast(src *roadrunner.Function, targets []*roadrunner.Function, label string, fan fanOut) (regime, error) {
 	start := time.Now()
-	refs, reports, err := p.FanoutCtx(context.Background(), src, targets, payload, opts...)
+	refs, reports, err := fan(context.Background())
 	wall := time.Since(start)
 	if err != nil {
 		return regime{}, fmt.Errorf("%s: %w", label, err)

@@ -148,11 +148,11 @@ func ExpectedChecksum(n int) uint64 {
 
 // ChainCtx produces an n-byte payload at the first function and forwards it
 // hop by hop through the rest (the sequential invocation pattern of §6.1),
-// selecting the transfer mode per hop by locality; opts apply to every hop
-// (e.g. WithChannelCache(false) for the cold-channel ablation). Every hop's
-// endpoint instances are routed by the placement policy — instance pins in
-// opts are ignored: a chain's source instance is always the previous hop's
-// delivery. It returns the merged report and the final delivery.
+// selecting the transfer mode per hop by locality; opts apply to every
+// hop. Every hop's endpoint instances are routed by the placement policy —
+// instance pins in opts are ignored: a chain's source instance is always
+// the previous hop's delivery. It returns the merged report and the final
+// delivery.
 //
 // Chains stream: every hop pins its input region explicitly (WithSourceRef),
 // so the set_output + locate step runs atomically inside the hop's source
@@ -263,8 +263,8 @@ func (p *Platform) chainWithCtx(ctx context.Context, n int, opts []TransferOptio
 // charges the link between the source instance's node and that target
 // instance's node, shared by the number of multicast targets using the same
 // link (override the sharing degree with WithFlows); same-node legs charge
-// no wire time. Supported options are WithFlows, WithChannelCache,
-// WithSourceRef, WithSourceInstance and WithMode
+// no wire time. Supported options are WithFlows, WithSourceRef,
+// WithSourceInstance and WithMode
 // (ModeKernelSpace restricts routing to co-located instances, ModeNetwork
 // to cross-node ones); ModeUserSpace — like pinning a single target
 // instance — is rejected with ErrModeUnavailable, since multicast shares
@@ -352,12 +352,11 @@ func (p *Platform) multicastCtx(ctx context.Context, src *Function, targets []*F
 		}
 	}
 	refs, reps, err := castInstances(si, chosen, core.MulticastOptions{
-		Ctx:            cfg.ctx,
-		Links:          links,
-		Flows:          flows,
-		NoChannelCache: cfg.coldChannel,
-		SourceRef:      coreSourceRef(cfg.sourceRef),
-		Gates:          cfg.gates,
+		Ctx:       cfg.ctx,
+		Links:     links,
+		Flows:     flows,
+		SourceRef: coreSourceRef(cfg.sourceRef),
+		Gates:     cfg.gates,
 	})
 	if err != nil {
 		return nil, nil, err
@@ -412,12 +411,11 @@ func castInstances(si *Instance, chosen []*Instance, opts core.MulticastOptions)
 // in their reports). The remaining targets execute across the platform's
 // worker pool as independent unicast deliveries reading the same pinned
 // source region, with network transfers modeled as all targets' flows
-// sharing the link. WithPerTargetFanout disables the tee group — the
-// ablation baseline the fan-out experiments compare against. It returns one
-// delivery ref and one report per target, in target order — the same shape
-// MulticastCtx returns. The produce side may be pinned with
-// WithSourceInstance; pinning a single target instance is rejected with
-// ErrModeUnavailable, since every target is routed by the placement policy.
+// sharing the link. It returns one delivery ref and one report per
+// target, in target order — the same shape MulticastCtx returns. The
+// produce side may be pinned with WithSourceInstance; pinning a single
+// target instance is rejected with ErrModeUnavailable, since every target
+// is routed by the placement policy.
 //
 // Cancellation of ctx is observed at queue admission of every delivery and
 // inside each delivery's pipeline. An aborted fan-out releases the produced
@@ -471,12 +469,11 @@ func (p *Platform) fanoutCtx(ctx context.Context, src *Function, targets []*Func
 	// with the producing instance (same node, different shim) are served by
 	// ONE multicast tee pass — N same-node deliveries share one pinned
 	// read — while the rest keep the per-target worker-pool path below.
-	// WithPerTargetFanout (the ablation baseline) and a forced network/user
-	// mode disable the group.
+	// A forced network or user-space mode disables the group.
 	chosen := make([]*Instance, len(targets))
 	inGroup := make([]bool, len(targets))
 	group := make([]int, 0, len(targets))
-	if !base.perTargetFanout && (base.mode == ModeAuto || base.mode == ModeKernelSpace) {
+	if base.mode == ModeAuto || base.mode == ModeKernelSpace {
 		for i, t := range targets {
 			t := t
 			colocated := func(j int) bool {
@@ -569,10 +566,9 @@ func fanoutGroup(ctx context.Context, si *Instance, group []int, chosen []*Insta
 	}
 	srcRef := out
 	groupRefs, reps, err := castInstances(si, members, core.MulticastOptions{
-		Ctx:            ctx,
-		NoChannelCache: base.coldChannel,
-		SourceRef:      coreSourceRef(&srcRef),
-		Gates:          base.gates,
+		Ctx:       ctx,
+		SourceRef: coreSourceRef(&srcRef),
+		Gates:     base.gates,
 	})
 	if err != nil {
 		return err

@@ -27,9 +27,6 @@ type MulticastOptions struct {
 	// number of multicast targets whose Links entry is the same link.
 	// When set, len(Flows) must equal the number of targets.
 	Flows []int
-	// NoChannelCache forces per-call channel establishment and teardown
-	// (the cold-path ablation), as in NetworkOptions.
-	NoChannelCache bool
 	// SourceRef pins the source region (see UserOptions.SourceRef).
 	SourceRef *OutputRef
 	// Gates carries test instrumentation (see PipelineGates); BeforeIngress
@@ -161,12 +158,12 @@ func MulticastTransfer(src *Function, dsts []*Function, opts MulticastOptions) (
 	}()
 	for i, dst := range dsts {
 		kind := chanKindFor(dst.shim)
-		ephemeral := opts.NoChannelCache || first[dst.shim] != i
+		ephemeral := first[dst.shim] != i
 		if ephemeral && kind == chanNetwork && hoseR >= 0 {
-			// Ephemeral channels skip the source hose except for the first
-			// cross-node one, which supplies the fan-out's shared tee hose —
-			// per-call multicast then issues exactly the pre-cache trace:
-			// one source hose plus connection + target hose per target.
+			// An ephemeral leg into a remote shim skips the source hose:
+			// the first cross-node channel already supplies the fan-out's
+			// shared tee hose, so the leg needs only a connection and a
+			// target hose.
 			kind = chanNetworkTarget
 		}
 		c, setup, err := acquireTransferChannel(srcShim, dst.shim, kind, ephemeral)

@@ -25,9 +25,10 @@ type NetworkOptions struct {
 	Flows int
 	// NoChannelCache forces per-call channel establishment and teardown
 	// (connection + hose pipes created and closed around every transfer —
-	// the pre-cache behavior, kept as the cold-path ablation). By default
-	// the channel is cached and reused across transfers of the same shim
-	// pair, so warm transfers issue zero connect/pipe syscalls.
+	// the paper's per-call Algorithm 1, kept as the reference syscall
+	// trace the cached path is checked against). By default the channel is
+	// cached and reused across transfers of the same shim pair, so warm
+	// transfers issue zero connect/pipe syscalls.
 	NoChannelCache bool
 	// SourceRef pins the source region (see UserOptions.SourceRef).
 	SourceRef *OutputRef

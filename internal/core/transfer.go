@@ -178,11 +178,6 @@ type KernelOptions struct {
 	// of the ingress's one receive; an aborted transfer destroys the pair's
 	// channel exactly as every other transfer failure does.
 	Ctx context.Context
-	// NoChannelCache forces per-call socketpair establishment and teardown
-	// (the pre-cache behavior; the cold-path ablation). By default the IPC
-	// channel is a persistent cached socketpair reused across transfers of
-	// the same shim pair.
-	NoChannelCache bool
 	// SourceRef pins the source region (see UserOptions.SourceRef).
 	SourceRef *OutputRef
 	// Gates carries test instrumentation (see PipelineGates).
@@ -274,7 +269,6 @@ func KernelSpaceTransfer(src, dst *Function, opts KernelOptions) (InboundRef, me
 	spec := pipelineSpec{
 		mode:      "kernel",
 		kind:      chanKernel,
-		perCall:   opts.NoChannelCache,
 		ctx:       opts.Ctx,
 		gates:     opts.Gates,
 		src:       src,

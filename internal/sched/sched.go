@@ -1,7 +1,7 @@
 // Package sched provides the bounded worker pool behind the platform's
-// Plan/Submit plane: Platform.Submit's node bodies, a fan-out's per-target
-// deliveries and the workload generator submit transfer closures here and a
-// fixed set of workers drains them.
+// Plan/Submit plane: Platform.Submit's node bodies and a fan-out's
+// per-target deliveries submit transfer closures here and a fixed set of
+// workers drains them.
 //
 // The pool deliberately has no knowledge of transfers. Per-VM serialization
 // is the job of the core layer's shim locks; the pool only bounds how many
@@ -19,9 +19,7 @@
 // every shard is full. Idle workers steal from other shards before parking,
 // so a task enqueued behind a long-running task on one shard is drained by
 // whichever worker frees up first, preserving the single-queue pool's
-// liveness. The pre-shard single-mutex/single-channel design survives as
-// SingleQueuePool, the ablation baseline for the hotpath experiment
-// (BENCH_8).
+// liveness.
 package sched
 
 import (

@@ -132,29 +132,3 @@ func TestWaitBlocksUntilDrained(t *testing.T) {
 		t.Fatalf("ran %d of 4", got)
 	}
 }
-
-// TestSingleQueuePoolSemantics: the ablation baseline keeps the Submit /
-// Wait / Close contract so the hotpath experiment exercises both designs
-// through one code path.
-func TestSingleQueuePoolSemantics(t *testing.T) {
-	p := NewSingleQueue(2, 2)
-	var ran atomic.Int64
-	for i := 0; i < 32; i++ {
-		if err := p.Submit(func() { ran.Add(1) }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	p.Wait()
-	if got := ran.Load(); got != 32 {
-		t.Fatalf("ran %d of 32", got)
-	}
-	p.Close()
-	if err := p.Submit(func() {}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("submit after close = %v, want ErrClosed", err)
-	}
-	p.Close() // idempotent
-	st := p.Stats()
-	if st.Submitted != 32 || st.Completed != 32 {
-		t.Fatalf("stats = %+v", st)
-	}
-}

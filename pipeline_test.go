@@ -355,8 +355,8 @@ func TestFanoutRunsOnWorkerPool(t *testing.T) {
 // interpreter speed inside the timed region (~4.4 ms), against a loop whose
 // Produce ran before the clock started (~6.9 ms for all eight deliveries),
 // so the fan-out lost by construction on any core count. A rebuilt
-// comparison belongs in internal/experiments with repeated samples and both
-// arms either producing or not.
+// comparison belongs in the `bench` fan-out sweep (ROADMAP item 2), with
+// repeated samples and both arms either producing or not.
 func TestFanoutParallelThroughput(t *testing.T) {
 	const degree, n = 8, 512 << 10
 	build := func() (*roadrunner.Platform, *roadrunner.Function, []*roadrunner.Function) {

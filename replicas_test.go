@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	roadrunner "github.com/polaris-slo-cloud/roadrunner-go"
 )
@@ -65,16 +66,21 @@ func TestReplicatedDeploySpread(t *testing.T) {
 	}
 }
 
-// TestPlacementRoutesByLocality: with pools straddling both nodes, the
-// locality policy must keep every auto-mode transfer on a same-node
-// (kernel-space) instance pair — zero modeled wire time — while the
-// round-robin ablation pays the network for misaligned picks.
+// TestPlacementRoutesByLocality: with pools straddling both nodes in
+// opposite orders (src edge, cloud, …; dst cloud, edge, …), the locality
+// policy must keep every auto-mode transfer on a same-node (kernel-space)
+// instance pair — zero modeled wire time — while the round-robin ablation,
+// whose cursors pair instances blindly, pays the network for misaligned
+// picks.
 func TestPlacementRoutesByLocality(t *testing.T) {
-	run := func(policy roadrunner.PlacementPolicy) (kernel, network int) {
+	run := func(t *testing.T, policy roadrunner.PlacementPolicy) (kernel, network int) {
 		p := roadrunner.New(roadrunner.WithPlacement(policy))
 		defer p.Close()
 		src := deployPool(t, p, "src", 4)
-		dst := deployPool(t, p, "dst", 4)
+		dst, err := p.Deploy(roadrunner.FunctionSpec{Name: "dst", Replicas: 4, Nodes: []string{"cloud", "edge"}})
+		if err != nil {
+			t.Fatal(err)
+		}
 		for k := 0; k < 8; k++ {
 			inv, err := p.InvokeCtx(bg, src, dst, 4<<10)
 			if err != nil {
@@ -95,11 +101,65 @@ func TestPlacementRoutesByLocality(t *testing.T) {
 		}
 		return kernel, network
 	}
-	if k, n := run(roadrunner.PlacementLocality); n != 0 || k != 8 {
-		t.Fatalf("locality: %d kernel / %d network, want 8/0", k, n)
+	t.Run("locality", func(t *testing.T) {
+		if k, n := run(t, roadrunner.PlacementLocality); n != 0 || k != 8 {
+			t.Fatalf("%d kernel / %d network, want 8/0", k, n)
+		}
+	})
+	t.Run("least-loaded", func(t *testing.T) {
+		if k, n := run(t, roadrunner.PlacementLeastLoaded); k+n != 8 {
+			t.Fatalf("%d kernel + %d network != 8", k, n)
+		}
+	})
+	t.Run("round-robin", func(t *testing.T) {
+		if k, n := run(t, roadrunner.PlacementRoundRobin); k+n != 8 || n == 0 {
+			t.Fatalf("%d kernel + %d network, want 8 with some network", k, n)
+		}
+	})
+}
+
+// TestPlacementSingleReplicaIsPolicyBlind: with one instance per function
+// on opposite nodes there is no placement freedom, so every policy drives
+// the same network pair and is charged the same modeled wire time.
+func TestPlacementSingleReplicaIsPolicyBlind(t *testing.T) {
+	const n = 64 << 10
+	wire := func(t *testing.T, policy roadrunner.PlacementPolicy) time.Duration {
+		p := roadrunner.New(roadrunner.WithPlacement(policy))
+		defer p.Close()
+		src, err := p.Deploy(roadrunner.FunctionSpec{Name: "src", Node: "edge"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst, err := p.Deploy(roadrunner.FunctionSpec{Name: "dst", Node: "cloud"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		inv, err := p.InvokeCtx(bg, src, dst, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if inv.Report.Mode != "network" || inv.Report.Breakdown.Network <= 0 {
+			t.Fatalf("mode %q, wire time %v: want a network transfer that pays the link", inv.Report.Mode, inv.Report.Breakdown.Network)
+		}
+		if sum, err := inv.Target.Checksum(inv.Ref); err != nil || sum != roadrunner.ExpectedChecksum(n) {
+			t.Fatalf("checksum: %#x, %v", sum, err)
+		}
+		return inv.Report.Breakdown.Network
 	}
-	if k, n := run(roadrunner.PlacementLeastLoaded); k+n != 8 {
-		t.Fatalf("least-loaded: %d kernel + %d network != 8", k, n)
+	want := wire(t, roadrunner.PlacementLocality)
+	for _, tc := range []struct {
+		name   string
+		policy roadrunner.PlacementPolicy
+	}{
+		{"locality", roadrunner.PlacementLocality},
+		{"least-loaded", roadrunner.PlacementLeastLoaded},
+		{"round-robin", roadrunner.PlacementRoundRobin},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := wire(t, tc.policy); got != want {
+				t.Fatalf("wire time %v, want %v as under locality", got, want)
+			}
+		})
 	}
 }
 

@@ -510,13 +510,11 @@ func (p *Platform) linkCost(a, b string) time.Duration {
 type TransferOption func(*transferConfig)
 
 type transferConfig struct {
-	mode            Mode
-	flows           int
-	coldChannel     bool
-	perTargetFanout bool
-	sourceRef       *DataRef
-	srcInst         *Instance
-	dstInst         *Instance
+	mode      Mode
+	flows     int
+	sourceRef *DataRef
+	srcInst   *Instance
+	dstInst   *Instance
 	// ctx is the operation's cancellation context, set by the ...Ctx entry
 	// points (never by a TransferOption); nil means never cancelled.
 	ctx context.Context
@@ -549,28 +547,6 @@ func WithMode(m Mode) TransferOption {
 // (fan-out degree) for network-time modeling.
 func WithFlows(n int) TransferOption {
 	return func(c *transferConfig) { c.flows = n }
-}
-
-// WithChannelCache pins (true, the default) or disables (false) the
-// persistent channel cache for this transfer. With caching on, the first
-// transfer between a shim pair establishes a long-lived data hose
-// (connection + pipes, or the IPC socketpair) and every later transfer
-// reuses it, issuing zero control-plane syscalls; the establishment cost
-// appears as the report's Breakdown.Setup component on cold transfers only.
-// Disabling restores per-call setup and teardown — the cold-path ablation.
-func WithChannelCache(on bool) TransferOption {
-	return func(c *transferConfig) { c.coldChannel = !on }
-}
-
-// WithPerTargetFanout forces (true) a FanoutCtx (or plan Fan node) to deliver
-// to every target through an independent unicast transfer — the
-// pre-shared-egress behavior — instead of serving co-located targets from
-// one multicast tee group. It is the ablation baseline the fan-out
-// experiments compare the shared-egress path against; cross-node targets
-// always use per-target deliveries, so the option only changes how targets
-// on the source instance's node are served.
-func WithPerTargetFanout(on bool) TransferOption {
-	return func(c *transferConfig) { c.perTargetFanout = on }
 }
 
 // WithSourceRef pins the region the transfer reads from the source function
@@ -848,10 +824,9 @@ func (p *Platform) transferResolved(si, di *Instance, cfg *transferConfig) (Data
 		return convert(di, ref, rep, err)
 	case ModeKernelSpace:
 		ref, rep, err := core.KernelSpaceTransfer(si.inner, di.inner, core.KernelOptions{
-			Ctx:            cfg.ctx,
-			NoChannelCache: cfg.coldChannel,
-			SourceRef:      srcRef,
-			Gates:          cfg.gates,
+			Ctx:       cfg.ctx,
+			SourceRef: srcRef,
+			Gates:     cfg.gates,
 		})
 		return convert(di, ref, rep, err)
 	case ModeNetwork:
@@ -860,12 +835,11 @@ func (p *Platform) transferResolved(si, di *Instance, cfg *transferConfig) (Data
 		}
 		link := p.topo.LinkBetween(si.node, di.node)
 		ref, rep, err := core.NetworkTransfer(si.inner, di.inner, core.NetworkOptions{
-			Ctx:            cfg.ctx,
-			Link:           link,
-			Flows:          flows,
-			NoChannelCache: cfg.coldChannel,
-			SourceRef:      srcRef,
-			Gates:          cfg.gates,
+			Ctx:       cfg.ctx,
+			Link:      link,
+			Flows:     flows,
+			SourceRef: srcRef,
+			Gates:     cfg.gates,
 		})
 		return convert(di, ref, rep, err)
 	default:

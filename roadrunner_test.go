@@ -3,6 +3,7 @@ package roadrunner_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -67,20 +68,31 @@ func TestAutoModeSelectsByLocality(t *testing.T) {
 		{c, "kernel"},
 		{d, "network"},
 	} {
-		ref, rep, err := p.TransferCtx(bg, a, tc.dst)
-		if err != nil {
-			t.Fatalf("transfer to %s: %v", tc.dst.Name(), err)
-		}
-		if rep.Mode != tc.mode {
-			t.Fatalf("mode to %s = %q, want %q", tc.dst.Name(), rep.Mode, tc.mode)
-		}
-		sum, err := checksumAtOwner(ref)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sum != roadrunner.ExpectedChecksum(n) {
-			t.Fatalf("checksum mismatch via %s", tc.mode)
-		}
+		t.Run(tc.mode, func(t *testing.T) {
+			ref, rep, err := p.TransferCtx(bg, a, tc.dst)
+			if err != nil {
+				t.Fatalf("transfer to %s: %v", tc.dst.Name(), err)
+			}
+			if rep.Mode != tc.mode {
+				t.Fatalf("mode to %s = %q, want %q", tc.dst.Name(), rep.Mode, tc.mode)
+			}
+			// Roadrunner moves raw bytes in every mode: no codec, no
+			// serialization component (the paper's Figs. 6–8).
+			if rep.Breakdown.Serialization != 0 {
+				t.Fatalf("serialization = %v, want 0", rep.Breakdown.Serialization)
+			}
+			// Only the inter-node path is charged modeled wire time.
+			if wire := rep.Breakdown.Network > 0; wire != (tc.mode == "network") {
+				t.Fatalf("network time = %v", rep.Breakdown.Network)
+			}
+			sum, err := checksumAtOwner(ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sum != roadrunner.ExpectedChecksum(n) {
+				t.Fatal("checksum mismatch")
+			}
+		})
 	}
 }
 
@@ -206,6 +218,67 @@ func TestFanout(t *testing.T) {
 	ratio := float64(reports[0].Breakdown.Network) / float64(soloRep.Breakdown.Network)
 	if ratio < 3 || ratio > 5 {
 		t.Fatalf("fanout slowdown = %.2f, want ~4", ratio)
+	}
+}
+
+// TestFanoutSharedEgressCopies pins the same-node fan-out's structural
+// invariant at every degree: FanoutCtx's tee group serves all targets from
+// one pinned source read and pushes no payload byte across the kernel
+// boundary, while the same deliveries as independent unicasts of one
+// produced output (TransferCtx with WithSourceRef) pay the kernel path's
+// two copies per target.
+func TestFanoutSharedEgressCopies(t *testing.T) {
+	const n = 64 << 10
+	for _, degree := range []int{1, 2, 4, 8, 16} {
+		build := func(t *testing.T) (*roadrunner.Platform, *roadrunner.Function, []*roadrunner.Function) {
+			p := roadrunner.New(roadrunner.WithNodes("node"))
+			t.Cleanup(func() { p.Close() })
+			src := deploy(t, p, roadrunner.FunctionSpec{Name: "src", Node: "node"})
+			targets := make([]*roadrunner.Function, degree)
+			for i := range targets {
+				targets[i] = deploy(t, p, roadrunner.FunctionSpec{Name: fmt.Sprintf("t%d", i), Node: "node"})
+			}
+			return p, src, targets
+		}
+		verify := func(t *testing.T, refs []roadrunner.DataRef, reports []roadrunner.Report, mode string, perTarget int64) {
+			if len(refs) != degree || len(reports) != degree {
+				t.Fatalf("%d refs, %d reports for %d targets", len(refs), len(reports), degree)
+			}
+			for i, rep := range reports {
+				if rep.Mode != mode || rep.Usage.KernelCopyBytes != perTarget {
+					t.Fatalf("target %d: mode %q, %d kernel-copy bytes, want %q and %d", i, rep.Mode, rep.Usage.KernelCopyBytes, mode, perTarget)
+				}
+				if sum, err := checksumAtOwner(refs[i]); err != nil || sum != roadrunner.ExpectedChecksum(n) {
+					t.Fatalf("target %d: checksum %#x, %v", i, sum, err)
+				}
+			}
+		}
+		t.Run(fmt.Sprintf("shared-%d", degree), func(t *testing.T) {
+			p, src, targets := build(t)
+			refs, reports, err := p.FanoutCtx(bg, src, targets, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			verify(t, refs, reports, "kernel-multicast", 0)
+		})
+		t.Run(fmt.Sprintf("per-target-%d", degree), func(t *testing.T) {
+			p, src, targets := build(t)
+			if err := src.Produce(n); err != nil {
+				t.Fatal(err)
+			}
+			out, err := src.Instance(0).Output()
+			if err != nil {
+				t.Fatal(err)
+			}
+			refs := make([]roadrunner.DataRef, degree)
+			reports := make([]roadrunner.Report, degree)
+			for i, dst := range targets {
+				if refs[i], reports[i], err = p.TransferCtx(bg, src, dst, roadrunner.WithSourceRef(out)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			verify(t, refs, reports, "kernel", 2*n)
+		})
 	}
 }
 
