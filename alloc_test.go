@@ -215,8 +215,9 @@ func benchPlanSubmit(b *testing.B) {
 }
 
 // benchPoolSubmit measures the scheduler's submit path alone: b.N no-op
-// tasks through the sharded pool, drained once outside the timed window's
-// per-op accounting. Submit is a ring-buffer enqueue and must not allocate.
+// tasks through the pool, drained once outside the timed window's per-op
+// accounting. Submit is one CAS and one buffered channel send and must not
+// allocate.
 func benchPoolSubmit(b *testing.B) {
 	pool := sched.New(2, 1024)
 	defer pool.Close()

@@ -303,31 +303,21 @@ func (p *Platform) multicastCtx(ctx context.Context, src *Function, targets []*F
 	if err != nil {
 		return nil, nil, err
 	}
+	// A forced mode routes within its own reach. ModeAuto tries co-located
+	// legs first — a tee into a same-node socket shares pages without
+	// touching a wire — then cross-node ones, then whatever is left so the
+	// core layer can name the fault (e.g. a same-VM target) itself.
+	tries := []Mode{cfg.mode}
+	if cfg.mode == ModeAuto {
+		tries = []Mode{ModeKernelSpace, ModeNetwork, ModeAuto}
+	}
 	links := make([]*netsim.Link, len(targets))
 	chosen := make([]*Instance, len(targets))
 	for i, t := range targets {
-		t := t
-		colocated := func(j int) bool {
-			return t.insts[j].node == si.node && t.insts[j].inner.Shim() != si.inner.Shim()
-		}
-		remote := func(j int) bool { return t.insts[j].node != si.node }
 		j := -1
-		switch cfg.mode {
-		case ModeKernelSpace:
-			j = p.place.PickTarget(si.endpoint(), t.route, t.eps, colocated, p.linkCost)
-		case ModeNetwork:
-			j = p.place.PickTarget(si.endpoint(), t.route, t.eps, remote, p.linkCost)
-		default:
-			// ModeAuto: co-located legs first — a tee into a same-node
-			// socket shares pages without touching a wire — then
-			// cross-node ones, then whatever is left so the core layer
-			// can name the fault (e.g. a same-VM target) itself.
-			j = p.place.PickTarget(si.endpoint(), t.route, t.eps, colocated, p.linkCost)
-			if j < 0 {
-				j = p.place.PickTarget(si.endpoint(), t.route, t.eps, remote, p.linkCost)
-			}
-			if j < 0 {
-				j = p.place.PickTarget(si.endpoint(), t.route, t.eps, nil, p.linkCost)
+		for _, m := range tries {
+			if j = p.place.PickTarget(si.endpoint(), t.route, t.eps, modeEligible(si, t, m), p.linkCost); j >= 0 {
+				break
 			}
 		}
 		if j < 0 {
@@ -475,11 +465,7 @@ func (p *Platform) fanoutCtx(ctx context.Context, src *Function, targets []*Func
 	group := make([]int, 0, len(targets))
 	if base.mode == ModeAuto || base.mode == ModeKernelSpace {
 		for i, t := range targets {
-			t := t
-			colocated := func(j int) bool {
-				return t.insts[j].node == si.node && t.insts[j].inner.Shim() != si.inner.Shim()
-			}
-			if j := p.place.PickTarget(si.endpoint(), t.route, t.eps, colocated, p.linkCost); j >= 0 {
+			if j := p.place.PickTarget(si.endpoint(), t.route, t.eps, modeEligible(si, t, ModeKernelSpace), p.linkCost); j >= 0 {
 				group = append(group, i)
 				chosen[i] = t.insts[j]
 				inGroup[i] = true

@@ -55,9 +55,9 @@ type MulticastOptions struct {
 //
 // The fan-out is the staged pipeline of pipeline.go with one egress and N
 // ingress stages: the source VM is locked only for the tee pass, whose
-// announce dispatches every target's leg (receiveLeg) onto a stage worker,
-// and each leg drains its own channel under its own VM lock, all legs in
-// parallel, overlapping the source pass. A source that fails before
+// announce dispatches every target's leg (networkOps' ingress) onto a stage
+// worker, and each leg drains its own channel under its own VM lock, all legs
+// in parallel, overlapping the source pass. A source that fails before
 // announcing dispatched no leg and leaves every channel pristine and warm;
 // once legs run, any failure destroys all channels and the join reports the
 // stage that failed first, as runPipeline does.
@@ -189,7 +189,7 @@ func MulticastTransfer(src *Function, dsts []*Function, opts MulticastOptions) (
 	}
 	for i, dst := range dsts {
 		st := statePool.Get().(*pipelineState)
-		st.spec = pipelineSpec{ctx: opts.Ctx, gates: opts.Gates, dst: dst, ops: receiveLeg{}}
+		st.spec = pipelineSpec{ctx: opts.Ctx, gates: opts.Gates, dst: dst, ops: networkOps{}}
 		st.ch = chans[i]
 		legs[i] = st
 	}
@@ -364,26 +364,4 @@ func releaseLanded(dsts []*Function, refs []InboundRef, err error) error {
 		}
 	}
 	return err
-}
-
-// receiveLeg is a fan-out target's ingress stage, run by runIngress under
-// the target's VM lock like every other ingress. A cross-node leg is the
-// target half of Algorithm 1: socket → target hose → linear memory. A
-// same-node leg pops the teed page references straight off its socketpair
-// end (the socketpair IS the channel — no target hose) into linear memory,
-// the single user-space copy the kernel path allows. The leg drains alone:
-// the caller joins N legs, so it deals no chunks to the caller's goroutine.
-// Descriptors stay open — teardown belongs to the channel's lifecycle.
-type receiveLeg struct{}
-
-func (receiveLeg) ingress(st *pipelineState, out OutputRef) (InboundRef, error) {
-	f := st.spec.dst
-	dstPtr, wv, err := ingressRegion(f, out.Len, &st.im)
-	if err != nil {
-		return InboundRef{}, err
-	}
-	if err := drainHose(f.shim, st.spec.ctx, wv, st.ch, &st.im, nil); err != nil {
-		return ingressAbort(f, dstPtr, err)
-	}
-	return InboundRef{Ptr: dstPtr, Len: out.Len}, nil
 }

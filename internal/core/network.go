@@ -167,6 +167,12 @@ func (networkOps) egress(st *pipelineState) (OutputRef, error) {
 // and deposit its pages into linear memory — the single unavoidable copy of
 // the near-zero-copy path (network_data_transfer_target, lines 21-29). Runs
 // under the target VM lock.
+//
+// It is also every multicast leg's ingress. A cross-node leg is the same
+// target half of Algorithm 1; a same-node leg has no target hose and pops
+// the teed page references straight off its socketpair end. Either leg
+// drains alone (drainHose's plain loop), and its descriptors stay open:
+// teardown belongs to the channel's lifecycle.
 func (networkOps) ingress(st *pipelineState, out OutputRef) (InboundRef, error) {
 	f := st.spec.dst
 	dstPtr, wv, err := ingressRegion(f, out.Len, &st.im)
@@ -195,10 +201,10 @@ const depositPiece = 256 << 10
 // target's VM lock; ctx (nil = never cancelled) is polled at every chunk
 // boundary.
 //
-// With st — a pipeline transfer of more than one piece, whose caller
-// goroutine serves the deposit slot at the join (awaitIngress) — the drain is
-// striped over two depositors: the loop still issues every syscall, but
-// publishes every chunk it reads as pieces in st.depositCh (publish), and
+// When st's spec is striped — a unicast transfer of more than one piece,
+// whose caller goroutine serves the deposit slot at the join (awaitIngress) —
+// the drain runs over two depositors: the loop still issues every syscall,
+// but publishes every chunk it reads as pieces in st.depositCh (publish), and
 // after the last chunk drains the slot alongside the caller (joinDeposits).
 // After its first publish it yields once: the caller, readied by that send
 // into this core's next-in-line slot, starts copying here at once, and this
@@ -206,8 +212,9 @@ const depositPiece = 256 << 10
 // stolen onto the other core. The VM lock this goroutine holds covers the
 // caller's writes: it is not released before joinDeposits has settled every
 // published piece, on every return path, so nothing writes wv after an abort
-// rewinds the target's heap. A fan-out leg passes no st and runs the plain
-// loop.
+// rewinds the target's heap. A fan-out leg runs the plain loop: its spec
+// carries no chunkBytes while it drains, because its caller joins N legs and
+// serves no deposit slot.
 //
 // Kernel time lands in m.transfer, this goroutine's deposits in m.wasmIO
 // together with its yield and its wait at the join: m.wasmIO is the stage's
@@ -220,7 +227,7 @@ func drainHose(s *Shim, ctx context.Context, wv []byte, ch *channel, m *stageMet
 		rfd = ch.fdB
 	}
 	sw := metrics.NewStopwatch(s.now)
-	striped := st != nil && st.spec.striped(st.out)
+	striped := st.spec.striped(st.out)
 	if striped {
 		defer st.joinDeposits(s, m, sw)
 	}

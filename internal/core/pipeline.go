@@ -5,7 +5,7 @@
 // this file owns that skeleton. The per-mode files (transfer.go, network.go)
 // contribute only the two stage bodies, as stateless stageOps
 // implementations; a multicast (multicast.go) is one egress — the tee pass —
-// whose announce dispatches one ingress stage (receiveLeg) per target onto
+// whose announce dispatches one network ingress stage per target onto
 // the same stage workers, joined leg by leg.
 //
 // Concurrency model (DESIGN.md §3): each VM lock is scoped to its stage, so
@@ -149,9 +149,9 @@ func modeledOverlap(k int, e, w, i time.Duration) time.Duration {
 }
 
 // ingressOps is a target-stage body, all runIngress needs. Implementations
-// are stateless zero-size types (kernelOps, networkOps, receiveLeg):
-// everything a stage needs rides in the pipelineState, so storing an
-// implementation in a spec allocates nothing.
+// are stateless zero-size types (kernelOps, and networkOps, whose ingress
+// every multicast leg runs too): everything a stage needs rides in the
+// pipelineState, so storing an implementation in a spec allocates nothing.
 type ingressOps interface {
 	// ingress runs under the target VM lock: drain st.ch into the
 	// target's linear memory and return the delivered region.

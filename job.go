@@ -207,17 +207,7 @@ func (p *Platform) Submit(ctx context.Context, plan *Plan) (*Job, error) {
 	for i := range plan.nodes {
 		n := plan.nodes[i]
 		if len(n.deps) == 0 && n.op != opFan {
-			if err := pool.SubmitCtx(ctx, func() {
-				slot := &job.nodes[n.id]
-				*slot.res = p.execNode(ctx, n, nil)
-				job.publish(n.id)
-			}); err != nil {
-				if errors.Is(err, sched.ErrClosed) {
-					err = ErrClosed
-				}
-				*job.nodes[n.id].res = NodeResult{Node: n.label, Err: err}
-				job.publish(n.id)
-			}
+			job.dispatch(ctx, p, pool, n, nil)
 			continue
 		}
 		go job.runNode(ctx, p, pool, n)
@@ -225,11 +215,26 @@ func (p *Platform) Submit(ctx context.Context, plan *Plan) (*Job, error) {
 	return job, nil
 }
 
-// publish marks one node complete; the last completion assembles the
-// aggregate Result and resolves the job (the atomic counter's
-// happens-before edge makes every node's published result visible to the
-// assembling goroutine).
-func (j *Job) publish(id int) {
+// dispatch submits n's body as one pool task, which publishes the node's
+// result itself; a submission the pool refuses (cancelled ctx, closed pool)
+// publishes the refusal here instead.
+func (j *Job) dispatch(ctx context.Context, p *Platform, pool *sched.Pool, n *PlanNode, input *NodeResult) {
+	if err := pool.SubmitCtx(ctx, func() {
+		j.publish(n.id, p.execNode(ctx, n, input))
+	}); err != nil {
+		if errors.Is(err, sched.ErrClosed) {
+			err = ErrClosed
+		}
+		j.publish(n.id, NodeResult{Node: n.label, Err: err})
+	}
+}
+
+// publish records one node's result and marks it complete; the last
+// completion assembles the aggregate Result and resolves the job (the
+// atomic counter's happens-before edge makes every node's published result
+// visible to the assembling goroutine).
+func (j *Job) publish(id int, res NodeResult) {
+	*j.nodes[id].res = res
 	close(j.nodes[id].done)
 	if j.completed.Add(1) == int64(len(j.nodes)) {
 		nodes := make([]NodeResult, len(j.nodes))
@@ -241,20 +246,19 @@ func (j *Job) publish(id int) {
 	}
 }
 
-// runNode waits the node's dependencies out, executes its body, and
-// publishes the outcome.
+// runNode waits the node's dependencies out, then runs its body — a fan
+// body here, any other as a pool task (dispatch) — and the outcome is
+// published.
 func (j *Job) runNode(ctx context.Context, p *Platform, pool *sched.Pool, n *PlanNode) {
-	slot := &j.nodes[n.id]
-	defer j.publish(n.id)
 	for _, dep := range n.deps {
 		select {
 		case <-j.nodes[dep.id].done:
 			if err := j.nodes[dep.id].res.Err; err != nil {
-				*slot.res = NodeResult{Node: n.label, Err: fmt.Errorf("dependency %s: %w", dep.label, err)}
+				j.publish(n.id, NodeResult{Node: n.label, Err: fmt.Errorf("dependency %s: %w", dep.label, err)})
 				return
 			}
 		case <-ctx.Done():
-			*slot.res = NodeResult{Node: n.label, Err: ctx.Err()}
+			j.publish(n.id, NodeResult{Node: n.label, Err: ctx.Err()})
 			return
 		}
 	}
@@ -267,21 +271,10 @@ func (j *Job) runNode(ctx context.Context, p *Platform, pool *sched.Pool, n *Pla
 		// running it on a worker could deadlock a one-worker pool against
 		// its own deliveries, so it runs here and only the deliveries
 		// occupy workers.
-		*slot.res = p.execNode(ctx, n, input)
+		j.publish(n.id, p.execNode(ctx, n, input))
 		return
 	}
-	ran := make(chan struct{})
-	if err := pool.SubmitCtx(ctx, func() {
-		*slot.res = p.execNode(ctx, n, input)
-		close(ran)
-	}); err != nil {
-		if errors.Is(err, sched.ErrClosed) {
-			err = ErrClosed
-		}
-		*slot.res = NodeResult{Node: n.label, Err: err}
-		return
-	}
-	<-ran
+	j.dispatch(ctx, p, pool, n, input)
 }
 
 // execNode runs one node's body through the engine, translating the op kind
