@@ -2,19 +2,29 @@
 
 GO ?= go
 
-.PHONY: all build test race fuzz-smoke chaos bench bench-kernel bench-drain pairs kernels alloc lint cross codegen loc staticcheck vuln cover clean
+.PHONY: all build examples test race fuzz-smoke chaos bench bench-kernel bench-drain pairs kernels alloc lint cross codegen loc staticcheck vuln cover clean
 
-all: lint build race bench alloc
+all: lint build examples race bench alloc
 
-## build: compile every package, command and example
+## build: compile every package and link the commands into bin/ (the
+## examples are linked and run by `examples`)
 build:
 	$(GO) build ./...
 	@mkdir -p bin
 	@for cmd in cmd/*/; do \
 		$(GO) build -o "bin/$$(basename $$cmd)" "./$$cmd" || exit 1; \
 	done
+
+## examples: build every example into bin/examples and run it; an example
+## that exits non-zero fails the target (CI's build job). All seven take
+## about 1.5 s together
+examples:
+	@mkdir -p bin/examples
 	@for ex in examples/*/; do \
-		$(GO) build -o /dev/null "./$$ex" || exit 1; \
+		name=$$(basename $$ex); \
+		$(GO) build -o "bin/examples/$$name" "./$$ex" || exit 1; \
+		echo "== examples/$$name"; \
+		"bin/examples/$$name" || { echo "examples: $$name exited non-zero" >&2; exit 1; }; \
 	done
 
 ## test: plain test suite
@@ -137,10 +147,12 @@ codegen:
 ## surface (functions + methods in `go doc -all .`) and the knob count: the
 ## settable values a caller can turn (the root package's With* constructors,
 ## the exported fields of internal/core's *Options and ShimConfig structs and
-## of wasi.Host, all from `go doc -all`). It fails when either of the last
-## two counts rises above its ceiling below; lower a ceiling when a change
-## shrinks the surface, raise one only with the reason in CHANGES.md
-LOC_MAX_EXPORTED := 93
+## of wasi.Host, all from `go doc -all`). Each of the last two counts must
+## equal its ceiling below, so the target is a ratchet: it fails when a
+## count rises above its ceiling, and also when it falls below one — a
+## change that shrinks the surface lowers the ceiling with it. Raise a
+## ceiling only with the reason in CHANGES.md
+LOC_MAX_EXPORTED := 73
 LOC_MAX_KNOBS := 35
 loc:
 	@count() { find "$$@" -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './vendor/*' -print0 | xargs -0 cat | wc -l; }; \
@@ -156,6 +168,9 @@ loc:
 	printf '%7d  %s\n' "$$knobs" "settable values: root With* + internal/core *Options/ShimConfig fields + wasi.Host fields (ceiling $(LOC_MAX_KNOBS))"; \
 	if [ "$$exported" -gt $(LOC_MAX_EXPORTED) ] || [ "$$knobs" -gt $(LOC_MAX_KNOBS) ]; then \
 		echo "loc: exported surface or knob count above its ceiling" >&2; exit 1; \
+	fi; \
+	if [ "$$exported" -lt $(LOC_MAX_EXPORTED) ] || [ "$$knobs" -lt $(LOC_MAX_KNOBS) ]; then \
+		echo "loc: exported surface or knob count below its ceiling; lower the ceiling to the count" >&2; exit 1; \
 	fi
 
 ## staticcheck: static-analysis gate (CI's lint job; needs the binary or network)

@@ -43,20 +43,10 @@ func (inst *Instance) InjectFault(plan *FaultPlan) {
 	inst.inner.Shim().Proc().InjectFault(plan.Hook())
 }
 
-// Crash kills the instance's data plane from the next syscall on — the
-// sandbox is dead but its control plane (teardown) still works. Recover
-// revives it.
-func (inst *Instance) Crash() { inst.InjectFault(kernel.Crash()) }
-
 // CrashAfter lets n data-plane syscalls succeed and then crashes the
 // instance — the crash-at-Nth-syscall schedule for killing a replica
 // mid-operation.
 func (inst *Instance) CrashAfter(n int64) { inst.InjectFault(kernel.CrashAfter(n)) }
-
-// DropWire fails the instance's page-movement operations (vmsplice, splice,
-// tee, readrefs) after n successful ones while plain control traffic still
-// flows — a wire drop mid-hose.
-func (inst *Instance) DropWire(after int64) { inst.InjectFault(kernel.DropWire(after)) }
 
 // Recover clears the instance's fault hook. The health FSM re-admits the
 // instance on its own schedule: after the probe cooldown, a successfully
@@ -95,17 +85,4 @@ func (p *Platform) InjectNodeFault(node string, plan *FaultPlan) error {
 	}
 	k.InjectFault(plan.Hook())
 	return nil
-}
-
-// CrashNode fails every sandbox on the node from the next data-plane
-// syscall on — a node dropping out of the cluster. Replicas elsewhere keep
-// serving; the node's replicas go Unhealthy as deliveries strike them.
-func (p *Platform) CrashNode(node string) error {
-	return p.InjectNodeFault(node, kernel.Crash())
-}
-
-// RecoverNode clears the node's fault hook; its replicas re-enter the
-// candidate pools through the health FSM's probe path.
-func (p *Platform) RecoverNode(node string) error {
-	return p.InjectNodeFault(node, nil)
 }

@@ -25,6 +25,7 @@ import (
 	"time"
 
 	roadrunner "github.com/polaris-slo-cloud/roadrunner-go"
+	"github.com/polaris-slo-cloud/roadrunner-go/internal/kernel"
 )
 
 // chaosSeed resolves the schedule seed: CHAOS_SEED reproduces a run, and a
@@ -116,7 +117,7 @@ func (fx *chaosFixture) heal() {
 		}
 	}
 	for _, n := range fx.nodes {
-		_ = fx.p.RecoverNode(n)
+		_ = fx.p.InjectNodeFault(n, nil)
 	}
 }
 
@@ -129,19 +130,19 @@ func (fx *chaosFixture) armRandomFault(rng *rand.Rand) {
 		if rng.Intn(2) == 0 {
 			f = fx.dst
 		}
-		return f.Instance(rng.Intn(f.Replicas()))
+		return f.Instance(rng.Intn(len(f.Instances())))
 	}
 	switch rng.Intn(5) {
 	case 0:
-		anyInstance().Crash()
+		anyInstance().InjectFault(kernel.Crash())
 	case 1:
 		anyInstance().CrashAfter(int64(rng.Intn(24)))
 	case 2:
-		anyInstance().DropWire(int64(rng.Intn(8)))
+		anyInstance().InjectFault(kernel.DropWire(int64(rng.Intn(8))))
 	case 3:
 		anyInstance().PoisonChannels()
 	case 4:
-		_ = fx.p.CrashNode(fx.nodes[rng.Intn(len(fx.nodes))])
+		_ = fx.p.InjectNodeFault(fx.nodes[rng.Intn(len(fx.nodes))], kernel.Crash())
 	}
 }
 
@@ -317,7 +318,7 @@ func TestFaultedOpsLeaveNoInFlightResidue(t *testing.T) {
 		if err := fns[0].Produce(chaosPayload); err != nil {
 			t.Fatal(err)
 		}
-		fns[2].Instance(0).Crash()
+		fns[2].Instance(0).InjectFault(kernel.Crash())
 		if _, _, err := p.TransferCtx(bg, fns[0], fns[2]); err == nil {
 			t.Fatal("transfer to crashed single-replica target succeeded")
 		}
@@ -325,7 +326,7 @@ func TestFaultedOpsLeaveNoInFlightResidue(t *testing.T) {
 	})
 	t.Run("invoke", func(t *testing.T) {
 		p, fns := newTrio(t)
-		fns[2].Instance(0).DropWire(0)
+		fns[2].Instance(0).InjectFault(kernel.DropWire(0))
 		if _, err := p.InvokeCtx(bg, fns[0], fns[2], chaosPayload); err == nil {
 			t.Fatal("invoke onto dropped wire succeeded")
 		}
@@ -333,7 +334,7 @@ func TestFaultedOpsLeaveNoInFlightResidue(t *testing.T) {
 	})
 	t.Run("chain", func(t *testing.T) {
 		p, fns := newTrio(t)
-		fns[1].Instance(0).Crash()
+		fns[1].Instance(0).InjectFault(kernel.Crash())
 		if _, _, err := p.ChainCtx(bg, chaosPayload, []*roadrunner.Function{fns[0], fns[1], fns[2]}); err == nil {
 			t.Fatal("chain through crashed interior hop succeeded")
 		}
@@ -341,7 +342,7 @@ func TestFaultedOpsLeaveNoInFlightResidue(t *testing.T) {
 	})
 	t.Run("fanout", func(t *testing.T) {
 		p, fns := newTrio(t)
-		fns[1].Instance(0).Crash()
+		fns[1].Instance(0).InjectFault(kernel.Crash())
 		if _, _, err := p.FanoutCtx(bg, fns[0], []*roadrunner.Function{fns[1], fns[2]}, chaosPayload); err == nil {
 			t.Fatal("fanout with crashed target succeeded")
 		}
@@ -404,7 +405,7 @@ func TestFaultedOpsLeaveNoInFlightResidue(t *testing.T) {
 			}
 			fns[i] = f
 		}
-		fns[1].Instance(0).Crash()
+		fns[1].Instance(0).InjectFault(kernel.Crash())
 		if _, _, err := p.FanoutCtx(bg, fns[0], []*roadrunner.Function{fns[1], fns[2]}, chaosPayload); err == nil {
 			t.Fatal("same-node fanout with crashed target succeeded")
 		}

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	roadrunner "github.com/polaris-slo-cloud/roadrunner-go"
 )
@@ -182,14 +181,11 @@ func TestSubmittedXferMatchesSync(t *testing.T) {
 		t.Fatalf("scheduler stats = %+v, want %d submitted", st, len(pairs))
 	}
 	// The completed counter is incremented by the worker after the node is
-	// published, so it may trail NodeDone momentarily; poll instead of
-	// asserting.
-	deadline := time.Now().Add(2 * time.Second)
-	for p.SchedulerStats().Completed != int64(len(pairs)) {
-		if time.Now().After(deadline) {
-			t.Fatalf("scheduler stats = %+v, want %d completed", p.SchedulerStats(), len(pairs))
-		}
-		time.Sleep(time.Millisecond)
+	// published, so it may trail NodeDone momentarily; wait for the pool to
+	// drain before asserting.
+	roadrunner.TestingWaitWorkers(p)
+	if st := p.SchedulerStats(); st.Completed != int64(len(pairs)) {
+		t.Fatalf("scheduler stats = %+v, want %d completed", st, len(pairs))
 	}
 }
 

@@ -1,10 +1,16 @@
 package roadrunner
 
-import "github.com/polaris-slo-cloud/roadrunner-go/internal/core"
+import (
+	"time"
+
+	"github.com/polaris-slo-cloud/roadrunner-go/internal/core"
+	"github.com/polaris-slo-cloud/roadrunner-go/internal/netsim"
+)
 
 // Test-only accessors: compiled into test binaries exclusively, they expose
-// the conservation baselines (FD tables, the kernel page pool) the public
-// surface deliberately hides.
+// the conservation baselines (FD tables, the kernel page pool) and the
+// wiring (topology, instance identity, VM sharing, the worker pool) the
+// public surface deliberately hides.
 
 // TestingInstanceFDs reports the number of open descriptors in each
 // instance's sandbox FD table, in pool order.
@@ -70,4 +76,40 @@ func TestingPruneChannels(p *Platform) int {
 // get multi-chunk transfers out of small payloads.
 func TestingWithDataHoseSize(n int) Option {
 	return func(c *platformConfig) { c.hose = n }
+}
+
+// TestingNodes lists the platform's registered node names.
+func TestingNodes(p *Platform) []string { return p.topo.Nodes() }
+
+// TestingSetLink installs a dedicated link between two nodes.
+func TestingSetLink(p *Platform, a, b string, bw Bandwidth, rtt time.Duration) {
+	p.topo.SetLink(a, b, netsim.NewLink(bw, rtt))
+}
+
+// TestingOwner reports the function an instance is a replica of and its
+// position in that function's pool.
+func TestingOwner(inst *Instance) (*Function, int) { return inst.fn, inst.index }
+
+// TestingSharesVM reports whether two instances live in the same Wasm VM
+// (and therefore qualify for user-space transfers).
+func TestingSharesVM(a, b *Instance) bool { return a.inner.Shim() == b.inner.Shim() }
+
+// TestingWorkflow returns a function's trusted context.
+func TestingWorkflow(f *Function) Workflow { return f.workflow }
+
+// TestingDeleteState removes a state entry of the function's workflow.
+func TestingDeleteState(f *Function, key string) {
+	f.platform.state.Delete(core.Workflow{Name: f.workflow.Name, Tenant: f.workflow.Tenant}, key)
+}
+
+// TestingWaitWorkers blocks until every task submitted to the platform's
+// worker pool so far has finished — and been counted in SchedulerStats'
+// Completed, which a worker bumps after the task has published its result.
+func TestingWaitWorkers(p *Platform) {
+	p.mu.RLock()
+	pool := p.pool
+	p.mu.RUnlock()
+	if pool != nil {
+		pool.Wait()
+	}
 }

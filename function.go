@@ -14,16 +14,6 @@ import (
 // Name returns the function name.
 func (f *Function) Name() string { return f.name }
 
-// Node returns the node the function's first instance is placed on; see
-// Instances for the full pool spread.
-func (f *Function) Node() string { return f.insts[0].node }
-
-// Workflow returns the function's trusted context.
-func (f *Function) Workflow() Workflow { return f.workflow }
-
-// Replicas reports the size of the function's instance pool.
-func (f *Function) Replicas() int { return len(f.insts) }
-
 // Instances returns the function's replica pool in index order.
 func (f *Function) Instances() []*Instance {
 	out := make([]*Instance, len(f.insts))
@@ -89,13 +79,6 @@ func (f *Function) ColdStart() time.Duration {
 		}
 	}
 	return total
-}
-
-// SharesVMWith reports whether the two functions' first instances live in
-// the same Wasm VM (and therefore qualify for user-space transfers); use
-// Instance handles to test specific replica pairs.
-func (f *Function) SharesVMWith(o *Function) bool {
-	return f.insts[0].inner.Shim() == o.insts[0].inner.Shim()
 }
 
 // Produce runs the guest payload generator on a policy-routed instance,
@@ -575,11 +558,6 @@ func resolveProducer(src *Function, cfg *transferConfig) (*Instance, error) {
 		return cfg.srcInst, nil
 	}
 	return src.pickInstance()
-}
-
-// DeleteState removes a state entry of the function's workflow.
-func (f *Function) DeleteState(key string) {
-	f.platform.state.Delete(core.Workflow{Name: f.workflow.Name, Tenant: f.workflow.Tenant}, key)
 }
 
 // StateKeys lists the state entries visible to the function's workflow.

@@ -2,7 +2,6 @@ package roadrunner
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/core"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/guest"
@@ -31,12 +30,6 @@ func (inst *Instance) Name() string { return inst.inner.Name() }
 // Node returns the node the instance is placed on.
 func (inst *Instance) Node() string { return inst.node }
 
-// Index returns the instance's position in its function's pool.
-func (inst *Instance) Index() int { return inst.index }
-
-// Function returns the function this instance is a replica of.
-func (inst *Instance) Function() *Function { return inst.fn }
-
 // endpoint is the instance's placement descriptor.
 func (inst *Instance) endpoint() invoke.Endpoint { return inst.fn.eps[inst.index] }
 
@@ -46,22 +39,6 @@ func (inst *Instance) InFlight() int64 { return inst.fn.route.InFlight(inst.inde
 // Invocations reports the cumulative invocations ever routed to this
 // instance.
 func (inst *Instance) Invocations() int64 { return inst.fn.route.Total(inst.index) }
-
-// ColdStart reports the instance's shim sandbox + VM initialization time.
-func (inst *Instance) ColdStart() time.Duration { return inst.inner.Shim().ColdStart() }
-
-// SharesVMWith reports whether two instances live in the same Wasm VM (and
-// therefore qualify for user-space transfers).
-func (inst *Instance) SharesVMWith(o *Instance) bool {
-	return inst.inner.Shim() == o.inner.Shim()
-}
-
-// Usage snapshots the instance's sandbox account (the per-replica "cgroup"
-// of §6.1). Instances deployed into a shared VM report the shim account
-// they share with their host.
-func (inst *Instance) Usage() Usage {
-	return inst.inner.Shim().Account().Snapshot()
-}
 
 // Produce runs the guest payload generator on this instance and records it
 // as its function's active instance.
@@ -155,22 +132,6 @@ func (inst *Instance) Release(ref DataRef) error {
 	}
 	ref.inst = inst
 	return ref.release()
-}
-
-// Call invokes any guest export on this instance and records it as its
-// function's active instance.
-func (inst *Instance) Call(export string, args ...uint64) ([]uint64, error) {
-	if err := inst.fn.platform.beginOp(); err != nil {
-		return nil, err
-	}
-	defer inst.fn.platform.endOp()
-	inst.fn.route.Enter(inst.index)
-	defer inst.fn.route.Exit(inst.index)
-	res, err := inst.inner.Call(export, args...)
-	if err == nil {
-		inst.fn.setActive(inst)
-	}
-	return res, err
 }
 
 // ResizeHalf runs the guest's 2×2 box-filter downsample over a delivered

@@ -31,13 +31,11 @@ func sizedPair(t *testing.T, sndbuf int) (k *Kernel, a, b *Proc, fa, fb int) {
 	return k, a, b, fa, fb
 }
 
-// waitFor polls cond until it holds; the deadline only bounds a hang.
-func waitFor(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	for deadline := time.Now().Add(10 * time.Second); !cond(); {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
-		}
+// waitFor polls cond until it holds. It sets no deadline of its own: a
+// condition that never comes true is a hang, which go test -timeout reports
+// with every goroutine's stack.
+func waitFor(cond func() bool) {
+	for !cond() {
 		time.Sleep(50 * time.Microsecond)
 	}
 }
@@ -59,7 +57,7 @@ func TestSendWindowBoundsStagedBytes(t *testing.T) {
 	}()
 	// The writer fills the window and parks; with nobody reading, the pool
 	// holds exactly the window.
-	waitFor(t, "the writer to fill the window", func() bool { return k.Pool().Resident() == sndbuf })
+	waitFor(func() bool { return k.Pool().Resident() == sndbuf }) // the writer to fill the window
 	select {
 	case err := <-done:
 		t.Fatalf("Write returned (%v) with %d of %d bytes unread", err, payload-sndbuf, payload)
@@ -169,7 +167,7 @@ func TestSendWindowCloseWhileBlocked(t *testing.T) {
 			// Queued, not merely copied: the segment that fills the window
 			// is on the ring, so the writer's next step is the wait.
 			f, _ := a.lookup(fa)
-			waitFor(t, "the writer to fill the window", func() bool { return f.(*conn).peer.Len() == sndbuf })
+			waitFor(func() bool { return f.(*conn).peer.Len() == sndbuf }) // the writer to fill the window
 			if closer == "reader" {
 				_ = b.Close(fb)
 			} else {
@@ -350,14 +348,14 @@ func TestRelayDeliversExactly(t *testing.T) {
 			switch order {
 			case "reader first":
 				go recv()
-				waitFor(t, "the reader to park", settled(read, &w.data))
+				waitFor(settled(read, &w.data)) // the reader to park
 				go write()
 			case "writer first":
 				go write()
 				go recv()
 			case "window full":
 				go write()
-				waitFor(t, "the writer to park", settled(wrote, &w.room))
+				waitFor(settled(wrote, &w.room)) // the writer to park
 				go recv()
 			}
 			wres, rres := <-wrote, <-read
@@ -416,7 +414,7 @@ func TestRelayDrainsQueuedAndLentFirst(t *testing.T) {
 		_, err := a.Write(fa, last)
 		wrote <- err
 	}()
-	waitFor(t, "the late writer to park", func() bool { return parked(w, &w.room) })
+	waitFor(func() bool { return parked(w, &w.room) }) // the late writer to park
 
 	got := make([]byte, early+2*lent+late)
 	if n, err := b.ReadFull(fb, got); n != len(got) || err != nil {
@@ -463,7 +461,7 @@ func TestRelayCloseMidway(t *testing.T) {
 				n, err := b.ReadFull(fb, got)
 				read <- transferResult{n, err}
 			}()
-			waitFor(t, "the reader to park", func() bool { return parked(w, &w.data) })
+			waitFor(func() bool { return parked(w, &w.data) }) // the reader to park
 			wn, werr := a.Write(fa, src)
 			rres := <-read
 			if !errors.Is(werr, pagebuf.ErrClosedRing) || rres.err != io.EOF {
@@ -507,7 +505,7 @@ func TestRelayFaults(t *testing.T) {
 			n, err := b.ReadFull(fb, make([]byte, payload))
 			read <- transferResult{n, err}
 		}()
-		waitFor(t, "the reader to park", func() bool { return parked(w, &w.data) })
+		waitFor(func() bool { return parked(w, &w.data) }) // the reader to park
 		a.InjectFault(failing("write"))
 		if n, err := a.Write(fa, make([]byte, payload)); n != 0 || !errors.Is(err, boom) {
 			t.Fatalf("faulted Write = %d, %v", n, err)
@@ -531,7 +529,7 @@ func TestRelayFaults(t *testing.T) {
 			n, err := a.Write(fa, make([]byte, payload))
 			wrote <- transferResult{n, err}
 		}()
-		waitFor(t, "the writer to park", func() bool { return parked(w, &w.room) })
+		waitFor(func() bool { return parked(w, &w.room) }) // the writer to park
 		b.InjectFault(failing("read"))
 		if n, err := b.ReadFull(fb, make([]byte, payload)); n != 0 || !errors.Is(err, boom) {
 			t.Fatalf("faulted ReadFull = %d, %v", n, err)
@@ -621,7 +619,7 @@ func TestRelayWithReaderWaitingNeverChargesWindow(t *testing.T) {
 		n, err := b.ReadFull(fb, got)
 		read <- transferResult{n, err}
 	}()
-	waitFor(t, "the reader to park", func() bool { return parked(w, &w.data) })
+	waitFor(func() bool { return parked(w, &w.data) }) // the reader to park
 	if n, err := a.Write(fa, src); n != payload || err != nil {
 		t.Fatalf("Write = %d, %v", n, err)
 	}
@@ -666,7 +664,7 @@ func TestRelayAfterFullWindowUsesBothThreads(t *testing.T) {
 			_, err := a.Write(fa, src)
 			wrote <- err
 		}()
-		waitFor(t, "the writer to fill the window and park", func() bool { return parked(w, &w.room) })
+		waitFor(func() bool { return parked(w, &w.room) }) // the writer to fill the window and park
 		got := make([]byte, payload)
 		if n, err := b.ReadFull(fb, got); n != payload || err != nil {
 			t.Fatalf("ReadFull = %d, %v", n, err)
@@ -746,7 +744,7 @@ func TestSizedSocketReadAndReadRefsCredit(t *testing.T) {
 		_, err := a.Write(fa, src)
 		wrote <- err
 	}()
-	waitFor(t, "the writer to park", func() bool { return parked(w, &w.room) })
+	waitFor(func() bool { return parked(w, &w.room) }) // the writer to park
 
 	got := make([]byte, 0, len(src))
 	buf := make([]byte, sndbuf/2)

@@ -61,7 +61,7 @@ func (nr NodeResult) Report() Report {
 // (in plan order) plus the merged report of every successful delivery.
 type Result struct {
 	plan *Plan
-	// Nodes holds every node's outcome, indexed like Plan.Nodes().
+	// Nodes holds every node's outcome in the order the plan created them.
 	Nodes []NodeResult
 	// Report merges the reports of every successful node, Mode "plan".
 	Report Report

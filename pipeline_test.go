@@ -10,6 +10,7 @@ import (
 	"time"
 
 	roadrunner "github.com/polaris-slo-cloud/roadrunner-go"
+	"github.com/polaris-slo-cloud/roadrunner-go/internal/kernel"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/wasm"
 )
 
@@ -111,8 +112,8 @@ func TestConcurrentSharedInteriorChainsPublic(t *testing.T) {
 // link, inflating fast targets behind any slow sibling and vice versa).
 func TestMulticastPerTargetLinks(t *testing.T) {
 	p := newPlatform(t, roadrunner.WithNodes("edge", "fast", "slow"))
-	p.SetLink("edge", "fast", 1000*roadrunner.Mbps, 0)
-	p.SetLink("edge", "slow", 10*roadrunner.Mbps, 0)
+	roadrunner.TestingSetLink(p, "edge", "fast", 1000*roadrunner.Mbps, 0)
+	roadrunner.TestingSetLink(p, "edge", "slow", 10*roadrunner.Mbps, 0)
 	src := deploy(t, p, roadrunner.FunctionSpec{Name: "src", Node: "edge"})
 	tFast := deploy(t, p, roadrunner.FunctionSpec{Name: "tf", Node: "fast"})
 	tSlow := deploy(t, p, roadrunner.FunctionSpec{Name: "ts", Node: "slow"})
@@ -126,7 +127,7 @@ func TestMulticastPerTargetLinks(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, dst := range []*roadrunner.Function{tFast, tSlow} {
-		if refs[i].Instance().Function() != dst {
+		if owner, _ := roadrunner.TestingOwner(refs[i].Instance()); owner != dst {
 			t.Fatalf("target %d: ref not owned by %s", i, dst.Name())
 		}
 		sum, err := checksumAtOwner(refs[i])
@@ -223,7 +224,7 @@ func TestMulticastLegsFeedHealth(t *testing.T) {
 	}
 	strike := func() {
 		t.Helper()
-		inst.Crash()
+		inst.InjectFault(kernel.Crash())
 		if _, _, err := p.TransferCtx(bg, src, dst); !errors.Is(err, roadrunner.ErrNoHealthyInstance) {
 			t.Fatalf("transfer into the crashed only replica = %v, want ErrNoHealthyInstance", err)
 		}

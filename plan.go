@@ -149,13 +149,6 @@ type Plan struct {
 // NewPlan returns an empty plan.
 func NewPlan() *Plan { return &Plan{} }
 
-// Nodes returns the plan's nodes in creation order.
-func (pl *Plan) Nodes() []*PlanNode {
-	out := make([]*PlanNode, len(pl.nodes))
-	copy(out, pl.nodes)
-	return out
-}
-
 func (pl *Plan) add(n *PlanNode) *PlanNode {
 	n.plan = pl
 	n.id = len(pl.nodes)

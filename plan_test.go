@@ -309,7 +309,7 @@ func TestSubmittedCast(t *testing.T) {
 		t.Fatalf("submitted cast: %d refs / %d reports, want 2/2", len(refs), len(reports))
 	}
 	for i, dst := range []*roadrunner.Function{c, d} {
-		if refs[i].Instance().Function() != dst {
+		if owner, _ := roadrunner.TestingOwner(refs[i].Instance()); owner != dst {
 			t.Fatalf("target %d: ref not owned by %s", i, dst.Name())
 		}
 		if reports[i].Mode != "network-multicast" {

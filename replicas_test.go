@@ -34,8 +34,8 @@ func TestReplicatedDeploySpread(t *testing.T) {
 	p := roadrunner.New()
 	defer p.Close()
 	f := deployPool(t, p, "f", 4)
-	if f.Replicas() != 4 {
-		t.Fatalf("replicas = %d", f.Replicas())
+	if len(f.Instances()) != 4 {
+		t.Fatalf("replicas = %d", len(f.Instances()))
 	}
 	wantNodes := []string{"edge", "cloud", "edge", "cloud"}
 	for i, inst := range f.Instances() {
@@ -45,7 +45,7 @@ func TestReplicatedDeploySpread(t *testing.T) {
 		if want := fmt.Sprintf("f#%d", i); inst.Name() != want {
 			t.Errorf("instance %d named %q, want %q", i, inst.Name(), want)
 		}
-		if inst.Index() != i || inst.Function() != f {
+		if owner, index := roadrunner.TestingOwner(inst); index != i || owner != f {
 			t.Errorf("instance %d identity wrong", i)
 		}
 	}
@@ -57,8 +57,8 @@ func TestReplicatedDeploySpread(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Instance(0).Name() != "g" || g.Replicas() != 1 {
-		t.Fatalf("single-replica function: %q x%d", g.Instance(0).Name(), g.Replicas())
+	if g.Instance(0).Name() != "g" || len(g.Instances()) != 1 {
+		t.Fatalf("single-replica function: %q x%d", g.Instance(0).Name(), len(g.Instances()))
 	}
 	// Unknown nodes in the spread are rejected.
 	if _, err := p.Deploy(roadrunner.FunctionSpec{Name: "bad", Replicas: 2, Nodes: []string{"edge", "mars"}}); !errors.Is(err, roadrunner.ErrUnknownNode) {
@@ -213,7 +213,7 @@ func TestShareVMReplicasPairwise(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if !guest.Instance(i).SharesVMWith(host.Instance(i)) {
+		if !roadrunner.TestingSharesVM(guest.Instance(i), host.Instance(i)) {
 			t.Fatalf("guest#%d does not share host#%d's VM", i, i)
 		}
 	}
@@ -231,7 +231,7 @@ func TestShareVMReplicasPairwise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !wide.Instance(0).SharesVMWith(wide.Instance(2)) || !wide.Instance(1).SharesVMWith(wide.Instance(3)) {
+	if !roadrunner.TestingSharesVM(wide.Instance(0), wide.Instance(2)) || !roadrunner.TestingSharesVM(wide.Instance(1), wide.Instance(3)) {
 		t.Fatal("wide pool does not wrap around the host's VMs")
 	}
 	rep := wide.Report()

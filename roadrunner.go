@@ -250,13 +250,13 @@ func New(opts ...Option) *Platform {
 		workers: cfg.workers,
 	}
 	for _, n := range cfg.nodes {
-		p.AddNode(n)
+		p.addNode(n)
 	}
 	return p
 }
 
-// AddNode registers a node (idempotent).
-func (p *Platform) AddNode(name string) {
+// addNode registers a node (idempotent).
+func (p *Platform) addNode(name string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if _, ok := p.kernels[name]; ok {
@@ -265,17 +265,6 @@ func (p *Platform) AddNode(name string) {
 	p.topo.AddNode(name)
 	p.kernels[name] = kernel.New(name)
 }
-
-// Nodes lists registered node names.
-func (p *Platform) Nodes() []string { return p.topo.Nodes() }
-
-// SetLink installs a dedicated link between two nodes.
-func (p *Platform) SetLink(a, b string, bw Bandwidth, rtt time.Duration) {
-	p.topo.SetLink(a, b, netsim.NewLink(bw, rtt))
-}
-
-// Placement reports the platform's placement policy.
-func (p *Platform) Placement() PlacementPolicy { return p.place }
 
 // Close shuts the platform down in three strict steps: (1) reject new
 // deployments and plan submissions, (2) drain the worker pool — every

@@ -36,7 +36,7 @@ func checksumAtOwner(ref roadrunner.DataRef) (uint64, error) {
 
 func TestDefaultNodes(t *testing.T) {
 	p := newPlatform(t)
-	nodes := p.Nodes()
+	nodes := roadrunner.TestingNodes(p)
 	if len(nodes) != 2 || nodes[0] != "edge" || nodes[1] != "cloud" {
 		t.Fatalf("nodes = %v", nodes)
 	}
@@ -321,14 +321,14 @@ func TestColdStartAndVMShare(t *testing.T) {
 	a := deploy(t, p, roadrunner.FunctionSpec{Name: "a", Node: "edge"})
 	b := deploy(t, p, roadrunner.FunctionSpec{Name: "b", Node: "edge", ShareVMWith: a})
 	c := deploy(t, p, roadrunner.FunctionSpec{Name: "c", Node: "edge"})
-	if !a.SharesVMWith(b) || a.SharesVMWith(c) {
+	if !roadrunner.TestingSharesVM(a.Instance(0), b.Instance(0)) || roadrunner.TestingSharesVM(a.Instance(0), c.Instance(0)) {
 		t.Fatal("VM sharing misreported")
 	}
 	if a.ColdStart() <= 0 {
 		t.Fatal("cold start not measured")
 	}
-	if a.Node() != "edge" || a.Workflow().Name != "default" {
-		t.Fatalf("metadata: node=%s wf=%v", a.Node(), a.Workflow())
+	if a.Instance(0).Node() != "edge" || roadrunner.TestingWorkflow(a).Name != "default" {
+		t.Fatalf("metadata: node=%s wf=%v", a.Instance(0).Node(), roadrunner.TestingWorkflow(a))
 	}
 }
 
@@ -386,7 +386,7 @@ func TestMulticastPublicAPI(t *testing.T) {
 		t.Fatalf("refs=%d reports=%d", len(refs), len(reports))
 	}
 	for i, dst := range []*roadrunner.Function{t1, t2} {
-		if refs[i].Instance().Function() != dst {
+		if owner, _ := roadrunner.TestingOwner(refs[i].Instance()); owner != dst {
 			t.Fatalf("target %d: ref not owned by %s", i, dst.Name())
 		}
 		sum, err := checksumAtOwner(refs[i])
@@ -428,7 +428,7 @@ func TestStatePublicAPI(t *testing.T) {
 	if keys := f.StateKeys(); len(keys) != 1 || keys[0] != "checkpoint" {
 		t.Fatalf("keys = %v", keys)
 	}
-	f.DeleteState("checkpoint")
+	roadrunner.TestingDeleteState(f, "checkpoint")
 	if keys := f.StateKeys(); len(keys) != 0 {
 		t.Fatalf("keys after delete = %v", keys)
 	}
