@@ -103,11 +103,11 @@ pairs:
 	@test -n "$(PARENT)" || { echo "usage: make pairs PARENT=<rev> [N=10] [WORKLOAD=<name>]"; exit 2; }
 	scripts/pairs.sh "$(PARENT)" "$(N)" "$(WORKLOAD)"
 
-## kernels: the guest's produce and consume kernels on $(PARENT) and on the
-## working tree — N alternating runs (12 unless N is given) of
-## BenchmarkGuestProduce1MB/Checksum1MB from prebuilt test binaries, then per
-## kernel the medians, lower quartiles and wins; times, gates nothing, not in
-## CI (scripts/kernels.sh)
+## kernels: the guest's four kernels on $(PARENT) and on the working tree —
+## N alternating runs (12 unless N is given) of BenchmarkGuest{Produce,
+## Checksum,Serialize,Deserialize}1MB from prebuilt test binaries, then each
+## binary's wasm.run offset mod 64 and per kernel the medians, lower
+## quartiles and wins; times, gates nothing, not in CI (scripts/kernels.sh)
 kernels:
 	@test -n "$(PARENT)" || { echo "usage: make kernels PARENT=<rev> [N=12]"; exit 2; }
 	scripts/kernels.sh "$(PARENT)" "$(if $(filter command line,$(origin N)),$(N),12)"

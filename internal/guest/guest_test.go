@@ -474,11 +474,36 @@ func BenchmarkGuestSerialize1MB(b *testing.B) {
 	}
 }
 
+func BenchmarkGuestDeserialize1MB(b *testing.B) {
+	view := mappedView(b)
+	const n = 1 << 20
+	ptr, pn, err := view.CallPacked(guest.ExportProduce, n)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sptr, sn, err := view.CallPacked(guest.ExportSerialize, uint64(ptr), uint64(pn))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(n)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dptr, _, err := view.CallPacked(guest.ExportDeserialize, uint64(sptr), uint64(sn))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := view.Deallocate(dptr); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // mappedView instantiates the canonical guest the way shims do, on linear
 // memory outside the Go heap (wasm.InstantiateMapped), and closes it when tb
-// ends. The BenchmarkGuest* set runs on it: the three guest loops the
+// ends. The BenchmarkGuest* set runs on it: the four guest loops the
 // data-delivery benchmark pays for (produce in every set-up and plan op,
-// checksum in every verification, serialize in the WasmEdge baseline).
+// checksum in every verification, serialize and deserialize in the WasmEdge
+// baseline).
 func mappedView(tb testing.TB) *abi.View {
 	tb.Helper()
 	host := wasi.NewHost(kernel.New("bench").NewProc("fn", nil), nil)

@@ -62,15 +62,19 @@ const (
 	opMulAdd      = 0xD5 // frame[d] = a*imm + K2, K2 the imm of its extension word
 	opXorLoadMul  = 0xD6 // frame[d] = (frame[b] ^ the i64 at mem[a+imm]) * K, K the imm of its extension word
 	opStoreMulAdd = 0xD7 // an i64.store of frame[b], then the mulAdd of its two extension words on the same value
+	// Runs: the first of n ≥ 2 identical word steps of one kind, with n in
+	// the d of its last extension word (formRuns).
+	opXorLoadMulRun  = 0xD8
+	opStoreMulAddRun = 0xD9
 )
 
 // extWords is the number of extension words that follow an instruction of
 // op.
 func extWords(op byte) int {
 	switch op {
-	case opMulAdd, opXorLoadMul:
+	case opMulAdd, opXorLoadMul, opXorLoadMulRun:
 		return 1
-	case opStoreMulAdd:
+	case opStoreMulAdd, opStoreMulAddRun:
 		return 2
 	}
 	return 0
@@ -401,6 +405,7 @@ func (l *lowerer) lowerFunc(fnIdx int) (*compiledFunc, error) {
 		return nil, fmt.Errorf("%d unterminated blocks: %w", len(l.ctrls), ErrMalformed)
 	}
 	l.cf.frameSize = 1 + l.cf.numLocals + l.maxStack
+	formRuns(l.cf)
 	return l.cf, nil
 }
 
@@ -782,4 +787,73 @@ func (l *lowerer) lowerEnd() {
 	if f.op == 0 {
 		l.emit(instr{op: opReturn})
 	}
+}
+
+// formRuns turns every run of n ≥ 2 consecutive identical word steps of a
+// lowered body into one run instruction, at its first step (the head):
+//
+//	xorLoadMul steps on one base slot and one accumulator (d = b), with one
+//	K, at offsets imm, imm+8, …
+//	storeMulAdd steps on one base slot and one value slot, which their
+//	mulAdd writes back, with one K1 and K2, at store offsets d, d+8, …
+//
+// No branch lands inside a run: one that lands on a step ends the run
+// before it. The head keeps its step's fields, and the n−1 plain steps stay
+// behind it: run jumps over them when all n words are in bounds, and
+// otherwise carries out the head as its plain step and goes on to them, so a
+// trap lands at the faulting word's address with every earlier word done.
+func formRuns(cf *compiledFunc) {
+	code := cf.code
+	target := make([]bool, len(code)+1)
+	for pc := 0; pc < len(code); pc += 1 + extWords(code[pc].op) {
+		if in := &code[pc]; in.op == opJmp || in.br != 0 {
+			target[in.d] = true
+		}
+	}
+	for _, pc := range cf.tbl {
+		target[pc] = true
+	}
+	for pc := 0; pc < len(code); {
+		step, n := 1+extWords(code[pc].op), 1
+		if key, off, ok := wordStep(code, pc); ok {
+			for next := pc + step; next < len(code) && !target[next]; next += step {
+				if k, o, ok := wordStep(code, next); !ok || k != key || o != off+8*uint64(n) {
+					break
+				}
+				n++
+			}
+		}
+		if n >= 2 {
+			if code[pc].op == opXorLoadMul {
+				code[pc].op = opXorLoadMulRun
+			} else {
+				code[pc].op = opStoreMulAddRun
+			}
+			code[pc+step-1].d = uint32(n)
+		}
+		pc += n * step
+	}
+}
+
+// runKey is what the word steps of one run share.
+type runKey struct {
+	op        byte
+	base, acc uint32 // the address slot; the accumulator or value slot
+	k1, k2    uint64
+}
+
+// wordStep reports whether the instruction at pc is a word step a run can
+// hold, and if so what a run shares with it and its offset. Its base slot
+// must not be the slot it writes, or each step would move the next one's
+// address.
+func wordStep(code []instr, pc int) (key runKey, off uint64, ok bool) {
+	in := &code[pc]
+	switch in.op {
+	case opXorLoadMul:
+		return runKey{in.op, in.a, in.b, code[pc+1].imm, 0}, in.imm, in.d == in.b && in.a != in.b
+	case opStoreMulAdd:
+		m := &code[pc+1]
+		return runKey{in.op, in.a, in.b, m.imm, code[pc+2].imm}, uint64(in.d), m.d == in.b && in.a != in.b
+	}
+	return runKey{}, 0, false
 }

@@ -124,8 +124,9 @@ func (inst *Instance) exec(cf *compiledFunc, fr []uint64, depth int) error {
 			return TrapIntegerOverflow
 		default:
 			// A store, fused or not, keeps its offset in d; a load in imm.
+			// A run traps only as its first step.
 			ea := uint64(uint32(fr[in.a])) + in.imm
-			if in.op == opStoreMulAdd || len(simpleSignatures[in.op].params) == 2 {
+			if in.op == opStoreMulAdd || in.op == opStoreMulAddRun || len(simpleSignatures[in.op].params) == 2 {
 				ea = uint64(uint32(fr[in.a])) + uint64(in.d)
 			}
 			return fmt.Errorf("memory access at %d of %d: %w", ea, len(mem), TrapOutOfBounds)
@@ -241,6 +242,22 @@ func run(inst *Instance, cf *compiledFunc, fr []uint64, mem []byte, pc int) (int
 				return pc, stopOutOfBounds
 			}
 			fr[in.d] = fr[in.b] ^ binary.LittleEndian.Uint64(mem[ea:])
+		case opXorLoadMulRun:
+			// formRuns: when all n words are in bounds, fold them into the
+			// accumulator here and jump over the n−1 plain steps; otherwise
+			// carry out the first step, as the plain case below.
+			n := uint64(code[pc].d)
+			ea := uint64(uint32(fr[in.a])) + in.imm
+			if ea < uint64(len(mem)) && uint64(len(mem[ea:])) >= 8*n {
+				h, k := fr[in.b], code[pc].imm
+				for w := mem[ea:][:8*n]; len(w) >= 8; w = w[8:] {
+					h = (h ^ binary.LittleEndian.Uint64(w)) * k
+				}
+				fr[in.d] = h
+				pc += 2*int(n) - 1
+				continue
+			}
+			fallthrough
 		case opXorLoadMul:
 			ea := uint64(uint32(fr[in.a])) + in.imm
 			if ea >= uint64(len(mem)) || len(mem[ea:]) < 8 {
@@ -303,6 +320,22 @@ func run(inst *Instance, cf *compiledFunc, fr []uint64, mem []byte, pc int) (int
 				return pc, stopOutOfBounds
 			}
 			binary.LittleEndian.PutUint64(mem[ea:], fr[in.b]+in.imm)
+		case opStoreMulAddRun:
+			// As opXorLoadMulRun, with the value that each word's store
+			// writes and its mulAdd advances in a local.
+			n := uint64(code[pc+1].d)
+			ea := uint64(uint32(fr[in.a])) + uint64(in.d)
+			if ea < uint64(len(mem)) && uint64(len(mem[ea:])) >= 8*n {
+				v, k1, k2 := fr[in.b], code[pc].imm, code[pc+1].imm
+				for w := mem[ea:][:8*n]; len(w) >= 8; w = w[8:] {
+					binary.LittleEndian.PutUint64(w, v)
+					v = v*k1 + k2
+				}
+				fr[in.b] = v
+				pc += 3*int(n) - 1
+				continue
+			}
+			fallthrough
 		case opStoreMulAdd:
 			// A trap returns before the extension words run, so the mulAdd
 			// half writes nothing and code[pc-1] is still this instruction.

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"strings"
 	"testing"
 
@@ -360,7 +361,8 @@ func TestInstantiateSharesCompiledCode(t *testing.T) {
 // The shape of the lowered code is what the speed-up rests on: an
 // instruction is 24 bytes, local.get/const/local.set vanish into operands,
 // compare + br_if is one instruction, and so is each word step of the guest
-// kernels: load + xor + multiply, and store + multiply + add.
+// kernels: load + xor + multiply, and store + multiply + add; and a run of
+// such steps dispatches as one.
 func TestLoweredShape(t *testing.T) {
 	if wasm.InstrBytes > 24 {
 		t.Fatalf("instr is %d bytes, want <= 24", wasm.InstrBytes)
@@ -478,8 +480,8 @@ func TestLoweredShape(t *testing.T) {
 		if err := inst.Memory().WriteAt(binary.LittleEndian.AppendUint64(nil, w), addr+8); err != nil {
 			t.Fatal(err)
 		}
-		if bad := inst.Module().JumpsIntoExtensionWords("f"); len(bad) > 0 {
-			t.Errorf("%s: jumps into extension words %v", tc.name, bad)
+		if bad := inst.Module().MisplacedJumps("f"); len(bad) > 0 {
+			t.Errorf("%s: misplaced jumps %v", tc.name, bad)
 		}
 		ops := inst.Module().LoweredOps("f")
 		for _, op := range []byte{wasm.OpXorLoad, wasm.OpMulAdd, wasm.OpXorLoadMul, wasm.OpStoreMulAdd} {
@@ -489,6 +491,129 @@ func TestLoweredShape(t *testing.T) {
 		}
 		if got := call1(t, inst, "f", addr, x); got != tc.want {
 			t.Errorf("%s: f = %#x, want %#x", tc.name, got, tc.want)
+		}
+	}
+
+	// A run is n ≥ 2 consecutive word steps of one kind that differ only in
+	// their offsets, 8 apart: one base slot, one constant, and a step that
+	// writes the slot it reads (FNV: h = (h ^ word) * K into h; LCG: store x,
+	// then x = x*K1 + K2 into x), with no branch landing on a step behind
+	// the first. Each row runs g(addr, x) over n steps at offsets 0, 8, …,
+	// with what the row changes from step 3 on, and checks the runs that form
+	// and, against a Go model of the steps, the result and every byte the
+	// steps can reach.
+	type wordStep struct {
+		base, dst uint32 // the local holding the address, 0 or 3 (a copy); the local written, 1 or 2
+		off       uint32
+		k         uint64 // FNV: K; LCG: K1
+		store32   bool
+	}
+	at3 := func(change func(s *wordStep)) func(i int, s *wordStep) {
+		return func(i int, s *wordStep) {
+			if i == 3 {
+				change(s)
+			}
+		}
+	}
+	gap := func(i int, s *wordStep) { // steps 3 on sit 8 bytes further up
+		if i >= 3 {
+			s.off += 8
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		fnv    bool
+		n      int
+		change func(i int, s *wordStep)
+		branch bool // a branch lands on step 3
+		runs   []int
+	}{
+		{"8 FNV steps", true, 8, nil, false, []int{8}},
+		{"8 LCG steps", false, 8, nil, false, []int{8}},
+		{"2 FNV steps", true, 2, nil, false, []int{2}},
+		{"1 FNV step", true, 1, nil, false, nil},
+		{"1 LCG step", false, 1, nil, false, nil},
+		{"FNV, another base slot", true, 8, at3(func(s *wordStep) { s.base = 3 }), false, []int{3, 4}},
+		{"LCG, another base slot", false, 8, at3(func(s *wordStep) { s.base = 3 }), false, []int{3, 4}},
+		{"FNV, an offset gap", true, 8, gap, false, []int{3, 5}},
+		{"LCG, an offset gap", false, 8, gap, false, []int{3, 5}},
+		{"FNV, another constant", true, 8, at3(func(s *wordStep) { s.k = lcgMul }), false, []int{3, 4}},
+		{"LCG, another constant", false, 8, at3(func(s *wordStep) { s.k = fnvPrime }), false, []int{3, 4}},
+		{"FNV, an accumulator that is not both d and b", true, 8, at3(func(s *wordStep) { s.dst = 2 }), false, []int{3, 4}},
+		{"LCG, a value that is not both d and b", false, 8, at3(func(s *wordStep) { s.dst = 2 }), false, []int{3, 4}},
+		{"FNV, a branch target inside", true, 8, nil, true, []int{3, 5}},
+		{"LCG, a branch target inside", false, 8, nil, true, []int{3, 5}},
+		{"LCG, an i64.store32 inside", false, 8, at3(func(s *wordStep) { s.store32 = true }), false, []int{3, 4}},
+	} {
+		const base, span = 64, 96
+		b := wasmbuild.New()
+		b.Memory(1, 1, "memory")
+		g := b.NewFunc("g", []wasm.ValType{i32, i64}, []wasm.ValType{i64})
+		g.AddLocal(i64)
+		g.AddLocal(i32)
+		g.LocalGet(0).LocalSet(3)
+		steps := make([]wordStep, tc.n)
+		for i := range steps {
+			s := &steps[i]
+			*s = wordStep{base: 0, dst: 1, off: 8 * uint32(i), k: fnvPrime}
+			if !tc.fnv {
+				s.k = lcgMul
+			}
+			if tc.change != nil {
+				tc.change(i, s)
+			}
+			switch {
+			case tc.branch && i == 0:
+				g.Block().I32Const(0).BrIf(0)
+			case tc.branch && i == 3:
+				g.End()
+			}
+			if tc.fnv {
+				g.LocalGet(1).LocalGet(s.base).I64Load(s.off).I64Xor().I64Const(int64(s.k)).I64Mul().LocalSet(s.dst)
+				continue
+			}
+			g.LocalGet(s.base).LocalGet(1)
+			if s.store32 {
+				g.Raw(0x3E, 2, byte(s.off))
+			} else {
+				g.I64Store(s.off)
+			}
+			g.LocalGet(1).I64Const(int64(s.k)).I64Mul().I64Const(int64(lcgAdd)).I64Add().LocalSet(s.dst)
+		}
+		g.LocalGet(1).LocalGet(2).I64Add()
+		inst := instantiate(t, b, nil)
+		if got := inst.Module().LoweredRuns("g"); !slices.Equal(got, tc.runs) {
+			t.Errorf("%s: runs of %v steps, want %v", tc.name, got, tc.runs)
+		}
+		if bad := inst.Module().MisplacedJumps("g"); len(bad) > 0 {
+			t.Errorf("%s: misplaced jumps %v", tc.name, bad)
+		}
+		mem := make([]byte, span)
+		for i := range mem {
+			mem[i] = byte(i*37 + 11)
+		}
+		if err := inst.Memory().WriteAt(mem, base); err != nil {
+			t.Fatal(err)
+		}
+		locals := []uint64{base, x, 0, base}
+		for _, s := range steps {
+			w := mem[s.off:]
+			switch {
+			case tc.fnv:
+				locals[s.dst] = (locals[1] ^ binary.LittleEndian.Uint64(w)) * s.k
+				continue
+			case s.store32:
+				binary.LittleEndian.PutUint32(w, uint32(locals[1]))
+			default:
+				binary.LittleEndian.PutUint64(w, locals[1])
+			}
+			locals[s.dst] = locals[1]*s.k + lcgAdd
+		}
+		if got, want := call1(t, inst, "g", base, x), locals[1]+locals[2]; got != want {
+			t.Errorf("%s: g = %#x, want %#x", tc.name, got, want)
+		}
+		if got, err := inst.Memory().View(base, span); err != nil || !bytes.Equal(got, mem) {
+			t.Errorf("%s: memory reads % x (%v), want % x", tc.name, got, err, mem)
 		}
 	}
 }
@@ -615,6 +740,76 @@ func TestEveryMemoryAccessTrapsAtItsAddress(t *testing.T) {
 			}
 		}
 	}
+
+	// A run of eight word steps at offsets off, off+8, … traps where its
+	// first word that does not fit would: at word k, one byte short of
+	// fitting or wholly past the end, it names word k's address, and the k
+	// words before it are done — a store run has written them, either run has
+	// advanced its local k times — with nothing at or after word k written.
+	// With k = 8 every word fits and the run completes.
+	for _, run := range []struct {
+		name string
+		op   byte
+		step func(f *wasmbuild.FuncBuilder, off uint32)
+		word func(v uint64, w []byte) uint64 // one step on the model
+	}{
+		{"xorLoadMul run", wasm.OpXorLoadMulRun, func(f *wasmbuild.FuncBuilder, off uint32) {
+			f.LocalGet(1).LocalGet(0).I64Load(off).I64Xor().I64Const(int64(fnvPrime)).I64Mul().LocalSet(1)
+		}, func(v uint64, w []byte) uint64 { return (v ^ binary.LittleEndian.Uint64(w)) * fnvPrime }},
+		{"storeMulAdd run", wasm.OpStoreMulAddRun, func(f *wasmbuild.FuncBuilder, off uint32) {
+			f.LocalGet(0).LocalGet(1).I64Store(off).LocalGet(1).I64Const(int64(lcgMul)).I64Mul().I64Const(int64(lcgAdd)).I64Add().LocalSet(1)
+		}, func(v uint64, w []byte) uint64 { binary.LittleEndian.PutUint64(w, v); return v*lcgMul + lcgAdd }},
+	} {
+		b := wasmbuild.New()
+		b.Memory(1, 1, "memory")
+		f := b.NewFunc("f", []wasm.ValType{i32, i64}, []wasm.ValType{i64})
+		for i := uint32(0); i < 8; i++ {
+			run.step(f, off+8*i)
+		}
+		f.LocalGet(1)
+		inst := instantiate(t, b, nil)
+		if got := inst.Module().LoweredRuns("f"); !slices.Equal(got, []int{8}) || bytes.IndexByte(inst.Module().LoweredOps("f"), run.op) < 0 {
+			t.Fatalf("%s: runs of %v steps, want one of 8 (op %#x)", run.name, got, run.op)
+		}
+		tail := make([]byte, 80)
+		for i := range tail {
+			tail[i] = 0x80 + byte(i)
+		}
+		for k := uint64(0); k <= 8; k++ {
+			for _, ea := range []uint64{size - 7, size} { // where word k starts
+				mem := inst.Memory()
+				if err := mem.WriteAt(tail, size-uint32(len(tail))); err != nil {
+					t.Fatal(err)
+				}
+				res, err := inst.Call("f", ea-8*k-off, x)
+				after, verr := mem.View(size-uint32(len(tail)), uint32(len(tail)))
+				if verr != nil {
+					t.Fatal(verr)
+				}
+				want, v := bytes.Clone(tail), uint64(x)
+				for i := uint64(0); i < k; i++ {
+					v = run.word(v, want[ea-8*(k-i)-(size-uint64(len(tail))):])
+				}
+				switch {
+				case k == 8:
+					if err != nil || res[0] != v {
+						t.Errorf("%s ending at %d: %v, %v, want %#x", run.name, ea, res, err, v)
+					}
+				case !errors.Is(err, wasm.TrapOutOfBounds):
+					t.Errorf("%s, word %d at %d: err = %v, want TrapOutOfBounds", run.name, k, ea, err)
+					continue
+				case !strings.Contains(err.Error(), fmt.Sprintf("memory access at %d of %d", ea, size)):
+					t.Errorf("%s, word %d at %d: err = %v, want it to name word %d's address", run.name, k, ea, err, k)
+				}
+				if !bytes.Equal(after, want) {
+					t.Errorf("%s, word %d at %d: memory's tail reads % x, want % x", run.name, k, ea, after, want)
+				}
+				if got := inst.LastFrame()[2]; k < 8 && got != v { // slot 2: local 1
+					t.Errorf("%s, word %d at %d: the local holds %#x after the trap, want %#x", run.name, k, ea, got, v)
+				}
+			}
+		}
+	}
 }
 
 // loaded is what f of TestEveryMemoryAccessTrapsAtItsAddress returns for
@@ -644,36 +839,41 @@ func loaded(op byte, typ wasm.ValType, b []byte, x uint64) uint64 {
 
 // The guest's produce and consume kernels are what a set-up spends its time
 // in, and their main loop moves 64 bytes per iteration in the shape a
-// compiler emits. Per 64 bytes it dispatches 12 instructions: the guard
-// end−s < 64 (subtract, compare-and-branch), eight word steps of one
-// (produce: the store and the LCG step seed*K1+K2 as one storeMulAdd;
-// consume: the load, the FNV xor and the multiply as one xorLoadMul), s += 64
-// and the jump back. With only the pairwise fusions (xorLoad, mulAdd) it is
-// 20, unfused 28, and a loop of one word per iteration takes 56 (produce)
-// and 48 (consume), so a guest edit that undoes the unrolling, or a lowerer
-// edit that loses a fusion, moves these counts.
+// compiler emits: the guard end−s < 64 (subtract, compare-and-branch), eight
+// word steps (produce: the store and the LCG step seed*K1+K2 as one
+// storeMulAdd; consume: the load, the FNV xor and the multiply as one
+// xorLoadMul), s += 64 and the jump back. The eight steps are one run, so
+// with every word in bounds an iteration dispatches 5 instructions. With
+// each step its own dispatch it is 12, with only the pairwise fusions
+// (xorLoad, mulAdd) 20, unfused 28, and a loop of one word per iteration
+// takes 56 (produce) and 48 (consume), so a guest edit that undoes the
+// unrolling, or a lowerer edit that loses a fusion or the run, moves these
+// counts.
 func TestGuestKernelShape(t *testing.T) {
 	m, err := wasm.Decode(guest.Module())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The total is the main loop's 12, the 8-byte loop's 5, the byte loop's
+	// The total is the main loop's 5, the 8-byte loop's 5, the byte loop's
 	// 7, and the set-up, calls and return around them (13 and 5).
 	for _, k := range []struct {
 		export string
-		fused  byte
+		run    byte
 		total  int
-	}{{guest.ExportProduce, wasm.OpStoreMulAdd, 37}, {guest.ExportConsume, wasm.OpXorLoadMul, 29}} {
+	}{{guest.ExportProduce, wasm.OpStoreMulAddRun, 30}, {guest.ExportConsume, wasm.OpXorLoadMulRun, 22}} {
 		if got := len(m.LoweredOps(k.export)); got != k.total {
 			t.Errorf("%s dispatches %d instructions, want %d", k.export, got, k.total)
+		}
+		if got := m.LoweredRuns(k.export); !slices.Equal(got, []int{8}) {
+			t.Errorf("%s has runs of %v steps, want one of 8", k.export, got)
 		}
 		loops := m.LoweredLoops(k.export)
 		if len(loops) != 3 {
 			t.Fatalf("%s has %d loops, want 3", k.export, len(loops))
 		}
-		if main := loops[0]; len(main) != 12 || bytes.Count(main, []byte{k.fused}) != 8 {
-			t.Errorf("%s main loop dispatches %d instructions, %d of them fused (op %#x), want 12 and 8",
-				k.export, len(main), bytes.Count(main, []byte{k.fused}), k.fused)
+		if main := loops[0]; len(main) != 5 || bytes.Count(main, []byte{k.run}) != 1 {
+			t.Errorf("%s main loop dispatches %d instructions, %d of them the run (op %#x), want 5 and 1",
+				k.export, len(main), bytes.Count(main, []byte{k.run}), k.run)
 		}
 	}
 }

@@ -34,12 +34,16 @@ const (
 	OpMulAdd      = opMulAdd
 	OpXorLoadMul  = opXorLoadMul
 	OpStoreMulAdd = opStoreMulAdd
+
+	OpXorLoadMulRun  = opXorLoadMulRun
+	OpStoreMulAddRun = opStoreMulAddRun
 )
 
 // LoweredOps returns the opcodes run dispatches along the register-form code
-// of the exported function, in code order: every instruction but the
-// extension words. Its final return is included; nil when there is no such
-// export.
+// of the exported function, in code order, when every memory access is in
+// bounds: every instruction but the extension words and the plain steps
+// behind a run's head. Its final return is included; nil when there is no
+// such export.
 func (m *Module) LoweredOps(export string) []byte {
 	if cf := m.lowered(export); cf != nil {
 		return dispatched(cf.code)
@@ -48,8 +52,8 @@ func (m *Module) LoweredOps(export string) []byte {
 }
 
 // LoweredLoops returns, for each backward jump of the exported function in
-// code order, the opcodes dispatched from its target through the jump: the
-// body of each loop.
+// code order, the opcodes dispatched from its target through the jump, as
+// LoweredOps lists them: the body of each loop.
 func (m *Module) LoweredLoops(export string) [][]byte {
 	cf := m.lowered(export)
 	if cf == nil {
@@ -64,19 +68,35 @@ func (m *Module) LoweredLoops(export string) [][]byte {
 	return loops
 }
 
-// JumpsIntoExtensionWords lists, as "pc->target", every jump, compare-and-
-// branch and br_table entry of the exported function's lowered code that
-// lands on an extension word. Run would dispatch that word as an
-// instruction, so the list must be empty.
-func (m *Module) JumpsIntoExtensionWords(export string) []string {
+// LoweredRuns returns the number of word steps of each run in the exported
+// function's lowered code, in code order.
+func (m *Module) LoweredRuns(export string) []int {
 	cf := m.lowered(export)
 	if cf == nil {
 		return nil
 	}
-	ext := make([]bool, len(cf.code))
+	var runs []int
 	for pc := 0; pc < len(cf.code); pc += 1 + extWords(cf.code[pc].op) {
-		for k := extWords(cf.code[pc].op); k > 0; k-- {
-			ext[pc+k] = true
+		if n := runLength(cf.code, pc); n > 0 {
+			runs = append(runs, n)
+		}
+	}
+	return runs
+}
+
+// MisplacedJumps lists, as "pc->target", every jump, compare-and-branch and
+// br_table entry of the exported function's lowered code that lands on an
+// extension word, which run would dispatch as an instruction, or on a plain
+// step behind a run's head, inside the run. The list must be empty.
+func (m *Module) MisplacedJumps(export string) []string {
+	cf := m.lowered(export)
+	if cf == nil {
+		return nil
+	}
+	inside := make([]bool, len(cf.code))
+	for pc := 0; pc < len(cf.code); pc += 1 + extWords(cf.code[pc].op) {
+		for k := 1; k < inPath(cf.code, pc); k++ {
+			inside[pc+k] = true
 		}
 	}
 	var bad []string
@@ -90,7 +110,7 @@ func (m *Module) JumpsIntoExtensionWords(export string) []string {
 			targets = cf.tbl[in.d:][:in.imm+1]
 		}
 		for _, t := range targets {
-			if int(t) < len(ext) && ext[t] {
+			if int(t) < len(inside) && inside[t] {
 				bad = append(bad, fmt.Sprintf("%d->%d", pc, t))
 			}
 		}
@@ -106,11 +126,27 @@ func (m *Module) lowered(export string) *compiledFunc {
 	return m.code[int(idx)-m.NumImportedFuncs]
 }
 
-// dispatched lists the opcodes of code, skipping extension words.
+// dispatched lists the opcodes of code along the in-bounds path, skipping
+// extension words and the plain steps behind a run's head.
 func dispatched(code []instr) []byte {
 	var ops []byte
-	for pc := 0; pc < len(code); pc += 1 + extWords(code[pc].op) {
+	for pc := 0; pc < len(code); pc += inPath(code, pc) {
 		ops = append(ops, code[pc].op)
 	}
 	return ops
+}
+
+// runLength is the number of word steps of the run headed at pc, 0 when
+// there is none.
+func runLength(code []instr, pc int) int {
+	if op := code[pc].op; op == opXorLoadMulRun || op == opStoreMulAddRun {
+		return int(code[pc+extWords(op)].d)
+	}
+	return 0
+}
+
+// inPath is how far the in-bounds path moves from the instruction at pc:
+// past its extension words, and past a run's plain steps.
+func inPath(code []instr, pc int) int {
+	return (1 + extWords(code[pc].op)) * max(1, runLength(code, pc))
 }

@@ -36,8 +36,12 @@ import (
 // shapes the lowerer fuses: xor with a full-width load (also one straddling
 // the memory end), that xor times a constant, a multiply by a constant plus
 // a constant, and an i64.store of a local followed by that local's multiply
-// plus constant, also with a label between the two. Beyond the oracle, no
-// branch of the lowered code may land on an extension word.
+// plus constant, also with a label between the two; and the runs the lowerer
+// forms of 1–9 of the last two steps at consecutive offsets, also with a
+// gap, with one step on another base, constant, destination or access
+// width, with a local.tee or a branch target inside, and across the memory
+// end. Beyond the oracle, no branch of the lowered code may land on an
+// extension word or inside a run.
 // Not covered: floating point (float_test.go has properties for it),
 // call_indirect, memory.copy/fill, multi-value blocks, the start function.
 func FuzzExecAgainstTreeEval(f *testing.F) {
@@ -91,8 +95,8 @@ func checkAgainstTreeEval(t *testing.T, data []byte) {
 	}
 	got, gotErr := inst.Call("main", uint64(p.arg0), p.arg1)
 	for _, name := range []string{"main", "helper"} {
-		if bad := m.JumpsIntoExtensionWords(name); len(bad) > 0 {
-			t.Fatalf("%s: jumps into extension words %v\n%s", name, bad, p)
+		if bad := m.MisplacedJumps(name); len(bad) > 0 {
+			t.Fatalf("%s: jumps into extension words or runs %v\n%s", name, bad, p)
 		}
 	}
 
@@ -589,22 +593,88 @@ func (g *gen) stmt(depth int) *node {
 	case 12:
 		return &node{k: kReturn, kids: []*node{g.expr(i64, depth)}}
 	case 17:
-		// The guest's LCG word step: store x, then x*K1 + K2 into a local;
-		// now and then an empty block's label between the two.
-		x := &node{k: kLocalGet, t: i64, n: g.local(i64)}
-		store := &node{k: kStore, op: 0x37, n: offsets[g.intn(len(offsets))], kids: []*node{g.address(depth), x}}
-		mul := &node{k: kBin, t: i64, op: 0x7E, kids: []*node{x, {k: kConst, t: i64, n: g.constant(i64)}}}
-		set := &node{k: kLocalSet, n: g.local(i64), kids: []*node{{k: kBin, t: i64, op: 0x7C, kids: []*node{mul, {k: kConst, t: i64, n: g.constant(i64)}}}}}
-		if g.byte()&3 == 0 {
-			return &node{k: kSeq, kids: []*node{store, {k: kBlock, kids: []*node{{k: kSeq}}}, set}}
-		}
-		return &node{k: kSeq, kids: []*node{store, set}}
+		return g.wordRun()
 	case 13:
 		if g.byte()&7 == 0 {
 			return &node{k: kTrap}
 		}
 		return &node{k: kDrop, kids: []*node{{k: kMemGrow, t: i32, kids: []*node{{k: kConst, t: i32, n: uint64(g.intn(2))}}}}}
 	}
+}
+
+// wordRun is the body of the guest's unrolled word loop: 1–9 steps of one
+// kind on one base at offsets off, off+8, …, which the lowerer turns into a
+// run. A step is the LCG step (store x, then x = x*K1 + K2) or the FNV step
+// (h = (h ^ load) * K). Now and then one step differs in something a run
+// needs the same — its base, its offset (a gap, which shifts the steps after
+// it too), its constant, the local it writes, the width of its access —, or
+// has an empty block between its store and its set, or tees its value, or
+// a branch lands on it; the base is often set first so that a word crosses
+// the end of memory.
+func (g *gen) wordRun() *node {
+	n, fnv := 1+g.intn(9), g.byte()&1 == 1
+	base, acc := g.local(i32), g.local(i64)
+	off, k1, k2 := offsets[g.intn(10)], g.constant(i64), g.constant(i64)
+	odd, how := g.intn(n), g.intn(12)
+	run := &node{k: kSeq}
+	if g.byte()&1 == 1 { // word j reaches up to 8 bytes past the end of the first page
+		end := wasm.PageSize - off - 8*uint64(g.intn(n+1)) + uint64(g.intn(9))
+		run.kids = append(run.kids, &node{k: kLocalSet, n: base, kids: []*node{{k: kConst, t: i32, n: end}}})
+	}
+	at := off
+	for i := 0; i < n; i++ {
+		b, k, dst := base, k1, acc
+		load, store := byte(0x29), byte(0x37) // i64.load, i64.store
+		var label, tee, split bool
+		if i == odd {
+			switch how {
+			case 0:
+				b = g.local(i32)
+			case 1:
+				at += []uint64{1, 4, 8, 16}[g.intn(4)]
+			case 2:
+				k = g.constant(i64)
+			case 3:
+				dst = g.local(i64)
+			case 4:
+				load, store = 0x35, 0x3E // i64.load32_u, i64.store32
+			case 5:
+				label = true
+			case 6:
+				tee = true
+			case 7:
+				split = true
+			}
+		}
+		x := &node{k: kLocalGet, t: i64, n: acc}
+		addr := &node{k: kLocalGet, t: i32, n: b}
+		var step *node
+		if fnv {
+			xor := &node{k: kBin, t: i64, op: 0x85, kids: []*node{x, {k: kLoad, t: i64, op: load, n: at, kids: []*node{addr}}}}
+			step = &node{k: kBin, t: i64, op: 0x7E, kids: []*node{xor, {k: kConst, t: i64, n: k}}}
+		} else {
+			mul := &node{k: kBin, t: i64, op: 0x7E, kids: []*node{x, {k: kConst, t: i64, n: k}}}
+			step = &node{k: kBin, t: i64, op: 0x7C, kids: []*node{mul, {k: kConst, t: i64, n: k2}}}
+		}
+		if tee {
+			step = &node{k: kLocalTee, t: i64, n: g.local(i64), kids: []*node{step}}
+		}
+		step = &node{k: kLocalSet, n: dst, kids: []*node{step}}
+		if !fnv {
+			st := &node{k: kStore, op: store, n: at, kids: []*node{addr, x}}
+			step = &node{k: kSeq, kids: []*node{st, step}}
+			if split { // an empty block's label between the store and the set
+				step.kids = []*node{st, {k: kBlock, kids: []*node{{k: kSeq}}}, step.kids[1]}
+			}
+		}
+		if label { // the steps so far go into a block whose br_if lands on this one
+			brIf := &node{k: kBrIf, kids: []*node{{k: kConst, t: i32, n: uint64(g.intn(2))}}}
+			run.kids = []*node{{k: kBlock, kids: []*node{{k: kSeq, kids: append([]*node{brIf}, run.kids...)}}}}
+		}
+		run.kids = append(run.kids, step)
+		at += 8
+	}
+	return run
 }
 
 // ---------------------------------------------------------------------------
@@ -1156,19 +1226,23 @@ var seedShapes = map[string]func(n *node) bool{
 	"xor-load-mul":      isXorLoadMul,
 	"store-mul-add":     func(n *node) bool { return isStoreMulAdd(n, 2) },
 	"store-label-mul":   func(n *node) bool { return isStoreMulAdd(n, 3) },
+	"xor-load-mul-run":  func(n *node) bool { return isRun(n, isFNVStep) },
+	"store-mul-add-run": func(n *node) bool { return isRun(n, func(n *node) bool { return isStoreMulAdd(n, 2) }) },
 }
 
 // seedFusions names, for the seeds of shapes the lowerer fuses, the
-// superinstruction main's lowered code must contain: the tree shape alone
-// does not say that it fused (an operand that is a constant after all, or an
-// instruction emitted between the two halves, keeps them apart). The
-// store-label-mul seed's store and mulAdd must stay apart.
+// superinstruction or run head main's lowered code must dispatch: the tree
+// shape alone does not say that it fused (an operand that is a constant
+// after all, or an instruction emitted between the two halves, keeps them
+// apart). The store-label-mul seed's store and mulAdd must stay apart.
 var seedFusions = map[string]byte{
-	"xor-load":        wasm.OpXorLoad,
-	"mul-add":         wasm.OpMulAdd,
-	"xor-load-mul":    wasm.OpXorLoadMul,
-	"store-mul-add":   wasm.OpStoreMulAdd,
-	"store-label-mul": wasm.OpMulAdd,
+	"xor-load":          wasm.OpXorLoad,
+	"mul-add":           wasm.OpMulAdd,
+	"xor-load-mul":      wasm.OpXorLoadMul,
+	"store-mul-add":     wasm.OpStoreMulAdd,
+	"store-label-mul":   wasm.OpMulAdd,
+	"xor-load-mul-run":  wasm.OpXorLoadMulRun,
+	"store-mul-add-run": wasm.OpStoreMulAddRun,
 }
 
 // isXorLoad matches i64.xor of a non-constant and an i64.load: a
@@ -1214,6 +1288,18 @@ func isStoreMulAdd(n *node, length int) bool {
 	store, set := n.kids[0], n.kids[length-1]
 	return store.k == kStore && store.op == 0x37 && store.kids[1].k == kLocalGet &&
 		set.k == kLocalSet && isMulAdd(set.kids[0]) && set.kids[0].kids[0].kids[0] == store.kids[1]
+}
+
+// isFNVStep matches a local.set of isXorLoadMul.
+func isFNVStep(n *node) bool { return n.k == kLocalSet && isXorLoadMul(n.kids[0]) }
+
+// isRun matches statements of which at least two are step.
+func isRun(n *node, step func(*node) bool) bool {
+	steps := 0
+	for _, k := range n.kids {
+		steps += int(b2u(step(k)))
+	}
+	return n.k == kSeq && steps >= 2
 }
 
 // The committed seeds are generator inputs, so an edit to the generator
