@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build examples test race fuzz-smoke chaos bench bench-kernel bench-drain pairs kernels alloc lint cross codegen loc staticcheck vuln cover clean
+.PHONY: all build examples test race fuzz-smoke chaos bench bench-kernel bench-drain pairs kernels alloc lint mutants cross codegen loc staticcheck vuln cover clean
 
 all: lint build examples race bench alloc
 
@@ -118,12 +118,23 @@ alloc:
 	$(GO) test -run TestAllocCeilings -v .
 
 ## lint: go vet plus the roadvet suite (regionrelease, poolreturn,
-## refbalance, gaugebalance, fdclose, windowcredit, lockguard, ctxpoll,
-## errclass, ctxcheck, doccheck — the order of `suite` in
-## cmd/roadvet/main.go — and the gofmt gate)
+## refbalance, gaugebalance, windowcredit, lockguard, ctxpoll, errclass,
+## ctxcheck, doccheck — the order of `suite` in cmd/roadvet/main.go — and
+## the gofmt gate), then `scripts/mutants.sh -check`: every patch of the
+## mutant table still applies, so a refactor that moves a mutated site
+## fails here until its patch is re-cut
 lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/roadvet -budget ROADVET_BASELINE.json ./...
+	scripts/mutants.sh -check
+
+## mutants: the mutant table of DESIGN §9.1 — each patch under
+## scripts/mutants/ injects one bug of a roadvet row's class into a scratch
+## copy of the tree, and the table records which gates catch it: the row,
+## go test, chaos, fuzz-smoke and race. Minutes to hours; not in CI
+## (scripts/mutants.sh)
+mutants:
+	scripts/mutants.sh
 
 ## cross: the builds without a mapped linear memory — everything for
 ## Windows, where internal/wasm keeps every linear memory on the Go heap,

@@ -1,6 +1,9 @@
 // Command roadvet is the repository's static-analysis gate: a suite of
 // go/analysis passes that prove the data-plane's resource invariants,
-// each distilled from a bug an earlier PR shipped or nearly shipped.
+// each distilled from a bug an earlier PR shipped or nearly shipped. Every
+// analyzer is the only gate on some bug of its class: scripts/mutants.sh
+// injects three into the runtime per analyzer, and a row whose mutants a
+// test catches is deleted (DESIGN §9.1 names the mutants that keep each).
 //
 // The resource analyzers are interprocedural: a bottom-up pass over the
 // call graph computes per-function obligation summaries (what each
@@ -8,7 +11,7 @@
 // lives in a helper still credits the caller's obligation and a lock
 // taken in the caller still guards the callee's field access.
 //
-// Six of them prove one theorem — every acquire reaches a release, a
+// Five of them prove one theorem — every acquire reaches a release, a
 // handoff, or an exempt error return on every path — and are rows of one
 // table read by one engine (internal/analysis/obligation):
 //
@@ -25,9 +28,6 @@
 //   - gaugebalance: every invoker-plane State.Enter has a State.Exit —
 //     the phantom in-flight load bug. Enter/Exit pairs transfer through
 //     unexported helpers.
-//   - fdclose: every descriptor opened with Proc.Pipe, kernel.SocketPair
-//     or kernel.Connect reaches Proc.Close, the caller, or a longer-lived
-//     structure — the error-path descriptor leak class.
 //   - windowcredit: every sendWindow.reserve is followed by a push on the
 //     same window — a stranded reservation parks a later writer forever.
 //
@@ -90,7 +90,6 @@ import (
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/analysis/doccheck"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/analysis/driver"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/analysis/errclass"
-	"github.com/polaris-slo-cloud/roadrunner-go/internal/analysis/fdclose"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/analysis/gaugebalance"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/analysis/lockguard"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/analysis/poolreturn"
@@ -105,7 +104,6 @@ var suite = []*analysis.Analyzer{
 	poolreturn.Analyzer,
 	refbalance.Analyzer,
 	gaugebalance.Analyzer,
-	fdclose.Analyzer,
 	windowcredit.Analyzer,
 	lockguard.Analyzer,
 	ctxpoll.Analyzer,
@@ -147,8 +145,8 @@ func usage() {
 Usage: roadvet [flags] [packages]   (default "./...")
 
 Analyzers (the names //roadvet:ignore accepts): regionrelease,
-poolreturn, refbalance, gaugebalance, fdclose, windowcredit, lockguard,
-ctxpoll, errclass, ctxcheck, doccheck; plus the gofmt gate.
+poolreturn, refbalance, gaugebalance, windowcredit, lockguard, ctxpoll,
+errclass, ctxcheck, doccheck; plus the gofmt gate.
 
 Annotations recognised in source:
   //roadvet:guards <mutexField>   on a struct field: every access must

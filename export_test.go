@@ -1,11 +1,6 @@
 package roadrunner
 
-import (
-	"time"
-
-	"github.com/polaris-slo-cloud/roadrunner-go/internal/core"
-	"github.com/polaris-slo-cloud/roadrunner-go/internal/netsim"
-)
+import "github.com/polaris-slo-cloud/roadrunner-go/internal/core"
 
 // Test-only accessors: compiled into test binaries exclusively, they expose
 // the conservation baselines (FD tables, the kernel page pool) and the
@@ -80,11 +75,6 @@ func TestingWithDataHoseSize(n int) Option {
 
 // TestingNodes lists the platform's registered node names.
 func TestingNodes(p *Platform) []string { return p.topo.Nodes() }
-
-// TestingSetLink installs a dedicated link between two nodes.
-func TestingSetLink(p *Platform, a, b string, bw Bandwidth, rtt time.Duration) {
-	p.topo.SetLink(a, b, netsim.NewLink(bw, rtt))
-}
 
 // TestingOwner reports the function an instance is a replica of and its
 // position in that function's pool.

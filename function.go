@@ -299,7 +299,7 @@ func (p *Platform) multicastCtx(ctx context.Context, src *Function, targets []*F
 	for i, t := range targets {
 		j := -1
 		for _, m := range tries {
-			if j = p.place.PickTarget(si.endpoint(), t.route, t.eps, modeEligible(si, t, m), p.linkCost); j >= 0 {
+			if j = p.place.PickTarget(si.endpoint(), t.route, t.eps, modeEligible(si, t, m), nil); j >= 0 {
 				break
 			}
 		}
@@ -448,7 +448,7 @@ func (p *Platform) fanoutCtx(ctx context.Context, src *Function, targets []*Func
 	group := make([]int, 0, len(targets))
 	if base.mode == ModeAuto || base.mode == ModeKernelSpace {
 		for i, t := range targets {
-			if j := p.place.PickTarget(si.endpoint(), t.route, t.eps, modeEligible(si, t, ModeKernelSpace), p.linkCost); j >= 0 {
+			if j := p.place.PickTarget(si.endpoint(), t.route, t.eps, modeEligible(si, t, ModeKernelSpace), nil); j >= 0 {
 				group = append(group, i)
 				chosen[i] = t.insts[j]
 				inGroup[i] = true

@@ -9,7 +9,6 @@ import (
 	"golang.org/x/tools/go/analysis"
 
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/analysis/analyzertest"
-	"github.com/polaris-slo-cloud/roadrunner-go/internal/analysis/fdclose"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/analysis/gaugebalance"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/analysis/obligation"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/analysis/poolreturn"
@@ -35,7 +34,6 @@ func TestSplitMutation(t *testing.T) {
 		{poolreturn.Analyzer, "may leak"},
 		{refbalance.Analyzer, "may leak"},
 		{gaugebalance.Analyzer, "not balanced"},
-		{fdclose.Analyzer, "may leak"},
 		{windowcredit.Analyzer, "not followed by a push"},
 	} {
 		t.Run(tc.analyzer.Name, func(t *testing.T) {
@@ -102,12 +100,6 @@ func TestDiagnosticTexts(t *testing.T) {
 			"", "",
 			"%s.Enter(%s) is not balanced by an Exit on every path: the in-flight gauge leaks and least-loaded placement steers around a phantom invocation",
 			"",
-		}},
-		{fdclose.Row, [4]string{
-			"descriptor %q opened at %s may leak: this return neither closes it nor hands it to the caller",
-			"descriptor %q may leak: a path reaches the function's end without closing it or handing it off",
-			"",
-			"descriptor discarded: it can never be closed; keep it and Close it",
 		}},
 		{windowcredit.Row, [4]string{
 			"", "",

@@ -28,9 +28,6 @@ const (
 	// Ref is the pagebuf page-reference domain: any call returning Ref or
 	// []Ref / Ref.Release, ReleaseAll (refbalance).
 	Ref Domain = "ref"
-	// FD is the simulated-kernel descriptor domain: Proc.Pipe, SocketPair,
-	// Connect / Proc.Close (fdclose).
-	FD Domain = "fd"
 	// Gauge is the invoker in-flight gauge: State.Enter / State.Exit
 	// (gaugebalance).
 	Gauge Domain = "gauge"
@@ -70,9 +67,6 @@ var Table = []*Matcher{
 	{Domain: Ref,
 		Acquire: refResults,
 		Release: refReleased},
-	{Domain: FD,
-		Acquire: fdResults,
-		Release: argsOf(method("Close", "Proc"))},
 	{Domain: Gauge,
 		Enter:   bracketOf(1, method("Enter", "State")),
 		Release: bracketOf(1, method("Exit", "State"))},
@@ -183,21 +177,6 @@ func refResults(info *types.Info, call *ast.CallExpr) []int {
 		}
 		return matchutil.NamedName(t) == "Ref"
 	})
-}
-
-// fdResults returns the descriptor results of the simulated kernel's
-// descriptor-creating calls — both ends of Proc.Pipe/PipeSized and of
-// kernel.SocketPair/SocketPairSized/Connect — matched by callee name and
-// int result type (os.Pipe and net.Pipe return no int).
-func fdResults(info *types.Info, call *ast.CallExpr) []int {
-	switch matchutil.CalleeName(call) {
-	case "Pipe", "PipeSized", "SocketPair", "SocketPairSized", "Connect":
-		return resultsWhere(info, call, func(t types.Type) bool {
-			b, ok := t.(*types.Basic)
-			return ok && b.Kind() == types.Int
-		})
-	}
-	return nil
 }
 
 // resultsWhere returns the positions of call's results whose type

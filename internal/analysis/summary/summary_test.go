@@ -224,10 +224,6 @@ func (r Ref) Release() {}
 
 func ReleaseAll(rs []Ref) {}
 
-type Proc struct{}
-
-func (p *Proc) Close(fd int) error { return nil }
-
 type State struct{}
 
 func (st *State) Exit(i int) {}
@@ -242,7 +238,6 @@ func relRegion(v *View, p uint32)  { _ = v.Deallocate(p) }
 func relPool(x *int)               { pool.Put(x) }
 func relRef(r Ref)                 { r.Release() }
 func relRefs(rs []Ref)             { ReleaseAll(rs) }
-func relFD(p *Proc, fd int)        { _ = p.Close(fd) }
 func relGauge(st *State, i int)    { st.Exit(i) }
 func relWindow(w *sendWindow)      { _ = w.push(nil, true) }
 `)
@@ -256,7 +251,6 @@ func relWindow(w *sendWindow)      { _ = w.push(nil, true) }
 		{"relPool", Pool, 1},
 		{"relRef", Ref, 1},
 		{"relRefs", Ref, 1},
-		{"relFD", FD, 2},
 		{"relGauge", Gauge, 1},
 		{"relWindow", Window, 1},
 	} {

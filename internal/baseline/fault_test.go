@@ -10,9 +10,9 @@ import (
 )
 
 // TestTransferFaultsConserveFDs drives both baseline transfers into a
-// failed send and a failed receive and requires both sandboxes' descriptor
-// tables back at their pre-call size: every error return past the connect
-// closes both socket ends (the leak roadvet's fdclose row reports).
+// failed send and a failed receive, and once without a fault, and requires
+// both sandboxes' descriptor tables back at their pre-call size: every
+// return past the connect closes both socket ends (DESIGN §9.1).
 func TestTransferFaultsConserveFDs(t *testing.T) {
 	errInjected := errors.New("injected")
 	failOn := func(op string) func(string) error {
@@ -54,7 +54,24 @@ func TestTransferFaultsConserveFDs(t *testing.T) {
 			return a.proc, b.proc, func() error { _, _, _, err := a.Transfer(b, env); return err }
 		},
 	}
+	conserved := func(t *testing.T, src, dst *kernel.Proc, srcFDs, dstFDs int) {
+		t.Helper()
+		if got := src.NumFDs(); got != srcFDs {
+			t.Errorf("source descriptors: %d after the transfer, want %d", got, srcFDs)
+		}
+		if got := dst.NumFDs(); got != dstFDs {
+			t.Errorf("target descriptors: %d after the transfer, want %d", got, dstFDs)
+		}
+	}
 	for name, mk := range build {
+		t.Run(name+"/ok", func(t *testing.T) {
+			src, dst, transfer := mk(t)
+			srcFDs, dstFDs := src.NumFDs(), dst.NumFDs()
+			if err := transfer(); err != nil {
+				t.Fatal(err)
+			}
+			conserved(t, src, dst, srcFDs, dstFDs)
+		})
 		for _, op := range []string{"write", "read"} {
 			t.Run(name+"/"+op, func(t *testing.T) {
 				src, dst, transfer := mk(t)
@@ -68,12 +85,7 @@ func TestTransferFaultsConserveFDs(t *testing.T) {
 					t.Fatalf("transfer with a failing %s succeeded", op)
 				}
 				faulted.InjectFault(nil)
-				if got := src.NumFDs(); got != srcFDs {
-					t.Errorf("source descriptors: %d after the failed transfer, want %d", got, srcFDs)
-				}
-				if got := dst.NumFDs(); got != dstFDs {
-					t.Errorf("target descriptors: %d after the failed transfer, want %d", got, dstFDs)
-				}
+				conserved(t, src, dst, srcFDs, dstFDs)
 			})
 		}
 	}

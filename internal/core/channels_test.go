@@ -419,13 +419,39 @@ func TestTransferErrorPathsConserveFDsAndPages(t *testing.T) {
 				_, _, err := core.MulticastTransfer(fa, targets, core.MulticastOptions{})
 				return err
 			}}
+		case "multicast-same-node", "multicast-mixed":
+			// Same-node: every target shares the source's kernel, so the tee
+			// pass runs over the call's own hose pipe, which every exit must
+			// close. Mixed: one co-located and one remote target, the remote
+			// connection's hose doubling as the shared one.
+			k1 := kernel.New("edge")
+			s1 := mkShim("src", k1)
+			fa := addFn(t, s1, "a")
+			kernels := []*kernel.Kernel{k1}
+			shims := []*core.Shim{s1}
+			for i := 0; i < 2; i++ {
+				kd := k1
+				if mode == "multicast-mixed" && i == 1 {
+					kd = kernel.New("cloud")
+					kernels = append(kernels, kd)
+				}
+				shims = append(shims, mkShim(fmt.Sprintf("t%d", i), kd))
+			}
+			targets := []*core.Function{addFn(t, shims[1], "f0"), addFn(t, shims[2], "f1")}
+			if _, err := fa.CallPacked(guest.ExportProduce, uint64(n)); err != nil {
+				t.Fatal(err)
+			}
+			return &faultEnv{kernels: kernels, shims: shims, run: func() error {
+				_, _, err := core.MulticastTransfer(fa, targets, core.MulticastOptions{})
+				return err
+			}}
 		default:
 			t.Fatalf("unknown mode %s", mode)
 			return nil
 		}
 	}
 
-	for _, mode := range []string{"kernel", "network", "network-uncached", "multicast"} {
+	for _, mode := range []string{"kernel", "network", "network-uncached", "multicast", "multicast-same-node", "multicast-mixed"} {
 		mode := mode
 		t.Run(mode, func(t *testing.T) {
 			// Pass 1: count the data-plane ops of a successful transfer.

@@ -212,6 +212,37 @@ func TestMulticastSameNodeSpansHose(t *testing.T) {
 	}
 }
 
+// TestMulticastSameNodeClosesHose pins the success path of the per-call
+// hose: an all-same-node fan-out tees over a pipe of its own, and once the
+// pair channels are cached a further call leaves the source holding exactly
+// the descriptors it held before.
+func TestMulticastSameNodeClosesHose(t *testing.T) {
+	k := kernel.New("edge")
+	sSrc := newShim(t, "src", k)
+	src := addFn(t, sSrc, "src")
+	dsts := []*core.Function{addFn(t, newShim(t, "s0", k), "t0"), addFn(t, newShim(t, "s1", k), "t1")}
+	const n = 300_000
+	cast := func() {
+		t.Helper()
+		if _, err := src.CallPacked(guest.ExportProduce, uint64(n)); err != nil {
+			t.Fatal(err)
+		}
+		refs, _, err := core.MulticastTransfer(src, dsts, core.MulticastOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, dst := range dsts {
+			verifyDelivery(t, dst, refs[i], n)
+		}
+	}
+	cast() // caches the source's channel to each target
+	fds := sSrc.Proc().NumFDs()
+	cast()
+	if got := sSrc.Proc().NumFDs(); got != fds {
+		t.Fatalf("source holds %d descriptors after a multicast, want %d", got, fds)
+	}
+}
+
 // TestMulticastOverlapAttribution: every target of a multi-chunk cross-node
 // fan-out carries a positive Overlap credit, and the credit never pulls the
 // critical path below the wire time alone.
@@ -285,6 +316,51 @@ func TestMulticastMixedSetSplits(t *testing.T) {
 	}
 	if res := kEdge.Pool().Resident() + kCloud.Pool().Resident(); res != 0 {
 		t.Fatalf("leaked %d resident kernel bytes", res)
+	}
+}
+
+// TestMulticastPerTargetLinks is the mixed-link regression test: each
+// multicast target's wire time must be modeled on ITS link, not the first
+// remote target's (the pre-fix behavior charged every target the first
+// link, inflating fast targets behind any slow sibling and vice versa), and
+// a Flows override multiplies each link's transmit time.
+func TestMulticastPerTargetLinks(t *testing.T) {
+	kEdge := kernel.New("edge")
+	src := addFn(t, newShim(t, "src", kEdge), "src")
+	dsts := []*core.Function{
+		addFn(t, newShim(t, "sf", kernel.New("fast")), "tf"),
+		addFn(t, newShim(t, "ss", kernel.New("slow")), "ts"),
+	}
+	links := []*netsim.Link{netsim.NewLink(1000*netsim.Mbps, 0), netsim.NewLink(10*netsim.Mbps, 0)}
+
+	const n = 1_000_000
+	cast := func(flows []int) []metrics.TransferReport {
+		t.Helper()
+		if _, err := src.CallPacked(guest.ExportProduce, uint64(n)); err != nil {
+			t.Fatal(err)
+		}
+		refs, reports, err := core.MulticastTransfer(src, dsts, core.MulticastOptions{Links: links, Flows: flows})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, dst := range dsts {
+			verifyDelivery(t, dst, refs[i], n)
+		}
+		return reports
+	}
+	// 1 MB over a dedicated link: 8 ms at 1000 Mbps, 800 ms at 10 Mbps —
+	// each target charged its own link with one flow on it.
+	reports := cast(nil)
+	for i, want := range []time.Duration{8 * time.Millisecond, 800 * time.Millisecond} {
+		if got := reports[i].Breakdown.Network; got < want*9/10 || got > want*11/10 {
+			t.Fatalf("target %d network = %v, want ~%v", i, got, want)
+		}
+	}
+	// Two flows per link double each link's transmit time.
+	for i, rep := range cast([]int{2, 2}) {
+		if got, base := rep.Breakdown.Network, reports[i].Breakdown.Network; got < base*19/10 || got > base*21/10 {
+			t.Fatalf("target %d with 2 flows: network %v, want ~2x %v", i, got, base)
+		}
 	}
 }
 

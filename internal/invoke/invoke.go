@@ -40,8 +40,9 @@ type Endpoint struct {
 
 // LinkCost reports a modeled cost of moving a nominal payload between two
 // distinct nodes; Locality uses it to rank cross-node alternatives (any
-// monotone metric works — the platform supplies RTT plus nominal-payload
-// wire time). A nil LinkCost treats all cross-node pairs as equal.
+// monotone metric works). A nil LinkCost treats all cross-node pairs as
+// equal, which is what the platform passes: every pair of distinct nodes
+// shares one link model (netsim.Topology.LinkBetween).
 type LinkCost func(a, b string) time.Duration
 
 // State is one function's routing state: a round-robin cursor, per-instance

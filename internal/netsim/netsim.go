@@ -83,13 +83,13 @@ func (l *Link) TransferTime(bytes int64, flows int) time.Duration {
 }
 
 // Topology describes the nodes of a simulated cluster and the links between
-// them. Intra-node traffic uses the loopback link.
+// them. Intra-node traffic uses the loopback link, every other pair the
+// fallback link.
 type Topology struct {
 	mu       sync.Mutex
 	nodes    []string
 	index    map[string]int
-	links    map[[2]int]*Link
-	fallback *Link // used for node pairs without an explicit link
+	fallback *Link // used for every pair of distinct nodes
 	loopback *Link // fixed at construction
 }
 
@@ -105,7 +105,6 @@ func NewTopology(fallback *Link) *Topology {
 	}
 	return &Topology{
 		index:    make(map[string]int),
-		links:    make(map[[2]int]*Link),
 		fallback: fallback,
 		loopback: DefaultLoopback(),
 	}
@@ -134,39 +133,14 @@ func (t *Topology) Nodes() []string {
 	return out
 }
 
-// SetLink installs a dedicated link between two nodes (order-insensitive).
-func (t *Topology) SetLink(a, b string, link *Link) {
-	ia, ib := t.AddNode(a), t.AddNode(b)
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.links[edge(ia, ib)] = link
-}
-
 // LinkBetween returns the link used for traffic between two nodes: the
-// loopback for a node and itself, an explicit link when one was set, or the
-// fallback link otherwise. Unknown node names get the fallback link too.
+// loopback for a node and itself, the fallback link otherwise.
 func (t *Topology) LinkBetween(a, b string) *Link {
 	if a == b {
 		return t.Loopback()
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	ia, oka := t.index[a]
-	ib, okb := t.index[b]
-	if oka && okb {
-		if l, ok := t.links[edge(ia, ib)]; ok {
-			return l
-		}
 	}
 	return t.fallback
 }
 
 // Loopback returns the intra-node link, DefaultLoopback's.
 func (t *Topology) Loopback() *Link { return t.loopback }
-
-func edge(a, b int) [2]int {
-	if a > b {
-		a, b = b, a
-	}
-	return [2]int{a, b}
-}

@@ -484,17 +484,6 @@ func (p *Platform) Deploy(spec FunctionSpec) (*Function, error) {
 	return f, nil
 }
 
-// linkCost ranks cross-node alternatives for the Locality policy: the RTT
-// plus the wire time of a nominal 1 MiB payload on the pair's link.
-func (p *Platform) linkCost(a, b string) time.Duration {
-	if a == b {
-		return 0
-	}
-	l := p.topo.LinkBetween(a, b)
-	const nominal = 1 << 20
-	return l.RTT() + time.Duration(float64(nominal*8)/float64(l.Bandwidth())*float64(time.Second))
-}
-
 // TransferOption tunes one transfer.
 type TransferOption func(*transferConfig)
 
@@ -726,7 +715,7 @@ func (p *Platform) resolveTarget(si *Instance, dst *Function, cfg *transferConfi
 			return !excluded[dst.insts[i]] && (mode == nil || mode(i))
 		}
 	}
-	i := p.place.PickTarget(si.endpoint(), dst.route, dst.eps, eligible, p.linkCost)
+	i := p.place.PickTarget(si.endpoint(), dst.route, dst.eps, eligible, nil)
 	if i < 0 {
 		if err := dst.noHealthyErr(excluded); err != nil {
 			return nil, err
@@ -1014,7 +1003,7 @@ func (p *Platform) resolvePair(src, dst *Function, cfg *transferConfig, exSrc, e
 			return modeEligible(src.insts[si], dst, cfg.mode)(di)
 		}
 	}
-	si, di := p.place.PickPair(src.route, src.eps, dst.route, dst.eps, eligible, p.linkCost)
+	si, di := p.place.PickPair(src.route, src.eps, dst.route, dst.eps, eligible, nil)
 	if si < 0 || di < 0 {
 		if err := src.noHealthyErr(exSrc); err != nil {
 			return nil, nil, err
