@@ -29,8 +29,8 @@ const (
 	allocCeilingWarmFanout = 64
 	// A warm multicast of one 1 MiB output to allocFanoutDegree same-node
 	// targets: the same pass without the produce and the worker-pool
-	// bookkeeping of a fan-out (measured 40, +10 %).
-	allocCeilingWarmMulticast = 44
+	// bookkeeping of a fan-out (measured 39, +10 %).
+	allocCeilingWarmMulticast = 43
 )
 
 // allocFanoutDegree sizes the fan-out ceiling probe: enough targets that a

@@ -225,12 +225,13 @@ func TestSubmitSurvivesReplicaDeath(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The doomed replica dies mid-load: two data-plane syscalls in, partway
-	// through the first delivery routed to it (with 32 invocations spread
-	// over 16 replicas it only sees a couple, so the budget must be small
-	// enough to trip during one of them).
+	// The doomed replica dies mid-load, partway through the first delivery
+	// routed to it: a 64 KiB delivery makes two data-plane syscalls at the
+	// target, and the second one crashes. Least-loaded routing over 32
+	// invocations hands each of the 16 replicas one or two, so the doomed
+	// replica sees at least one, and the crash needs no more than that.
 	doomed := dst.Instance(3)
-	doomed.CrashAfter(2)
+	doomed.CrashAfter(1)
 
 	plan := roadrunner.NewPlan()
 	const invocations = 32
@@ -247,17 +248,24 @@ func TestSubmitSurvivesReplicaDeath(t *testing.T) {
 		t.Fatalf("Submit with 1/16 replicas killed mid-load: %v", err)
 	}
 	want := roadrunner.ExpectedChecksum(chaosPayload)
+	landedOnDoomed := 0
 	for i, n := range nodes {
 		nr := res.Node(n)
 		if nr.Err != nil {
 			t.Fatalf("invocation %d failed: %v", i, nr.Err)
 		}
 		if nr.Invocation.Target == doomed {
+			landedOnDoomed++
 			sum, err := doomed.Checksum(nr.Invocation.Ref)
 			if err != nil || sum != want {
 				t.Fatalf("invocation %d landed on the doomed replica with bad payload (sum %d, err %v)", i, sum, err)
 			}
 		}
+	}
+	// The fault fired: a delivery was routed to the doomed replica and
+	// retried away from it.
+	if routed := doomed.Invocations(); routed == 0 || int64(landedOnDoomed) >= routed {
+		t.Fatalf("doomed replica: %d deliveries routed, %d landed; want one retried away", routed, landedOnDoomed)
 	}
 	if got := doomed.Health(); got != roadrunner.HealthUnhealthy {
 		t.Fatalf("doomed replica Health = %v, want %v", got, roadrunner.HealthUnhealthy)

@@ -243,7 +243,7 @@ func TestSubmittedChainsPipelineIndependently(t *testing.T) {
 // TestFanoutPerTargetCompletion delivers one payload to several remote targets as ONE job
 // of one Xfer node per target, every node pinned to the produced region and
 // its instance: each target's delivery is collected off its own NodeDone
-// channel as it lands, all flows modeled as sharing the link.
+// channel as it lands.
 func TestFanoutPerTargetCompletion(t *testing.T) {
 	p := roadrunner.New(roadrunner.WithNodes("edge", "cloud"))
 	defer p.Close()
@@ -269,8 +269,7 @@ func TestFanoutPerTargetCompletion(t *testing.T) {
 	pl := roadrunner.NewPlan()
 	nodes := make([]*roadrunner.PlanNode, len(targets))
 	for i, dst := range targets {
-		nodes[i] = pl.Xfer(src, dst, roadrunner.WithSourceInstance(si),
-			roadrunner.WithSourceRef(out), roadrunner.WithFlows(len(targets)))
+		nodes[i] = pl.Xfer(src, dst, roadrunner.WithSourceInstance(si), roadrunner.WithSourceRef(out))
 	}
 	job, err := p.Submit(bg, pl)
 	if err != nil {

@@ -4,7 +4,7 @@ import "github.com/polaris-slo-cloud/roadrunner-go/internal/core"
 
 // Test-only accessors: compiled into test binaries exclusively, they expose
 // the conservation baselines (FD tables, the kernel page pool) and the
-// wiring (topology, instance identity, VM sharing, the worker pool) the
+// wiring (nodes, instance identity, VM sharing, the worker pool) the
 // public surface deliberately hides.
 
 // TestingInstanceFDs reports the number of open descriptors in each
@@ -74,7 +74,7 @@ func TestingWithDataHoseSize(n int) Option {
 }
 
 // TestingNodes lists the platform's registered node names.
-func TestingNodes(p *Platform) []string { return p.topo.Nodes() }
+func TestingNodes(p *Platform) []string { return append([]string(nil), p.nodes...) }
 
 // TestingOwner reports the function an instance is a replica of and its
 // position in that function's pool.

@@ -8,7 +8,6 @@ import (
 
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/core"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/guest"
-	"github.com/polaris-slo-cloud/roadrunner-go/internal/netsim"
 )
 
 // Name returns the function name.
@@ -203,7 +202,7 @@ func (p *Platform) chainWithCtx(ctx context.Context, n int, opts []TransferOptio
 		if err := ctxErr(ctx); err != nil {
 			return fail(fmt.Errorf("hop %d/%d (%s->%s): %w", i+1, hops, cur.Name(), fns[i+1].Name(), err))
 		}
-		cfg := transferConfig{flows: 1, ctx: ctx}
+		cfg := transferConfig{ctx: ctx}
 		for _, opt := range opts {
 			opt(&cfg)
 		}
@@ -238,20 +237,18 @@ func (p *Platform) chainWithCtx(ctx context.Context, n int, opts []TransferOptio
 // instance co-located with the source (the same-node socketpair leg shares
 // pages without ever touching a wire — the cheapest leg of a fan-out),
 // falling back to cross-node instances, and a mixed target set splits into
-// one tee group feeding same-node sockets and per-link network sends from
+// one tee group feeding same-node sockets and cross-node connections from
 // the same source pass. One report per target is returned, Mode
 // "kernel-multicast" or "network-multicast" per leg.
 //
 // Wire time is modeled per cross-node target: each such target's report
-// charges the link between the source instance's node and that target
-// instance's node, shared by the number of multicast targets using the same
-// link (override the sharing degree with WithFlows); same-node legs charge
-// no wire time. Supported options are WithFlows, WithSourceRef,
-// WithSourceInstance and WithMode
-// (ModeKernelSpace restricts routing to co-located instances, ModeNetwork
-// to cross-node ones); ModeUserSpace — like pinning a single target
-// instance — is rejected with ErrModeUnavailable, since multicast shares
-// kernel pages across VMs with policy-routed targets.
+// charges the platform's link, shared by the cast's cross-node legs;
+// same-node legs charge no wire time. Supported options are WithSourceRef,
+// WithSourceInstance and WithMode (ModeKernelSpace restricts routing to
+// co-located instances, ModeNetwork to cross-node ones); ModeUserSpace —
+// like pinning a single target instance — is rejected with
+// ErrModeUnavailable, since multicast shares kernel pages across VMs with
+// policy-routed targets.
 //
 // Cancellation of ctx is observed at entry, during the source tee pass and
 // at every target drain, and an aborted fan-out destroys its channels
@@ -294,7 +291,6 @@ func (p *Platform) multicastCtx(ctx context.Context, src *Function, targets []*F
 	if cfg.mode == ModeAuto {
 		tries = []Mode{ModeKernelSpace, ModeNetwork, ModeAuto}
 	}
-	links := make([]*netsim.Link, len(targets))
 	chosen := make([]*Instance, len(targets))
 	for i, t := range targets {
 		j := -1
@@ -313,21 +309,10 @@ func (p *Platform) multicastCtx(ctx context.Context, src *Function, targets []*F
 			return nil, nil, fmt.Errorf("multicast to %s: %w", t.Name(), ErrNoHealthyInstance)
 		}
 		chosen[i] = t.insts[j]
-		if chosen[i].node != si.node {
-			links[i] = p.topo.LinkBetween(si.node, chosen[i].node)
-		}
-	}
-	var flows []int
-	if cfg.flows > 0 {
-		flows = make([]int, len(targets))
-		for i := range flows {
-			flows[i] = cfg.flows
-		}
 	}
 	refs, reps, err := castInstances(si, chosen, core.MulticastOptions{
 		Ctx:       cfg.ctx,
-		Links:     links,
-		Flows:     flows,
+		Link:      p.link,
 		SourceRef: coreSourceRef(cfg.sourceRef),
 		Gates:     cfg.gates,
 	})
@@ -416,7 +401,7 @@ func (p *Platform) fanoutCtx(ctx context.Context, src *Function, targets []*Func
 	}
 	// Target-instance pins are rejected once, by plan validation
 	// (PlanNode.check) — the only way into this engine.
-	base := transferConfig{flows: 1, ctx: ctx}
+	base := transferConfig{ctx: ctx}
 	for _, opt := range opts {
 		opt(&base)
 	}

@@ -373,6 +373,17 @@ func (e *engine) walk(g *cfg.CFG, s *site) {
 	first := pathState{errValid: e.ErrPair == ErrPrunes && s.err != nil}
 	matchutil.Paths(start, at+1, first, func(b *cfg.Block, i int, st pathState) (pathState, bool) {
 		n := b.Nodes[i]
+		if n == anchor && s.obj == nil {
+			// Round a loop and back at the opening call: the walk from it
+			// covers the next turn, and a bracket still open here is opened
+			// again on top of itself, never closed. (An object-keyed acquire
+			// may take its previous value back as an argument, so its walk
+			// goes on.)
+			if !st.released {
+				leak(nil)
+			}
+			return st, true
+		}
 		if !st.released && e.nodeDischarges(n, s) {
 			st.released = true
 		}

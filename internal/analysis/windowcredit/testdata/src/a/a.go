@@ -73,6 +73,28 @@ func (c *conn) wrongWindow(refs []Ref, b []byte) error {
 	return c.rcv.push(refs, true)
 }
 
+// emptyCopy carries its reservation round the loop when the copy came back
+// empty (the writeCopy mutant of the mutant table): the next turn reserves
+// again with the first segment never pushed, so the window stays charged
+// for it.
+func (c *conn) emptyCopy(refs []Ref, b []byte) (int, []Ref, error) {
+	w := c.snd
+	var chunk []byte
+	var err error
+	for src := b; ; src = nil {
+		if chunk, _, err = w.reserve(nil, src); err != nil { // want `w\.reserve\(\) is not followed by a push on every path`
+			return 0, refs, err
+		}
+		refs = copyInto(refs[:0], chunk)
+		if len(refs) == 0 {
+			continue
+		}
+		if w.push(refs, true) == nil && tail(chunk, b) {
+			return len(b), refs, nil
+		}
+	}
+}
+
 // lentRefs queues references without reserving (the Splice/Tee path): a
 // push alone opens nothing. No diagnostic.
 func (c *conn) lentRefs(refs []Ref) error {

@@ -9,14 +9,14 @@ import (
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/pagebuf"
 )
 
-// Channel-cache defaults (overridable per shim via ShimConfig).
+// Channel-cache limits, the same for every shim.
 const (
-	// DefaultChannelIdle is how long an unused cached channel survives
-	// before the next acquisition evicts it.
-	DefaultChannelIdle = 30 * time.Second
-	// DefaultChannelCap bounds the cached channels one shim originates;
-	// beyond it the least recently used channel is evicted.
-	DefaultChannelCap = 16
+	// chanMaxIdle is how long an unused cached channel survives before the
+	// next acquisition evicts it.
+	chanMaxIdle = 30 * time.Second
+	// chanMaxCached bounds the cached channels one shim originates; beyond
+	// it the least recently used channel is evicted.
+	chanMaxCached = 16
 )
 
 // kernelSendWindow is the SO_SNDBUF of the kernel-mode socketpair: four
@@ -193,8 +193,8 @@ func (s *Shim) acquireChannel(dst *Shim, kind chanKind) (*channel, bool, error) 
 	c, ok := s.channels[key]
 	var evicted []*channel
 	// A stale channel of the requested pair is evicted too: the acquisition
-	// misses and re-establishes, honoring the ChannelIdle contract even for
-	// pairs that are only ever used sparsely.
+	// misses and re-establishes, honoring the idle bound even for pairs
+	// that are only ever used sparsely.
 	if ok && c.pins == 0 && now.Sub(c.lastUsed) > s.chanIdle {
 		delete(s.channels, key)
 		evicted = append(evicted, c)
@@ -234,7 +234,7 @@ func (s *Shim) acquireChannel(dst *Shim, kind chanKind) (*channel, bool, error) 
 	c.lastUsed = now
 	c.pins = 1
 
-	// Trim back to ChannelCap, oldest first, skipping the new channel and
+	// Trim back to the cap, oldest first, skipping the new channel and
 	// any channel pinned by an in-flight operation (a multicast wider than
 	// the cap may briefly hold more until its pins release; the next
 	// acquisition trims the excess).

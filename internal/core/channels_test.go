@@ -184,10 +184,10 @@ func TestConcurrentWarmTransfersRaceClean(t *testing.T) {
 
 // TestChannelIdleAndLRUEviction exercises both eviction triggers with an
 // injected clock: idle channels die on the next acquisition, and the
-// registry never grows past ChannelCap.
+// registry never grows past the channel cap.
 func TestChannelIdleAndLRUEviction(t *testing.T) {
 	// The pipelined engine reads the clock from both stage goroutines, so
-	// injected clocks must be safe for concurrent use (see ShimConfig.Now).
+	// the injected clock must be safe for concurrent use.
 	var clockMu sync.Mutex
 	clock := time.Unix(0, 0)
 	now := func() time.Time {
@@ -203,14 +203,8 @@ func TestChannelIdleAndLRUEviction(t *testing.T) {
 	}
 	k1 := kernel.New("edge")
 	mk := func(name string, k *kernel.Kernel, cap int) *core.Shim {
-		s, err := core.NewShim(core.ShimConfig{
-			Name: name, Workflow: wf, Kernel: k, Module: guest.Module(),
-			Now: now, ChannelIdle: time.Second, ChannelCap: cap,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(s.Close)
+		s := newShim(t, name, k)
+		core.SetChannelLimits(s, now, time.Second, cap)
 		return s
 	}
 	src := mk("src", k1, 1)
@@ -223,7 +217,7 @@ func TestChannelIdleAndLRUEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// LRU: ChannelCap is 1, so the a→c channel evicts a→b.
+	// LRU: the cap is 1, so the a→c channel evicts a→b.
 	if _, _, err := core.NetworkTransfer(fa, fb, core.NetworkOptions{}); err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +233,7 @@ func TestChannelIdleAndLRUEviction(t *testing.T) {
 		t.Fatalf("evicted target still holds FDs: %d, want %d", got, fbFDs-3)
 	}
 
-	// Idle: advance past ChannelIdle; the next acquisition (for b) evicts
+	// Idle: advance past the idle bound; the next acquisition (for b) evicts
 	// the stale a→c channel and the re-established a→b channel misses.
 	advance(2 * time.Second)
 	if _, _, err := core.NetworkTransfer(fa, fb, core.NetworkOptions{}); err != nil {
@@ -259,7 +253,7 @@ func TestChannelIdleAndLRUEviction(t *testing.T) {
 	}
 
 	// Same-pair staleness: acquiring the pair whose own channel went idle
-	// evicts and re-establishes it — the ChannelIdle contract holds even
+	// evicts and re-establishes it — the idle bound holds even
 	// when no other pair ever triggers a scan.
 	advance(2 * time.Second)
 	if _, _, err := core.NetworkTransfer(fa, fb, core.NetworkOptions{}); err != nil {
@@ -272,7 +266,7 @@ func TestChannelIdleAndLRUEviction(t *testing.T) {
 }
 
 // TestMulticastWiderThanChannelCap: a fan-out to more targets than the
-// source shim's ChannelCap must not evict its own in-flight channels while
+// source shim's channel cap must not evict its own in-flight channels while
 // acquiring the later ones (regression: the LRU victim used to be the
 // multicast's own shared hose, failing the transfer with EBADF). The
 // registry may briefly exceed the cap while pinned; the next acquisition
@@ -280,14 +274,8 @@ func TestChannelIdleAndLRUEviction(t *testing.T) {
 func TestMulticastWiderThanChannelCap(t *testing.T) {
 	const degree, n = 4, 64 << 10
 	kSrc := kernel.New("edge")
-	src, err := core.NewShim(core.ShimConfig{
-		Name: "src", Workflow: wf, Kernel: kSrc, Module: guest.Module(),
-		ChannelCap: 2, // far smaller than the fan-out degree
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(src.Close)
+	src := newShim(t, "src", kSrc)
+	core.SetChannelLimits(src, nil, 0, 2) // far smaller than the fan-out degree
 	fa := addFn(t, src, "a")
 	dsts := make([]*core.Function, degree)
 	for i := range dsts {

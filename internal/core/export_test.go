@@ -2,6 +2,7 @@ package core
 
 import (
 	"sync"
+	"time"
 
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/guest"
 )
@@ -33,4 +34,21 @@ func ReferenceSum(n int) uint64 {
 		sum, _ = referenceSums.LoadOrStore(n, guest.ReferenceChecksum(guest.ReferenceProduce(n)))
 	}
 	return sum.(uint64)
+}
+
+// SetChannelLimits gives a fresh shim a clock and channel-cache limits other
+// than time.Now, chanMaxIdle and chanMaxCached, for the eviction tests; a
+// nil clock or a zero limit keeps the default. Call it before the shim's
+// first transfer. The staged pipeline reads the clock from both stage
+// goroutines, so it must be safe for concurrent use.
+func SetChannelLimits(s *Shim, now func() time.Time, idle time.Duration, cap int) {
+	if now != nil {
+		s.now = now
+	}
+	if idle > 0 {
+		s.chanIdle = idle
+	}
+	if cap > 0 {
+		s.chanCap = cap
+	}
 }

@@ -16,17 +16,11 @@ type MulticastOptions struct {
 	// start and every chunk of each target drain; an aborted fan-out
 	// destroys its channels (draining stranded pages) like other failures.
 	Ctx context.Context
-	// Links models the network path per target; a nil slice (or nil entry)
-	// attributes no wire time — same-node targets always get a nil entry.
-	// When set, len(Links) must equal the number of targets. Targets on
-	// different links are modeled independently — a slow edge uplink no
-	// longer taxes targets reached over a fast one.
-	Links []*netsim.Link
-	// Flows overrides, per target, the number of concurrent flows sharing
-	// that target's link. Entries <= 0 (or a nil slice) default to the
-	// number of multicast targets whose Links entry is the same link.
-	// When set, len(Flows) must equal the number of targets.
-	Flows []int
+	// Link is the modeled network path every cross-node target is reached
+	// over; nil attributes no wire time. Each cross-node leg is charged the
+	// link shared by all of the cast's cross-node legs; same-node legs never
+	// cross it.
+	Link *netsim.Link
 	// SourceRef pins the source region (see UserOptions.SourceRef).
 	SourceRef *OutputRef
 	// Gates carries test instrumentation (see PipelineGates); BeforeIngress
@@ -48,7 +42,7 @@ type MulticastOptions struct {
 // socket into linear memory, no hose pipes and no wire — the cheapest legs
 // of a fan-out. A cross-node target receives over the network channel's
 // target hose as in unicast Algorithm 1. Mixed sets split naturally: one
-// tee group feeds same-node sockets and per-link connections from the same
+// tee group feeds same-node sockets and cross-node connections from the same
 // source pass. The tee pass runs over the first cross-node channel's source
 // hose; an all-local fan-out creates a per-call hose pipe instead, closed
 // (and drained) by the transfer itself.
@@ -64,12 +58,6 @@ type MulticastOptions struct {
 func MulticastTransfer(src *Function, dsts []*Function, opts MulticastOptions) ([]InboundRef, []metrics.TransferReport, error) {
 	if len(dsts) == 0 {
 		return nil, nil, fmt.Errorf("core: multicast requires targets")
-	}
-	if opts.Links != nil && len(opts.Links) != len(dsts) {
-		return nil, nil, fmt.Errorf("core: multicast got %d links for %d targets", len(opts.Links), len(dsts))
-	}
-	if opts.Flows != nil && len(opts.Flows) != len(dsts) {
-		return nil, nil, fmt.Errorf("core: multicast got %d flow counts for %d targets", len(opts.Flows), len(dsts))
 	}
 	srcShim := src.shim
 	dstShims := make([]*Shim, len(dsts))
@@ -317,9 +305,11 @@ func MulticastTransfer(src *Function, dsts []*Function, opts MulticastOptions) (
 		transfer: sendT / time.Duration(len(dsts)),
 		wasmIO:   srcWasmIO / time.Duration(len(dsts)),
 	}
-	linkShare := make(map[*netsim.Link]int, len(dsts))
-	for _, l := range opts.Links {
-		linkShare[l]++
+	remote := 0
+	for _, c := range chans {
+		if c.kind != chanKernel {
+			remote++
+		}
 	}
 	reports := make([]metrics.TransferReport, len(dsts))
 	for i, st := range legs {
@@ -327,12 +317,7 @@ func MulticastTransfer(src *Function, dsts []*Function, opts MulticastOptions) (
 		sp.src, sp.mode = src, "kernel-multicast"
 		if chans[i].kind != chanKernel {
 			sp.mode = "network-multicast"
-		}
-		if opts.Links != nil && opts.Links[i] != nil {
-			sp.link, sp.flows = opts.Links[i], linkShare[opts.Links[i]]
-			if opts.Flows != nil && opts.Flows[i] > 0 {
-				sp.flows = opts.Flows[i]
-			}
+			sp.link, sp.flows = opts.Link, remote
 		}
 		// Legs deal no chunks to the caller, so the pipeline depth is set
 		// only now, for the overlap credit: the shared tee pass feeds each

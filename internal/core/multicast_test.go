@@ -13,16 +13,6 @@ import (
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/netsim"
 )
 
-// multicastLinks builds the per-target link list for targets sharing one
-// modeled link.
-func multicastLinks(link *netsim.Link, n int) core.MulticastOptions {
-	links := make([]*netsim.Link, n)
-	for i := range links {
-		links[i] = link
-	}
-	return core.MulticastOptions{Links: links}
-}
-
 func TestMulticastDeliversToAllTargets(t *testing.T) {
 	kSrc := kernel.New("edge")
 	sSrc := newShim(t, "src", kSrc)
@@ -40,7 +30,7 @@ func TestMulticastDeliversToAllTargets(t *testing.T) {
 	}
 
 	link := netsim.NewLink(100*netsim.Mbps, 0)
-	refs, reports, err := core.MulticastTransfer(src, dsts, multicastLinks(link, len(dsts)))
+	refs, reports, err := core.MulticastTransfer(src, dsts, core.MulticastOptions{Link: link})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,10 +102,6 @@ func TestMulticastValidations(t *testing.T) {
 	if _, _, err := core.MulticastTransfer(src, []*core.Function{sameVM}, core.MulticastOptions{}); !errors.Is(err, core.ErrSameVM) {
 		t.Fatalf("same-VM target = %v", err)
 	}
-	links := []*netsim.Link{netsim.NewLink(100*netsim.Mbps, 0)}
-	if _, _, err := core.MulticastTransfer(src, []*core.Function{sameVM, sameVM}, core.MulticastOptions{Links: links}); err == nil {
-		t.Fatal("mismatched link count accepted")
-	}
 }
 
 // TestMulticastSameNodeKernelPath pins the shared-egress kernel path: targets
@@ -138,7 +124,8 @@ func TestMulticastSameNodeKernelPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := sSrc.Account().Snapshot()
-	refs, reports, err := core.MulticastTransfer(src, dsts, core.MulticastOptions{})
+	// A link is given, yet no same-node leg may be charged it.
+	refs, reports, err := core.MulticastTransfer(src, dsts, core.MulticastOptions{Link: netsim.NewLink(100*netsim.Mbps, 0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +252,7 @@ func TestMulticastOverlapAttribution(t *testing.T) {
 		t.Fatal(err)
 	}
 	link := netsim.NewLink(100*netsim.Mbps, 0)
-	refs, reports, err := core.MulticastTransfer(src, dsts, multicastLinks(link, degree))
+	refs, reports, err := core.MulticastTransfer(src, dsts, core.MulticastOptions{Link: link})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,84 +269,68 @@ func TestMulticastOverlapAttribution(t *testing.T) {
 }
 
 // TestMulticastMixedSetSplits covers the mixed fan-out: one tee group feeds
-// a same-node socketpair and a cross-node connection from the same source
-// pass, each leg reporting its own mode and only the remote leg charged
-// wire time.
+// a same-node socketpair and two cross-node connections from the same
+// source pass, each leg reporting its own mode. The cross-node legs share
+// the cast's one link — each is charged its transfer time with two flows on
+// it — and the same-node leg crosses no wire.
 func TestMulticastMixedSetSplits(t *testing.T) {
-	kEdge, kCloud := kernel.New("edge"), kernel.New("cloud")
+	kEdge, kCloud, kFar := kernel.New("edge"), kernel.New("cloud"), kernel.New("far")
 	sSrc := newShim(t, "src", kEdge)
 	src := addFn(t, sSrc, "src")
-	sLocal := newShim(t, "sl", kEdge)
-	sRemote := newShim(t, "sr", kCloud)
-	dsts := []*core.Function{addFn(t, sLocal, "near"), addFn(t, sRemote, "far")}
+	dsts := []*core.Function{
+		addFn(t, newShim(t, "sl", kEdge), "near"),
+		addFn(t, newShim(t, "sr", kCloud), "remote"),
+		addFn(t, newShim(t, "sf", kFar), "far"),
+	}
 
 	const n = 900_000
 	if _, err := src.CallPacked(guest.ExportProduce, uint64(n)); err != nil {
 		t.Fatal(err)
 	}
-	links := []*netsim.Link{nil, netsim.NewLink(100*netsim.Mbps, 0)}
-	refs, reports, err := core.MulticastTransfer(src, dsts, core.MulticastOptions{Links: links})
+	link := netsim.NewLink(100*netsim.Mbps, time.Millisecond)
+	refs, reports, err := core.MulticastTransfer(src, dsts, core.MulticastOptions{Link: link})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, dst := range dsts {
 		verifyDelivery(t, dst, refs[i], n)
 	}
-	if reports[0].Mode != "kernel-multicast" || reports[1].Mode != "network-multicast" {
-		t.Fatalf("modes = %s / %s", reports[0].Mode, reports[1].Mode)
+	if reports[0].Mode != "kernel-multicast" || reports[1].Mode != "network-multicast" || reports[2].Mode != "network-multicast" {
+		t.Fatalf("modes = %s / %s / %s", reports[0].Mode, reports[1].Mode, reports[2].Mode)
 	}
 	if reports[0].Breakdown.Network != 0 {
 		t.Fatal("same-node leg charged wire time")
 	}
-	if reports[1].Breakdown.Network <= 0 {
-		t.Fatal("remote leg missing wire time")
+	for i := 1; i < len(dsts); i++ {
+		if got, want := reports[i].Breakdown.Network, link.TransferTime(n, 2); got != want {
+			t.Fatalf("remote leg %d network = %v, want %v (two flows on the link)", i, got, want)
+		}
 	}
-	if res := kEdge.Pool().Resident() + kCloud.Pool().Resident(); res != 0 {
+	if res := kEdge.Pool().Resident() + kCloud.Pool().Resident() + kFar.Pool().Resident(); res != 0 {
 		t.Fatalf("leaked %d resident kernel bytes", res)
 	}
 }
 
-// TestMulticastPerTargetLinks is the mixed-link regression test: each
-// multicast target's wire time must be modeled on ITS link, not the first
-// remote target's (the pre-fix behavior charged every target the first
-// link, inflating fast targets behind any slow sibling and vice versa), and
-// a Flows override multiplies each link's transmit time.
-func TestMulticastPerTargetLinks(t *testing.T) {
-	kEdge := kernel.New("edge")
-	src := addFn(t, newShim(t, "src", kEdge), "src")
+// TestMulticastWithoutLinkChargesNoWire: a cast given no Link attributes no
+// wire time, even to cross-node legs.
+func TestMulticastWithoutLinkChargesNoWire(t *testing.T) {
+	src := addFn(t, newShim(t, "src", kernel.New("edge")), "src")
 	dsts := []*core.Function{
-		addFn(t, newShim(t, "sf", kernel.New("fast")), "tf"),
-		addFn(t, newShim(t, "ss", kernel.New("slow")), "ts"),
+		addFn(t, newShim(t, "s1", kernel.New("cloud-1")), "t1"),
+		addFn(t, newShim(t, "s2", kernel.New("cloud-2")), "t2"),
 	}
-	links := []*netsim.Link{netsim.NewLink(1000*netsim.Mbps, 0), netsim.NewLink(10*netsim.Mbps, 0)}
-
-	const n = 1_000_000
-	cast := func(flows []int) []metrics.TransferReport {
-		t.Helper()
-		if _, err := src.CallPacked(guest.ExportProduce, uint64(n)); err != nil {
-			t.Fatal(err)
-		}
-		refs, reports, err := core.MulticastTransfer(src, dsts, core.MulticastOptions{Links: links, Flows: flows})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, dst := range dsts {
-			verifyDelivery(t, dst, refs[i], n)
-		}
-		return reports
+	const n = 64 << 10
+	if _, err := src.CallPacked(guest.ExportProduce, uint64(n)); err != nil {
+		t.Fatal(err)
 	}
-	// 1 MB over a dedicated link: 8 ms at 1000 Mbps, 800 ms at 10 Mbps —
-	// each target charged its own link with one flow on it.
-	reports := cast(nil)
-	for i, want := range []time.Duration{8 * time.Millisecond, 800 * time.Millisecond} {
-		if got := reports[i].Breakdown.Network; got < want*9/10 || got > want*11/10 {
-			t.Fatalf("target %d network = %v, want ~%v", i, got, want)
-		}
+	refs, reports, err := core.MulticastTransfer(src, dsts, core.MulticastOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Two flows per link double each link's transmit time.
-	for i, rep := range cast([]int{2, 2}) {
-		if got, base := rep.Breakdown.Network, reports[i].Breakdown.Network; got < base*19/10 || got > base*21/10 {
-			t.Fatalf("target %d with 2 flows: network %v, want ~2x %v", i, got, base)
+	for i, dst := range dsts {
+		verifyDelivery(t, dst, refs[i], n)
+		if reports[i].Mode != "network-multicast" || reports[i].Breakdown.Network != 0 {
+			t.Fatalf("leg %d: mode %q, network %v, want network-multicast and no wire time", i, reports[i].Mode, reports[i].Breakdown.Network)
 		}
 	}
 }

@@ -59,20 +59,9 @@ type ShimConfig struct {
 	Kernel *kernel.Kernel
 	// Module is the guest binary loaded into each function.
 	Module []byte
-	// Now injects a clock (nil = time.Now). The staged pipeline reads the
-	// clock from both stage goroutines, so injected clocks must be safe
-	// for concurrent use.
-	Now func() time.Time
 	// DataHoseBytes sizes the shim's virtual-data-hose pipes
 	// (0 = 4 MiB, set via the simulated F_SETPIPE_SZ).
 	DataHoseBytes int
-	// ChannelIdle bounds how long an unused cached channel (persistent
-	// data hose, see channels.go) survives before the next acquisition
-	// evicts it (0 = DefaultChannelIdle).
-	ChannelIdle time.Duration
-	// ChannelCap bounds the cached channels this shim originates; the
-	// least recently used is evicted beyond it (0 = DefaultChannelCap).
-	ChannelCap int
 }
 
 // Shim is the Roadrunner sidecar: it owns one sandbox process and one Wasm
@@ -90,8 +79,11 @@ type Shim struct {
 	acct     *metrics.Account
 	wasiHost *wasi.Host
 	bundle   Bundle
-	now      func() time.Time
-	hoseCap  int
+	// now is the clock every stopwatch and the channel cache read:
+	// time.Now, which a test may swap for a fake before the shim's first
+	// transfer (export_test.go).
+	now     func() time.Time
+	hoseCap int
 
 	// seq is the shim's position in the pair-lock order (see distinctBySeq).
 	seq uint64
@@ -124,8 +116,10 @@ type Shim struct {
 	chanMisses int64
 	//roadvet:guards chanMu
 	chanEvictions int64
-	chanIdle      time.Duration
-	chanCap       int
+	// chanIdle and chanCap are chanMaxIdle and chanMaxCached, set at
+	// construction like now.
+	chanIdle time.Duration
+	chanCap  int
 }
 
 // shimSeq numbers shims in creation order, the pair-lock order.
@@ -163,23 +157,11 @@ func NewShim(cfg ShimConfig) (*Shim, error) {
 	if len(cfg.Module) == 0 {
 		return nil, errors.New("core: shim requires a guest module binary")
 	}
-	now := cfg.Now
-	if now == nil {
-		now = time.Now
-	}
 	hose := cfg.DataHoseBytes
 	if hose <= 0 {
 		hose = defaultHoseBytes
 	}
-	chanIdle := cfg.ChannelIdle
-	if chanIdle <= 0 {
-		chanIdle = DefaultChannelIdle
-	}
-	chanCap := cfg.ChannelCap
-	if chanCap <= 0 {
-		chanCap = DefaultChannelCap
-	}
-	sw := metrics.NewStopwatch(now)
+	sw := metrics.NewStopwatch(time.Now)
 	acct := &metrics.Account{}
 	proc := cfg.Kernel.NewProc(cfg.Name, acct)
 	s := &Shim{
@@ -189,10 +171,10 @@ func NewShim(cfg ShimConfig) (*Shim, error) {
 		proc:     proc,
 		acct:     acct,
 		wasiHost: wasi.NewHost(proc, acct),
-		now:      now,
+		now:      time.Now,
 		hoseCap:  hose,
-		chanIdle: chanIdle,
-		chanCap:  chanCap,
+		chanIdle: chanMaxIdle,
+		chanCap:  chanMaxCached,
 		module:   cfg.Module,
 		bundle: Bundle{
 			SpecVersion: "1.0.2",

@@ -42,7 +42,7 @@ type Endpoint struct {
 // distinct nodes; Locality uses it to rank cross-node alternatives (any
 // monotone metric works). A nil LinkCost treats all cross-node pairs as
 // equal, which is what the platform passes: every pair of distinct nodes
-// shares one link model (netsim.Topology.LinkBetween).
+// crosses the platform's one modeled link.
 type LinkCost func(a, b string) time.Duration
 
 // State is one function's routing state: a round-robin cursor, per-instance

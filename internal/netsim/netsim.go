@@ -1,8 +1,10 @@
-// Package netsim models the network of the paper's testbed: two (or more)
-// nodes joined by a bandwidth-limited link (100 Mbps, 1 ms RTT in §6.2,
-// shaped with tc). Payload bytes move instantly inside the process; the time
-// they would have spent on the wire is computed analytically and reported as
-// the Network component of a latency breakdown.
+// Package netsim models the network of the paper's testbed: nodes joined by
+// one bandwidth-limited link (100 Mbps, 1 ms RTT in §6.2, shaped with tc).
+// Every pair of distinct nodes crosses that same Link; DefaultLoopback
+// models a node talking to itself, for the baselines. Payload bytes move
+// instantly inside the process; the time they would have spent on the wire
+// is computed analytically and reported as the Network component of a
+// latency breakdown.
 //
 // The model is fluid: concurrent flows on a link share its bandwidth equally,
 // so a flow of B bytes competing with F-1 identical flows completes in
@@ -13,7 +15,6 @@ package netsim
 
 import (
 	"fmt"
-	"sync"
 	"time"
 )
 
@@ -82,65 +83,6 @@ func (l *Link) TransferTime(bytes int64, flows int) time.Duration {
 	return l.rtt + wire
 }
 
-// Topology describes the nodes of a simulated cluster and the links between
-// them. Intra-node traffic uses the loopback link, every other pair the
-// fallback link.
-type Topology struct {
-	mu       sync.Mutex
-	nodes    []string
-	index    map[string]int
-	fallback *Link // used for every pair of distinct nodes
-	loopback *Link // fixed at construction
-}
-
 // DefaultLoopback mirrors in-memory loopback: effectively unconstrained
 // bandwidth with a small fixed latency.
 func DefaultLoopback() *Link { return NewLink(20*Gbps, 50*time.Microsecond) }
-
-// NewTopology creates a topology whose inter-node pairs default to fallback
-// (the paper's 100 Mbps / 1 ms edge–cloud link when nil).
-func NewTopology(fallback *Link) *Topology {
-	if fallback == nil {
-		fallback = NewLink(100*Mbps, time.Millisecond)
-	}
-	return &Topology{
-		index:    make(map[string]int),
-		fallback: fallback,
-		loopback: DefaultLoopback(),
-	}
-}
-
-// AddNode registers a node name, returning its index. Adding an existing
-// name returns the existing index.
-func (t *Topology) AddNode(name string) int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if i, ok := t.index[name]; ok {
-		return i
-	}
-	i := len(t.nodes)
-	t.nodes = append(t.nodes, name)
-	t.index[name] = i
-	return i
-}
-
-// Nodes returns the registered node names in insertion order.
-func (t *Topology) Nodes() []string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]string, len(t.nodes))
-	copy(out, t.nodes)
-	return out
-}
-
-// LinkBetween returns the link used for traffic between two nodes: the
-// loopback for a node and itself, the fallback link otherwise.
-func (t *Topology) LinkBetween(a, b string) *Link {
-	if a == b {
-		return t.Loopback()
-	}
-	return t.fallback
-}
-
-// Loopback returns the intra-node link, DefaultLoopback's.
-func (t *Topology) Loopback() *Link { return t.loopback }

@@ -96,49 +96,10 @@ func TestBandwidthString(t *testing.T) {
 	}
 }
 
-func TestTopologyLinkSelection(t *testing.T) {
-	fallback := NewLink(100*Mbps, time.Millisecond)
-	topo := NewTopology(fallback)
-	topo.AddNode("edge")
-	topo.AddNode("cloud")
-
-	if got := topo.LinkBetween("edge", "edge"); got != topo.Loopback() {
-		t.Fatal("same-node traffic must use loopback")
-	}
-	if got := topo.LinkBetween("edge", "cloud"); got != fallback {
-		t.Fatal("unlinked pair must use fallback")
-	}
-	if got := topo.LinkBetween("cloud", "edge"); got != fallback {
-		t.Fatal("link selection must be order-insensitive")
-	}
-	if got := topo.LinkBetween("edge", "mystery"); got != fallback {
-		t.Fatal("unknown nodes must fall back")
-	}
-}
-
-func TestTopologyDefaultFallback(t *testing.T) {
-	topo := NewTopology(nil)
-	l := topo.LinkBetween("a", "b")
-	if l.Bandwidth() != 100*Mbps || l.RTT() != time.Millisecond {
-		t.Fatalf("default fallback = %v/%v", l.Bandwidth(), l.RTT())
-	}
-}
-
-func TestTopologyAddNodeIdempotent(t *testing.T) {
-	topo := NewTopology(nil)
-	i := topo.AddNode("n1")
-	j := topo.AddNode("n1")
-	if i != j {
-		t.Fatalf("indices differ: %d vs %d", i, j)
-	}
-	if nodes := topo.Nodes(); len(nodes) != 1 || nodes[0] != "n1" {
-		t.Fatalf("nodes = %v", nodes)
-	}
-}
-
-func TestLinkBetweenSelfIsDefaultLoopback(t *testing.T) {
-	topo := NewTopology(nil)
-	l := topo.LinkBetween("x", "x")
+// TestDefaultLoopback pins the loopback model the in-process baselines
+// charge a same-node transfer.
+func TestDefaultLoopback(t *testing.T) {
+	l := DefaultLoopback()
 	if l.Bandwidth() != 20*Gbps || l.RTT() != 50*time.Microsecond {
 		t.Fatalf("loopback = %v/%v, want 20Gbps/50µs", l.Bandwidth(), l.RTT())
 	}

@@ -1,5 +1,5 @@
 // Public-API tests for the staged data-plane pipeline: streaming chains,
-// per-target multicast link modeling, and the pool-parallel fan-out.
+// multicast link modeling, and the pool-parallel fan-out.
 package roadrunner_test
 
 import (
@@ -106,11 +106,11 @@ func TestConcurrentSharedInteriorChainsPublic(t *testing.T) {
 	}
 }
 
-// TestMulticastFlowsOverride: every multicast target owns its delivery and
-// receives the exact payload, and WithFlows overrides the per-link sharing
-// degree (previously silently ignored). Whether each target's wire time is
-// modelled on its own link is internal/core's TestMulticastPerTargetLinks.
-func TestMulticastFlowsOverride(t *testing.T) {
+// TestMulticastTargetsOwnDeliveries: every multicast target owns its
+// delivery and receives the exact payload. How the cross-node legs share
+// the link is TestMulticastSharedLinkSplitsFlows here and internal/core's
+// TestMulticastMixedSetSplits.
+func TestMulticastTargetsOwnDeliveries(t *testing.T) {
 	p := newPlatform(t, roadrunner.WithNodes("edge", "n1", "n2"))
 	src := deploy(t, p, roadrunner.FunctionSpec{Name: "src", Node: "edge"})
 	t1 := deploy(t, p, roadrunner.FunctionSpec{Name: "t1", Node: "n1"})
@@ -120,7 +120,7 @@ func TestMulticastFlowsOverride(t *testing.T) {
 	if err := src.Produce(n); err != nil {
 		t.Fatal(err)
 	}
-	refs, reports, err := p.MulticastCtx(bg, src, []*roadrunner.Function{t1, t2})
+	refs, _, err := p.MulticastCtx(bg, src, []*roadrunner.Function{t1, t2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,21 +131,6 @@ func TestMulticastFlowsOverride(t *testing.T) {
 		sum, err := checksumAtOwner(refs[i])
 		if err != nil || sum != roadrunner.ExpectedChecksum(n) {
 			t.Fatalf("target %d corrupted: %v", i, err)
-		}
-	}
-
-	// Both targets share the default link, two flows on it by default;
-	// four flows double each target's transmit time.
-	if err := src.Produce(n); err != nil {
-		t.Fatal(err)
-	}
-	_, reports2, err := p.MulticastCtx(bg, src, []*roadrunner.Function{t1, t2}, roadrunner.WithFlows(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range reports2 {
-		if got, base := reports2[i].Breakdown.Network, reports[i].Breakdown.Network; got < base*19/10 || got > base*21/10 {
-			t.Fatalf("target %d with 4 flows: network %v, want ~2x %v", i, got, base)
 		}
 	}
 }
@@ -173,6 +158,39 @@ func TestMulticastSharedLinkSplitsFlows(t *testing.T) {
 	for i, rep := range reports {
 		if got := rep.Breakdown.Network; got < want*9/10 || got > want*11/10 {
 			t.Fatalf("target %d network = %v, want ~%v", i, got, want)
+		}
+	}
+}
+
+// TestMulticastMixedSetChargesRemoteLegs: a cast to one co-located and
+// two cross-node targets charges each cross-node leg the link shared by
+// those two legs alone; the co-located leg crosses no wire and takes no
+// share of it.
+func TestMulticastMixedSetChargesRemoteLegs(t *testing.T) {
+	p := newPlatform(t, roadrunner.WithNodes("edge", "cloud"), roadrunner.WithLink(100*roadrunner.Mbps, 0))
+	src := deploy(t, p, roadrunner.FunctionSpec{Name: "src", Node: "edge"})
+	targets := []*roadrunner.Function{
+		deploy(t, p, roadrunner.FunctionSpec{Name: "near", Node: "edge"}),
+		deploy(t, p, roadrunner.FunctionSpec{Name: "far1", Node: "cloud"}),
+		deploy(t, p, roadrunner.FunctionSpec{Name: "far2", Node: "cloud"}),
+	}
+	const n = 1_000_000
+	if err := src.Produce(n); err != nil {
+		t.Fatal(err)
+	}
+	_, reports, err := p.MulticastCtx(bg, src, targets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := reports[0].Breakdown.Network; reports[0].Mode != "kernel-multicast" || got != 0 {
+		t.Fatalf("co-located leg: mode %q, network %v, want kernel-multicast and no wire time", reports[0].Mode, got)
+	}
+	// Two flows on 100 Mbps: 160 ms each for 1 MB, as in
+	// TestMulticastSharedLinkSplitsFlows.
+	want := 160 * time.Millisecond
+	for i := 1; i < len(reports); i++ {
+		if got := reports[i].Breakdown.Network; reports[i].Mode != "network-multicast" || got < want*9/10 || got > want*11/10 {
+			t.Fatalf("leg %d: mode %q, network %v, want network-multicast and ~%v", i, reports[i].Mode, got, want)
 		}
 	}
 }
@@ -385,7 +403,7 @@ func TestFanoutParallelThroughput(t *testing.T) {
 	}
 	sequential := make([]roadrunner.Report, degree)
 	for i, dst := range targets2 {
-		if _, sequential[i], err = p2.TransferCtx(bg, src2, dst, roadrunner.WithFlows(degree)); err != nil {
+		if _, sequential[i], err = p2.TransferCtx(bg, src2, dst); err != nil {
 			t.Fatal(err)
 		}
 	}

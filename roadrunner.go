@@ -163,8 +163,11 @@ var (
 // internal/core), and the registry below is only consulted on the
 // deploy/teardown path, never while payload bytes move.
 type Platform struct {
-	mu   sync.RWMutex // guards kernels and shims (registry, not transfers)
-	topo *netsim.Topology
+	mu sync.RWMutex // guards kernels and shims (registry, not transfers)
+	// link is the one modeled wire between any two distinct nodes; nodes
+	// lists the node names in registration order. Both are fixed by New.
+	link  *netsim.Link
+	nodes []string
 	//roadvet:guards mu
 	kernels map[string]*kernel.Kernel
 	//roadvet:guards mu
@@ -205,8 +208,8 @@ func WithNodes(names ...string) Option {
 	return func(c *platformConfig) { c.nodes = names }
 }
 
-// WithLink sets the default inter-node link (default: 100 Mbps, 1 ms RTT —
-// the paper's testbed, §6.2).
+// WithLink sets the link between any two distinct nodes (default: 100 Mbps,
+// 1 ms RTT — the paper's testbed, §6.2).
 func WithLink(bw Bandwidth, rtt time.Duration) Option {
 	return func(c *platformConfig) { c.link = netsim.NewLink(bw, rtt) }
 }
@@ -235,35 +238,30 @@ func WithHealth(cfg HealthConfig) Option {
 func New(opts ...Option) *Platform {
 	cfg := platformConfig{
 		nodes: []string{"edge", "cloud"},
+		link:  netsim.NewLink(100*netsim.Mbps, time.Millisecond),
 		place: PlacementLocality,
 	}
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	p := &Platform{
-		topo:    netsim.NewTopology(cfg.link),
-		kernels: make(map[string]*kernel.Kernel, len(cfg.nodes)),
+	kernels := make(map[string]*kernel.Kernel, len(cfg.nodes))
+	var nodes []string
+	for _, n := range cfg.nodes {
+		if _, ok := kernels[n]; !ok {
+			nodes = append(nodes, n)
+			kernels[n] = kernel.New(n)
+		}
+	}
+	return &Platform{
+		link:    cfg.link,
+		nodes:   nodes,
+		kernels: kernels,
 		hose:    cfg.hose,
 		state:   core.NewStateStore(),
 		place:   cfg.place,
 		health:  cfg.health,
 		workers: cfg.workers,
 	}
-	for _, n := range cfg.nodes {
-		p.addNode(n)
-	}
-	return p
-}
-
-// addNode registers a node (idempotent).
-func (p *Platform) addNode(name string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if _, ok := p.kernels[name]; ok {
-		return
-	}
-	p.topo.AddNode(name)
-	p.kernels[name] = kernel.New(name)
 }
 
 // Close shuts the platform down in three strict steps: (1) reject new
@@ -488,7 +486,9 @@ func (p *Platform) Deploy(spec FunctionSpec) (*Function, error) {
 type TransferOption func(*transferConfig)
 
 type transferConfig struct {
-	mode      Mode
+	mode Mode
+	// flows is the number of flows modeled as sharing the link: a fan-out
+	// sets its degree; 0 means one.
 	flows     int
 	sourceRef *DataRef
 	srcInst   *Instance
@@ -519,12 +519,6 @@ func putTransferConfig(cfg *transferConfig) {
 // ErrModeUnavailable is returned when the pool has none.
 func WithMode(m Mode) TransferOption {
 	return func(c *transferConfig) { c.mode = m }
-}
-
-// WithFlows declares how many concurrent flows share the inter-node link
-// (fan-out degree) for network-time modeling.
-func WithFlows(n int) TransferOption {
-	return func(c *transferConfig) { c.flows = n }
 }
 
 // WithSourceRef pins the region the transfer reads from the source function
@@ -647,7 +641,7 @@ func (p *Platform) transferCtx(ctx context.Context, src, dst *Function, opts []T
 		return DataRef{}, Report{}, err
 	}
 	cfg := cfgPool.Get().(*transferConfig)
-	*cfg = transferConfig{flows: 1, ctx: ctx}
+	*cfg = transferConfig{ctx: ctx}
 	for _, opt := range opts {
 		opt(cfg)
 	}
@@ -788,10 +782,6 @@ func (p *Platform) transferResolved(si, di *Instance, cfg *transferConfig) (Data
 			mode = ModeNetwork
 		}
 	}
-	flows := cfg.flows
-	if flows <= 0 {
-		flows = 1
-	}
 	srcRef := coreSourceRef(cfg.sourceRef)
 	switch mode {
 	case ModeUserSpace:
@@ -811,11 +801,10 @@ func (p *Platform) transferResolved(si, di *Instance, cfg *transferConfig) (Data
 		if si.node == di.node {
 			return DataRef{}, Report{}, fmt.Errorf("network mode on one node: %w", ErrModeUnavailable)
 		}
-		link := p.topo.LinkBetween(si.node, di.node)
 		ref, rep, err := core.NetworkTransfer(si.inner, di.inner, core.NetworkOptions{
 			Ctx:       cfg.ctx,
-			Link:      link,
-			Flows:     flows,
+			Link:      p.link,
+			Flows:     cfg.flows,
 			SourceRef: srcRef,
 			Gates:     cfg.gates,
 		})
@@ -871,7 +860,7 @@ func (p *Platform) invokeCtx(ctx context.Context, src, dst *Function, n int, opt
 		return nil, err
 	}
 	defer p.endOp()
-	cfg := transferConfig{flows: 1, ctx: ctx}
+	cfg := transferConfig{ctx: ctx}
 	for _, opt := range opts {
 		opt(&cfg)
 	}

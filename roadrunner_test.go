@@ -8,6 +8,7 @@ import (
 	"time"
 
 	roadrunner "github.com/polaris-slo-cloud/roadrunner-go"
+	"github.com/polaris-slo-cloud/roadrunner-go/internal/netsim"
 )
 
 // bg is the context of every test call that is not about cancellation.
@@ -39,6 +40,34 @@ func TestDefaultNodes(t *testing.T) {
 	nodes := roadrunner.TestingNodes(p)
 	if len(nodes) != 2 || nodes[0] != "edge" || nodes[1] != "cloud" {
 		t.Fatalf("nodes = %v", nodes)
+	}
+}
+
+// TestWithNodesDeduplicates: a node named twice is registered once, in the
+// order of its first mention.
+func TestWithNodesDeduplicates(t *testing.T) {
+	p := newPlatform(t, roadrunner.WithNodes("a", "b", "a"))
+	if nodes := roadrunner.TestingNodes(p); len(nodes) != 2 || nodes[0] != "a" || nodes[1] != "b" {
+		t.Fatalf("nodes = %v, want [a b]", nodes)
+	}
+}
+
+// TestDefaultLinkIsTheTestbeds: without WithLink, a cross-node transfer is
+// charged the paper's 100 Mbps, 1 ms RTT link (§6.2), one flow on it.
+func TestDefaultLinkIsTheTestbeds(t *testing.T) {
+	p := newPlatform(t)
+	a := deploy(t, p, roadrunner.FunctionSpec{Name: "a", Node: "edge"})
+	b := deploy(t, p, roadrunner.FunctionSpec{Name: "b", Node: "cloud"})
+	const n = 1_000_000
+	if err := a.Produce(n); err != nil {
+		t.Fatal(err)
+	}
+	_, rep, err := p.TransferCtx(bg, a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := netsim.NewLink(100*netsim.Mbps, time.Millisecond).TransferTime(n, 1); rep.Breakdown.Network != want {
+		t.Fatalf("network time = %v, want %v", rep.Breakdown.Network, want)
 	}
 }
 
