@@ -40,13 +40,14 @@ test:
 ## interpreter's packages, whose instances read one module's compiled code
 ## from different goroutines. The network drain's tests run twenty times at
 ## each P count besides: its two depositors claim pieces of one slot, and the
-## order of their claims is the scheduler's. So do the worker pool's: its
-## Submit/Close race is settled by one CAS whose interleavings depend on the
-## P count
+## order of their claims is the scheduler's. So do the shim hose's, whose
+## stages of different pairs take turns on one pipe, and the worker pool's:
+## its Submit/Close race is settled by one CAS whose interleavings depend on
+## the P count
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -cpu 1,2,4 ./internal/pagebuf ./internal/kernel ./internal/core
-	$(GO) test -race -count=20 -cpu 1,2,4 -run 'Striped|Depositor' ./internal/core
+	$(GO) test -race -count=20 -cpu 1,2,4 -run 'Striped|Depositor|Hose' ./internal/core
 	$(GO) test -race -count=20 -cpu 1,2,4 ./internal/sched
 	$(GO) test -race -cpu 1,2,4 -run 'Transfer|Cancel|Close|Multicast|Fanout' .
 	$(GO) test -race -count=3 ./internal/wasm ./internal/guest ./internal/abi

@@ -24,13 +24,13 @@ const (
 	// per-operation slices (channels, legs, refs, reports, configs), one
 	// drained reference run per target — each leg runs on a pooled pipeline
 	// state and a parked stage worker — and the one extent header of the tee
-	// pass (measured 58, +10 %). Its budget is per operation, not per target
+	// pass (measured 53, +10 %). Its budget is per operation, not per target
 	// — the shared pass is what keeps it from scaling with N payload copies.
-	allocCeilingWarmFanout = 64
+	allocCeilingWarmFanout = 59
 	// A warm multicast of one 1 MiB output to allocFanoutDegree same-node
 	// targets: the same pass without the produce and the worker-pool
-	// bookkeeping of a fan-out (measured 39, +10 %).
-	allocCeilingWarmMulticast = 43
+	// bookkeeping of a fan-out (measured 34, +10 %).
+	allocCeilingWarmMulticast = 38
 )
 
 // allocFanoutDegree sizes the fan-out ceiling probe: enough targets that a

@@ -73,9 +73,7 @@ func (inst *Instance) Health() HealthState { return inst.fn.route.Health(inst.in
 // node-level failure. Installing nil recovers the node. Unknown nodes fail
 // with ErrUnknownNode.
 func (p *Platform) InjectNodeFault(node string, plan *FaultPlan) error {
-	p.mu.RLock()
 	k, ok := p.kernels[node]
-	p.mu.RUnlock()
 	if !ok {
 		return fmt.Errorf("%q: %w", node, ErrUnknownNode)
 	}

@@ -19,8 +19,6 @@ func TestingInstanceFDs(f *Function) []int {
 
 // TestingPoolResident reports the named node kernel's page-pool residency.
 func TestingPoolResident(p *Platform, node string) int64 {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
 	k, ok := p.kernels[node]
 	if !ok {
 		return -1

@@ -30,22 +30,15 @@ const (
 // queued through it any more once both ends are there.
 const kernelSendWindow = 4 * pagebuf.SlabSize
 
-// chanKind distinguishes the channel flavors: the same-node socketpair, the
-// cross-node channel of Algorithm 1, and a multicast's receive-only variant
-// of the latter.
+// chanKind distinguishes the two channel flavors: the same-node socketpair
+// and the cross-node connection of Algorithm 1.
 type chanKind uint8
 
 const (
 	// chanKernel is the same-node socketpair IPC channel (§4.2).
 	chanKernel chanKind = iota
-	// chanNetwork is the cross-node channel: a TCP-like connection plus the
-	// source and target virtual-data-hose pipes of Algorithm 1.
+	// chanNetwork is the cross-node channel: a TCP-like connection.
 	chanNetwork
-	// chanNetworkTarget is connection + target hose, without a source
-	// hose: the ephemeral channels of a multicast's secondary targets,
-	// which receive through their own hose but send through the shared
-	// hose of the fan-out's first channel.
-	chanNetworkTarget
 )
 
 // chanKey identifies one cached channel in its source shim's registry.
@@ -54,26 +47,21 @@ type chanKey struct {
 	kind chanKind
 }
 
-// channel is one persistent data hose between an ordered (source, target)
-// shim pair. The control plane — connection handshake, hose pipe creation,
-// socketpair — runs once at establishment; every subsequent transfer between
-// the pair reuses the descriptors and pays only data-plane syscalls. A
-// channel is used only under its pair lock (Shim.pairLock), which serializes
-// every transfer of the ordered pair, so its descriptors never see two
-// transfers' operations concurrently — the overlapped source and target
-// stages of ONE transfer do touch opposite ends of the channel at the same
-// time, which is exactly what a pipe or socket supports.
+// channel is one persistent connection between an ordered (source, target)
+// shim pair: two socket ends, srcFD in the source's sandbox and dstFD in the
+// target's. The control plane — connection handshake or socketpair — runs
+// once at establishment; every subsequent transfer between the pair reuses
+// the descriptors and pays only data-plane syscalls. The virtual data hose
+// of Algorithm 1 is not the channel's but each shim's own (Shim.hoseR/W). A
+// channel is used only under its pair lock (Shim.pairLock), which
+// serializes every transfer of the ordered pair, so its descriptors never
+// see two transfers' operations concurrently — the overlapped source and
+// target stages of ONE transfer do touch opposite ends of the channel at the
+// same time, which is exactly what a socket supports.
 type channel struct {
-	src, dst *Shim
-	kind     chanKind
-
-	// chanNetwork descriptors.
-	cfd, sfd   int // connection: cfd in src's proc, sfd in dst's proc
-	rfd, wfd   int // source hose pipe (src's proc)
-	trfd, twfd int // target hose pipe (dst's proc)
-
-	// chanKernel descriptors: the socketpair ends.
-	fdA, fdB int
+	src, dst     *Shim
+	kind         chanKind
+	srcFD, dstFD int
 
 	// lastUsed drives idle eviction; guarded by src.chanMu.
 	lastUsed time.Time
@@ -84,7 +72,8 @@ type channel struct {
 	// currently holding the channel; a pinned channel is excluded from
 	// idle/LRU eviction. Stage-scoped transfers hold channels without any
 	// VM lock, so pinning is what keeps a concurrent transfer of another
-	// pair from evicting a hose that is mid-payload. Guarded by src.chanMu.
+	// pair from evicting a connection that is mid-payload. Guarded by
+	// src.chanMu.
 	pins int
 }
 
@@ -110,35 +99,29 @@ func (c *channel) unpin() {
 }
 
 // establishChannel issues the control-plane syscalls for a fresh channel.
-// Callers hold both shims' VM locks and have validated placement (same
-// kernel for chanKernel, different kernels for chanNetwork).
+// Callers hold the pair lock and have validated placement (same kernel for
+// chanKernel, different kernels for chanNetwork).
 func establishChannel(src, dst *Shim, kind chanKind) (*channel, error) {
 	c := &channel{src: src, dst: dst, kind: kind}
-	switch kind {
-	case chanKernel:
-		fdA, fdB, err := kernel.SocketPairSized(src.proc, dst.proc, kernelSendWindow)
-		if err != nil {
-			return nil, err
-		}
-		c.fdA, c.fdB = fdA, fdB
-	case chanNetwork:
-		c.cfd, c.sfd = kernel.Connect(src.proc, dst.proc)
-		c.rfd, c.wfd = src.proc.PipeSized(src.hoseCap)
-		c.trfd, c.twfd = dst.proc.PipeSized(dst.hoseCap)
-	case chanNetworkTarget:
-		c.cfd, c.sfd = kernel.Connect(src.proc, dst.proc)
-		c.trfd, c.twfd = dst.proc.PipeSized(dst.hoseCap)
+	if kind == chanNetwork {
+		c.srcFD, c.dstFD = kernel.Connect(src.proc, dst.proc)
+		return c, nil
 	}
+	fdA, fdB, err := kernel.SocketPairSized(src.proc, dst.proc, kernelSendWindow)
+	if err != nil {
+		return nil, err
+	}
+	c.srcFD, c.dstFD = fdA, fdB
 	return c, nil
 }
 
 // destroy tears the channel down: it is removed from both shims' registries
-// and every descriptor on both sides is closed (draining any stranded
-// payload back to the page pool). Called on idle/LRU eviction, on shim
-// Close, after every per-call (uncached) transfer, and on transfer errors —
-// a failed transfer may leave bytes queued in the hose, so the channel is
-// poisoned and must not be reused. Destroy is idempotent: descriptors never
-// recycle in the simulated kernel, so a second close is a harmless EBADF.
+// and both socket ends are closed (draining any stranded payload back to
+// the page pool). Called on idle/LRU eviction, on shim Close, after every
+// per-call (uncached) transfer, and on transfer errors — a failed transfer
+// may leave bytes queued in the socket, so the channel is poisoned and must
+// not be reused. Destroy is idempotent: descriptors never recycle in the
+// simulated kernel, so a second close is a harmless EBADF.
 func (c *channel) destroy() {
 	if c.cached {
 		c.src.chanMu.Lock()
@@ -153,27 +136,12 @@ func (c *channel) destroy() {
 	c.closeFDs()
 }
 
-// closeFDs closes every descriptor on both sides of the channel, draining
-// any stranded payload back to the page pool. Closing an already-closed
-// descriptor is a harmless EBADF (descriptors never recycle).
+// closeFDs closes both socket ends, draining any stranded payload back to
+// the page pool. Closing an already-closed descriptor is a harmless EBADF
+// (descriptors never recycle).
 func (c *channel) closeFDs() {
-	switch c.kind {
-	case chanKernel:
-		_ = c.src.proc.Close(c.fdA)
-		_ = c.dst.proc.Close(c.fdB)
-	case chanNetwork:
-		_ = c.src.proc.Close(c.rfd)
-		_ = c.src.proc.Close(c.wfd)
-		_ = c.src.proc.Close(c.cfd)
-		_ = c.dst.proc.Close(c.trfd)
-		_ = c.dst.proc.Close(c.twfd)
-		_ = c.dst.proc.Close(c.sfd)
-	case chanNetworkTarget:
-		_ = c.src.proc.Close(c.cfd)
-		_ = c.dst.proc.Close(c.trfd)
-		_ = c.dst.proc.Close(c.twfd)
-		_ = c.dst.proc.Close(c.sfd)
-	}
+	_ = c.src.proc.Close(c.srcFD)
+	_ = c.dst.proc.Close(c.dstFD)
 }
 
 // acquireChannel returns the persistent src→dst channel of the given kind,
@@ -344,7 +312,7 @@ func (s *Shim) pairLock(dst *Shim, kind chanKind) *sync.Mutex {
 // peer reset the cache cannot see. The next transfer acquiring a poisoned
 // channel gets a cache hit, fails its first data-plane call with EBADF, and
 // the failure path destroys the channel (idempotently — descriptors never
-// recycle) so a later transfer of the pair re-establishes a fresh hose.
+// recycle) so a later transfer of the pair re-establishes a fresh channel.
 // Returns the number of channels poisoned. It is the channel-level fault of
 // the chaos taxonomy; node- and shim-level faults are injected at the
 // kernel layer.
@@ -365,7 +333,7 @@ func (s *Shim) PoisonChannels() int {
 // originates, draining stranded pages and closing descriptors. Chaos tests
 // use it to quiesce a deployment back to a channel-free steady state before
 // comparing conservation baselines, since randomized rerouting establishes
-// hoses for pairs the baseline snapshot never saw.
+// channels for pairs the baseline snapshot never saw.
 func (s *Shim) PruneChannels() int {
 	s.chanMu.Lock()
 	victims := make([]*channel, 0, len(s.channels))
@@ -402,7 +370,7 @@ func (s *Shim) closeChannels() {
 	}
 }
 
-// ChannelStats counts persistent-hose cache activity for one shim (or,
+// ChannelStats counts channel-cache activity for one shim (or,
 // aggregated, for a whole deployment): Hits and Misses split warm from cold
 // transfers, Evictions counts idle/LRU teardowns, and Active is the number
 // of channels currently cached with this shim as the source.

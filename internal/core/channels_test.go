@@ -101,8 +101,8 @@ func TestWarmTransfersIssueZeroSetupSyscalls(t *testing.T) {
 		}
 
 		srcSys, dstSys, setup, copies := run()
-		if srcSys != 6 || dstSys != 6 { // connect+pipe+(vmsplice+splice)*2 / connect+pipe+(splice+readrefs)*2
-			t.Fatalf("cold syscalls = %d/%d, want 6/6", srcSys, dstSys)
+		if srcSys != 5 || dstSys != 5 { // connect+(vmsplice+splice)*2 / connect+(splice+readrefs)*2
+			t.Fatalf("cold syscalls = %d/%d, want 5/5", srcSys, dstSys)
 		}
 		if setup <= 0 {
 			t.Fatal("cold transfer reported no Setup time")
@@ -229,8 +229,8 @@ func TestChannelIdleAndLRUEviction(t *testing.T) {
 	if st.Active != 1 || st.Evictions != 1 || st.Misses != 2 {
 		t.Fatalf("after LRU eviction: %+v", st)
 	}
-	if got := sb.Proc().NumFDs(); got != fbFDs-3 {
-		t.Fatalf("evicted target still holds FDs: %d, want %d", got, fbFDs-3)
+	if got := sb.Proc().NumFDs(); got != fbFDs-1 {
+		t.Fatalf("evicted target still holds FDs: %d, want %d", got, fbFDs-1)
 	}
 
 	// Idle: advance past the idle bound; the next acquisition (for b) evicts
@@ -310,8 +310,8 @@ func TestShimCloseTearsDownChannelsBothDirections(t *testing.T) {
 	if _, _, err := core.NetworkTransfer(fa, fb, core.NetworkOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if got := s2.Proc().NumFDs(); got != dstBase+3 {
-		t.Fatalf("cached channel holds %d target FDs, want 3", got-dstBase)
+	if got := s2.Proc().NumFDs(); got != dstBase+1 {
+		t.Fatalf("cached channel holds %d target FDs, want 1", got-dstBase)
 	}
 	// Closing the SOURCE shim must close the descriptors the channel pinned
 	// in the target's FD table.
@@ -408,10 +408,9 @@ func TestTransferErrorPathsConserveFDsAndPages(t *testing.T) {
 				return err
 			}}
 		case "multicast-same-node", "multicast-mixed":
-			// Same-node: every target shares the source's kernel, so the tee
-			// pass runs over the call's own hose pipe, which every exit must
-			// close. Mixed: one co-located and one remote target, the remote
-			// connection's hose doubling as the shared one.
+			// Same-node: every target shares the source's kernel, so every
+			// leg is a socketpair. Mixed: one co-located and one remote
+			// target, teed from the one source hose.
 			k1 := kernel.New("edge")
 			s1 := mkShim("src", k1)
 			fa := addFn(t, s1, "a")

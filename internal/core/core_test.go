@@ -220,9 +220,10 @@ func TestNetworkTransfer(t *testing.T) {
 
 // TestAlgorithm1SyscallTrace pins the syscall sequence of network transfers
 // to Algorithm 1's structure across the channel-cache lifecycle. Cold (first
-// transfer of a pair): connect, hose creation, one vmsplice+splice pair per
-// chunk on the source, splice+readrefs per chunk on the target — teardown
-// belongs to channel eviction, not the transfer. Warm: the per-chunk data
+// transfer of a pair): connect, one vmsplice+splice pair per chunk on the
+// source, splice+readrefs per chunk on the target — the hoses are the
+// shims', created with them, and teardown belongs to channel eviction, not
+// the transfer. Warm: the per-chunk data
 // plane only, zero connect/pipe syscalls. NoChannelCache: the paper's
 // original per-call trace including close_all.
 func TestAlgorithm1SyscallTrace(t *testing.T) {
@@ -260,12 +261,12 @@ func TestAlgorithm1SyscallTrace(t *testing.T) {
 		return s1.Account().Snapshot().Sub(srcBefore), s2.Account().Snapshot().Sub(dstBefore)
 	}
 
-	// Cold: connect(1) + pipe(1) + per chunk (vmsplice 1 + splice 1)*3 = 8
-	// on the source; connect(1) + pipe(1) + (splice 1 + readrefs 1)*3 = 8
-	// on the target. No per-call teardown — the hose persists.
+	// Cold: connect(1) + per chunk (vmsplice 1 + splice 1)*3 = 7 on the
+	// source; connect(1) + (splice 1 + readrefs 1)*3 = 7 on the target. No
+	// per-call teardown — the connection persists.
 	src, dst := trace(core.NetworkOptions{})
-	if src.Syscalls != 8 || dst.Syscalls != 8 {
-		t.Fatalf("cold syscalls = %d/%d, want 8/8", src.Syscalls, dst.Syscalls)
+	if src.Syscalls != 7 || dst.Syscalls != 7 {
+		t.Fatalf("cold syscalls = %d/%d, want 7/7", src.Syscalls, dst.Syscalls)
 	}
 	if src.TotalCopyBytes() != 0 {
 		t.Fatalf("source copied %d bytes, want 0", src.TotalCopyBytes())
@@ -286,10 +287,10 @@ func TestAlgorithm1SyscallTrace(t *testing.T) {
 	}
 
 	// NoChannelCache: the original per-call trace, teardown included —
-	// 8 + close rfd, wfd, cfd (3) = 11 per side.
+	// 7 + close of the socket end (1) = 8 per side.
 	src, dst = trace(core.NetworkOptions{NoChannelCache: true})
-	if src.Syscalls != 11 || dst.Syscalls != 11 {
-		t.Fatalf("uncached syscalls = %d/%d, want 11/11", src.Syscalls, dst.Syscalls)
+	if src.Syscalls != 8 || dst.Syscalls != 8 {
+		t.Fatalf("uncached syscalls = %d/%d, want 8/8", src.Syscalls, dst.Syscalls)
 	}
 }
 

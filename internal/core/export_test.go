@@ -52,3 +52,15 @@ func SetChannelLimits(s *Shim, now func() time.Time, idle time.Duration, cap int
 		s.chanCap = cap
 	}
 }
+
+// HoseQueued reports the bytes queued in s's hose, read under its VM lock:
+// zero whenever no stage holds the lock.
+func HoseQueued(s *Shim) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n, err := s.proc.Pending(s.hoseR)
+	if err != nil {
+		return -1
+	}
+	return n
+}

@@ -39,13 +39,12 @@ type MulticastOptions struct {
 // Targets may live anywhere except inside the source's own VM. A target
 // co-located on the source's node receives through the same-node socketpair
 // channel (§4.2): its drain pops the teed page references straight off its
-// socket into linear memory, no hose pipes and no wire — the cheapest legs
-// of a fan-out. A cross-node target receives over the network channel's
-// target hose as in unicast Algorithm 1. Mixed sets split naturally: one
+// socket into linear memory, no target hose and no wire — the cheapest legs
+// of a fan-out. A cross-node target receives over a network channel into its
+// own shim's hose as in unicast Algorithm 1. Mixed sets split naturally: one
 // tee group feeds same-node sockets and cross-node connections from the same
-// source pass. The tee pass runs over the first cross-node channel's source
-// hose; an all-local fan-out creates a per-call hose pipe instead, closed
-// (and drained) by the transfer itself.
+// source pass over the source shim's hose (Function.source, the network
+// egress's own source stage).
 //
 // The fan-out is the staged pipeline of pipeline.go with one egress and N
 // ingress stages: the source VM is locked only for the tee pass, whose
@@ -103,32 +102,22 @@ func MulticastTransfer(src *Function, dsts []*Function, opts MulticastOptions) (
 		}
 	}
 
-	// One channel per target through the unicast acquire/release helpers:
-	// connection + target hose for cross-node targets, the IPC socketpair
-	// for same-node ones. Two targets inside one shim would collide on the
-	// pair's cached channel, so every leg but a shim's first gets an
-	// ephemeral channel. The first cross-node channel's source hose doubles
-	// as the shared multicast hose.
+	// One channel per target through the unicast acquire/release helpers: a
+	// connection for cross-node targets, the IPC socketpair for same-node
+	// ones. Two targets inside one shim would collide on the pair's cached
+	// channel, so every leg but a shim's first gets an ephemeral channel.
 	chans := make([]*channel, len(dsts))
 	setups := make([]time.Duration, len(dsts))
 	legs := make([]*pipelineState, len(dsts))
 	announced, released := false, false
-	hoseR, hoseW := -1, -1
-	ownHose := false
-	// release tears the fan-out's channels down, once. The per-call hose
-	// always closes — control-plane closes are never fault-intercepted, and
-	// closing the read end drains any pages a failed tee pass stranded back
-	// to their pool. A failure before the announce left every channel
-	// pristine; after it, any channel may hold stranded pages.
+	// release tears the fan-out's channels down, once. A failure before the
+	// announce left every channel pristine; after it, any channel may hold
+	// stranded pages.
 	release := func(healthy bool) {
 		if released {
 			return
 		}
 		released = true
-		if ownHose {
-			_ = srcShim.proc.Close(hoseW)
-			_ = srcShim.proc.Close(hoseR)
-		}
 		for _, c := range chans {
 			if c != nil {
 				releaseTransferChannel(c, !c.cached, healthy)
@@ -145,114 +134,23 @@ func MulticastTransfer(src *Function, dsts []*Function, opts MulticastOptions) (
 		release(!announced)
 	}()
 	for i, dst := range dsts {
-		kind := chanKindFor(dst.shim)
-		ephemeral := first[dst.shim] != i
-		if ephemeral && kind == chanNetwork && hoseR >= 0 {
-			// An ephemeral leg into a remote shim skips the source hose:
-			// the first cross-node channel already supplies the fan-out's
-			// shared tee hose, so the leg needs only a connection and a
-			// target hose.
-			kind = chanNetworkTarget
-		}
-		c, setup, err := acquireTransferChannel(srcShim, dst.shim, kind, ephemeral)
+		c, setup, err := acquireTransferChannel(srcShim, dst.shim, chanKindFor(dst.shim), first[dst.shim] != i)
 		if err != nil {
 			return nil, nil, fmt.Errorf("multicast channel to %s: %w", dst.name, err)
 		}
 		chans[i], setups[i] = c, setup
-		if hoseR < 0 && c.kind == chanNetwork {
-			hoseR, hoseW = c.rfd, c.wfd
-		}
-	}
-	if hoseR < 0 {
-		// All targets are same-node: no network channel supplies a source
-		// hose, so the tee pass runs over a per-call pipe owned (and always
-		// closed) by this transfer — see the deferred teardown above. Its
-		// establishment is charged once, and reported with the first leg.
-		sw := metrics.NewStopwatch(srcShim.now)
-		hoseR, hoseW = srcShim.proc.PipeSized(srcShim.hoseCap)
-		ownHose = true
-		lap := sw.Lap()
-		srcShim.acct.CPU(metrics.Kernel, lap)
-		setups[0] += lap
-	}
-	for i, dst := range dsts {
 		st := statePool.Get().(*pipelineState)
 		st.spec = pipelineSpec{ctx: opts.Ctx, gates: opts.Gates, dst: dst, ops: networkOps{}}
-		st.ch = chans[i]
+		st.ch = c
 		legs[i] = st
 	}
 
 	// Source stage under the source VM lock alone: locate + zero-copy view
 	// (Wasm IO), the announce that dispatches every leg, then the single tee
-	// pass over the shared hose.
-	var (
-		out       OutputRef
-		srcWasmIO time.Duration
-		sendT     time.Duration
-	)
-	outFD := func(c *channel) int {
-		if c.kind == chanKernel {
-			return c.fdA
-		}
-		return c.cfd
-	}
-	srcShim.mu.Lock()
-	eerr := func() error {
-		swIO := metrics.NewStopwatch(srcShim.now)
-		o, err := src.sourceOutput(opts.SourceRef)
-		if err != nil {
-			return err
-		}
-		view, err := src.view.ReadView(o.Ptr, o.Len)
-		if err != nil {
-			return err
-		}
-		out = o
-		srcWasmIO = swIO.Lap()
-		srcShim.acct.CPU(metrics.User, srcWasmIO)
-		for _, st := range legs {
-			st.announce(out) // legs drain while the chunks below still flow
-		}
-		announced = true
-
-		// Single hose, chunk-by-chunk: tee to all but the last target,
-		// splice to the last.
-		swT := metrics.NewStopwatch(srcShim.now)
-		last := len(dsts) - 1
-		for off := 0; off < len(view); {
-			if err := CtxErr(opts.Ctx); err != nil {
-				return err
-			}
-			chunk := min(len(view)-off, srcShim.hoseCap)
-			if _, err := srcShim.proc.Vmsplice(hoseW, view[off:off+chunk]); err != nil {
-				return fmt.Errorf("multicast vmsplice: %w", err)
-			}
-			for i, c := range chans[:last] {
-				// tee(2) does not consume the pipe, so one call covers the
-				// whole (fully queued) chunk; a short clone would duplicate
-				// its prefix again and must be treated as a fault.
-				n, err := srcShim.proc.Tee(hoseR, outFD(c), chunk)
-				if err != nil {
-					return fmt.Errorf("multicast tee to %s: %w", dsts[i].name, err)
-				}
-				if n != chunk {
-					return fmt.Errorf("multicast tee to %s: short clone %d of %d", dsts[i].name, n, chunk)
-				}
-			}
-			for moved := 0; moved < chunk; {
-				n, err := srcShim.proc.Splice(hoseR, outFD(chans[last]), chunk-moved)
-				if err != nil {
-					return fmt.Errorf("multicast splice to %s: %w", dsts[last].name, err)
-				}
-				moved += n
-			}
-			off += chunk
-		}
-		sendT = swT.Lap()
-		srcShim.acct.CPU(metrics.Kernel, sendT)
-		return nil
-	}()
-	srcShim.mu.Unlock()
+	// pass over the source shim's hose.
+	var em stageMetrics
+	out, eerr := src.source(opts.Ctx, opts.SourceRef, legs, &em)
+	announced = legs[0].announced
 	if !announced {
 		return nil, nil, eerr
 	}
@@ -292,8 +190,8 @@ func MulticastTransfer(src *Function, dsts []*Function, opts MulticastOptions) (
 	}
 
 	// Tear down before the usage snapshot, as runPipeline releases before
-	// its own: the closes of the per-call hose and of ephemeral channels are
-	// part of the transfer the reports account for.
+	// its own: the closes of ephemeral channels are part of the transfer the
+	// reports account for.
 	release(true)
 
 	// The source-side cost is shared across targets: each leg's report
@@ -302,8 +200,8 @@ func MulticastTransfer(src *Function, dsts []*Function, opts MulticastOptions) (
 	// first leg.
 	srcUsage := srcShim.acct.Snapshot().Sub(beforeSrc)
 	srcShare := stageMetrics{
-		transfer: sendT / time.Duration(len(dsts)),
-		wasmIO:   srcWasmIO / time.Duration(len(dsts)),
+		transfer: em.transfer / time.Duration(len(dsts)),
+		wasmIO:   em.wasmIO / time.Duration(len(dsts)),
 	}
 	remote := 0
 	for _, c := range chans {

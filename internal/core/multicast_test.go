@@ -199,32 +199,38 @@ func TestMulticastSameNodeSpansHose(t *testing.T) {
 	}
 }
 
-// TestMulticastSameNodeClosesHose pins the success path of the per-call
-// hose: an all-same-node fan-out tees over a pipe of its own, and once the
-// pair channels are cached a further call leaves the source holding exactly
-// the descriptors it held before.
-func TestMulticastSameNodeClosesHose(t *testing.T) {
+// TestWarmSameNodeMulticastOpensNothing pins the warm all-same-node
+// fan-out: once the pair channels are cached, a further call tees over the
+// source shim's own hose and issues only the data plane on the source —
+// one vmsplice, one tee and one splice for this one-chunk payload, no pipe
+// and no close — leaving it holding exactly the descriptors it held before.
+func TestWarmSameNodeMulticastOpensNothing(t *testing.T) {
 	k := kernel.New("edge")
 	sSrc := newShim(t, "src", k)
 	src := addFn(t, sSrc, "src")
 	dsts := []*core.Function{addFn(t, newShim(t, "s0", k), "t0"), addFn(t, newShim(t, "s1", k), "t1")}
 	const n = 300_000
-	cast := func() {
+	cast := func() int64 {
 		t.Helper()
 		if _, err := src.CallPacked(guest.ExportProduce, uint64(n)); err != nil {
 			t.Fatal(err)
 		}
+		before := sSrc.Account().Snapshot()
 		refs, _, err := core.MulticastTransfer(src, dsts, core.MulticastOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		syscalls := sSrc.Account().Snapshot().Sub(before).Syscalls
 		for i, dst := range dsts {
 			verifyDelivery(t, dst, refs[i], n)
 		}
+		return syscalls
 	}
 	cast() // caches the source's channel to each target
 	fds := sSrc.Proc().NumFDs()
-	cast()
+	if got := cast(); got != 3 {
+		t.Fatalf("warm multicast issued %d source syscalls, want 3 (vmsplice, tee, splice)", got)
+	}
 	if got := sSrc.Proc().NumFDs(); got != fds {
 		t.Fatalf("source holds %d descriptors after a multicast, want %d", got, fds)
 	}
@@ -426,10 +432,10 @@ func TestKernelTeeSemantics(t *testing.T) {
 }
 
 // TestMulticastReportsSumToAccounts: a fan-out's reports add up to what its
-// accounts charged. The per-call hose's closes and the ephemeral channels'
-// teardown belong to some leg's report, and a VM holding two legs is counted
-// once, not once per leg. Cold (first call, channels established) and warm,
-// for distinct same-node targets and for a set with two targets in one VM.
+// accounts charged. The ephemeral channels' teardown belongs to some leg's
+// report, and a VM holding two legs is counted once, not once per leg. Cold
+// (first call, channels established) and warm, for distinct same-node
+// targets and for a set with two targets in one VM.
 func TestMulticastReportsSumToAccounts(t *testing.T) {
 	const n = 1 << 20
 	for _, c := range []struct {

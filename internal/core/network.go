@@ -24,11 +24,11 @@ type NetworkOptions struct {
 	// (fan-out degree); values < 1 mean 1.
 	Flows int
 	// NoChannelCache forces per-call channel establishment and teardown
-	// (connection + hose pipes created and closed around every transfer —
-	// the paper's per-call Algorithm 1, kept as the reference syscall
-	// trace the cached path is checked against). By default the channel is
-	// cached and reused across transfers of the same shim pair, so warm
-	// transfers issue zero connect/pipe syscalls.
+	// (the connection is created and closed around every transfer — the
+	// paper's per-call Algorithm 1, kept as the reference syscall trace the
+	// cached path is checked against). By default the channel is cached and
+	// reused across transfers of the same shim pair, so warm transfers
+	// issue zero connect syscalls.
 	NoChannelCache bool
 	// SourceRef pins the source region (see UserOptions.SourceRef).
 	SourceRef *OutputRef
@@ -51,10 +51,11 @@ type NetworkOptions struct {
 // hose drains into linear memory, and the target drains chunk k while the
 // source vmsplices chunk k+1.
 //
-// The control plane — connection handshake and hose pipes — is a cached
-// channel (channels.go): only the first transfer between a shim pair pays
-// it (reported as Breakdown.Setup), and warm transfers issue zero
-// connect/pipe syscalls. Teardown moves from per-call close_all to channel
+// The control plane is split: each shim creates its hose pipe once, with
+// its sandbox, and the connection is a cached channel (channels.go): only
+// the first transfer between a shim pair pays it (reported as
+// Breakdown.Setup), and warm transfers issue zero connect/pipe syscalls.
+// Teardown moves from per-call close_all to channel
 // eviction and shim Close; NoChannelCache restores the per-call behavior.
 // That is the only variant: the copies and the serialization Algorithm 1
 // avoids are measured by the runC and WasmEdge baselines (DESIGN.md §5),
@@ -99,87 +100,109 @@ func hoseChunks(out OutputRef, hoseCap int) int {
 // pipelineState.
 type networkOps struct{}
 
-// egress is FunctionA's side of Algorithm 1 (lines 1-13): locate the
-// output region, take the zero-copy view, then vmsplice each chunk into the
-// data hose and splice it onward into the socket. Runs under the source VM
-// lock.
+// egress is FunctionA's side of Algorithm 1 (lines 1-13) for one target:
+// the source stage every multicast shares too (Function.source).
 func (networkOps) egress(st *pipelineState) (OutputRef, error) {
-	sp := &st.spec
-	f := sp.src
-	s := f.shim
-	ch := st.ch
+	legs := [1]*pipelineState{st}
+	return st.spec.src.source(st.spec.ctx, st.spec.sourceRef, legs[:], &st.em)
+}
 
-	// Algorithm 1 lines 1-4: locate the output region.
-	swIO := metrics.NewStopwatch(s.now)
-	out, err := f.sourceOutput(sp.sourceRef)
+// source is the source stage of a network transfer and of a multicast, under
+// the source VM lock alone: locate the output region and take its zero-copy
+// view (Wasm IO, charged to m), announce the region to every leg — the legs
+// drain while the chunks still flow — and push the payload through the
+// shim's hose into every leg's channel (the transfer, charged to m). A
+// failure before the announce dispatched no leg.
+func (f *Function) source(ctx context.Context, pinned *OutputRef, legs []*pipelineState, m *stageMetrics) (OutputRef, error) {
+	s := f.shim
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	// Algorithm 1 lines 1-4 and read_memory_host.
+	sw := metrics.NewStopwatch(s.now)
+	out, err := f.sourceOutput(pinned)
 	if err != nil {
 		return OutputRef{}, err
 	}
-	locT := swIO.Lap()
-	s.acct.CPU(metrics.User, locT)
-	st.em.wasmIO += locT
-
-	// read_memory_host: zero-copy view of the source region.
-	swIO2 := metrics.NewStopwatch(s.now)
 	view, err := f.view.ReadView(out.Ptr, out.Len)
 	if err != nil {
 		return OutputRef{}, err
 	}
-	viewT := swIO2.Lap()
-	s.acct.CPU(metrics.User, viewT)
-	st.em.wasmIO += viewT
-	st.announce(out)
-
-	// network_data_transfer_source (Algorithm 1 lines 6-13).
+	ioT := sw.Lap()
+	s.acct.CPU(metrics.User, ioT)
+	m.wasmIO += ioT
+	for _, st := range legs {
+		st.announce(out)
+	}
 	swT := metrics.NewStopwatch(s.now)
+	err = s.push(ctx, view, legs)
+	sendT := swT.Lap()
+	s.acct.CPU(metrics.Kernel, sendT)
+	m.transfer += sendT
+	return out, err
+}
+
+// push is network_data_transfer_source (Algorithm 1 lines 6-13) for one
+// target or a tee group. Per hose chunk: vmsplice(vdh, address, length)
+// gifts the guest pages into the shim's hose without copying; tee(2) clones
+// the page references into the socket of every leg but the last, and
+// splice(vdh, socket, length) moves them into the last leg's. The hose is
+// empty after every chunk; a failure mid-chunk resets it. Callers hold s's
+// VM lock; ctx is polled per chunk.
+func (s *Shim) push(ctx context.Context, view []byte, legs []*pipelineState) error {
+	last := legs[len(legs)-1].ch
 	for off := 0; off < len(view); {
-		if err := CtxErr(sp.ctx); err != nil {
-			return OutputRef{}, err
+		if err := CtxErr(ctx); err != nil {
+			return err
 		}
-		chunk := len(view) - off
-		if chunk > s.hoseCap {
-			chunk = s.hoseCap
+		chunk := min(len(view)-off, s.hoseCap)
+		if _, err := s.proc.Vmsplice(s.hoseW, view[off:off+chunk]); err != nil {
+			return s.resetHose(fmt.Errorf("vmsplice: %w", err))
 		}
-		// vmsplice(vdh, address, length): gift the guest pages into
-		// the hose without copying.
-		if _, err := s.proc.Vmsplice(ch.wfd, view[off:off+chunk]); err != nil {
-			return OutputRef{}, fmt.Errorf("vmsplice: %w", err)
-		}
-		// splice(vdh, socket, length): move page references to the
-		// socket.
-		for moved := 0; moved < chunk; {
-			n, err := s.proc.Splice(ch.rfd, ch.cfd, chunk-moved)
+		for _, st := range legs[:len(legs)-1] {
+			// tee(2) does not consume the pipe, so one call covers the
+			// whole (fully queued) chunk; a short clone would duplicate its
+			// prefix again and must be treated as a fault.
+			n, err := s.proc.Tee(s.hoseR, st.ch.srcFD, chunk)
+			if err == nil && n != chunk {
+				err = fmt.Errorf("short clone %d of %d", n, chunk)
+			}
 			if err != nil {
-				return OutputRef{}, fmt.Errorf("splice out: %w", err)
+				return s.resetHose(fmt.Errorf("tee to %s: %w", st.ch.dst.name, err))
+			}
+		}
+		for moved := 0; moved < chunk; {
+			n, err := s.proc.Splice(s.hoseR, last.srcFD, chunk-moved)
+			if err != nil {
+				return s.resetHose(fmt.Errorf("splice to %s: %w", last.dst.name, err))
 			}
 			moved += n
 		}
 		off += chunk
 	}
-	sendT := swT.Lap()
-	s.acct.CPU(metrics.Kernel, sendT)
-	st.em.transfer += sendT
-	return out, nil
+	return nil
 }
 
-// ingress is FunctionB's side of Algorithm 1 (lines 15-29): allocate
-// target memory, then splice each chunk from the socket into the target hose
-// and deposit its pages into linear memory — the single unavoidable copy of
-// the near-zero-copy path (network_data_transfer_target, lines 21-29). Runs
-// under the target VM lock.
+// ingress is FunctionB's side of Algorithm 1 (lines 15-29), under the target
+// VM lock alone: allocate target memory, then splice each chunk from the
+// socket into the target shim's hose and deposit its pages into linear
+// memory — the single unavoidable copy of the near-zero-copy path
+// (network_data_transfer_target, lines 21-29).
 //
 // It is also every multicast leg's ingress. A cross-node leg is the same
-// target half of Algorithm 1; a same-node leg has no target hose and pops
-// the teed page references straight off its socketpair end. Either leg
-// drains alone (drainHose's plain loop), and its descriptors stay open:
-// teardown belongs to the channel's lifecycle.
+// target half of Algorithm 1; a same-node leg skips the hose and pops the
+// teed page references straight off its socketpair end. Either leg drains
+// alone (drainHose's plain loop), and its descriptors stay open: teardown
+// belongs to the channel's lifecycle.
 func (networkOps) ingress(st *pipelineState, out OutputRef) (InboundRef, error) {
 	f := st.spec.dst
+	s := f.shim
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	dstPtr, wv, err := ingressRegion(f, out.Len, &st.im)
 	if err != nil {
 		return InboundRef{}, err
 	}
-	if err := drainHose(f.shim, st.spec.ctx, wv, st.ch, &st.im, st); err != nil {
+	if err := drainHose(s, st.spec.ctx, wv, st.ch, &st.im, st); err != nil {
 		return ingressAbort(f, dstPtr, err)
 	}
 	return InboundRef{Ptr: dstPtr, Len: out.Len}, nil
@@ -193,13 +216,13 @@ const depositPiece = 256 << 10
 // drainHose is the receive loop every zero-copy ingress shares
 // (network_data_transfer_target, Algorithm 1 lines 21-29): per hose-sized
 // chunk, splice(socket_fd, target_vdh, length) moves the page references
-// from ch's socket into its target hose, then write_memory_host takes them
-// off the hose and deposits them directly into wv, the target VM's linear
-// memory — the single unavoidable copy of the near-zero-copy path. A
-// same-node fan-out leg has no hose to splice into: its socketpair IS the
-// channel, and the references come straight off the socket. Callers hold the
-// target's VM lock; ctx (nil = never cancelled) is polled at every chunk
-// boundary.
+// from ch's socket into s's hose, then write_memory_host takes them off the
+// hose and deposits them directly into wv, the target VM's linear memory —
+// the single unavoidable copy of the near-zero-copy path. A same-node
+// fan-out leg needs no hose: the references come straight off its
+// socketpair end. Callers hold the target's VM lock; ctx (nil = never
+// cancelled) is polled at every chunk boundary, and a failure mid-chunk
+// resets the hose.
 //
 // When st's spec is striped — a unicast transfer of more than one piece,
 // whose caller goroutine serves the deposit slot at the join (awaitIngress) —
@@ -222,9 +245,9 @@ const depositPiece = 256 << 10
 // depositor — each charges its own copy time to the target shim's User
 // account, and the yield and the wait at the join are charged to nobody.
 func drainHose(s *Shim, ctx context.Context, wv []byte, ch *channel, m *stageMetrics, st *pipelineState) error {
-	rfd := ch.trfd
+	rfd := s.hoseR
 	if ch.kind == chanKernel {
-		rfd = ch.fdB
+		rfd = ch.dstFD
 	}
 	sw := metrics.NewStopwatch(s.now)
 	striped := st.spec.striped(st.out)
@@ -239,9 +262,9 @@ func drainHose(s *Shim, ctx context.Context, wv []byte, ch *channel, m *stageMet
 		chunk := min(len(wv)-received, s.hoseCap)
 		if ch.kind != chanKernel {
 			for moved := 0; moved < chunk; {
-				n, err := s.proc.Splice(ch.sfd, ch.twfd, chunk-moved)
+				n, err := s.proc.Splice(ch.dstFD, s.hoseW, chunk-moved)
 				if err != nil {
-					return fmt.Errorf("splice in: %w", err)
+					return s.resetHose(fmt.Errorf("splice in: %w", err))
 				}
 				moved += n
 			}
@@ -251,12 +274,12 @@ func drainHose(s *Shim, ctx context.Context, wv []byte, ch *channel, m *stageMet
 		}
 		refs, err := s.proc.ReadRefs(rfd, chunk)
 		if err != nil {
-			return fmt.Errorf("drain hose: %w", err)
+			return s.resetHose(fmt.Errorf("drain hose: %w", err))
 		}
 		n := pagebuf.TotalLen(refs)
 		if n == 0 {
 			pagebuf.ReleaseAll(refs)
-			return fmt.Errorf("drain hose: zero-byte read at offset %d of %d", received, len(wv))
+			return s.resetHose(fmt.Errorf("drain hose: zero-byte read at offset %d of %d", received, len(wv)))
 		}
 		dst := wv[received : received+n]
 		received += n

@@ -8,8 +8,9 @@
 // whose announce dispatches one network ingress stage per target onto
 // the same stage workers, joined leg by leg.
 //
-// Concurrency model (DESIGN.md §3): each VM lock is scoped to its stage, so
-// a chain's interior VMs are never locked while the other endpoint works:
+// Concurrency model (DESIGN.md §3): each VM lock is scoped to its stage —
+// every stage body takes its own VM lock for its whole body — so a chain's
+// interior VMs are never locked while the other endpoint works:
 //
 //   - the source VM lock is held only while the source's pages enter the
 //     channel (locate/view/vmsplice-or-write). The payload stays valid past
@@ -31,7 +32,7 @@
 //     goroutines claim from one slot (awaitIngress, drainHose), so the one
 //     payload copy of the network path runs on two cores.
 //
-// Both copy-bearing channels stream: the hose moves a payload chunk by chunk
+// Both copy-bearing paths stream: the hose moves a payload chunk by chunk
 // through a bounded pipe, and the kernel path's socketpair carries a send
 // window (channels.go, kernelSendWindow): its one write queues at most the
 // window ahead of the receive, and from the moment the receive is there the
@@ -49,6 +50,11 @@
 // ingress destroys the channel before it reports, and the error join in
 // runPipeline reports the error of the stage that failed first — the
 // ingress's cause, not the ring-closed error the unblocked egress sees.
+//
+// The hose is the shim's, not the channel's (Shim.hoseR/W): a network
+// egress or tee pass empties it chunk by chunk under the source VM lock, a
+// network ingress under the target's, so it is empty whenever the VM lock
+// is free and one pipe per shim serves every pair.
 //
 // Serialization that must remain is provided by the pair lock
 // (Shim.pairLock): transfers of one ordered (source shim, target shim)
@@ -153,18 +159,19 @@ func modeledOverlap(k int, e, w, i time.Duration) time.Duration {
 // every multicast leg runs too): everything a stage needs rides in the
 // pipelineState, so storing an implementation in a spec allocates nothing.
 type ingressOps interface {
-	// ingress runs under the target VM lock: drain st.ch into the
-	// target's linear memory and return the delivered region.
+	// ingress takes the target VM lock for its whole body: drain st.ch into
+	// the target's linear memory and return the delivered region.
 	ingress(st *pipelineState, out OutputRef) (InboundRef, error)
 }
 
 // stageOps is a unicast mode's pair of stage bodies, run by runPipeline.
 type stageOps interface {
 	ingressOps
-	// egress runs under the source VM lock: resolve the output region,
-	// announce it via st.announce (which dispatches the target stage), push
-	// the payload into st.ch. It calls st.announce exactly once, before the
-	// first byte moves — unless it fails first, touching nothing.
+	// egress takes the source VM lock for its whole body: resolve the
+	// output region, announce it via st.announce (which dispatches the
+	// target stage), push the payload into st.ch. It calls st.announce
+	// exactly once, before the first byte moves — unless it fails first,
+	// touching nothing.
 	egress(st *pipelineState) (OutputRef, error)
 }
 
@@ -314,12 +321,12 @@ func ingressWorker(st *pipelineState) {
 	}
 }
 
-// runIngress is the target stage for the announced output: drain under the
-// target VM lock alone. Any failure destroys the channel before it is
-// reported: that releases the queued pages back to the pool and unblocks an
-// egress still pushing into a full hose or send window, which nothing would
-// drain any more. It sends exactly one result on st.ingressCh and touches st never
-// again afterwards.
+// runIngress is the target stage for the announced output: the ingress
+// body drains under the target VM lock alone. Any failure destroys the
+// channel before it is reported: that releases the queued pages back to the
+// pool and unblocks an egress still writing into a full send window, which
+// nothing would drain any more. It sends exactly one result on st.ingressCh
+// and touches st never again afterwards.
 func (st *pipelineState) runIngress() {
 	sp := &st.spec
 	if sp.gates != nil && sp.gates.BeforeIngress != nil {
@@ -330,10 +337,7 @@ func (st *pipelineState) runIngress() {
 	err := CtxErr(sp.ctx)
 	var ref InboundRef
 	if err == nil {
-		dstShim := sp.dst.shim
-		dstShim.mu.Lock()
 		ref, err = sp.ops.ingress(st, st.out)
-		dstShim.mu.Unlock()
 	}
 	if err != nil {
 		st.ingressFailed.Store(true)
@@ -423,11 +427,8 @@ func runPipeline(spec *pipelineSpec, ops stageOps) (InboundRef, metrics.Transfer
 	st.spec.ops = ops
 	st.ch = ch
 
-	// Source stage, inline, under the source VM lock alone; its announce
-	// dispatches the target stage.
-	srcShim.mu.Lock()
+	// Source stage, inline; its announce dispatches the target stage.
 	_, eerr := ops.egress(st)
-	srcShim.mu.Unlock()
 	if !st.announced {
 		putPipelineState(st)
 		releaseTransferChannel(ch, spec.perCall, true)

@@ -225,7 +225,7 @@ func TestStagedTraceCounts(t *testing.T) {
 		cold, warm trace
 	}{
 		{"kernel", trace{2, 1, n, n}, trace{1, 1, n, n}},
-		{"network", trace{8, 8, 0, n}, trace{6, 6, 0, n}},
+		{"network", trace{7, 7, 0, n}, trace{6, 6, 0, n}},
 	} {
 		t.Run(tc.mode, func(t *testing.T) {
 			network := tc.mode == "network"

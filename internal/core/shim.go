@@ -59,7 +59,7 @@ type ShimConfig struct {
 	Kernel *kernel.Kernel
 	// Module is the guest binary loaded into each function.
 	Module []byte
-	// DataHoseBytes sizes the shim's virtual-data-hose pipes
+	// DataHoseBytes sizes the shim's virtual-data-hose pipe
 	// (0 = 4 MiB, set via the simulated F_SETPIPE_SZ).
 	DataHoseBytes int
 }
@@ -87,8 +87,9 @@ type Shim struct {
 
 	// seq is the shim's position in the pair-lock order (see distinctBySeq).
 	seq uint64
-	// mu is the VM lock: it guards functions, coldStart, every guest call
-	// and every view over the VM's linear memory (including Function.out).
+	// mu is the VM lock: it guards functions, coldStart, the hose, every
+	// guest call and every view over the VM's linear memory (including
+	// Function.out).
 	mu sync.Mutex
 
 	module []byte
@@ -100,14 +101,23 @@ type Shim struct {
 	functions []*Function
 	//roadvet:guards mu
 	coldStart time.Duration
+	// hoseR and hoseW are the shim's virtual data hose (Algorithm 1): one
+	// pipe of hoseCap bytes that every network egress, tee pass and network
+	// ingress of this VM moves its chunks through, each under the VM lock.
+	// The hose is empty whenever the VM lock is free: every stage empties it
+	// chunk by chunk, and one that fails mid-chunk resets it (resetHose).
+	//roadvet:guards mu
+	hoseR int
+	//roadvet:guards mu
+	hoseW int
 
 	// Channel-cache registry (see channels.go). chanMu is a leaf lock: it
 	// is never held while acquiring any other lock.
 	chanMu sync.Mutex
 	//roadvet:guards chanMu
-	channels map[chanKey]*channel // persistent hoses this shim originates
+	channels map[chanKey]*channel // persistent channels this shim originates
 	//roadvet:guards chanMu
-	inbound map[*channel]struct{} // persistent hoses targeting this shim
+	inbound map[*channel]struct{} // persistent channels targeting this shim
 	//roadvet:guards chanMu
 	pairMu map[chanKey]*sync.Mutex
 	//roadvet:guards chanMu
@@ -164,6 +174,7 @@ func NewShim(cfg ShimConfig) (*Shim, error) {
 	sw := metrics.NewStopwatch(time.Now)
 	acct := &metrics.Account{}
 	proc := cfg.Kernel.NewProc(cfg.Name, acct)
+	hoseR, hoseW := proc.PipeSized(hose)
 	s := &Shim{
 		name:     cfg.Name,
 		seq:      shimSeq.Add(1),
@@ -173,6 +184,8 @@ func NewShim(cfg ShimConfig) (*Shim, error) {
 		wasiHost: wasi.NewHost(proc, acct),
 		now:      time.Now,
 		hoseCap:  hose,
+		hoseR:    hoseR,
+		hoseW:    hoseW,
 		chanIdle: chanMaxIdle,
 		chanCap:  chanMaxCached,
 		module:   cfg.Module,
@@ -265,12 +278,23 @@ func (s *Shim) ColdStart() time.Duration {
 	return s.coldStart
 }
 
+// resetHose empties the hose after a stage failed with pages possibly still
+// in it: closing both ends drops them, and a fresh pipe takes their place.
+// Callers hold the VM lock. Control-plane calls are never fault-intercepted,
+// so the reset cannot fail. It returns err.
+func (s *Shim) resetHose(err error) error {
+	_ = s.proc.Close(s.hoseW)
+	_ = s.proc.Close(s.hoseR)
+	s.hoseR, s.hoseW = s.proc.PipeSized(s.hoseCap)
+	return err
+}
+
 // Close tears down the shim's cached channels (both directions), then the
-// sandbox with every descriptor it still holds, and last the VM's linear
-// memories. The order matters: a page vmspliced out of linear memory aliases
-// it, and it is dropped from its pipe or socket buffer when that descriptor
-// closes, so no kernel buffer can reach a memory by the time it is
-// unmapped. Close must not run while a transfer uses the shim.
+// sandbox with every descriptor it still holds, its hose included, and last
+// the VM's linear memories. The order matters: a page vmspliced out of
+// linear memory aliases it, and it is dropped from its pipe or socket buffer
+// when that descriptor closes, so no kernel buffer can reach a memory by the
+// time it is unmapped. Close must not run while a transfer uses the shim.
 func (s *Shim) Close() {
 	s.closeChannels()
 	s.proc.CloseAll()

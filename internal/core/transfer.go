@@ -189,9 +189,9 @@ type KernelOptions struct {
 // transfer builds no per-call closures.
 type kernelOps struct{}
 
-// egress is steps 1-2 then the send half: locate + zero-copy read of the
-// source region (Wasm IO), one copy_from_user into the socketpair. Runs
-// under the source VM lock.
+// egress is steps 1-2 then the send half, under the source VM lock alone:
+// locate + zero-copy read of the source region (Wasm IO), one
+// copy_from_user into the socketpair.
 //
 // A payload longer than one relay segment (a slab) hands the caller's core
 // to the ingress it has just dispatched: one yield, after which the receive
@@ -206,6 +206,8 @@ type kernelOps struct{}
 func (kernelOps) egress(st *pipelineState) (OutputRef, error) {
 	f := st.spec.src
 	s := f.shim
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	swIO := metrics.NewStopwatch(s.now)
 	out, err := f.sourceOutput(st.spec.sourceRef)
 	if err != nil {
@@ -222,18 +224,20 @@ func (kernelOps) egress(st *pipelineState) (OutputRef, error) {
 	if len(view) > pagebuf.SlabSize {
 		runtime.Gosched()
 	}
-	return out, copySend(s, st.ch.fdA, view, &st.em)
+	return out, copySend(s, st.ch.srcFD, view, &st.em)
 }
 
-// ingress is steps 4-6: allocate in the target and receive straight into
-// its linear memory. Runs under the target VM lock.
+// ingress is steps 4-6, under the target VM lock alone: allocate in the
+// target and receive straight into its linear memory.
 func (kernelOps) ingress(st *pipelineState, out OutputRef) (InboundRef, error) {
 	f := st.spec.dst
+	f.shim.mu.Lock()
+	defer f.shim.mu.Unlock()
 	dstPtr, wv, err := ingressRegion(f, out.Len, &st.im)
 	if err != nil {
 		return InboundRef{}, err
 	}
-	if err := copyRecv(f.shim, st.spec.ctx, st.ch.fdB, wv, &st.im); err != nil {
+	if err := copyRecv(f.shim, st.spec.ctx, st.ch.dstFD, wv, &st.im); err != nil {
 		return ingressAbort(f, dstPtr, err)
 	}
 	return InboundRef{Ptr: dstPtr, Len: out.Len}, nil

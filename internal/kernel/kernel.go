@@ -445,13 +445,30 @@ func (p *Proc) ReadRefs(fd int, max int) ([]pagebuf.Ref, error) {
 	return f.readRefs(nil, max)
 }
 
+// Pending reports the payload bytes queued for reading on fd, modeling
+// ioctl(FIONREAD): one syscall, nothing moved.
+func (p *Proc) Pending(fd int) (int, error) {
+	f, err := p.lookup(fd)
+	if err != nil {
+		return 0, err
+	}
+	p.acct.Syscall()
+	switch f := f.(type) {
+	case *pipeEnd:
+		return f.pipe.ring.Len(), nil
+	case *conn:
+		return f.recv.Len(), nil
+	}
+	return 0, fmt.Errorf("pending fd %d: %w", fd, ErrNotSupported)
+}
+
 // Pipe creates a pipe and returns (readFD, writeFD), as pipe(2) does.
 func (p *Proc) Pipe() (int, int) {
 	return p.PipeSized(DefaultPipeCap)
 }
 
 // PipeSized creates a pipe with an explicit capacity, modeling
-// fcntl(F_SETPIPE_SZ). Roadrunner's shim enlarges its data-hose pipes the
+// fcntl(F_SETPIPE_SZ). Roadrunner's shim enlarges its data-hose pipe the
 // same way a real implementation would.
 func (p *Proc) PipeSized(capBytes int) (int, int) {
 	p.acct.Syscall()

@@ -174,6 +174,40 @@ func TestReadRefsHandsPagesToUser(t *testing.T) {
 	}
 }
 
+// TestPendingCountsQueuedBytes: Pending (FIONREAD) reports what a pipe or a
+// socket end holds for its reader, one syscall per call, and moves nothing.
+func TestPendingCountsQueuedBytes(t *testing.T) {
+	p, acct := newTestProc(t)
+	rfd, wfd := p.PipeSized(1 << 20)
+	q := New("peer").NewProc("peer", nil)
+	t.Cleanup(q.CloseAll)
+	cfd, sfd := Connect(p, q)
+	pending := func(proc *Proc, fd, want int) {
+		t.Helper()
+		before := acct.Snapshot()
+		if got, err := proc.Pending(fd); err != nil || got != want {
+			t.Fatalf("pending fd %d = %d, %v; want %d", fd, got, err, want)
+		}
+		if proc == p && acct.Snapshot().Sub(before).Syscalls != 1 {
+			t.Fatal("pending is not one syscall")
+		}
+	}
+	pending(p, rfd, 0)
+	if _, err := p.Vmsplice(wfd, make([]byte, 3000)); err != nil {
+		t.Fatal(err)
+	}
+	pending(p, rfd, 3000)
+	if _, err := p.Splice(rfd, cfd, 1000); err != nil {
+		t.Fatal(err)
+	}
+	pending(p, rfd, 2000)
+	pending(q, sfd, 1000)
+	pending(p, cfd, 0)
+	if _, err := p.Pending(99); !errors.Is(err, ErrBadFD) {
+		t.Fatalf("pending bad fd = %v", err)
+	}
+}
+
 func TestBadFDErrors(t *testing.T) {
 	p, _ := newTestProc(t)
 	if _, err := p.Write(99, []byte("x")); !errors.Is(err, ErrBadFD) {

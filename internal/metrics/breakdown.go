@@ -19,7 +19,6 @@ type Breakdown struct {
 	Serialization time.Duration // encode + decode time (zero for Roadrunner paths)
 	WasmIO        time.Duration // linear-memory access through the shim ABI
 	Network       time.Duration // modeled wire time (bandwidth share + RTT)
-	Compute       time.Duration // guest function compute, when measured separately
 	// Overlap is the wall-clock time the transfer's source and target
 	// pipeline stages ran concurrently (zero for a single-chunk payload).
 	// The per-component durations above are measured within each stage, so
@@ -32,7 +31,7 @@ type Breakdown struct {
 // Total sums every component and credits back the overlapped window, so the
 // result is the transfer's critical-path latency.
 func (b Breakdown) Total() time.Duration {
-	t := b.Setup + b.Transfer + b.Serialization + b.WasmIO + b.Network + b.Compute - b.Overlap
+	t := b.Setup + b.Transfer + b.Serialization + b.WasmIO + b.Network - b.Overlap
 	if t < 0 {
 		return 0
 	}
@@ -47,25 +46,7 @@ func (b Breakdown) Add(o Breakdown) Breakdown {
 		Serialization: b.Serialization + o.Serialization,
 		WasmIO:        b.WasmIO + o.WasmIO,
 		Network:       b.Network + o.Network,
-		Compute:       b.Compute + o.Compute,
 		Overlap:       b.Overlap + o.Overlap,
-	}
-}
-
-// Scale divides every component by n (for averaging repeated runs).
-func (b Breakdown) Scale(n int) Breakdown {
-	if n <= 1 {
-		return b
-	}
-	d := time.Duration(n)
-	return Breakdown{
-		Setup:         b.Setup / d,
-		Transfer:      b.Transfer / d,
-		Serialization: b.Serialization / d,
-		WasmIO:        b.WasmIO / d,
-		Network:       b.Network / d,
-		Compute:       b.Compute / d,
-		Overlap:       b.Overlap / d,
 	}
 }
 
@@ -82,7 +63,6 @@ func (b Breakdown) String() string {
 	add("serialization", b.Serialization)
 	add("wasmIO", b.WasmIO)
 	add("network", b.Network)
-	add("compute", b.Compute)
 	add("overlap", b.Overlap)
 	if len(parts) == 0 {
 		return "breakdown{}"

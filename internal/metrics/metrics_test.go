@@ -95,7 +95,7 @@ func TestSpaceString(t *testing.T) {
 }
 
 func TestBreakdownTotalAndAdd(t *testing.T) {
-	b := Breakdown{Transfer: 1, Serialization: 2, WasmIO: 3, Network: 4, Compute: 5}
+	b := Breakdown{Setup: 5, Transfer: 1, Serialization: 2, WasmIO: 3, Network: 4}
 	if b.Total() != 15 {
 		t.Fatalf("total = %v", b.Total())
 	}
@@ -106,7 +106,7 @@ func TestBreakdownTotalAndAdd(t *testing.T) {
 }
 
 // TestBreakdownOverlapCriticalPath: Total subtracts the overlapped window
-// (critical-path attribution), never goes negative, and Add/Scale carry the
+// (critical-path attribution), never goes negative, and Add carries the
 // component through.
 func TestBreakdownOverlapCriticalPath(t *testing.T) {
 	b := Breakdown{Transfer: 6, WasmIO: 4, Overlap: 3}
@@ -116,26 +116,12 @@ func TestBreakdownOverlapCriticalPath(t *testing.T) {
 	if sum := b.Add(b); sum.Overlap != 6 || sum.Total() != 14 {
 		t.Fatalf("sum = %+v (total %v)", sum, sum.Total())
 	}
-	if avg := b.Add(b).Scale(2); avg != b {
-		t.Fatalf("scaled = %+v", avg)
-	}
 	if s := b.String(); !strings.Contains(s, "overlap=3ns") {
 		t.Fatalf("string = %q", s)
 	}
 	over := Breakdown{Transfer: 2, Overlap: 5}
 	if over.Total() != 0 {
 		t.Fatalf("over-credited total = %v, want clamped 0", over.Total())
-	}
-}
-
-func TestBreakdownScale(t *testing.T) {
-	b := Breakdown{Transfer: 10 * time.Second, Network: 4 * time.Second}
-	avg := b.Scale(2)
-	if avg.Transfer != 5*time.Second || avg.Network != 2*time.Second {
-		t.Fatalf("scaled = %+v", avg)
-	}
-	if got := b.Scale(0); got != b {
-		t.Fatalf("scale(0) changed value: %+v", got)
 	}
 }
 

@@ -163,12 +163,12 @@ var (
 // internal/core), and the registry below is only consulted on the
 // deploy/teardown path, never while payload bytes move.
 type Platform struct {
-	mu sync.RWMutex // guards kernels and shims (registry, not transfers)
+	mu sync.RWMutex // guards shims (registry, not transfers)
 	// link is the one modeled wire between any two distinct nodes; nodes
-	// lists the node names in registration order. Both are fixed by New.
-	link  *netsim.Link
-	nodes []string
-	//roadvet:guards mu
+	// lists the node names in registration order, and kernels maps each to
+	// its kernel. All three are fixed by New and read without a lock.
+	link    *netsim.Link
+	nodes   []string
 	kernels map[string]*kernel.Kernel
 	//roadvet:guards mu
 	shims  []*core.Shim
@@ -416,14 +416,11 @@ func (p *Platform) Deploy(spec FunctionSpec) (*Function, error) {
 		return nil, fmt.Errorf("%s with %s: %w", spec.Name, spec.ShareVMWith.Name(), ErrWorkflowMismatch)
 	}
 	if spec.ShareVMWith == nil {
-		p.mu.RLock()
 		for _, n := range nodes {
 			if _, ok := p.kernels[n]; !ok {
-				p.mu.RUnlock()
 				return nil, fmt.Errorf("%q: %w", n, ErrUnknownNode)
 			}
 		}
-		p.mu.RUnlock()
 	}
 
 	for i := 0; i < replicas; i++ {
@@ -442,14 +439,11 @@ func (p *Platform) Deploy(spec FunctionSpec) (*Function, error) {
 			node = hi.node
 		} else {
 			node = nodes[i%len(nodes)]
-			p.mu.RLock()
-			k := p.kernels[node]
-			p.mu.RUnlock()
 			var shim *core.Shim
 			shim, err = core.NewShim(core.ShimConfig{
 				Name:          "shim-" + instName,
 				Workflow:      core.Workflow{Name: wf.Name, Tenant: wf.Tenant},
-				Kernel:        k,
+				Kernel:        p.kernels[node],
 				Module:        guest.Module(),
 				DataHoseBytes: p.hose,
 			})
@@ -739,18 +733,19 @@ func modeEligible(si *Instance, dst *Function, mode Mode) func(int) bool {
 	if mode == ModeAuto {
 		return nil
 	}
-	return func(i int) bool {
-		di := dst.insts[i]
-		switch mode {
-		case ModeUserSpace:
-			return di.inner.Shim() == si.inner.Shim()
-		case ModeKernelSpace:
-			return di.node == si.node && di.inner.Shim() != si.inner.Shim()
-		case ModeNetwork:
-			return di.node != si.node
-		default:
-			return false
-		}
+	return func(i int) bool { return pairMode(si, dst.insts[i]) == mode }
+}
+
+// pairMode is the one mechanism that reaches di from si, the mode ModeAuto
+// picks: same VM → user space, same node → kernel space, else network.
+func pairMode(si, di *Instance) Mode {
+	switch {
+	case si.inner.Shim() == di.inner.Shim():
+		return ModeUserSpace
+	case si.node == di.node:
+		return ModeKernelSpace
+	default:
+		return ModeNetwork
 	}
 }
 
@@ -773,14 +768,7 @@ func (p *Platform) transferInstances(si, di *Instance, cfg *transferConfig) (Dat
 func (p *Platform) transferResolved(si, di *Instance, cfg *transferConfig) (DataRef, Report, error) {
 	mode := cfg.mode
 	if mode == ModeAuto {
-		switch {
-		case si.inner.Shim() == di.inner.Shim():
-			mode = ModeUserSpace
-		case si.node == di.node:
-			mode = ModeKernelSpace
-		default:
-			mode = ModeNetwork
-		}
+		mode = pairMode(si, di)
 	}
 	srcRef := coreSourceRef(cfg.sourceRef)
 	switch mode {
