@@ -119,8 +119,8 @@ alloc:
 	$(GO) test -run TestAllocCeilings -v .
 
 ## lint: go vet plus the roadvet suite (regionrelease, poolreturn,
-## refbalance, gaugebalance, windowcredit, lockguard, ctxpoll, errclass,
-## ctxcheck, doccheck — the order of `suite` in cmd/roadvet/main.go — and
+## refbalance, windowcredit, lockguard, ctxpoll, errclass, ctxcheck,
+## doccheck — the order of `suite` in cmd/roadvet/main.go — and
 ## the gofmt gate), then `scripts/mutants.sh -check`: every patch of the
 ## mutant table still applies, so a refactor that moves a mutated site
 ## fails here until its patch is re-cut
@@ -165,7 +165,7 @@ codegen:
 ## change that shrinks the surface lowers the ceiling with it. Raise a
 ## ceiling only with the reason in CHANGES.md
 LOC_MAX_EXPORTED := 72
-LOC_MAX_KNOBS := 30
+LOC_MAX_KNOBS := 29
 loc:
 	@count() { find "$$@" -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './vendor/*' -print0 | xargs -0 cat | wc -l; }; \
 	printf '%7d  %s\n' "$$(count . -maxdepth 1)" "(root package)"; \

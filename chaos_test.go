@@ -26,6 +26,7 @@ import (
 
 	roadrunner "github.com/polaris-slo-cloud/roadrunner-go"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/kernel"
+	"github.com/polaris-slo-cloud/roadrunner-go/internal/wasm"
 )
 
 // chaosSeed resolves the schedule seed: CHAOS_SEED reproduces a run, and a
@@ -353,6 +354,26 @@ func TestFaultedOpsLeaveNoInFlightResidue(t *testing.T) {
 		fns[1].Instance(0).InjectFault(kernel.Crash())
 		if _, _, err := p.FanoutCtx(bg, fns[0], []*roadrunner.Function{fns[1], fns[2]}, chaosPayload); err == nil {
 			t.Fatal("fanout with crashed target succeeded")
+		}
+		assertIdle(t, fns)
+	})
+	t.Run("produce traps", func(t *testing.T) {
+		// A produce of 4 GiB - 1 bytes traps in the guest allocator's
+		// bound check before it writes a byte. Each engine brackets its
+		// produce in the producer's in-flight gauge, and the bracket must
+		// close on the produce's own error path too.
+		const trap = 1<<32 - 1
+		p, fns := newTrio(t)
+		if _, _, err := p.FanoutCtx(bg, fns[0], []*roadrunner.Function{fns[1], fns[2]}, trap); !errors.Is(err, wasm.TrapUnreachable) {
+			t.Fatalf("fanout of a trapping produce = %v, want the guest's trap", err)
+		}
+		assertIdle(t, fns)
+		if _, _, err := p.ChainCtx(bg, trap, fns); !errors.Is(err, wasm.TrapUnreachable) {
+			t.Fatalf("chain of a trapping produce = %v, want the guest's trap", err)
+		}
+		assertIdle(t, fns)
+		if err := fns[0].Produce(trap); !errors.Is(err, wasm.TrapUnreachable) {
+			t.Fatalf("trapping produce = %v, want the guest's trap", err)
 		}
 		assertIdle(t, fns)
 	})

@@ -11,7 +11,7 @@
 // lives in a helper still credits the caller's obligation and a lock
 // taken in the caller still guards the callee's field access.
 //
-// Five of them prove one theorem — every acquire reaches a release, a
+// Four of them prove one theorem — every acquire reaches a release, a
 // handoff, or an exempt error return on every path — and are rows of one
 // table read by one engine (internal/analysis/obligation):
 //
@@ -25,9 +25,6 @@
 //     (Retain, Ring.Clone/Pop, pool Copy/Gift, ReadRefs) reaches its
 //     Release/ReleaseAll or a consumer that owns it; one leaking path
 //     under a tee group pins a page per fan-out target.
-//   - gaugebalance: every invoker-plane State.Enter has a State.Exit —
-//     the phantom in-flight load bug. Enter/Exit pairs transfer through
-//     unexported helpers.
 //   - windowcredit: every sendWindow.reserve is followed by a push on the
 //     same window — a stranded reservation parks a later writer forever.
 //
@@ -90,7 +87,6 @@ import (
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/analysis/doccheck"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/analysis/driver"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/analysis/errclass"
-	"github.com/polaris-slo-cloud/roadrunner-go/internal/analysis/gaugebalance"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/analysis/lockguard"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/analysis/poolreturn"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/analysis/refbalance"
@@ -103,7 +99,6 @@ var suite = []*analysis.Analyzer{
 	regionrelease.Analyzer,
 	poolreturn.Analyzer,
 	refbalance.Analyzer,
-	gaugebalance.Analyzer,
 	windowcredit.Analyzer,
 	lockguard.Analyzer,
 	ctxpoll.Analyzer,
@@ -145,8 +140,8 @@ func usage() {
 Usage: roadvet [flags] [packages]   (default "./...")
 
 Analyzers (the names //roadvet:ignore accepts): regionrelease,
-poolreturn, refbalance, gaugebalance, windowcredit, lockguard, ctxpoll,
-errclass, ctxcheck, doccheck; plus the gofmt gate.
+poolreturn, refbalance, windowcredit, lockguard, ctxpoll, errclass,
+ctxcheck, doccheck; plus the gofmt gate.
 
 Annotations recognised in source:
   //roadvet:guards <mutexField>   on a struct field: every access must

@@ -89,14 +89,20 @@ func run() error {
 		reports[0].Usage.KernelCopyBytes == 0)
 
 	// --- Comparison: the same delivery as sequential unicast fan-out ------
-	_, seqReports, err := p.FanoutCtx(ctx, agg, workers, modelBytes)
+	// Both over the channels the multicast above opened: one more multicast,
+	// then one TransferCtx per worker, each reading the restored update anew.
+	_, warm, err := p.MulticastCtx(ctx, agg, workers)
 	if err != nil {
 		return err
 	}
 	var mcSys, seqSys int64
-	for i := range reports {
-		mcSys += reports[i].Usage.Syscalls
-		seqSys += seqReports[i].Usage.Syscalls
+	for i, w := range workers {
+		mcSys += warm[i].Usage.Syscalls
+		_, rep, err := p.TransferCtx(ctx, agg, w, roadrunner.WithSourceRef(restored))
+		if err != nil {
+			return err
+		}
+		seqSys += rep.Usage.Syscalls
 	}
 	fmt.Printf("multicast: %d total syscalls vs %d for sequential fan-out\n", mcSys, seqSys)
 	return nil

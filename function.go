@@ -3,7 +3,6 @@ package roadrunner
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/core"
@@ -283,12 +282,31 @@ func (p *Platform) multicastCtx(ctx context.Context, src *Function, targets []*F
 	if err != nil {
 		return nil, nil, err
 	}
-	// A forced mode routes within its own reach. ModeAuto tries co-located
-	// legs first — a tee into a same-node socket shares pages without
-	// touching a wire — then cross-node ones, then whatever is left so the
-	// core layer can name the fault (e.g. a same-VM target) itself.
-	tries := []Mode{cfg.mode}
-	if cfg.mode == ModeAuto {
+	chosen, err := p.routeCast("multicast", si, targets, cfg.mode)
+	if err != nil {
+		return nil, nil, err
+	}
+	refs, reps, err := p.castInstances(si, chosen, &cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	for i := range refs {
+		targets[i].setActive(chosen[i])
+	}
+	return refs, reps, nil
+}
+
+// routeCast places every target of a cast from the source instance si. A
+// forced mode routes within its own reach. ModeAuto tries co-located
+// instances first — a tee into a same-node socket shares pages without
+// touching a wire — then cross-node ones, then whatever is left: a same-VM
+// instance, which the core rejects for a multicast (ErrSameVM) and a
+// fan-out serves in user space. Legs share one tee pass over the source, so
+// a failed leg cannot be re-routed mid-hose (DESIGN.md §8) and a target
+// with no instance to route to fails the operation; verb names it.
+func (p *Platform) routeCast(verb string, si *Instance, targets []*Function, mode Mode) ([]*Instance, error) {
+	tries := []Mode{mode}
+	if mode == ModeAuto {
 		tries = []Mode{ModeKernelSpace, ModeNetwork, ModeAuto}
 	}
 	chosen := make([]*Instance, len(targets))
@@ -300,38 +318,24 @@ func (p *Platform) multicastCtx(ctx context.Context, src *Function, targets []*F
 			}
 		}
 		if j < 0 {
-			// Multicast legs share one tee pass over the source, so a
-			// failed leg cannot be re-routed mid-hose: no retry here
-			// (DESIGN.md §8), and an exhausted pool fails the operation.
-			if cfg.mode == ModeKernelSpace || cfg.mode == ModeNetwork {
-				return nil, nil, fmt.Errorf("multicast to %s: no healthy instance reachable in mode %v: %w", t.Name(), cfg.mode, ErrModeUnavailable)
+			if mode != ModeAuto {
+				return nil, fmt.Errorf("%s to %s: no healthy instance reachable in mode %v: %w", verb, t.Name(), mode, ErrModeUnavailable)
 			}
-			return nil, nil, fmt.Errorf("multicast to %s: %w", t.Name(), ErrNoHealthyInstance)
+			return nil, fmt.Errorf("%s to %s: %w", verb, t.Name(), ErrNoHealthyInstance)
 		}
 		chosen[i] = t.insts[j]
 	}
-	refs, reps, err := castInstances(si, chosen, core.MulticastOptions{
-		Ctx:       cfg.ctx,
-		Link:      p.link,
-		SourceRef: coreSourceRef(cfg.sourceRef),
-		Gates:     cfg.gates,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	for i := range refs {
-		targets[i].setActive(chosen[i])
-	}
-	return refs, reps, nil
+	return chosen, nil
 }
 
 // castInstances runs one multicast from the source instance si to the
-// placed target instances chosen — the one path Cast and Fan nodes take
-// into the core. It brackets every endpoint's routing load around the
+// placed target instances chosen, over the platform's link, with cfg's
+// context, pinned source region and gates — the one path Cast and Fan nodes
+// take into the core. It brackets every endpoint's routing load around the
 // transfer and feeds each landed leg into both endpoints' health FSMs, as
 // every other delivery does; legs are never retried (they share one tee
 // pass, DESIGN.md §8). Placement stays with the callers.
-func castInstances(si *Instance, chosen []*Instance, opts core.MulticastOptions) ([]DataRef, []Report, error) {
+func (p *Platform) castInstances(si *Instance, chosen []*Instance, cfg *transferConfig) ([]DataRef, []Report, error) {
 	inner := make([]*core.Function, len(chosen))
 	for i, di := range chosen {
 		inner[i] = di.inner
@@ -346,7 +350,12 @@ func castInstances(si *Instance, chosen []*Instance, opts core.MulticastOptions)
 			di.fn.route.Exit(di.index)
 		}
 	}()
-	refs, reps, err := core.MulticastTransfer(si.inner, inner, opts)
+	refs, reps, err := core.MulticastTransfer(si.inner, inner, core.MulticastOptions{
+		Ctx:       cfg.ctx,
+		Link:      p.link,
+		SourceRef: coreSourceRef(cfg.sourceRef),
+		Gates:     cfg.gates,
+	})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -359,27 +368,29 @@ func castInstances(si *Instance, chosen []*Instance, opts core.MulticastOptions)
 }
 
 // FanoutCtx produces an n-byte payload at a routed instance of src and
-// delivers it to every target (the fan-out pattern of §6.4), each target
-// routed to an instance by the placement policy. The produce step runs
-// once. Targets with a healthy replica co-located with the producing
-// instance form a shared-egress tee group served by one MulticastTransfer
-// pass: the source's pages are vmspliced once and tee(2)-duplicated into
-// every group member's socketpair, so N same-node deliveries share one
-// pinned read instead of paying N full transfers (Mode "kernel-multicast"
-// in their reports). The remaining targets execute across the platform's
-// worker pool as independent unicast deliveries reading the same pinned
-// source region, with network transfers modeled as all targets' flows
-// sharing the link. It returns one delivery ref and one report per
-// target, in target order — the same shape MulticastCtx returns. The
-// produce side may be pinned with WithSourceInstance; pinning a single
-// target instance is rejected with ErrModeUnavailable, since every target
-// is routed by the placement policy.
+// delivers it to every target (the fan-out pattern of §6.4): the produce
+// step runs once, then one cast — MulticastCtx's engine, with its routing —
+// reads the produced region once and tee(2)-duplicates its pages into every
+// target. Reports read as MulticastCtx's do: Mode "kernel-multicast" or
+// "network-multicast" per target, the cross-node legs charged the link
+// shared by the cast's cross-node legs alone. A target routed into the
+// producing instance's own VM, which no tee reaches, takes a user-space
+// delivery there (Mode "user"), before the cast and in one attempt: a
+// user-space copy makes no syscall, so no instance fault can strike it.
+// When the cast fails with an instance fault, every cast target falls back
+// to a delivery of its own with retry-with-exclusion, which strikes and
+// re-routes around the faulted replica; the fallback is decided once, so a
+// cancellation during it fails the fan-out with ctx's error. It returns one
+// delivery ref and one report per target, in target order — the same shape
+// MulticastCtx returns. The produce side may be pinned with
+// WithSourceInstance; pinning a single target instance is rejected with
+// ErrModeUnavailable, since every target is routed by the placement policy.
 //
-// Cancellation of ctx is observed at queue admission of every delivery and
-// inside each delivery's pipeline. An aborted fan-out releases the produced
-// source region and every delivery that had already landed, restoring the
-// guests' allocators and data-plane baselines. It is the one-shot form of a
-// Plan's Fan node (DESIGN.md §7).
+// Cancellation of ctx is observed at entry, during the tee pass and at every
+// target drain. An aborted fan-out releases the produced source region and
+// every delivery that had already landed, restoring the guests' allocators
+// and data-plane baselines. It is the one-shot form of a Plan's Fan node
+// (DESIGN.md §7).
 func (p *Platform) FanoutCtx(ctx context.Context, src *Function, targets []*Function, n int, opts ...TransferOption) ([]DataRef, []Report, error) {
 	node := PlanNode{op: opFan, src: src, targets: targets, bytes: n, opts: opts, label: "fan#0"}
 	if err := node.admit(ctx, p); err != nil {
@@ -389,8 +400,9 @@ func (p *Platform) FanoutCtx(ctx context.Context, src *Function, targets []*Func
 }
 
 // fanoutCtx executes one fan-out under ctx — the engine behind Fan plan
-// nodes and FanoutCtx. On failure it releases every region the operation
-// allocated: completed deliveries first, then the pinned source region.
+// nodes and FanoutCtx: produce once, then cast from the produced region. On
+// failure it releases every region the operation allocated: completed
+// deliveries first, then the produced region.
 func (p *Platform) fanoutCtx(ctx context.Context, src *Function, targets []*Function, n int, opts []TransferOption) ([]DataRef, []Report, error) {
 	if err := p.beginOp(); err != nil {
 		return nil, nil, err
@@ -401,11 +413,11 @@ func (p *Platform) fanoutCtx(ctx context.Context, src *Function, targets []*Func
 	}
 	// Target-instance pins are rejected once, by plan validation
 	// (PlanNode.check) — the only way into this engine.
-	base := transferConfig{ctx: ctx}
+	cfg := transferConfig{ctx: ctx}
 	for _, opt := range opts {
-		opt(&base)
+		opt(&cfg)
 	}
-	si, err := resolveProducer(src, &base)
+	si, err := resolveProducer(src, &cfg)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -419,76 +431,49 @@ func (p *Platform) fanoutCtx(ctx context.Context, src *Function, targets []*Func
 		_ = out.release()
 		return nil, nil, err
 	}
-	pool := p.scheduler()
-	if pool == nil {
-		return fail(ErrClosed)
-	}
-	// Shared-egress grouping: targets with a healthy replica co-located
-	// with the producing instance (same node, different shim) are served by
-	// ONE multicast tee pass — N same-node deliveries share one pinned
-	// read — while the rest keep the per-target worker-pool path below.
-	// A forced network or user-space mode disables the group.
-	chosen := make([]*Instance, len(targets))
-	inGroup := make([]bool, len(targets))
-	group := make([]int, 0, len(targets))
-	if base.mode == ModeAuto || base.mode == ModeKernelSpace {
-		for i, t := range targets {
-			if j := p.place.PickTarget(si.endpoint(), t.route, t.eps, modeEligible(si, t, ModeKernelSpace), nil); j >= 0 {
-				group = append(group, i)
-				chosen[i] = t.insts[j]
-				inGroup[i] = true
-			}
-		}
-	}
-	// Each remaining delivery routes (and, on an instance fault, re-routes)
-	// inside its own worker; the pinned source region is only released
-	// after every worker has returned, so no routing failure can strand a
-	// running transfer reading it.
-	cfgs := make([]transferConfig, len(targets))
-	for i := range targets {
-		cfg := base
-		cfg.flows = len(targets)
-		srcRef := out
-		cfg.sourceRef = &srcRef
-		cfg.srcInst, cfg.dstInst = nil, nil
-		cfgs[i] = cfg
+	cfg.sourceRef = &out
+	chosen, err := p.routeCast("fanout", si, targets, cfg.mode)
+	if err != nil {
+		return fail(err)
 	}
 	refs := make([]DataRef, len(targets))
 	reports := make([]Report, len(targets))
 	errs := make([]error, len(targets))
-	var wg sync.WaitGroup
-	for i := range targets {
-		if inGroup[i] {
+	var cast []int
+	var members []*Instance
+	for i, di := range chosen {
+		if di.inner.Shim() == si.inner.Shim() {
+			// A tee cannot reach its own VM: a target routed into the
+			// producer's VM takes a user-space delivery there, before the
+			// cast (both hold the producer's VM lock). It is one attempt:
+			// a user-space copy makes no syscall, so no instance fault
+			// can strike it and there is nothing to re-route around.
+			pinned := cfg
+			pinned.dstInst = di
+			refs[i], reports[i], errs[i] = p.deliverRouted(si, targets[i], &pinned)
 			continue
 		}
-		i := i
-		wg.Add(1)
-		if err := pool.SubmitCtx(ctx, func() {
-			defer wg.Done()
-			refs[i], reports[i], errs[i] = p.deliverRouted(si, targets[i], &cfgs[i])
-		}); err != nil {
-			errs[i] = err
-			wg.Done()
-		}
+		cast = append(cast, i)
+		members = append(members, di)
 	}
-	if len(group) > 0 {
-		if gerr := fanoutGroup(ctx, si, group, chosen, &base, out, refs, reports); gerr != nil {
-			// The tee group fails atomically (one shared pass). A
-			// cancellation fails the whole fan-out; an instance fault falls
-			// back to the per-target path, whose retry-with-exclusion
-			// machinery strikes and re-routes around the faulted replica.
-			if ctxErr(ctx) != nil || !isInstanceFault(gerr) {
-				for _, i := range group {
-					errs[i] = gerr
-				}
-			} else {
-				for _, i := range group {
-					refs[i], reports[i], errs[i] = p.deliverRouted(si, targets[i], &cfgs[i])
-				}
+	if len(cast) > 0 {
+		crefs, creps, cerr := p.castInstances(si, members, &cfg)
+		// The cast fails whole, having released what it landed. On an
+		// instance fault each target retries alone, striking and
+		// re-routing around the faulted replica; a cancellation after this
+		// decision is deliverRouted's to report.
+		fallback := cerr != nil && ctxErr(ctx) == nil && isInstanceFault(cerr)
+		for k, i := range cast {
+			switch {
+			case cerr == nil:
+				refs[i], reports[i] = crefs[k], creps[k]
+			case fallback:
+				refs[i], reports[i], errs[i] = p.deliverRouted(si, targets[i], &cfg)
+			default:
+				errs[i] = cerr
 			}
 		}
 	}
-	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
 			// Completed deliveries are this operation's allocations too:
@@ -505,32 +490,6 @@ func (p *Platform) fanoutCtx(ctx context.Context, src *Function, targets []*Func
 		targets[i].setActive(refs[i].inst)
 	}
 	return refs, reports, nil
-}
-
-// fanoutGroup delivers the fan-out's co-located targets through one
-// shared-egress multicast tee pass (castInstances) reading the pinned source
-// region once, filling refs and reports at the group's indices. The group
-// either lands whole or returns an error having released everything it
-// allocated (MulticastTransfer's own failure contract), so the caller can
-// retry its members individually.
-func fanoutGroup(ctx context.Context, si *Instance, group []int, chosen []*Instance, base *transferConfig, out DataRef, refs []DataRef, reports []Report) error {
-	members := make([]*Instance, len(group))
-	for k, i := range group {
-		members[k] = chosen[i]
-	}
-	srcRef := out
-	groupRefs, reps, err := castInstances(si, members, core.MulticastOptions{
-		Ctx:       ctx,
-		SourceRef: coreSourceRef(&srcRef),
-		Gates:     base.gates,
-	})
-	if err != nil {
-		return err
-	}
-	for k, i := range group {
-		refs[i], reports[i] = groupRefs[k], reps[k]
-	}
-	return nil
 }
 
 // resolveProducer picks the instance a fresh payload is produced at: the

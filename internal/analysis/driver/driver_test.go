@@ -25,7 +25,7 @@ const annotated = `package p
 //roadvet:ignore regionrelease best-effort rewind on the failure path
 var a = 1
 
-var b = 2 //roadvet:ignore gaugebalance same-line justification
+var b = 2 //roadvet:ignore windowcredit same-line justification
 
 //roadvet:ignore lockguard
 var c = 3
@@ -40,7 +40,7 @@ func TestCollectIgnores(t *testing.T) {
 	if igs[0].analyzer != "regionrelease" || !strings.Contains(igs[0].reason, "best-effort") {
 		t.Errorf("first ignore parsed as %+v", igs[0])
 	}
-	if igs[1].analyzer != "gaugebalance" {
+	if igs[1].analyzer != "windowcredit" {
 		t.Errorf("second ignore parsed as %+v", igs[1])
 	}
 	if len(malformed) != 1 {
@@ -61,7 +61,7 @@ func TestMatchIgnore(t *testing.T) {
 	if matchIgnore(igs, covered) == nil {
 		t.Error("annotation above the finding did not suppress it")
 	}
-	sameLine := Finding{Analyzer: "gaugebalance", Pos: token.Position{Filename: "fixture.go", Line: 6}}
+	sameLine := Finding{Analyzer: "windowcredit", Pos: token.Position{Filename: "fixture.go", Line: 6}}
 	if matchIgnore(igs, sameLine) == nil {
 		t.Error("same-line annotation did not suppress the finding")
 	}

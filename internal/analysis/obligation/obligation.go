@@ -11,7 +11,7 @@
 // path walk and its fall-off handling, per-site de-duplication.
 //
 // A site is keyed by a types.Object (the variable bound to the acquiring
-// call's result) or, for bracket domains such as the in-flight gauge, by
+// call's result) or, for bracket domains such as the send window, by
 // the rendered operands of the opening call ("src.route", "si.index"):
 // textual matching keeps loop brackets — one Enter per element, Exits in a
 // deferred loop over the same elements — paired.

@@ -9,7 +9,6 @@ import (
 	"golang.org/x/tools/go/analysis"
 
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/analysis/analyzertest"
-	"github.com/polaris-slo-cloud/roadrunner-go/internal/analysis/gaugebalance"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/analysis/obligation"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/analysis/poolreturn"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/analysis/refbalance"
@@ -33,7 +32,6 @@ func TestSplitMutation(t *testing.T) {
 	}{
 		{poolreturn.Analyzer, "may leak"},
 		{refbalance.Analyzer, "may leak"},
-		{gaugebalance.Analyzer, "not balanced"},
 		{windowcredit.Analyzer, "not followed by a push"},
 	} {
 		t.Run(tc.analyzer.Name, func(t *testing.T) {
@@ -95,11 +93,6 @@ func TestDiagnosticTexts(t *testing.T) {
 			"page refs %q may leak: a path reaches the function's end without Release/ReleaseAll or a handoff",
 			"",
 			"page refs discarded: the references can never be released; keep them and Release/ReleaseAll or hand them off",
-		}},
-		{gaugebalance.Row, [4]string{
-			"", "",
-			"%s.Enter(%s) is not balanced by an Exit on every path: the in-flight gauge leaks and least-loaded placement steers around a phantom invocation",
-			"",
 		}},
 		{windowcredit.Row, [4]string{
 			"", "",

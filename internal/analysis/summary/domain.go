@@ -28,9 +28,6 @@ const (
 	// Ref is the pagebuf page-reference domain: any call returning Ref or
 	// []Ref / Ref.Release, ReleaseAll (refbalance).
 	Ref Domain = "ref"
-	// Gauge is the invoker in-flight gauge: State.Enter / State.Exit
-	// (gaugebalance).
-	Gauge Domain = "gauge"
 	// Window is the send-window credit: sendWindow.reserve / push
 	// (windowcredit).
 	Window Domain = "window"
@@ -67,9 +64,6 @@ var Table = []*Matcher{
 	{Domain: Ref,
 		Acquire: refResults,
 		Release: refReleased},
-	{Domain: Gauge,
-		Enter:   bracketOf(1, method("Enter", "State")),
-		Release: bracketOf(1, method("Exit", "State"))},
 	{Domain: Window,
 		Enter:   bracketOf(0, method("reserve", "sendWindow")),
 		Release: bracketOf(0, method("push", "sendWindow"))},

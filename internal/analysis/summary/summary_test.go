@@ -224,10 +224,6 @@ func (r Ref) Release() {}
 
 func ReleaseAll(rs []Ref) {}
 
-type State struct{}
-
-func (st *State) Exit(i int) {}
-
 type sendWindow struct{}
 
 func (w *sendWindow) push(rs []Ref, charged bool) error { return nil }
@@ -238,7 +234,6 @@ func relRegion(v *View, p uint32)  { _ = v.Deallocate(p) }
 func relPool(x *int)               { pool.Put(x) }
 func relRef(r Ref)                 { r.Release() }
 func relRefs(rs []Ref)             { ReleaseAll(rs) }
-func relGauge(st *State, i int)    { st.Exit(i) }
 func relWindow(w *sendWindow)      { _ = w.push(nil, true) }
 `)
 	prog := Build([]*callgraph.Pkg{unit})
@@ -251,7 +246,6 @@ func relWindow(w *sendWindow)      { _ = w.push(nil, true) }
 		{"relPool", Pool, 1},
 		{"relRef", Ref, 1},
 		{"relRefs", Ref, 1},
-		{"relGauge", Gauge, 1},
 		{"relWindow", Window, 1},
 	} {
 		m := MatcherOf(tc.d)

@@ -12,9 +12,9 @@ import (
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/analysis/summary"
 )
 
-// Row is the send-window row of the obligation table. Like the gauge it
-// is a bracket, keyed on the window's receiver expression; reserve's own
-// error prunes the failed branch.
+// Row is the send-window row of the obligation table. It is a bracket,
+// keyed on the window's receiver expression; reserve's own error prunes
+// the failed branch.
 var Row = obligation.Row{
 	Name:       "windowcredit",
 	Doc:        "check that every send-window reservation is followed by a push on every path",

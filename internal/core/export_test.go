@@ -16,9 +16,9 @@ const KernelSendWindow = kernelSendWindow
 const DepositPiece = depositPiece
 
 // ClaimGates returns pipeline gates whose claimed hook runs in whichever
-// depositor of a striped drain takes a piece off the deposit slot, right
-// after it took it and before it copies it.
-func ClaimGates(claimed func(byCaller bool)) *PipelineGates {
+// depositor of a striped drain takes a piece of n bytes off the deposit
+// slot, right after it took it and before it copies it.
+func ClaimGates(claimed func(byCaller bool, n int)) *PipelineGates {
 	return &PipelineGates{claimed: claimed}
 }
 

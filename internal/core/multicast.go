@@ -50,7 +50,9 @@ type MulticastOptions struct {
 // ingress stages: the source VM is locked only for the tee pass, whose
 // announce dispatches every target's leg (networkOps' ingress) onto a stage
 // worker, and each leg drains its own channel under its own VM lock, all legs
-// in parallel, overlapping the source pass. A source that fails before
+// in parallel, overlapping the source pass. A leg drains as a unicast ingress
+// does: the caller, joining the legs in order, is the second depositor of the
+// leg it joins (awaitIngress). A source that fails before
 // announcing dispatched no leg and leaves every channel pristine and warm;
 // once legs run, any failure destroys all channels and the join reports the
 // stage that failed first, as runPipeline does.
@@ -109,6 +111,15 @@ func MulticastTransfer(src *Function, dsts []*Function, opts MulticastOptions) (
 	chans := make([]*channel, len(dsts))
 	setups := make([]time.Duration, len(dsts))
 	legs := make([]*pipelineState, len(dsts))
+	// A leg's spec is a unicast's, complete before it drains: its drain is
+	// striped, the caller serving its deposit slot while it joins the leg;
+	// its wire is the link shared by the cast's cross-node legs.
+	remote := 0
+	for _, ds := range dstShims {
+		if chanKindFor(ds) != chanKernel {
+			remote++
+		}
+	}
 	announced, released := false, false
 	// release tears the fan-out's channels down, once. A failure before the
 	// announce left every channel pristine; after it, any channel may hold
@@ -140,7 +151,14 @@ func MulticastTransfer(src *Function, dsts []*Function, opts MulticastOptions) (
 		}
 		chans[i], setups[i] = c, setup
 		st := statePool.Get().(*pipelineState)
-		st.spec = pipelineSpec{ctx: opts.Ctx, gates: opts.Gates, dst: dst, ops: networkOps{}}
+		st.spec = pipelineSpec{
+			mode: "kernel-multicast", ctx: opts.Ctx, gates: opts.Gates, src: src, dst: dst,
+			chunkBytes: srcShim.hoseCap, ops: networkOps{},
+		}
+		if c.kind != chanKernel {
+			st.spec.mode = "network-multicast"
+			st.spec.link, st.spec.flows = opts.Link, remote
+		}
 		st.ch = c
 		legs[i] = st
 	}
@@ -203,24 +221,8 @@ func MulticastTransfer(src *Function, dsts []*Function, opts MulticastOptions) (
 		transfer: em.transfer / time.Duration(len(dsts)),
 		wasmIO:   em.wasmIO / time.Duration(len(dsts)),
 	}
-	remote := 0
-	for _, c := range chans {
-		if c.kind != chanKernel {
-			remote++
-		}
-	}
 	reports := make([]metrics.TransferReport, len(dsts))
 	for i, st := range legs {
-		sp := &st.spec
-		sp.src, sp.mode = src, "kernel-multicast"
-		if chans[i].kind != chanKernel {
-			sp.mode = "network-multicast"
-			sp.link, sp.flows = opts.Link, remote
-		}
-		// Legs deal no chunks to the caller, so the pipeline depth is set
-		// only now, for the overlap credit: the shared tee pass feeds each
-		// target's wire and drain chunk by chunk.
-		sp.chunkBytes = srcShim.hoseCap
 		var usage metrics.Usage
 		if ds := dsts[i].shim; first[ds] == i {
 			usage = ds.acct.Snapshot().Sub(beforeDst[i])
@@ -228,7 +230,7 @@ func MulticastTransfer(src *Function, dsts []*Function, opts MulticastOptions) (
 		if i == 0 {
 			usage = usage.Add(srcUsage) // attribute source work once
 		}
-		reports[i] = assembleReport(sp, out, setups[i], srcShare, st.im, usage)
+		reports[i] = assembleReport(&st.spec, out, setups[i], srcShare, st.im, usage)
 	}
 	return refs, reports, nil
 }

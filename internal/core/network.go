@@ -20,9 +20,6 @@ type NetworkOptions struct {
 	// Link is the modeled network path between the two nodes; nil means
 	// no network time is attributed (testing).
 	Link *netsim.Link
-	// Flows is the number of concurrent flows sharing the link
-	// (fan-out degree); values < 1 mean 1.
-	Flows int
 	// NoChannelCache forces per-call channel establishment and teardown
 	// (the connection is created and closed around every transfer — the
 	// paper's per-call Algorithm 1, kept as the reference syscall trace the
@@ -76,7 +73,6 @@ func NetworkTransfer(src, dst *Function, opts NetworkOptions) (InboundRef, metri
 		src:        src,
 		dst:        dst,
 		link:       opts.Link,
-		flows:      opts.Flows,
 		chunkBytes: src.shim.hoseCap,
 		sourceRef:  opts.SourceRef,
 	}
@@ -191,7 +187,7 @@ func (s *Shim) push(ctx context.Context, view []byte, legs []*pipelineState) err
 // It is also every multicast leg's ingress. A cross-node leg is the same
 // target half of Algorithm 1; a same-node leg skips the hose and pops the
 // teed page references straight off its socketpair end. Either leg drains
-// alone (drainHose's plain loop), and its descriptors stay open: teardown
+// as a unicast does (drainHose), and its descriptors stay open: teardown
 // belongs to the channel's lifecycle.
 func (networkOps) ingress(st *pipelineState, out OutputRef) (InboundRef, error) {
 	f := st.spec.dst
@@ -224,8 +220,9 @@ const depositPiece = 256 << 10
 // cancelled) is polled at every chunk boundary, and a failure mid-chunk
 // resets the hose.
 //
-// When st's spec is striped — a unicast transfer of more than one piece,
-// whose caller goroutine serves the deposit slot at the join (awaitIngress) —
+// When st's spec is striped — a transfer of more than one piece, whose
+// caller goroutine serves the deposit slot at the join (awaitIngress), a
+// unicast's or a cast leg's alike —
 // the drain runs over two depositors: the loop still issues every syscall,
 // but publishes every chunk it reads as pieces in st.depositCh (publish), and
 // after the last chunk drains the slot alongside the caller (joinDeposits).
@@ -235,9 +232,9 @@ const depositPiece = 256 << 10
 // stolen onto the other core. The VM lock this goroutine holds covers the
 // caller's writes: it is not released before joinDeposits has settled every
 // published piece, on every return path, so nothing writes wv after an abort
-// rewinds the target's heap. A fan-out leg runs the plain loop: its spec
-// carries no chunkBytes while it drains, because its caller joins N legs and
-// serves no deposit slot.
+// rewinds the target's heap. A cast's caller joins its legs in order, so a
+// leg it has not reached yet copies its own pieces: in publish once the slot
+// is full, and in joinDeposits.
 //
 // Kernel time lands in m.transfer, this goroutine's deposits in m.wasmIO
 // together with its yield and its wait at the join: m.wasmIO is the stage's
@@ -354,7 +351,7 @@ func (st *pipelineState) joinDeposits(s *Shim, m *stageMetrics, sw *metrics.Stop
 		select {
 		case job := <-st.depositCh:
 			if g := st.spec.gates; g != nil && g.claimed != nil {
-				g.claimed(false)
+				g.claimed(false, len(job.dst))
 			}
 			s.depositOne(job)
 			st.deposits.Done()

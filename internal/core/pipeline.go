@@ -115,9 +115,10 @@ type PipelineGates struct {
 	// is how tests prove an interior VM stays free mid-transfer.
 	BeforeIngress func()
 	// claimed, when a test sets it, runs in whichever depositor of a
-	// striped drain takes a piece off the deposit slot — byCaller tells
-	// which — right after it took it and before it copies it.
-	claimed func(byCaller bool)
+	// striped drain takes a piece of n bytes off the deposit slot —
+	// byCaller tells which — right after it took it and before it copies
+	// it.
+	claimed func(byCaller bool, n int)
 }
 
 // stageMetrics accumulates one stage's breakdown contributions.
@@ -188,7 +189,7 @@ type pipelineSpec struct {
 	gates    *PipelineGates
 	src, dst *Function
 	link     *netsim.Link // modeled wire; nil = no network time
-	flows    int
+	flows    int          // flows sharing link: a cast's cross-node legs
 	// chunkBytes is the channel chunk size the payload crosses in — the
 	// pipeline depth for overlap attribution is ceil(len/chunkBytes).
 	// Zero means 1 chunk: no overlap is attributed. The copy path leaves
@@ -256,9 +257,6 @@ type pipelineState struct {
 	// copied.
 	depositCh chan depositJob
 	deposits  sync.WaitGroup
-	// callerDeposited counts the payload bytes the caller's goroutine
-	// copied; the ingress stage copied the rest. Read by tests only.
-	callerDeposited int
 }
 
 var statePool = sync.Pool{New: func() any {
@@ -276,7 +274,6 @@ func putPipelineState(st *pipelineState) {
 	st.em, st.im = stageMetrics{}, stageMetrics{}
 	st.out = OutputRef{}
 	st.announced = false
-	st.callerDeposited = 0
 	st.ingressFailed.Store(false)
 	statePool.Put(st)
 }
@@ -365,11 +362,10 @@ func (st *pipelineState) awaitIngress() ingressResult {
 		select {
 		case job := <-st.depositCh:
 			if g != nil && g.claimed != nil {
-				g.claimed(true)
+				g.claimed(true, len(job.dst))
 			}
 			sw := metrics.NewStopwatch(s.now)
 			s.depositOne(job)
-			st.callerDeposited += len(job.dst)
 			s.acct.CPU(metrics.User, sw.Lap())
 			st.deposits.Done()
 		case ires := <-st.ingressCh:

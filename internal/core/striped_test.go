@@ -182,7 +182,7 @@ func TestStripedDrainFailuresConserve(t *testing.T) {
 		return func(p *stripedPair, cancel context.CancelFunc) (error, *core.PipelineGates) {
 			claimed, landed := make(chan struct{}), make(chan struct{})
 			var first sync.Once
-			gates := core.ClaimGates(func(byCaller bool) {
+			gates := core.ClaimGates(func(byCaller bool, _ int) {
 				if byCaller {
 					first.Do(func() {
 						close(claimed)

@@ -1,12 +1,10 @@
 // Plan execution: Platform.Submit runs a validated Plan's DAG through the
 // invoke-routing engine and the bounded worker pool under one
-// context.Context, handing back a Job. Each node body executes as a pool
-// task (Fan nodes orchestrate their own deliveries through the pool, so
-// their coordinating body runs on the node's goroutine to keep the pool
-// free for the deliveries themselves); dependencies gate on the
-// predecessors' completion, a failed or skipped dependency skips its
-// dependents, and cancellation reaches every layer — queue admission, hop
-// scheduling, and the pipeline's stage boundaries.
+// context.Context, handing back a Job. Each node body executes as one pool
+// task; dependencies gate on the predecessors' completion, a failed or
+// skipped dependency skips its dependents, and cancellation reaches every
+// layer — queue admission, hop scheduling, and the pipeline's stage
+// boundaries.
 package roadrunner
 
 import (
@@ -200,13 +198,11 @@ func (p *Platform) Submit(ctx context.Context, plan *Plan) (*Job, error) {
 	// Root nodes (no dependencies) dispatch straight onto the pool from
 	// here — no orchestration goroutines, so a single-node plan costs
 	// exactly one pool task over the one-shot ...Ctx call. Submission
-	// applies the pool's usual backpressure. Dependent nodes (and Fan
-	// bodies, which coordinate their own deliveries through the pool and
-	// must not occupy a worker) each get a goroutine to wait their
-	// dependencies out.
+	// applies the pool's usual backpressure. Dependent nodes each get a
+	// goroutine to wait their dependencies out.
 	for i := range plan.nodes {
 		n := plan.nodes[i]
-		if len(n.deps) == 0 && n.op != opFan {
+		if len(n.deps) == 0 {
 			job.dispatch(ctx, p, pool, n, nil)
 			continue
 		}
@@ -246,9 +242,8 @@ func (j *Job) publish(id int, res NodeResult) {
 	}
 }
 
-// runNode waits the node's dependencies out, then runs its body — a fan
-// body here, any other as a pool task (dispatch) — and the outcome is
-// published.
+// runNode waits the node's dependencies out, then runs its body as a pool
+// task (dispatch), which publishes the outcome.
 func (j *Job) runNode(ctx context.Context, p *Platform, pool *sched.Pool, n *PlanNode) {
 	for _, dep := range n.deps {
 		select {
@@ -265,14 +260,6 @@ func (j *Job) runNode(ctx context.Context, p *Platform, pool *sched.Pool, n *Pla
 	var input *NodeResult
 	if n.input != nil {
 		input = j.nodes[n.input.id].res // complete: From implies After
-	}
-	if n.op == opFan {
-		// The fan body coordinates its own deliveries through the pool;
-		// running it on a worker could deadlock a one-worker pool against
-		// its own deliveries, so it runs here and only the deliveries
-		// occupy workers.
-		j.publish(n.id, p.execNode(ctx, n, input))
-		return
 	}
 	j.dispatch(ctx, p, pool, n, input)
 }

@@ -3,9 +3,12 @@
 package roadrunner_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -318,35 +321,314 @@ func TestMulticastFailureBeforeAnnounce(t *testing.T) {
 	}
 }
 
-// TestFanoutRunsOnWorkerPool: Fanout routes its deliveries through the
-// platform's bounded pool (sharing the single produced payload), keeps
-// report order, and still models link sharing across the fan-out.
-func TestFanoutRunsOnWorkerPool(t *testing.T) {
+// TestFanoutIsOneCast: a fan-out is one produce and one cast. Six remote
+// targets land as network-multicast legs, in report order, and the Fan
+// submits no pool task of its own: the one-shot form submits none, and a
+// one-node Fan plan submits exactly one — its body — as a one-node Xfer plan
+// does.
+func TestFanoutIsOneCast(t *testing.T) {
 	p := newPlatform(t)
 	src := deploy(t, p, roadrunner.FunctionSpec{Name: "src", Node: "edge"})
 	targets := make([]*roadrunner.Function, 6)
 	for i := range targets {
 		targets[i] = deploy(t, p, roadrunner.FunctionSpec{Name: fmt.Sprintf("t%d", i), Node: "cloud"})
 	}
-	before := p.SchedulerStats().Submitted
+	release := func(refs []roadrunner.DataRef) {
+		t.Helper()
+		for _, ref := range refs {
+			if err := ref.Instance().Release(ref); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	const n = 64 << 10
-	_, reports, err := p.FanoutCtx(bg, src, targets, n)
+	before := p.SchedulerStats().Submitted
+	refs, reports, err := p.FanoutCtx(bg, src, targets, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(reports) != len(targets) {
-		t.Fatalf("reports = %d, want %d", len(reports), len(targets))
+	if got := p.SchedulerStats().Submitted - before; got != 0 {
+		t.Fatalf("FanoutCtx submitted %d pool tasks, want none", got)
+	}
+	if len(refs) != len(targets) || len(reports) != len(targets) {
+		t.Fatalf("%d refs, %d reports for %d targets", len(refs), len(reports), len(targets))
 	}
 	for i, rep := range reports {
-		if rep.Mode != "network" {
-			t.Fatalf("report %d mode = %q", i, rep.Mode)
+		if owner, _ := roadrunner.TestingOwner(refs[i].Instance()); owner != targets[i] {
+			t.Fatalf("report %d: delivery owned by %s, want %s", i, owner.Name(), targets[i].Name())
 		}
-		if rep.Bytes != n {
-			t.Fatalf("report %d bytes = %d", i, rep.Bytes)
+		if rep.Mode != "network-multicast" || rep.Bytes != n {
+			t.Fatalf("report %d: mode %q, %d bytes, want network-multicast and %d", i, rep.Mode, rep.Bytes, n)
 		}
 	}
-	if got := p.SchedulerStats().Submitted - before; got != int64(len(targets)) {
-		t.Fatalf("fanout submitted %d pool tasks, want %d", got, len(targets))
+	release(refs)
+
+	submitted := func(build func(pl *roadrunner.Plan) *roadrunner.PlanNode) int64 {
+		t.Helper()
+		before := p.SchedulerStats().Submitted
+		job, node, err := submitOne(bg, p, build)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := job.Wait(bg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nr := res.Node(node)
+		if nr.Err != nil {
+			t.Fatal(nr.Err)
+		}
+		release(nr.Refs)
+		return p.SchedulerStats().Submitted - before
+	}
+	if err := src.Produce(n); err != nil {
+		t.Fatal(err)
+	}
+	xfer := submitted(func(pl *roadrunner.Plan) *roadrunner.PlanNode { return pl.Xfer(src, targets[0]) })
+	fan := submitted(func(pl *roadrunner.Plan) *roadrunner.PlanNode { return pl.Fan(src, targets, n) })
+	if xfer != 1 || fan != 1 {
+		t.Fatalf("a one-node plan submitted %d pool tasks for an Xfer, %d for a Fan; want 1 and 1", xfer, fan)
+	}
+}
+
+// TestFanoutSameVMTargetTakesUserSpace: no tee reaches the producer's own
+// VM, so a fan-out target routed there takes a user-space delivery while
+// the other targets share the cast, and every target lands the payload.
+// Under a forced ModeUserSpace every target is such a delivery, one attempt
+// at the instance the cast's routing chose: round-robin placement, routing
+// each target once per fan-out, takes a replicated target to each of its
+// replicas in turn.
+func TestFanoutSameVMTargetTakesUserSpace(t *testing.T) {
+	const n = 64 << 10
+	check := func(t *testing.T, refs []roadrunner.DataRef, reports []roadrunner.Report, targets []*roadrunner.Function, modes ...string) {
+		t.Helper()
+		for i, want := range modes {
+			if reports[i].Mode != want {
+				t.Errorf("target %s: mode %q, want %q", targets[i].Name(), reports[i].Mode, want)
+			}
+			if sum, err := checksumAtOwner(refs[i]); err != nil || sum != roadrunner.ExpectedChecksum(n) {
+				t.Errorf("target %s: checksum %#x (%v)", targets[i].Name(), sum, err)
+			}
+		}
+	}
+	t.Run("auto", func(t *testing.T) {
+		p := newPlatform(t)
+		src := deploy(t, p, roadrunner.FunctionSpec{Name: "src", Node: "edge"})
+		targets := []*roadrunner.Function{
+			deploy(t, p, roadrunner.FunctionSpec{Name: "vm", Node: "edge", ShareVMWith: src}),
+			deploy(t, p, roadrunner.FunctionSpec{Name: "near", Node: "edge"}),
+			deploy(t, p, roadrunner.FunctionSpec{Name: "far", Node: "cloud"}),
+		}
+		refs, reports, err := p.FanoutCtx(bg, src, targets, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, refs, reports, targets, "user", "kernel-multicast", "network-multicast")
+	})
+	t.Run("forced-user-space", func(t *testing.T) {
+		p := newPlatform(t, roadrunner.WithPlacement(roadrunner.PlacementRoundRobin))
+		src := deploy(t, p, roadrunner.FunctionSpec{Name: "src", Node: "edge"})
+		targets := []*roadrunner.Function{
+			deploy(t, p, roadrunner.FunctionSpec{Name: "pool", Node: "edge", ShareVMWith: src, Replicas: 2}),
+		}
+		seen := map[*roadrunner.Instance]bool{}
+		for range 2 {
+			refs, reports, err := p.FanoutCtx(bg, src, targets, n, roadrunner.WithMode(roadrunner.ModeUserSpace))
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(t, refs, reports, targets, "user")
+			seen[refs[0].Instance()] = true
+			out, err := src.Instance(0).Output()
+			if err == nil {
+				err = src.Instance(0).Release(out)
+			}
+			if err == nil {
+				err = refs[0].Instance().Release(refs[0])
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(seen) != 2 {
+			t.Fatalf("two fan-outs landed on %d replica(s), want both", len(seen))
+		}
+	})
+}
+
+// TestFanoutFaultFallsBackPerTarget: a cast fails whole, so when the
+// replica a fan-out routed a target to has crashed, every target retries
+// alone with retry-with-exclusion — as a unicast — and the struck target
+// lands on its surviving replica. Round-robin placement routes the second
+// fan-out to the replica the first did not use, the crashed one. A cancel
+// during the fallback fails the fan-out with context.Canceled and hands
+// back the delivery that had already landed and the produced region.
+func TestFanoutFaultFallsBackPerTarget(t *testing.T) {
+	const n = 64 << 10
+	// setup deploys the pair, lands one fan-out and crashes the replica it
+	// did not use; it returns the survivor.
+	setup := func(t *testing.T) (*roadrunner.Platform, *roadrunner.Function, []*roadrunner.Function, *roadrunner.Instance) {
+		p := newPlatform(t, roadrunner.WithPlacement(roadrunner.PlacementRoundRobin))
+		src := deploy(t, p, roadrunner.FunctionSpec{Name: "src", Node: "edge"})
+		targets := []*roadrunner.Function{
+			deploy(t, p, roadrunner.FunctionSpec{Name: "pool", Node: "edge", Replicas: 2}),
+			deploy(t, p, roadrunner.FunctionSpec{Name: "far", Node: "cloud"}),
+		}
+		refs, _, err := p.FanoutCtx(bg, src, targets, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		survivor := refs[0].Instance()
+		doomed := targets[0].Instance(0)
+		if doomed == survivor {
+			doomed = targets[0].Instance(1)
+		}
+		doomed.InjectFault(kernel.Crash())
+		return p, src, targets, survivor
+	}
+	t.Run("fallback", func(t *testing.T) {
+		p, src, targets, survivor := setup(t)
+		refs, reports, err := p.FanoutCtx(bg, src, targets, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if refs[0].Instance() != survivor {
+			t.Fatalf("delivery landed on %s, want the survivor %s", refs[0].Instance().Name(), survivor.Name())
+		}
+		for i, want := range []string{"kernel", "network"} {
+			if reports[i].Mode != want {
+				t.Errorf("target %s: mode %q, want the fallback's %q", targets[i].Name(), reports[i].Mode, want)
+			}
+			if sum, err := checksumAtOwner(refs[i]); err != nil || sum != roadrunner.ExpectedChecksum(n) {
+				t.Fatalf("target %s: checksum %#x (%v)", targets[i].Name(), sum, err)
+			}
+		}
+	})
+	t.Run("cancel-during-fallback", func(t *testing.T) {
+		// Count the target drains a fan-out on a fresh setup runs: the
+		// last is the fallback's delivery to the last target.
+		var ingresses atomic.Int64
+		p, src, targets, survivor := setup(t)
+		gate := roadrunner.TestingWithGates(func() { ingresses.Add(1) })
+		if _, _, err := p.FanoutCtx(bg, src, targets, n, gate); err != nil {
+			t.Fatal(err)
+		}
+		last := ingresses.Load()
+		if last < 2 {
+			t.Fatalf("the fallback fan-out ran %d target drains, want at least the two deliveries", last)
+		}
+		p, src, targets, survivor = setup(t)
+		// The cancel destroys the channels it interrupts, so the conserved
+		// quantities here are the guest heaps the fan-out allocated in.
+		insts := []*roadrunner.Instance{src.Instance(0), survivor, targets[1].Instance(0)}
+		probes := func() (out []uint32) {
+			for _, inst := range insts {
+				out = append(out, instanceProbe(t, inst))
+			}
+			return out
+		}
+		base := probes()
+		ctx, cancel := context.WithCancel(bg)
+		defer cancel()
+		var k atomic.Int64
+		gate = roadrunner.TestingWithGates(func() {
+			if k.Add(1) == last {
+				cancel()
+			}
+		})
+		_, _, err := p.FanoutCtx(ctx, src, targets, n, gate)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("fan-out cancelled during its fallback = %v, want context.Canceled", err)
+		}
+		if k.Load() != last {
+			t.Fatalf("the cancelled fan-out ran %d target drains, want %d", k.Load(), last)
+		}
+		if now := probes(); !slices.Equal(now, base) {
+			t.Fatalf("next allocation at src, survivor, far = %#x, want the baseline %#x", now, base)
+		}
+	})
+}
+
+// TestFanoutMatchesMulticast: Fan is Produce + Cast, so FanoutCtx and
+// MulticastCtx to the same target set report the same Mode and wire time
+// per leg. In the mixed set only the remote leg crosses the link, alone:
+// 1 MiB on the default 100 Mbps / 1 ms link is 84.9 ms, not the 168.8 ms of
+// two flows.
+func TestFanoutMatchesMulticast(t *testing.T) {
+	const n = 1 << 20
+	for _, tc := range []struct {
+		name    string
+		nodes   []string
+		network []time.Duration
+	}{
+		{"co-located+remote", []string{"edge", "cloud"}, []time.Duration{0, 84886080 * time.Nanosecond}},
+		{"remote+remote", []string{"cloud", "cloud"}, []time.Duration{168772160 * time.Nanosecond, 168772160 * time.Nanosecond}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := newPlatform(t)
+			src := deploy(t, p, roadrunner.FunctionSpec{Name: "src", Node: "edge"})
+			targets := make([]*roadrunner.Function, len(tc.nodes))
+			for i, node := range tc.nodes {
+				targets[i] = deploy(t, p, roadrunner.FunctionSpec{Name: fmt.Sprintf("t%d", i), Node: node})
+			}
+			_, fan, err := p.FanoutCtx(bg, src, targets, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, cast, err := p.MulticastCtx(bg, src, targets)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range targets {
+				if fan[i].Mode != cast[i].Mode || fan[i].Breakdown.Network != cast[i].Breakdown.Network {
+					t.Errorf("leg %d: fan-out %s / %v on the wire, multicast %s / %v",
+						i, fan[i].Mode, fan[i].Breakdown.Network, cast[i].Mode, cast[i].Breakdown.Network)
+				}
+				if got := fan[i].Breakdown.Network; got != tc.network[i] {
+					t.Errorf("leg %d: %v on the wire, want %v", i, got, tc.network[i])
+				}
+			}
+		})
+	}
+}
+
+// TestFanPlanOnOneWorker: a Fan node's body is one pool task that waits on
+// none of its own, so a one-worker platform runs a plan whose Fan waits
+// behind an Xfer. The watchdog names a hang; it bounds nothing else.
+func TestFanPlanOnOneWorker(t *testing.T) {
+	p := newPlatform(t, roadrunner.WithWorkers(1))
+	src := deploy(t, p, roadrunner.FunctionSpec{Name: "src", Node: "edge"})
+	targets := []*roadrunner.Function{
+		deploy(t, p, roadrunner.FunctionSpec{Name: "near", Node: "edge"}),
+		deploy(t, p, roadrunner.FunctionSpec{Name: "far", Node: "cloud"}),
+	}
+	const n = 64 << 10
+	if err := src.Produce(n); err != nil {
+		t.Fatal(err)
+	}
+	pl := roadrunner.NewPlan()
+	first := pl.Xfer(src, targets[1])
+	fan := pl.Fan(src, targets, n).After(first)
+	job, err := p.Submit(bg, pl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-job.Done():
+	case <-time.After(time.Minute):
+		t.Fatal("a Fan plan on one worker did not complete")
+	}
+	res, err := job.Wait(bg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	for i, ref := range res.Node(fan).Refs {
+		if sum, err := checksumAtOwner(ref); err != nil || sum != roadrunner.ExpectedChecksum(n) {
+			t.Fatalf("target %d: checksum %#x (%v)", i, sum, err)
+		}
 	}
 }
 
@@ -415,5 +697,77 @@ func TestFanoutParallelThroughput(t *testing.T) {
 	}
 	if par.UserCopyBytes != degree*n {
 		t.Fatalf("fan-out user copy bytes = %d, want one copy per target (%d)", par.UserCopyBytes, degree*n)
+	}
+}
+
+// BenchmarkOneTarget16M delivers 16 MiB to one target over a warm channel,
+// cross-node and on one node: as a unicast (TransferCtx), as a one-target
+// cast (MulticastCtx) and, cross-node, as a degree-1 fan-out, whose op
+// includes its 16 MiB produce. Every op hands its regions back.
+func BenchmarkOneTarget16M(b *testing.B) {
+	const n = 16 << 20
+	for _, tc := range []struct{ name, node string }{{"remote", "cloud"}, {"same-node", "edge"}} {
+		p := roadrunner.New()
+		src, err := p.Deploy(roadrunner.FunctionSpec{Name: "src", Node: "edge"})
+		if err != nil {
+			b.Fatal(err)
+		}
+		dst, err := p.Deploy(roadrunner.FunctionSpec{Name: "dst", Node: tc.node})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := src.Produce(n); err != nil {
+			b.Fatal(err)
+		}
+		targets := []*roadrunner.Function{dst}
+		ops := []struct {
+			name string
+			op   func() (roadrunner.DataRef, error)
+		}{
+			{"unicast", func() (roadrunner.DataRef, error) {
+				ref, _, err := p.TransferCtx(bg, src, dst)
+				return ref, err
+			}},
+			{"cast", func() (roadrunner.DataRef, error) {
+				refs, _, err := p.MulticastCtx(bg, src, targets)
+				if err != nil {
+					return roadrunner.DataRef{}, err
+				}
+				return refs[0], nil
+			}},
+		}
+		if tc.node != "edge" {
+			ops = append(ops, struct {
+				name string
+				op   func() (roadrunner.DataRef, error)
+			}{"fanout", func() (roadrunner.DataRef, error) {
+				refs, _, err := p.FanoutCtx(bg, src, targets, n)
+				if err != nil {
+					return roadrunner.DataRef{}, err
+				}
+				out, err := src.Instance(0).Output()
+				if err == nil {
+					err = src.Instance(0).Release(out)
+				}
+				return refs[0], err
+			}})
+		}
+		for _, o := range ops {
+			b.Run(tc.name+"/"+o.name, func(b *testing.B) {
+				for i := -1; i < b.N; i++ {
+					if i == 0 {
+						b.ResetTimer()
+					}
+					ref, err := o.op()
+					if err != nil {
+						b.Fatal(err)
+					}
+					if err := dst.Release(ref); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+		p.Close()
 	}
 }

@@ -178,7 +178,7 @@ func (pl *Plan) Cast(src *Function, targets []*Function, opts ...TransferOption)
 }
 
 // Fan declares a produce-once fan-out of an n-byte payload from src to
-// every target across the worker pool (the Plan form of FanoutCtx).
+// every target: one produce, then one cast (the Plan form of FanoutCtx).
 func (pl *Plan) Fan(src *Function, targets []*Function, n int, opts ...TransferOption) *PlanNode {
 	return pl.add(&PlanNode{op: opFan, src: src, targets: targets, bytes: n, opts: opts})
 }

@@ -215,7 +215,7 @@ func WithLink(bw Bandwidth, rtt time.Duration) Option {
 }
 
 // WithWorkers sets the size of the worker pool behind Submit's node bodies
-// and a fan-out's per-target deliveries (default: GOMAXPROCS).
+// (default: GOMAXPROCS).
 func WithWorkers(n int) Option {
 	return func(c *platformConfig) { c.workers = n }
 }
@@ -323,7 +323,7 @@ func (p *Platform) scheduler() *sched.Pool {
 }
 
 // SchedulerStats reports worker-pool activity (zero value before the first
-// Submit or fan-out).
+// Submit).
 func (p *Platform) SchedulerStats() sched.Stats {
 	p.mu.RLock()
 	pool := p.pool
@@ -480,10 +480,7 @@ func (p *Platform) Deploy(spec FunctionSpec) (*Function, error) {
 type TransferOption func(*transferConfig)
 
 type transferConfig struct {
-	mode Mode
-	// flows is the number of flows modeled as sharing the link: a fan-out
-	// sets its degree; 0 means one.
-	flows     int
+	mode      Mode
 	sourceRef *DataRef
 	srcInst   *Instance
 	dstInst   *Instance
@@ -792,7 +789,6 @@ func (p *Platform) transferResolved(si, di *Instance, cfg *transferConfig) (Data
 		ref, rep, err := core.NetworkTransfer(si.inner, di.inner, core.NetworkOptions{
 			Ctx:       cfg.ctx,
 			Link:      p.link,
-			Flows:     cfg.flows,
 			SourceRef: srcRef,
 			Gates:     cfg.gates,
 		})
