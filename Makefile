@@ -165,7 +165,7 @@ codegen:
 ## change that shrinks the surface lowers the ceiling with it. Raise a
 ## ceiling only with the reason in CHANGES.md
 LOC_MAX_EXPORTED := 72
-LOC_MAX_KNOBS := 29
+LOC_MAX_KNOBS := 28
 loc:
 	@count() { find "$$@" -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './vendor/*' -print0 | xargs -0 cat | wc -l; }; \
 	printf '%7d  %s\n' "$$(count . -maxdepth 1)" "(root package)"; \

@@ -21,17 +21,17 @@ const (
 	allocCeilingPlanSubmit   = 20
 	allocCeilingPoolSubmit   = 0
 	// A warm same-node fan-out is one produce and one shared-egress
-	// multicast pass: the per-operation slices (channels, legs, refs,
-	// reports, routing), one drained reference run per target — each leg
-	// runs on a pooled pipeline state and a parked stage worker — and the
-	// one extent header of the tee pass (measured 49, +10 %). Its budget is
-	// per operation, not per target — the shared pass is what keeps it from
+	// multicast pass: the per-operation slices (legs, refs, reports,
+	// routing), one drained reference run per target — each leg runs on a
+	// pooled pipeline state and a parked stage worker — and the one extent
+	// header of the tee pass (measured 31, +10 %). Its budget is per
+	// operation, not per target — the shared pass is what keeps it from
 	// scaling with N payload copies.
-	allocCeilingWarmFanout = 54
+	allocCeilingWarmFanout = 35
 	// A warm multicast of one 1 MiB output to allocFanoutDegree same-node
 	// targets: the same pass without the produce and the fan-out's
-	// per-target bookkeeping (measured 34, +10 %).
-	allocCeilingWarmMulticast = 38
+	// per-target bookkeeping (measured 16, +10 %).
+	allocCeilingWarmMulticast = 18
 )
 
 // allocFanoutDegree sizes the fan-out ceiling probe: enough targets that a

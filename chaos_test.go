@@ -377,6 +377,37 @@ func TestFaultedOpsLeaveNoInFlightResidue(t *testing.T) {
 		}
 		assertIdle(t, fns)
 	})
+	t.Run("produce beyond 32 bits", func(t *testing.T) {
+		// The guest's produce takes a 32-bit size, so 2^32 bytes and more
+		// would wrap (2^40 to an empty payload). Every verb refuses such a
+		// size as a *PlanError before anything runs: the source heap is
+		// where it was and no gauge moved.
+		p, fns := newTrio(t)
+		head := fns[0].Instance(0)
+		before := instanceProbe(t, head)
+		for _, n := range []int{1 << 32, 1 << 40} {
+			var perr *roadrunner.PlanError
+			if _, _, err := p.FanoutCtx(bg, fns[0], []*roadrunner.Function{fns[1], fns[2]}, n); !errors.As(err, &perr) {
+				t.Fatalf("fanout of %d bytes = %v, want *PlanError", n, err)
+			}
+			if _, err := p.InvokeCtx(bg, fns[0], fns[2], n); !errors.As(err, &perr) {
+				t.Fatalf("invoke of %d bytes = %v, want *PlanError", n, err)
+			}
+			if _, _, err := p.ChainCtx(bg, n, fns); !errors.As(err, &perr) {
+				t.Fatalf("chain of %d bytes = %v, want *PlanError", n, err)
+			}
+			if err := fns[0].Produce(n); err == nil {
+				t.Fatalf("produce of %d bytes succeeded", n)
+			}
+			if err := head.Produce(n); err == nil {
+				t.Fatalf("instance produce of %d bytes succeeded", n)
+			}
+			assertIdle(t, fns)
+		}
+		if got := instanceProbe(t, head); got != before {
+			t.Fatalf("alloc probe = %#x, want %#x: the source heap moved", got, before)
+		}
+	})
 	t.Run("chain head produce then early return", func(t *testing.T) {
 		// A chain's head produce brackets the head replica's in-flight
 		// gauge; if the chain then dies before its first hop (here: a

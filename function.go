@@ -2,6 +2,7 @@ package roadrunner
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -333,8 +334,11 @@ func (p *Platform) routeCast(verb string, si *Instance, targets []*Function, mod
 // context, pinned source region and gates — the one path Cast and Fan nodes
 // take into the core. It brackets every endpoint's routing load around the
 // transfer and feeds each landed leg into both endpoints' health FSMs, as
-// every other delivery does; legs are never retried (they share one tee
-// pass, DESIGN.md §8). Placement stays with the callers.
+// every other delivery does. A cast that fails with an instance fault a leg
+// caused strikes that leg's target, as a failed delivery strikes its
+// target; a source-side failure names no leg and strikes nobody. Legs are
+// never retried (they share one tee pass, DESIGN.md §8). Placement stays
+// with the callers.
 func (p *Platform) castInstances(si *Instance, chosen []*Instance, cfg *transferConfig) ([]DataRef, []Report, error) {
 	inner := make([]*core.Function, len(chosen))
 	for i, di := range chosen {
@@ -357,6 +361,11 @@ func (p *Platform) castInstances(si *Instance, chosen []*Instance, cfg *transfer
 		Gates:     cfg.gates,
 	})
 	if err != nil {
+		var leg *core.LegError
+		if errors.As(err, &leg) && isInstanceFault(err) {
+			di := chosen[leg.Leg]
+			di.fn.route.Observe(di.index, 0, err)
+		}
 		return nil, nil, err
 	}
 	out := make([]DataRef, len(refs))

@@ -2,6 +2,7 @@ package roadrunner
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/core"
 	"github.com/polaris-slo-cloud/roadrunner-go/internal/guest"
@@ -56,8 +57,13 @@ func (inst *Instance) Produce(n int) error {
 // produceAt runs the guest payload generator on this instance, records it
 // as the function's active instance, and returns the produced region — the
 // one routed-produce implementation every produce-then-transfer path
-// shares. Callers hold the lifecycle guard and bracket the route gauges.
+// shares. Callers hold the lifecycle guard and bracket the route gauges. A
+// size the guest's 32-bit produce cannot take is refused before the call,
+// which would truncate it.
 func (inst *Instance) produceAt(n int) (DataRef, error) {
+	if uint64(n) > math.MaxUint32 {
+		return DataRef{}, fmt.Errorf("produce %d bytes: %w", n, errBigBytes)
+	}
 	out, err := inst.inner.CallPacked(guest.ExportProduce, uint64(n))
 	if err != nil {
 		return DataRef{}, err

@@ -242,10 +242,9 @@ func (s *Shim) acquireChannel(dst *Shim, kind chanKind) (*channel, bool, error) 
 	return c, false, nil
 }
 
-// acquireTransferChannel is the channel entry of every transfer path (each
-// unicast transfer, each multicast leg): it acquires (or, perCall, freshly
-// establishes) the channel, measures the cold establishment time and
-// charges it to src as kernel CPU. The caller
+// acquireTransferChannel is the channel entry of every transfer leg: it
+// acquires (or, perCall, freshly establishes) the channel, measures the
+// cold establishment time and charges it to src as kernel CPU. The caller
 // must pair it with releaseTransferChannel on every exit path, passing the
 // transfer's outcome. Cached channels come back pinned; release unpins
 // them. (An explicit release call, not a returned closure: allocating a
@@ -275,10 +274,11 @@ func acquireTransferChannel(src, dst *Shim, kind chanKind, perCall bool) (*chann
 
 // releaseTransferChannel ends a transfer's use of its channel: failed
 // transfers poison the channel (payload may be stranded in it), and
-// per-call channels always tear down, matching Algorithm 1's close_all.
-func releaseTransferChannel(c *channel, perCall, healthy bool) {
+// per-call (uncached) channels always tear down, matching Algorithm 1's
+// close_all.
+func releaseTransferChannel(c *channel, healthy bool) {
 	c.unpin()
-	if perCall || !healthy {
+	if !c.cached || !healthy {
 		c.destroy()
 	}
 }

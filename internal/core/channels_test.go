@@ -381,7 +381,10 @@ func TestTransferErrorPathsConserveFDsAndPages(t *testing.T) {
 			if _, err := fa.CallPacked(guest.ExportProduce, uint64(n)); err != nil {
 				t.Fatal(err)
 			}
-			opts := core.NetworkOptions{NoChannelCache: mode == "network-uncached"}
+			opts := core.NetworkOptions{}
+			if mode == "network-uncached" {
+				opts.Gates = core.UncachedGates()
+			}
 			return &faultEnv{kernels: []*kernel.Kernel{k1, k2}, shims: []*core.Shim{s1, s2}, run: func() error {
 				_, _, err := core.NetworkTransfer(fa, fb, opts)
 				return err

@@ -223,9 +223,9 @@ func TestNetworkTransfer(t *testing.T) {
 // transfer of a pair): connect, one vmsplice+splice pair per chunk on the
 // source, splice+readrefs per chunk on the target — the hoses are the
 // shims', created with them, and teardown belongs to channel eviction, not
-// the transfer. Warm: the per-chunk data
-// plane only, zero connect/pipe syscalls. NoChannelCache: the paper's
-// original per-call trace including close_all.
+// the transfer. Warm: the per-chunk data plane only, zero connect/pipe
+// syscalls. Uncached (UncachedGates): the paper's original per-call trace
+// including close_all.
 func TestAlgorithm1SyscallTrace(t *testing.T) {
 	k1, k2 := kernel.New("edge"), kernel.New("cloud")
 	s1, err := core.NewShim(core.ShimConfig{
@@ -286,9 +286,9 @@ func TestAlgorithm1SyscallTrace(t *testing.T) {
 		t.Fatalf("warm copies: src=%d dstKernel=%d dstUser=%d", src.TotalCopyBytes(), dst.KernelCopyBytes, dst.UserCopyBytes)
 	}
 
-	// NoChannelCache: the original per-call trace, teardown included —
+	// Uncached: the original per-call trace, teardown included —
 	// 7 + close of the socket end (1) = 8 per side.
-	src, dst = trace(core.NetworkOptions{NoChannelCache: true})
+	src, dst = trace(core.NetworkOptions{Gates: core.UncachedGates()})
 	if src.Syscalls != 8 || dst.Syscalls != 8 {
 		t.Fatalf("uncached syscalls = %d/%d, want 8/8", src.Syscalls, dst.Syscalls)
 	}
@@ -328,7 +328,7 @@ func TestNetworkReportsNoSerialization(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		opts core.NetworkOptions
-	}{{"cold", core.NetworkOptions{}}, {"warm", core.NetworkOptions{}}, {"uncached", core.NetworkOptions{NoChannelCache: true}}} {
+	}{{"cold", core.NetworkOptions{}}, {"warm", core.NetworkOptions{}}, {"uncached", core.NetworkOptions{Gates: core.UncachedGates()}}} {
 		ref, report, err := core.NetworkTransfer(fa, fb, c.opts)
 		if err != nil {
 			t.Fatal(err)

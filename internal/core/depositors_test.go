@@ -116,7 +116,7 @@ func TestStripedDrainUsesBothDepositors(t *testing.T) {
 		g := newPieceGate()
 		s2.proc.InjectFault(g.syscall)
 		spec := pipelineSpec{mode: "network", kind: chanNetwork, src: fa, dst: fb, chunkBytes: hose, gates: &PipelineGates{claimed: g.take}}
-		ref, rep, err := runPipeline(&spec, networkOps{})
+		ref, rep, err := unicast(networkOps{}, &spec)
 		s2.proc.InjectFault(nil)
 		if err != nil {
 			t.Fatal(err)

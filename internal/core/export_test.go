@@ -64,3 +64,10 @@ func HoseQueued(s *Shim) int {
 	}
 	return n
 }
+
+// UncachedGates returns pipeline gates that give every leg an ephemeral
+// channel, established and closed around the transfer: the paper's per-call
+// Algorithm 1, the reference trace the cached path is checked against.
+func UncachedGates() *PipelineGates {
+	return &PipelineGates{uncached: true}
+}

@@ -378,6 +378,11 @@ func TestMulticastSourceSyscallsFlatSameNode(t *testing.T) {
 	}
 }
 
+// TestMulticastSingleTargetEqualsUnicast: a unicast is a one-leg cast. A
+// warm one-target cross-node MulticastTransfer and a warm NetworkTransfer of
+// the same payload over the same link run the same engine with the same
+// stage pair, so they report the same syscalls, copies and wire time and
+// deliver the same bytes.
 func TestMulticastSingleTargetEqualsUnicast(t *testing.T) {
 	k1, k2 := kernel.New("edge"), kernel.New("cloud")
 	s1, s2 := newShim(t, "s1", k1), newShim(t, "s2", k2)
@@ -386,13 +391,39 @@ func TestMulticastSingleTargetEqualsUnicast(t *testing.T) {
 	if _, err := src.CallPacked(guest.ExportProduce, uint64(n)); err != nil {
 		t.Fatal(err)
 	}
-	refs, reports, err := core.MulticastTransfer(src, []*core.Function{dst}, core.MulticastOptions{})
+	link := netsim.NewLink(100*netsim.Mbps, time.Millisecond)
+	unicast := func() metrics.TransferReport {
+		ref, report, err := core.NetworkTransfer(src, dst, core.NetworkOptions{Link: link})
+		if err != nil {
+			t.Fatal(err)
+		}
+		verifyDelivery(t, dst, ref, n)
+		if err := dst.Deallocate(ref.Ptr); err != nil {
+			t.Fatal(err)
+		}
+		return report
+	}
+	unicast() // establishes the pair's channel: both runs below are warm
+	want := unicast()
+	refs, reports, err := core.MulticastTransfer(src, []*core.Function{dst}, core.MulticastOptions{Link: link})
 	if err != nil {
 		t.Fatal(err)
 	}
 	verifyDelivery(t, dst, refs[0], n)
-	if reports[0].Usage.UserCopyBytes != n {
-		t.Fatalf("user copies = %d", reports[0].Usage.UserCopyBytes)
+	got := reports[0]
+	if got.Usage.Syscalls != want.Usage.Syscalls {
+		t.Fatalf("syscalls: cast %d, unicast %d", got.Usage.Syscalls, want.Usage.Syscalls)
+	}
+	if got.Usage.UserCopyBytes != n || got.Usage.UserCopyBytes != want.Usage.UserCopyBytes ||
+		got.Usage.KernelCopyBytes != want.Usage.KernelCopyBytes {
+		t.Fatalf("copies: cast %d user / %d kernel, unicast %d / %d", got.Usage.UserCopyBytes,
+			got.Usage.KernelCopyBytes, want.Usage.UserCopyBytes, want.Usage.KernelCopyBytes)
+	}
+	if got.Breakdown.Network != want.Breakdown.Network || got.Breakdown.Network <= 0 {
+		t.Fatalf("network: cast %v, unicast %v", got.Breakdown.Network, want.Breakdown.Network)
+	}
+	if got.Bytes != want.Bytes {
+		t.Fatalf("bytes: cast %d, unicast %d", got.Bytes, want.Bytes)
 	}
 }
 

@@ -20,13 +20,6 @@ type NetworkOptions struct {
 	// Link is the modeled network path between the two nodes; nil means
 	// no network time is attributed (testing).
 	Link *netsim.Link
-	// NoChannelCache forces per-call channel establishment and teardown
-	// (the connection is created and closed around every transfer — the
-	// paper's per-call Algorithm 1, kept as the reference syscall trace the
-	// cached path is checked against). By default the channel is cached and
-	// reused across transfers of the same shim pair, so warm transfers
-	// issue zero connect syscalls.
-	NoChannelCache bool
 	// SourceRef pins the source region (see UserOptions.SourceRef).
 	SourceRef *OutputRef
 	// Gates carries test instrumentation (see PipelineGates).
@@ -52,11 +45,11 @@ type NetworkOptions struct {
 // its sandbox, and the connection is a cached channel (channels.go): only
 // the first transfer between a shim pair pays it (reported as
 // Breakdown.Setup), and warm transfers issue zero connect/pipe syscalls.
-// Teardown moves from per-call close_all to channel
-// eviction and shim Close; NoChannelCache restores the per-call behavior.
-// That is the only variant: the copies and the serialization Algorithm 1
-// avoids are measured by the runC and WasmEdge baselines (DESIGN.md §5),
-// never by switching them back on here.
+// Teardown moves from per-call close_all to channel eviction and shim
+// Close; only tests restore the per-call behavior, as the reference trace
+// (PipelineGates). There is no other variant: the copies and the
+// serialization Algorithm 1 avoids are measured by the runC and WasmEdge
+// baselines (DESIGN.md §5), never by switching them back on here.
 func NetworkTransfer(src, dst *Function, opts NetworkOptions) (InboundRef, metrics.TransferReport, error) {
 	if src.shim == dst.shim {
 		return InboundRef{}, metrics.TransferReport{}, ErrSameVM
@@ -67,7 +60,6 @@ func NetworkTransfer(src, dst *Function, opts NetworkOptions) (InboundRef, metri
 	spec := pipelineSpec{
 		mode:       "network",
 		kind:       chanNetwork,
-		perCall:    opts.NoChannelCache,
 		ctx:        opts.Ctx,
 		gates:      opts.Gates,
 		src:        src,
@@ -76,7 +68,7 @@ func NetworkTransfer(src, dst *Function, opts NetworkOptions) (InboundRef, metri
 		chunkBytes: src.shim.hoseCap,
 		sourceRef:  opts.SourceRef,
 	}
-	return runPipeline(&spec, networkOps{})
+	return unicast(networkOps{}, &spec)
 }
 
 // hoseChunks is the number of hose-sized chunks a payload crosses in.
@@ -96,45 +88,24 @@ func hoseChunks(out OutputRef, hoseCap int) int {
 // pipelineState.
 type networkOps struct{}
 
-// egress is FunctionA's side of Algorithm 1 (lines 1-13) for one target:
-// the source stage every multicast shares too (Function.source).
-func (networkOps) egress(st *pipelineState) (OutputRef, error) {
-	legs := [1]*pipelineState{st}
-	return st.spec.src.source(st.spec.ctx, st.spec.sourceRef, legs[:], &st.em)
-}
-
-// source is the source stage of a network transfer and of a multicast, under
-// the source VM lock alone: locate the output region and take its zero-copy
-// view (Wasm IO, charged to m), announce the region to every leg — the legs
-// drain while the chunks still flow — and push the payload through the
-// shim's hose into every leg's channel (the transfer, charged to m). A
-// failure before the announce dispatched no leg.
-func (f *Function) source(ctx context.Context, pinned *OutputRef, legs []*pipelineState, m *stageMetrics) (OutputRef, error) {
-	s := f.shim
+// egress is FunctionA's side of Algorithm 1 (lines 1-13), for one target or
+// a multicast's tee group, under the source VM lock alone: the source view,
+// announced to every leg (sourceView), then the payload pushed through the
+// shim's hose into every leg's channel (the transfer).
+func (networkOps) egress(legs []*pipelineState) error {
+	s := legs[0].spec.src.shim
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// Algorithm 1 lines 1-4 and read_memory_host.
+	view, err := sourceView(legs)
+	if err != nil {
+		return err
+	}
 	sw := metrics.NewStopwatch(s.now)
-	out, err := f.sourceOutput(pinned)
-	if err != nil {
-		return OutputRef{}, err
-	}
-	view, err := f.view.ReadView(out.Ptr, out.Len)
-	if err != nil {
-		return OutputRef{}, err
-	}
-	ioT := sw.Lap()
-	s.acct.CPU(metrics.User, ioT)
-	m.wasmIO += ioT
-	for _, st := range legs {
-		st.announce(out)
-	}
-	swT := metrics.NewStopwatch(s.now)
-	err = s.push(ctx, view, legs)
-	sendT := swT.Lap()
+	err = s.push(legs[0].spec.ctx, view, legs)
+	sendT := sw.Lap()
 	s.acct.CPU(metrics.Kernel, sendT)
-	m.transfer += sendT
-	return out, err
+	legs[0].em.transfer += sendT
+	return err
 }
 
 // push is network_data_transfer_source (Algorithm 1 lines 6-13) for one

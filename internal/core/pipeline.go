@@ -1,12 +1,13 @@
 // The staged data-plane pipeline. Every cross-sandbox transfer (kernel,
-// network, multicast) is the same skeleton — resolve the source region,
-// acquire the pair's channel, push pages in (egress), drain pages out into
-// the target's linear memory (ingress), assemble usage and breakdown — and
-// this file owns that skeleton. The per-mode files (transfer.go, network.go)
-// contribute only the two stage bodies, as stateless stageOps
-// implementations; a multicast (multicast.go) is one egress — the tee pass —
-// whose announce dispatches one network ingress stage per target onto
-// the same stage workers, joined leg by leg.
+// network, multicast) is the same skeleton — take the pair locks, acquire
+// each leg's channel, push pages in (egress), drain pages out into each
+// target's linear memory (ingress), join the legs, assemble usage and
+// breakdown — and this file owns that skeleton, runPipeline. A transfer is
+// one egress and N legs: a unicast is the one-leg case, and a multicast
+// (multicast.go) is the network egress whose hose pages are tee'd to N
+// legs' channels instead of spliced into one. The per-mode files
+// (transfer.go, network.go) contribute only the two stage bodies, as
+// stateless stageOps implementations.
 //
 // Concurrency model (DESIGN.md §3): each VM lock is scoped to its stage —
 // every stage body takes its own VM lock for its whole body — so a chain's
@@ -58,20 +59,23 @@
 //
 // Serialization that must remain is provided by the pair lock
 // (Shim.pairLock): transfers of one ordered (source shim, target shim)
-// pair share one cached channel and therefore execute one at a time.
-// Transfers of different pairs — including pairs that share a VM —
-// interleave stage by stage, which is what frees a chain's interior VMs
-// between their stages. VM locks never nest: each stage takes its own VM
-// lock exactly once, and no goroutine ever holds two.
+// pair share one cached channel and therefore execute one at a time. A
+// transfer takes the pair lock of every distinct target shim of its legs,
+// in ascending shim creation order (lockPairs), which keeps overlapping
+// multicasts from one source deadlock-free. Transfers of different pairs —
+// including pairs that share a VM — interleave stage by stage, which is
+// what frees a chain's interior VMs between their stages. VM locks never
+// nest: each stage takes its own VM lock exactly once, and no goroutine
+// ever holds two.
 //
-// Memory model (DESIGN.md §10): the steady-state transfer path allocates
-// nothing. Per-transfer state — the result and deposit channels, both
-// stages' metrics, the spec itself — lives in a pooled pipelineState
-// recycled through a sync.Pool, and the ingress stage runs on a parked stage
-// worker fed through an unbuffered queue rather than a freshly spawned
-// goroutine (a `go` statement with arguments allocates its closure). The
-// recycled channels are never closed, so the same channel instances carry
-// the next transfer's messages.
+// Memory model (DESIGN.md §10): the steady-state unicast path allocates
+// nothing. Per-leg state — the result and deposit channels, both stages'
+// metrics, the spec itself, and the one-leg slice a unicast runs as — lives
+// in a pooled pipelineState recycled through a sync.Pool, and the ingress
+// stage runs on a parked stage worker fed through an unbuffered queue rather
+// than a freshly spawned goroutine (a `go` statement with arguments
+// allocates its closure). The recycled channels are never closed, so the
+// same channel instances carry the next transfer's messages.
 package core
 
 import (
@@ -119,6 +123,11 @@ type PipelineGates struct {
 	// byCaller tells which — right after it took it and before it copies
 	// it.
 	claimed func(byCaller bool, n int)
+	// uncached, when a test sets it, gives every leg an ephemeral channel,
+	// established and torn down around the transfer: the paper's per-call
+	// Algorithm 1, the reference syscall trace the cached path is checked
+	// against.
+	uncached bool
 }
 
 // stageMetrics accumulates one stage's breakdown contributions.
@@ -155,36 +164,32 @@ func modeledOverlap(k int, e, w, i time.Duration) time.Duration {
 	return (e + w + i - longest) * time.Duration(k-1) / time.Duration(k)
 }
 
-// ingressOps is a target-stage body, all runIngress needs. Implementations
-// are stateless zero-size types (kernelOps, and networkOps, whose ingress
-// every multicast leg runs too): everything a stage needs rides in the
-// pipelineState, so storing an implementation in a spec allocates nothing.
-type ingressOps interface {
+// stageOps is a mode's pair of stage bodies, run by runPipeline.
+// Implementations are stateless zero-size types (kernelOps, and networkOps,
+// whose stages every multicast runs too): everything a stage needs rides in
+// the pipelineState, so storing an implementation in a spec allocates
+// nothing.
+type stageOps interface {
+	// egress takes the source VM lock for its whole body: resolve the
+	// output region, announce it to every leg via st.announce (which
+	// dispatches the leg's target stage), push the payload into every
+	// leg's channel. It announces exactly once per leg, before the first
+	// byte moves — unless it fails first, touching nothing. Its metrics go
+	// to legs[0].em.
+	egress(legs []*pipelineState) error
 	// ingress takes the target VM lock for its whole body: drain st.ch into
 	// the target's linear memory and return the delivered region.
 	ingress(st *pipelineState, out OutputRef) (InboundRef, error)
 }
 
-// stageOps is a unicast mode's pair of stage bodies, run by runPipeline.
-type stageOps interface {
-	ingressOps
-	// egress takes the source VM lock for its whole body: resolve the
-	// output region, announce it via st.announce (which dispatches the
-	// target stage), push the payload into st.ch. It calls st.announce
-	// exactly once, before the first byte moves — unless it fails first,
-	// touching nothing.
-	egress(st *pipelineState) (OutputRef, error)
-}
-
-// pipelineSpec describes one staged cross-sandbox transfer. The engine owns
-// locking, channel lifecycle, stage scheduling and report assembly; ops
-// carries the mode-specific ingress body, and the remaining fields are what
-// every mode shares — the modes have no knobs of their own (a plain value
-// struct keeps the spec free of per-call closures).
+// pipelineSpec describes one leg of a staged cross-sandbox transfer. The
+// engine owns locking, channel lifecycle, stage scheduling and report
+// assembly; ops carries the mode's stage bodies, and the remaining fields
+// are what every mode shares — the modes have no knobs of their own (a
+// plain value struct keeps the spec free of per-call closures).
 type pipelineSpec struct {
 	mode     string // report mode tag
 	kind     chanKind
-	perCall  bool            // NoChannelCache: ephemeral channel, per-call teardown
 	ctx      context.Context // cancellation; nil means never cancelled
 	gates    *PipelineGates
 	src, dst *Function
@@ -198,7 +203,7 @@ type pipelineSpec struct {
 	// (DESIGN.md §3), so its modeled latency stays the sum of the laps.
 	chunkBytes int
 	sourceRef  *OutputRef // pinned source region (see UserOptions.SourceRef)
-	ops        ingressOps // the target-stage body runIngress runs
+	ops        stageOps   // set by runPipeline; runIngress runs its ingress
 }
 
 // striped reports whether a payload of out.Len bytes is drained by two
@@ -217,10 +222,10 @@ func (sp *pipelineSpec) chunks(out OutputRef) int {
 	return hoseChunks(out, sp.chunkBytes)
 }
 
-// ingressResult is the ingress stage's outcome.
+// ingressResult is the ingress stage's outcome; its metrics are in the
+// state's im.
 type ingressResult struct {
 	ref InboundRef
-	m   stageMetrics
 	err error
 }
 
@@ -233,8 +238,9 @@ type depositJob struct {
 	ref pagebuf.Ref
 }
 
-// pipelineState is the per-transfer scratch: the spec, the acquired
-// channel, both stages' metrics and the two rendezvous channels. States are
+// pipelineState is the per-leg scratch: the spec, the acquired channel and
+// its setup time, the target's usage snapshot, both stages' metrics (the
+// egress's in the first leg's) and the two rendezvous channels. States are
 // recycled through statePool, so a warm transfer allocates none of it; the
 // channels are never closed and the result channel carries exactly one
 // message per dispatched ingress, which is what makes recycling safe — after
@@ -244,6 +250,8 @@ type depositJob struct {
 type pipelineState struct {
 	spec      pipelineSpec
 	ch        *channel
+	setup     time.Duration // ch's establishment time; zero on a cache hit
+	before    metrics.Usage // the target shim's account at entry (its first leg)
 	em, im    stageMetrics
 	out       OutputRef
 	announced bool // an ingress stage was dispatched for out
@@ -257,13 +265,18 @@ type pipelineState struct {
 	// copied.
 	depositCh chan depositJob
 	deposits  sync.WaitGroup
+	// self holds the state itself: the one-leg slice a unicast runs as,
+	// backed by the state so that building it allocates nothing.
+	self [1]*pipelineState
 }
 
 var statePool = sync.Pool{New: func() any {
-	return &pipelineState{
+	st := &pipelineState{
 		ingressCh: make(chan ingressResult, 1),
 		depositCh: make(chan depositJob, defaultHoseBytes/depositPiece),
 	}
+	st.self[0] = st
+	return st
 }}
 
 // putPipelineState clears the state's references (so a pooled state pins no
@@ -271,6 +284,7 @@ var statePool = sync.Pool{New: func() any {
 func putPipelineState(st *pipelineState) {
 	st.spec = pipelineSpec{}
 	st.ch = nil
+	st.setup, st.before = 0, metrics.Usage{}
 	st.em, st.im = stageMetrics{}, stageMetrics{}
 	st.out = OutputRef{}
 	st.announced = false
@@ -340,7 +354,7 @@ func (st *pipelineState) runIngress() {
 		st.ingressFailed.Store(true)
 		st.ch.destroy()
 	}
-	st.ingressCh <- ingressResult{ref: ref, m: st.im, err: err}
+	st.ingressCh <- ingressResult{ref: ref, err: err}
 }
 
 // awaitIngress is the caller's side of the join. Instead of parking until
@@ -374,6 +388,33 @@ func (st *pipelineState) awaitIngress() ingressResult {
 	}
 }
 
+// sourceView is the prologue every egress shares, under the source VM lock
+// its caller holds: resolve the output region (Algorithm 1 lines 1-4) and
+// take its zero-copy view (read_memory_host), charged as Wasm IO to the
+// egress, then announce the region to every leg, which starts the legs
+// draining while the payload still flows. A failure before the announce
+// dispatched no leg.
+func sourceView(legs []*pipelineState) ([]byte, error) {
+	sp := &legs[0].spec
+	f := sp.src
+	sw := metrics.NewStopwatch(f.shim.now)
+	out, err := f.sourceOutput(sp.sourceRef)
+	if err != nil {
+		return nil, err
+	}
+	view, err := f.view.ReadView(out.Ptr, out.Len)
+	if err != nil {
+		return nil, err
+	}
+	ioT := sw.Lap()
+	f.shim.acct.CPU(metrics.User, ioT)
+	legs[0].em.wasmIO += ioT
+	for _, st := range legs {
+		st.announce(out)
+	}
+	return view, nil
+}
+
 // sourceOutput resolves the region a transfer's source stage reads: the
 // guest's current output (locate_memory_region), or — when the caller pins
 // an explicit region, as streaming chains do — set_output followed by
@@ -390,72 +431,194 @@ func (f *Function) sourceOutput(pinned *OutputRef) (OutputRef, error) {
 	return f.locateQuiet()
 }
 
-// runPipeline executes a staged transfer with the stage pair ops. Stage
-// scheduling:
-//
-//	caller goroutine:  pair lock → channel → [src lock: egress … announce … push] → deposit claimed pieces → join
-//	stage worker:                                          └→ [dst lock: ingress, publishing pieces]
-//
-// The egress's announce dispatches the ingress; an egress that fails before
-// announcing dispatched none, never touched the channel, and returns its own
-// error with the channel released healthy. The pair lock is the only lock
-// held across stages; VM locks never nest.
-func runPipeline(spec *pipelineSpec, ops stageOps) (InboundRef, metrics.TransferReport, error) {
-	srcShim, dstShim := spec.src.shim, spec.dst.shim
-	pl := srcShim.pairLock(dstShim, spec.kind)
-	pl.Lock()
-	defer pl.Unlock()
-	// First cancellation point: a transfer cancelled while waiting on the
-	// pair lock aborts before acquiring a channel or touching either VM.
-	if err := CtxErr(spec.ctx); err != nil {
-		return InboundRef{}, metrics.TransferReport{}, err
-	}
-	beforeSrc := srcShim.acct.Snapshot()
-	beforeDst := dstShim.acct.Snapshot()
-
-	ch, setup, err := acquireTransferChannel(srcShim, dstShim, spec.kind, spec.perCall)
+// unicast runs one transfer with the stage pair ops: spec's leg is the
+// pooled state's, passed to runPipeline as the one-leg slice the state
+// backs, so a warm unicast allocates nothing.
+func unicast(ops stageOps, spec *pipelineSpec) (InboundRef, metrics.TransferReport, error) {
+	st := statePool.Get().(*pipelineState)
+	st.spec = *spec
+	var ref [1]InboundRef
+	var report [1]metrics.TransferReport
+	_, err := runPipeline(ops, st.self[:], ref[:], report[:])
+	putPipelineState(st)
 	if err != nil {
 		return InboundRef{}, metrics.TransferReport{}, err
 	}
+	return ref[0], report[0], nil
+}
 
-	st := statePool.Get().(*pipelineState)
-	st.spec = *spec
-	st.spec.ops = ops
-	st.ch = ch
-
-	// Source stage, inline; its announce dispatches the target stage.
-	_, eerr := ops.egress(st)
-	if !st.announced {
-		putPipelineState(st)
-		releaseTransferChannel(ch, spec.perCall, true)
-		return InboundRef{}, metrics.TransferReport{}, eerr
+// runPipeline executes a staged transfer from one source to the targets of
+// legs — each a pooled state with a complete spec, all of one source — with
+// the stage pair ops, and fills refs and reports, one per leg. Stage
+// scheduling:
+//
+//	caller goroutine:  pair locks → channels → [src lock: egress … announce … push] → deposit claimed pieces → join legs in order
+//	stage worker per leg:                                  └→ [dst lock: ingress, publishing pieces]
+//
+// Every leg has a channel of its own: a target shim's first leg the pair's
+// cached one, any further leg into the same shim an ephemeral one, which
+// would otherwise collide with it. The egress's announce dispatches the
+// legs; an egress that fails before announcing dispatched none, never
+// touched a channel, and returns its own error with the channels released
+// healthy. Once legs run, any failure destroys every channel, and the join
+// reports the stage that failed first. On failure runPipeline hands back
+// the legs that landed and returns the failed leg's index, or -1 for the
+// source; the caller still owns and recycles the states. The pair locks
+// are the only locks held across stages; VM locks never nest.
+func runPipeline(ops stageOps, legs []*pipelineState, refs []InboundRef, reports []metrics.TransferReport) (int, error) {
+	src := legs[0].spec.src.shim
+	lockPairs(legs)
+	defer unlockPairs(legs)
+	// First cancellation point: a transfer cancelled while waiting on a
+	// pair lock aborts before acquiring a channel or touching any VM.
+	if err := CtxErr(legs[0].spec.ctx); err != nil {
+		return -1, err
 	}
-	// A failing stage destroys the channel, which then fails the other
-	// stage with whatever symptom its next step meets (ring closed, bad
-	// descriptor, end of stream): the stage that failed first has the cause.
-	ingressFirst := false
+	// Usage is snapshotted once per distinct target shim, on its first
+	// leg, and reported with that leg, as the source's is with leg 0: a VM
+	// holding two legs is counted once.
+	beforeSrc := src.acct.Snapshot()
+	for i, st := range legs {
+		if firstLeg(legs, i) {
+			st.before = st.spec.dst.shim.acct.Snapshot()
+		}
+	}
+	for i, st := range legs {
+		g := st.spec.gates
+		ch, setup, err := acquireTransferChannel(src, st.spec.dst.shim, st.spec.kind, g != nil && g.uncached || !firstLeg(legs, i))
+		if err != nil {
+			releaseChannels(legs[:i], true)
+			return i, err
+		}
+		st.ch, st.setup = ch, setup
+		st.spec.ops = ops
+	}
+
+	// Source stage, inline; its announce dispatches every leg.
+	eerr := ops.egress(legs)
+	if !legs[0].announced {
+		releaseChannels(legs, true)
+		return -1, eerr
+	}
+	// A failing leg destroys its channel, which then fails the egress with
+	// whatever symptom its next step meets (ring closed, bad descriptor,
+	// broken pipe): a leg whose failure was flagged before the egress
+	// failed has the cause.
+	cause := -1
 	if eerr != nil {
-		ingressFirst = st.ingressFailed.Load()
-		// The target stage may be blocked draining a channel that will never
-		// fill; poisoning the channel unblocks it. The release below destroys
-		// it again — destroy is idempotent.
-		ch.destroy()
+		for i, st := range legs {
+			if st.ingressFailed.Load() {
+				cause = i
+				break
+			}
+		}
+		// Legs may be blocked draining channels that will never fill;
+		// poisoning the channels unblocks them. The release below destroys
+		// them again — destroy is idempotent.
+		for _, st := range legs {
+			st.ch.destroy()
+		}
 	}
-	ires := st.awaitIngress()
-	out, em := st.out, st.em
-	putPipelineState(st)
-	if eerr != nil && !ingressFirst {
-		ires.err = eerr
+	// The join: without a source failure the first failed leg reports.
+	err := eerr
+	for i, st := range legs {
+		ires := st.awaitIngress()
+		refs[i] = ires.ref
+		if ires.err != nil && (i == cause || eerr == nil && err == nil) {
+			cause, err = i, ires.err
+		}
 	}
-	if ires.err != nil {
-		releaseTransferChannel(ch, spec.perCall, false)
-		return InboundRef{}, metrics.TransferReport{}, ires.err
+	if err != nil {
+		releaseChannels(legs, false)
+		return cause, releaseLanded(legs, refs, err)
 	}
-	releaseTransferChannel(ch, spec.perCall, true)
+	// Tear down before the usage snapshot: the closes of ephemeral channels
+	// are part of the transfer the reports account for.
+	releaseChannels(legs, true)
 
-	usage := srcShim.acct.Snapshot().Sub(beforeSrc).Add(dstShim.acct.Snapshot().Sub(beforeDst))
-	report := assembleReport(spec, out, setup, em, ires.m, usage)
-	return ires.ref, report, nil
+	// The egress is shared across legs: each leg's report carries an equal
+	// share of it as its egress stage, and the source's usage goes with the
+	// first leg. With one leg this is the whole egress.
+	em, n := legs[0].em, time.Duration(len(legs))
+	share := stageMetrics{transfer: em.transfer / n, wasmIO: em.wasmIO / n}
+	srcUsage := src.acct.Snapshot().Sub(beforeSrc)
+	for i, st := range legs {
+		var usage metrics.Usage
+		if firstLeg(legs, i) {
+			usage = st.spec.dst.shim.acct.Snapshot().Sub(st.before)
+		}
+		if i == 0 {
+			usage = usage.Add(srcUsage)
+		}
+		reports[i] = assembleReport(&st.spec, st.out, st.setup, share, st.im, usage)
+	}
+	return -1, nil
+}
+
+// firstLeg reports whether legs[i] is the first of legs into its target
+// shim.
+func firstLeg(legs []*pipelineState, i int) bool {
+	for _, st := range legs[:i] {
+		if st.spec.dst.shim == legs[i].spec.dst.shim {
+			return false
+		}
+	}
+	return true
+}
+
+// lockPairs takes the pair lock of every distinct target shim of legs — of
+// the leg's channel kind, so a multicast leg serializes with the unicast
+// transfers of its pair — in ascending shim creation order (Shim.seq),
+// which keeps overlapping multicasts from one source deadlock-free. It
+// allocates nothing: each turn takes the lowest seq above the last one.
+func lockPairs(legs []*pipelineState) {
+	var last uint64
+	for {
+		var next *pipelineState
+		for _, st := range legs {
+			if s := st.spec.dst.shim; s.seq > last && (next == nil || s.seq < next.spec.dst.shim.seq) {
+				next = st
+			}
+		}
+		if next == nil {
+			return
+		}
+		next.spec.src.shim.pairLock(next.spec.dst.shim, next.spec.kind).Lock()
+		last = next.spec.dst.shim.seq
+	}
+}
+
+// unlockPairs releases the pair locks lockPairs took.
+func unlockPairs(legs []*pipelineState) {
+	for i, st := range legs {
+		if firstLeg(legs, i) {
+			st.spec.src.shim.pairLock(st.spec.dst.shim, st.spec.kind).Unlock()
+		}
+	}
+}
+
+// releaseChannels ends every leg's use of its channel.
+func releaseChannels(legs []*pipelineState, healthy bool) {
+	for _, st := range legs {
+		releaseTransferChannel(st.ch, healthy)
+	}
+}
+
+// releaseLanded hands back the legs that landed before a transfer failed
+// with err, so an aborted (e.g. cancelled) multicast doesn't strand regions
+// in the fast targets' heaps; a failed leg's ref is zero, its ingress
+// already rewound. Each release runs under its target's VM lock. It
+// returns err.
+func releaseLanded(legs []*pipelineState, refs []InboundRef, err error) error {
+	for i, ref := range refs {
+		if ref.Ptr != 0 {
+			f := legs[i].spec.dst
+			f.shim.mu.Lock()
+			_ = f.view.Deallocate(ref.Ptr)
+			f.shim.mu.Unlock()
+		}
+	}
+	return err
 }
 
 // assembleReport folds both stages' measurements into the transfer report.

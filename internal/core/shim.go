@@ -8,7 +8,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -85,7 +84,7 @@ type Shim struct {
 	now     func() time.Time
 	hoseCap int
 
-	// seq is the shim's position in the pair-lock order (see distinctBySeq).
+	// seq is the shim's position in the pair-lock order (see lockPairs).
 	seq uint64
 	// mu is the VM lock: it guards functions, coldStart, the hose, every
 	// guest call and every view over the VM's linear memory (including
@@ -134,28 +133,6 @@ type Shim struct {
 
 // shimSeq numbers shims in creation order, the pair-lock order.
 var shimSeq atomic.Uint64
-
-// distinctBySeq deduplicates shims and orders them by ascending creation
-// sequence — the order a multicast takes its pair locks in, which keeps
-// overlapping fan-outs from one source deadlock-free. VM locks need no
-// order: they never nest.
-func distinctBySeq(shims []*Shim) []*Shim {
-	distinct := shims[:0:0]
-	for _, s := range shims {
-		dup := false
-		for _, d := range distinct {
-			if d == s {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			distinct = append(distinct, s)
-		}
-	}
-	sort.Slice(distinct, func(i, j int) bool { return distinct[i].seq < distinct[j].seq })
-	return distinct
-}
 
 // NewShim creates the shim's sandbox and prepares the Wasm runtime. The
 // measured duration (sandbox creation + runtime configuration) counts toward

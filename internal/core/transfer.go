@@ -189,9 +189,9 @@ type KernelOptions struct {
 // transfer builds no per-call closures.
 type kernelOps struct{}
 
-// egress is steps 1-2 then the send half, under the source VM lock alone:
-// locate + zero-copy read of the source region (Wasm IO), one
-// copy_from_user into the socketpair.
+// egress is steps 1-2 then the send half for the one leg of a kernel
+// transfer, under the source VM lock alone: the source view (sourceView),
+// then one copy_from_user into the socketpair.
 //
 // A payload longer than one relay segment (a slab) hands the caller's core
 // to the ingress it has just dispatched: one yield, after which the receive
@@ -203,28 +203,19 @@ type kernelOps struct{}
 // a goroutine readied next in line on a running P takes ~64 µs
 // (BenchmarkSecondCoreJoin; DESIGN §3, "the copy path"). A single-segment
 // payload has nothing to relay and keeps queueing its one slab.
-func (kernelOps) egress(st *pipelineState) (OutputRef, error) {
-	f := st.spec.src
-	s := f.shim
+func (kernelOps) egress(legs []*pipelineState) error {
+	st := legs[0]
+	s := st.spec.src.shim
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	swIO := metrics.NewStopwatch(s.now)
-	out, err := f.sourceOutput(st.spec.sourceRef)
+	view, err := sourceView(legs)
 	if err != nil {
-		return OutputRef{}, err
+		return err
 	}
-	view, err := f.view.ReadView(out.Ptr, out.Len)
-	if err != nil {
-		return OutputRef{}, err
-	}
-	ioT := swIO.Lap()
-	s.acct.CPU(metrics.User, ioT)
-	st.em.wasmIO += ioT
-	st.announce(out)
 	if len(view) > pagebuf.SlabSize {
 		runtime.Gosched()
 	}
-	return out, copySend(s, st.ch.srcFD, view, &st.em)
+	return copySend(s, st.ch.srcFD, view, &st.em)
 }
 
 // ingress is steps 4-6, under the target VM lock alone: allocate in the
@@ -279,5 +270,5 @@ func KernelSpaceTransfer(src, dst *Function, opts KernelOptions) (InboundRef, me
 		dst:       dst,
 		sourceRef: opts.SourceRef,
 	}
-	return runPipeline(&spec, kernelOps{})
+	return unicast(kernelOps{}, &spec)
 }

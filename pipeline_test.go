@@ -222,7 +222,8 @@ func TestMulticastRejectsForcedMode(t *testing.T) {
 // so a landed leg moves its target's health FSM exactly as a successful Xfer
 // does. One instance-fault strike leaves the target Suspect; a successful
 // Xfer clears it, and so must a successful multicast (legs are observed,
-// never retried).
+// never retried). A multicast that fails on a crashed target strikes that
+// target, as a failed Xfer does.
 func TestMulticastLegsFeedHealth(t *testing.T) {
 	p := newPlatform(t)
 	src := deploy(t, p, roadrunner.FunctionSpec{Name: "src", Node: "edge"})
@@ -267,6 +268,18 @@ func TestMulticastLegsFeedHealth(t *testing.T) {
 	}
 	if got := inst.Health(); got != afterXfer {
 		t.Fatalf("after a successful multicast Health = %v, want %v as after a successful Xfer", got, afterXfer)
+	}
+
+	if afterXfer != roadrunner.HealthHealthy {
+		t.Fatalf("after a successful multicast Health = %v, want healthy", afterXfer)
+	}
+	inst.InjectFault(kernel.Crash())
+	if _, _, err := p.MulticastCtx(bg, src, []*roadrunner.Function{dst}); err == nil {
+		t.Fatal("multicast into a crashed target succeeded")
+	}
+	inst.Recover()
+	if got := inst.Health(); got != roadrunner.HealthSuspect {
+		t.Fatalf("after a multicast failed on its target Health = %v, want suspect", got)
 	}
 }
 

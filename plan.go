@@ -12,6 +12,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 )
 
 // PlanError reports a plan that failed validation, naming the offending
@@ -49,6 +50,7 @@ var (
 	errChainShort  = errors.New("chain needs at least 2 functions")
 	errNoTargets   = errors.New("no targets")
 	errNegBytes    = errors.New("negative payload size")
+	errBigBytes    = errors.New("payload size of 2^32 bytes or more: the guest's sizes are 32-bit")
 )
 
 // opKind enumerates plan-node operations.
@@ -272,6 +274,9 @@ func (n *PlanNode) check(p *Platform) error {
 	}
 	if n.bytes < 0 {
 		return n.fail(errNegBytes)
+	}
+	if uint64(n.bytes) > math.MaxUint32 {
+		return n.fail(errBigBytes)
 	}
 
 	cfg := cfgPool.Get().(*transferConfig)
